@@ -12,6 +12,7 @@ Exit codes: 0 accepted/succeeded, 1 verification or property failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .experiments import EXPERIMENTS, run_experiment
 from .fuzz import run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import true_resident_cycles
-from .metering import MeterConfig, SignedMeasurement, run_metered, verify_measurement
+from .metering import SignedMeasurement, run_metered, verify_measurement
 from .orchestrator import (
     BillingPolicy,
     ClientContext,
@@ -41,6 +42,7 @@ from .wire import FormatError
 KDE_CODE = b"meterfaas-kde-v1"
 WORKER_CODE = b"meterfaas-worker-v1"
 SIGNER = b"provider"
+_HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
 class CliError(Exception):
@@ -284,17 +286,10 @@ def _resolve_scenario(args):
     from .scenario import ScenarioConfig
 
     scenario = ScenarioConfig.from_file(args.scenario) if getattr(args, "scenario", None) else ScenarioConfig()
-
-    def pick(flag, fallback):
-        return fallback if flag is None else flag
-
-    tau = pick(args.tau, scenario.tau)
-    epsilon = pick(args.epsilon, scenario.epsilon)
-    net_delay = pick(args.net_delay, scenario.net_delay)
-    pool = pick(getattr(args, "pool", None), scenario.pool_size)
+    overrides = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay,
+                 "pool_size": getattr(args, "pool", None)}
+    scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     function = args.function or scenario.function
-    cfg = MeterConfig(tau=tau, epsilon=epsilon, net_delay=net_delay,
-                      include_load_time=scenario.include_load_time)
     schedule_spec = args.schedule or scenario.schedule_file
 
     def schedule_for(image, input_data) -> list:
@@ -309,7 +304,7 @@ def _resolve_scenario(args):
             return random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
         return []
 
-    return cfg, scenario.cost_table(), pool, function, schedule_for
+    return scenario.meter_config(), scenario.cost_table(), scenario.pool_size, function, schedule_for
 
 
 def cmd_run(args) -> int:
@@ -361,19 +356,17 @@ def cmd_run(args) -> int:
 
 
 def _iter_reports(path: Path):
+    """Reports from a hex measurement log, a binary report file, or a
+    directory of either."""
     files = sorted(p for p in path.iterdir() if p.is_file()) if path.is_dir() else [path]
     for p in files:
         data = p.read_bytes()
         try:
             text = data.decode("ascii")
-            is_log = all(set(line.strip()) <= set("0123456789abcdefABCDEF") for line in text.splitlines() if line.strip())
         except UnicodeDecodeError:
-            is_log = False
-        if is_log and data:
-            for line in text.splitlines():
-                line = line.strip()
-                if line:
-                    yield SignedMeasurement.decode(bytes.fromhex(line))
+            text = ""
+        if text and all(set(line.strip()) <= _HEX_DIGITS for line in text.splitlines()):
+            yield from MeasurementLog(p)
         else:
             yield SignedMeasurement.decode(data)
 

@@ -189,7 +189,12 @@ def validate_schedule(events: list[ScheduleEvent]) -> None:
 
 @dataclass
 class SimTrace:
-    """Cycle-accurate record of one run; ground truth for every oracle."""
+    """Cycle-accurate record of one run; ground truth for every oracle.
+
+    ``events`` always holds the schedule-driven events ``AEX``, ``AEX_SKIPPED``
+    and ``ERESUME``, at most two per schedule entry. Every other event (START,
+    TX_*, WAIT_*, STALL_*, WRITE, STEP, DONE) is recorded only in a full trace.
+    """
 
     events: list[tuple[int, str, str, str]]
     resident: dict[str, int]
@@ -309,7 +314,7 @@ class SimKernel:
         self._handles.append(handle)
         return handle
 
-    # logging
+    # logging; callers record per-instruction events only in a full trace
 
     def _log(self, actor: str, kind: str, detail: str = "") -> None:
         self._events.append((self.now, actor, kind, detail))
@@ -345,7 +350,8 @@ class SimKernel:
     def _abort_tx(self, rt: _Rt, cause: str) -> None:
         rt.tx = None
         rt.pending_abort = TxAborted(cause)
-        self._log(rt.handle.name, "TX_ABORT", cause)
+        if self._full_trace:
+            self._log(rt.handle.name, "TX_ABORT", cause)
         # squash in-flight or frozen body work; cycles consumed stay consumed
         if rt.state == _RUNNING and rt.finish_at is not None:
             self._accrue(rt)
@@ -371,7 +377,8 @@ class SimKernel:
         rt.finish_at = None
         if rt.state == _STALLED:
             rt.state = _RUNNING
-            self._log(rt.handle.name, "STALL_END")
+            if self._full_trace:
+                self._log(rt.handle.name, "STALL_END")
             result: Any = None
         elif instr.kind == _OP:
             result = instr.effect() if instr.effect is not None else None
@@ -404,7 +411,8 @@ class SimKernel:
             self._accrue(rt)
             rt.state = _DONE
             rt.result = stop.value
-            self._log(rt.handle.name, "DONE")
+            if self._full_trace:
+                self._log(rt.handle.name, "DONE")
             return
         rt.send_value = None
         self._begin(rt, nxt)
@@ -416,7 +424,8 @@ class SimKernel:
             if rt.tx is not None:
                 raise KernelError(f"{rt.handle.name}: nested transaction")
             rt.tx = _Tx(instr.value)
-            self._log(rt.handle.name, "TX_BEGIN", f"watch={len(instr.value)}")
+            if self._full_trace:
+                self._log(rt.handle.name, "TX_BEGIN", f"watch={len(instr.value)}")
             rt.needs_fetch = True
             return
         if kind == _TXEND:
@@ -426,7 +435,8 @@ class SimKernel:
             rt.tx = None
             for cell, value in tx.writes.items():
                 self._commit_write(rt, cell, value)
-            self._log(rt.handle.name, "TX_COMMIT")
+            if self._full_trace:
+                self._log(rt.handle.name, "TX_COMMIT")
             rt.needs_fetch = True
             return
         if kind == _TXABORT:
@@ -443,14 +453,17 @@ class SimKernel:
                 return
             rt.wait_pred = instr.pred
             rt.state = _WAITING
-            self._log(rt.handle.name, "WAIT_BEGIN")
+            if self._full_trace:
+                self._log(rt.handle.name, "WAIT_BEGIN")
             return
         if kind == _STALL:
             if rt.tx is not None:
                 raise KernelError(f"{rt.handle.name}: ocall stall inside transaction")
-            self._log(rt.handle.name, "STALL_BEGIN", f"cycles={instr.cost}")
+            if self._full_trace:
+                self._log(rt.handle.name, "STALL_BEGIN", f"cycles={instr.cost}")
             if instr.cost == 0:
-                self._log(rt.handle.name, "STALL_END")
+                if self._full_trace:
+                    self._log(rt.handle.name, "STALL_END")
                 rt.needs_fetch = True
                 rt.send_value = None
                 return
@@ -484,7 +497,8 @@ class SimKernel:
                         elif rt.wait_pred is not None and rt.wait_pred():
                             rt.wait_pred = None
                             rt.state = _RUNNING
-                            self._log(rt.handle.name, "WAIT_END")
+                            if self._full_trace:
+                                self._log(rt.handle.name, "WAIT_END")
                             rt.needs_fetch = True
                             rt.send_value = None
                         else:
@@ -563,7 +577,8 @@ class SimKernel:
     def _apply_eresume(self, ev: ScheduleEvent) -> None:
         rt = self._by_name[ev.actor]
         if rt.state != _INTERRUPTED:  # pragma: no cover - guarded by validation
-            self._log(ev.actor, "ERESUME_SKIPPED")
+            if self._full_trace:
+                self._log(ev.actor, "ERESUME_SKIPPED")
             return
         self._log(ev.actor, "ERESUME")
         ssa = rt.handle.ssa
@@ -591,7 +606,8 @@ class SimKernel:
             rt = _Rt(handle)
             self._rts.append(rt)
             self._by_name[handle.name] = rt
-            self._log(handle.name, "START")
+            if full_trace:
+                self._log(handle.name, "START")
 
         aex_queue = list(enumerate(schedule))
         resume_queue = sorted(enumerate(schedule), key=lambda p: (p[1].resume_at, p[0]))
@@ -648,20 +664,13 @@ class SimKernel:
             # phase 4: newly runnable work
             self._pump()
 
-        trace = SimTrace(
+        return SimTrace(
             events=self._events,
             resident={rt.handle.name: rt.resident for rt in self._rts},
             final_cycle=self.now,
             complete=complete,
             results={rt.handle.name: rt.result for rt in self._rts},
         )
-        return trace
-
-
-def run_simulation(kernel: SimKernel, schedule: list[ScheduleEvent], limit: int,
-                   full_trace: bool = False) -> SimTrace:
-    """Facade over :meth:`SimKernel.run` for callers holding a built kernel."""
-    return kernel.run(schedule, limit, full_trace=full_trace)
 
 
 def tx_execute(watch: Iterable[Cell], body: Generator) -> Generator:

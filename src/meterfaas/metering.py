@@ -21,7 +21,7 @@ accumulate at OCALL return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .crypto import DIGEST_SIZE
@@ -54,23 +54,10 @@ class AccountingFault(Exception):
 
 
 @dataclass(frozen=True)
-class TimerConfig:
-    """tau is the tick length in cycles, fixed at enclave initialization;
-    epsilon is the inter-transaction bookkeeping overhead."""
-
-    tau: int
-    epsilon: int = 30
-
-    def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-
-
-@dataclass(frozen=True)
 class MeterConfig:
-    """Full metered-run configuration (timer knobs plus harness choices)."""
+    """Full metered-run configuration. tau is the tick length in cycles, fixed
+    at enclave initialization; epsilon is the inter-transaction bookkeeping
+    overhead; the rest are harness choices."""
 
     tau: int
     epsilon: int = 30
@@ -81,11 +68,10 @@ class MeterConfig:
     extra_timers: int = 0
 
     def __post_init__(self) -> None:
-        TimerConfig(self.tau, self.epsilon)  # reuse validation
-
-    @property
-    def timer(self) -> TimerConfig:
-        return TimerConfig(self.tau, self.epsilon)
+        if self.tau < 1:
+            raise ValueError("tau must be >= 1")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be >= 0")
 
 
 class TimerState:
@@ -109,7 +95,6 @@ class MemState:
     m_cur: int = 0
     t_mem: int = 0
     finalized: bool = False
-    events: list[tuple[int, int]] = field(default_factory=list)  # (tick, delta)
 
 
 def mem_update(mem: MemState, delta_m: int, t_now: int) -> MemState:
@@ -124,7 +109,6 @@ def mem_update(mem: MemState, delta_m: int, t_now: int) -> MemState:
     mem.t_mem = t_now
     if mem.m_cur > mem.m_max:
         mem.m_max = mem.m_cur
-    mem.events.append((t_now, delta_m))
     return mem
 
 
@@ -138,18 +122,6 @@ def mem_finalize(mem: MemState, t_final: int) -> tuple[int, int]:
     mem.t_mem = t_final
     mem.finalized = True
     return mem.m_int, mem.m_max
-
-
-@dataclass
-class NetState:
-    net: int = 0
-    events: list[tuple[int, int]] = field(default_factory=list)
-
-
-def net_add(net: NetState, sent: int, received: int) -> NetState:
-    net.net += sent + received
-    net.events.append((sent, received))
-    return net
 
 
 def ocall_pause(ts: TimerState):
@@ -292,7 +264,7 @@ def worker_program(
                     yield HostStall(cfg.net_delay)
                 yield from ocall_resume(ts)
                 # network bytes are accounted at OCALL return, not at pause
-                yield Op(0, effect=lambda io=item: hooks.on_net(io.sent, io.received))
+                yield Op(0, effect=lambda io=item: hooks.on_net(io.sent, io.received), label="net")
             else:
                 yield Op(item, label="vm")
             item = vm.send(None)
@@ -317,13 +289,10 @@ class MeteredOutcome:
     m_int: int
     m_max: int
     net: int
-    mem: MemState
-    net_state: NetState
     trace: SimTrace
-    vm_steps: int
+    heap_events: list[tuple[int, int, int]]  # per heap op: (cycle, tick, delta)
     window_start: int = 0
     window_end: int = 0
-    cycle_events: list[tuple[int, int]] | None = None  # (absolute cycle, delta)
 
     @property
     def m_avg(self) -> int:
@@ -352,18 +321,23 @@ def run_metered(
     extras = [kern.add_enclave_actor(f"timer{i + 2}") for i in range(cfg.extra_timers)]
 
     mem = MemState()
-    net = NetState()
-    cycle_events: list[tuple[int, int]] = []
+    net = 0
+    heap_events: list[tuple[int, int, int]] = []
     read_tick = lambda: ts.t.value  # noqa: E731 - the blessed unsynchronized mirror read
 
     def on_mem(delta: int) -> None:
-        cycle_events.append((kern.now, delta))
-        mem_update(mem, delta, read_tick())
+        tick = read_tick()
+        heap_events.append((kern.now, tick, delta))
+        mem_update(mem, delta, tick)
+
+    def on_net(sent: int, received: int) -> None:
+        nonlocal net
+        net += sent + received
 
     hooks = VmHooks(
         on_alloc=lambda n: on_mem(n),
         on_free=lambda n: on_mem(-n),
-        on_net=lambda s, r: net_add(net, s, r),
+        on_net=on_net,
         read_tick=read_tick,
     )
     marks: dict = {"clock": lambda: kern.now, "window_start": 0, "window_end": 0}
@@ -388,14 +362,11 @@ def run_metered(
         tau=cfg.tau,
         m_int=m_int,
         m_max=m_max,
-        net=net.net,
-        mem=mem,
-        net_state=net,
+        net=net,
         trace=trace,
-        vm_steps=vm_result.steps,
+        heap_events=heap_events,
         window_start=marks["window_start"],
         window_end=marks["window_end"],
-        cycle_events=cycle_events,
     )
 
 

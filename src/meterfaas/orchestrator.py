@@ -11,7 +11,6 @@ settlement is reproducible bit for bit from the reports and the policy alone.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -57,10 +56,6 @@ class VerificationError(Exception):
     def __init__(self, reason: str, detail: str = "") -> None:
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-
-class PoolExhausted(Exception):
-    pass
 
 
 # --- client side --------------------------------------------------------------
@@ -321,37 +316,6 @@ def compute_invoice(reports: list[SignedMeasurement], policy: BillingPolicy) -> 
     )
 
 
-# --- transport shim -------------------------------------------------------------
-
-
-class DeliveryShim:
-    """Pluggable adversarial delivery: drop, duplicate, and reorder messages.
-
-    All payload guarantees live in the messages themselves; this exists so
-    tests can exercise replay and loss without touching the protocol code.
-    """
-
-    def __init__(self, seed: int = 0, drop: float = 0.0, duplicate: float = 0.0, reorder: bool = False) -> None:
-        self._rng = DeterministicRng(seed, "shim")
-        self.drop = drop
-        self.duplicate = duplicate
-        self.reorder = reorder
-
-    def deliver(self, messages: list) -> list:
-        out = []
-        for m in messages:
-            if self._rng.randrange(1000) < int(self.drop * 1000):
-                continue
-            out.append(m)
-            if self._rng.randrange(1000) < int(self.duplicate * 1000):
-                out.append(m)
-        if self.reorder and len(out) > 1:
-            i = self._rng.randrange(len(out))
-            j = self._rng.randrange(len(out))
-            out[i], out[j] = out[j], out[i]
-        return out
-
-
 # --- worker pool -----------------------------------------------------------------
 
 
@@ -368,7 +332,6 @@ class _Slot:
         self.worker = worker
         self.index = index
         self.image_hash: bytes | None = None
-        self.busy = False
 
 
 class WorkerPool:
@@ -391,14 +354,12 @@ class WorkerPool:
         seed: int = 0,
         measurement_log: MeasurementLog | None = None,
         platforms: list[bytes] | None = None,
-        on_exhausted: str = "queue",
     ) -> None:
-        if on_exhausted not in ("queue", "reject"):
-            raise ValueError("on_exhausted must be 'queue' or 'reject'")
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
         self.kde = kde
         self.measurement_log = measurement_log
         self.collected: list[SignedMeasurement] = []
-        self.on_exhausted = on_exhausted
         self._blob_cache: dict[bytes, SealedBlob] = {}
         self._slots = []
         for i in range(size):
@@ -437,55 +398,17 @@ class WorkerPool:
         function_bytes: bytes,
         schedule: list[ScheduleEvent] | tuple = (),
     ) -> DispatchResult:
+        """Serve one invocation to completion. A worker already warm for the
+        function serves it; otherwise the first worker is (re)provisioned."""
         fn_hash = crypto.hash_bytes(function_bytes)
         slot = next(
-            (s for s in self._slots if not s.busy and s.image_hash == fn_hash
-             and s.worker.keyset is not None),
-            None,
+            (s for s in self._slots if s.image_hash == fn_hash and s.worker.keyset is not None),
+            self._slots[0],
         )
-        if slot is None:
-            slot = next((s for s in self._slots if not s.busy), None)
-        if slot is None:
-            if self.on_exhausted == "reject":
-                raise PoolExhausted("no idle worker")
-            slot = self._slots[0]  # queue behind the first worker
-        slot.busy = True
-        try:
-            cold = self._prepare_slot(slot, function_bytes)
-            slot.worker.ecall_run(request, schedule=schedule)
-            response, measurement = slot.worker.ecall_finish()
-        finally:
-            slot.busy = False
+        cold = self._prepare_slot(slot, function_bytes)
+        slot.worker.ecall_run(request, schedule=schedule)
+        response, measurement = slot.worker.ecall_finish()
         self.collected.append(measurement)
         if self.measurement_log is not None:
             self.measurement_log.append(measurement)
         return DispatchResult(response=response, measurement=measurement, cold=cold, worker_index=slot.index)
-
-    def dispatch_concurrent(
-        self, requests: list[EncryptedRequest], function_bytes: bytes
-    ) -> list[DispatchResult]:
-        """Serve a batch as concurrent invocations: each occupies its own
-        worker instance for the invocation's duration."""
-        results = []
-        for request in requests:
-            slot = next((s for s in self._slots if not s.busy), None)
-            if slot is None:
-                if self.on_exhausted == "reject":
-                    raise PoolExhausted("pool smaller than batch")
-                break
-            slot.busy = True
-            cold = self._prepare_slot(slot, function_bytes)
-            slot.worker.ecall_run(request)
-            results.append((slot, cold))
-        out = []
-        for slot, cold in results:
-            response, measurement = slot.worker.ecall_finish()
-            self.collected.append(measurement)
-            if self.measurement_log is not None:
-                self.measurement_log.append(measurement)
-            out.append(DispatchResult(response, measurement, cold, slot.index))
-            slot.busy = False
-        overflow = requests[len(out):]
-        for request in overflow:
-            out.append(self.dispatch(request, function_bytes))
-        return out

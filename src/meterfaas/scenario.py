@@ -73,7 +73,6 @@ class ScenarioConfig:
     function: str = "fib"
     schedule_file: str | None = None
     fuzz_seed: int | None = None
-    policy_file: str | None = None
     cost_default: int = 1
     cost_heap: int = 10
     cost_net: int = 5
@@ -102,8 +101,6 @@ class ScenarioConfig:
                 cfg.schedule_file = value
             elif key == "fuzz_seed":
                 cfg.fuzz_seed = int(value)
-            elif key == "policy_file":
-                cfg.policy_file = value
             else:
                 cfg.extra[key] = value
         return cfg

@@ -14,7 +14,7 @@ bytes. Numeric I/O is little-endian 64-bit words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator
 
 from . import crypto
 
@@ -121,10 +121,6 @@ def _noop2(_a: int, _b: int) -> None:
     return None
 
 
-def _noop0() -> None:
-    return None
-
-
 @dataclass
 class VmHooks:
     """The only capabilities a running function gets. Metering wires these to
@@ -134,8 +130,6 @@ class VmHooks:
     on_free: Callable[[int], None] = _noop1
     on_net: Callable[[int, int], None] = _noop2
     read_tick: Callable[[], int] = lambda: 0
-    ocall_begin: Callable[[], None] = _noop0
-    ocall_end: Callable[[], None] = _noop0
 
 
 @dataclass
@@ -420,8 +414,6 @@ def vm_execute(
         item = next(gen)
         while True:
             if isinstance(item, NetIo):
-                hooks.ocall_begin()
-                hooks.ocall_end()
                 hooks.on_net(item.sent, item.received)
             item = gen.send(None)
     except StopIteration as stop:
@@ -510,9 +502,3 @@ def assemble(source: str) -> bytes:
 
     header = MAGIC + bytes([VERSION]) + entry.to_bytes(4, "little") + len(code).to_bytes(4, "little")
     return header + bytes(code)
-
-
-def disassemble_counts(image: FunctionImage) -> Iterator[str]:
-    for i, (op, arg) in enumerate(image.program):
-        name, imm = OPCODES[op]
-        yield f"{i}: {name}" + (f" {arg}" if imm is not None else "")

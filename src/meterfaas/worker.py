@@ -36,7 +36,7 @@ from .kde import (
     seal,
     unseal,
 )
-from .kernel import ScheduleEvent, SimTrace
+from .kernel import ScheduleEvent
 from .metering import (
     MeterConfig,
     MeteredOutcome,
@@ -302,8 +302,7 @@ class WorkerEnclave:
         self.keyset: KeySet | None = None
         self.image: FunctionImage | None = None
         self.pending: _Pending | None = None
-        self.last_trace: SimTrace | None = None
-        self.last_vm_steps = 0
+        self.last_outcome: MeteredOutcome | None = None  # None when no function ran
 
     # --- setup -------------------------------------------------------------
 
@@ -365,8 +364,7 @@ class WorkerEnclave:
 
         if req.function_hash != self.image.function_hash:
             # abort before any sandbox instruction runs
-            self.last_trace = None
-            self.last_vm_steps = 0
+            self.last_outcome = None
             self.pending = _Pending(
                 session=session, request=req, outcome=None,
                 status=STATUS_WRONG_FUNCTION, payload=b"wrong-function", tag=tag,
@@ -377,8 +375,7 @@ class WorkerEnclave:
             self.image, req.input, self.limits, self.meter_cfg,
             schedule=list(schedule), costs=self.costs, default_tag=tag,
         )
-        self.last_trace = outcome.trace
-        self.last_vm_steps = outcome.vm_steps
+        self.last_outcome = outcome
         if outcome.vm_result.ok:
             status, payload = STATUS_OK, outcome.vm_result.output
         else:

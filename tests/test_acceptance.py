@@ -186,7 +186,7 @@ def test_criterion_7_security_scenarios():
     broken[4] ^= 2
     with pytest.raises(TamperError):
         worker.ecall_run(EncryptedRequest(request.client_pub, request.aead_nonce, bytes(broken)))
-    assert worker.pending is None and worker.last_vm_steps == 0
+    assert worker.pending is None and worker.last_outcome is None
     with pytest.raises(WorkerError):
         worker.ecall_finish()
     passed.append("input-tamper")
@@ -195,7 +195,7 @@ def test_criterion_7_security_scenarios():
     other_hash = hash_bytes(assemble(corp.EMPTY_SOURCE))
     request, _ = client_prepare(ctx, other_hash, corp.fib_input(10))
     assert worker.ecall_run(request) == 0
-    assert worker.last_vm_steps == 0 and worker.last_trace is None
+    assert worker.last_outcome is None
     _, measurement = worker.ecall_finish()
     assert measurement.t_max == 0
     passed.append("wrong-function")

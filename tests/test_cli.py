@@ -4,7 +4,10 @@ import pytest
 
 from meterfaas import corpus as corp
 from meterfaas.cli import main
-from meterfaas.vm import assemble
+from meterfaas.kernel import ScheduleEvent, true_resident_cycles
+from meterfaas.metering import run_metered
+from meterfaas.scenario import ScenarioConfig
+from meterfaas.vm import VMLimits, assemble
 
 
 @pytest.fixture
@@ -118,6 +121,10 @@ class TestRunAndVerify:
         sched.write_text("worker,50,80\ntimer,200,240\n")
         assert run_invocation(state, fib_files, extra=("--schedule", str(sched))) == 0
 
+    def test_pool_size_zero_exit_2(self, state, fib_files, capsys):
+        assert run_invocation(state, fib_files, extra=("--pool", "0")) == 2
+        assert "pool size" in capsys.readouterr().err
+
     def test_corpus_function_by_name(self, state, tmp_path):
         inp = tmp_path / "net.bin"
         inp.write_bytes(corp.known_network_input(1000, 500))
@@ -171,6 +178,28 @@ class TestTools:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_replay_honours_scenario_handler_cost(self, capsys, tmp_path):
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(200))
+        sched = tmp_path / "s.txt"
+        sched.write_text("worker,100,130\n")
+        oracles = []
+        for handler_cost in (1, 12):
+            scenario = tmp_path / f"h{handler_cost}.cfg"
+            scenario.write_text(f"function=fib\ntau=10\nepsilon=0\nhandler_cost={handler_cost}\n")
+            capsys.readouterr()
+            assert main(["replay", "--scenario", str(scenario), "--input", str(inp),
+                         "--schedule", str(sched)]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1]
+            printed = int(summary.split("oracle_cycles=")[1].split()[0])
+            cfg = ScenarioConfig.from_file(scenario).meter_config()
+            out = run_metered(corp.corpus()["fib"], corp.fib_input(200),
+                              VMLimits(max_steps=5_000_000, max_memory=1 << 28), cfg,
+                              schedule=[ScheduleEvent("worker", 100, 130)])
+            assert printed == true_resident_cycles(out.trace, "worker")
+            oracles.append(printed)
+        assert oracles[0] != oracles[1]
 
     def test_experiment_small_and_deterministic(self, tmp_path, capsys):
         out = tmp_path / "net.csv"

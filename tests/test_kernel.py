@@ -267,7 +267,7 @@ class TestTransactions:
             yield WriteCell(out, 7, cost=1)
 
         t.set_program(program())
-        trace = kern.run([ScheduleEvent("txer", 10, 40)], 1000)
+        trace = kern.run([ScheduleEvent("txer", 10, 40)], 1000, full_trace=True)
         events = [(c, k) for (c, a, k, d) in trace.events if k in ("TX_COMMIT", "AEX")]
         assert events == [(10, "TX_COMMIT"), (10, "AEX")]
         assert trace.complete and out.value == 7
@@ -420,6 +420,6 @@ class TestResidentOracleAgreement:
                 at += rnd.randrange(1, 40)
                 events.append(ScheduleEvent("worker", at, at + rnd.randrange(0, 30)))
                 at = events[-1].resume_at
-            trace = run_single(steps, schedule=events, step_cost=cost, limit=100_000)
+            trace = run_single(steps, schedule=events, step_cost=cost, limit=100_000, full=True)
             assert trace.complete, f"case {case} truncated"
             assert walk_resident(trace, "worker") == true_resident_cycles(trace, "worker")

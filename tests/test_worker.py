@@ -163,8 +163,7 @@ class TestRunAndFinish:
         request, pending = client_prepare(ctx, other_hash, corp.fib_input(10))
         size = worker.ecall_run(request)
         assert size == 0
-        assert worker.last_vm_steps == 0
-        assert worker.last_trace is None
+        assert worker.last_outcome is None
         response, measurement = worker.ecall_finish()
         # decrypted fine, so the zero-consumption measurement is still signed
         assert verify_measurement(measurement, kde.published.k_res_pub)
@@ -258,7 +257,7 @@ class TestRunAndFinish:
         sched = [ScheduleEvent("worker", 100, 200), ScheduleEvent("timer", 500, 600)]
         worker.ecall_run(request, schedule=sched)
         _, measurement = worker.ecall_finish()
-        oracle = true_resident_cycles(worker.last_trace, "worker")
+        oracle = true_resident_cycles(worker.last_outcome.trace, "worker")
         assert measurement.t_max * measurement.tau <= oracle
 
 
