@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus as corp
 from . import crypto
 from .attest import AttestationError, AttestationRoot, derive_identity, verify_transitive
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, LIMITS, run_experiment
 from .fuzz import run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import true_resident_cycles
@@ -35,7 +35,7 @@ from .orchestrator import (
     compute_invoice,
 )
 from .scenario import ConfigError, format_schedule, load_keyvalue, load_schedule
-from .vm import AsmError, LoadError, VMLimits, assemble, vm_load
+from .vm import AsmError, LoadError, assemble, vm_load
 from .worker import Receipt, verify_receipt
 from .wire import FormatError
 
@@ -199,17 +199,28 @@ def _print_report(report: SignedMeasurement) -> None:
     print(f"keyset_id {report.keyset_id.hex()}")
 
 
+def _k_res_public(spec: str) -> bytes:
+    """A k_res public key given as 64 hex characters, a file holding the raw
+    32-byte key, or a published-keys file."""
+    if len(spec) == 2 * crypto.KEY_SIZE and set(spec) <= _HEX_DIGITS:
+        return bytes.fromhex(spec)
+    data = Path(spec).read_bytes()
+    return data if len(data) == crypto.KEY_SIZE else PublishedKeys.decode(data).k_res_pub
+
+
+def _verify_under_key(report: SignedMeasurement, spec: str) -> int:
+    if not verify_measurement(report, _k_res_public(spec)):
+        print("REJECT: signature does not verify under k_res+")
+        return 1
+    _print_report(report)
+    print("ACCEPT")
+    return 0
+
+
 def cmd_verify_measurement(args) -> int:
     report = _load_report(args.report)
-    candidates: list[tuple[PublishedKeys, bool]] = []  # (keys, retired)
     if args.kres:
-        key = bytes.fromhex(args.kres) if len(args.kres) == 64 else Path(args.kres).read_bytes()
-        if verify_measurement(report, key):
-            _print_report(report)
-            print("ACCEPT")
-            return 0
-        print("REJECT: signature does not verify")
-        return 1
+        return _verify_under_key(report, args.kres)
     if not args.state:
         raise CliError("need --state or --kres", 2)
     history = published_history(Path(args.state))
@@ -247,18 +258,7 @@ def cmd_verify_receipt(args) -> int:
 
 
 def cmd_measure_verify(args) -> int:
-    report = _load_report(args.report)
-    if len(args.k_res_pub) == 64 and all(c in "0123456789abcdefABCDEF" for c in args.k_res_pub):
-        key = bytes.fromhex(args.k_res_pub)
-    else:
-        data = Path(args.k_res_pub).read_bytes()
-        key = PublishedKeys.decode(data).k_res_pub if len(data) != 32 else data
-    if not verify_measurement(report, key):
-        print("REJECT: signature does not verify under k_res+")
-        return 1
-    _print_report(report)
-    print("ACCEPT")
-    return 0
+    return _verify_under_key(_load_report(args.report), args.k_res_pub)
 
 
 def cmd_vm_asm(args) -> int:
@@ -299,7 +299,7 @@ def _resolve_scenario(args):
             from .fuzz import random_schedule
             from .vm import vm_execute
 
-            probe = vm_execute(image, input_data, VMLimits(max_steps=5_000_000, max_memory=1 << 28))
+            probe = vm_execute(image, input_data, LIMITS)
             span = 64 + 4 * probe.cycles
             return random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
         return []
@@ -324,7 +324,7 @@ def cmd_run(args) -> int:
 
     pool = WorkerPool(
         kde, worker_identity, size=pool_size, meter_cfg=cfg, costs=costs,
-        limits=VMLimits(max_steps=5_000_000, max_memory=1 << 28), seed=args.seed,
+        limits=LIMITS, seed=args.seed,
         measurement_log=MeasurementLog(state / "measurements.log"),
     )
     ctx = ClientContext.create(
@@ -433,8 +433,7 @@ def cmd_replay(args) -> int:
     input_data = Path(args.input).read_bytes() if args.input else b""
     schedule = schedule_for(image, input_data)
     outcome = run_metered(
-        image, input_data, VMLimits(max_steps=5_000_000, max_memory=1 << 28),
-        cfg, schedule=schedule, costs=costs, full_trace=args.full,
+        image, input_data, LIMITS, cfg, schedule=schedule, costs=costs, full_trace=args.full,
     )
     sys.stdout.write(outcome.trace.export_text())
     oracle = true_resident_cycles(outcome.trace, "worker")
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm_ = verify_sub.add_parser("measurement")
     vm_.add_argument("report")
     vm_.add_argument("--state", help="deployment state (checks current and retired key sets)")
-    vm_.add_argument("--kres", help="hex k_res public key or a published-keys file")
+    vm_.add_argument("--kres", help="hex k_res public key, raw 32-byte key file, or published-keys file")
     vm_.set_defaults(func=cmd_verify_measurement)
     vr = verify_sub.add_parser("receipt")
     vr.add_argument("--receipt", required=True)
@@ -496,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_sub = p.add_subparsers(dest="measure_cmd", required=True)
     mv = m_sub.add_parser("verify", help="verify and print a measurement report")
     mv.add_argument("report")
-    mv.add_argument("k_res_pub", help="hex public key or published-keys file")
+    mv.add_argument("k_res_pub", help="hex k_res public key, raw 32-byte key file, or published-keys file")
     mv.set_defaults(func=cmd_measure_verify)
 
     p = sub.add_parser("vm", help="bytecode tools")

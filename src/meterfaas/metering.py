@@ -323,10 +323,9 @@ def run_metered(
     mem = MemState()
     net = 0
     heap_events: list[tuple[int, int, int]] = []
-    read_tick = lambda: ts.t.value  # noqa: E731 - the blessed unsynchronized mirror read
 
     def on_mem(delta: int) -> None:
-        tick = read_tick()
+        tick = ts.t.value  # the unsynchronized public mirror: reading it never aborts a tick
         heap_events.append((kern.now, tick, delta))
         mem_update(mem, delta, tick)
 
@@ -338,7 +337,6 @@ def run_metered(
         on_alloc=lambda n: on_mem(n),
         on_free=lambda n: on_mem(-n),
         on_net=on_net,
-        read_tick=read_tick,
     )
     marks: dict = {"clock": lambda: kern.now, "window_start": 0, "window_end": 0}
 
@@ -430,23 +428,25 @@ class SignedMeasurement:
 
 
 def build_signed_measurement(
-    outcome: MeteredOutcome,
+    outcome: MeteredOutcome | None,
     tag: bytes,
     keyset_id: bytes,
     k_res_private: bytes,
+    tau: int | None = None,
 ) -> SignedMeasurement:
     """Assemble and sign the report. tau always travels with the report so the
-    verifier can convert ticks to cycles; m_avg uses integer truncation."""
+    verifier can convert ticks to cycles; m_avg uses integer truncation.
+
+    With no outcome (a run aborted before its first sandbox instruction) the
+    report claims zero consumption at the given ``tau``.
+    """
+    if outcome is None:
+        usage = dict(t_max=0, tau=tau, m_int=0, m_max=0, m_avg=0, net=0)
+    else:
+        usage = dict(t_max=outcome.t_max, tau=outcome.tau, m_int=outcome.m_int,
+                     m_max=outcome.m_max, m_avg=outcome.m_avg, net=outcome.net)
     unsigned = SignedMeasurement(
-        t_max=outcome.t_max,
-        tau=outcome.tau,
-        m_int=outcome.m_int,
-        m_max=outcome.m_max,
-        m_avg=outcome.m_avg,
-        net=outcome.net,
-        tag=tag,
-        keyset_id=keyset_id,
-        signature=b"\x00" * crypto.SIGNATURE_SIZE,
+        **usage, tag=tag, keyset_id=keyset_id, signature=b"\x00" * crypto.SIGNATURE_SIZE,
     )
     sig = crypto.sign(k_res_private, unsigned.signed_payload())
     return SignedMeasurement(**{**unsigned.__dict__, "signature": sig})

@@ -327,20 +327,16 @@ class DispatchResult:
     worker_index: int
 
 
-class _Slot:
-    def __init__(self, worker: WorkerEnclave, index: int) -> None:
-        self.worker = worker
-        self.index = index
-        self.image_hash: bytes | None = None
-
-
 class WorkerPool:
     """Fixed pool of worker enclaves with cold/warm starts.
 
-    A cold start runs setup + init before the invocation; a warm start reuses
-    a worker already holding the function and a current key set. Sealed key
-    blobs are cached per platform so later workers on the same platform skip
-    the KDE round trip.
+    Each worker's own key set and loaded image are the only record of its
+    state. A dispatch goes to a worker whose image is the function (a warm
+    start); failing that, to the least recently used worker, which gets setup
+    and init first (a cold start). Workers that have never served come first
+    in that order, so idle workers are provisioned before any warm one is
+    evicted. The sealed key blob of each platform is cached and offered back
+    on that platform's next setup.
     """
 
     def __init__(
@@ -353,7 +349,6 @@ class WorkerPool:
         costs: CostTable | None = None,
         seed: int = 0,
         measurement_log: MeasurementLog | None = None,
-        platforms: list[bytes] | None = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
@@ -361,36 +356,19 @@ class WorkerPool:
         self.measurement_log = measurement_log
         self.collected: list[SignedMeasurement] = []
         self._blob_cache: dict[bytes, SealedBlob] = {}
-        self._slots = []
-        for i in range(size):
-            platform = platforms[i % len(platforms)] if platforms else f"platform-{i}".encode()
-            worker = WorkerEnclave(
+        self._workers = [
+            WorkerEnclave(
                 identity=worker_identity,
-                platform_id=platform,
+                platform_id=f"platform-{i}".encode(),
                 root=kde.root,
                 meter_cfg=meter_cfg,
                 limits=limits,
                 costs=costs,
                 seed=DeterministicRng(seed, f"pool-{i}").u64(),
             )
-            self._slots.append(_Slot(worker, i))
-
-    def _prepare_slot(self, slot: _Slot, function_bytes: bytes) -> bool:
-        """Bring a slot to warm state for the function; True if a cold path ran."""
-        cold = False
-        current = self.kde.keyset.keyset_id
-        worker = slot.worker
-        if worker.keyset is None or worker.keyset.keyset_id != current:
-            blob = self._blob_cache.get(worker.platform_id)
-            blob = worker.ecall_setup(self.kde, blob, expected_keyset_id=current)
-            self._blob_cache[worker.platform_id] = blob
-            cold = True
-        fn_hash = crypto.hash_bytes(function_bytes)
-        if slot.image_hash != fn_hash:
-            worker.ecall_init(function_bytes)
-            slot.image_hash = fn_hash
-            cold = True
-        return cold
+            for i in range(size)
+        ]
+        self._lru = list(range(size))  # worker indices, least recently used first
 
     def dispatch(
         self,
@@ -398,17 +376,31 @@ class WorkerPool:
         function_bytes: bytes,
         schedule: list[ScheduleEvent] | tuple = (),
     ) -> DispatchResult:
-        """Serve one invocation to completion. A worker already warm for the
-        function serves it; otherwise the first worker is (re)provisioned."""
+        """Serve one invocation to completion on a worker already holding the
+        function, else on the least recently used worker after (re)loading it.
+        A worker whose key set the KDE has since rotated fetches the current
+        one first. Either step makes the start cold."""
         fn_hash = crypto.hash_bytes(function_bytes)
-        slot = next(
-            (s for s in self._slots if s.image_hash == fn_hash and s.worker.keyset is not None),
-            self._slots[0],
-        )
-        cold = self._prepare_slot(slot, function_bytes)
-        slot.worker.ecall_run(request, schedule=schedule)
-        response, measurement = slot.worker.ecall_finish()
+        warm = [i for i, w in enumerate(self._workers)
+                if w.image is not None and w.image.function_hash == fn_hash]
+        index = warm[0] if warm else self._lru[0]
+        self._lru.remove(index)
+        self._lru.append(index)
+        worker = self._workers[index]
+        cold = False
+        current = self.kde.keyset.keyset_id
+        if worker.keyset is None or worker.keyset.keyset_id != current:
+            blob = self._blob_cache.get(worker.platform_id)
+            self._blob_cache[worker.platform_id] = worker.ecall_setup(
+                self.kde, blob, expected_keyset_id=current
+            )
+            cold = True
+        if not warm:
+            worker.ecall_init(function_bytes)
+            cold = True
+        worker.ecall_run(request, schedule=schedule)
+        response, measurement = worker.ecall_finish()
         self.collected.append(measurement)
         if self.measurement_log is not None:
             self.measurement_log.append(measurement)
-        return DispatchResult(response=response, measurement=measurement, cold=cold, worker_index=slot.index)
+        return DispatchResult(response=response, measurement=measurement, cold=cold, worker_index=index)

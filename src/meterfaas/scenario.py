@@ -7,7 +7,7 @@ text. Everything is deterministic given the file contents and a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .kernel import ScheduleEvent, validate_schedule
@@ -77,7 +77,6 @@ class ScenarioConfig:
     cost_heap: int = 10
     cost_net: int = 5
     include_load_time: bool = False
-    extra: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -102,7 +101,7 @@ class ScenarioConfig:
             elif key == "fuzz_seed":
                 cfg.fuzz_seed = int(value)
             else:
-                cfg.extra[key] = value
+                raise ConfigError(f"unknown scenario key {key!r}")
         return cfg
 
     def meter_config(self) -> MeterConfig:

@@ -129,7 +129,6 @@ class VmHooks:
     on_alloc: Callable[[int], None] = _noop1
     on_free: Callable[[int], None] = _noop1
     on_net: Callable[[int, int], None] = _noop2
-    read_tick: Callable[[], int] = lambda: 0
 
 
 @dataclass

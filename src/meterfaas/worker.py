@@ -271,7 +271,6 @@ class EncryptedResponse:
 class _Pending:
     session: crypto.SessionKey
     request: RequestPlain
-    outcome: MeteredOutcome | None
     status: int
     payload: bytes
     tag: bytes
@@ -366,7 +365,7 @@ class WorkerEnclave:
             # abort before any sandbox instruction runs
             self.last_outcome = None
             self.pending = _Pending(
-                session=session, request=req, outcome=None,
+                session=session, request=req,
                 status=STATUS_WRONG_FUNCTION, payload=b"wrong-function", tag=tag,
             )
             return 0
@@ -381,7 +380,7 @@ class WorkerEnclave:
         else:
             status, payload = STATUS_FUNCTION_FAILED, (outcome.vm_result.reason or "trap").encode()
         self.pending = _Pending(
-            session=session, request=req, outcome=outcome,
+            session=session, request=req,
             status=status, payload=payload, tag=outcome.vm_result.tag,
         )
         return len(payload)
@@ -399,7 +398,10 @@ class WorkerEnclave:
         if self.keyset is None:  # pragma: no cover - run requires a keyset
             raise WorkerError("lifecycle", "no key set")
         p = self.pending
-        measurement = self._sign_measurement(p)
+        measurement = build_signed_measurement(
+            self.last_outcome, tag=p.tag, keyset_id=self.keyset.keyset_id,
+            k_res_private=self.keyset.k_res.private, tau=self.meter_cfg.tau,
+        )
         receipt = None
         if p.request.receipt_flag and p.status == STATUS_OK:
             receipt = build_receipt(
@@ -422,17 +424,3 @@ class WorkerEnclave:
         ciphertext = crypto.aead_seal(p.session, nonce, plain.encode(), RESPONSE_AAD)
         self.pending = None
         return EncryptedResponse(aead_nonce=nonce, ciphertext=ciphertext), measurement
-
-    def _sign_measurement(self, p: _Pending) -> SignedMeasurement:
-        if p.outcome is not None:
-            return build_signed_measurement(
-                p.outcome, tag=p.tag, keyset_id=self.keyset.keyset_id,
-                k_res_private=self.keyset.k_res.private,
-            )
-        zero = SignedMeasurement(
-            t_max=0, tau=self.meter_cfg.tau, m_int=0, m_max=0, m_avg=0, net=0,
-            tag=p.tag, keyset_id=self.keyset.keyset_id,
-            signature=b"\x00" * crypto.SIGNATURE_SIZE,
-        )
-        sig = crypto.sign(self.keyset.k_res.private, zero.signed_payload())
-        return SignedMeasurement(**{**zero.__dict__, "signature": sig})

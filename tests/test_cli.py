@@ -4,10 +4,12 @@ import pytest
 
 from meterfaas import corpus as corp
 from meterfaas.cli import main
+from meterfaas.experiments import LIMITS
+from meterfaas.kde import PublishedKeys
 from meterfaas.kernel import ScheduleEvent, true_resident_cycles
 from meterfaas.metering import run_metered
 from meterfaas.scenario import ScenarioConfig
-from meterfaas.vm import VMLimits, assemble
+from meterfaas.vm import assemble
 
 
 @pytest.fixture
@@ -85,6 +87,20 @@ class TestRunAndVerify:
         bad.write_bytes(bytes(data))
         assert main(["verify", "measurement", str(bad), "--state", str(state)]) == 1
 
+    def test_kres_key_forms_agree(self, state, fib_files, tmp_path):
+        run_invocation(state, fib_files)
+        report = str(state / "measurement.bin")
+        published = PublishedKeys.decode((state / "published.bin").read_bytes())
+        raw = tmp_path / "k_res.bin"
+        raw.write_bytes(published.k_res_pub)
+        for spec in (published.k_res_pub.hex(), str(raw), str(state / "published.bin")):
+            assert main(["verify", "measurement", report, "--kres", spec]) == 0
+            assert main(["measure", "verify", report, spec]) == 0
+        other = tmp_path / "other.bin"
+        other.write_bytes(b"\x01" * 32)
+        assert main(["verify", "measurement", report, "--kres", str(other)]) == 1
+        assert main(["measure", "verify", report, str(other)]) == 1
+
     def test_measure_verify_prints_fields(self, state, fib_files, capsys):
         run_invocation(state, fib_files)
         rc = main(["measure", "verify", str(state / "measurement.bin"), str(state / "published.bin")])
@@ -124,6 +140,12 @@ class TestRunAndVerify:
     def test_pool_size_zero_exit_2(self, state, fib_files, capsys):
         assert run_invocation(state, fib_files, extra=("--pool", "0")) == 2
         assert "pool size" in capsys.readouterr().err
+
+    def test_unknown_scenario_key_exit_2(self, state, fib_files, tmp_path, capsys):
+        scenario = tmp_path / "typo.cfg"
+        scenario.write_text("function=fib\ntua=5\n")
+        assert run_invocation(state, fib_files, extra=("--scenario", str(scenario))) == 2
+        assert "tua" in capsys.readouterr().err
 
     def test_corpus_function_by_name(self, state, tmp_path):
         inp = tmp_path / "net.bin"
@@ -194,8 +216,7 @@ class TestTools:
             summary = capsys.readouterr().out.splitlines()[-1]
             printed = int(summary.split("oracle_cycles=")[1].split()[0])
             cfg = ScenarioConfig.from_file(scenario).meter_config()
-            out = run_metered(corp.corpus()["fib"], corp.fib_input(200),
-                              VMLimits(max_steps=5_000_000, max_memory=1 << 28), cfg,
+            out = run_metered(corp.corpus()["fib"], corp.fib_input(200), LIMITS, cfg,
                               schedule=[ScheduleEvent("worker", 100, 130)])
             assert printed == true_resident_cycles(out.trace, "worker")
             oracles.append(printed)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from meterfaas import corpus as corp
+from meterfaas import crypto
 from meterfaas.attest import AttestationError, AttestationRoot, derive_identity
 from meterfaas.crypto import DeterministicRng, TamperError, hash_bytes
 from meterfaas.kde import KeyDistributionEnclave
@@ -167,6 +168,54 @@ class TestPool:
         out = client_verify_response(p_new, result.response)
         assert int.from_bytes(out.output, "little") == 5
         assert result.measurement.keyset_id == kde.keyset.keyset_id
+
+    def test_alternating_functions_use_idle_workers(self, kde, ctx):
+        echo = assemble(corp.ECHO_WORD_SOURCE)
+        calls = [(FIB, corp.fib_input(5)), (echo, corp.words(3))] * 3
+
+        def trace(size):
+            pool = WorkerPool(kde, WORKER_IDENT, size=size, meter_cfg=CFG, seed=5)
+            out = []
+            for fn, data in calls:
+                req, _ = client_prepare(ctx, hash_bytes(fn), data)
+                result = pool.dispatch(req, fn)
+                out.append((result.worker_index, result.cold))
+            return out
+
+        # idle workers are provisioned before a warm one is evicted
+        assert trace(3) == [(0, True), (1, True), (0, False), (1, False), (0, False), (1, False)]
+        # with one worker every switch of function is a cold start
+        assert trace(1) == [(0, True)] * 6
+
+    def test_least_recently_used_worker_is_evicted(self, kde, ctx):
+        fns = [assemble(f"PUSH {k}\nOUTPUT_WORD\nHALT\n") for k in range(3)]
+        pool = WorkerPool(kde, WORKER_IDENT, size=2, meter_cfg=CFG, seed=5)
+        served = []
+        for fn in (fns[0], fns[1], fns[0], fns[2], fns[0]):
+            req, _ = client_prepare(ctx, hash_bytes(fn), b"")
+            result = pool.dispatch(req, fn)
+            served.append((result.worker_index, result.cold))
+        # fns[2] replaces fns[1] on worker 1, the one used less recently
+        assert served == [(0, True), (1, True), (0, False), (1, True), (0, False)]
+
+    def test_function_hashed_once_per_warm_dispatch(self, kde, pool, ctx, monkeypatch):
+        real = crypto.hash_bytes
+        seen = []
+
+        def counting(data):
+            if data == FIB:
+                seen.append(data)
+            return real(data)
+
+        monkeypatch.setattr(crypto, "hash_bytes", counting)
+        counts = []
+        for n in (5, 6):
+            req, _ = client_prepare(ctx, real(FIB), corp.fib_input(n))
+            seen.clear()
+            pool.dispatch(req, FIB)
+            counts.append(len(seen))
+        # cold: the dispatch plus the load in ecall_init; warm: the dispatch only
+        assert counts == [2, 1]
 
     def test_measurement_log_appends(self, kde, ctx, tmp_path):
         log = MeasurementLog(tmp_path / "provider.log")

@@ -46,13 +46,16 @@ class TestScenarioConfig:
     def test_from_mapping_types(self):
         cfg = ScenarioConfig.from_mapping(
             {"tau": "630", "epsilon": "63", "function": "known_network",
-             "include_load_time": "true", "cost_heap": "12", "custom_key": "x"}
+             "include_load_time": "true", "cost_heap": "12"}
         )
         assert cfg.tau == 630 and cfg.epsilon == 63
         assert cfg.function == "known_network"
         assert cfg.include_load_time
         assert cfg.cost_table().heap == 12
-        assert cfg.extra == {"custom_key": "x"}
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="tua"):
+            ScenarioConfig.from_mapping({"tua": "5"})
 
     def test_meter_config_construction(self, tmp_path):
         path = tmp_path / "scenario.cfg"
