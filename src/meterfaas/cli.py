@@ -411,8 +411,15 @@ def cmd_experiment(args) -> int:
 def cmd_fuzz_lowerbound(args) -> int:
     summary = run_lowerbound_fuzz(args.cases, args.seed)
     if summary.ok:
-        print(f"PASS: {summary.cases} cases, 0 violations of t_max*tau <= resident cycles")
+        print(f"PASS: {summary.cases} cases, 0 violations of t_max*tau <= resident cycles, "
+              f"resident cycles conserved in every case")
         return 0
+    if not summary.violations:
+        case = summary.unconserved[0]
+        print(f"FAIL: {len(summary.unconserved)} of {summary.cases} cases lose or double-charge "
+              f"worker cycles; first: case {case.seed_index} resident={case.oracle} "
+              f"declared={case.declared}")
+        return 1
     case = summary.violations[0]
     artifact = Path(args.artifact) if args.artifact else Path(f"lowerbound-violation-{case.seed_index}.schedule")
     artifact.write_text(format_schedule(case.schedule))

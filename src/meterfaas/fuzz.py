@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .corpus import words
 from .crypto import DeterministicRng
-from .kernel import ScheduleEvent, true_resident_cycles
+from .kernel import ScheduleEvent, SimTrace, true_resident_cycles
 from .metering import MeterConfig, MeteredOutcome, run_metered
-from .vm import CostTable, FunctionImage, VMLimits, assemble, vm_load
+from .vm import CostTable, FunctionImage, VMLimits, VmHooks, assemble, vm_execute, vm_load
 
 
 def random_image(rng: DeterministicRng) -> tuple[FunctionImage, bytes]:
@@ -103,6 +103,31 @@ def random_config(rng: DeterministicRng) -> tuple[MeterConfig, CostTable]:
     return cfg, costs
 
 
+def declared_worker_cycles(
+    image: FunctionImage,
+    input_data: bytes,
+    limits: VMLimits,
+    cfg: MeterConfig,
+    costs: CostTable | None,
+    trace: SimTrace,
+) -> int:
+    """The worker residency a metered run must show if the kernel charges
+    every declared cycle exactly once: the instruction cycles of an unmetered
+    run of the same function, one ERESUME-handler detour per ERESUME that
+    found the handler installed, and the host stall of every network OCALL."""
+    net_ops = 0
+
+    def on_net(_sent: int, _received: int) -> None:
+        nonlocal net_ops
+        net_ops += 1
+
+    ref = vm_execute(image, input_data, limits, VmHooks(on_net=on_net), costs)
+    load = len(image.program) if cfg.include_load_time else 0
+    handled = sum(1 for (_, actor, kind, detail) in trace.events
+                  if actor == "worker" and kind == "ERESUME" and detail == "handler")
+    return ref.cycles + load + cfg.handler_cost * handled + cfg.net_delay * net_ops
+
+
 @dataclass
 class FuzzCase:
     seed_index: int
@@ -111,10 +136,15 @@ class FuzzCase:
     schedule: list[ScheduleEvent]
     outcome: MeteredOutcome
     oracle: int
+    declared: int
 
     @property
     def holds(self) -> bool:
         return self.outcome.t_max * self.cfg.tau <= self.oracle
+
+    @property
+    def conserved(self) -> bool:
+        return self.oracle == self.declared
 
 
 def run_case(rng: DeterministicRng, index: int, limits: VMLimits | None = None) -> FuzzCase:
@@ -128,26 +158,32 @@ def run_case(rng: DeterministicRng, index: int, limits: VMLimits | None = None) 
         image, input_data, limits, cfg, schedule=schedule, costs=costs, limit=50_000_000
     )
     oracle = true_resident_cycles(outcome.trace, "worker")
-    return FuzzCase(index, cfg, costs, schedule, outcome, oracle)
+    declared = declared_worker_cycles(image, input_data, limits, cfg, costs, outcome.trace)
+    return FuzzCase(index, cfg, costs, schedule, outcome, oracle, declared)
 
 
 @dataclass
 class FuzzSummary:
     cases: int
-    violations: list[FuzzCase]
+    violations: list[FuzzCase]  # t_max * tau > resident
+    unconserved: list[FuzzCase]  # resident != declared cycles
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.unconserved
 
 
 def run_lowerbound_fuzz(cases: int, seed: int, limits: VMLimits | None = None) -> FuzzSummary:
     """The core property: for every program and schedule, reported ticks times
-    tau never exceed the worker's true resident cycles."""
+    tau never exceed the worker's true resident cycles. Alongside it, the
+    kernel must conserve cycles: that residency equals the declared cycles."""
     rng = DeterministicRng(seed, "lowerbound")
     violations: list[FuzzCase] = []
+    unconserved: list[FuzzCase] = []
     for i in range(cases):
         case = run_case(rng, i, limits)
         if not case.holds:
             violations.append(case)
-    return FuzzSummary(cases=cases, violations=violations)
+        if not case.conserved:
+            unconserved.append(case)
+    return FuzzSummary(cases=cases, violations=violations, unconserved=unconserved)

@@ -192,8 +192,10 @@ class SimTrace:
     """Cycle-accurate record of one run; ground truth for every oracle.
 
     ``events`` always holds the schedule-driven events ``AEX``, ``AEX_SKIPPED``
-    and ``ERESUME``, at most two per schedule entry. Every other event (START,
-    TX_*, WAIT_*, STALL_*, WRITE, STEP, DONE) is recorded only in a full trace.
+    and ``ERESUME``, at most two per schedule entry; an ``ERESUME`` that found
+    an ERESUME handler installed has the detail ``handler``. Every other event
+    (START, TX_*, WAIT_*, STALL_*, WRITE, STEP, DONE) is recorded only in a
+    full trace.
     """
 
     events: list[tuple[int, str, str, str]]
@@ -267,7 +269,9 @@ class _Rt:
         self.state = _RUNNING
         self.instr: Instr | None = None
         self.finish_at: int | None = None
-        self.frozen: tuple[Instr, int] | None = None
+        # work frozen by an AEX, innermost last: (instr, remaining, in_detour);
+        # an AEX inside the ERESUME handler stacks on the work it detoured from
+        self.frozen: list[tuple[Instr, int, bool]] = []
         self.segment_start: int | None = None
         self.tx: _Tx | None = None
         self.pending_abort: TxAborted | None = None
@@ -357,7 +361,7 @@ class SimKernel:
             self._accrue(rt)
         rt.instr = None
         rt.finish_at = None
-        rt.frozen = None
+        rt.frozen.clear()
 
     # resident accounting
 
@@ -516,17 +520,17 @@ class SimKernel:
                         if rt.finish_at is not None:
                             break
                         continue
+                    if rt.frozen:
+                        # frozen work resumes exactly where it was interrupted,
+                        # an interrupted handler before the work it detoured from
+                        rt.instr, rem, rt.in_detour = rt.frozen.pop()
+                        rt.finish_at = self.now + rem
+                        rt.segment_start = self.now
+                        break
                     if rt.wait_pred is not None:
                         # detours drained while a wait was pending: wait again
                         rt.state = _WAITING
                         continue
-                    if rt.frozen is not None:
-                        # frozen work resumes exactly where it was interrupted
-                        rt.instr, rem = rt.frozen
-                        rt.frozen = None
-                        rt.finish_at = self.now + rem
-                        rt.segment_start = self.now
-                        break
                     if rt.pending_abort is not None:
                         budget -= 1
                         progressed = True
@@ -563,9 +567,10 @@ class SimKernel:
         if rt.state == _RUNNING and rt.finish_at is not None:
             # freeze in-flight work; it resumes exactly where it stopped
             self._accrue(rt)
-            rt.frozen = (rt.instr, rt.finish_at - self.now)
+            rt.frozen.append((rt.instr, rt.finish_at - self.now, rt.in_detour))
             rt.instr = None
             rt.finish_at = None
+            rt.in_detour = False
         rt.wait_was = rt.state == _WAITING
         rt.state = _INTERRUPTED
         ssa = rt.handle.ssa
@@ -580,10 +585,10 @@ class SimKernel:
             if self._full_trace:
                 self._log(ev.actor, "ERESUME_SKIPPED")
             return
-        self._log(ev.actor, "ERESUME")
-        ssa = rt.handle.ssa
-        ripval = ssa.rip.value
-        if isinstance(ripval, EresumeHandler):
+        ripval = rt.handle.ssa.rip.value
+        handler = isinstance(ripval, EresumeHandler)
+        self._log(ev.actor, "ERESUME", "handler" if handler else "")
+        if handler:
             rt.detours.extend(ripval.steps)
         rt.state = _WAITING if rt.wait_was else _RUNNING
         rt.wait_was = False

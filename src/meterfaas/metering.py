@@ -238,7 +238,8 @@ def worker_program(
     The bracket writes (marker, counter reset, proc) are zero-cost boundary
     effects, so the metered window coincides exactly with the function's
     resident cycles; all real overhead is carried by epsilon and the
-    per-instruction costs.
+    instruction costs. The VM yields one summed cost per block of
+    instructions (see ``execute_steps``), and each becomes one ``Op``.
     """
     if cfg.gate_worker_on_timer:
         yield WaitUntil((ts.ready,), lambda: ts.ready.value == 1)

@@ -3,10 +3,10 @@
 Clients construct a context only after the transitive attestation of the
 published keys succeeds, then seal requests under a session key and match
 responses by nonce. The pool dispatches invocations to worker enclaves with
-cold and warm starts, caches sealed key blobs per platform, refreshes rotated
-key sets, and appends every signed measurement to the provider's log. Billing
-converts verified reports into an invoice with exact rational arithmetic, so
-settlement is reproducible bit for bit from the reports and the policy alone.
+cold and warm starts, refreshes rotated key sets, and appends every signed
+measurement to the provider's log. Billing converts verified reports into an
+invoice with exact rational arithmetic, so settlement is reproducible bit for
+bit from the reports and the policy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from . import crypto
 from .attest import verify_transitive
 from .crypto import AgreementKeyPair, DeterministicRng
-from .kde import KeyDistributionEnclave, PublishedKeys, SealedBlob
+from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import ScheduleEvent
 from .metering import MeterConfig, SignedMeasurement, verify_measurement
 from .vm import CostTable, VMLimits
@@ -335,8 +335,9 @@ class WorkerPool:
     start); failing that, to the least recently used worker, which gets setup
     and init first (a cold start). Workers that have never served come first
     in that order, so idle workers are provisioned before any warm one is
-    evicted. The sealed key blob of each platform is cached and offered back
-    on that platform's next setup.
+    evicted. A worker sets up only when it holds no key set or a rotated one,
+    so it always fetches the current set from the KDE; no sealed blob is kept,
+    since each worker's platform is its own and its old blob is stale.
     """
 
     def __init__(
@@ -355,7 +356,6 @@ class WorkerPool:
         self.kde = kde
         self.measurement_log = measurement_log
         self.collected: list[SignedMeasurement] = []
-        self._blob_cache: dict[bytes, SealedBlob] = {}
         self._workers = [
             WorkerEnclave(
                 identity=worker_identity,
@@ -390,10 +390,7 @@ class WorkerPool:
         cold = False
         current = self.kde.keyset.keyset_id
         if worker.keyset is None or worker.keyset.keyset_id != current:
-            blob = self._blob_cache.get(worker.platform_id)
-            self._blob_cache[worker.platform_id] = worker.ecall_setup(
-                self.kde, blob, expected_keyset_id=current
-            )
+            worker.ecall_setup(self.kde, expected_keyset_id=current)
             cold = True
         if not warm:
             worker.ecall_init(function_bytes)

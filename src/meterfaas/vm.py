@@ -56,6 +56,7 @@ OPCODES: dict[int, tuple[str, str | None]] = {
 MNEMONIC_TO_OP = {name: op for op, (name, _) in OPCODES.items()}
 _HEAP_OPS = frozenset((0x30, 0x31, 0x32))
 _NET_OPS = frozenset((0x40, 0x41))
+_BLOCK_ENDS = _HEAP_OPS | {0x00}  # HALT and the heap ops close a block
 
 
 class LoadError(ValueError):
@@ -229,9 +230,17 @@ def execute_steps(
     costs: CostTable,
     default_tag: bytes | None = None,
 ) -> Generator[int | NetIo, None, VMResult]:
-    """Core interpreter as a generator: yields each instruction's cycle cost
-    (or a NetIo marker) before applying its effect, so a driver can charge
-    cycles at the right simulated instant. Returns the VMResult."""
+    """Core interpreter as a generator that yields one cycle cost per block.
+
+    Only HALT, the heap ops and the network ops have effects outside the VM,
+    so every other instruction runs at once and adds its cost to the pending
+    block. HALT and each heap op close the block: the summed cost is yielded
+    before the op's effect, which runs when the driver resumes us, i.e. at
+    the cycle where the block completes. A network op first flushes the
+    pending cost, then yields its NetIo. A trap, the step budget included,
+    flushes the pending cost before the result is returned. Costs, steps and
+    cycles add up to the same totals as one instruction at a time; only the
+    granularity of the yields is coarser. Returns the VMResult."""
     costs.validate()
     program = image.program
     stack: list[int] = []
@@ -244,6 +253,7 @@ def execute_steps(
     pc = image.entry
     steps = 0
     cycles = 0
+    pending = 0  # cost of the instructions run since the last yield
 
     def pop() -> int:
         if not stack:
@@ -274,14 +284,18 @@ def execute_steps(
                 sent, received = (count, 0) if op == 0x40 else (0, count)
                 steps += 1
                 cycles += cost
+                if pending:
+                    yield pending
+                    pending = 0
                 yield NetIo(cost, sent, received)
                 pc += 1
                 continue
             steps += 1
             cycles += cost
-            yield cost
-            # effect phase: runs when the driver resumes us, i.e. at the
-            # cycle where the instruction completes
+            pending += cost
+            if op in _BLOCK_ENDS:
+                yield pending
+                pending = 0
             if op == 0x00:  # HALT
                 return finish("ok", None)
             elif op == 0x01:  # PUSH
@@ -394,6 +408,8 @@ def execute_steps(
                 raise _Trap("fault:bad-opcode")
             pc += 1
     except _Trap as trap:
+        if pending:
+            yield pending
         return finish("trapped", trap.reason)
 
 

@@ -138,6 +138,34 @@ class TestSsaContract:
         # handler cycles count as worker residency: 20 program + 3 handler
         assert true_resident_cycles(trace, "worker") == 23
 
+    def test_aex_inside_handler_keeps_both_frozen_remainders(self):
+        # Op(10) is frozen at 3 with 7 cycles left; the installed 5-cycle
+        # handler runs from 10 and is interrupted at 12 with 3 left. That
+        # spill replaced the handler in ssa.rip, so the resume at 20 finishes
+        # the handler (20..23), then the Op (23..30).
+        kern = SimKernel()
+        w = kern.add_enclave_actor("worker")
+        handler = EresumeHandler([WriteCell(w.ssa.marker, MARKER_VALUE, cost=5)])
+
+        def program():
+            yield Op(10)
+            return w.ssa.marker.value
+
+        def installer():
+            yield Op(4)
+            yield WriteCell(w.ssa.rip, handler, cost=1)
+
+        w.set_program(program())
+        kern.add_enclave_actor("timer").set_program(installer())
+        trace = kern.run([ScheduleEvent("worker", 3, 10), ScheduleEvent("worker", 12, 20)], 1000)
+        assert trace.complete
+        assert trace.results["worker"] == MARKER_VALUE
+        assert trace.final_cycle == 30
+        assert true_resident_cycles(trace, "worker") == 10 + 5
+        assert [(c, k, d) for (c, a, k, d) in trace.events] == [
+            (3, "AEX", ""), (10, "ERESUME", "handler"), (12, "AEX", ""), (20, "ERESUME", ""),
+        ]
+
     def test_os_actor_cannot_touch_enclave_memory(self):
         kern = SimKernel()
         w = kern.add_enclave_actor("worker")

@@ -1,6 +1,7 @@
 """Metering: timing lower bound and exactness, memory integral, network, reports."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from meterfaas import corpus as corp
 from meterfaas.crypto import DeterministicRng, SigningKeyPair, hash_bytes
-from meterfaas.fuzz import run_lowerbound_fuzz
+from meterfaas.fuzz import declared_worker_cycles, run_case, run_lowerbound_fuzz
 from meterfaas.kernel import ScheduleEvent, true_resident_cycles
 from meterfaas.metering import (
     AccountingFault,
@@ -21,14 +22,22 @@ from meterfaas.metering import (
     run_metered,
     verify_measurement,
 )
-from meterfaas.vm import VMLimits, assemble, vm_execute, vm_load
+from meterfaas.vm import CostTable, VMLimits, assemble, vm_execute, vm_load
 
 LIMITS = VMLimits()
 IMAGES = corp.corpus()
 
 
+def assert_conserved(out, image, input_data, limits, cfg, costs=None):
+    """Worker residency is exactly VM + handler + OCALL stall cycles."""
+    declared = declared_worker_cycles(image, input_data, limits, cfg, costs, out.trace)
+    assert out.trace.resident["worker"] == declared
+
+
 def meter(name, input_data, cfg, schedule=(), **kw):
-    return run_metered(IMAGES[name], input_data, LIMITS, cfg, schedule=schedule, **kw)
+    out = run_metered(IMAGES[name], input_data, LIMITS, cfg, schedule=schedule, **kw)
+    assert_conserved(out, IMAGES[name], input_data, LIMITS, cfg, kw.get("costs"))
+    return out
 
 
 def per_tick_oracle(events, t_final):
@@ -300,6 +309,69 @@ class TestInterrupts:
     def test_lowerbound_fuzz_small(self):
         summary = run_lowerbound_fuzz(300, seed=2024)
         assert summary.ok, f"violations: {[v.seed_index for v in summary.violations]}"
+
+
+class TestCycleConservation:
+    """An AEX that lands inside the ERESUME handler must not drop the rest
+    of the instruction the handler detoured from."""
+
+    def test_fuzz_case_978_handler_interrupted(self):
+        # case 978 of the seed-20240 acceptance corpus: the worker resumes at
+        # 490 into its 10-cycle handler and is interrupted again at 495
+        source = ("PUSH 11\nSTOREL 15\nt0: LOADL 15\nJZ e0\nPUSH 15\nPOP\nLOADL 15\nPUSH 1\n"
+                  "SUB\nSTOREL 15\nJMP t0\ne0: PUSH 0\nPOP\n"
+                  "PUSH 12\nSTOREL 15\nt1: LOADL 15\nJZ e1\nPUSH 11\nPOP\nLOADL 15\nPUSH 1\n"
+                  "SUB\nSTOREL 15\nJMP t1\ne1: PUSH 0\nPOP\nHALT")
+        image = vm_load(assemble(source))
+        cfg = MeterConfig(tau=1, epsilon=0, handler_cost=10)
+        costs = CostTable(default=1, heap=4, net=4)
+        sched = [ScheduleEvent("worker", 210, 490), ScheduleEvent("worker", 495, 1632),
+                 ScheduleEvent("timer", 4023, 5777)]
+        out = run_metered(image, b"", LIMITS, cfg, schedule=sched, costs=costs)
+        assert out.vm_result.ok and out.vm_result.cycles == 220
+        assert out.trace.resident["worker"] == 220 + 2 * 10
+        assert [d for (c, a, k, d) in out.trace.events if k == "ERESUME"] == ["handler"] * 2
+        assert out.t_max * cfg.tau <= out.trace.resident["worker"]
+
+    def test_zero_length_window_inside_handler_completes(self):
+        # case 28 of the adversarial benchmark corpus at seed 301: the window
+        # 46->46 interrupts the 12-cycle handler entered at 36
+        source = ("PUSH 4\nSTOREL 15\ntop: LOADL 15\nJZ end\nPUSH 62\nPOP\nLOADL 15\nPUSH 1\n"
+                  "SUB\nSTOREL 15\nJMP top\nend: PUSH 0\nPOP\n"
+                  "PUSH 0\nINPUT_WORD\nOUTPUT_WORD\nHALT")
+        image = vm_load(assemble(source))
+        data = corp.words(42371, 45369)
+        cfg = MeterConfig(tau=1, epsilon=0, handler_cost=12)
+        costs = CostTable(default=2, heap=7, net=1)
+        sched = [ScheduleEvent("worker", 16, 36), ScheduleEvent("timer", 19, 36),
+                 ScheduleEvent("worker", 46, 46), ScheduleEvent("worker", 64, 84),
+                 ScheduleEvent("timer", 64, 68)]
+        limits = VMLimits(max_steps=4000)
+        out = run_metered(image, data, limits, cfg, schedule=sched, costs=costs, limit=592)
+        assert out.vm_result.ok and out.vm_result.output == corp.words(42371)
+        assert out.t_max * cfg.tau <= out.trace.resident["worker"]
+        assert_conserved(out, image, data, limits, cfg, costs)
+
+
+def fuzz_records_digest(cases: int, seed: int) -> str:
+    """SHA-256 over the per-case records of the first ``cases`` fuzz cases."""
+    rng = DeterministicRng(seed, "lowerbound")
+    h = hashlib.sha256()
+    for i in range(cases):
+        out = run_case(rng, i).outcome
+        vm = out.vm_result
+        h.update(repr((vm.status, vm.output, out.t_max, out.m_int, out.m_max, out.net,
+                       sorted(out.trace.resident.items()), out.trace.final_cycle,
+                       out.heap_events)).encode())
+    return h.hexdigest()
+
+
+class TestBehaviourLock:
+    def test_fuzz_records_unchanged(self):
+        # every simulated number of 1000 fuzz cases, heap-op cycles included;
+        # a change here is a behaviour change, not an optimisation
+        assert fuzz_records_digest(1000, 20240) == (
+            "1cafda794b27e9481af9b3512bc5d5ee52c68f43395e2b701fcb11df14a8ffaa")
 
 
 class TestBoundedLog:

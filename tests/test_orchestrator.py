@@ -6,6 +6,7 @@ import pytest
 
 from meterfaas import corpus as corp
 from meterfaas import crypto
+from meterfaas import worker as worker_module
 from meterfaas.attest import AttestationError, AttestationRoot, derive_identity
 from meterfaas.crypto import DeterministicRng, TamperError, hash_bytes
 from meterfaas.kde import KeyDistributionEnclave
@@ -216,6 +217,25 @@ class TestPool:
             counts.append(len(seen))
         # cold: the dispatch plus the load in ecall_init; warm: the dispatch only
         assert counts == [2, 1]
+
+    def test_rotation_setup_fetches_without_unsealing(self, kde, monkeypatch):
+        # a worker sets up only when its key set is missing or rotated, so a
+        # sealed blob it held could never serve; each setup is one KDE fetch
+        unseals, fetches = [], []
+        real_unseal, real_distribute = worker_module.unseal, kde.distribute
+        monkeypatch.setattr(worker_module, "unseal", lambda *a: unseals.append(1) or real_unseal(*a))
+        monkeypatch.setattr(kde, "distribute", lambda r: fetches.append(1) or real_distribute(r))
+        echo = assemble(corp.ECHO_WORD_SOURCE)
+        pool = WorkerPool(kde, WORKER_IDENT, size=2, meter_cfg=CFG, seed=5)
+        for epoch in range(3):
+            if epoch:
+                kde.rotate()
+            ctx = ClientContext.create(ROOT.public_key, kde.published, KDE_IDENT.mrenclave,
+                                       WORKER_IDENT.mrenclave, seed=epoch)
+            for fn, data in ((FIB, corp.fib_input(5)), (echo, corp.words(3))):
+                req, pending = client_prepare(ctx, hash_bytes(fn), data)
+                client_verify_response(pending, pool.dispatch(req, fn).response)
+        assert (len(unseals), len(fetches)) == (0, 6)
 
     def test_measurement_log_appends(self, kde, ctx, tmp_path):
         log = MeasurementLog(tmp_path / "provider.log")

@@ -7,9 +7,11 @@ from meterfaas.vm import (
     AsmError,
     CostTable,
     LoadError,
+    NetIo,
     VMLimits,
     VmHooks,
     assemble,
+    execute_steps,
     vm_execute,
     vm_load,
 )
@@ -186,6 +188,53 @@ class TestExecution:
         res = vm_execute(img, b"", LIMITS, hooks=hooks)
         assert res.ok
         assert events == [("+", 16), ("+", 48), ("-", 56), ("-", 8)]
+
+
+def drive(source, input_data=b"", limits=LIMITS, costs=CostTable(default=1, heap=10, net=5)):
+    """Run execute_steps by hand; log every yield and every hook call in
+    order, so a hook's position shows which block it completed."""
+    log = []
+    hooks = VmHooks(on_alloc=lambda n: log.append(("alloc", n)),
+                    on_free=lambda n: log.append(("free", n)))
+    gen = execute_steps(vm_load(assemble(source)), input_data, limits, hooks, costs)
+    try:
+        item = next(gen)
+        while True:
+            log.append(item if isinstance(item, NetIo) else ("cost", item))
+            item = gen.send(None)
+    except StopIteration as stop:
+        return log, stop.value
+
+
+class TestBlocks:
+    def test_private_instructions_yield_one_cost(self):
+        log, res = drive("PUSH 2\nPUSH 3\nADD\nOUTPUT_WORD\nHALT")
+        assert log == [("cost", 5)]
+        assert res.ok and res.steps == 5 and res.cycles == 5
+
+    def test_heap_op_closes_block_and_runs_at_its_end(self):
+        log, res = drive("PUSH 1\nPOP\nPUSH 16\nALLOC\nSTOREL 0\nLOADL 0\nFREE\nPUSH 7\nPOP\nHALT")
+        # PUSH POP PUSH ALLOC = 1+1+1+10; STOREL LOADL FREE = 1+1+10; PUSH POP HALT
+        assert log == [("cost", 13), ("alloc", 16), ("cost", 12), ("free", 16), ("cost", 3)]
+        assert res.ok and res.steps == 10 and res.cycles == 28
+
+    def test_network_op_flushes_pending_cost_first(self):
+        log, res = drive("PUSH 1\nPOP\nPUSH 64\nNET_SEND\nPUSH 8\nNET_RECV\nHALT")
+        assert log == [("cost", 3), NetIo(5, 64, 0), ("cost", 1), NetIo(5, 0, 8), ("cost", 1)]
+        assert res.ok and res.steps == 7 and res.cycles == 15
+
+    def test_private_fault_flushes_pending_cost(self):
+        # the faulting POP is charged, as when each instruction was yielded
+        log, res = drive("PUSH 1\nPOP\nPUSH 16\nALLOC\nPUSH 1\nPOP\nPOP\nPOP\nHALT")
+        assert res.status == "trapped" and res.reason == "fault:stack-underflow"
+        assert log == [("cost", 13), ("alloc", 16), ("cost", 4)]
+        assert res.steps == 8 and res.cycles == 17
+
+    def test_step_budget_flushes_pending_cost(self):
+        log, res = drive("top: PUSH 1\nPOP\nJMP top", limits=VMLimits(max_steps=50))
+        assert res.status == "trapped" and res.reason == "budget:steps"
+        assert log == [("cost", 50)]
+        assert res.steps == 50 and res.cycles == 50
 
 
 class TestConfinement:
