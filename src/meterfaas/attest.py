@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, DeterministicRng, SigningKeyPair
-from .wire import Reader, Writer
+from .crypto import DIGEST_SIZE, KEY_SIZE, SIGNATURE_SIZE, DeterministicRng, SigningKeyPair
+from .wire import VAR, opt, record, sign_record, signed_record
 
 QUOTE_DOMAIN = b"meterfaas/quote/v1|"
 REPORT_DOMAIN = b"meterfaas/report/v1|"
@@ -26,6 +26,11 @@ class AttestationError(Exception):
         self.reason = reason
 
 
+@record(
+    ("mrenclave", DIGEST_SIZE),
+    ("mrsigner", DIGEST_SIZE),
+    ("parametrization", opt(DIGEST_SIZE)),
+)
 @dataclass(frozen=True)
 class EnclaveIdentity:
     """Code identity, signer identity, and optional damage-containment tag.
@@ -37,28 +42,6 @@ class EnclaveIdentity:
     mrenclave: bytes
     mrsigner: bytes
     parametrization: bytes | None = None
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.mrenclave, DIGEST_SIZE)
-        w.fixed(self.mrsigner, DIGEST_SIZE)
-        w.opt_fixed(self.parametrization, DIGEST_SIZE)
-        return w.done()
-
-    @classmethod
-    def read(cls, r: Reader) -> "EnclaveIdentity":
-        return cls(
-            mrenclave=r.fixed(DIGEST_SIZE),
-            mrsigner=r.fixed(DIGEST_SIZE),
-            parametrization=r.opt_fixed(DIGEST_SIZE),
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "EnclaveIdentity":
-        r = Reader(data)
-        out = cls.read(r)
-        r.finish()
-        return out
 
 
 def derive_identity(
@@ -76,6 +59,12 @@ def derive_identity(
     )
 
 
+@record(
+    ("kka_pub_hash", DIGEST_SIZE),
+    ("kout_pub_hash", DIGEST_SIZE),
+    ("kres_pub_hash", DIGEST_SIZE),
+    ("worker_identity", DIGEST_SIZE),
+)
 @dataclass(frozen=True)
 class QuoteUserData:
     """The four items a key-publishing quote must bind, in fixed order."""
@@ -85,62 +74,24 @@ class QuoteUserData:
     kres_pub_hash: bytes
     worker_identity: bytes
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.kka_pub_hash, DIGEST_SIZE)
-        w.fixed(self.kout_pub_hash, DIGEST_SIZE)
-        w.fixed(self.kres_pub_hash, DIGEST_SIZE)
-        w.fixed(self.worker_identity, DIGEST_SIZE)
-        return w.done()
 
-    @classmethod
-    def decode(cls, data: bytes) -> "QuoteUserData":
-        r = Reader(data)
-        out = cls(
-            kka_pub_hash=r.fixed(DIGEST_SIZE),
-            kout_pub_hash=r.fixed(DIGEST_SIZE),
-            kres_pub_hash=r.fixed(DIGEST_SIZE),
-            worker_identity=r.fixed(DIGEST_SIZE),
-        )
-        r.finish()
-        return out
-
-
+@signed_record(
+    QUOTE_DOMAIN, "ias_signature", SIGNATURE_SIZE,
+    ("identity", EnclaveIdentity),
+    ("user_data", VAR),
+)
 @dataclass(frozen=True)
 class Quote:
     identity: EnclaveIdentity
     user_data: bytes
     ias_signature: bytes
 
-    def signed_payload(self) -> bytes:
-        w = Writer()
-        w.var(self.identity.encode())
-        w.var(self.user_data)
-        return QUOTE_DOMAIN + w.done()
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.identity.encode())
-        w.var(self.user_data)
-        w.fixed(self.ias_signature, SIGNATURE_SIZE)
-        return w.done()
-
-    @classmethod
-    def read(cls, r: Reader) -> "Quote":
-        return cls(
-            identity=EnclaveIdentity.decode(r.var()),
-            user_data=r.var(),
-            ias_signature=r.fixed(SIGNATURE_SIZE),
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Quote":
-        r = Reader(data)
-        out = cls.read(r)
-        r.finish()
-        return out
-
-
+@signed_record(
+    REPORT_DOMAIN, "signature", SIGNATURE_SIZE,
+    ("identity", EnclaveIdentity),
+    ("transport_public", KEY_SIZE),
+)
 @dataclass(frozen=True)
 class WorkerReport:
     """Local attestation of a worker requesting keys: identity plus the
@@ -149,30 +100,6 @@ class WorkerReport:
     identity: EnclaveIdentity
     transport_public: bytes
     signature: bytes
-
-    def signed_payload(self) -> bytes:
-        w = Writer()
-        w.var(self.identity.encode())
-        w.fixed(self.transport_public, crypto.KEY_SIZE)
-        return REPORT_DOMAIN + w.done()
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.identity.encode())
-        w.fixed(self.transport_public, crypto.KEY_SIZE)
-        w.fixed(self.signature, SIGNATURE_SIZE)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "WorkerReport":
-        r = Reader(data)
-        out = cls(
-            identity=EnclaveIdentity.decode(r.var()),
-            transport_public=r.fixed(crypto.KEY_SIZE),
-            signature=r.fixed(SIGNATURE_SIZE),
-        )
-        r.finish()
-        return out
 
 
 class AttestationRoot:
@@ -187,14 +114,12 @@ class AttestationRoot:
         return self._keypair.public
 
     def issue_quote(self, identity: EnclaveIdentity, user_data: bytes) -> Quote:
-        unsigned = Quote(identity=identity, user_data=user_data, ias_signature=b"\x00" * SIGNATURE_SIZE)
-        sig = crypto.sign(self._keypair.private, unsigned.signed_payload())
-        return Quote(identity=identity, user_data=user_data, ias_signature=sig)
+        return sign_record(Quote, self._keypair.private, identity=identity, user_data=user_data)
 
     def attest_worker(self, identity: EnclaveIdentity, transport_public: bytes) -> WorkerReport:
-        unsigned = WorkerReport(identity, transport_public, b"\x00" * SIGNATURE_SIZE)
-        sig = crypto.sign(self._keypair.private, unsigned.signed_payload())
-        return WorkerReport(identity, transport_public, sig)
+        return sign_record(
+            WorkerReport, self._keypair.private, identity=identity, transport_public=transport_public
+        )
 
 
 def ias_verify(root_public: bytes, quote: Quote) -> tuple[EnclaveIdentity, bytes]:

@@ -395,7 +395,6 @@ def cmd_experiment(args) -> int:
     if args.name in ("fib_timing", "fib_memory"):
         params["ns"] = tuple(range(args.n_min, args.n_max + 1, args.n_step))
         params["tau"] = args.tau
-        params["reps"] = args.reps
     if args.name == "tau_sweep":
         params["epsilon"] = args.epsilon
     if args.name == "network":
@@ -541,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.add_argument("--tau", type=int, default=100)
     p.add_argument("--epsilon", type=int, default=30)
-    p.add_argument("--reps", type=int, default=1)
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=500)

@@ -66,24 +66,19 @@ def fib_timing(
     epsilon: int = 0,
     small_tau: int = 630,
     small_epsilon: int = 63,
-    reps: int = 1,
 ) -> ExperimentResult:
     """Measured compute time versus input size, plus a deliberately
-    small-tick, nonzero-overhead configuration that under-reports."""
+    small-tick, nonzero-overhead configuration that under-reports. Tick
+    counts are written as floats (``%.6f``) in the CSV."""
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        t_acc = oracle = small_acc = 0
-        for _ in range(reps):
-            out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
-            t_acc += out.t_max
-            oracle = true_resident_cycles(out.trace, "worker")
-            small = run_metered(
-                fib, fib_input(n), LIMITS, MeterConfig(tau=small_tau, epsilon=small_epsilon)
-            )
-            small_acc += small.t_max
-        t_max = t_acc / reps
-        small_t = small_acc / reps
+        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+        small = run_metered(
+            fib, fib_input(n), LIMITS, MeterConfig(tau=small_tau, epsilon=small_epsilon)
+        )
+        t_max, small_t = float(out.t_max), float(small.t_max)
+        oracle = true_resident_cycles(out.trace, "worker")
         rows.append(
             [n, t_max, t_max * tau, oracle, small_t, small_t * small_tau]
         )
@@ -95,21 +90,16 @@ def fib_timing(
     )
 
 
-def fib_memory(ns=DEFAULT_NS, tau: int = 100, epsilon: int = 0, reps: int = 1) -> ExperimentResult:
+def fib_memory(ns=DEFAULT_NS, tau: int = 100, epsilon: int = 0) -> ExperimentResult:
     """Memory time-integral versus input size; quadratic since both live
     memory and runtime grow linearly. m_int/t_max is the time-averaged
-    allocation and must come out linear."""
+    allocation and must come out linear. m_int and m_avg are written as
+    floats (``%.6f``) in the CSV."""
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        acc_mint = acc_avg = 0
-        m_max = 0
-        for _ in range(reps):
-            out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
-            acc_mint += out.m_int
-            acc_avg += out.m_avg
-            m_max = out.m_max
-        rows.append([n, acc_mint / reps, m_max, acc_avg / reps])
+        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+        rows.append([n, float(out.m_int), out.m_max, float(out.m_avg)])
     return ExperimentResult(
         name="fib_memory",
         header=["n", "m_int", "m_max", "m_avg"],

@@ -29,7 +29,7 @@ from .crypto import (
     SessionKey,
     SigningKeyPair,
 )
-from .wire import Reader, Writer
+from .wire import U64, VAR, Reader, Writer, record
 
 
 class KdeError(Exception):
@@ -58,6 +58,13 @@ class KeySet:
         return crypto.hash_bytes(w.done())
 
 
+@record(
+    ("k_ka_pub", KEY_SIZE),
+    ("k_out_pub", KEY_SIZE),
+    ("k_res_pub", KEY_SIZE),
+    ("created_at", U64),
+    ("quote", Quote),
+)
 @dataclass(frozen=True)
 class PublishedKeys:
     """What clients and the function provider receive: public halves, epoch,
@@ -73,29 +80,12 @@ class PublishedKeys:
     def keyset_id(self) -> bytes:
         return KeySet.compute_id(self.k_ka_pub, self.k_out_pub, self.k_res_pub)
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.k_ka_pub, KEY_SIZE)
-        w.fixed(self.k_out_pub, KEY_SIZE)
-        w.fixed(self.k_res_pub, KEY_SIZE)
-        w.u64(self.created_at)
-        w.var(self.quote.encode())
-        return w.done()
 
-    @classmethod
-    def decode(cls, data: bytes) -> "PublishedKeys":
-        r = Reader(data)
-        out = cls(
-            k_ka_pub=r.fixed(KEY_SIZE),
-            k_out_pub=r.fixed(KEY_SIZE),
-            k_res_pub=r.fixed(KEY_SIZE),
-            created_at=r.u64(),
-            quote=Quote.decode(r.var()),
-        )
-        r.finish()
-        return out
-
-
+@record(
+    ("kde_transport_public", KEY_SIZE),
+    ("nonce", NONCE_SIZE),
+    ("ciphertext", VAR),
+)
 @dataclass(frozen=True)
 class KeySetPayload:
     """Private halves in transit from KDE to a worker, AEAD-sealed to a session
@@ -104,24 +94,6 @@ class KeySetPayload:
     kde_transport_public: bytes
     nonce: bytes
     ciphertext: bytes
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.kde_transport_public, KEY_SIZE)
-        w.fixed(self.nonce, NONCE_SIZE)
-        w.var(self.ciphertext)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "KeySetPayload":
-        r = Reader(data)
-        out = cls(
-            kde_transport_public=r.fixed(KEY_SIZE),
-            nonce=r.fixed(NONCE_SIZE),
-            ciphertext=r.var(),
-        )
-        r.finish()
-        return out
 
 
 def encode_private_keyset(keyset: KeySet) -> bytes:
@@ -160,6 +132,12 @@ def decode_private_keyset(data: bytes) -> KeySet:
     return KeySet(k_ka=k_ka, k_out=k_out, k_res=k_res, keyset_id=keyset_id, created_at=created_at)
 
 
+@record(
+    ("bound_identity", EnclaveIdentity),
+    ("platform_id", VAR),
+    ("nonce", NONCE_SIZE),
+    ("ciphertext", VAR),
+)
 @dataclass(frozen=True)
 class SealedBlob:
     """Data sealed against an enclave identity on a specific platform."""
@@ -168,26 +146,6 @@ class SealedBlob:
     platform_id: bytes
     nonce: bytes
     ciphertext: bytes
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.bound_identity.encode())
-        w.var(self.platform_id)
-        w.fixed(self.nonce, NONCE_SIZE)
-        w.var(self.ciphertext)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SealedBlob":
-        r = Reader(data)
-        out = cls(
-            bound_identity=EnclaveIdentity.decode(r.var()),
-            platform_id=r.var(),
-            nonce=r.fixed(NONCE_SIZE),
-            ciphertext=r.var(),
-        )
-        r.finish()
-        return out
 
 
 def _sealing_key(identity: EnclaveIdentity, platform_id: bytes) -> SessionKey:

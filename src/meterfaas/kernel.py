@@ -78,11 +78,11 @@ _OP, _READ, _WRITE, _TAS, _TXBEGIN, _TXEND, _TXABORT, _WAIT, _STALL = range(9)
 
 
 class Instr:
-    __slots__ = ("kind", "cost", "cell", "value", "effect", "label", "pred", "cells")
+    __slots__ = ("kind", "cost", "cell", "value", "effect", "label", "pred")
 
     def __init__(self, kind: int, cost: int = 0, cell: Cell | None = None, value: Any = None,
                  effect: Callable[[], Any] | None = None, label: str | None = None,
-                 pred: Callable[[], bool] | None = None, cells: tuple[Cell, ...] = ()) -> None:
+                 pred: Callable[[], bool] | None = None) -> None:
         self.kind = kind
         self.cost = cost
         self.cell = cell
@@ -90,7 +90,6 @@ class Instr:
         self.effect = effect
         self.label = label
         self.pred = pred
-        self.cells = cells
 
 
 def Op(cost: int, effect: Callable[[], Any] | None = None, label: str | None = None) -> Instr:
@@ -127,13 +126,13 @@ def TxAbort(code: str) -> Instr:
     return Instr(_TXABORT, value=code)
 
 
-def WaitUntil(cells: Iterable[Cell], pred: Callable[[], bool]) -> Instr:
+def WaitUntil(pred: Callable[[], bool]) -> Instr:
     """Block, without occupying cycles, until pred() becomes true.
 
     Re-evaluated after every committed write and after every ERESUME of the
     waiting actor, so wake-ups lost while interrupted are recovered.
     """
-    return Instr(_WAIT, pred=pred, cells=tuple(cells))
+    return Instr(_WAIT, pred=pred)
 
 
 def HostStall(cost: int) -> Instr:
@@ -289,7 +288,6 @@ class SimKernel:
     """One deterministic simulation instance: cells, actors, and the clock."""
 
     def __init__(self) -> None:
-        self._cells: list[Cell] = []
         self._handles: list[ActorHandle] = []
         self.now = 0
         self._rts: list[_Rt] = []
@@ -300,9 +298,7 @@ class SimKernel:
     # construction
 
     def cell(self, name: str, value: Any = 0, enclave: bool = False) -> Cell:
-        c = Cell(name, value, enclave)
-        self._cells.append(c)
-        return c
+        return Cell(name, value, enclave)
 
     def add_enclave_actor(self, name: str) -> ActorHandle:
         ssa = _SSA(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import DIGEST_SIZE
+from .crypto import DIGEST_SIZE, SIGNATURE_SIZE
 from .kernel import (
     MARKER_VALUE,
     EresumeHandler,
@@ -43,7 +43,7 @@ from .kernel import (
     WriteCell,
 )
 from .vm import CostTable, FunctionImage, NetIo, VMLimits, VMResult, VmHooks, execute_steps
-from .wire import Reader, Writer
+from .wire import U64, sign_record, signed_record
 
 MEASUREMENT_DOMAIN = b"meterfaas/measurement/v1|"
 
@@ -149,10 +149,10 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
 
     prior = yield TestAndSet(ts.mutex, cost=1)
     while prior != 0:
-        yield WaitUntil((ts.mutex,), lambda: ts.mutex.value == 0)
+        yield WaitUntil(lambda: ts.mutex.value == 0)
         prior = yield TestAndSet(ts.mutex, cost=1)
     yield WriteCell(ts.ready, 1)
-    yield WaitUntil((ts.started,), lambda: ts.started.value == 1)
+    yield WaitUntil(lambda: ts.started.value == 1)
 
     while True:
         proc = yield ReadCell(ts.proc)
@@ -161,10 +161,7 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
             if done:
                 break
             # OCALL pause: wait for the worker to come back, or for the end
-            yield WaitUntil(
-                (ts.proc, ts.run_done),
-                lambda: ts.proc.value == 1 or ts.run_done.value == 1,
-            )
+            yield WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
             continue
 
         cause: str | None = None
@@ -209,11 +206,10 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
                 yield WriteCell(ts.original_rip, rip, cost=1)
                 yield WriteCell(worker_ssa.rip, handler, cost=1)
             yield WaitUntil(
-                (worker_ssa.marker, worker_ssa.rip, ts.proc, ts.run_done),
                 lambda: worker_ssa.marker.value == MARKER_VALUE
                 or ts.proc.value != 1
                 or ts.run_done.value == 1
-                or not isinstance(worker_ssa.rip.value, EresumeHandler),
+                or not isinstance(worker_ssa.rip.value, EresumeHandler)
             )
 
     yield WriteCell(ts.mutex, 0)
@@ -242,7 +238,7 @@ def worker_program(
     instructions (see ``execute_steps``), and each becomes one ``Op``.
     """
     if cfg.gate_worker_on_timer:
-        yield WaitUntil((ts.ready,), lambda: ts.ready.value == 1)
+        yield WaitUntil(lambda: ts.ready.value == 1)
     yield WriteCell(ssa.marker, MARKER_VALUE)
     yield WriteCell(ts.internal, 0)
     yield WriteCell(ts.t, 0)
@@ -369,6 +365,18 @@ def run_metered(
     )
 
 
+@signed_record(
+    MEASUREMENT_DOMAIN, "signature", SIGNATURE_SIZE,
+    ("t_max", U64),
+    ("tau", U64),
+    ("m_int", U64),
+    ("m_max", U64),
+    ("m_avg", U64),
+    ("net", U64),
+    ("tag", DIGEST_SIZE),
+    ("keyset_id", DIGEST_SIZE),
+    body_var=True,
+)
 @dataclass(frozen=True)
 class SignedMeasurement:
     """The signed per-invocation resource report."""
@@ -382,47 +390,6 @@ class SignedMeasurement:
     tag: bytes
     keyset_id: bytes
     signature: bytes
-
-    def body(self) -> bytes:
-        w = Writer()
-        w.u64(self.t_max)
-        w.u64(self.tau)
-        w.u64(self.m_int)
-        w.u64(self.m_max)
-        w.u64(self.m_avg)
-        w.u64(self.net)
-        w.fixed(self.tag, DIGEST_SIZE)
-        w.fixed(self.keyset_id, DIGEST_SIZE)
-        return w.done()
-
-    def signed_payload(self) -> bytes:
-        return MEASUREMENT_DOMAIN + self.body()
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.body())
-        w.fixed(self.signature, crypto.SIGNATURE_SIZE)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SignedMeasurement":
-        r = Reader(data)
-        body = Reader(r.var())
-        sig = r.fixed(crypto.SIGNATURE_SIZE)
-        r.finish()
-        out = cls(
-            t_max=body.u64(),
-            tau=body.u64(),
-            m_int=body.u64(),
-            m_max=body.u64(),
-            m_avg=body.u64(),
-            net=body.u64(),
-            tag=body.fixed(DIGEST_SIZE),
-            keyset_id=body.fixed(DIGEST_SIZE),
-            signature=sig,
-        )
-        body.finish()
-        return out
 
     def digest(self) -> bytes:
         return crypto.hash_bytes(self.encode())
@@ -446,11 +413,7 @@ def build_signed_measurement(
     else:
         usage = dict(t_max=outcome.t_max, tau=outcome.tau, m_int=outcome.m_int,
                      m_max=outcome.m_max, m_avg=outcome.m_avg, net=outcome.net)
-    unsigned = SignedMeasurement(
-        **usage, tag=tag, keyset_id=keyset_id, signature=b"\x00" * crypto.SIGNATURE_SIZE,
-    )
-    sig = crypto.sign(k_res_private, unsigned.signed_payload())
-    return SignedMeasurement(**{**unsigned.__dict__, "signature": sig})
+    return sign_record(SignedMeasurement, k_res_private, **usage, tag=tag, keyset_id=keyset_id)
 
 
 def verify_measurement(report: SignedMeasurement, k_res_public: bytes) -> bool:

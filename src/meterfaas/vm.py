@@ -243,6 +243,7 @@ def execute_steps(
     granularity of the yields is coarser. Returns the VMResult."""
     costs.validate()
     program = image.program
+    prices = [costs.cost(op) for op, _ in program]  # priced once per run
     stack: list[int] = []
     locals_: list[int] = [0] * LOCAL_SLOTS
     heap: dict[int, bytearray] = {}
@@ -278,7 +279,7 @@ def execute_steps(
             if steps >= limits.max_steps:
                 raise _Trap("budget:steps")
             op, arg = program[pc]
-            cost = costs.cost(op)
+            cost = prices[pc]
             if op in _NET_OPS:
                 count = pop()
                 sent, received = (count, 0) if op == 0x40 else (0, count)

@@ -1,25 +1,260 @@
 """Canonical byte encoding for every signed, hashed, or transported structure.
 
-All protocol structures in this repo serialize through the two helpers below.
 The rules are normative (signatures and hashes are computed over these bytes):
 
   * unsigned integers are big-endian, fixed width (u8 / u32 / u64);
+  * a flag is one byte, 0 or 1; any other value is a FormatError;
   * fixed-size byte fields are written raw, length checked;
   * variable-size byte fields carry a 4-byte big-endian length prefix;
+  * a nested record is written as a variable-size field holding its encoding;
   * optional fields carry a 1-byte presence flag (0 or 1) and, when present,
     the field encoded as above;
   * fields appear in declaration order, no padding, no framing;
   * decoding must consume the input exactly; anything else is a FormatError.
 
-The per-message field orders live with the dataclasses that own them and are
-summarized in README.md ("Wire formats").
+Each protocol record declares its field list once, on its class, with
+``@record`` or ``@signed_record``; that list is the normative layout of the
+record. ``encode``, ``decode`` and, for a signed record, ``body`` and
+``signed_payload`` are generated from it, and ``sign_record`` builds a signed
+instance. README.md ("Wire formats") summarizes the layouts.
+
+A field kind is ``U8``, ``U64``, ``VAR``, ``FLAG``, an int ``n`` (``n`` fixed
+bytes), a record class (nested, written as a variable-size field), or
+``opt(kind)`` for any of those.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from operator import attrgetter
+
+from . import crypto
+
 
 class FormatError(ValueError):
     """Raised when bytes do not parse as the expected canonical structure."""
+
+
+# --- primitives: put(value) -> bytes, get(data, pos) -> (value, pos) ---------
+
+
+def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
+    end = pos + n
+    if end > len(data):
+        raise FormatError("truncated input")
+    return data[pos:end], end
+
+
+def _uint(width: int):
+    bits = 8 * width
+    limit = 1 << bits
+
+    def put(value: int) -> bytes:
+        if not 0 <= value < limit:
+            raise FormatError(f"u{bits} out of range: {value}")
+        return value.to_bytes(width, "big")
+
+    def get(data: bytes, pos: int) -> tuple[int, int]:
+        raw, pos = _take(data, pos, width)
+        return int.from_bytes(raw, "big"), pos
+
+    return put, get
+
+
+def _fixed(size: int):
+    def put(data: bytes) -> bytes:
+        if len(data) != size:
+            raise FormatError(f"fixed field expects {size} bytes, got {len(data)}")
+        return bytes(data)
+
+    def get(data: bytes, pos: int) -> tuple[bytes, int]:
+        return _take(data, pos, size)
+
+    return put, get
+
+
+def _get_flag(data: bytes, pos: int) -> tuple[int, int]:
+    raw, pos = _take(data, pos, 1)
+    if raw[0] > 1:
+        raise FormatError(f"bad flag {raw[0]}")
+    return raw[0], pos
+
+
+U8 = _uint(1)
+_U32 = _uint(4)
+U64 = _uint(8)
+
+
+def _put_var(data: bytes) -> bytes:
+    size = len(data)
+    if size >> 32:
+        raise FormatError(f"u32 out of range: {size}")
+    return size.to_bytes(4, "big") + data
+
+
+def _get_var(data: bytes, pos: int) -> tuple[bytes, int]:
+    size, pos = _U32[1](data, pos)
+    return _take(data, pos, size)
+
+
+def _put_bool(value: bool) -> bytes:
+    return b"\x01" if value else b"\x00"
+
+
+def _get_bool(data: bytes, pos: int) -> tuple[bool, int]:
+    flag, pos = _get_flag(data, pos)
+    return flag == 1, pos
+
+
+VAR = (_put_var, _get_var)
+FLAG = (_put_bool, _get_bool)
+
+
+def _nested(cls: type):
+    # encode/decode are looked up on each call, so a wrapper installed on the
+    # nested class (a tracer, say) sees these calls too
+    def put(value) -> bytes:
+        return _put_var(value.encode())
+
+    def get(data: bytes, pos: int):
+        chunk, pos = _get_var(data, pos)
+        return cls.decode(chunk), pos
+
+    return put, get
+
+
+def _resolve(kind):
+    if isinstance(kind, int):
+        return _fixed(kind)
+    if isinstance(kind, type):
+        return _nested(kind)
+    return kind
+
+
+def opt(kind):
+    """An optional field: a presence flag (0 or 1), then the field if present."""
+    put, get = _resolve(kind)
+
+    def put_opt(value) -> bytes:
+        return b"\x00" if value is None else b"\x01" + put(value)
+
+    def get_opt(data: bytes, pos: int):
+        flag, pos = _get_flag(data, pos)
+        return get(data, pos) if flag else (None, pos)
+
+    return put_opt, get_opt
+
+
+# --- declared records ---------------------------------------------------------
+
+
+def _finish(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise FormatError(f"{len(data) - pos} trailing bytes")
+
+
+def _layout(cls: type, fields: tuple, tail: tuple = ()):
+    """Resolve each field's kind once. The list must name the dataclass's
+    fields in order; ``tail`` names those written outside the list."""
+    names = tuple(name for name, _ in fields)
+    declared = tuple(f.name for f in dataclasses.fields(cls))
+    if names + tail != declared:
+        raise TypeError(f"{cls.__name__}: wire fields {names + tail} != dataclass fields {declared}")
+    kinds = [_resolve(kind) for _, kind in fields]
+    puts = tuple(put for put, _ in kinds)
+    gets = tuple(get for _, get in kinds)
+
+    def put_all(values) -> bytes:
+        return b"".join([put(value) for put, value in zip(puts, values)])
+
+    def get_all(data: bytes, pos: int) -> tuple[list, int]:
+        out = []
+        for get in gets:
+            value, pos = get(data, pos)
+            out.append(value)
+        return out, pos
+
+    return names, attrgetter(*names), put_all, get_all
+
+
+def _install(cls: type, **methods) -> None:
+    """Put the generated methods in the class's own namespace."""
+    for name, fn in methods.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, classmethod(fn) if name == "decode" else fn)
+
+
+def record(*fields):
+    """Class decorator: generate ``encode`` and ``decode`` from ``fields``,
+    a list of ``(name, kind)`` pairs naming every field of the dataclass."""
+
+    def apply(cls: type) -> type:
+        _, values, put_all, get_all = _layout(cls, fields)
+
+        def encode(self) -> bytes:
+            return put_all(values(self))
+
+        def decode(cls, data: bytes):
+            data = bytes(data)
+            items, pos = get_all(data, 0)
+            _finish(data, pos)
+            return cls(*items)
+
+        _install(cls, encode=encode, decode=decode)
+        return cls
+
+    return apply
+
+
+def signed_record(domain: bytes, signature_field: str, size: int, *fields, body_var: bool = False):
+    """Class decorator for a signed record: ``fields`` make up its ``body``,
+    the signature covers ``domain + body`` and is written after the body as
+    ``size`` fixed bytes. With ``body_var`` the body is written as a
+    variable-size field."""
+
+    def apply(cls: type) -> type:
+        names, values, put_all, get_all = _layout(cls, fields, (signature_field,))
+        put_sig, get_sig = _fixed(size)
+        signature = attrgetter(signature_field)
+
+        def body(self) -> bytes:
+            return put_all(values(self))
+
+        def signed_payload(self) -> bytes:
+            return domain + self.body()
+
+        def encode(self) -> bytes:
+            raw = self.body()
+            return (_put_var(raw) if body_var else raw) + put_sig(signature(self))
+
+        def decode(cls, data: bytes):
+            data = bytes(data)
+            if body_var:
+                chunk, pos = _get_var(data, 0)
+                items, end = get_all(chunk, 0)
+                _finish(chunk, end)
+            else:
+                items, pos = get_all(data, 0)
+            sig, pos = get_sig(data, pos)
+            _finish(data, pos)
+            return cls(*items, sig)
+
+        _install(cls, body=body, signed_payload=signed_payload, encode=encode, decode=decode)
+        cls._wire_signing = (domain, names, put_all, signature_field)
+        return cls
+
+    return apply
+
+
+def sign_record(cls: type, private_key: bytes, **fields):
+    """Build a ``signed_record`` instance from its body fields, signed with
+    ``private_key`` over ``domain + body``."""
+    domain, names, put_all, signature_field = cls._wire_signing
+    body = put_all([fields[name] for name in names])
+    return cls(**fields, **{signature_field: crypto.sign(private_key, domain + body)})
+
+
+# --- stream helpers for ad-hoc layouts (hashed key-id input, private key set) --
 
 
 class Writer:
@@ -27,45 +262,32 @@ class Writer:
         self._parts: list[bytes] = []
 
     def u8(self, value: int) -> "Writer":
-        if not 0 <= value < 1 << 8:
-            raise FormatError(f"u8 out of range: {value}")
-        self._parts.append(value.to_bytes(1, "big"))
+        self._parts.append(U8[0](value))
         return self
 
     def u32(self, value: int) -> "Writer":
-        if not 0 <= value < 1 << 32:
-            raise FormatError(f"u32 out of range: {value}")
-        self._parts.append(value.to_bytes(4, "big"))
+        self._parts.append(_U32[0](value))
         return self
 
     def u64(self, value: int) -> "Writer":
-        if not 0 <= value < 1 << 64:
-            raise FormatError(f"u64 out of range: {value}")
-        self._parts.append(value.to_bytes(8, "big"))
+        self._parts.append(U64[0](value))
         return self
 
     def fixed(self, data: bytes, size: int) -> "Writer":
-        if len(data) != size:
-            raise FormatError(f"fixed field expects {size} bytes, got {len(data)}")
-        self._parts.append(bytes(data))
+        self._parts.append(_fixed(size)[0](data))
         return self
 
     def var(self, data: bytes) -> "Writer":
-        self.u32(len(data))
-        self._parts.append(bytes(data))
+        self._parts.append(_put_var(data))
         return self
 
     def opt_fixed(self, data: bytes | None, size: int) -> "Writer":
-        if data is None:
-            return self.u8(0)
-        self.u8(1)
-        return self.fixed(data, size)
+        self._parts.append(opt(size)[0](data))
+        return self
 
     def opt_var(self, data: bytes | None) -> "Writer":
-        if data is None:
-            return self.u8(0)
-        self.u8(1)
-        return self.var(data)
+        self._parts.append(opt(VAR)[0](data))
+        return self
 
     def done(self) -> bytes:
         return b"".join(self._parts)
@@ -76,45 +298,31 @@ class Reader:
         self._data = bytes(data)
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise FormatError("truncated input")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+    def _get(self, get):
+        value, self._pos = get(self._data, self._pos)
+        return value
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self._get(U8[1])
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        return self._get(_U32[1])
 
     def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
+        return self._get(U64[1])
 
     def fixed(self, size: int) -> bytes:
-        return self._take(size)
+        return self._get(_fixed(size)[1])
 
     def var(self) -> bytes:
-        return self._take(self.u32())
+        return self._get(_get_var)
 
     def opt_fixed(self, size: int) -> bytes | None:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise FormatError(f"bad presence flag {flag}")
-        return self.fixed(size)
+        return self._get(opt(size)[1])
 
     def opt_var(self) -> bytes | None:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise FormatError(f"bad presence flag {flag}")
-        return self.var()
+        return self._get(opt(VAR)[1])
 
     def finish(self) -> None:
         """Assert the input was consumed exactly."""
-        if self._pos != len(self._data):
-            raise FormatError(f"{len(self._data) - self._pos} trailing bytes")
+        _finish(self._data, self._pos)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .attest import AttestationRoot, EnclaveIdentity
-from .crypto import DIGEST_SIZE, KEY_SIZE, NONCE_SIZE, AgreementKeyPair, DeterministicRng
+from .crypto import DIGEST_SIZE, KEY_SIZE, NONCE_SIZE, SIGNATURE_SIZE, AgreementKeyPair, DeterministicRng
 from .kde import (
     KeyDistributionEnclave,
     KeySet,
@@ -45,7 +45,7 @@ from .metering import (
     run_metered,
 )
 from .vm import CostTable, FunctionImage, VMLimits, vm_load
-from .wire import Reader, Writer
+from .wire import FLAG, U8, VAR, opt, record, sign_record, signed_record
 
 RECEIPT_DOMAIN = b"meterfaas/receipt/v1|"
 REQUEST_AAD = b"meterfaas/request/v1|"
@@ -63,6 +63,14 @@ class WorkerError(Exception):
         self.reason = reason
 
 
+@record(
+    ("input", VAR),
+    ("function_hash", DIGEST_SIZE),
+    ("receipt_flag", FLAG),
+    ("want_measurement", FLAG),
+    ("nonce", CLIENT_NONCE_SIZE),
+    ("token", opt(VAR)),
+)
 @dataclass(frozen=True)
 class RequestPlain:
     input: bytes
@@ -72,56 +80,28 @@ class RequestPlain:
     nonce: bytes
     token: bytes | None = None
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.input)
-        w.fixed(self.function_hash, DIGEST_SIZE)
-        w.u8(1 if self.receipt_flag else 0)
-        w.u8(1 if self.want_measurement else 0)
-        w.fixed(self.nonce, CLIENT_NONCE_SIZE)
-        w.opt_var(self.token)
-        return w.done()
 
-    @classmethod
-    def decode(cls, data: bytes) -> "RequestPlain":
-        r = Reader(data)
-        out = cls(
-            input=r.var(),
-            function_hash=r.fixed(DIGEST_SIZE),
-            receipt_flag=r.u8() == 1,
-            want_measurement=r.u8() == 1,
-            nonce=r.fixed(CLIENT_NONCE_SIZE),
-            token=r.opt_var(),
-        )
-        r.finish()
-        return out
-
-
+@record(
+    ("client_pub", KEY_SIZE),
+    ("aead_nonce", NONCE_SIZE),
+    ("ciphertext", VAR),
+)
 @dataclass(frozen=True)
 class EncryptedRequest:
     client_pub: bytes
     aead_nonce: bytes
     ciphertext: bytes
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.client_pub, KEY_SIZE)
-        w.fixed(self.aead_nonce, NONCE_SIZE)
-        w.var(self.ciphertext)
-        return w.done()
 
-    @classmethod
-    def decode(cls, data: bytes) -> "EncryptedRequest":
-        r = Reader(data)
-        out = cls(
-            client_pub=r.fixed(KEY_SIZE),
-            aead_nonce=r.fixed(NONCE_SIZE),
-            ciphertext=r.var(),
-        )
-        r.finish()
-        return out
-
-
+@signed_record(
+    RECEIPT_DOMAIN, "signature", SIGNATURE_SIZE,
+    ("h_input", DIGEST_SIZE),
+    ("h_function", DIGEST_SIZE),
+    ("h_output", DIGEST_SIZE),
+    ("h_measurement", opt(DIGEST_SIZE)),
+    ("keyset_id", DIGEST_SIZE),
+    body_var=True,
+)
 @dataclass(frozen=True)
 class Receipt:
     """Signature under the output key binding digests of (input, function,
@@ -134,41 +114,6 @@ class Receipt:
     keyset_id: bytes
     signature: bytes
 
-    def body(self) -> bytes:
-        w = Writer()
-        w.fixed(self.h_input, DIGEST_SIZE)
-        w.fixed(self.h_function, DIGEST_SIZE)
-        w.fixed(self.h_output, DIGEST_SIZE)
-        w.opt_fixed(self.h_measurement, DIGEST_SIZE)
-        w.fixed(self.keyset_id, DIGEST_SIZE)
-        return w.done()
-
-    def signed_payload(self) -> bytes:
-        return RECEIPT_DOMAIN + self.body()
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.var(self.body())
-        w.fixed(self.signature, crypto.SIGNATURE_SIZE)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Receipt":
-        r = Reader(data)
-        body = Reader(r.var())
-        sig = r.fixed(crypto.SIGNATURE_SIZE)
-        r.finish()
-        out = cls(
-            h_input=body.fixed(DIGEST_SIZE),
-            h_function=body.fixed(DIGEST_SIZE),
-            h_output=body.fixed(DIGEST_SIZE),
-            h_measurement=body.opt_fixed(DIGEST_SIZE),
-            keyset_id=body.fixed(DIGEST_SIZE),
-            signature=sig,
-        )
-        body.finish()
-        return out
-
 
 def build_receipt(
     input_data: bytes,
@@ -178,16 +123,14 @@ def build_receipt(
     keyset_id: bytes,
     k_out_private: bytes,
 ) -> Receipt:
-    unsigned = Receipt(
+    return sign_record(
+        Receipt, k_out_private,
         h_input=crypto.hash_bytes(input_data),
         h_function=function_hash,
         h_output=crypto.hash_bytes(output),
         h_measurement=measurement.digest() if measurement is not None else None,
         keyset_id=keyset_id,
-        signature=b"\x00" * crypto.SIGNATURE_SIZE,
     )
-    sig = crypto.sign(k_out_private, unsigned.signed_payload())
-    return Receipt(**{**unsigned.__dict__, "signature": sig})
 
 
 def verify_receipt(
@@ -213,6 +156,13 @@ def verify_receipt(
     return True, "ok"
 
 
+@record(
+    ("status", U8),
+    ("payload", VAR),
+    ("nonce", CLIENT_NONCE_SIZE),
+    ("measurement", opt(SignedMeasurement)),
+    ("receipt", opt(Receipt)),
+)
 @dataclass(frozen=True)
 class ResponsePlain:
     status: int
@@ -221,50 +171,15 @@ class ResponsePlain:
     measurement: SignedMeasurement | None = None
     receipt: Receipt | None = None
 
-    def encode(self) -> bytes:
-        w = Writer()
-        w.u8(self.status)
-        w.var(self.payload)
-        w.fixed(self.nonce, CLIENT_NONCE_SIZE)
-        w.opt_var(self.measurement.encode() if self.measurement else None)
-        w.opt_var(self.receipt.encode() if self.receipt else None)
-        return w.done()
 
-    @classmethod
-    def decode(cls, data: bytes) -> "ResponsePlain":
-        r = Reader(data)
-        status = r.u8()
-        payload = r.var()
-        nonce = r.fixed(CLIENT_NONCE_SIZE)
-        meas = r.opt_var()
-        receipt = r.opt_var()
-        r.finish()
-        return cls(
-            status=status,
-            payload=payload,
-            nonce=nonce,
-            measurement=SignedMeasurement.decode(meas) if meas is not None else None,
-            receipt=Receipt.decode(receipt) if receipt is not None else None,
-        )
-
-
+@record(
+    ("aead_nonce", NONCE_SIZE),
+    ("ciphertext", VAR),
+)
 @dataclass(frozen=True)
 class EncryptedResponse:
     aead_nonce: bytes
     ciphertext: bytes
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.fixed(self.aead_nonce, NONCE_SIZE)
-        w.var(self.ciphertext)
-        return w.done()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "EncryptedResponse":
-        r = Reader(data)
-        out = cls(aead_nonce=r.fixed(NONCE_SIZE), ciphertext=r.var())
-        r.finish()
-        return out
 
 
 @dataclass

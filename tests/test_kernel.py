@@ -309,7 +309,7 @@ class TestWaitAndStall:
         flag = kern.cell("flag", 0)
 
         def waiter():
-            yield WaitUntil((flag,), lambda: flag.value == 1)
+            yield WaitUntil(lambda: flag.value == 1)
             yield Op(2)
             return "woke"
 
@@ -332,7 +332,7 @@ class TestWaitAndStall:
         flag = kern.cell("flag", 0)
 
         def waiter():
-            yield WaitUntil((flag,), lambda: flag.value == 1)
+            yield WaitUntil(lambda: flag.value == 1)
             return "woke"
 
         def setter():

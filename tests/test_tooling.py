@@ -62,3 +62,23 @@ def test_traced_pass_wraps_and_restores_every_name():
                  "wire.SignedMeasurement.encode"):
         assert name in recorded, name
     assert _bindings() == before
+
+
+def test_traced_pass_wraps_every_codec_method():
+    """A codec method that is not in its class's own namespace is silently
+    skipped by the traced pass, which would zero its codec metric."""
+    run, spans = _load("run"), _load("spans")
+    rec = spans.SpanRecorder()
+    run.install(rec, run.Observations())
+    try:
+        for module, cls_name in run.CODEC_CLASSES:
+            cls = getattr(sys.modules[module], cls_name)
+            names = ("encode", "decode") + (("body",) if hasattr(cls, "signed_payload") else ())
+            for name in names:
+                raw = vars(cls).get(name)
+                assert raw is not None, f"{cls_name}.{name} not defined on the class itself"
+                fn = raw.__func__ if isinstance(raw, classmethod) else raw
+                assert hasattr(fn, "__wrapped__"), f"{cls_name}.{name} not wrapped"
+            assert isinstance(vars(cls)["decode"], classmethod), cls_name
+    finally:
+        rec.uninstall()

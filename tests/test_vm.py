@@ -236,6 +236,15 @@ class TestBlocks:
         assert log == [("cost", 50)]
         assert res.steps == 50 and res.cycles == 50
 
+    def test_prices_resolved_once_per_run(self, monkeypatch):
+        calls = []
+        original = CostTable.cost
+        monkeypatch.setattr(CostTable, "cost", lambda self, op: calls.append(op) or original(self, op))
+        image = corp.corpus()["fib"]
+        res = vm_execute(image, corp.fib_input(50), LIMITS, costs=CostTable(default=2, heap=7, net=3))
+        assert res.ok and res.steps > len(image.program)
+        assert len(calls) <= len(image.program)
+
 
 class TestConfinement:
     def test_vm_module_reaches_nothing_but_hooks(self):

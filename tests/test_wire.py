@@ -148,3 +148,190 @@ class TestStructRoundTrips:
             assert enc not in seen or seen[enc] == ud
             seen[enc] = ud
         assert len(seen) == 2000
+
+
+def _samples() -> list:
+    """One fixed instance of every protocol record per state of each of its
+    optionals, built from a seeded byte stream so that the bytes never move."""
+    from meterfaas.attest import WorkerReport
+    from meterfaas.crypto import DeterministicRng
+    from meterfaas.kde import KeySetPayload, PublishedKeys, SealedBlob
+    from meterfaas.worker import (
+        EncryptedRequest,
+        EncryptedResponse,
+        Receipt,
+        RequestPlain,
+        ResponsePlain,
+    )
+
+    rng = DeterministicRng(2024, "wire-golden")
+    b = rng.bytes
+    ident = EnclaveIdentity(b(32), b(32))
+    ident_param = EnclaveIdentity(b(32), b(32), parametrization=b(32))
+    quote = Quote(identity=ident_param, user_data=b(45), ias_signature=b(64))
+    measurement = SignedMeasurement(
+        t_max=rng.u64(), tau=100, m_int=rng.u64(), m_max=rng.randrange(1 << 40),
+        m_avg=rng.randrange(1 << 30), net=rng.randrange(1 << 20),
+        tag=b(32), keyset_id=b(32), signature=b(64),
+    )
+    receipt = Receipt(h_input=b(32), h_function=b(32), h_output=b(32), h_measurement=None,
+                      keyset_id=b(32), signature=b(64))
+    receipt_meas = Receipt(h_input=b(32), h_function=b(32), h_output=b(32),
+                           h_measurement=measurement.digest(), keyset_id=b(32), signature=b(64))
+    return [
+        ("identity", ident),
+        ("identity-param", ident_param),
+        ("user-data", QuoteUserData(b(32), b(32), b(32), b(32))),
+        ("quote", Quote(identity=ident, user_data=b(7), ias_signature=b(64))),
+        ("quote-param", quote),
+        ("worker-report", WorkerReport(identity=ident_param, transport_public=b(32), signature=b(64))),
+        ("published-keys", PublishedKeys(b(32), b(32), b(32), created_at=rng.u64(), quote=quote)),
+        ("keyset-payload", KeySetPayload(kde_transport_public=b(32), nonce=b(12), ciphertext=b(129))),
+        ("sealed-blob", SealedBlob(bound_identity=ident, platform_id=b(6), nonce=b(12), ciphertext=b(77))),
+        ("request", RequestPlain(input=b(24), function_hash=b(32), receipt_flag=False,
+                                 want_measurement=False, nonce=b(16))),
+        ("request-flags-token", RequestPlain(input=b(3), function_hash=b(32), receipt_flag=True,
+                                             want_measurement=True, nonce=b(16), token=b(9))),
+        ("request-receipt-only", RequestPlain(input=b"", function_hash=b(32), receipt_flag=True,
+                                              want_measurement=False, nonce=b(16), token=b"")),
+        ("request-measurement-only", RequestPlain(input=b(1), function_hash=b(32), receipt_flag=False,
+                                                  want_measurement=True, nonce=b(16))),
+        ("encrypted-request", EncryptedRequest(client_pub=b(32), aead_nonce=b(12), ciphertext=b(90))),
+        ("measurement", measurement),
+        ("receipt", receipt),
+        ("receipt-measurement", receipt_meas),
+        ("response", ResponsePlain(status=0, payload=b(8), nonce=b(16))),
+        ("response-measurement", ResponsePlain(status=1, payload=b(5), nonce=b(16), measurement=measurement)),
+        ("response-receipt", ResponsePlain(status=0, payload=b(8), nonce=b(16), receipt=receipt)),
+        ("response-both", ResponsePlain(status=2, payload=b"wrong-function", nonce=b(16),
+                                        measurement=measurement, receipt=receipt_meas)),
+        ("encrypted-response", EncryptedResponse(aead_nonce=b(12), ciphertext=b(200))),
+    ]
+
+
+# SHA-256 of encode() and, for signed records, of signed_payload(), for each
+# of _samples(). Any change here changes what is signed, hashed or sent.
+GOLDEN = {
+    "identity.encode": "25e19dd36112d924038622b703462c8e58b84e49635dc02f4518b8f6daa639be",
+    "identity-param.encode": "ddef07f606aa1fa7ca71357c5a1fc7dfb912a0ec501a1505fe9f09a1a495aaef",
+    "user-data.encode": "43df331c725d70069345da504ad2df2ae6e55767390af5bb482641559cfa19d7",
+    "quote.encode": "d534e633a3c7c86eb501d7d765cb00368a80a7cee0211196186482839433bc04",
+    "quote.signed_payload": "e01ee996f363a210c68ed2aa1ef4be3c0b151e420ee53b4fe1750d97781cc5bc",
+    "quote-param.encode": "2597f3554cab19863d7e7edfec46b3907a8c99c7518f8e61616e1293f8f4bc4f",
+    "quote-param.signed_payload": "c536ad53bcb9953fa9f09f60447fd13e8cd747f5512f81b2618b5c5a305342fe",
+    "worker-report.encode": "997eb7d100c6c5dec900e669d3b21ef8a9607683f399ede4faf4be77360f8e54",
+    "worker-report.signed_payload": "345838824d387d6a80baaffafd3e321c9ab4f0ca4d5d4fd74731c7e814245c9f",
+    "published-keys.encode": "f01ab1d699ae73d7392b6dcbc93eb69db294e760b7dcbc3aab7438ea8f358f79",
+    "keyset-payload.encode": "c3027b6b1576d30868384f5f3e52dea9e1fd331aafcc59da932e10997bdba058",
+    "sealed-blob.encode": "2d2fba2b97111db38be0b79a715b9fc30715ac0b953fc452b3da5649ae460ca5",
+    "request.encode": "67d2465af985551fe33f5d37a2f16e5e5196a6512629544fb1ed60f688b8e32f",
+    "request-flags-token.encode": "dc27f907889130cc9113b72f88080d7e7fca3af29ab37ce1a45c81527cbb7e05",
+    "request-receipt-only.encode": "5376aab33a9be669ca4194afa2ba9935388ec4c999b74e856d18aeea1889b925",
+    "request-measurement-only.encode": "6b337bee4499eefc1e46d0a7f905827565e7511ec24dee8bf73373706787db62",
+    "encrypted-request.encode": "1ce953305a28e2a7785844d584407c656507900506e9508e925d591a38a8fc0d",
+    "measurement.encode": "a543135136051bd5a69e10e6137046e6f45bc1126ea0a19f511edff6562135d9",
+    "measurement.signed_payload": "20bb94ca3982d59ab16951c8dcbac66db6c4fe0593dd58e3c9dec5e841187e74",
+    "receipt.encode": "ba1c1338ce388fe4623e394e1073dbaf21ccf0a3c4a20e362da01bda92376380",
+    "receipt.signed_payload": "41c3e260d45ca1aceba28d274301540780658eb22301eebc592a30b5f1ec8403",
+    "receipt-measurement.encode": "b2f0137997da7a8c5e5e4331373df620ef979c151f1d81b465f5bfbae14c4a1b",
+    "receipt-measurement.signed_payload": "d28132e3713644432b58d8f9fe5584a4ed4ad124a6e05e002233f33153674952",
+    "response.encode": "574f680e2b711e01834bb7440133b25558c874cd00438a74eed754e8967efb2a",
+    "response-measurement.encode": "7e3dc0b1d96cb725136184de4c69b1bef7cb5e1b79fbb8093d52c3edd061509b",
+    "response-receipt.encode": "636cbfa7b51c1a93d6960bce47696ddf344cf89f322f785dee7de1485b449b5e",
+    "response-both.encode": "98fea2812854dd46c40f41fd054fba325a912f6c24b593534a7d6045543ae261",
+    "encrypted-response.encode": "b66e65a74fb3ebbdd5d39ae12cdd0c8e6788887d46f246a014270bc8840ce011",
+}
+
+
+class TestGoldenVectors:
+    def _digests(self):
+        import hashlib
+
+        out = {}
+        for name, rec in _samples():
+            out[f"{name}.encode"] = hashlib.sha256(rec.encode()).hexdigest()
+            if hasattr(rec, "signed_payload"):
+                out[f"{name}.signed_payload"] = hashlib.sha256(rec.signed_payload()).hexdigest()
+        return out
+
+    def test_bytes_pinned(self):
+        assert self._digests() == GOLDEN
+
+    def test_every_record_class_covered(self):
+        classes = {type(rec).__name__ for _, rec in _samples()}
+        assert classes == {
+            "EnclaveIdentity", "QuoteUserData", "Quote", "WorkerReport", "PublishedKeys",
+            "KeySetPayload", "SealedBlob", "RequestPlain", "EncryptedRequest", "Receipt",
+            "ResponsePlain", "EncryptedResponse", "SignedMeasurement",
+        }
+
+    @pytest.mark.parametrize("name,rec", _samples(), ids=[n for n, _ in _samples()])
+    def test_roundtrip_exact_consume(self, name, rec):
+        data = rec.encode()
+        assert type(rec).decode(data) == rec
+        with pytest.raises(FormatError):
+            type(rec).decode(data[:-1])
+        with pytest.raises(FormatError):
+            type(rec).decode(data + b"\x00")
+
+
+class TestFlags:
+    def _request(self):
+        from meterfaas.worker import RequestPlain
+
+        return RequestPlain(input=b"abc", function_hash=b"\x05" * 32, receipt_flag=True,
+                            want_measurement=False, nonce=b"\x06" * 16)
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["receipt_flag", "want_measurement"])
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_request_flag_bytes_other_than_0_or_1_rejected(self, offset, value):
+        from meterfaas.worker import RequestPlain
+
+        data = bytearray(self._request().encode())
+        pos = 4 + 3 + 32 + offset  # after the input (u32 length + 3 bytes) and the function hash
+        assert data[pos] in (0, 1)
+        data[pos] = value
+        with pytest.raises(FormatError):
+            RequestPlain.decode(bytes(data))
+
+    def test_request_flags_roundtrip(self):
+        from meterfaas.worker import RequestPlain
+
+        req = self._request()
+        data = req.encode()
+        assert data[4 + 3 + 32 : 4 + 3 + 34] == b"\x01\x00"
+        assert RequestPlain.decode(data) == req
+
+
+class TestDeclaredLayout:
+    def test_field_list_must_name_every_dataclass_field_in_order(self):
+        from dataclasses import dataclass
+
+        from meterfaas.wire import U64, record
+
+        with pytest.raises(TypeError):
+            @record(("b", U64), ("a", U64))
+            @dataclass(frozen=True)
+            class Swapped:
+                a: int
+                b: int
+
+        with pytest.raises(TypeError):
+            @record(("a", U64))
+            @dataclass(frozen=True)
+            class Missing:
+                a: int
+                b: int
+
+    def test_sign_record_signs_domain_and_body(self):
+        from meterfaas import crypto
+        from meterfaas.crypto import DeterministicRng, SigningKeyPair
+        from meterfaas.metering import MEASUREMENT_DOMAIN
+        from meterfaas.wire import sign_record
+
+        key = SigningKeyPair.generate(DeterministicRng(1, "sign-record"))
+        report = sign_record(SignedMeasurement, key.private, t_max=1, tau=2, m_int=3, m_max=4,
+                             m_avg=5, net=6, tag=b"\x01" * 32, keyset_id=b"\x02" * 32)
+        assert report.signed_payload() == MEASUREMENT_DOMAIN + report.body()
+        assert crypto.verify(key.public, report.signed_payload(), report.signature)
+        assert (report.t_max, report.net, report.keyset_id) == (1, 6, b"\x02" * 32)
