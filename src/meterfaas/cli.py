@@ -20,7 +20,7 @@ from . import corpus as corp
 from . import crypto
 from .attest import AttestationError, AttestationRoot, derive_identity, verify_transitive
 from .experiments import EXPERIMENTS, LIMITS, run_experiment
-from .fuzz import run_lowerbound_fuzz
+from .fuzz import random_schedule, run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import true_resident_cycles
 from .metering import SignedMeasurement, run_metered, verify_measurement
@@ -34,8 +34,8 @@ from .orchestrator import (
     client_verify_response,
     compute_invoice,
 )
-from .scenario import ConfigError, format_schedule, load_keyvalue, load_schedule
-from .vm import AsmError, LoadError, assemble, vm_load
+from .scenario import ConfigError, ScenarioConfig, format_schedule, load_keyvalue, load_schedule
+from .vm import AsmError, LoadError, assemble, vm_execute, vm_load
 from .worker import Receipt, verify_receipt
 from .wire import FormatError
 
@@ -66,10 +66,15 @@ def _state_cfg_path(state: Path) -> Path:
     return state / "deployment.cfg"
 
 
+def _build_kde(seed: int, worker_identity: bytes) -> KeyDistributionEnclave:
+    """The attestation root and the KDE at epoch 0, both derived from the seed."""
+    root = AttestationRoot(seed=crypto.DeterministicRng(seed, "root-seed").bytes(16))
+    return KeyDistributionEnclave(root, kde_identity(), seed=seed, worker_identity=worker_identity)
+
+
 def init_state(state: Path, seed: int, worker_identity: bytes, parametrization: bytes | None) -> KeyDistributionEnclave:
     state.mkdir(parents=True, exist_ok=True)
-    root = AttestationRoot(seed=crypto.DeterministicRng(seed, "root-seed").bytes(16))
-    kde = KeyDistributionEnclave(root, kde_identity(), seed=seed, worker_identity=worker_identity)
+    kde = _build_kde(seed, worker_identity)
     lines = [
         f"seed={seed}",
         f"worker_identity={worker_identity.hex()}",
@@ -78,9 +83,10 @@ def init_state(state: Path, seed: int, worker_identity: bytes, parametrization: 
     if parametrization is not None:
         lines.append(f"parametrization={parametrization.hex()}")
     _state_cfg_path(state).write_text("\n".join(lines) + "\n")
-    (state / "root.pub").write_text(root.public_key.hex() + "\n")
+    (state / "root.pub").write_text(kde.root.public_key.hex() + "\n")
     _write_published(state, kde)
     return kde
+
 
 def _write_published(state: Path, kde: KeyDistributionEnclave) -> None:
     epoch = kde.keyset.created_at
@@ -89,9 +95,7 @@ def _write_published(state: Path, kde: KeyDistributionEnclave) -> None:
     (state / "published.bin").write_bytes(data)
     # the simulated enclave's private half, canonical-encoded (the state dir
     # plays the role of the KDE's protected memory)
-    from .kde import encode_private_keyset
-
-    (state / f"keyset-{epoch}.bin").write_bytes(encode_private_keyset(kde.keyset))
+    (state / f"keyset-{epoch}.bin").write_bytes(kde.keyset.encode())
     cfg = load_keyvalue(_state_cfg_path(state))
     cfg["epoch"] = str(epoch)
     _state_cfg_path(state).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
@@ -102,12 +106,8 @@ def load_state(state: Path) -> KeyDistributionEnclave:
     if not cfg_path.exists():
         raise CliError(f"no deployment at {state} (run 'kde keygen' first)", 2)
     cfg = load_keyvalue(cfg_path)
-    seed = int(cfg["seed"])
-    worker_identity = bytes.fromhex(cfg["worker_identity"])
-    epoch = int(cfg.get("epoch", "0"))
-    root = AttestationRoot(seed=crypto.DeterministicRng(seed, "root-seed").bytes(16))
-    kde = KeyDistributionEnclave(root, kde_identity(), seed=seed, worker_identity=worker_identity)
-    for _ in range(epoch):
+    kde = _build_kde(int(cfg["seed"]), bytes.fromhex(cfg["worker_identity"]))
+    for _ in range(int(cfg.get("epoch", "0"))):
         kde.rotate()
     return kde
 
@@ -208,19 +208,15 @@ def _k_res_public(spec: str) -> bytes:
     return data if len(data) == crypto.KEY_SIZE else PublishedKeys.decode(data).k_res_pub
 
 
-def _verify_under_key(report: SignedMeasurement, spec: str) -> int:
-    if not verify_measurement(report, _k_res_public(spec)):
-        print("REJECT: signature does not verify under k_res+")
-        return 1
-    _print_report(report)
-    print("ACCEPT")
-    return 0
-
-
 def cmd_verify_measurement(args) -> int:
     report = _load_report(args.report)
     if args.kres:
-        return _verify_under_key(report, args.kres)
+        if not verify_measurement(report, _k_res_public(args.kres)):
+            print("REJECT: signature does not verify under k_res+")
+            return 1
+        _print_report(report)
+        print("ACCEPT")
+        return 0
     if not args.state:
         raise CliError("need --state or --kres", 2)
     history = published_history(Path(args.state))
@@ -243,8 +239,10 @@ def cmd_verify_receipt(args) -> int:
     receipt = Receipt.decode(Path(args.receipt).read_bytes())
     if args.kout:
         k_out = bytes.fromhex(args.kout)
-    else:
+    elif args.state:
         k_out = PublishedKeys.decode((Path(args.state) / "published.bin").read_bytes()).k_out_pub
+    else:
+        raise CliError("need --state or --kout", 2)
     input_data = Path(args.input).read_bytes()
     function_hash = crypto.hash_bytes(Path(args.function).read_bytes())
     output = Path(args.output).read_bytes()
@@ -255,10 +253,6 @@ def cmd_verify_receipt(args) -> int:
         return 0
     print(f"REJECT: {reason}")
     return 1
-
-
-def cmd_measure_verify(args) -> int:
-    return _verify_under_key(_load_report(args.report), args.k_res_pub)
 
 
 def cmd_vm_asm(args) -> int:
@@ -278,44 +272,38 @@ def _function_bytes(spec: str) -> bytes:
 
 
 def _resolve_scenario(args):
-    """Merge a scenario file (when given) under explicit flags.
+    """Merge a scenario file (when given) under explicit flags, then load the
+    function, the input and the schedule that the merged scenario names.
 
-    Returns (meter_cfg, cost_table, pool_size, function, schedule_factory);
-    the schedule factory needs the loaded image to size fuzzed schedules.
+    Returns (scenario, image, input_data, schedule); a fuzzed schedule is
+    sized from an unmetered run of the image on the input.
     """
-    from .scenario import ScenarioConfig
-
-    scenario = ScenarioConfig.from_file(args.scenario) if getattr(args, "scenario", None) else ScenarioConfig()
+    scenario = ScenarioConfig.from_file(args.scenario) if args.scenario else ScenarioConfig()
     overrides = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay,
                  "pool_size": getattr(args, "pool", None)}
     scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     function = args.function or scenario.function
+    if not function:
+        raise CliError("need --function (flag or scenario file)", 2)
+    function_bytes = _function_bytes(function)
+    input_data = Path(args.input).read_bytes() if args.input else b""
+    image = vm_load(function_bytes)
     schedule_spec = args.schedule or scenario.schedule_file
-
-    def schedule_for(image, input_data) -> list:
-        if schedule_spec:
-            return load_schedule(schedule_spec)
-        if scenario.fuzz_seed is not None:
-            from .fuzz import random_schedule
-            from .vm import vm_execute
-
-            probe = vm_execute(image, input_data, LIMITS)
-            span = 64 + 4 * probe.cycles
-            return random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
-        return []
-
-    return scenario.meter_config(), scenario.cost_table(), scenario.pool_size, function, schedule_for
+    if schedule_spec:
+        schedule = load_schedule(schedule_spec)
+    elif scenario.fuzz_seed is not None:
+        probe = vm_execute(image, input_data, LIMITS)
+        span = 64 + 4 * probe.cycles
+        schedule = random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
+    else:
+        schedule = []
+    return scenario, image, input_data, schedule
 
 
 def cmd_run(args) -> int:
     state = Path(args.state)
     kde = load_state(state)
-    cfg, costs, pool_size, function, schedule_for = _resolve_scenario(args)
-    if not function:
-        raise CliError("need --function (flag or scenario file)", 2)
-    function_bytes = _function_bytes(function)
-    input_data = Path(args.input).read_bytes() if args.input else b""
-    schedule = schedule_for(vm_load(function_bytes), input_data)
+    scenario, image, input_data, schedule = _resolve_scenario(args)
     state_cfg = load_keyvalue(_state_cfg_path(state))
     parametrization = bytes.fromhex(state_cfg["parametrization"]) if "parametrization" in state_cfg else None
     worker_identity = derive_identity(WORKER_CODE, SIGNER, parametrization=parametrization)
@@ -323,7 +311,8 @@ def cmd_run(args) -> int:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)
 
     pool = WorkerPool(
-        kde, worker_identity, size=pool_size, meter_cfg=cfg, costs=costs,
+        kde, worker_identity, size=scenario.pool_size, meter_cfg=scenario.meter_config(),
+        costs=scenario.cost_table(),
         limits=LIMITS, seed=args.seed,
         measurement_log=MeasurementLog(state / "measurements.log"),
     )
@@ -333,10 +322,10 @@ def cmd_run(args) -> int:
     )
     token = args.token.encode() if args.token else None
     request, pending = client_prepare(
-        ctx, crypto.hash_bytes(function_bytes), input_data,
+        ctx, image.function_hash, input_data,
         receipt=args.receipt, want_measurement=args.want_measurement, token=token,
     )
-    result = pool.dispatch(request, function_bytes, schedule=schedule)
+    result = pool.dispatch(request, image.raw, schedule=schedule)
     try:
         verified = client_verify_response(pending, result.response)
     except FunctionFailed as exc:
@@ -431,16 +420,10 @@ def cmd_fuzz_lowerbound(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    cfg, costs, _, function, schedule_for = _resolve_scenario(args)
-    if not function:
-        raise CliError("need --function (flag or scenario file)", 2)
-    function_bytes = _function_bytes(function)
-    image = vm_load(function_bytes)
-    input_data = Path(args.input).read_bytes() if args.input else b""
-    schedule = schedule_for(image, input_data)
-    outcome = run_metered(
-        image, input_data, LIMITS, cfg, schedule=schedule, costs=costs, full_trace=args.full,
-    )
+    scenario, image, input_data, schedule = _resolve_scenario(args)
+    cfg = scenario.meter_config()
+    outcome = run_metered(image, input_data, LIMITS, cfg, schedule=schedule, costs=scenario.cost_table(),
+                          full_trace=args.full)
     sys.stdout.write(outcome.trace.export_text())
     oracle = true_resident_cycles(outcome.trace, "worker")
     print(f"# t_max={outcome.t_max} tau={cfg.tau} measured_cycles={outcome.t_max * cfg.tau} "
@@ -471,15 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", help="write canonical published keys here")
     p.set_defaults(func=cmd_kde)
 
-    p = sub.add_parser("attest", help="attestation commands")
-    attest_sub = p.add_subparsers(dest="attest_cmd", required=True)
-    av = attest_sub.add_parser("verify", help="verify a published key quote transitively")
-    _quote_flags(av)
-    av.set_defaults(func=cmd_verify_quote)
-
     p = sub.add_parser("verify", help="verify quotes, measurements, receipts")
     verify_sub = p.add_subparsers(dest="verify_cmd", required=True)
-    vq = verify_sub.add_parser("quote")
+    vq = verify_sub.add_parser("quote", help="verify a published key quote transitively")
     _quote_flags(vq)
     vq.set_defaults(func=cmd_verify_quote)
     vm_ = verify_sub.add_parser("measurement")
@@ -497,13 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--kout", help="hex k_out public key")
     vr.set_defaults(func=cmd_verify_receipt)
 
-    p = sub.add_parser("measure", help="measurement report commands")
-    m_sub = p.add_subparsers(dest="measure_cmd", required=True)
-    mv = m_sub.add_parser("verify", help="verify and print a measurement report")
-    mv.add_argument("report")
-    mv.add_argument("k_res_pub", help="hex k_res public key, raw 32-byte key file, or published-keys file")
-    mv.set_defaults(func=cmd_measure_verify)
-
     p = sub.add_parser("vm", help="bytecode tools")
     vm_sub = p.add_subparsers(dest="vm_cmd", required=True)
     va = vm_sub.add_parser("asm", help="assemble a textual program")
@@ -513,16 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="end-to-end metered invocation")
     p.add_argument("--state", required=True)
-    p.add_argument("--function", help="bytecode file or corpus name")
-    p.add_argument("--input", help="input file (little-endian 64-bit words)")
+    _scenario_flags(p)
     p.add_argument("--receipt", action="store_true")
     p.add_argument("--want-measurement", action="store_true")
     p.add_argument("--token", help="authorization token carried in the encrypted input")
-    p.add_argument("--scenario", help="key=value scenario file supplying defaults")
-    p.add_argument("--schedule", help="interrupt schedule file")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--epsilon", type=int, default=None)
-    p.add_argument("--net-delay", type=int, default=None)
     p.add_argument("--pool", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
@@ -554,13 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz_lowerbound)
 
     p = sub.add_parser("replay", help="run one metered simulation and print its trace")
-    p.add_argument("--function")
-    p.add_argument("--input")
-    p.add_argument("--scenario", help="key=value scenario file supplying defaults")
-    p.add_argument("--schedule")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--epsilon", type=int, default=None)
-    p.add_argument("--net-delay", type=int, default=None)
+    _scenario_flags(p)
     p.add_argument("--full", action="store_true", help="log writes and per-instruction steps")
     p.set_defaults(func=cmd_replay)
 
@@ -573,6 +531,17 @@ def _quote_flags(p) -> None:
     p.add_argument("--root-pub", help="hex attestation root public key")
     p.add_argument("--expected-kde", help="hex KDE mrenclave")
     p.add_argument("--expected-worker", help="hex worker mrenclave")
+
+
+def _scenario_flags(p) -> None:
+    """Flags that override a scenario file's settings (``run`` and ``replay``)."""
+    p.add_argument("--function", help="bytecode file or corpus name")
+    p.add_argument("--input", help="input file (little-endian 64-bit words)")
+    p.add_argument("--scenario", help="key=value scenario file supplying defaults")
+    p.add_argument("--schedule", help="interrupt schedule file")
+    p.add_argument("--tau", type=int)
+    p.add_argument("--epsilon", type=int)
+    p.add_argument("--net-delay", type=int)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -83,10 +83,13 @@ class SigningKeyPair:
     public: bytes
 
     @classmethod
+    def from_private(cls, private: bytes) -> "SigningKeyPair":
+        public = Ed25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+        return cls(private=private, public=public)
+
+    @classmethod
     def generate(cls, rng: DeterministicRng) -> "SigningKeyPair":
-        priv = rng.bytes(KEY_SIZE)
-        pub = Ed25519PrivateKey.from_private_bytes(priv).public_key().public_bytes_raw()
-        return cls(private=priv, public=pub)
+        return cls.from_private(rng.bytes(KEY_SIZE))
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,13 @@ class AgreementKeyPair:
     public: bytes
 
     @classmethod
+    def from_private(cls, private: bytes) -> "AgreementKeyPair":
+        public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+        return cls(private=private, public=public)
+
+    @classmethod
     def generate(cls, rng: DeterministicRng) -> "AgreementKeyPair":
-        priv = rng.bytes(KEY_SIZE)
-        pub = X25519PrivateKey.from_private_bytes(priv).public_key().public_bytes_raw()
-        return cls(private=priv, public=pub)
+        return cls.from_private(rng.bytes(KEY_SIZE))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .crypto import (
     SessionKey,
     SigningKeyPair,
 )
-from .wire import U64, VAR, Reader, Writer, record
+from .wire import U64, VAR, FormatError, key_pair, record
 
 
 class KdeError(Exception):
@@ -38,10 +38,18 @@ class KdeError(Exception):
         self.reason = reason
 
 
+@record(
+    ("k_ka", key_pair(AgreementKeyPair)),
+    ("k_out", key_pair(SigningKeyPair)),
+    ("k_res", key_pair(SigningKeyPair)),
+    ("keyset_id", DIGEST_SIZE),
+    ("created_at", U64),
+)
 @dataclass(frozen=True)
 class KeySet:
     """The three asymmetric pairs plus bookkeeping. Private halves live only
-    here and inside AEAD ciphertext; nothing published ever embeds them."""
+    here and inside AEAD ciphertext; nothing published ever embeds them. The
+    encoding carries the private halves; decoding derives the public ones."""
 
     k_ka: AgreementKeyPair
     k_out: SigningKeyPair
@@ -51,11 +59,12 @@ class KeySet:
 
     @staticmethod
     def compute_id(kka_pub: bytes, kout_pub: bytes, kres_pub: bytes) -> bytes:
-        w = Writer()
-        w.fixed(kka_pub, KEY_SIZE)
-        w.fixed(kout_pub, KEY_SIZE)
-        w.fixed(kres_pub, KEY_SIZE)
-        return crypto.hash_bytes(w.done())
+        """SHA-256 over the three public keys, concatenated in this order."""
+        keys = (kka_pub, kout_pub, kres_pub)
+        for key in keys:
+            if len(key) != KEY_SIZE:
+                raise FormatError(f"fixed field expects {KEY_SIZE} bytes, got {len(key)}")
+        return crypto.hash_bytes(b"".join(keys))
 
 
 @record(
@@ -94,42 +103,6 @@ class KeySetPayload:
     kde_transport_public: bytes
     nonce: bytes
     ciphertext: bytes
-
-
-def encode_private_keyset(keyset: KeySet) -> bytes:
-    w = Writer()
-    w.fixed(keyset.k_ka.private, KEY_SIZE)
-    w.fixed(keyset.k_out.private, KEY_SIZE)
-    w.fixed(keyset.k_res.private, KEY_SIZE)
-    w.fixed(keyset.keyset_id, DIGEST_SIZE)
-    w.u64(keyset.created_at)
-    return w.done()
-
-
-def decode_private_keyset(data: bytes) -> KeySet:
-    r = Reader(data)
-    kka_priv = r.fixed(KEY_SIZE)
-    kout_priv = r.fixed(KEY_SIZE)
-    kres_priv = r.fixed(KEY_SIZE)
-    keyset_id = r.fixed(DIGEST_SIZE)
-    created_at = r.u64()
-    r.finish()
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
-    k_ka = AgreementKeyPair(
-        private=kka_priv,
-        public=X25519PrivateKey.from_private_bytes(kka_priv).public_key().public_bytes_raw(),
-    )
-    k_out = SigningKeyPair(
-        private=kout_priv,
-        public=Ed25519PrivateKey.from_private_bytes(kout_priv).public_key().public_bytes_raw(),
-    )
-    k_res = SigningKeyPair(
-        private=kres_priv,
-        public=Ed25519PrivateKey.from_private_bytes(kres_priv).public_key().public_bytes_raw(),
-    )
-    return KeySet(k_ka=k_ka, k_out=k_out, k_res=k_res, keyset_id=keyset_id, created_at=created_at)
 
 
 @record(
@@ -242,11 +215,11 @@ class KeyDistributionEnclave:
         eph = AgreementKeyPair.generate(self._rng.child(f"transport-{self.keyset.created_at}-{self._distributions}"))
         session = crypto.derive_session_key(eph.private, report.transport_public)
         nonce = self._rng.bytes(NONCE_SIZE)
-        ct = crypto.aead_seal(session, nonce, encode_private_keyset(self.keyset), aad=eph.public)
+        ct = crypto.aead_seal(session, nonce, self.keyset.encode(), aad=eph.public)
         return KeySetPayload(kde_transport_public=eph.public, nonce=nonce, ciphertext=ct)
 
 
 def open_keyset_payload(payload: KeySetPayload, transport_private: bytes) -> KeySet:
     session = crypto.derive_session_key(transport_private, payload.kde_transport_public)
     plain = crypto.aead_open(session, payload.nonce, payload.ciphertext, aad=payload.kde_transport_public)
-    return decode_private_keyset(plain)
+    return KeySet.decode(plain)

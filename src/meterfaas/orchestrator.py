@@ -215,6 +215,9 @@ class MeasurementLog:
 # --- billing --------------------------------------------------------------------
 
 
+_PRICES = ("per_invocation", "per_ghz_second", "per_gb_second", "per_gb_network")
+
+
 def _rate(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(str(value))
 
@@ -233,7 +236,7 @@ class BillingPolicy:
     cpu_frequency_assumption: int = GIGA  # cycles per second
 
     def __post_init__(self) -> None:
-        for name in ("per_invocation", "per_ghz_second", "per_gb_second", "per_gb_network"):
+        for name in _PRICES:
             object.__setattr__(self, name, _rate(getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -242,12 +245,16 @@ class BillingPolicy:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BillingPolicy":
+        """A policy from key=value text; a key that names no price and is not
+        ``cpu_frequency_assumption`` is a ValueError."""
         kw = {}
-        for key in ("per_invocation", "per_ghz_second", "per_gb_second", "per_gb_network"):
-            if key in mapping:
-                kw[key] = _rate(mapping[key])
-        if "cpu_frequency_assumption" in mapping:
-            kw["cpu_frequency_assumption"] = int(mapping["cpu_frequency_assumption"])
+        for key, value in mapping.items():
+            if key in _PRICES:
+                kw[key] = _rate(value)
+            elif key == "cpu_frequency_assumption":
+                kw[key] = int(value)
+            else:
+                raise ValueError(f"unknown policy key {key!r}")
         return cls(**kw)
 
 

@@ -19,8 +19,9 @@ record. ``encode``, ``decode`` and, for a signed record, ``body`` and
 instance. README.md ("Wire formats") summarizes the layouts.
 
 A field kind is ``U8``, ``U64``, ``VAR``, ``FLAG``, an int ``n`` (``n`` fixed
-bytes), a record class (nested, written as a variable-size field), or
-``opt(kind)`` for any of those.
+bytes), a record class (nested, written as a variable-size field),
+``key_pair(cls)`` (a key pair, written as its private half), or ``opt(kind)``
+for any of those.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ def _resolve(kind):
     return kind
 
 
+def key_pair(pair_cls: type):
+    """A key pair, written as its private half (``crypto.KEY_SIZE`` bytes);
+    decoding derives the public half with ``pair_cls.from_private``."""
+    put, get = _fixed(crypto.KEY_SIZE)
+
+    def put_pair(pair) -> bytes:
+        return put(pair.private)
+
+    def get_pair(data: bytes, pos: int):
+        private, pos = get(data, pos)
+        return pair_cls.from_private(private), pos
+
+    return put_pair, get_pair
+
+
 def opt(kind):
     """An optional field: a presence flag (0 or 1), then the field if present."""
     put, get = _resolve(kind)
@@ -174,7 +190,10 @@ def _layout(cls: type, fields: tuple, tail: tuple = ()):
             out.append(value)
         return out, pos
 
-    return names, attrgetter(*names), put_all, get_all
+    getter = attrgetter(*names)
+    # attrgetter of one name returns the bare value, not a 1-tuple
+    values = getter if len(names) > 1 else lambda obj: (getter(obj),)
+    return names, values, put_all, get_all
 
 
 def _install(cls: type, **methods) -> None:
@@ -252,77 +271,3 @@ def sign_record(cls: type, private_key: bytes, **fields):
     domain, names, put_all, signature_field = cls._wire_signing
     body = put_all([fields[name] for name in names])
     return cls(**fields, **{signature_field: crypto.sign(private_key, domain + body)})
-
-
-# --- stream helpers for ad-hoc layouts (hashed key-id input, private key set) --
-
-
-class Writer:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, value: int) -> "Writer":
-        self._parts.append(U8[0](value))
-        return self
-
-    def u32(self, value: int) -> "Writer":
-        self._parts.append(_U32[0](value))
-        return self
-
-    def u64(self, value: int) -> "Writer":
-        self._parts.append(U64[0](value))
-        return self
-
-    def fixed(self, data: bytes, size: int) -> "Writer":
-        self._parts.append(_fixed(size)[0](data))
-        return self
-
-    def var(self, data: bytes) -> "Writer":
-        self._parts.append(_put_var(data))
-        return self
-
-    def opt_fixed(self, data: bytes | None, size: int) -> "Writer":
-        self._parts.append(opt(size)[0](data))
-        return self
-
-    def opt_var(self, data: bytes | None) -> "Writer":
-        self._parts.append(opt(VAR)[0](data))
-        return self
-
-    def done(self) -> bytes:
-        return b"".join(self._parts)
-
-
-class Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = bytes(data)
-        self._pos = 0
-
-    def _get(self, get):
-        value, self._pos = get(self._data, self._pos)
-        return value
-
-    def u8(self) -> int:
-        return self._get(U8[1])
-
-    def u32(self) -> int:
-        return self._get(_U32[1])
-
-    def u64(self) -> int:
-        return self._get(U64[1])
-
-    def fixed(self, size: int) -> bytes:
-        return self._get(_fixed(size)[1])
-
-    def var(self) -> bytes:
-        return self._get(_get_var)
-
-    def opt_fixed(self, size: int) -> bytes | None:
-        return self._get(opt(size)[1])
-
-    def opt_var(self) -> bytes | None:
-        return self._get(opt(VAR)[1])
-
-    def finish(self) -> None:
-        """Assert the input was consumed exactly."""
-        _finish(self._data, self._pos)

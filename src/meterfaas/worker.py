@@ -30,8 +30,6 @@ from .kde import (
     KeyDistributionEnclave,
     KeySet,
     SealedBlob,
-    encode_private_keyset,
-    decode_private_keyset,
     open_keyset_payload,
     seal,
     unseal,
@@ -232,7 +230,7 @@ class WorkerEnclave:
         self._setup_count += 1
         if sealed is not None:
             try:
-                keyset = decode_private_keyset(unseal(sealed, self.identity, self.platform_id))
+                keyset = KeySet.decode(unseal(sealed, self.identity, self.platform_id))
                 if expected_keyset_id is None or keyset.keyset_id == expected_keyset_id:
                     self.keyset = keyset
                     return sealed
@@ -246,7 +244,7 @@ class WorkerEnclave:
             raise WorkerError("setup", f"KDE refused key set: {exc}") from exc
         self.keyset = open_keyset_payload(payload, transport.private)
         return seal(
-            encode_private_keyset(self.keyset),
+            self.keyset.encode(),
             self.identity,
             self.platform_id,
             self._rng.child(f"seal{self._setup_count}"),

@@ -74,8 +74,15 @@ class TestRunAndVerify:
         assert rc == 1
         assert "REJECT" in capsys.readouterr().out
 
-    def test_attest_verify_alias(self, state):
-        assert main(["attest", "verify", "--keys", str(state / "published.bin"), "--state", str(state)]) == 0
+    def test_removed_aliases_exit_2(self, state, fib_files):
+        # one verb per action: `verify quote` and `verify measurement --kres`
+        run_invocation(state, fib_files)
+        published = str(state / "published.bin")
+        for argv in (["attest", "verify", "--keys", published, "--state", str(state)],
+                     ["measure", "verify", str(state / "measurement.bin"), published]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_verify_measurement_and_tamper(self, state, fib_files, capsys):
         run_invocation(state, fib_files)
@@ -95,15 +102,13 @@ class TestRunAndVerify:
         raw.write_bytes(published.k_res_pub)
         for spec in (published.k_res_pub.hex(), str(raw), str(state / "published.bin")):
             assert main(["verify", "measurement", report, "--kres", spec]) == 0
-            assert main(["measure", "verify", report, spec]) == 0
         other = tmp_path / "other.bin"
         other.write_bytes(b"\x01" * 32)
         assert main(["verify", "measurement", report, "--kres", str(other)]) == 1
-        assert main(["measure", "verify", report, str(other)]) == 1
 
-    def test_measure_verify_prints_fields(self, state, fib_files, capsys):
+    def test_verify_measurement_kres_prints_fields(self, state, fib_files, capsys):
         run_invocation(state, fib_files)
-        rc = main(["measure", "verify", str(state / "measurement.bin"), str(state / "published.bin")])
+        rc = main(["verify", "measurement", str(state / "measurement.bin"), "--kres", str(state / "published.bin")])
         assert rc == 0
         out = capsys.readouterr().out
         for field in ("t_max", "tau", "m_int", "m_max", "m_avg", "net", "tag"):
@@ -123,6 +128,16 @@ class TestRunAndVerify:
         args[args.index(str(state / "output.bin"))] = str(wrong)
         assert main(args) == 1
         assert "output-digest" in capsys.readouterr().out
+
+    def test_verify_receipt_without_key_exit_2(self, state, fib_files, capsys):
+        fn, inp = fib_files
+        run_invocation(state, fib_files)
+        rc = main([
+            "verify", "receipt", "--receipt", str(state / "receipt.bin"),
+            "--input", str(inp), "--function", str(fn), "--output", str(state / "output.bin"),
+        ])
+        assert rc == 2
+        assert "need --state or --kout" in capsys.readouterr().err
 
     def test_retired_keyset_note(self, state, fib_files, capsys):
         run_invocation(state, fib_files)
@@ -184,6 +199,13 @@ class TestTools:
         assert main(args) == 0
         assert capsys.readouterr().out == first
         assert "total" in first
+
+    def test_bill_unknown_policy_key_exit_2(self, state, fib_files, tmp_path, capsys):
+        run_invocation(state, fib_files)
+        policy = tmp_path / "typo.cfg"
+        policy.write_text("per_invokation=1\nper_ghz_second=0.00001\n")
+        assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log")]) == 2
+        assert "per_invokation" in capsys.readouterr().err
 
     def test_fuzz_lowerbound_passes(self, capsys):
         assert main(["fuzz-lowerbound", "--cases", "50", "--seed", "1"]) == 0

@@ -15,6 +15,7 @@ from meterfaas.kde import (
     seal,
     unseal,
 )
+from meterfaas.wire import FormatError
 
 
 @pytest.fixture
@@ -38,6 +39,11 @@ class TestGeneration:
         ks = kde.keyset
         assert ks.keyset_id == KeySet.compute_id(ks.k_ka.public, ks.k_out.public, ks.k_res.public)
         assert kde.published.keyset_id == ks.keyset_id
+
+    def test_keyset_id_rejects_short_public_key(self, kde):
+        ks = kde.keyset
+        with pytest.raises(FormatError):
+            KeySet.compute_id(ks.k_ka.public[:31], ks.k_out.public, ks.k_res.public)
 
     def test_different_seeds_distinct_keysets(self, root, worker_identity):
         ident = derive_identity(b"kde-code", b"prov")

@@ -357,6 +357,11 @@ class TestBilling:
         assert policy.per_invocation == Fraction(2, 10**7)
         assert policy.cpu_frequency_assumption == 2_400_000_000
 
+    def test_policy_unknown_key_rejected(self):
+        # a misspelt price would otherwise bill that item at zero
+        with pytest.raises(ValueError, match="per_invokation"):
+            BillingPolicy.from_mapping({"per_invokation": "1", "per_ghz_second": "0.00001"})
+
 
 class TestDeliveryShim:
     def test_drop_and_duplicate_deterministic(self):

@@ -1,67 +1,84 @@
 """Canonical encoding: determinism, exact-consume decoding, injectivity."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterfaas.attest import EnclaveIdentity, Quote, QuoteUserData
 from meterfaas.metering import SignedMeasurement
-from meterfaas.wire import FormatError, Reader, Writer
+from meterfaas.wire import U8, U64, VAR, FormatError, opt, record
 
 digests = st.binary(min_size=32, max_size=32)
 signatures = st.binary(min_size=64, max_size=64)
 
 
+@record(("small", U8), ("blob", VAR), ("big", U64))
+@dataclass(frozen=True)
+class _Scalars:
+    small: int
+    blob: bytes
+    big: int
+
+
+@record(("key", 4))
+@dataclass(frozen=True)
+class _Fixed:
+    key: bytes
+
+
+@record(("maybe_fixed", opt(4)), ("maybe_var", opt(VAR)))
+@dataclass(frozen=True)
+class _Optionals:
+    maybe_fixed: bytes | None
+    maybe_var: bytes | None
+
+
 class TestPrimitives:
+    """The field kinds, through small records declared here."""
+
     def test_integers_big_endian_fixed_width(self):
-        w = Writer()
-        w.u8(1).u32(2).u64(3)
-        assert w.done() == b"\x01" + b"\x00\x00\x00\x02" + b"\x00" * 7 + b"\x03"
+        # the VAR length prefix is the u32
+        assert _Scalars(1, b"ab", 3).encode() == b"\x01" + b"\x00\x00\x00\x02" + b"ab" + b"\x00" * 7 + b"\x03"
 
     def test_var_fields_length_prefixed(self):
-        assert Writer().var(b"abc").done() == b"\x00\x00\x00\x03abc"
+        assert _Scalars(0, b"abc", 0).encode()[1:8] == b"\x00\x00\x00\x03abc"
 
     def test_out_of_range_rejected(self):
         with pytest.raises(FormatError):
-            Writer().u8(256)
+            _Scalars(256, b"", 0).encode()
         with pytest.raises(FormatError):
-            Writer().u64(-1)
+            _Scalars(0, b"", -1).encode()
 
     def test_fixed_size_checked(self):
         with pytest.raises(FormatError):
-            Writer().fixed(b"abc", 4)
+            _Fixed(b"abc").encode()
 
     def test_reader_truncation(self):
-        r = Reader(b"\x00\x00")
+        # the u8, then two of the four bytes of the u32 length prefix
         with pytest.raises(FormatError):
-            r.u32()
+            _Scalars.decode(b"\x00\x00\x00")
 
     def test_reader_trailing_bytes_rejected(self):
-        r = Reader(b"\x00\x01extra")
-        r.u8()
-        r.u8()
+        data = _Scalars(0, b"", 1).encode()
+        assert _Scalars.decode(data) == _Scalars(0, b"", 1)
         with pytest.raises(FormatError):
-            r.finish()
+            _Scalars.decode(data + b"extra")
 
     def test_optional_flags(self):
-        data = Writer().opt_fixed(None, 4).opt_var(b"zz").done()
-        r = Reader(data)
-        assert r.opt_fixed(4) is None
-        assert r.opt_var() == b"zz"
-        r.finish()
+        data = _Optionals(None, b"zz").encode()
+        assert data == b"\x00" + b"\x01" + b"\x00\x00\x00\x02zz"
+        assert _Optionals.decode(data) == _Optionals(None, b"zz")
 
     def test_bad_presence_flag_rejected(self):
         with pytest.raises(FormatError):
-            Reader(b"\x02").opt_var()
+            _Optionals.decode(b"\x00\x02")
 
     @given(st.binary(max_size=100), st.integers(0, 2**64 - 1))
     @settings(max_examples=200, deadline=None)
     def test_var_u64_roundtrip(self, blob, n):
-        data = Writer().var(blob).u64(n).done()
-        r = Reader(data)
-        assert r.var() == blob
-        assert r.u64() == n
-        r.finish()
+        assert _Scalars.decode(_Scalars(0, blob, n).encode()) == _Scalars(0, blob, n)
 
 
 identity_st = st.builds(
@@ -154,8 +171,8 @@ def _samples() -> list:
     """One fixed instance of every protocol record per state of each of its
     optionals, built from a seeded byte stream so that the bytes never move."""
     from meterfaas.attest import WorkerReport
-    from meterfaas.crypto import DeterministicRng
-    from meterfaas.kde import KeySetPayload, PublishedKeys, SealedBlob
+    from meterfaas.crypto import AgreementKeyPair, DeterministicRng, SigningKeyPair
+    from meterfaas.kde import KeySet, KeySetPayload, PublishedKeys, SealedBlob
     from meterfaas.worker import (
         EncryptedRequest,
         EncryptedResponse,
@@ -178,7 +195,7 @@ def _samples() -> list:
                       keyset_id=b(32), signature=b(64))
     receipt_meas = Receipt(h_input=b(32), h_function=b(32), h_output=b(32),
                            h_measurement=measurement.digest(), keyset_id=b(32), signature=b(64))
-    return [
+    samples = [
         ("identity", ident),
         ("identity-param", ident_param),
         ("user-data", QuoteUserData(b(32), b(32), b(32), b(32))),
@@ -207,10 +224,18 @@ def _samples() -> list:
                                         measurement=measurement, receipt=receipt_meas)),
         ("encrypted-response", EncryptedResponse(aead_nonce=b(12), ciphertext=b(200))),
     ]
+    # drawn after every other sample, so their bytes stay as they were
+    k_ka = AgreementKeyPair.from_private(b(32))
+    k_out = SigningKeyPair.from_private(b(32))
+    k_res = SigningKeyPair.from_private(b(32))
+    keyset = KeySet(k_ka, k_out, k_res, keyset_id=KeySet.compute_id(k_ka.public, k_out.public, k_res.public),
+                    created_at=rng.u64())
+    return samples + [("keyset", keyset)]
 
 
 # SHA-256 of encode() and, for signed records, of signed_payload(), for each
-# of _samples(). Any change here changes what is signed, hashed or sent.
+# of _samples(), and the key-set id of the KeySet sample. Any change here
+# changes what is signed, hashed, sealed or sent.
 GOLDEN = {
     "identity.encode": "25e19dd36112d924038622b703462c8e58b84e49635dc02f4518b8f6daa639be",
     "identity-param.encode": "ddef07f606aa1fa7ca71357c5a1fc7dfb912a0ec501a1505fe9f09a1a495aaef",
@@ -240,6 +265,8 @@ GOLDEN = {
     "response-receipt.encode": "636cbfa7b51c1a93d6960bce47696ddf344cf89f322f785dee7de1485b449b5e",
     "response-both.encode": "98fea2812854dd46c40f41fd054fba325a912f6c24b593534a7d6045543ae261",
     "encrypted-response.encode": "b66e65a74fb3ebbdd5d39ae12cdd0c8e6788887d46f246a014270bc8840ce011",
+    "keyset.encode": "ad90b2b6e2406acf8b3cc15a0eb7f8ad1cc97fb2c34449af81c2560c0c2741ec",
+    "keyset.id": "993a036b6d92b2d1d84b2cd51140ba87488eada7902679073d04f1090050a8b9",
 }
 
 
@@ -252,6 +279,8 @@ class TestGoldenVectors:
             out[f"{name}.encode"] = hashlib.sha256(rec.encode()).hexdigest()
             if hasattr(rec, "signed_payload"):
                 out[f"{name}.signed_payload"] = hashlib.sha256(rec.signed_payload()).hexdigest()
+            if hasattr(rec, "compute_id"):
+                out[f"{name}.id"] = rec.compute_id(rec.k_ka.public, rec.k_out.public, rec.k_res.public).hex()
         return out
 
     def test_bytes_pinned(self):
@@ -262,7 +291,7 @@ class TestGoldenVectors:
         assert classes == {
             "EnclaveIdentity", "QuoteUserData", "Quote", "WorkerReport", "PublishedKeys",
             "KeySetPayload", "SealedBlob", "RequestPlain", "EncryptedRequest", "Receipt",
-            "ResponsePlain", "EncryptedResponse", "SignedMeasurement",
+            "ResponsePlain", "EncryptedResponse", "SignedMeasurement", "KeySet",
         }
 
     @pytest.mark.parametrize("name,rec", _samples(), ids=[n for n, _ in _samples()])
@@ -322,6 +351,10 @@ class TestDeclaredLayout:
             class Missing:
                 a: int
                 b: int
+
+    def test_single_field_record_roundtrip(self):
+        assert _Fixed(b"abcd").encode() == b"abcd"
+        assert _Fixed.decode(b"abcd") == _Fixed(b"abcd")
 
     def test_sign_record_signs_domain_and_body(self):
         from meterfaas import crypto
