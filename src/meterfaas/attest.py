@@ -114,11 +114,11 @@ class AttestationRoot:
         return self._keypair.public
 
     def issue_quote(self, identity: EnclaveIdentity, user_data: bytes) -> Quote:
-        return sign_record(Quote, self._keypair.private, identity=identity, user_data=user_data)
+        return sign_record(Quote, self._keypair, identity=identity, user_data=user_data)
 
     def attest_worker(self, identity: EnclaveIdentity, transport_public: bytes) -> WorkerReport:
         return sign_record(
-            WorkerReport, self._keypair.private, identity=identity, transport_public=transport_public
+            WorkerReport, self._keypair, identity=identity, transport_public=transport_public
         )
 
 

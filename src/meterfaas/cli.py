@@ -113,10 +113,23 @@ def load_state(state: Path) -> KeyDistributionEnclave:
 
 
 def published_history(state: Path) -> list[PublishedKeys]:
-    out = []
-    for path in sorted(state.glob("published-*.bin")):
-        out.append(PublishedKeys.decode(path.read_bytes()))
-    return out
+    """Every key set the deployment has published, oldest epoch first."""
+    history = [PublishedKeys.decode(path.read_bytes()) for path in state.glob("published-*.bin")]
+    return sorted(history, key=lambda pub: pub.created_at)
+
+
+def _issuing_keyset(state: Path, keyset_id: bytes) -> tuple[PublishedKeys | None, str]:
+    """The published key set whose id is ``keyset_id`` (None when the
+    deployment never published it) and the note that a retired one prints."""
+    history = published_history(state)
+    if not history:
+        raise CliError("no published key sets in state", 2)
+    for pub in history:
+        if pub.keyset_id == keyset_id:
+            if pub is history[-1]:
+                return pub, ""
+            return pub, f" (signed by retired key set, epoch {pub.created_at})"
+    return None, ""
 
 
 # --- subcommand implementations -------------------------------------------------
@@ -219,37 +232,35 @@ def cmd_verify_measurement(args) -> int:
         return 0
     if not args.state:
         raise CliError("need --state or --kres", 2)
-    history = published_history(Path(args.state))
-    if not history:
-        raise CliError("no published key sets in state", 2)
-    newest = history[-1]
-    for pub in reversed(history):
-        if pub.keyset_id == report.keyset_id and verify_measurement(report, pub.k_res_pub):
-            _print_report(report)
-            if pub.created_at != newest.created_at:
-                print(f"ACCEPT (signed by retired key set, epoch {pub.created_at})")
-            else:
-                print("ACCEPT")
-            return 0
+    pub, note = _issuing_keyset(Path(args.state), report.keyset_id)
+    if pub is not None and verify_measurement(report, pub.k_res_pub):
+        _print_report(report)
+        print(f"ACCEPT{note}")
+        return 0
     print("REJECT: no known key set verifies this report")
     return 1
 
 
 def cmd_verify_receipt(args) -> int:
     receipt = Receipt.decode(Path(args.receipt).read_bytes())
+    note = ""
     if args.kout:
         k_out = bytes.fromhex(args.kout)
     elif args.state:
-        k_out = PublishedKeys.decode((Path(args.state) / "published.bin").read_bytes()).k_out_pub
+        pub, note = _issuing_keyset(Path(args.state), receipt.keyset_id)
+        if pub is None:
+            print("REJECT: no known key set issued this receipt")
+            return 1
+        k_out = pub.k_out_pub
     else:
         raise CliError("need --state or --kout", 2)
     input_data = Path(args.input).read_bytes()
-    function_hash = crypto.hash_bytes(Path(args.function).read_bytes())
+    function_hash = crypto.hash_bytes(_function_bytes(args.function))
     output = Path(args.output).read_bytes()
     measurement = _load_report(args.measurement) if args.measurement else None
     ok, reason = verify_receipt(receipt, k_out, input_data, function_hash, output, measurement)
     if ok:
-        print("ACCEPT: receipt binds (input, function, output)")
+        print(f"ACCEPT: receipt binds (input, function, output){note}")
         return 0
     print(f"REJECT: {reason}")
     return 1

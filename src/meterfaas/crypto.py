@@ -4,6 +4,12 @@ Concrete algorithm choices (the contracts fix only sizes and behavior):
 SHA-256 for hashing (32-byte digests), Ed25519 for signatures, X25519 for key
 agreement, AES-256-GCM for AEAD with 96-bit nonces. All key generation takes an
 explicit seed so traces and tests reproduce exactly.
+
+Each key pair parses its private key once, when it is made, and keeps the parsed
+object: ``sign`` and ``derive_session_key`` take the pair, so a signature costs
+no key parsing and a derivation runs one scalar multiplication. Callers that
+hold static pairs on both sides cache the derived session key; AEAD nonces are
+still drawn fresh for every message.
 """
 
 from __future__ import annotations
@@ -77,15 +83,19 @@ class DeterministicRng:
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    """Ed25519 pair; houses the shapes of the output and measurement keys."""
+    """Ed25519 pair; houses the shapes of the output and measurement keys.
+
+    ``parsed`` is the private key parsed once at construction; it takes no
+    part in equality, hashing or repr."""
 
     private: bytes
     public: bytes
+    parsed: Ed25519PrivateKey = field(compare=False, repr=False)
 
     @classmethod
     def from_private(cls, private: bytes) -> "SigningKeyPair":
-        public = Ed25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-        return cls(private=private, public=public)
+        parsed = Ed25519PrivateKey.from_private_bytes(private)
+        return cls(private=private, public=parsed.public_key().public_bytes_raw(), parsed=parsed)
 
     @classmethod
     def generate(cls, rng: DeterministicRng) -> "SigningKeyPair":
@@ -94,15 +104,19 @@ class SigningKeyPair:
 
 @dataclass(frozen=True)
 class AgreementKeyPair:
-    """X25519 pair; houses the worker key-agreement and client keys."""
+    """X25519 pair; houses the worker key-agreement and client keys.
+
+    ``parsed`` is the private key parsed once at construction; it takes no
+    part in equality, hashing or repr."""
 
     private: bytes
     public: bytes
+    parsed: X25519PrivateKey = field(compare=False, repr=False)
 
     @classmethod
     def from_private(cls, private: bytes) -> "AgreementKeyPair":
-        public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-        return cls(private=private, public=public)
+        parsed = X25519PrivateKey.from_private_bytes(private)
+        return cls(private=private, public=parsed.public_key().public_bytes_raw(), parsed=parsed)
 
     @classmethod
     def generate(cls, rng: DeterministicRng) -> "AgreementKeyPair":
@@ -116,8 +130,8 @@ class SessionKey:
     key: bytes = field(repr=False)
 
 
-def sign(private: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(private).sign(message)
+def sign(pair: SigningKeyPair, message: bytes) -> bytes:
+    return pair.parsed.sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -129,20 +143,18 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def derive_session_key(mine_private: bytes, peer_public: bytes) -> SessionKey:
+def derive_session_key(mine: AgreementKeyPair, peer_public: bytes) -> SessionKey:
     """X25519 exchange hashed with both public keys in sorted order.
 
     Sorting makes the derivation symmetric in the participants, so
-    derive(a, B) == derive(b, A) holds by construction.
+    derive(a, B) == derive(b, A) holds by construction. The pair's parsed key
+    and public half are reused: one scalar multiplication per call.
     """
     try:
-        priv = X25519PrivateKey.from_private_bytes(mine_private)
-        peer = X25519PublicKey.from_public_bytes(peer_public)
-        shared = priv.exchange(peer)
+        shared = mine.parsed.exchange(X25519PublicKey.from_public_bytes(peer_public))
     except ValueError as exc:
         raise CryptoError(f"key agreement failed: {exc}") from exc
-    mine_public = priv.public_key().public_bytes_raw()
-    lo, hi = sorted((mine_public, peer_public))
+    lo, hi = sorted((mine.public, peer_public))
     return SessionKey(key=hash_bytes(b"meterfaas-session|" + shared + lo + hi))
 
 

@@ -213,13 +213,13 @@ class KeyDistributionEnclave:
             raise KdeError("policy", "key set already distributed to the configured maximum")
         self._distributions += 1
         eph = AgreementKeyPair.generate(self._rng.child(f"transport-{self.keyset.created_at}-{self._distributions}"))
-        session = crypto.derive_session_key(eph.private, report.transport_public)
+        session = crypto.derive_session_key(eph, report.transport_public)
         nonce = self._rng.bytes(NONCE_SIZE)
         ct = crypto.aead_seal(session, nonce, self.keyset.encode(), aad=eph.public)
         return KeySetPayload(kde_transport_public=eph.public, nonce=nonce, ciphertext=ct)
 
 
-def open_keyset_payload(payload: KeySetPayload, transport_private: bytes) -> KeySet:
-    session = crypto.derive_session_key(transport_private, payload.kde_transport_public)
+def open_keyset_payload(payload: KeySetPayload, transport: AgreementKeyPair) -> KeySet:
+    session = crypto.derive_session_key(transport, payload.kde_transport_public)
     plain = crypto.aead_open(session, payload.nonce, payload.ciphertext, aad=payload.kde_transport_public)
     return KeySet.decode(plain)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import DIGEST_SIZE, SIGNATURE_SIZE
+from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKeyPair
 from .kernel import (
     MARKER_VALUE,
     EresumeHandler,
@@ -399,7 +399,7 @@ def build_signed_measurement(
     outcome: MeteredOutcome | None,
     tag: bytes,
     keyset_id: bytes,
-    k_res_private: bytes,
+    k_res: SigningKeyPair,
     tau: int | None = None,
 ) -> SignedMeasurement:
     """Assemble and sign the report. tau always travels with the report so the
@@ -413,7 +413,7 @@ def build_signed_measurement(
     else:
         usage = dict(t_max=outcome.t_max, tau=outcome.tau, m_int=outcome.m_int,
                      m_max=outcome.m_max, m_avg=outcome.m_avg, net=outcome.net)
-    return sign_record(SignedMeasurement, k_res_private, **usage, tag=tag, keyset_id=keyset_id)
+    return sign_record(SignedMeasurement, k_res, **usage, tag=tag, keyset_id=keyset_id)
 
 
 def verify_measurement(report: SignedMeasurement, k_res_public: bytes) -> bool:

@@ -61,19 +61,24 @@ class VerificationError(Exception):
 # --- client side --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientContext:
-    """Holds the client's agreement key and the verified published keys.
+    """Holds the client's agreement key, the verified published keys and the
+    session key between them.
 
     Use :meth:`create`, which refuses to construct a context until the
     transitive attestation of the key set succeeds; there is no way to prepare
-    a request against unverified keys.
+    a request against unverified keys. ``k_c`` and ``k_ka`` are both static
+    and ``k_c`` parses its private key once, so the session key is derived
+    once, here, for this (client, key set) pair; a rotated key set needs a new
+    context. Every request still draws a fresh AEAD nonce.
     """
 
     k_c: AgreementKeyPair
     published: PublishedKeys
     expected_kde: bytes
     expected_worker: bytes
+    session: crypto.SessionKey
     _rng: DeterministicRng
 
     @classmethod
@@ -91,11 +96,13 @@ class ClientContext:
             expected_worker,
         )
         rng = DeterministicRng(seed, "client")
+        k_c = AgreementKeyPair.generate(rng.child("ka"))
         return cls(
-            k_c=AgreementKeyPair.generate(rng.child("ka")),
+            k_c=k_c,
             published=published,
             expected_kde=expected_kde,
             expected_worker=expected_worker,
+            session=crypto.derive_session_key(k_c, published.k_ka_pub),
             _rng=rng,
         )
 
@@ -128,7 +135,6 @@ def client_prepare(
 ) -> tuple[EncryptedRequest, PendingInvocation]:
     """Seal a request under the session key and retain what is needed to
     match and check the response."""
-    session = crypto.derive_session_key(ctx.k_c.private, ctx.published.k_ka_pub)
     nonce = ctx._rng.bytes(CLIENT_NONCE_SIZE)
     plain = RequestPlain(
         input=input_data,
@@ -140,11 +146,11 @@ def client_prepare(
     )
     aead_nonce = ctx._rng.bytes(crypto.NONCE_SIZE)
     ciphertext = crypto.aead_seal(
-        session, aead_nonce, plain.encode(), REQUEST_AAD + ctx.k_c.public
+        ctx.session, aead_nonce, plain.encode(), REQUEST_AAD + ctx.k_c.public
     )
     request = EncryptedRequest(client_pub=ctx.k_c.public, aead_nonce=aead_nonce, ciphertext=ciphertext)
     pending = PendingInvocation(
-        session=session, nonce=nonce, input=input_data, function_hash=function_hash,
+        session=ctx.session, nonce=nonce, input=input_data, function_hash=function_hash,
         receipt_flag=receipt, want_measurement=want_measurement,
         k_out_pub=ctx.published.k_out_pub,
     )
@@ -290,21 +296,15 @@ class Invoice:
 
 def compute_invoice(reports: list[SignedMeasurement], policy: BillingPolicy) -> Invoice:
     """Deterministic settlement over verified reports. Each report's own tau
-    converts its ticks to cycles; all arithmetic is exact rationals."""
+    converts its ticks to cycles; each quantity is an exact integer sum over
+    the reports, turned into one rational at the end."""
     freq = policy.cpu_frequency_assumption
     invocations = len(reports)
-    compute_seconds = Fraction(0)
-    ghz_seconds = Fraction(0)
-    gb_seconds = Fraction(0)
-    gb_network = Fraction(0)
-    digests = []
-    for r in reports:
-        cycles = r.t_max * r.tau
-        compute_seconds += Fraction(cycles, freq)
-        ghz_seconds += Fraction(cycles, GIGA)
-        gb_seconds += Fraction(r.m_int * r.tau, freq) / GIGA
-        gb_network += Fraction(r.net, GIGA)
-        digests.append(r.digest())
+    cycles = sum(r.t_max * r.tau for r in reports)
+    tick_bytes = sum(r.m_int * r.tau for r in reports)
+    ghz_seconds = Fraction(cycles, GIGA)
+    gb_seconds = Fraction(tick_bytes, freq * GIGA)
+    gb_network = Fraction(sum(r.net for r in reports), GIGA)
     charges = {
         "invocations": policy.per_invocation * invocations,
         "compute": policy.per_ghz_second * ghz_seconds,
@@ -313,13 +313,13 @@ def compute_invoice(reports: list[SignedMeasurement], policy: BillingPolicy) -> 
     }
     return Invoice(
         invocations=invocations,
-        compute_seconds=compute_seconds,
+        compute_seconds=Fraction(cycles, freq),
         ghz_seconds=ghz_seconds,
         gb_seconds=gb_seconds,
         gb_network=gb_network,
         charges=charges,
         total=sum(charges.values(), Fraction(0)),
-        report_digests=digests,
+        report_digests=[r.digest() for r in reports],
     )
 
 

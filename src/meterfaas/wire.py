@@ -265,9 +265,9 @@ def signed_record(domain: bytes, signature_field: str, size: int, *fields, body_
     return apply
 
 
-def sign_record(cls: type, private_key: bytes, **fields):
+def sign_record(cls: type, pair: crypto.SigningKeyPair, **fields):
     """Build a ``signed_record`` instance from its body fields, signed with
-    ``private_key`` over ``domain + body``."""
+    the key ``pair`` over ``domain + body``."""
     domain, names, put_all, signature_field = cls._wire_signing
     body = put_all([fields[name] for name in names])
-    return cls(**fields, **{signature_field: crypto.sign(private_key, domain + body)})
+    return cls(**fields, **{signature_field: crypto.sign(pair, domain + body)})

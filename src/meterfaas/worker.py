@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 from . import crypto
 from .attest import AttestationRoot, EnclaveIdentity
-from .crypto import DIGEST_SIZE, KEY_SIZE, NONCE_SIZE, SIGNATURE_SIZE, AgreementKeyPair, DeterministicRng
+from .crypto import (
+    DIGEST_SIZE,
+    KEY_SIZE,
+    NONCE_SIZE,
+    SIGNATURE_SIZE,
+    AgreementKeyPair,
+    DeterministicRng,
+    SigningKeyPair,
+)
 from .kde import (
     KeyDistributionEnclave,
     KeySet,
@@ -119,10 +127,10 @@ def build_receipt(
     output: bytes,
     measurement: SignedMeasurement | None,
     keyset_id: bytes,
-    k_out_private: bytes,
+    k_out: SigningKeyPair,
 ) -> Receipt:
     return sign_record(
-        Receipt, k_out_private,
+        Receipt, k_out,
         h_input=crypto.hash_bytes(input_data),
         h_function=function_hash,
         h_output=crypto.hash_bytes(output),
@@ -190,7 +198,16 @@ class _Pending:
 
 
 class WorkerEnclave:
-    """One simulated worker enclave instance on one platform."""
+    """One simulated worker enclave instance on one platform.
+
+    The key pairs of the installed key set each parse their private key once.
+    ``k_ka`` and a client's key are both static, so the session key for a
+    (client, key set) pair is derived once: ``_sessions`` maps a client's
+    public key to the key that opened its first request, and every
+    ``ecall_setup`` empties it, so a rotated key set never serves a stale
+    session. The KDE transport key stays ephemeral, one derivation per setup,
+    and every response draws a fresh AEAD nonce.
+    """
 
     def __init__(
         self,
@@ -212,6 +229,7 @@ class WorkerEnclave:
         self._setup_count = 0
         self._finish_count = 0
         self.keyset: KeySet | None = None
+        self._sessions: dict[bytes, crypto.SessionKey] = {}
         self.image: FunctionImage | None = None
         self.pending: _Pending | None = None
         self.last_outcome: MeteredOutcome | None = None  # None when no function ran
@@ -228,6 +246,7 @@ class WorkerEnclave:
         KDE, resealing it to this enclave's identity and platform. Runs before
         any function is provisioned; never metered."""
         self._setup_count += 1
+        self._sessions.clear()
         if sealed is not None:
             try:
                 keyset = KeySet.decode(unseal(sealed, self.identity, self.platform_id))
@@ -242,7 +261,7 @@ class WorkerEnclave:
             payload = kde.distribute(report)
         except Exception as exc:
             raise WorkerError("setup", f"KDE refused key set: {exc}") from exc
-        self.keyset = open_keyset_payload(payload, transport.private)
+        self.keyset = open_keyset_payload(payload, transport)
         return seal(
             self.keyset.encode(),
             self.identity,
@@ -266,11 +285,14 @@ class WorkerEnclave:
             raise WorkerError("lifecycle", "setup and init must precede run")
         if self.pending is not None:
             raise WorkerError("lifecycle", "previous invocation not finished")
-        session = crypto.derive_session_key(self.keyset.k_ka.private, request.client_pub)
+        session = self._sessions.get(request.client_pub)
+        if session is None:
+            session = crypto.derive_session_key(self.keyset.k_ka, request.client_pub)
         # a tampered or mis-keyed request never executes and is never billable
         plain = crypto.aead_open(
             session, request.aead_nonce, request.ciphertext, REQUEST_AAD + request.client_pub
         )
+        self._sessions[request.client_pub] = session
         req = RequestPlain.decode(plain)
         tag = crypto.hash_bytes(req.token if req.token is not None else b"")
 
@@ -313,7 +335,7 @@ class WorkerEnclave:
         p = self.pending
         measurement = build_signed_measurement(
             self.last_outcome, tag=p.tag, keyset_id=self.keyset.keyset_id,
-            k_res_private=self.keyset.k_res.private, tau=self.meter_cfg.tau,
+            k_res=self.keyset.k_res, tau=self.meter_cfg.tau,
         )
         receipt = None
         if p.request.receipt_flag and p.status == STATUS_OK:
@@ -323,7 +345,7 @@ class WorkerEnclave:
                 output=p.payload,
                 measurement=measurement if p.request.want_measurement else None,
                 keyset_id=self.keyset.keyset_id,
-                k_out_private=self.keyset.k_out.private,
+                k_out=self.keyset.k_out,
             )
         plain = ResponsePlain(
             status=p.status,

@@ -147,6 +147,40 @@ class TestRunAndVerify:
         assert rc == 0
         assert "retired key set, epoch 0" in capsys.readouterr().out
 
+    def test_verify_receipt_after_rotation(self, state, fib_files, capsys):
+        fn, inp = fib_files
+        run_invocation(state, fib_files)
+        assert main(["kde", "rotate", "--state", str(state)]) == 0
+        capsys.readouterr()
+        rc = main([
+            "verify", "receipt", "--receipt", str(state / "receipt.bin"),
+            "--input", str(inp), "--function", str(fn),
+            "--output", str(state / "output.bin"), "--state", str(state),
+        ])
+        assert rc == 0
+        assert "retired key set, epoch 0" in capsys.readouterr().out
+
+    def test_verify_receipt_corpus_function_by_name(self, state, fib_files):
+        _, inp = fib_files
+        assert main(["run", "--state", str(state), "--function", "fib", "--input", str(inp),
+                     "--receipt"]) == 0
+        rc = main([
+            "verify", "receipt", "--receipt", str(state / "receipt.bin"),
+            "--input", str(inp), "--function", "fib",
+            "--output", str(state / "output.bin"), "--state", str(state),
+        ])
+        assert rc == 0
+
+    def test_current_keyset_after_ten_rotations(self, state, fib_files, capsys):
+        # epoch 10 is the newest, though "published-10.bin" sorts before "published-2.bin"
+        for _ in range(10):
+            assert main(["kde", "rotate", "--state", str(state)]) == 0
+        run_invocation(state, fib_files)
+        capsys.readouterr()
+        rc = main(["verify", "measurement", str(state / "measurement.bin"), "--state", str(state)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ACCEPT"
+
     def test_run_with_schedule_file(self, state, fib_files, tmp_path):
         sched = tmp_path / "sched.txt"
         sched.write_text("worker,50,80\ntimer,200,240\n")

@@ -60,17 +60,17 @@ class TestSignatures:
 
     def test_sign_verify_roundtrip(self):
         msg = b"measurement report"
-        assert verify(self.pair.public, msg, sign(self.pair.private, msg))
+        assert verify(self.pair.public, msg, sign(self.pair, msg))
 
     def test_flipped_message_byte_rejected(self):
         msg = b"measurement report"
-        sig = sign(self.pair.private, msg)
+        sig = sign(self.pair, msg)
         assert not verify(self.pair.public, b"Measurement report", sig)
 
     def test_different_public_key_rejected(self):
         other = SigningKeyPair.generate(DeterministicRng(4, "sig"))
         msg = b"m"
-        assert not verify(other.public, msg, sign(self.pair.private, msg))
+        assert not verify(other.public, msg, sign(self.pair, msg))
 
     def test_malformed_signature_returns_false_not_crash(self):
         assert not verify(self.pair.public, b"m", b"garbage")
@@ -82,25 +82,25 @@ class TestKeyAgreement:
     def test_commutative(self):
         a = AgreementKeyPair.generate(DeterministicRng(1, "ka"))
         b = AgreementKeyPair.generate(DeterministicRng(2, "ka"))
-        assert derive_session_key(a.private, b.public) == derive_session_key(b.private, a.public)
+        assert derive_session_key(a, b.public) == derive_session_key(b, a.public)
 
     def test_distinct_peers_distinct_keys(self):
         a = AgreementKeyPair.generate(DeterministicRng(1, "ka"))
         b = AgreementKeyPair.generate(DeterministicRng(2, "ka"))
         c = AgreementKeyPair.generate(DeterministicRng(3, "ka"))
-        assert derive_session_key(a.private, b.public) != derive_session_key(a.private, c.public)
+        assert derive_session_key(a, b.public) != derive_session_key(a, c.public)
 
     def test_malformed_peer_errors(self):
         a = AgreementKeyPair.generate(DeterministicRng(1, "ka"))
         with pytest.raises(CryptoError):
-            derive_session_key(a.private, b"short")
+            derive_session_key(a, b"short")
 
     def test_symmetry_over_many_random_pairs(self):
         rng = DeterministicRng(99, "pairs")
         for _ in range(1000):
             a = AgreementKeyPair.generate(rng.child(str(rng.u64())))
             b = AgreementKeyPair.generate(rng.child(str(rng.u64())))
-            assert derive_session_key(a.private, b.public) == derive_session_key(b.private, a.public)
+            assert derive_session_key(a, b.public) == derive_session_key(b, a.public)
 
 
 class TestAead:
@@ -158,6 +158,14 @@ class TestKeyGeneration:
         a = SigningKeyPair.generate(DeterministicRng(11, "s"))
         b = SigningKeyPair.generate(DeterministicRng(11, "s"))
         assert a == b
+
+    @pytest.mark.parametrize("cls", [SigningKeyPair, AgreementKeyPair])
+    def test_pairs_from_same_private_bytes_equal(self, cls):
+        private = DeterministicRng(13, "s").bytes(32)
+        a, b = cls.from_private(private), cls.from_private(private)
+        assert a.parsed is not b.parsed
+        assert a == b and hash(a) == hash(b)
+        assert a != cls.from_private(DeterministicRng(14, "s").bytes(32))
 
     def test_private_not_in_public(self):
         pair = SigningKeyPair.generate(DeterministicRng(12, "s"))

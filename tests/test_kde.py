@@ -75,7 +75,7 @@ class TestDistribution:
         transport = AgreementKeyPair.generate(DeterministicRng(5, "t"))
         report = root.attest_worker(worker_identity, transport.public)
         payload = kde.distribute(report)
-        received = open_keyset_payload(payload, transport.private)
+        received = open_keyset_payload(payload, transport)
         assert received.keyset_id == kde.keyset.keyset_id
         assert received.k_res.private == kde.keyset.k_res.private
 
@@ -102,7 +102,7 @@ class TestDistribution:
         payload = kde.distribute(report)
         wrong = AgreementKeyPair.generate(DeterministicRng(10, "t"))
         with pytest.raises(TamperError):
-            open_keyset_payload(payload, wrong.private)
+            open_keyset_payload(payload, wrong)
 
     def test_max_workers_policy_knob(self, root, worker_identity):
         ident = derive_identity(b"kde-code", b"prov")
@@ -139,7 +139,7 @@ class TestRotation:
         kde.rotate()
         transport = AgreementKeyPair.generate(DeterministicRng(12, "t"))
         payload = kde.distribute(root.attest_worker(worker_identity, transport.public))
-        received = open_keyset_payload(payload, transport.private)
+        received = open_keyset_payload(payload, transport)
         assert received.keyset_id != old_id
         assert received.keyset_id == kde.keyset.keyset_id
 

@@ -470,7 +470,7 @@ class TestSignedMeasurement:
     def _measured(self):
         out = meter("fib", corp.fib_input(64), MeterConfig(tau=10, epsilon=0))
         keys = SigningKeyPair.generate(DeterministicRng(9, "res"))
-        report = build_signed_measurement(out, tag=hash_bytes(b"tok"), keyset_id=b"\x11" * 32, k_res_private=keys.private)
+        report = build_signed_measurement(out, tag=hash_bytes(b"tok"), keyset_id=b"\x11" * 32, k_res=keys)
         return report, keys
 
     def test_roundtrip_and_verify(self):

@@ -1,5 +1,6 @@
 """Client protocol, worker-pool dispatch, provider checks, and billing."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from meterfaas.orchestrator import (
     BillingPolicy,
     ClientContext,
     FunctionFailed,
+    Invoice,
     MeasurementLog,
     ReplayError,
     VerificationError,
@@ -156,16 +158,20 @@ class TestPool:
 
         kde.rotate()
         # a client on the old keys now fails: the worker refreshed to new keys
+        # and dropped the session it cached for this client
+        measured = len(pool.collected)
         r_old, p_old = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         with pytest.raises(TamperError):
             result = pool.dispatch(r_old, FIB)
             client_verify_response(p_old, result.response)
+        assert len(pool.collected) == measured  # rejected before it was metered
 
         fresh = ClientContext.create(
             ROOT.public_key, kde.published, KDE_IDENT.mrenclave, WORKER_IDENT.mrenclave, seed=12
         )
         r_new, p_new = client_prepare(fresh, hash_bytes(FIB), corp.fib_input(5))
         result = pool.dispatch(r_new, FIB)
+        assert result.worker_index == first.worker_index
         out = client_verify_response(p_new, result.response)
         assert int.from_bytes(out.output, "little") == 5
         assert result.measurement.keyset_id == kde.keyset.keyset_id
@@ -217,6 +223,22 @@ class TestPool:
             counts.append(len(seen))
         # cold: the dispatch plus the load in ecall_init; warm: the dispatch only
         assert counts == [2, 1]
+
+    def test_warm_invocation_derives_no_session_key(self, kde, pool, ctx, monkeypatch):
+        real = crypto.derive_session_key
+        calls = []
+        monkeypatch.setattr(crypto, "derive_session_key", lambda *a: calls.append(a) or real(*a))
+        counts = []
+        for n in (5, 6, 7):
+            calls.clear()
+            req, pending = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(n))
+            result = pool.dispatch(req, FIB)
+            client_verify_response(pending, result.response)
+            provider_verify_measurement(result.measurement, kde.published, {hash_bytes(b"")})
+            counts.append(len(calls))
+        # cold: one derivation on each side of the KDE transport, one for the
+        # worker's first request from this client; warm: none
+        assert counts == [3, 0, 0]
 
     def test_rotation_setup_fetches_without_unsealing(self, kde, monkeypatch):
         # a worker sets up only when its key set is missing or rotated, so a
@@ -339,6 +361,55 @@ class TestBilling:
         total += policy.per_gb_network * net
         assert invoice.total == total  # exact, not approximate
         assert invoice.to_text() == compute_invoice(reports, policy).to_text()
+
+    @staticmethod
+    def _per_report_invoice(reports, policy):
+        """Reference settlement: one set of rationals per report, summed."""
+        freq = policy.cpu_frequency_assumption
+        compute_seconds = ghz_seconds = gb_seconds = gb_network = Fraction(0)
+        for r in reports:
+            cycles = r.t_max * r.tau
+            compute_seconds += Fraction(cycles, freq)
+            ghz_seconds += Fraction(cycles, 10**9)
+            gb_seconds += Fraction(r.m_int * r.tau, freq) / 10**9
+            gb_network += Fraction(r.net, 10**9)
+        charges = {
+            "invocations": policy.per_invocation * len(reports),
+            "compute": policy.per_ghz_second * ghz_seconds,
+            "memory": policy.per_gb_second * gb_seconds,
+            "network": policy.per_gb_network * gb_network,
+        }
+        return Invoice(
+            invocations=len(reports), compute_seconds=compute_seconds, ghz_seconds=ghz_seconds,
+            gb_seconds=gb_seconds, gb_network=gb_network, charges=charges,
+            total=sum(charges.values(), Fraction(0)),
+            report_digests=[r.digest() for r in reports],
+        )
+
+    @pytest.mark.parametrize("freq", [10**9, 2_400_000_000, 1_733_333_337])
+    def test_integer_sums_equal_per_report_fractions(self, freq):
+        rng = DeterministicRng(freq, "inv-sums")
+        reports = [
+            self._report(
+                rng.randrange(10**7), 1 + rng.randrange(10**4),
+                rng.randrange(10**10), rng.randrange(10**6), rng.randrange(10**9),
+                seed=i,
+            )
+            for i in range(1 + rng.randrange(200))
+        ]
+        policy = BillingPolicy(
+            per_invocation=Fraction(3, 10**7),
+            per_ghz_second=Fraction(17, 10**6),
+            per_gb_second=Fraction(1, 60000),
+            per_gb_network=Fraction(9, 100),
+            cpu_frequency_assumption=freq,
+        )
+        for batch in ([], reports[:1], reports):
+            got = compute_invoice(batch, policy)
+            want = self._per_report_invoice(batch, policy)
+            for f in dataclasses.fields(Invoice):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert got.to_text() == want.to_text()
 
     def test_invoice_references_report_digests(self):
         reports = [self._report(10, 10, 0, 0, 0, seed=i) for i in range(3)]

@@ -363,7 +363,7 @@ class TestDeclaredLayout:
         from meterfaas.wire import sign_record
 
         key = SigningKeyPair.generate(DeterministicRng(1, "sign-record"))
-        report = sign_record(SignedMeasurement, key.private, t_max=1, tau=2, m_int=3, m_max=4,
+        report = sign_record(SignedMeasurement, key, t_max=1, tau=2, m_int=3, m_max=4,
                              m_avg=5, net=6, tag=b"\x01" * 32, keyset_id=b"\x02" * 32)
         assert report.signed_payload() == MEASUREMENT_DOMAIN + report.body()
         assert crypto.verify(key.public, report.signed_payload(), report.signature)

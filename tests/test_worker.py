@@ -108,6 +108,18 @@ class TestSetup:
         assert rogue.keyset is None
 
 
+    def test_setup_derives_once_on_each_side_of_the_transport(self, monkeypatch):
+        kde, worker = make_kde(), make_worker()
+        real = crypto.derive_session_key
+        calls = []
+        monkeypatch.setattr(crypto, "derive_session_key",
+                            lambda mine, peer: calls.append((mine.public, peer)) or real(mine, peer))
+        worker.ecall_setup(kde)
+        # the KDE's ephemeral key with the worker's, then the worker's with the KDE's
+        assert len(calls) == 2
+        assert calls[0] == calls[1][::-1]
+
+
 class TestInit:
     def test_load_and_replace(self):
         kde, worker = provisioned()
@@ -188,6 +200,64 @@ class TestRunAndFinish:
         with pytest.raises(WorkerError):
             worker.ecall_finish()
 
+    def test_tampered_request_rejected_with_cached_session(self):
+        kde, worker = provisioned()
+        ctx = make_client(kde)
+        request, pending = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
+        worker.ecall_run(request)
+        worker.ecall_finish()  # the worker now caches ctx's session
+        request, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
+        flipped = bytearray(request.ciphertext)
+        flipped[-1] ^= 1
+        with pytest.raises(TamperError):
+            worker.ecall_run(EncryptedRequest(request.client_pub, request.aead_nonce, bytes(flipped)))
+        assert worker.pending is None
+        with pytest.raises(WorkerError):
+            worker.ecall_finish()
+
+    def test_only_a_session_that_opened_a_request_is_kept(self, monkeypatch):
+        kde, worker = provisioned()
+        ctx = make_client(kde)
+        real = crypto.derive_session_key
+        calls = []
+        monkeypatch.setattr(crypto, "derive_session_key", lambda *a: calls.append(a) or real(*a))
+        request, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
+        flipped = bytearray(request.ciphertext)
+        flipped[0] ^= 1
+        bad = EncryptedRequest(request.client_pub, request.aead_nonce, bytes(flipped))
+        with pytest.raises(TamperError):
+            worker.ecall_run(bad)
+        with pytest.raises(crypto.CryptoError):  # a low-order point: no shared secret
+            worker.ecall_run(EncryptedRequest(b"\x00" * 32, request.aead_nonce, request.ciphertext))
+        for _ in range(2):
+            worker.ecall_run(client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))[0])
+            worker.ecall_finish()
+        # the tampered request and the failed derivation cached nothing, so the
+        # first good request derives again and the second derives none
+        assert len(calls) == 3
+
+    def test_rotation_rejects_client_on_old_keys(self):
+        kde, worker = provisioned()
+        old = make_client(kde)
+        worker.ecall_run(client_prepare(old, hash_bytes(FIB), corp.fib_input(5))[0])
+        worker.ecall_finish()  # the worker now caches old's session
+        kde.rotate()
+        worker.ecall_setup(kde, expected_keyset_id=kde.keyset.keyset_id)
+        request, _ = client_prepare(old, hash_bytes(FIB), corp.fib_input(5))
+        with pytest.raises((TamperError, WorkerError)):
+            worker.ecall_run(request)
+        with pytest.raises(WorkerError):
+            worker.ecall_finish()  # never measured
+        fresh = make_client(kde, seed=10)
+        request, pending = client_prepare(fresh, hash_bytes(FIB), corp.fib_input(5))
+        worker.ecall_run(request)
+        response, measurement = worker.ecall_finish()
+        assert measurement.keyset_id == kde.keyset.keyset_id
+
+        from meterfaas.orchestrator import client_verify_response
+
+        assert int.from_bytes(client_verify_response(pending, response).output, "little") == 5
+
     def test_trapped_run_error_marker_but_signed_measurement(self):
         kde, worker = provisioned()
         worker.ecall_init(FIB)
@@ -265,7 +335,7 @@ class TestReceiptUnit:
     def test_receipt_roundtrip_and_binding(self):
         kde, worker = provisioned()
         ks = worker.keyset
-        receipt = build_receipt(b"input", hash_bytes(b"fn"), b"output", None, ks.keyset_id, ks.k_out.private)
+        receipt = build_receipt(b"input", hash_bytes(b"fn"), b"output", None, ks.keyset_id, ks.k_out)
         assert Receipt.decode(receipt.encode()) == receipt
         ok, _ = verify_receipt(receipt, kde.published.k_out_pub, b"input", hash_bytes(b"fn"), b"output")
         assert ok
