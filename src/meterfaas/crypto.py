@@ -7,9 +7,10 @@ explicit seed so traces and tests reproduce exactly.
 
 Each key pair parses its private key once, when it is made, and keeps the parsed
 object: ``sign`` and ``derive_session_key`` take the pair, so a signature costs
-no key parsing and a derivation runs one scalar multiplication. Callers that
-hold static pairs on both sides cache the derived session key; AEAD nonces are
-still drawn fresh for every message.
+no key parsing and a derivation runs one scalar multiplication. A client
+derives its session key with the key set's ``k_ka`` once per context; KDE
+transport keys stay ephemeral, one derivation per setup; AEAD nonces are drawn
+fresh for every message.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class VerificationError(Exception):
 # --- client side --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClientContext:
     """Holds the client's agreement key, the verified published keys and the
     session key between them.

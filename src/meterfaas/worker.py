@@ -200,13 +200,11 @@ class _Pending:
 class WorkerEnclave:
     """One simulated worker enclave instance on one platform.
 
-    The key pairs of the installed key set each parse their private key once.
-    ``k_ka`` and a client's key are both static, so the session key for a
-    (client, key set) pair is derived once: ``_sessions`` maps a client's
-    public key to the key that opened its first request, and every
-    ``ecall_setup`` empties it, so a rotated key set never serves a stale
-    session. The KDE transport key stays ephemeral, one derivation per setup,
-    and every response draws a fresh AEAD nonce.
+    The key pairs of the installed key set each parse their private key once,
+    so each request costs one scalar multiplication to derive its session key
+    from ``k_ka`` and the client's public key; the worker keeps no per-client
+    state between requests. The KDE transport key stays ephemeral, one
+    derivation per setup, and every response draws a fresh AEAD nonce.
     """
 
     def __init__(
@@ -229,7 +227,6 @@ class WorkerEnclave:
         self._setup_count = 0
         self._finish_count = 0
         self.keyset: KeySet | None = None
-        self._sessions: dict[bytes, crypto.SessionKey] = {}
         self.image: FunctionImage | None = None
         self.pending: _Pending | None = None
         self.last_outcome: MeteredOutcome | None = None  # None when no function ran
@@ -246,7 +243,6 @@ class WorkerEnclave:
         KDE, resealing it to this enclave's identity and platform. Runs before
         any function is provisioned; never metered."""
         self._setup_count += 1
-        self._sessions.clear()
         if sealed is not None:
             try:
                 keyset = KeySet.decode(unseal(sealed, self.identity, self.platform_id))
@@ -285,14 +281,11 @@ class WorkerEnclave:
             raise WorkerError("lifecycle", "setup and init must precede run")
         if self.pending is not None:
             raise WorkerError("lifecycle", "previous invocation not finished")
-        session = self._sessions.get(request.client_pub)
-        if session is None:
-            session = crypto.derive_session_key(self.keyset.k_ka, request.client_pub)
+        session = crypto.derive_session_key(self.keyset.k_ka, request.client_pub)
         # a tampered or mis-keyed request never executes and is never billable
         plain = crypto.aead_open(
             session, request.aead_nonce, request.ciphertext, REQUEST_AAD + request.client_pub
         )
-        self._sessions[request.client_pub] = session
         req = RequestPlain.decode(plain)
         tag = crypto.hash_bytes(req.token if req.token is not None else b"")
 

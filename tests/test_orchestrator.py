@@ -158,7 +158,6 @@ class TestPool:
 
         kde.rotate()
         # a client on the old keys now fails: the worker refreshed to new keys
-        # and dropped the session it cached for this client
         measured = len(pool.collected)
         r_old, p_old = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         with pytest.raises(TamperError):
@@ -224,7 +223,7 @@ class TestPool:
         # cold: the dispatch plus the load in ecall_init; warm: the dispatch only
         assert counts == [2, 1]
 
-    def test_warm_invocation_derives_no_session_key(self, kde, pool, ctx, monkeypatch):
+    def test_warm_invocation_derives_only_the_worker_session_key(self, kde, pool, ctx, monkeypatch):
         real = crypto.derive_session_key
         calls = []
         monkeypatch.setattr(crypto, "derive_session_key", lambda *a: calls.append(a) or real(*a))
@@ -236,9 +235,10 @@ class TestPool:
             client_verify_response(pending, result.response)
             provider_verify_measurement(result.measurement, kde.published, {hash_bytes(b"")})
             counts.append(len(calls))
-        # cold: one derivation on each side of the KDE transport, one for the
-        # worker's first request from this client; warm: none
-        assert counts == [3, 0, 0]
+        # the client derived its session key when its context was made; the
+        # worker derives one per request, and the cold dispatch adds one on
+        # each side of the KDE transport
+        assert counts == [3, 1, 1]
 
     def test_rotation_setup_fetches_without_unsealing(self, kde, monkeypatch):
         # a worker sets up only when its key set is missing or rotated, so a

@@ -1,5 +1,8 @@
 """Worker enclave lifecycle: setup, init, authenticated metered runs, finish."""
 
+import gc
+import types
+
 import pytest
 
 from meterfaas import corpus as corp
@@ -41,6 +44,22 @@ def make_client(kde, seed=9):
     return ClientContext.create(
         ROOT.public_key, kde.published, KDE_IDENT.mrenclave, WORKER_IDENT.mrenclave, seed=seed
     )
+
+
+def reachable_bytes(root):
+    """Every bytes value reachable from ``root``'s own object graph; classes,
+    modules and functions are not followed, so module globals stay out."""
+    seen, found, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType, types.MethodType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, bytes):
+            found.add(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 def provisioned(seed=3):
@@ -200,12 +219,12 @@ class TestRunAndFinish:
         with pytest.raises(WorkerError):
             worker.ecall_finish()
 
-    def test_tampered_request_rejected_with_cached_session(self):
+    def test_tampered_request_rejected_after_a_good_one(self):
         kde, worker = provisioned()
         ctx = make_client(kde)
         request, pending = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         worker.ecall_run(request)
-        worker.ecall_finish()  # the worker now caches ctx's session
+        worker.ecall_finish()
         request, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         flipped = bytearray(request.ciphertext)
         flipped[-1] ^= 1
@@ -215,32 +234,24 @@ class TestRunAndFinish:
         with pytest.raises(WorkerError):
             worker.ecall_finish()
 
-    def test_only_a_session_that_opened_a_request_is_kept(self, monkeypatch):
+    def test_worker_keeps_nothing_of_earlier_clients(self):
+        # k_ka_pub is published, so anyone can send requests from fresh client
+        # keys; none of them may leave a public key or a session key behind
         kde, worker = provisioned()
-        ctx = make_client(kde)
-        real = crypto.derive_session_key
-        calls = []
-        monkeypatch.setattr(crypto, "derive_session_key", lambda *a: calls.append(a) or real(*a))
-        request, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
-        flipped = bytearray(request.ciphertext)
-        flipped[0] ^= 1
-        bad = EncryptedRequest(request.client_pub, request.aead_nonce, bytes(flipped))
-        with pytest.raises(TamperError):
-            worker.ecall_run(bad)
-        with pytest.raises(crypto.CryptoError):  # a low-order point: no shared secret
-            worker.ecall_run(EncryptedRequest(b"\x00" * 32, request.aead_nonce, request.ciphertext))
-        for _ in range(2):
-            worker.ecall_run(client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))[0])
+        clients = [make_client(kde, seed=100 + i) for i in range(20)]
+        for ctx in clients:
+            worker.ecall_run(client_prepare(ctx, hash_bytes(FIB), corp.fib_input(3))[0])
             worker.ecall_finish()
-        # the tampered request and the failed derivation cached nothing, so the
-        # first good request derives again and the second derives none
-        assert len(calls) == 3
+        held = reachable_bytes(worker)
+        assert worker.keyset.k_ka.public in held  # the walk does reach the key set
+        assert not {c.k_c.public for c in clients} & held
+        assert not {c.session.key for c in clients} & held
 
     def test_rotation_rejects_client_on_old_keys(self):
         kde, worker = provisioned()
         old = make_client(kde)
         worker.ecall_run(client_prepare(old, hash_bytes(FIB), corp.fib_input(5))[0])
-        worker.ecall_finish()  # the worker now caches old's session
+        worker.ecall_finish()
         kde.rotate()
         worker.ecall_setup(kde, expected_keyset_id=kde.keyset.keyset_id)
         request, _ = client_prepare(old, hash_bytes(FIB), corp.fib_input(5))
