@@ -3,7 +3,7 @@ attested key distribution, and verifiable billing, all deterministic."""
 
 from .attest import AttestationRoot, EnclaveIdentity, Quote, derive_identity, verify_transitive
 from .kde import KeyDistributionEnclave, KeySet, PublishedKeys
-from .kernel import ScheduleEvent, SimKernel, SimTrace, true_resident_cycles
+from .kernel import ScheduleEvent, SimKernel, SimTrace
 from .metering import MeterConfig, SignedMeasurement, run_metered, verify_measurement
 from .orchestrator import (
     BillingPolicy,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttestationRoot", "EnclaveIdentity", "Quote", "derive_identity", "verify_transitive",
     "KeyDistributionEnclave", "KeySet", "PublishedKeys",
-    "ScheduleEvent", "SimKernel", "SimTrace", "true_resident_cycles",
+    "ScheduleEvent", "SimKernel", "SimTrace",
     "MeterConfig", "SignedMeasurement", "run_metered", "verify_measurement",
     "BillingPolicy", "ClientContext", "WorkerPool", "client_prepare",
     "client_verify_response", "compute_invoice", "provider_verify_measurement",

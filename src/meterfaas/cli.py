@@ -22,7 +22,6 @@ from .attest import AttestationError, AttestationRoot, derive_identity, verify_t
 from .experiments import EXPERIMENTS, LIMITS, run_experiment
 from .fuzz import random_schedule, run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
-from .kernel import true_resident_cycles
 from .metering import SignedMeasurement, run_metered, verify_measurement
 from .orchestrator import (
     BillingPolicy,
@@ -436,7 +435,7 @@ def cmd_replay(args) -> int:
     outcome = run_metered(image, input_data, LIMITS, cfg, schedule=schedule, costs=scenario.cost_table(),
                           full_trace=args.full)
     sys.stdout.write(outcome.trace.export_text())
-    oracle = true_resident_cycles(outcome.trace, "worker")
+    oracle = outcome.trace.resident["worker"]
     print(f"# t_max={outcome.t_max} tau={cfg.tau} measured_cycles={outcome.t_max * cfg.tau} "
           f"oracle_cycles={oracle} m_int={outcome.m_int} m_max={outcome.m_max} net={outcome.net}")
     return 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from .corpus import corpus, fib_input, known_network_input
 from .crypto import DeterministicRng
-from .kernel import true_resident_cycles
 from .metering import MeterConfig, run_metered
 from .vm import VMLimits
 
@@ -78,7 +77,7 @@ def fib_timing(
             fib, fib_input(n), LIMITS, MeterConfig(tau=small_tau, epsilon=small_epsilon)
         )
         t_max, small_t = float(out.t_max), float(small.t_max)
-        oracle = true_resident_cycles(out.trace, "worker")
+        oracle = out.trace.resident["worker"]
         rows.append(
             [n, t_max, t_max * tau, oracle, small_t, small_t * small_tau]
         )
@@ -137,7 +136,7 @@ def tau_sweep(
     rows = []
     for tau in taus:
         out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
-        oracle = true_resident_cycles(out.trace, "worker")
+        oracle = out.trace.resident["worker"]
         measured = out.t_max * tau
         rows.append([tau, epsilon, out.t_max, measured, oracle, measured / oracle])
     return ExperimentResult(

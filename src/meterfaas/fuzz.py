@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .corpus import words
 from .crypto import DeterministicRng
-from .kernel import ScheduleEvent, SimTrace, true_resident_cycles
+from .kernel import ScheduleEvent, SimTrace
 from .metering import MeterConfig, MeteredOutcome, run_metered
 from .vm import CostTable, FunctionImage, VMLimits, VmHooks, assemble, vm_execute, vm_load
 
@@ -157,7 +157,7 @@ def run_case(rng: DeterministicRng, index: int, limits: VMLimits | None = None) 
     outcome = run_metered(
         image, input_data, limits, cfg, schedule=schedule, costs=costs, limit=50_000_000
     )
-    oracle = true_resident_cycles(outcome.trace, "worker")
+    oracle = outcome.trace.resident["worker"]
     declared = declared_worker_cycles(image, input_data, limits, cfg, costs, outcome.trace)
     return FuzzCase(index, cfg, costs, schedule, outcome, oracle, declared)
 

@@ -10,8 +10,9 @@ The kernel enforces the contract the metering design relies on:
     snapshot over its save-state area (destroying the marker word), and record
     the true resume point in ``ssa.rip``;
   * ERESUME transparently continues the frozen work, unless enclave code
-    installed a handler reference in ``ssa.rip``, in which case the handler
-    steps run first;
+    installed an ERESUME handler in ``ssa.rip``. The handler is one
+    instruction, pushed onto the actor's frozen work with its full cost, so it
+    runs first; an AEX inside it stacks on the work it detoured from;
   * a watched transaction aborts the moment any other party writes one of its
     watched cells or its own actor suffers an AEX, and none of its buffered
     writes become visible;
@@ -21,6 +22,9 @@ Event ordering within one cycle is fixed: instruction completions (in actor
 registration order), then AEX events, then ERESUME events, then newly runnable
 work. This makes "interrupt between a transaction's end and the next
 instruction" expressible and keeps every run a pure function of its inputs.
+
+A kernel runs once: each actor is one record holding its identity, its program
+and its run state, and ``SimKernel.run`` consumes them.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ class Instr:
     def __init__(self, kind: int, cost: int = 0, cell: Cell | None = None, value: Any = None,
                  effect: Callable[[], Any] | None = None, label: str | None = None,
                  pred: Callable[[], bool] | None = None) -> None:
+        if cost < 0:
+            raise KernelError("negative instruction cost")
         self.kind = kind
         self.cost = cost
         self.cell = cell
@@ -94,8 +100,6 @@ class Instr:
 
 def Op(cost: int, effect: Callable[[], Any] | None = None, label: str | None = None) -> Instr:
     """Spend `cost` cycles; at completion run `effect` and deliver its result."""
-    if cost < 0:
-        raise KernelError("negative instruction cost")
     return Instr(_OP, cost=cost, effect=effect, label=label)
 
 
@@ -139,19 +143,20 @@ def HostStall(cost: int) -> Instr:
     """Time serviced outside the enclave (an OCALL in flight). Counts as
     occupied time; AEX events aimed at a stalled actor are skipped, since
     there is no enclave context to spill."""
-    if cost < 0:
-        raise KernelError("negative stall")
     return Instr(_STALL, cost=cost)
 
 
 class EresumeHandler:
-    """Value installed into ssa.rip: detour steps to run on the next ERESUME
-    before the interrupted work continues."""
+    """Value installed into ssa.rip: one instruction to run on the next
+    ERESUME before the interrupted work continues. It runs outside the
+    actor's program, so it must be an Op, ReadCell, WriteCell or TestAndSet."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("instr",)
 
-    def __init__(self, steps: Iterable[Instr]) -> None:
-        self.steps = tuple(steps)
+    def __init__(self, instr: Instr) -> None:
+        if instr.kind not in (_OP, _READ, _WRITE, _TAS):
+            raise KernelError("an ERESUME handler runs an OP, READ, WRITE or TAS instruction")
+        self.instr = instr
 
     def __repr__(self) -> str:
         return "<eresume-handler>"
@@ -195,6 +200,10 @@ class SimTrace:
     an ERESUME handler installed has the detail ``handler``. Every other event
     (START, TX_*, WAIT_*, STALL_*, WRITE, STEP, DONE) is recorded only in a
     full trace.
+
+    ``resident`` holds, per actor, the exact cycles it spent occupying its
+    thread context: executing instructions or servicing an OCALL.
+    Interrupted gaps and wait-blocks are excluded.
     """
 
     events: list[tuple[int, str, str, str]]
@@ -214,16 +223,7 @@ class SimTrace:
         return "\n".join(self.export_lines()) + "\n"
 
 
-def true_resident_cycles(trace: SimTrace, actor: str) -> int:
-    """Exact cycles the actor spent occupying its thread context: executing
-    instructions or servicing an OCALL. Interrupted gaps and wait-blocks are
-    excluded."""
-    if actor not in trace.resident:
-        raise ValueError(f"unknown actor {actor!r}")
-    return trace.resident[actor]
-
-
-# --- actor runtime ----------------------------------------------------------
+# --- actors -----------------------------------------------------------------
 
 
 class _SSA:
@@ -242,77 +242,66 @@ class _Tx:
         self.writes: dict[Cell, Any] = {}
 
 
-class ActorHandle:
-    """Public handle: identity, SSA cells (enclave actors), program slot."""
+class Actor:
+    """One actor: name, SSA cells (None for an os actor), program and run state.
 
-    def __init__(self, name: str, enclave: bool, ssa: _SSA | None) -> None:
-        self.name = name
-        self.enclave = enclave
-        self.ssa = ssa
-        self._program: Generator | None = None
+    An idle running actor (no in-flight, frozen, waiting or pending-abort
+    work) fetches its next instruction from its program.
+    """
 
-    def set_program(self, gen: Generator) -> None:
-        self._program = gen
-
-
-class _Rt:
     __slots__ = (
-        "handle", "gen", "state", "instr", "finish_at", "frozen", "segment_start",
-        "tx", "pending_abort", "detours", "in_detour", "needs_fetch", "send_value",
-        "wait_pred", "wait_was", "resident", "result",
+        "name", "ssa", "gen", "state", "instr", "finish_at", "frozen", "segment_start",
+        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
     )
 
-    def __init__(self, handle: ActorHandle) -> None:
-        self.handle = handle
-        self.gen = handle._program
+    def __init__(self, name: str, ssa: _SSA | None) -> None:
+        self.name = name
+        self.ssa = ssa
+        self.gen: Generator | None = None
         self.state = _RUNNING
         self.instr: Instr | None = None
         self.finish_at: int | None = None
-        # work frozen by an AEX, innermost last: (instr, remaining, in_detour);
-        # an AEX inside the ERESUME handler stacks on the work it detoured from
-        self.frozen: list[tuple[Instr, int, bool]] = []
+        # work frozen by an AEX, innermost last: (instr, remaining cycles); an
+        # ERESUME handler is pushed on top, so it runs first
+        self.frozen: list[tuple[Instr, int]] = []
         self.segment_start: int | None = None
         self.tx: _Tx | None = None
         self.pending_abort: TxAborted | None = None
-        self.detours: list[Instr] = []
-        self.in_detour = False
-        self.needs_fetch = True
         self.send_value: Any = None
         self.wait_pred: Callable[[], bool] | None = None
-        self.wait_was = False  # True if the actor was waiting when interrupted
         self.resident = 0
         self.result: Any = None
 
+    def set_program(self, gen: Generator) -> None:
+        self.gen = gen
+
 
 class SimKernel:
-    """One deterministic simulation instance: cells, actors, and the clock."""
+    """One deterministic simulation instance: actors and the clock."""
 
     def __init__(self) -> None:
-        self._handles: list[ActorHandle] = []
         self.now = 0
-        self._rts: list[_Rt] = []
+        self._actors: list[Actor] = []
+        self._by_name: dict[str, Actor] = {}
         self._events: list[tuple[int, str, str, str]] = []
         self._full_trace = False
-        self._by_name: dict[str, _Rt] = {}
 
     # construction
 
-    def cell(self, name: str, value: Any = 0, enclave: bool = False) -> Cell:
-        return Cell(name, value, enclave)
-
-    def add_enclave_actor(self, name: str) -> ActorHandle:
+    def add_enclave_actor(self, name: str) -> Actor:
         ssa = _SSA(
-            marker=self.cell(f"{name}.ssa.marker", 0, enclave=True),
-            rip=self.cell(f"{name}.ssa.rip", RIP_NEXT, enclave=True),
+            marker=Cell(f"{name}.ssa.marker", 0, enclave=True),
+            rip=Cell(f"{name}.ssa.rip", RIP_NEXT, enclave=True),
         )
-        handle = ActorHandle(name, enclave=True, ssa=ssa)
-        self._handles.append(handle)
-        return handle
+        return self._add(Actor(name, ssa))
 
-    def add_os_actor(self, name: str) -> ActorHandle:
-        handle = ActorHandle(name, enclave=False, ssa=None)
-        self._handles.append(handle)
-        return handle
+    def add_os_actor(self, name: str) -> Actor:
+        return self._add(Actor(name, None))
+
+    def _add(self, actor: Actor) -> Actor:
+        self._actors.append(actor)
+        self._by_name[actor.name] = actor
+        return actor
 
     # logging; callers record per-instruction events only in a full trace
 
@@ -321,165 +310,157 @@ class SimKernel:
 
     # write machinery
 
-    def _commit_write(self, writer: _Rt | None, cell: Cell, value: Any) -> None:
+    def _commit_write(self, writer: Actor | None, cell: Cell, value: Any) -> None:
         cell.value = value
         if self._full_trace:
-            who = writer.handle.name if writer is not None else "hw"
+            who = writer.name if writer is not None else "hw"
             self._log(who, "WRITE", f"{cell.name}={value!r}")
-        for rt in self._rts:
-            if rt is writer or rt.tx is None:
+        for actor in self._actors:
+            if actor is writer or actor.tx is None:
                 continue
-            if cell in rt.tx.watch:
-                self._abort_tx(rt, "conflict")
+            if cell in actor.tx.watch:
+                self._abort_tx(actor, "conflict")
 
-    def _apply_write(self, rt: _Rt, cell: Cell, value: Any) -> None:
-        if not rt.handle.enclave and cell.enclave:
-            raise KernelError(f"os actor {rt.handle.name} wrote enclave cell {cell.name}")
-        if rt.tx is not None:
-            rt.tx.writes[cell] = value
+    def _apply_write(self, actor: Actor, cell: Cell, value: Any) -> None:
+        if actor.ssa is None and cell.enclave:
+            raise KernelError(f"os actor {actor.name} wrote enclave cell {cell.name}")
+        if actor.tx is not None:
+            actor.tx.writes[cell] = value
             return
-        self._commit_write(rt, cell, value)
+        self._commit_write(actor, cell, value)
 
-    def _read_value(self, rt: _Rt, cell: Cell) -> Any:
-        if not rt.handle.enclave and cell.enclave:
-            raise KernelError(f"os actor {rt.handle.name} read enclave cell {cell.name}")
-        if rt.tx is not None and cell in rt.tx.writes:
-            return rt.tx.writes[cell]
+    def _read_value(self, actor: Actor, cell: Cell) -> Any:
+        if actor.ssa is None and cell.enclave:
+            raise KernelError(f"os actor {actor.name} read enclave cell {cell.name}")
+        if actor.tx is not None and cell in actor.tx.writes:
+            return actor.tx.writes[cell]
         return cell.value
 
-    def _abort_tx(self, rt: _Rt, cause: str) -> None:
-        rt.tx = None
-        rt.pending_abort = TxAborted(cause)
+    def _abort_tx(self, actor: Actor, cause: str) -> None:
+        actor.tx = None
+        actor.pending_abort = TxAborted(cause)
         if self._full_trace:
-            self._log(rt.handle.name, "TX_ABORT", cause)
+            self._log(actor.name, "TX_ABORT", cause)
         # squash in-flight or frozen body work; cycles consumed stay consumed
-        if rt.state == _RUNNING and rt.finish_at is not None:
-            self._accrue(rt)
-        rt.instr = None
-        rt.finish_at = None
-        rt.frozen.clear()
+        if actor.state == _RUNNING and actor.finish_at is not None:
+            self._accrue(actor)
+        actor.instr = None
+        actor.finish_at = None
+        actor.frozen.clear()
 
     # resident accounting
 
-    def _accrue(self, rt: _Rt) -> None:
-        if rt.segment_start is not None:
-            rt.resident += self.now - rt.segment_start
-            rt.segment_start = None
+    def _accrue(self, actor: Actor) -> None:
+        if actor.segment_start is not None:
+            actor.resident += self.now - actor.segment_start
+            actor.segment_start = None
 
     # execution
 
-    def _complete(self, rt: _Rt) -> None:
+    def _complete(self, actor: Actor) -> None:
         """Apply the in-flight instruction's effect at the current cycle."""
-        instr = rt.instr
+        instr = actor.instr
         assert instr is not None
-        self._accrue(rt)
-        rt.instr = None
-        rt.finish_at = None
-        if rt.state == _STALLED:
-            rt.state = _RUNNING
+        self._accrue(actor)
+        actor.instr = None
+        actor.finish_at = None
+        if actor.state == _STALLED:
+            actor.state = _RUNNING
             if self._full_trace:
-                self._log(rt.handle.name, "STALL_END")
+                self._log(actor.name, "STALL_END")
             result: Any = None
         elif instr.kind == _OP:
             result = instr.effect() if instr.effect is not None else None
             if self._full_trace and instr.label:
-                self._log(rt.handle.name, "STEP", instr.label)
+                self._log(actor.name, "STEP", instr.label)
         elif instr.kind == _READ:
-            result = self._read_value(rt, instr.cell)
+            result = self._read_value(actor, instr.cell)
         elif instr.kind == _WRITE:
-            self._apply_write(rt, instr.cell, instr.value)
+            self._apply_write(actor, instr.cell, instr.value)
             result = None
         elif instr.kind == _TAS:
-            result = self._read_value(rt, instr.cell)
-            self._apply_write(rt, instr.cell, 1)
+            result = self._read_value(actor, instr.cell)
+            self._apply_write(actor, instr.cell, 1)
         else:  # pragma: no cover - other kinds never become in-flight
             raise KernelError(f"unexpected in-flight kind {instr.kind}")
-        if rt.in_detour:
-            rt.in_detour = False
-        else:
-            rt.needs_fetch = True
-            rt.send_value = result
+        # An ERESUME handler's result lands here too but never reaches the
+        # program: the handler always runs above frozen work, a pending wait
+        # or a pending abort, whose completion, wake or throw replaces it
+        # before the next send.
+        actor.send_value = result
 
-    def _advance(self, rt: _Rt, *, throw: TxAborted | None = None) -> None:
+    def _advance(self, actor: Actor, *, throw: TxAborted | None = None) -> None:
         """Move the actor's generator one step and stage the next instruction."""
         try:
             if throw is not None:
-                nxt = rt.gen.throw(throw)
+                nxt = actor.gen.throw(throw)
             else:
-                nxt = rt.gen.send(rt.send_value)
+                nxt = actor.gen.send(actor.send_value)
         except StopIteration as stop:
-            self._accrue(rt)
-            rt.state = _DONE
-            rt.result = stop.value
+            actor.state = _DONE
+            actor.result = stop.value
             if self._full_trace:
-                self._log(rt.handle.name, "DONE")
+                self._log(actor.name, "DONE")
             return
-        rt.send_value = None
-        self._begin(rt, nxt)
+        actor.send_value = None
+        self._begin(actor, nxt)
 
-    def _begin(self, rt: _Rt, instr: Instr) -> None:
+    def _begin(self, actor: Actor, instr: Instr) -> None:
         """Stage one instruction. Zero-cost work applies immediately."""
         kind = instr.kind
         if kind == _TXBEGIN:
-            if rt.tx is not None:
-                raise KernelError(f"{rt.handle.name}: nested transaction")
-            rt.tx = _Tx(instr.value)
+            if actor.tx is not None:
+                raise KernelError(f"{actor.name}: nested transaction")
+            actor.tx = _Tx(instr.value)
             if self._full_trace:
-                self._log(rt.handle.name, "TX_BEGIN", f"watch={len(instr.value)}")
-            rt.needs_fetch = True
+                self._log(actor.name, "TX_BEGIN", f"watch={len(instr.value)}")
             return
         if kind == _TXEND:
-            if rt.tx is None:
-                raise KernelError(f"{rt.handle.name}: commit outside transaction")
-            tx = rt.tx
-            rt.tx = None
+            if actor.tx is None:
+                raise KernelError(f"{actor.name}: commit outside transaction")
+            tx = actor.tx
+            actor.tx = None
             for cell, value in tx.writes.items():
-                self._commit_write(rt, cell, value)
+                self._commit_write(actor, cell, value)
             if self._full_trace:
-                self._log(rt.handle.name, "TX_COMMIT")
-            rt.needs_fetch = True
+                self._log(actor.name, "TX_COMMIT")
             return
         if kind == _TXABORT:
-            if rt.tx is None:
-                raise KernelError(f"{rt.handle.name}: abort outside transaction")
-            self._abort_tx(rt, instr.value)
+            if actor.tx is None:
+                raise KernelError(f"{actor.name}: abort outside transaction")
+            self._abort_tx(actor, instr.value)
             return
         if kind == _WAIT:
-            if rt.tx is not None:
-                raise KernelError(f"{rt.handle.name}: wait inside transaction")
+            if actor.tx is not None:
+                raise KernelError(f"{actor.name}: wait inside transaction")
             if instr.pred():
-                rt.needs_fetch = True
-                rt.send_value = None
                 return
-            rt.wait_pred = instr.pred
-            rt.state = _WAITING
+            actor.wait_pred = instr.pred
+            actor.state = _WAITING
             if self._full_trace:
-                self._log(rt.handle.name, "WAIT_BEGIN")
+                self._log(actor.name, "WAIT_BEGIN")
             return
         if kind == _STALL:
-            if rt.tx is not None:
-                raise KernelError(f"{rt.handle.name}: ocall stall inside transaction")
+            if actor.tx is not None:
+                raise KernelError(f"{actor.name}: ocall stall inside transaction")
             if self._full_trace:
-                self._log(rt.handle.name, "STALL_BEGIN", f"cycles={instr.cost}")
+                self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
             if instr.cost == 0:
                 if self._full_trace:
-                    self._log(rt.handle.name, "STALL_END")
-                rt.needs_fetch = True
-                rt.send_value = None
+                    self._log(actor.name, "STALL_END")
                 return
-            rt.state = _STALLED
-            rt.instr = instr
-            rt.finish_at = self.now + instr.cost
-            rt.segment_start = self.now
+            actor.state = _STALLED
+            actor.instr = instr
+            actor.finish_at = self.now + instr.cost
+            actor.segment_start = self.now
             return
         # costed kinds: OP / READ / WRITE / TAS
+        actor.instr = instr
         if instr.cost == 0:
-            rt.instr = instr
-            self._complete(rt)
+            self._complete(actor)
             return
-        rt.instr = instr
-        rt.finish_at = self.now + instr.cost
-        rt.segment_start = self.now
+        actor.finish_at = self.now + instr.cost
+        actor.segment_start = self.now
 
     def _pump(self) -> None:
         """Run everything that can make progress at the current cycle."""
@@ -487,128 +468,94 @@ class SimKernel:
         progressed = True
         while progressed:
             progressed = False
-            for rt in self._rts:
+            for actor in self._actors:
                 while True:
                     if budget <= 0:
                         raise KernelError("zero-cost livelock (instruction budget exhausted)")
-                    if rt.state == _WAITING:
-                        if rt.detours:
-                            rt.state = _RUNNING  # handler runs in this context
-                        elif rt.wait_pred is not None and rt.wait_pred():
-                            rt.wait_pred = None
-                            rt.state = _RUNNING
-                            if self._full_trace:
-                                self._log(rt.handle.name, "WAIT_END")
-                            rt.needs_fetch = True
-                            rt.send_value = None
-                        else:
+                    if actor.state == _WAITING:
+                        if not actor.wait_pred():
                             break
-                    if rt.state != _RUNNING:
-                        break
-                    if rt.finish_at is not None:
-                        break  # actively executing; time must pass
-                    if rt.detours:
-                        budget -= 1
-                        progressed = True
-                        det = rt.detours.pop(0)
-                        rt.in_detour = True
-                        self._begin(rt, det)
-                        if rt.finish_at is not None:
-                            break
-                        continue
-                    if rt.frozen:
+                        actor.wait_pred = None
+                        actor.state = _RUNNING
+                        actor.send_value = None
+                        if self._full_trace:
+                            self._log(actor.name, "WAIT_END")
+                    if actor.state != _RUNNING or actor.finish_at is not None:
+                        break  # blocked, or executing: time must pass
+                    if actor.frozen:
                         # frozen work resumes exactly where it was interrupted,
-                        # an interrupted handler before the work it detoured from
-                        rt.instr, rem, rt.in_detour = rt.frozen.pop()
-                        rt.finish_at = self.now + rem
-                        rt.segment_start = self.now
+                        # an ERESUME handler before the work it detoured from
+                        actor.instr, remaining = actor.frozen.pop()
+                        actor.segment_start = self.now
+                        if remaining:
+                            actor.finish_at = self.now + remaining
+                            break
+                        budget -= 1
+                        progressed = True
+                        self._complete(actor)  # a zero-cost handler
+                        continue
+                    if actor.wait_pred is not None:
+                        # a handler ran while a wait was pending: wait again
+                        actor.state = _WAITING
+                        continue
+                    budget -= 1
+                    progressed = True
+                    exc = actor.pending_abort
+                    actor.pending_abort = None
+                    self._advance(actor, throw=exc)
+                    if actor.finish_at is not None or actor.state != _RUNNING:
                         break
-                    if rt.wait_pred is not None:
-                        # detours drained while a wait was pending: wait again
-                        rt.state = _WAITING
-                        continue
-                    if rt.pending_abort is not None:
-                        budget -= 1
-                        progressed = True
-                        exc = rt.pending_abort
-                        rt.pending_abort = None
-                        rt.needs_fetch = False
-                        self._advance(rt, throw=exc)
-                        if rt.finish_at is not None or rt.state != _RUNNING:
-                            break
-                        continue
-                    if rt.needs_fetch:
-                        budget -= 1
-                        progressed = True
-                        rt.needs_fetch = False
-                        self._advance(rt)
-                        if rt.finish_at is not None or rt.state != _RUNNING:
-                            break
-                        continue
-                    break
 
     def _apply_aex(self, ev: ScheduleEvent, skipped: set[int], idx: int) -> None:
-        rt = self._by_name.get(ev.actor)
-        if rt is None:
+        actor = self._by_name.get(ev.actor)
+        if actor is None:
             raise ScheduleError(f"schedule targets unknown actor {ev.actor!r}")
-        if not rt.handle.enclave:
+        if actor.ssa is None:
             raise ScheduleError("schedule may only interrupt enclave actors")
-        if rt.state not in (_RUNNING, _WAITING):
-            self._log(ev.actor, "AEX_SKIPPED", f"state={rt.state}")
+        if actor.state not in (_RUNNING, _WAITING):
+            self._log(ev.actor, "AEX_SKIPPED", f"state={actor.state}")
             skipped.add(idx)
             return
         self._log(ev.actor, "AEX")
-        if rt.tx is not None:
-            self._abort_tx(rt, "interrupt")
-        if rt.state == _RUNNING and rt.finish_at is not None:
+        if actor.tx is not None:
+            self._abort_tx(actor, "interrupt")
+        if actor.finish_at is not None:
             # freeze in-flight work; it resumes exactly where it stopped
-            self._accrue(rt)
-            rt.frozen.append((rt.instr, rt.finish_at - self.now, rt.in_detour))
-            rt.instr = None
-            rt.finish_at = None
-            rt.in_detour = False
-        rt.wait_was = rt.state == _WAITING
-        rt.state = _INTERRUPTED
-        ssa = rt.handle.ssa
+            self._accrue(actor)
+            actor.frozen.append((actor.instr, actor.finish_at - self.now))
+            actor.instr = None
+            actor.finish_at = None
+        actor.state = _INTERRUPTED
+        ssa = actor.ssa
         # register spill: the CPU overwrites the SSA, destroying the marker
         # and recording the true resume point
         self._commit_write(None, ssa.marker, SPILL_VALUE)
         self._commit_write(None, ssa.rip, f"interrupted@{self.now}")
 
     def _apply_eresume(self, ev: ScheduleEvent) -> None:
-        rt = self._by_name[ev.actor]
-        if rt.state != _INTERRUPTED:  # pragma: no cover - guarded by validation
-            if self._full_trace:
-                self._log(ev.actor, "ERESUME_SKIPPED")
-            return
-        ripval = rt.handle.ssa.rip.value
+        # called only for an event whose AEX fired, so the actor is
+        # interrupted; a pending wait is entered again once any handler has run
+        actor = self._by_name[ev.actor]
+        ripval = actor.ssa.rip.value
         handler = isinstance(ripval, EresumeHandler)
         self._log(ev.actor, "ERESUME", "handler" if handler else "")
         if handler:
-            rt.detours.extend(ripval.steps)
-        rt.state = _WAITING if rt.wait_was else _RUNNING
-        rt.wait_was = False
+            actor.frozen.append((ripval.instr, ripval.instr.cost))
+        actor.state = _RUNNING
 
     def run(self, schedule: list[ScheduleEvent], limit: int, full_trace: bool = False) -> SimTrace:
         """Execute until every actor finishes or the cycle limit is reached.
 
         A pure function of (programs, schedule, limit): identical inputs give
-        byte-identical traces.
+        byte-identical traces. A kernel runs once; build a new one per run.
         """
         validate_schedule(schedule)
         self._full_trace = full_trace
-        self._rts = []
-        self._by_name = {}
-        self._events = []
-        self.now = 0
-        for handle in self._handles:
-            if handle._program is None:
-                raise KernelError(f"actor {handle.name} has no program")
-            rt = _Rt(handle)
-            self._rts.append(rt)
-            self._by_name[handle.name] = rt
+        for actor in self._actors:
+            if actor.gen is None:
+                raise KernelError(f"actor {actor.name} has no program")
             if full_trace:
-                self._log(handle.name, "START")
+                self._log(actor.name, "START")
 
         aex_queue = list(enumerate(schedule))
         resume_queue = sorted(enumerate(schedule), key=lambda p: (p[1].resume_at, p[0]))
@@ -618,12 +565,12 @@ class SimKernel:
         self._pump()
         complete = True
         while True:
-            if all(rt.state == _DONE for rt in self._rts):
+            if all(actor.state == _DONE for actor in self._actors):
                 break
             candidates: list[int] = []
-            for rt in self._rts:
-                if rt.finish_at is not None:
-                    candidates.append(rt.finish_at)
+            for actor in self._actors:
+                if actor.finish_at is not None:
+                    candidates.append(actor.finish_at)
             if ai < len(aex_queue):
                 candidates.append(aex_queue[ai][1].interrupt_at)
             for j in range(ri, len(resume_queue)):
@@ -636,14 +583,14 @@ class SimKernel:
             if t > limit:
                 complete = False
                 self.now = limit
-                for rt in self._rts:
-                    self._accrue(rt)
+                for actor in self._actors:
+                    self._accrue(actor)
                 break
             self.now = t
             # phase 1: completions, in registration order
-            for rt in self._rts:
-                if rt.finish_at == t:
-                    self._complete(rt)
+            for actor in self._actors:
+                if actor.finish_at == t:
+                    self._complete(actor)
             # phase 1b: zero-cost continuations (commits, mirror copies)
             # finish before an interrupt arriving at the same boundary
             self._pump()
@@ -667,10 +614,10 @@ class SimKernel:
 
         return SimTrace(
             events=self._events,
-            resident={rt.handle.name: rt.resident for rt in self._rts},
+            resident={actor.name: actor.resident for actor in self._actors},
             final_cycle=self.now,
             complete=complete,
-            results={rt.handle.name: rt.result for rt in self._rts},
+            results={actor.name: actor.result for actor in self._actors},
         )
 
 

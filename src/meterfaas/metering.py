@@ -27,6 +27,7 @@ from . import crypto
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKeyPair
 from .kernel import (
     MARKER_VALUE,
+    Cell,
     EresumeHandler,
     HostStall,
     Op,
@@ -61,7 +62,7 @@ class MeterConfig:
 
     tau: int
     epsilon: int = 30
-    handler_cost: int = 7  # worker cycles spent inside the ERESUME detour
+    handler_cost: int = 7  # worker cycles spent inside the ERESUME handler
     net_delay: int = 0  # host-side service time per network OCALL
     gate_worker_on_timer: bool = True
     include_load_time: bool = False
@@ -72,20 +73,24 @@ class MeterConfig:
             raise ValueError("tau must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if self.handler_cost < 0:
+            raise ValueError("handler_cost must be >= 0")
+        if self.net_delay < 0:
+            raise ValueError("net_delay must be >= 0")
 
 
 class TimerState:
     """Enclave-wide timing cells shared by the worker and timer threads."""
 
-    def __init__(self, kern: SimKernel) -> None:
-        self.t = kern.cell("meter.t", 0, enclave=True)  # public mirror
-        self.internal = kern.cell("meter.internal", 0, enclave=True)
-        self.proc = kern.cell("meter.proc", 0, enclave=True)
-        self.mutex = kern.cell("meter.timer_mutex", 0, enclave=True)
-        self.ready = kern.cell("meter.timer_ready", 0, enclave=True)
-        self.started = kern.cell("meter.run_started", 0, enclave=True)
-        self.run_done = kern.cell("meter.run_done", 0, enclave=True)
-        self.original_rip = kern.cell("meter.original_rip", None, enclave=True)
+    def __init__(self) -> None:
+        self.t = Cell("meter.t", 0, enclave=True)  # public mirror
+        self.internal = Cell("meter.internal", 0, enclave=True)
+        self.proc = Cell("meter.proc", 0, enclave=True)
+        self.mutex = Cell("meter.timer_mutex", 0, enclave=True)
+        self.ready = Cell("meter.timer_ready", 0, enclave=True)
+        self.started = Cell("meter.run_started", 0, enclave=True)
+        self.run_done = Cell("meter.run_done", 0, enclave=True)
+        self.original_rip = Cell("meter.original_rip", None, enclave=True)
 
 
 @dataclass
@@ -136,10 +141,10 @@ def ocall_resume(ts: TimerState):
 
 
 def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
-    """Worker-side detour run on ERESUME: restores the marker word (which also
+    """Worker-side handler run on ERESUME: restores the marker word (which also
     wakes the waiting timer) without disturbing any function state, then falls
     through to the interrupted instruction."""
-    return EresumeHandler([WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cost)])
+    return EresumeHandler(WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cost))
 
 
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
@@ -227,7 +232,6 @@ def worker_program(
     costs: CostTable,
     hooks: VmHooks,
     default_tag: bytes | None,
-    marks: dict | None = None,
 ):
     """The worker thread: metering bracket around the sandboxed function.
 
@@ -244,8 +248,6 @@ def worker_program(
     yield WriteCell(ts.t, 0)
     yield WriteCell(ts.proc, 1)
     yield WriteCell(ts.started, 1)
-    if marks is not None:
-        yield Op(0, effect=lambda: marks.__setitem__("window_start", marks["clock"]()))
     if cfg.include_load_time:
         yield Op(len(image.program), label="load")
 
@@ -269,8 +271,6 @@ def worker_program(
         result = stop.value
 
     yield WriteCell(ts.proc, 0)
-    if marks is not None:
-        yield Op(0, effect=lambda: marks.__setitem__("window_end", marks["clock"]()))
     t_max = yield ReadCell(ts.t)
     yield WriteCell(ts.run_done, 1)
     return result, t_max
@@ -288,8 +288,6 @@ class MeteredOutcome:
     net: int
     trace: SimTrace
     heap_events: list[tuple[int, int, int]]  # per heap op: (cycle, tick, delta)
-    window_start: int = 0
-    window_end: int = 0
 
     @property
     def m_avg(self) -> int:
@@ -310,7 +308,7 @@ def run_metered(
     """Simulate one invocation: timer thread plus metered worker thread."""
     costs = costs or CostTable()
     kern = SimKernel()
-    ts = TimerState(kern)
+    ts = TimerState()
     # the timer registers first so its commits and mirror copies settle before
     # the worker's same-cycle reads (window-boundary exactness)
     timer = kern.add_enclave_actor("timer")
@@ -335,12 +333,11 @@ def run_metered(
         on_free=lambda n: on_mem(-n),
         on_net=on_net,
     )
-    marks: dict = {"clock": lambda: kern.now, "window_start": 0, "window_end": 0}
 
     timer.set_program(timer_program(cfg, ts, worker.ssa))
     worker.set_program(
         worker_program(
-            cfg, ts, worker.ssa, image, input_data, limits, costs, hooks, default_tag, marks
+            cfg, ts, worker.ssa, image, input_data, limits, costs, hooks, default_tag
         )
     )
     for extra in extras:
@@ -360,8 +357,6 @@ def run_metered(
         net=net,
         trace=trace,
         heap_events=heap_events,
-        window_start=marks["window_start"],
-        window_end=marks["window_end"],
     )
 
 

@@ -16,7 +16,7 @@ from meterfaas.crypto import AgreementKeyPair, DeterministicRng, TamperError, ha
 from meterfaas.experiments import fib_memory, fib_timing, network, rsquared
 from meterfaas.fuzz import run_lowerbound_fuzz
 from meterfaas.kde import KeyDistributionEnclave, seal, unseal
-from meterfaas.kernel import ScheduleEvent, true_resident_cycles
+from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import (
     MemState,
     MeterConfig,
@@ -70,7 +70,7 @@ def test_criterion_2_exactness_baseline():
     for name, inp in cases:
         for tau in (1, 10, 100, 1000):
             out = run_metered(IMAGES[name], inp, LIMITS, MeterConfig(tau=tau, epsilon=0))
-            oracle = true_resident_cycles(out.trace, "worker")
+            oracle = out.trace.resident["worker"]
             assert out.t_max == oracle // tau, (name, tau, out.t_max, oracle)
             checked += 1
     verdict(2, f"empty schedule, epsilon=0: t_max == floor(oracle/tau) exactly in all "
@@ -266,7 +266,7 @@ def test_criterion_8_double_interrupt_corner():
     a = run_metered(IMAGES["fib"], corp.fib_input(200), LIMITS, cfg, schedule=timer_first)
     b = run_metered(IMAGES["fib"], corp.fib_input(200), LIMITS, cfg, schedule=worker_first)
     for out, label in ((a, "timer-first"), (b, "worker-first")):
-        assert out.t_max * cfg.tau <= true_resident_cycles(out.trace, "worker"), label
+        assert out.t_max * cfg.tau <= out.trace.resident["worker"], label
     assert a.t_max >= b.t_max
     verdict(8, f"both resume orders hold the bound; timer-first counts {a.t_max} ticks "
                f">= worker-first {b.t_max}")

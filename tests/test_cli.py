@@ -6,7 +6,7 @@ from meterfaas import corpus as corp
 from meterfaas.cli import main
 from meterfaas.experiments import LIMITS
 from meterfaas.kde import PublishedKeys
-from meterfaas.kernel import ScheduleEvent, true_resident_cycles
+from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import run_metered
 from meterfaas.scenario import ScenarioConfig
 from meterfaas.vm import assemble
@@ -274,9 +274,27 @@ class TestTools:
             cfg = ScenarioConfig.from_file(scenario).meter_config()
             out = run_metered(corp.corpus()["fib"], corp.fib_input(200), LIMITS, cfg,
                               schedule=[ScheduleEvent("worker", 100, 130)])
-            assert printed == true_resident_cycles(out.trace, "worker")
+            assert printed == out.trace.resident["worker"]
             oracles.append(printed)
         assert oracles[0] != oracles[1]
+
+    def test_replay_negative_handler_cost_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(30))
+        sched = tmp_path / "s.txt"
+        sched.write_text("worker,50,60\n")
+        scenario = tmp_path / "neg.cfg"
+        scenario.write_text("function=fib\ntau=10\nepsilon=0\nhandler_cost=-5\n")
+        assert main(["replay", "--scenario", str(scenario), "--input", str(inp),
+                     "--schedule", str(sched), "--full"]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_replay_negative_net_delay_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "net.bin"
+        inp.write_bytes(corp.known_network_input(10, 0))
+        assert main(["replay", "--function", "known_network", "--input", str(inp),
+                     "--net-delay", "-3"]) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_experiment_small_and_deterministic(self, tmp_path, capsys):
         out = tmp_path / "net.csv"

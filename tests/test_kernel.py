@@ -5,6 +5,7 @@ import pytest
 from meterfaas.kernel import (
     MARKER_VALUE,
     SPILL_VALUE,
+    Cell,
     EresumeHandler,
     HostStall,
     KernelError,
@@ -20,7 +21,6 @@ from meterfaas.kernel import (
     WaitUntil,
     WriteCell,
     tx_execute,
-    true_resident_cycles,
     validate_schedule,
 )
 
@@ -45,13 +45,8 @@ class TestBasics:
     def test_uninterrupted_resident_equals_program_cost(self):
         trace = run_single(steps=7, step_cost=3)
         assert trace.complete
-        assert true_resident_cycles(trace, "worker") == 21
+        assert trace.resident["worker"] == 21
         assert not [e for e in trace.events if e[2] == "AEX"]
-
-    def test_unknown_actor_resident_raises(self):
-        trace = run_single(steps=1)
-        with pytest.raises(ValueError):
-            true_resident_cycles(trace, "nobody")
 
     def test_limit_truncates_and_flags_incomplete(self):
         trace = run_single(steps=100, step_cost=10, limit=55)
@@ -62,7 +57,7 @@ class TestBasics:
         # cost 30 program, interrupted for 100 cycles in the middle
         trace = run_single(steps=30, schedule=[ScheduleEvent("worker", 13, 113)])
         assert trace.complete
-        assert true_resident_cycles(trace, "worker") == 30
+        assert trace.resident["worker"] == 30
         assert trace.final_cycle == 130
 
     def test_result_returned_in_trace(self):
@@ -112,7 +107,7 @@ class TestSsaContract:
         kern = SimKernel()
         w = kern.add_enclave_actor("worker")
         marker = w.ssa.marker
-        handler = EresumeHandler([WriteCell(marker, MARKER_VALUE, cost=3)])
+        handler = EresumeHandler(WriteCell(marker, MARKER_VALUE, cost=3))
 
         def program():
             yield WriteCell(marker, MARKER_VALUE)
@@ -136,7 +131,7 @@ class TestSsaContract:
         # marker restored by the handler, function state unharmed
         assert trace.results["worker"] == MARKER_VALUE
         # handler cycles count as worker residency: 20 program + 3 handler
-        assert true_resident_cycles(trace, "worker") == 23
+        assert trace.resident["worker"] == 23
 
     def test_aex_inside_handler_keeps_both_frozen_remainders(self):
         # Op(10) is frozen at 3 with 7 cycles left; the installed 5-cycle
@@ -145,7 +140,7 @@ class TestSsaContract:
         # the handler (20..23), then the Op (23..30).
         kern = SimKernel()
         w = kern.add_enclave_actor("worker")
-        handler = EresumeHandler([WriteCell(w.ssa.marker, MARKER_VALUE, cost=5)])
+        handler = EresumeHandler(WriteCell(w.ssa.marker, MARKER_VALUE, cost=5))
 
         def program():
             yield Op(10)
@@ -161,10 +156,118 @@ class TestSsaContract:
         assert trace.complete
         assert trace.results["worker"] == MARKER_VALUE
         assert trace.final_cycle == 30
-        assert true_resident_cycles(trace, "worker") == 10 + 5
+        assert trace.resident["worker"] == 10 + 5
         assert [(c, k, d) for (c, a, k, d) in trace.events] == [
             (3, "AEX", ""), (10, "ERESUME", "handler"), (12, "AEX", ""), (20, "ERESUME", ""),
         ]
+
+    @staticmethod
+    def _interrupted_waiter(flag_at):
+        # the waiter blocks from 0; it is out from 2 to 10, and the installer
+        # puts a 4-cycle handler into its ssa.rip at 4. The flag is set at
+        # flag_at.
+        kern = SimKernel()
+        w = kern.add_enclave_actor("waiter")
+        flag = Cell("flag", 0, enclave=False)
+        handler = EresumeHandler(WriteCell(w.ssa.marker, MARKER_VALUE, cost=4))
+
+        def waiter():
+            yield WaitUntil(lambda: flag.value == 1)
+            yield Op(2)
+            return w.ssa.marker.value
+
+        def installer():
+            yield Op(3)
+            yield WriteCell(w.ssa.rip, handler, cost=1)
+            yield Op(flag_at - 5)
+            yield WriteCell(flag, 1, cost=1)
+
+        w.set_program(waiter())
+        kern.add_enclave_actor("installer").set_program(installer())
+        return kern.run([ScheduleEvent("waiter", 2, 10)], 1000, full_trace=True)
+
+    def test_handler_runs_before_interrupted_wait_is_checked_again(self):
+        # flag set at 8, inside the window: the handler still runs first
+        # (10..14), then the wait sees the flag and the work runs (14..16)
+        trace = self._interrupted_waiter(flag_at=8)
+        assert trace.results["waiter"] == MARKER_VALUE
+        assert trace.resident["waiter"] == 4 + 2
+        assert trace.final_cycle == 16
+        assert trace.events == [
+            (0, "waiter", "START", ""), (0, "installer", "START", ""),
+            (0, "waiter", "WAIT_BEGIN", ""),
+            (2, "waiter", "AEX", ""),
+            (2, "hw", "WRITE", "waiter.ssa.marker=0"),
+            (2, "hw", "WRITE", "waiter.ssa.rip='interrupted@2'"),
+            (4, "installer", "WRITE", "waiter.ssa.rip=<eresume-handler>"),
+            (8, "installer", "WRITE", "flag=1"),
+            (8, "installer", "DONE", ""),
+            (10, "waiter", "ERESUME", "handler"),
+            (14, "waiter", "WRITE", "waiter.ssa.marker=12345"),
+            (14, "waiter", "WAIT_END", ""),
+            (16, "waiter", "DONE", ""),
+        ]
+
+    def test_handler_returns_actor_to_its_wait(self):
+        # flag set at 20, after the window: the handler runs (10..14), the
+        # waiter blocks again and wakes at 20
+        trace = self._interrupted_waiter(flag_at=20)
+        assert trace.results["waiter"] == MARKER_VALUE
+        assert trace.resident["waiter"] == 4 + 2
+        assert trace.final_cycle == 22
+        assert trace.events == [
+            (0, "waiter", "START", ""), (0, "installer", "START", ""),
+            (0, "waiter", "WAIT_BEGIN", ""),
+            (2, "waiter", "AEX", ""),
+            (2, "hw", "WRITE", "waiter.ssa.marker=0"),
+            (2, "hw", "WRITE", "waiter.ssa.rip='interrupted@2'"),
+            (4, "installer", "WRITE", "waiter.ssa.rip=<eresume-handler>"),
+            (10, "waiter", "ERESUME", "handler"),
+            (14, "waiter", "WRITE", "waiter.ssa.marker=12345"),
+            (20, "installer", "WRITE", "flag=1"),
+            (20, "waiter", "WAIT_END", ""),
+            (20, "installer", "DONE", ""),
+            (22, "waiter", "DONE", ""),
+        ]
+
+    def test_zero_cost_handler_completes_at_eresume(self):
+        # Op(10) is frozen at 3 with 7 cycles left; the zero-cost handler
+        # writes the marker at the resume cycle 8, then the Op runs 8..15
+        kern = SimKernel()
+        w = kern.add_enclave_actor("worker")
+        handler = EresumeHandler(WriteCell(w.ssa.marker, MARKER_VALUE, cost=0))
+
+        def program():
+            yield Op(10)
+            return w.ssa.marker.value
+
+        def installer():
+            yield Op(4)
+            yield WriteCell(w.ssa.rip, handler, cost=1)
+
+        w.set_program(program())
+        kern.add_enclave_actor("timer").set_program(installer())
+        trace = kern.run([ScheduleEvent("worker", 3, 8)], 1000, full_trace=True)
+        assert trace.results["worker"] == MARKER_VALUE
+        assert trace.resident["worker"] == 10
+        assert trace.final_cycle == 15
+        assert trace.events == [
+            (0, "worker", "START", ""), (0, "timer", "START", ""),
+            (3, "worker", "AEX", ""),
+            (3, "hw", "WRITE", "worker.ssa.marker=0"),
+            (3, "hw", "WRITE", "worker.ssa.rip='interrupted@3'"),
+            (5, "timer", "WRITE", "worker.ssa.rip=<eresume-handler>"),
+            (5, "timer", "DONE", ""),
+            (8, "worker", "ERESUME", "handler"),
+            (8, "worker", "WRITE", "worker.ssa.marker=12345"),
+            (15, "worker", "DONE", ""),
+        ]
+
+    @pytest.mark.parametrize("instr", [TxBegin(()), WaitUntil(lambda: True)],
+                             ids=["TxBegin", "WaitUntil"])
+    def test_handler_takes_only_costed_work(self, instr):
+        with pytest.raises(KernelError):
+            EresumeHandler(instr)
 
     def test_os_actor_cannot_touch_enclave_memory(self):
         kern = SimKernel()
@@ -197,8 +300,8 @@ class TestTransactions:
     def _tx_kernel(self):
         kern = SimKernel()
         t = kern.add_enclave_actor("txer")
-        watched = kern.cell("watched", 0)
-        out = kern.cell("out", 0)
+        watched = Cell("watched", 0, enclave=False)
+        out = Cell("out", 0, enclave=False)
         return kern, t, watched, out
 
     def test_clean_body_commits(self):
@@ -306,7 +409,7 @@ class TestWaitAndStall:
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        flag = kern.cell("flag", 0)
+        flag = Cell("flag", 0, enclave=False)
 
         def waiter():
             yield WaitUntil(lambda: flag.value == 1)
@@ -322,14 +425,14 @@ class TestWaitAndStall:
         trace = kern.run([], 1000)
         assert trace.results["a"] == "woke"
         # waiting costs no residency: only the 2 cycles of work
-        assert true_resident_cycles(trace, "a") == 2
+        assert trace.resident["a"] == 2
         assert trace.final_cycle == 12
 
     def test_wakeup_survives_interrupt_of_waiter(self):
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        flag = kern.cell("flag", 0)
+        flag = Cell("flag", 0, enclave=False)
 
         def waiter():
             yield WaitUntil(lambda: flag.value == 1)
@@ -358,13 +461,24 @@ class TestWaitAndStall:
         a.set_program(program())
         trace = kern.run([ScheduleEvent("a", 20, 25)], 1000)
         assert [e for e in trace.events if e[2] == "AEX_SKIPPED"]
-        assert true_resident_cycles(trace, "a") == 45
+        assert trace.resident["a"] == 45
+
+    @pytest.mark.parametrize("make", [
+        lambda cell: Op(-1),
+        lambda cell: ReadCell(cell, cost=-1),
+        lambda cell: WriteCell(cell, 1, cost=-1),
+        lambda cell: TestAndSet(cell, cost=-1),
+        lambda cell: HostStall(-1),
+    ], ids=["Op", "ReadCell", "WriteCell", "TestAndSet", "HostStall"])
+    def test_negative_cost_rejected(self, make):
+        with pytest.raises(KernelError):
+            make(Cell("c", 0, enclave=False))
 
     def test_test_and_set_is_atomic(self):
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        lock = kern.cell("lock", 0)
+        lock = Cell("lock", 0, enclave=False)
         winners = []
 
         def contender(name):
@@ -450,4 +564,4 @@ class TestResidentOracleAgreement:
                 at = events[-1].resume_at
             trace = run_single(steps, schedule=events, step_cost=cost, limit=100_000, full=True)
             assert trace.complete, f"case {case} truncated"
-            assert walk_resident(trace, "worker") == true_resident_cycles(trace, "worker")
+            assert walk_resident(trace, "worker") == trace.resident["worker"]

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from meterfaas import corpus as corp
 from meterfaas.crypto import DeterministicRng, SigningKeyPair, hash_bytes
-from meterfaas.fuzz import declared_worker_cycles, run_case, run_lowerbound_fuzz
-from meterfaas.kernel import ScheduleEvent, true_resident_cycles
+from meterfaas.fuzz import (
+    declared_worker_cycles,
+    random_config,
+    random_image,
+    random_schedule,
+    run_case,
+    run_lowerbound_fuzz,
+)
+from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import (
     AccountingFault,
     MemState,
@@ -32,6 +39,15 @@ def assert_conserved(out, image, input_data, limits, cfg, costs=None):
     """Worker residency is exactly VM + handler + OCALL stall cycles."""
     declared = declared_worker_cycles(image, input_data, limits, cfg, costs, out.trace)
     assert out.trace.resident["worker"] == declared
+
+
+def metered_window(out):
+    """The worker's metered window, from a full trace: its first
+    ``meter.proc=1`` write to its last ``meter.proc=0`` write."""
+    writes = [(c, d) for (c, a, k, d) in out.trace.events if a == "worker" and k == "WRITE"]
+    start = next(c for c, d in writes if d == "meter.proc=1")
+    end = next(c for c, d in reversed(writes) if d == "meter.proc=0")
+    return start, end
 
 
 def meter(name, input_data, cfg, schedule=(), **kw):
@@ -154,28 +170,29 @@ class TestTimingExactness:
         for name, inp in cases:
             for tau in (1, 10, 100, 1000):
                 out = meter(name, inp, MeterConfig(tau=tau, epsilon=0))
-                oracle = true_resident_cycles(out.trace, "worker")
+                oracle = out.trace.resident["worker"]
                 assert out.t_max == oracle // tau, (name, tau)
 
     def test_epsilon_underreports_strictly(self):
         out = meter("fib", corp.fib_input(300), MeterConfig(tau=630, epsilon=63))
-        oracle = true_resident_cycles(out.trace, "worker")
+        oracle = out.trace.resident["worker"]
         assert out.t_max * 630 < oracle
 
     def test_underreporting_grows_as_tau_shrinks(self):
         def ratio(tau):
             out = meter("fib", corp.fib_input(400), MeterConfig(tau=tau, epsilon=63))
-            oracle = true_resident_cycles(out.trace, "worker")
+            oracle = out.trace.resident["worker"]
             return (out.t_max * tau) / oracle
 
         assert ratio(63) < ratio(630) < 1.0
 
     def test_tick_attribution_last_completed_tick(self):
         tau = 10
-        out = meter("fib", corp.fib_input(60), MeterConfig(tau=tau, epsilon=0))
+        out = meter("fib", corp.fib_input(60), MeterConfig(tau=tau, epsilon=0), full_trace=True)
+        window_start, _ = metered_window(out)
         assert out.heap_events
         for cycle, tick, _ in out.heap_events:
-            assert tick == (cycle - out.window_start) // tau
+            assert tick == (cycle - window_start) // tau
 
     def test_include_load_time_flag(self):
         excl = meter("fib", corp.fib_input(100), MeterConfig(tau=1, epsilon=0))
@@ -183,8 +200,9 @@ class TestTimingExactness:
         assert incl.t_max == excl.t_max + len(IMAGES["fib"].program)
 
     def test_mint_tau1_matches_per_cycle_oracle_in_kernel(self):
-        out = meter("fib", corp.fib_input(120), MeterConfig(tau=1, epsilon=0))
-        rel = [(c - out.window_start, d) for c, _, d in out.heap_events]
+        out = meter("fib", corp.fib_input(120), MeterConfig(tau=1, epsilon=0), full_trace=True)
+        window_start, _ = metered_window(out)
+        rel = [(c - window_start, d) for c, _, d in out.heap_events]
         assert out.m_int == per_tick_oracle(rel, out.t_max)
 
 
@@ -195,7 +213,7 @@ class TestInterrupts:
         # interrupt in the middle of a tick: that tick must vanish
         sched = [ScheduleEvent("worker", 150, 160)]
         out = meter("fib", corp.fib_input(100), MeterConfig(tau=tau, epsilon=0), schedule=sched)
-        oracle = true_resident_cycles(out.trace, "worker")
+        oracle = out.trace.resident["worker"]
         assert out.t_max * tau <= oracle
         assert out.t_max < base.t_max + 1
 
@@ -262,11 +280,11 @@ class TestInterrupts:
         a = meter("fib", corp.fib_input(200), cfg, schedule=timer_first)
         b = meter("fib", corp.fib_input(200), cfg, schedule=worker_first)
         for out in (a, b):
-            assert out.t_max * cfg.tau <= true_resident_cycles(out.trace, "worker")
+            assert out.t_max * cfg.tau <= out.trace.resident["worker"]
         assert a.t_max >= b.t_max
         # worker-first: the worker resumes silently and runs unwitnessed until
         # the end, so only the ticks before the interrupts count
-        assert b.t_max * cfg.tau < true_resident_cycles(b.trace, "worker")
+        assert b.t_max * cfg.tau < b.trace.resident["worker"]
         assert b.t_max == 9
         assert a.t_max > b.t_max
 
@@ -280,7 +298,7 @@ class TestInterrupts:
         ]
         out = meter("fib", corp.fib_input(300), cfg, schedule=sched, full_trace=True)
         assert out.vm_result.ok
-        assert out.t_max * cfg.tau <= true_resident_cycles(out.trace, "worker")
+        assert out.t_max * cfg.tau <= out.trace.resident["worker"]
         commits_after = [
             c for (c, a, k, d) in out.trace.events
             if a == "timer" and k == "TX_COMMIT" and c > 600
@@ -291,7 +309,7 @@ class TestInterrupts:
         cfg = MeterConfig(tau=5, epsilon=0, gate_worker_on_timer=False)
         out = meter("fib", corp.fib_input(100), cfg)
         assert out.vm_result.ok
-        assert out.t_max * cfg.tau <= true_resident_cycles(out.trace, "worker")
+        assert out.t_max * cfg.tau <= out.trace.resident["worker"]
 
     def test_starvation_schedule_undercounts_to_zero(self):
         # interrupt every tau-1 cycles: no tick ever completes
@@ -366,12 +384,61 @@ def fuzz_records_digest(cases: int, seed: int) -> str:
     return h.hexdigest()
 
 
+def dense_schedule(gaps, lengths, timer_every, timer_length, span):
+    """Worker single-stepped: after each resume the next interrupt comes
+    ``gaps[i % len]`` cycles later and lasts ``lengths[i % len]`` cycles;
+    the timer is interrupted every ``timer_every`` cycles for
+    ``timer_length``."""
+    events = []
+    at = i = 0
+    while at < span:
+        at += gaps[i % len(gaps)]
+        events.append(ScheduleEvent("worker", at, at + lengths[i % len(lengths)]))
+        at = events[-1].resume_at
+        i += 1
+    events += [ScheduleEvent("timer", t, t + timer_length)
+               for t in range(timer_every, span, timer_every)]
+    return sorted(events, key=lambda e: e.interrupt_at)
+
+
+def full_trace_digest(fuzz_cases: int, seed: int) -> str:
+    """SHA-256 over ``trace.export_text()`` of full-trace runs: the first
+    ``fuzz_cases`` fuzz cases, drawn as ``run_case`` draws them, then dense
+    single-step schedules on fib at handler costs 0 and 7."""
+    rng = DeterministicRng(seed, "lowerbound")
+    limits = VMLimits(max_steps=4000)
+    h = hashlib.sha256()
+    for i in range(fuzz_cases):
+        image, input_data = random_image(rng.child(f"prog{i}"))
+        cfg, costs = random_config(rng.child(f"cfg{i}"))
+        span = 64 + 4 * limits.max_steps * costs.heap // 8
+        schedule = random_schedule(rng.child(f"sched{i}"), span)
+        out = run_metered(image, input_data, limits, cfg, schedule=schedule, costs=costs,
+                          limit=50_000_000, full_trace=True)
+        h.update(out.trace.export_text().encode())
+    for handler_cost in (0, 7):
+        for tau, gaps, lengths in ((10, (2, 3), (0, 1, 2, 4, 3)), (1, (3, 2, 2), (5, 2, 0, 9))):
+            cfg = MeterConfig(tau=tau, epsilon=0, handler_cost=handler_cost)
+            schedule = dense_schedule(gaps, lengths, 53, 6, span=3000)
+            out = meter("fib", corp.fib_input(30), cfg, schedule=schedule, full_trace=True)
+            h.update(out.trace.export_text().encode())
+    return h.hexdigest()
+
+
 class TestBehaviourLock:
     def test_fuzz_records_unchanged(self):
         # every simulated number of 1000 fuzz cases, heap-op cycles included;
         # a change here is a behaviour change, not an optimisation
         assert fuzz_records_digest(1000, 20240) == (
             "1cafda794b27e9481af9b3512bc5d5ee52c68f43395e2b701fcb11df14a8ffaa")
+
+    def test_full_traces_unchanged(self):
+        # every per-instruction event (TX_*, WAIT_*, WRITE, STALL_*, STEP) in
+        # order, with its cycle; the dense schedules carry the AEX and
+        # ERESUME-handler coverage that fuzz schedules rarely reach. A change
+        # here is a behaviour change, not an optimisation.
+        assert full_trace_digest(300, 20240) == (
+            "290d4086335a19a7f458d9599a05d8f9d39f0dfbc90a77bb3f3ab20767424f24")
 
 
 class TestBoundedLog:
@@ -514,15 +581,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MeterConfig(tau=5, epsilon=-1)
 
+    @pytest.mark.parametrize("field", ["handler_cost", "net_delay"])
+    def test_handler_cost_and_net_delay_nonnegative(self, field):
+        with pytest.raises(ValueError):
+            MeterConfig(tau=5, **{field: -1})
+        assert getattr(MeterConfig(tau=5, **{field: 0}), field) == 0
+
 
 class TestInKernelMemoryBound:
     def test_mint_bounded_at_coarse_tau_in_kernel(self):
         # same bound as the unit-level rule, but through the full pipeline:
         # compare against the per-cycle oracle over the true event cycles
         for tau in (10, 100):
-            out = meter("fib", corp.fib_input(120), MeterConfig(tau=tau, epsilon=0))
-            rel = [(c - out.window_start, d) for c, _, d in out.heap_events]
-            window = out.window_end - out.window_start
+            out = meter("fib", corp.fib_input(120), MeterConfig(tau=tau, epsilon=0),
+                        full_trace=True)
+            window_start, window_end = metered_window(out)
+            rel = [(c - window_start, d) for c, _, d in out.heap_events]
+            window = window_end - window_start
             exact = per_tick_oracle(rel, window)
             bound = out.m_max * (len(rel) + 1) * tau
             assert abs(out.m_int * tau - exact) <= bound

@@ -42,7 +42,8 @@ def test_traced_pass_wraps_and_restores_every_name():
     run, spans = _load("run"), _load("spans")
     before = _bindings()
     rec = spans.SpanRecorder()
-    run.install(rec, run.Observations())
+    obs = run.Observations()
+    run.install(rec, obs)
     try:
         root = AttestationRoot(seed=b"tooling")
         kde_id, worker_id = derive_identity(b"k", b"p"), derive_identity(b"w", b"p")
@@ -58,9 +59,11 @@ def test_traced_pass_wraps_and_restores_every_name():
     recorded = {span[spans.NAME] for span in rec.spans}
     for name in ("orchestrator.dispatch", "worker.ecall_setup", "worker.ecall_init",
                  "worker.ecall_run", "worker.ecall_finish", "metering.run_metered",
-                 "metering.build_signed_measurement", "wire.RequestPlain.decode",
+                 "metering.build_signed_measurement", "kernel.run", "wire.RequestPlain.decode",
                  "wire.SignedMeasurement.encode"):
         assert name in recorded, name
+    # the kernel's per-layer metrics read SimKernel.run's trace
+    assert obs.kernel_runs >= 1 and obs.ticks >= 1
     assert _bindings() == before
 
 

@@ -330,7 +330,7 @@ class TestRunAndFinish:
             worker.ecall_run(request)
 
     def test_measurement_under_interrupt_schedule_still_lower_bound(self):
-        from meterfaas.kernel import ScheduleEvent, true_resident_cycles
+        from meterfaas.kernel import ScheduleEvent
 
         kde, worker = provisioned()
         ctx = make_client(kde)
@@ -338,7 +338,7 @@ class TestRunAndFinish:
         sched = [ScheduleEvent("worker", 100, 200), ScheduleEvent("timer", 500, 600)]
         worker.ecall_run(request, schedule=sched)
         _, measurement = worker.ecall_finish()
-        oracle = true_resident_cycles(worker.last_outcome.trace, "worker")
+        oracle = worker.last_outcome.trace.resident["worker"]
         assert measurement.t_max * measurement.tau <= oracle
 
 
