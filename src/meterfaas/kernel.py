@@ -25,6 +25,12 @@ instruction" expressible and keeps every run a pure function of its inputs.
 
 A kernel runs once: each actor is one record holding its identity, its program
 and its run state, and ``SimKernel.run`` consumes them.
+
+Cost follows observable events, not cycles: a ``Ticks`` instruction (the
+timer's whole steady-state loop) is advanced in closed form over every period
+that ends before the next stop of another actor or of the schedule, with the
+same counters, residency and, in a full trace, the same events as one stop
+per period.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ class Cell:
 
 # --- instructions -----------------------------------------------------------
 
-_OP, _READ, _WRITE, _TAS, _TXBEGIN, _TXEND, _TXABORT, _WAIT, _STALL = range(9)
+_OP, _READ, _WRITE, _TAS, _TXBEGIN, _TXEND, _TXABORT, _WAIT, _STALL, _TICKS = range(10)
 
 
 class Instr:
@@ -146,6 +152,37 @@ def HostStall(cost: int) -> Instr:
     return Instr(_STALL, cost=cost)
 
 
+class _TickLoop:
+    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "tick", "checks")
+
+    def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell,
+                 proc: Cell) -> None:
+        self.tau = tau
+        self.epsilon = epsilon
+        self.watch = watch
+        self.watched = frozenset((watch,))
+        self.counter = counter
+        self.mirror = mirror
+        self.proc = proc
+        self.tick = Op(tau, label="tick")
+        self.checks = Op(epsilon, label="checks") if epsilon else None
+
+
+def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell) -> Instr:
+    """Count ticks until a period start finds ``proc != 1`` or ``watch`` not
+    holding ``MARKER_VALUE``; then complete, delivering None.
+
+    Each period is the transaction "begin watching ``watch``, spend ``tau``
+    cycles (STEP tick), ``counter += 1``, commit", then, outside it, the
+    mirror copy ``mirror = counter`` and ``epsilon`` cycles of checks
+    (STEP checks). An abort of the transaction throws ``TxAborted`` into the
+    program, exactly as at any other instruction. Between other actors'
+    stops the kernel commits whole periods in closed form."""
+    if tau < 1:
+        raise KernelError("a tick lasts at least one cycle")
+    return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc))
+
+
 class EresumeHandler:
     """Value installed into ssa.rip: one instruction to run on the next
     ERESUME before the interrupted work continues. It runs outside the
@@ -177,6 +214,8 @@ def validate_schedule(events: list[ScheduleEvent]) -> None:
     last = -1
     per_actor: dict[str, int] = {}
     for ev in events:
+        if ev.interrupt_at < 0:
+            raise ScheduleError(f"interrupt at negative cycle {ev.interrupt_at}")
         if ev.resume_at < ev.interrupt_at:
             raise ScheduleError(f"resume {ev.resume_at} before interrupt {ev.interrupt_at}")
         if ev.interrupt_at < last:
@@ -251,7 +290,7 @@ class Actor:
 
     __slots__ = (
         "name", "ssa", "gen", "state", "instr", "finish_at", "frozen", "segment_start",
-        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
+        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
     )
 
     def __init__(self, name: str, ssa: _SSA | None) -> None:
@@ -271,6 +310,7 @@ class Actor:
         self.wait_pred: Callable[[], bool] | None = None
         self.resident = 0
         self.result: Any = None
+        self.ticks: _TickLoop | None = None  # the Ticks instruction in progress
 
     def set_program(self, gen: Generator) -> None:
         self.gen = gen
@@ -338,6 +378,7 @@ class SimKernel:
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
         actor.tx = None
+        actor.ticks = None
         actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
@@ -440,6 +481,12 @@ class SimKernel:
             if self._full_trace:
                 self._log(actor.name, "WAIT_BEGIN")
             return
+        if kind == _TICKS:
+            if actor.tx is not None:
+                raise KernelError(f"{actor.name}: ticks inside transaction")
+            actor.ticks = instr.value
+            self._period_start(actor)
+            return
         if kind == _STALL:
             if actor.tx is not None:
                 raise KernelError(f"{actor.name}: ocall stall inside transaction")
@@ -450,17 +497,106 @@ class SimKernel:
                     self._log(actor.name, "STALL_END")
                 return
             actor.state = _STALLED
-            actor.instr = instr
-            actor.finish_at = self.now + instr.cost
-            actor.segment_start = self.now
+            self._stage(actor, instr)
             return
         # costed kinds: OP / READ / WRITE / TAS
-        actor.instr = instr
         if instr.cost == 0:
+            actor.instr = instr
             self._complete(actor)
             return
+        self._stage(actor, instr)
+
+    def _stage(self, actor: Actor, instr: Instr) -> None:
+        """Put costed work in flight from the current cycle."""
+        actor.instr = instr
         actor.finish_at = self.now + instr.cost
         actor.segment_start = self.now
+
+    # the Ticks instruction, one period at a time
+
+    def _can_tick(self, actor: Actor) -> bool:
+        loop = actor.ticks
+        return (self._read_value(actor, loop.proc) == 1
+                and self._read_value(actor, loop.watch) == MARKER_VALUE)
+
+    def _period_start(self, actor: Actor) -> None:
+        if not self._can_tick(actor):
+            actor.ticks = None  # completes: the program takes over
+            return
+        loop = actor.ticks
+        actor.tx = _Tx(loop.watched)
+        if self._full_trace:
+            self._log(actor.name, "TX_BEGIN", "watch=1")
+        self._stage(actor, loop.tick)
+
+    def _period_step(self, actor: Actor) -> None:
+        """Continue a Ticks instruction after its tick or its checks ended."""
+        loop = actor.ticks
+        if actor.tx is not None:
+            # the tick ended: commit it, mirror the count outside the
+            # transaction, then pay for the checks
+            actor.tx = None
+            count = self._read_value(actor, loop.counter) + 1
+            self._commit_write(actor, loop.counter, count)
+            if self._full_trace:
+                self._log(actor.name, "TX_COMMIT")
+            self._commit_write(actor, loop.mirror, count)
+            if loop.checks is not None:
+                self._stage(actor, loop.checks)
+                return
+        self._period_start(actor)
+
+    def _may_skip(self, actor: Actor) -> bool:
+        """True when committing the actor's coming periods can change nothing
+        another actor sees before its own next stop: every period start will
+        pass, no other actor waits on a write, and no other transaction
+        watches the counter or its mirror."""
+        if not self._can_tick(actor):
+            return False
+        loop = actor.ticks
+        for other in self._actors:
+            if other is actor:
+                continue
+            if other.state == _WAITING:
+                return False
+            if other.tx is not None and (loop.counter in other.tx.watch or loop.mirror in other.tx.watch):
+                return False
+        return True
+
+    def _skip_periods(self, actor: Actor, until: int) -> None:
+        """Commit every period whose tick ends before cycle ``until``, in
+        closed form: the actor's tick is in flight, and it alone acts before
+        ``until``, so its own order is the whole order."""
+        loop = actor.ticks
+        eps = loop.epsilon
+        period = loop.tau + eps
+        first = actor.finish_at
+        n = (until - 1 - first) // period + 1
+        base = loop.counter.value
+        last = first + (n - 1) * period
+        if self._full_trace:
+            name, log = actor.name, self._events.append
+            counter, mirror = loop.counter.name, loop.mirror.name
+            for j in range(n):
+                at = first + j * period
+                count = base + j + 1
+                log((at, name, "STEP", "tick"))
+                log((at, name, "WRITE", f"{counter}={count!r}"))
+                log((at, name, "TX_COMMIT", ""))
+                log((at, name, "WRITE", f"{mirror}={count!r}"))
+                if at + eps < until:
+                    if eps:
+                        log((at + eps, name, "STEP", "checks"))
+                    log((at + eps, name, "TX_BEGIN", "watch=1"))
+        loop.counter.value = loop.mirror.value = base + n
+        if eps and last + eps >= until:
+            actor.tx = None  # the checks are in flight
+            start, actor.instr = last, loop.checks
+        else:
+            start, actor.instr = last + eps, loop.tick
+        actor.resident += start - actor.segment_start
+        actor.segment_start = start
+        actor.finish_at = start + actor.instr.cost
 
     def _pump(self) -> None:
         """Run everything that can make progress at the current cycle."""
@@ -500,6 +636,9 @@ class SimKernel:
                         continue
                     budget -= 1
                     progressed = True
+                    if actor.ticks is not None:
+                        self._period_step(actor)
+                        continue
                     exc = actor.pending_abort
                     actor.pending_abort = None
                     self._advance(actor, throw=exc)
@@ -568,8 +707,13 @@ class SimKernel:
             if all(actor.state == _DONE for actor in self._actors):
                 break
             candidates: list[int] = []
+            ticker: Actor | None = None  # an actor whose Ticks tick is in flight
             for actor in self._actors:
-                if actor.finish_at is not None:
+                if actor.finish_at is None:
+                    continue
+                if ticker is None and actor.ticks is not None and actor.tx is not None:
+                    ticker = actor
+                else:
                     candidates.append(actor.finish_at)
             if ai < len(aex_queue):
                 candidates.append(aex_queue[ai][1].interrupt_at)
@@ -577,6 +721,13 @@ class SimKernel:
                 if resume_queue[j][0] not in skipped:
                     candidates.append(resume_queue[j][1].resume_at)
                     break
+            if ticker is not None:
+                # next-event advance: commit in closed form the periods that
+                # end before any other stop; the one at that stop runs below
+                until = min([*candidates, limit + 1])
+                if ticker.finish_at < until and self._may_skip(ticker):
+                    self._skip_periods(ticker, until)
+                candidates.append(ticker.finish_at)
             if not candidates:
                 raise KernelError("deadlock: no runnable actor and no pending events")
             t = min(candidates)

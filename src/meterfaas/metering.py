@@ -11,6 +11,9 @@ Between transactions the timer mirrors its internal counter into ``t`` (kept
 out of the transaction's write set so foreign reads of ``t`` cannot abort a
 tick) and spends ``epsilon`` cycles on bookkeeping; shrinking tau therefore
 raises the fraction of time lost to bookkeeping and increases under-reporting.
+That steady-state loop is one kernel ``Ticks`` instruction, which the kernel
+advances in closed form between observable events; the timer program handles
+only aborts, OCALL pauses, the missing marker and the end of the run.
 
 Memory is accounted by instrumented alloc/realloc/free with the update rule:
   dt = t_now - t_mem;  m_int += dt * m_cur;  m_cur += delta;  t_mem = t_now;
@@ -36,10 +39,10 @@ from .kernel import (
     SimKernel,
     SimTrace,
     TestAndSet,
+    Ticks,
     TxAbort,
     TxAborted,
     TxBegin,
-    TxEnd,
     WaitUntil,
     WriteCell,
 )
@@ -148,9 +151,15 @@ def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
 
 
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
-    """The timing thread. One timer counts at a time (enclave-wide mutex);
-    ticks run inside transactions watching the worker's SSA marker."""
+    """The timing thread. One timer counts at a time (enclave-wide mutex).
+    Its steady state is one ``Ticks`` instruction: ticks inside transactions
+    watching the worker's SSA marker, which the kernel advances in closed
+    form between observable events. The program takes over only on an abort
+    or at a period start that cannot tick (an OCALL pause, the end of the
+    run, or a missing marker)."""
     handler = make_eresume_handler(worker_ssa, cfg.handler_cost)
+    ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal,
+                  mirror=ts.t, proc=ts.proc)
 
     prior = yield TestAndSet(ts.mutex, cost=1)
     while prior != 0:
@@ -160,6 +169,13 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     yield WaitUntil(lambda: ts.started.value == 1)
 
     while True:
+        try:
+            yield ticks
+        except TxAborted:
+            # own interrupt, or the marker cell changed under us: just retry;
+            # the marker check at the next period start sorts out which it was
+            continue
+
         proc = yield ReadCell(ts.proc)
         if proc != 1:
             done = yield ReadCell(ts.run_done)
@@ -169,35 +185,14 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
             yield WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
             continue
 
-        cause: str | None = None
+        # marker is gone: the worker was interrupted. The tick's transaction
+        # aborts at once; install the ERESUME handler (re-installing if a
+        # later spill clobbered it) and wait for the marker to come back.
         try:
             yield TxBegin((worker_ssa.marker,))
-            marker = yield ReadCell(worker_ssa.marker)
-            if marker != MARKER_VALUE:
-                yield TxAbort("marker-missing")
-            yield Op(cfg.tau, label="tick")
-            count = yield ReadCell(ts.internal)
-            yield WriteCell(ts.internal, count + 1)
-            yield TxEnd()
-        except TxAborted as abort:
-            cause = abort.cause
-
-        if cause is None:
-            # mirror the private counter outside the write set, then pay for
-            # the inter-transaction checks
-            count = yield ReadCell(ts.internal)
-            yield WriteCell(ts.t, count)
-            if cfg.epsilon:
-                yield Op(cfg.epsilon, label="checks")
-            continue
-        if cause in ("interrupt", "conflict"):
-            # own interrupt, or the marker cell changed under us: just retry;
-            # the marker check in the next transaction sorts out which it was
-            continue
-
-        # marker is gone: the worker was interrupted. Install the ERESUME
-        # handler (re-installing if a later spill clobbered it) and wait for
-        # the marker to come back.
+            yield TxAbort("marker-missing")
+        except TxAborted:
+            pass
         while True:
             marker = yield ReadCell(worker_ssa.marker)
             if marker == MARKER_VALUE:

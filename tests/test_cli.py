@@ -296,6 +296,17 @@ class TestTools:
                      "--net-delay", "-3"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["worker,-1,0", "worker,-5,-3"])
+    def test_replay_negative_interrupt_cycle_exit_2(self, capsys, tmp_path, line):
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(30))
+        sched = tmp_path / "s.txt"
+        sched.write_text(line + "\n")
+        assert main(["replay", "--function", "fib", "--input", str(inp), "--tau", "10",
+                     "--schedule", str(sched), "--full"]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and f"negative cycle {line.split(',')[1]}" in err
+
     def test_experiment_small_and_deterministic(self, tmp_path, capsys):
         out = tmp_path / "net.csv"
         rc = main(["experiment", "network", "--cases", "5", "-o", str(out)])

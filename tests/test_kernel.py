@@ -15,7 +15,9 @@ from meterfaas.kernel import (
     ScheduleEvent,
     SimKernel,
     TestAndSet,
+    Ticks,
     TxAbort,
+    TxAborted,
     TxBegin,
     TxEnd,
     WaitUntil,
@@ -513,6 +515,92 @@ class TestScheduleValidation:
 
     def test_zero_length_interrupt_allowed(self):
         validate_schedule([ScheduleEvent("w", 5, 5)])
+
+    @pytest.mark.parametrize("interrupt_at,resume_at", [(-1, 0), (-5, -3)])
+    def test_negative_interrupt_cycle_rejected(self, interrupt_at, resume_at):
+        # the clock only moves forward: an interrupt before cycle 0 would
+        # log an AEX after later events
+        with pytest.raises(ScheduleError, match=f"negative cycle {interrupt_at}"):
+            validate_schedule([ScheduleEvent("w", interrupt_at, resume_at)])
+
+
+def spelled_ticks(tau, epsilon, watch, counter, mirror, proc):
+    """The Ticks instruction spelled in primitive instructions."""
+    while True:
+        if (yield ReadCell(proc)) != 1:
+            return
+        yield TxBegin((watch,))
+        if (yield ReadCell(watch)) != MARKER_VALUE:
+            yield TxAbort("marker-missing")
+        yield Op(tau, label="tick")
+        count = yield ReadCell(counter)
+        yield WriteCell(counter, count + 1)
+        yield TxEnd()
+        yield WriteCell(mirror, count + 1)
+        if epsilon:
+            yield Op(epsilon, label="checks")
+
+
+class TestTicks:
+    @staticmethod
+    def run_ticks(spelled, schedule=()):
+        """A ticker (tau=3, epsilon=2) and a watcher that stops it once the
+        mirror reaches 4."""
+        kern = SimKernel()
+        ticker = kern.add_enclave_actor("ticker")
+        watcher = kern.add_enclave_actor("watcher")
+        watch = Cell("watch", MARKER_VALUE, enclave=True)
+        counter = Cell("counter", 0, enclave=True)
+        mirror = Cell("mirror", 0, enclave=True)
+        proc = Cell("proc", 1, enclave=True)
+        cells = dict(watch=watch, counter=counter, mirror=mirror, proc=proc)
+
+        def ticker_program():
+            aborts = []
+            while True:
+                try:
+                    if spelled:
+                        yield from spelled_ticks(3, 2, **cells)
+                    else:
+                        yield Ticks(3, 2, **cells)
+                    return counter.value, aborts
+                except TxAborted as exc:
+                    aborts.append(exc.cause)
+
+        def watcher_program():
+            yield WaitUntil(lambda: mirror.value >= 4)
+            yield WriteCell(proc, 0)
+            return kern.now
+
+        ticker.set_program(ticker_program())
+        watcher.set_program(watcher_program())
+        return kern.run(list(schedule), 10_000, full_trace=True)
+
+    def test_waiter_on_the_mirror_wakes_at_its_commit(self):
+        # commits at 3, 8, 13, 18: the watcher wakes at the fourth, and the
+        # period start after its checks finds proc cleared
+        trace = self.run_ticks(spelled=False)
+        assert trace.results == {"ticker": (4, []), "watcher": 18}
+        assert trace.final_cycle == 20
+        assert trace.resident["ticker"] == 20
+        assert trace.export_text() == self.run_ticks(spelled=True).export_text()
+
+    @pytest.mark.parametrize("schedule", [
+        [ScheduleEvent("ticker", 10, 12)],
+        [ScheduleEvent("ticker", 4, 4), ScheduleEvent("ticker", 11, 11), ScheduleEvent("ticker", 16, 19)],
+    ])
+    def test_interrupts_match_the_spelled_loop(self, schedule):
+        ticks = self.run_ticks(spelled=False, schedule=schedule)
+        spelled = self.run_ticks(spelled=True, schedule=schedule)
+        assert ticks.results["ticker"][0] == 4
+        assert "interrupt" in ticks.results["ticker"][1]
+        assert ticks.export_text() == spelled.export_text()
+        assert ticks.results == spelled.results
+
+    def test_tick_shorter_than_a_cycle_rejected(self):
+        cell = Cell("c", 0, enclave=True)
+        with pytest.raises(KernelError):
+            Ticks(0, 0, watch=cell, counter=cell, mirror=cell, proc=cell)
 
 
 class TestResidentOracleAgreement:

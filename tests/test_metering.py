@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 
 import pytest
+import reference_timer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterfaas import corpus as corp
+from meterfaas import metering
 from meterfaas.crypto import DeterministicRng, SigningKeyPair, hash_bytes
 from meterfaas.fuzz import (
     declared_worker_cycles,
@@ -17,7 +19,7 @@ from meterfaas.fuzz import (
     run_case,
     run_lowerbound_fuzz,
 )
-from meterfaas.kernel import ScheduleEvent
+from meterfaas.kernel import ScheduleEvent, TxAborted
 from meterfaas.metering import (
     AccountingFault,
     MemState,
@@ -401,27 +403,42 @@ def dense_schedule(gaps, lengths, timer_every, timer_length, span):
     return sorted(events, key=lambda e: e.interrupt_at)
 
 
-def full_trace_digest(fuzz_cases: int, seed: int) -> str:
-    """SHA-256 over ``trace.export_text()`` of full-trace runs: the first
-    ``fuzz_cases`` fuzz cases, drawn as ``run_case`` draws them, then dense
-    single-step schedules on fib at handler costs 0 and 7."""
+def fuzz_runs(cases: int, seed: int):
+    """The first ``cases`` fuzz cases, drawn as ``run_case`` draws them, as
+    ``(image, input_data, limits, cfg, run_metered keywords)``."""
     rng = DeterministicRng(seed, "lowerbound")
     limits = VMLimits(max_steps=4000)
-    h = hashlib.sha256()
-    for i in range(fuzz_cases):
+    for i in range(cases):
         image, input_data = random_image(rng.child(f"prog{i}"))
         cfg, costs = random_config(rng.child(f"cfg{i}"))
         span = 64 + 4 * limits.max_steps * costs.heap // 8
         schedule = random_schedule(rng.child(f"sched{i}"), span)
-        out = run_metered(image, input_data, limits, cfg, schedule=schedule, costs=costs,
-                          limit=50_000_000, full_trace=True)
-        h.update(out.trace.export_text().encode())
+        yield image, input_data, limits, cfg, dict(schedule=schedule, costs=costs, limit=50_000_000)
+
+
+def dense_runs():
+    """Dense single-step schedules on fib at handler costs 0 and 7."""
     for handler_cost in (0, 7):
         for tau, gaps, lengths in ((10, (2, 3), (0, 1, 2, 4, 3)), (1, (3, 2, 2), (5, 2, 0, 9))):
             cfg = MeterConfig(tau=tau, epsilon=0, handler_cost=handler_cost)
             schedule = dense_schedule(gaps, lengths, 53, 6, span=3000)
-            out = meter("fib", corp.fib_input(30), cfg, schedule=schedule, full_trace=True)
-            h.update(out.trace.export_text().encode())
+            yield IMAGES["fib"], corp.fib_input(30), LIMITS, cfg, dict(schedule=schedule)
+
+
+def lock_runs(fuzz_cases: int, seed: int):
+    """The runs of the full-trace lock: fuzz cases, then dense schedules."""
+    yield from fuzz_runs(fuzz_cases, seed)
+    yield from dense_runs()
+
+
+def full_trace_digest(fuzz_cases: int, seed: int) -> str:
+    """SHA-256 over ``trace.export_text()`` of the full-trace runs of
+    ``lock_runs``; every run must also conserve cycles."""
+    h = hashlib.sha256()
+    for image, input_data, limits, cfg, kw in lock_runs(fuzz_cases, seed):
+        out = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
+        assert_conserved(out, image, input_data, limits, cfg, kw.get("costs"))
+        h.update(out.trace.export_text().encode())
     return h.hexdigest()
 
 
@@ -465,6 +482,94 @@ class TestBoundedLog:
         from_full = [e for e in full.trace.events if e[2] in self.SCHEDULE_KINDS]
         assert lean.trace.events == from_full
         assert {e[2] for e in lean.trace.events} == set(self.SCHEDULE_KINDS)
+        # a full trace only logs: over the full-trace lock's runs, lean and
+        # full runs agree on everything else
+        for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
+            lean = run_metered(image, input_data, limits, cfg, **kw)
+            full = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
+            for name in ("resident", "final_cycle", "results"):
+                assert getattr(lean.trace, name) == getattr(full.trace, name), name
+            assert lean.heap_events == full.heap_events
+            assert lean.t_max == full.t_max
+            assert lean.trace.events == [e for e in full.trace.events if e[2] in self.SCHEDULE_KINDS]
+
+
+def assert_same_run(closed, reference):
+    """Byte-identical traces and equal outcome fields."""
+    got, want = closed.trace.export_lines(), reference.trace.export_lines()
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"traces differ at line {i}: {got[i:i + 1]} != {want[i:i + 1]}")
+    for name in ("t_max", "m_int", "m_max", "net", "heap_events", "vm_result"):
+        assert getattr(closed, name) == getattr(reference, name), name
+
+
+class TestReferenceTimer:
+    """The timer's ``Ticks`` instruction, advanced in closed form, against the
+    per-instruction reference model in ``reference_timer``."""
+
+    @staticmethod
+    def check(monkeypatch, image, input_data, limits, cfg, **kw):
+        closed = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
+        with monkeypatch.context() as patched:
+            patched.setattr(metering, "timer_program", reference_timer.timer_program)
+            reference = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
+        assert_same_run(closed, reference)
+        return closed
+
+    def test_fuzz_cases(self, monkeypatch):
+        for image, input_data, limits, cfg, kw in fuzz_runs(2000, 20240):
+            self.check(monkeypatch, image, input_data, limits, cfg, **kw)
+
+    def test_dense_single_step_schedules(self, monkeypatch):
+        for image, input_data, limits, cfg, kw in dense_runs():
+            self.check(monkeypatch, image, input_data, limits, cfg, **kw)
+        for epsilon in (1, 5):
+            cfg = MeterConfig(tau=3, epsilon=epsilon, handler_cost=2)
+            schedule = dense_schedule((4, 1), (0, 3, 1), 17, 2, span=2000)
+            self.check(monkeypatch, IMAGES["fib"], corp.fib_input(30), LIMITS, cfg, schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [(), (ScheduleEvent("worker", 40, 45), ScheduleEvent("timer", 90, 97))])
+    def test_extra_timer(self, monkeypatch, schedule):
+        cfg = MeterConfig(tau=10, epsilon=5, extra_timers=1)
+        self.check(monkeypatch, IMAGES["fib"], corp.fib_input(130), LIMITS, cfg, schedule=list(schedule))
+
+    def test_fib_tau1_with_worker_and_timer_windows(self, monkeypatch):
+        sched = [ScheduleEvent("worker", 500, 560), ScheduleEvent("timer", 900, 950)]
+        out = self.check(monkeypatch, IMAGES["fib"], corp.fib_input(2000), LIMITS,
+                         MeterConfig(tau=1, epsilon=0), schedule=sched)
+        assert out.t_max > 40_000
+
+    @pytest.mark.parametrize("tau,epsilon", [(1, 0), (10, 5)])
+    def test_known_network_with_net_delay(self, monkeypatch, tau, epsilon):
+        cfg = MeterConfig(tau=tau, epsilon=epsilon, net_delay=200)
+        self.check(monkeypatch, IMAGES["known_network"], corp.known_network_input(700, 300), LIMITS, cfg)
+
+    def test_timer_program_resumes_a_constant_number_of_times(self, monkeypatch):
+        # 46k ticks at tau=1 are committed by the kernel, not by the program:
+        # a timer that loses the closed-form advance resumes ~9 times a tick
+        real = metering.timer_program
+        resumes = 0
+
+        def counted(*args):
+            nonlocal resumes
+            gen = real(*args)
+            send, throw = None, None
+            while True:
+                resumes += 1
+                try:
+                    instr = gen.send(send) if throw is None else gen.throw(throw)
+                except StopIteration as stop:
+                    return stop.value
+                try:
+                    send, throw = (yield instr), None
+                except TxAborted as exc:
+                    send, throw = None, exc
+
+        monkeypatch.setattr(metering, "timer_program", counted)
+        out = meter("fib", corp.fib_input(2000), MeterConfig(tau=1, epsilon=0))
+        assert out.t_max > 40_000
+        assert resumes <= 20
 
 
 class TestTimerExclusivity:
