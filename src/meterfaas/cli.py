@@ -268,9 +268,9 @@ def cmd_verify_receipt(args) -> int:
 def cmd_vm_asm(args) -> int:
     source = Path(args.source).read_text()
     data = assemble(source)
+    image = vm_load(data)
     out = Path(args.out) if args.out else Path(args.source).with_suffix(".mfvm")
     out.write_bytes(data)
-    image = vm_load(data)
     print(f"{out}: {len(image.program)} instructions, hash {image.function_hash.hex()}")
     return 0
 

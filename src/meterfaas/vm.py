@@ -54,9 +54,12 @@ OPCODES: dict[int, tuple[str, str | None]] = {
     0x61: ("STOREL", "slot"),
 }
 MNEMONIC_TO_OP = {name: op for op, (name, _) in OPCODES.items()}
-_HEAP_OPS = frozenset((0x30, 0x31, 0x32))
-_NET_OPS = frozenset((0x40, 0x41))
-_BLOCK_ENDS = _HEAP_OPS | {0x00}  # HALT and the heap ops close a block
+# words each private op pops, by opcode; the heap and network ops test their
+# own depth: a heap op pops after its block closes, a network op before its step
+_POP_WORDS = {"POP": 1, "DUP": 1, "SWAP": 2, "OVER": 2, "ADD": 2, "SUB": 2, "MUL": 2, "LT": 2, "GT": 2,
+              "EQ": 2, "JZ": 1, "JNZ": 1, "LOAD": 2, "STORE": 3, "INPUT_WORD": 1, "OUTPUT_WORD": 1,
+              "SET_TAG": 1, "STOREL": 1}
+_POPS = [_POP_WORDS.get(OPCODES[op][0], 0) if op in OPCODES else 0 for op in range(max(OPCODES) + 1)]
 
 
 class LoadError(ValueError):
@@ -79,13 +82,6 @@ class CostTable:
     default: int = 1
     heap: int = 10
     net: int = 5
-
-    def cost(self, op: int) -> int:
-        if op in _HEAP_OPS:
-            return self.heap
-        if op in _NET_OPS:
-            return self.net
-        return self.default
 
     def validate(self) -> None:
         if min(self.default, self.heap, self.net) < 1:
@@ -158,7 +154,9 @@ class NetIo:
 
 def vm_load(data: bytes) -> FunctionImage:
     """Parse and validate bytecode. Jump targets are instruction indices and
-    must land inside the program; anything malformed raises LoadError."""
+    must land inside the program, and the last instruction must be HALT or
+    JMP so execution cannot fall off the end; anything malformed raises
+    LoadError."""
     if len(data) < 13:
         raise LoadError("file shorter than header", len(data))
     if data[:4] != MAGIC:
@@ -174,6 +172,7 @@ def vm_load(data: bytes) -> FunctionImage:
     program: list[tuple[int, int | None]] = []
     pos = 0
     while pos < len(code):
+        last = pos
         op = code[pos]
         if op not in OPCODES:
             raise LoadError(f"unknown opcode 0x{op:02x}", 13 + pos)
@@ -207,6 +206,8 @@ def vm_load(data: bytes) -> FunctionImage:
             raise LoadError(f"jump target {arg} out of range at instruction {i}", 13)
     if entry >= n:
         raise LoadError(f"entry index {entry} out of range", 5)
+    if program[-1][0] not in (0x00, 0x20):  # HALT, JMP
+        raise LoadError("last instruction is neither HALT nor JMP", 13 + last)
 
     return FunctionImage(
         raw=bytes(data),
@@ -233,18 +234,33 @@ def execute_steps(
     """Core interpreter as a generator that yields one cycle cost per block.
 
     Only HALT, the heap ops and the network ops have effects outside the VM,
-    so every other instruction runs at once and adds its cost to the pending
-    block. HALT and each heap op close the block: the summed cost is yielded
-    before the op's effect, which runs when the driver resumes us, i.e. at
-    the cycle where the block completes. A network op first flushes the
-    pending cost, then yields its NetIo. A trap, the step budget included,
-    flushes the pending cost before the result is returned. Costs, steps and
-    cycles add up to the same totals as one instruction at a time; only the
-    granularity of the yields is coarser. Returns the VMResult."""
+    so every other instruction runs at once. The loop counts only ``steps``
+    per instruction. Cycles are derived where they are needed, as
+    ``steps * costs.default + surcharge``; ``surcharge`` grows by
+    ``heap - default`` per heap op and by ``net - default`` per network op.
+    Each yielded block cost is the cycles so far minus those already yielded.
+
+    HALT and each heap op close the block: its cost, the op's own included,
+    is yielded before the op's effect, which runs when the caller resumes us,
+    i.e. at the cycle where the block completes; a heap op's underflow, bad
+    handle or memory-budget trap comes after that yield. A network op pops
+    its byte count before it is counted, so its underflow is charged
+    nothing; otherwise it flushes the pending cost, then yields its NetIo.
+    Any other trapping instruction is charged its step and its cost. The
+    step budget is checked before a step is counted. A trap, the step budget
+    included, flushes the pending cost before the result is returned. The
+    loader guarantees that the last instruction is HALT or JMP, so ``pc``
+    never runs off the program. Returns the VMResult."""
     costs.validate()
     program = image.program
-    prices = [costs.cost(op) for op, _ in program]  # priced once per run
+    default = costs.default
+    heap_extra = costs.heap - default
+    net_extra = costs.net - default
+    max_steps = limits.max_steps
+    pops = _POPS
     stack: list[int] = []
+    push = stack.append
+    pop = stack.pop
     locals_: list[int] = [0] * LOCAL_SLOTS
     heap: dict[int, bytearray] = {}
     next_handle = 1
@@ -253,13 +269,9 @@ def execute_steps(
     tag: bytes | None = None
     pc = image.entry
     steps = 0
-    cycles = 0
-    pending = 0  # cost of the instructions run since the last yield
-
-    def pop() -> int:
-        if not stack:
-            raise _Trap("fault:stack-underflow")
-        return stack.pop()
+    surcharge = 0  # cycles of the heap and network ops beyond `default` each
+    yielded = 0  # cycles already yielded
+    reason: str | None = None
 
     def block(handle: int) -> bytearray:
         b = heap.get(handle)
@@ -267,151 +279,144 @@ def execute_steps(
             raise _Trap("fault:bad-handle")
         return b
 
-    def finish(status: str, reason: str | None) -> VMResult:
-        final_tag = tag if tag is not None else (default_tag or crypto.hash_bytes(b""))
-        return VMResult(
-            output=bytes(output), tag=final_tag, status=status, reason=reason,
-            steps=steps, cycles=cycles,
-        )
-
     try:
-        while True:
-            if steps >= limits.max_steps:
-                raise _Trap("budget:steps")
+        while steps < max_steps:
             op, arg = program[pc]
-            cost = prices[pc]
-            if op in _NET_OPS:
-                count = pop()
-                sent, received = (count, 0) if op == 0x40 else (0, count)
-                steps += 1
-                cycles += cost
-                if pending:
-                    yield pending
-                    pending = 0
-                yield NetIo(cost, sent, received)
-                pc += 1
-                continue
             steps += 1
-            cycles += cost
-            pending += cost
-            if op in _BLOCK_ENDS:
-                yield pending
-                pending = 0
-            if op == 0x00:  # HALT
-                return finish("ok", None)
+            if op == 0x60:  # LOADL
+                push(locals_[arg])
             elif op == 0x01:  # PUSH
-                stack.append(arg)
-            elif op == 0x02:  # POP
-                pop()
-            elif op == 0x03:  # DUP
-                v = pop()
-                stack.append(v)
-                stack.append(v)
-            elif op == 0x04:  # SWAP
-                b, a = pop(), pop()
-                stack.append(b)
-                stack.append(a)
-            elif op == 0x05:  # OVER
-                b, a = pop(), pop()
-                stack.append(a)
-                stack.append(b)
-                stack.append(a)
-            elif op == 0x10:  # ADD
-                b, a = pop(), pop()
-                stack.append((a + b) % WORD)
-            elif op == 0x11:  # SUB
-                b, a = pop(), pop()
-                stack.append((a - b) % WORD)
-            elif op == 0x12:  # MUL
-                b, a = pop(), pop()
-                stack.append((a * b) % WORD)
-            elif op == 0x18:  # LT
-                b, a = pop(), pop()
-                stack.append(1 if a < b else 0)
-            elif op == 0x19:  # GT
-                b, a = pop(), pop()
-                stack.append(1 if a > b else 0)
-            elif op == 0x1A:  # EQ
-                b, a = pop(), pop()
-                stack.append(1 if a == b else 0)
+                push(arg)
             elif op == 0x20:  # JMP
                 pc = arg
                 continue
-            elif op == 0x21:  # JZ
-                if pop() == 0:
-                    pc = arg
-                    continue
+            elif len(stack) < pops[op]:
+                raise _Trap("fault:stack-underflow")
+            elif op == 0x61:  # STOREL
+                locals_[arg] = pop()
+            elif op == 0x11:  # SUB
+                b = pop()
+                stack[-1] = (stack[-1] - b) % WORD
+            elif op == 0x10:  # ADD
+                b = pop()
+                stack[-1] = (stack[-1] + b) % WORD
+            elif op == 0x33:  # LOAD
+                idx = pop()
+                b = block(pop())
+                if (idx + 1) * 8 > len(b):
+                    raise _Trap("fault:out-of-bounds")
+                push(int.from_bytes(b[idx * 8 : idx * 8 + 8], "little"))
+            elif op == 0x34:  # STORE
+                value, idx = pop(), pop()
+                b = block(pop())
+                if (idx + 1) * 8 > len(b):
+                    raise _Trap("fault:out-of-bounds")
+                b[idx * 8 : idx * 8 + 8] = value.to_bytes(8, "little")
+            elif op == 0x12:  # MUL
+                b = pop()
+                stack[-1] = (stack[-1] * b) % WORD
+            elif op == 0x18:  # LT
+                b = pop()
+                stack[-1] = 1 if stack[-1] < b else 0
+            elif op == 0x19:  # GT
+                b = pop()
+                stack[-1] = 1 if stack[-1] > b else 0
+            elif op == 0x1A:  # EQ
+                b = pop()
+                stack[-1] = 1 if stack[-1] == b else 0
             elif op == 0x22:  # JNZ
                 if pop() != 0:
                     pc = arg
                     continue
-            elif op == 0x30:  # ALLOC
-                size = pop()
-                if live + size > limits.max_memory:
-                    raise _Trap("budget:memory")
-                handle = next_handle
-                next_handle += 1
-                heap[handle] = bytearray(size)
-                live += size
-                hooks.on_alloc(size)
-                stack.append(handle)
-            elif op == 0x31:  # REALLOC
-                size, handle = pop(), pop()
-                b = block(handle)
-                old = len(b)
-                if live - old + size > limits.max_memory:
-                    raise _Trap("budget:memory")
-                if size >= old:
-                    b.extend(bytes(size - old))
-                    if size > old:
-                        hooks.on_alloc(size - old)
-                else:
-                    del b[size:]
-                    hooks.on_free(old - size)
-                live += size - old
-                stack.append(handle)
-            elif op == 0x32:  # FREE
-                handle = pop()
-                b = block(handle)
-                live -= len(b)
-                hooks.on_free(len(b))
-                del heap[handle]
-            elif op == 0x33:  # LOAD
-                idx, handle = pop(), pop()
-                b = block(handle)
-                if (idx + 1) * 8 > len(b):
-                    raise _Trap("fault:out-of-bounds")
-                stack.append(int.from_bytes(b[idx * 8 : idx * 8 + 8], "little"))
-            elif op == 0x34:  # STORE
-                value, idx, handle = pop(), pop(), pop()
-                b = block(handle)
-                if (idx + 1) * 8 > len(b):
-                    raise _Trap("fault:out-of-bounds")
-                b[idx * 8 : idx * 8 + 8] = value.to_bytes(8, "little")
+            elif op == 0x21:  # JZ
+                if pop() == 0:
+                    pc = arg
+                    continue
+            elif op == 0x02:  # POP
+                pop()
+            elif op == 0x03:  # DUP
+                push(stack[-1])
+            elif op == 0x04:  # SWAP
+                stack[-1], stack[-2] = stack[-2], stack[-1]
+            elif op == 0x05:  # OVER
+                push(stack[-2])
             elif op == 0x50:  # INPUT_WORD
                 idx = pop()
                 if (idx + 1) * 8 > len(input_data):
                     raise _Trap("fault:input-out-of-bounds")
-                stack.append(int.from_bytes(input_data[idx * 8 : idx * 8 + 8], "little"))
+                push(int.from_bytes(input_data[idx * 8 : idx * 8 + 8], "little"))
             elif op == 0x51:  # OUTPUT_WORD
                 v = pop()
                 if len(output) + 8 > limits.max_output:
                     raise _Trap("budget:output")
                 output.extend(v.to_bytes(8, "little"))
             elif op == 0x52:  # SET_TAG
-                handle = pop()
-                tag = crypto.hash_bytes(bytes(block(handle)))
-            elif op == 0x60:  # LOADL
-                stack.append(locals_[arg])
-            elif op == 0x61:  # STOREL
-                locals_[arg] = pop()
-            else:  # pragma: no cover - loader rejects unknown opcodes
-                raise _Trap("fault:bad-opcode")
+                tag = crypto.hash_bytes(bytes(block(pop())))
+            elif op == 0x40 or op == 0x41:  # NET_SEND, NET_RECV
+                if not stack:
+                    steps -= 1  # the pop comes before the count
+                    raise _Trap("fault:stack-underflow")
+                count = pop()
+                cycles = (steps - 1) * default + surcharge
+                if cycles > yielded:
+                    yield cycles - yielded
+                surcharge += net_extra
+                yielded = cycles + costs.net
+                yield NetIo(costs.net, count, 0) if op == 0x40 else NetIo(costs.net, 0, count)
+            else:  # HALT or a heap op: close the block before the op's effect
+                if op:  # a heap op
+                    surcharge += heap_extra
+                cycles = steps * default + surcharge
+                yield cycles - yielded
+                yielded = cycles
+                if op == 0x00:  # HALT
+                    break
+                if len(stack) < (2 if op == 0x31 else 1):
+                    raise _Trap("fault:stack-underflow")
+                if op == 0x30:  # ALLOC
+                    size = pop()
+                    if live + size > limits.max_memory:
+                        raise _Trap("budget:memory")
+                    handle = next_handle
+                    next_handle += 1
+                    heap[handle] = bytearray(size)
+                    live += size
+                    hooks.on_alloc(size)
+                    push(handle)
+                elif op == 0x31:  # REALLOC
+                    size, handle = pop(), pop()
+                    b = block(handle)
+                    old = len(b)
+                    if live - old + size > limits.max_memory:
+                        raise _Trap("budget:memory")
+                    if size >= old:
+                        b.extend(bytes(size - old))
+                        if size > old:
+                            hooks.on_alloc(size - old)
+                    else:
+                        del b[size:]
+                        hooks.on_free(old - size)
+                    live += size - old
+                    push(handle)
+                else:  # FREE
+                    handle = pop()
+                    b = block(handle)
+                    live -= len(b)
+                    hooks.on_free(len(b))
+                    del heap[handle]
             pc += 1
+        else:
+            raise _Trap("budget:steps")
     except _Trap as trap:
-        if pending:
-            yield pending
-        return finish("trapped", trap.reason)
+        reason = trap.reason
+        cycles = steps * default + surcharge
+        if cycles > yielded:
+            yield cycles - yielded
+    final_tag = tag if tag is not None else (default_tag or crypto.hash_bytes(b""))
+    return VMResult(
+        output=bytes(output), tag=final_tag, status="trapped" if reason else "ok", reason=reason,
+        steps=steps, cycles=steps * default + surcharge,
+    )
 
 
 def vm_execute(

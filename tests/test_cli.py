@@ -217,6 +217,24 @@ class TestTools:
         src.write_text("NOT_AN_OP\n")
         assert main(["vm", "asm", str(src)]) == 2
 
+    def test_vm_asm_fall_through_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "ff.txt"
+        src.write_text("PUSH 1\n")
+        out = tmp_path / "ff.mfvm"
+        assert main(["vm", "asm", str(src), "-o", str(out)]) == 2
+        assert "neither HALT nor JMP" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_fall_through_function_exit_2(self, state, tmp_path, capsys, command):
+        fn = tmp_path / "ff.mfvm"
+        fn.write_bytes(assemble("PUSH 1"))
+        args = [command, "--function", str(fn), "--input", "/dev/null", "--tau", "10"]
+        if command == "run":
+            args += ["--state", str(state)]
+        assert main(args) == 2
+        assert "neither HALT nor JMP" in capsys.readouterr().err
+
     def test_bill_deterministic(self, state, fib_files, tmp_path, capsys):
         run_invocation(state, fib_files)
         policy = tmp_path / "policy.cfg"

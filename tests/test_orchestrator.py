@@ -26,7 +26,7 @@ from meterfaas.orchestrator import (
     compute_invoice,
     provider_verify_measurement,
 )
-from meterfaas.vm import assemble
+from meterfaas.vm import LoadError, assemble
 from meterfaas.worker import EncryptedResponse
 
 ROOT = AttestationRoot(seed=2)
@@ -150,6 +150,13 @@ class TestPool:
         second = pool.dispatch(r2, FIB)
         assert not second.cold
         assert second.worker_index == first.worker_index
+
+    def test_fall_through_function_is_a_load_error(self, kde, pool, ctx):
+        function = assemble("PUSH 1")
+        request, _ = client_prepare(ctx, hash_bytes(function), b"")
+        with pytest.raises(LoadError, match="neither HALT nor JMP"):
+            pool.dispatch(request, function)
+        assert pool.collected == []
 
     def test_rotation_refreshes_workers_before_serving(self, kde, pool, ctx):
         r1, p1 = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))

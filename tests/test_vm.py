@@ -1,8 +1,11 @@
 """Bytecode VM: loader validation, execution semantics, corpus behavior."""
 
 import pytest
+import reference_vm
 
 from meterfaas import corpus as corp
+from meterfaas.crypto import DeterministicRng
+from meterfaas.fuzz import random_image
 from meterfaas.vm import (
     AsmError,
     CostTable,
@@ -58,6 +61,18 @@ class TestLoader:
     def test_jump_target_out_of_range(self):
         with pytest.raises(AsmError):
             assemble("JMP 99\nHALT\n")
+
+    @pytest.mark.parametrize("source,offset", [
+        ("PUSH 1", 13),
+        ("PUSH 1\nPOP", 22),
+        ("top: PUSH 0\nJZ top", 22),
+        ("PUSH 64\nNET_SEND", 22),
+        ("HALT\nPUSH 1", 14),
+    ])
+    def test_fall_through_rejected(self, source, offset):
+        with pytest.raises(LoadError, match="neither HALT nor JMP") as ei:
+            vm_load(assemble(source))
+        assert ei.value.offset == offset
 
     def test_entry_label(self):
         img = vm_load(assemble(".entry go\nHALT\ngo: PUSH 7\nOUTPUT_WORD\nHALT\n"))
@@ -190,13 +205,14 @@ class TestExecution:
         assert events == [("+", 16), ("+", 48), ("-", 56), ("-", 8)]
 
 
-def drive(source, input_data=b"", limits=LIMITS, costs=CostTable(default=1, heap=10, net=5)):
-    """Run execute_steps by hand; log every yield and every hook call in
-    order, so a hook's position shows which block it completed."""
+def trace(execute, image, input_data, limits, costs):
+    """Drive an interpreter generator as `vm_execute` does; log every yield
+    and every hook call in order, so a hook's position shows which block it
+    completed. Returns the log and the result."""
     log = []
     hooks = VmHooks(on_alloc=lambda n: log.append(("alloc", n)),
                     on_free=lambda n: log.append(("free", n)))
-    gen = execute_steps(vm_load(assemble(source)), input_data, limits, hooks, costs)
+    gen = execute(image, input_data, limits, hooks, costs)
     try:
         item = next(gen)
         while True:
@@ -204,6 +220,10 @@ def drive(source, input_data=b"", limits=LIMITS, costs=CostTable(default=1, heap
             item = gen.send(None)
     except StopIteration as stop:
         return log, stop.value
+
+
+def drive(source, input_data=b"", limits=LIMITS, costs=CostTable(default=1, heap=10, net=5)):
+    return trace(execute_steps, vm_load(assemble(source)), input_data, limits, costs)
 
 
 class TestBlocks:
@@ -236,14 +256,162 @@ class TestBlocks:
         assert log == [("cost", 50)]
         assert res.steps == 50 and res.cycles == 50
 
-    def test_prices_resolved_once_per_run(self, monkeypatch):
-        calls = []
-        original = CostTable.cost
-        monkeypatch.setattr(CostTable, "cost", lambda self, op: calls.append(op) or original(self, op))
-        image = corp.corpus()["fib"]
-        res = vm_execute(image, corp.fib_input(50), LIMITS, costs=CostTable(default=2, heap=7, net=3))
-        assert res.ok and res.steps > len(image.program)
-        assert len(calls) <= len(image.program)
+    def test_yields_steps_and_cycles_per_op_class(self):
+        # private ops cost `default`, heap ops `heap`, network ops `net`
+        log, res = drive("""
+            PUSH 16
+            ALLOC
+            STOREL 0
+            LOADL 0
+            PUSH 0
+            PUSH 5
+            STORE
+            LOADL 0
+            PUSH 32
+            REALLOC
+            PUSH 64
+            NET_SEND
+            PUSH 8
+            NET_RECV
+            FREE
+            HALT
+        """, costs=CostTable(default=2, heap=7, net=3))
+        assert log == [("cost", 9), ("alloc", 16), ("cost", 21), ("alloc", 16), ("cost", 2),
+                       NetIo(3, 64, 0), ("cost", 2), NetIo(3, 0, 8), ("cost", 7), ("free", 32),
+                       ("cost", 2)]
+        assert res.ok and res.steps == 16 and res.cycles == 11 * 2 + 3 * 7 + 2 * 3
+
+
+COST_TABLES = [CostTable(default=1, heap=10, net=5), CostTable(default=2, heap=7, net=3),
+               CostTable(default=3, heap=1, net=2)]
+
+# every trap reason the interpreter can return
+TRAP_REASONS = {"budget:steps", "budget:memory", "budget:output", "fault:stack-underflow",
+                "fault:bad-handle", "fault:out-of-bounds", "fault:input-out-of-bounds"}
+
+# ops that pop, with an operand when they take one, and how many words they pop
+POPPING = [("POP", 1), ("DUP", 1), ("SWAP", 2), ("OVER", 2), ("ADD", 2), ("SUB", 2), ("MUL", 2),
+           ("LT", 2), ("GT", 2), ("EQ", 2), ("JZ end", 1), ("JNZ end", 1), ("ALLOC", 1),
+           ("REALLOC", 2), ("FREE", 1), ("LOAD", 2), ("STORE", 3), ("NET_SEND", 1),
+           ("NET_RECV", 1), ("INPUT_WORD", 1), ("OUTPUT_WORD", 1), ("SET_TAG", 1), ("STOREL 3", 1)]
+
+TRAP_SOURCES = [
+    "PUSH 99\nPUSH 0\nLOAD\nHALT",  # bad handle on each handle-taking op
+    "PUSH 99\nPUSH 0\nPUSH 1\nSTORE\nHALT",
+    "PUSH 99\nPUSH 8\nREALLOC\nHALT",
+    "PUSH 99\nFREE\nHALT",
+    "PUSH 99\nSET_TAG\nHALT",
+    "PUSH 8\nALLOC\nDUP\nFREE\nFREE\nHALT",  # double free
+    "PUSH 8\nALLOC\nPUSH 1\nLOAD\nHALT",  # one word past the block
+    "PUSH 8\nALLOC\nPUSH 1\nPUSH 5\nSTORE\nHALT",
+    "PUSH 16\nALLOC\nPUSH 8\nREALLOC\nPUSH 1\nLOAD\nHALT",  # past a shrunk block
+    "PUSH 2\nINPUT_WORD\nHALT",
+    "top: PUSH 1\nOUTPUT_WORD\nJMP top",
+    "PUSH 4096\nALLOC\nHALT",
+    "PUSH 8\nALLOC\nPUSH 4096\nREALLOC\nHALT",
+    "top: PUSH 512\nALLOC\nPOP\nJMP top",
+    "PUSH 4\nSTOREL 0\ntop: LOADL 0\nJZ end\nLOADL 0\nPUSH 1\nSUB\nSTOREL 0\nPUSH 3\n"
+    "NET_SEND\nPUSH 8\nALLOC\nPUSH 16\nREALLOC\nFREE\nPUSH 2\nNET_RECV\nJMP top\nend: HALT",
+]
+TRAP_LIMITS = VMLimits(max_steps=400, max_memory=1024, max_output=64)
+
+# a loop that runs every op class, for step budgets that end on each of them
+LOOP_SOURCE = """
+        PUSH 0
+        STOREL 0
+top:    PUSH 8
+        ALLOC
+        DUP
+        PUSH 0
+        LOADL 0
+        STORE
+        PUSH 16
+        REALLOC
+        FREE
+        PUSH 3
+        NET_SEND
+        LOADL 0
+        PUSH 1
+        ADD
+        STOREL 0
+        PUSH 2
+        NET_RECV
+        JMP top
+"""
+
+
+def underflow_sources():
+    """Each popping op on every too-shallow stack, with and without a pending
+    block of private instructions in front of it."""
+    for op, depth in POPPING:
+        for prefix in ("", "PUSH 7\nPOP\n"):
+            for have in range(depth):
+                yield prefix + "PUSH 1\n" * have + op + "\nend: HALT"
+
+
+def mutants(source):
+    """Every variant of `source` with one line dropped that still loads."""
+    lines = [line for line in source.splitlines() if line.strip()]
+    for i in range(len(lines)):
+        try:
+            yield vm_load(assemble("\n".join(lines[:i] + lines[i + 1:])))
+        except (AsmError, LoadError):
+            continue
+
+
+@pytest.mark.parametrize("costs", COST_TABLES, ids=lambda c: f"d{c.default}h{c.heap}n{c.net}")
+class TestReferenceVm:
+    """`execute_steps`, which counts steps and derives cycles, against the
+    per-instruction pricing model in ``reference_vm``: same yields (ints and
+    NetIo), same hook calls in the same order, equal VMResult."""
+
+    @staticmethod
+    def check(image, input_data, limits, costs):
+        got = trace(execute_steps, image, input_data, limits, costs)
+        assert got == trace(reference_vm.execute_steps, image, input_data, limits, costs)
+        return got[1]
+
+    def test_corpus(self, costs):
+        images = corp.corpus()
+        for n in (1, 2, 10, 150):
+            self.check(images["fib"], corp.fib_input(n), LIMITS, costs)
+        for sent, received in ((0, 0), (1000, 500)):
+            self.check(images["known_network"], corp.known_network_input(sent, received), LIMITS, costs)
+        for k in (0, 8, 4096):
+            self.check(images["alloc_churn"], corp.alloc_churn_input(k), LIMITS, costs)
+        for name in ("empty", "echo_word", "fib", "known_network", "alloc_churn"):
+            for data in (b"", corp.words(3)):
+                self.check(images[name], data, LIMITS, costs)
+
+    def test_fuzz_programs(self, costs):
+        rng = DeterministicRng(20240, "lowerbound")
+        limits = VMLimits(max_steps=4000)
+        for i in range(2000):
+            image, input_data = random_image(rng.child(f"prog{i}"))
+            self.check(image, input_data, limits, costs)
+
+    def test_every_trap_reason(self, costs):
+        for source in underflow_sources():
+            res = self.check(vm_load(assemble(source)), corp.words(1), TRAP_LIMITS, costs)
+            assert res.reason == "fault:stack-underflow"
+        images = [vm_load(assemble(source)) for source in TRAP_SOURCES]
+        images += [image for source in TRAP_SOURCES for image in mutants(source)]
+        reasons = {self.check(image, corp.words(1), TRAP_LIMITS, costs).reason for image in images}
+        assert reasons == TRAP_REASONS | {None}
+
+    def test_mutated_corpus_programs(self, costs):
+        for source in (corp.FIB_SOURCE, corp.KNOWN_NETWORK_SOURCE, corp.ALLOC_CHURN_SOURCE, LOOP_SOURCE):
+            for image in mutants(source):
+                for data in (corp.fib_input(6), corp.known_network_input(40, 9), b""):
+                    self.check(image, data, TRAP_LIMITS, costs)
+
+    def test_step_budgets(self, costs):
+        loop = vm_load(assemble(LOOP_SOURCE))
+        fib = corp.corpus()["fib"]
+        for max_steps in range(1, 80):
+            res = self.check(loop, b"", VMLimits(max_steps=max_steps), costs)
+            assert res.reason == "budget:steps" and res.steps == max_steps
+            self.check(fib, corp.fib_input(3), VMLimits(max_steps=max_steps), costs)
 
 
 class TestConfinement:

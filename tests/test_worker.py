@@ -152,6 +152,12 @@ class TestInit:
         with pytest.raises(LoadError):
             worker.ecall_init(b"junk")
 
+    def test_fall_through_program_rejected_and_image_kept(self):
+        kde, worker = provisioned()
+        with pytest.raises(LoadError, match="neither HALT nor JMP"):
+            worker.ecall_init(assemble("PUSH 1"))
+        assert worker.image.function_hash == hash_bytes(FIB)
+
     def test_init_requires_setup(self):
         worker = make_worker()
         with pytest.raises(WorkerError) as ei:
