@@ -12,7 +12,6 @@ Exit codes: 0 accepted/succeeded, 1 verification or property failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -100,11 +99,21 @@ def _write_published(state: Path, kde: KeyDistributionEnclave) -> None:
     _state_cfg_path(state).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
 
 
-def load_state(state: Path) -> KeyDistributionEnclave:
+def _read_state_cfg(state: Path) -> dict[str, str]:
+    """The deployment's settings; every command needs its seed and its
+    worker identity."""
     cfg_path = _state_cfg_path(state)
     if not cfg_path.exists():
         raise CliError(f"no deployment at {state} (run 'kde keygen' first)", 2)
     cfg = load_keyvalue(cfg_path)
+    for key in ("seed", "worker_identity"):
+        if key not in cfg:
+            raise CliError(f"{cfg_path} has no {key!r} (run 'kde keygen' again)", 2)
+    return cfg
+
+
+def load_state(state: Path) -> KeyDistributionEnclave:
+    cfg = _read_state_cfg(state)
     kde = _build_kde(int(cfg["seed"]), bytes.fromhex(cfg["worker_identity"]))
     for _ in range(int(cfg.get("epoch", "0"))):
         kde.rotate()
@@ -181,7 +190,7 @@ def cmd_verify_quote(args) -> int:
     if args.expected_worker:
         expected_worker = bytes.fromhex(args.expected_worker)
     elif args.state:
-        expected_worker = bytes.fromhex(load_keyvalue(_state_cfg_path(Path(args.state)))["worker_identity"])
+        expected_worker = bytes.fromhex(_read_state_cfg(Path(args.state))["worker_identity"])
     else:
         expected_worker = default_worker_identity().mrenclave
     try:
@@ -288,10 +297,12 @@ def _resolve_scenario(args):
     Returns (scenario, image, input_data, schedule); a fuzzed schedule is
     sized from an unmetered run of the image on the input.
     """
-    scenario = ScenarioConfig.from_file(args.scenario) if args.scenario else ScenarioConfig()
-    overrides = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay,
-                 "pool_size": getattr(args, "pool", None)}
-    scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    mapping = load_keyvalue(args.scenario) if args.scenario else {}
+    flags = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay,
+             "pool_size": getattr(args, "pool", None)}
+    # a flag replaces the file's value before either is checked
+    mapping.update((key, str(value)) for key, value in flags.items() if value is not None)
+    scenario = ScenarioConfig.from_mapping(mapping)
     function = args.function or scenario.function
     if not function:
         raise CliError("need --function (flag or scenario file)", 2)
@@ -314,15 +325,14 @@ def cmd_run(args) -> int:
     state = Path(args.state)
     kde = load_state(state)
     scenario, image, input_data, schedule = _resolve_scenario(args)
-    state_cfg = load_keyvalue(_state_cfg_path(state))
+    state_cfg = _read_state_cfg(state)
     parametrization = bytes.fromhex(state_cfg["parametrization"]) if "parametrization" in state_cfg else None
     worker_identity = derive_identity(WORKER_CODE, SIGNER, parametrization=parametrization)
     if worker_identity.mrenclave.hex() != state_cfg["worker_identity"]:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)
 
     pool = WorkerPool(
-        kde, worker_identity, size=scenario.pool_size, meter_cfg=scenario.meter_config(),
-        costs=scenario.cost_table(),
+        kde, worker_identity, size=scenario.pool_size, meter_cfg=scenario.meter, costs=scenario.costs,
         limits=LIMITS, seed=args.seed,
         measurement_log=MeasurementLog(state / "measurements.log"),
     )
@@ -431,8 +441,8 @@ def cmd_fuzz_lowerbound(args) -> int:
 
 def cmd_replay(args) -> int:
     scenario, image, input_data, schedule = _resolve_scenario(args)
-    cfg = scenario.meter_config()
-    outcome = run_metered(image, input_data, LIMITS, cfg, schedule=schedule, costs=scenario.cost_table(),
+    cfg = scenario.meter
+    outcome = run_metered(image, input_data, LIMITS, cfg, schedule=schedule, costs=scenario.costs,
                           full_trace=args.full)
     sys.stdout.write(outcome.trace.export_text())
     oracle = outcome.trace.resident["worker"]

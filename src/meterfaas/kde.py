@@ -140,10 +140,12 @@ def unseal(blob: SealedBlob, identity: EnclaveIdentity, platform_id: bytes) -> b
 
 
 class KeyDistributionEnclave:
-    """Single logical actor holding the current key set and retired history.
+    """Single logical actor holding the current key set.
 
-    Retired key sets stay verifiable (signatures from before a rotation must
-    keep checking out) but are never redistributed to workers.
+    A rotation replaces the key set and its published half. Retired key sets
+    stay verifiable from their published halves, which the deployment keeps
+    (signatures from before a rotation must keep checking out), but the KDE
+    never redistributes them to workers.
     """
 
     def __init__(
@@ -160,7 +162,6 @@ class KeyDistributionEnclave:
         self.max_workers_per_keyset = max_workers_per_keyset
         self._rng = DeterministicRng(seed, "kde")
         self._distributions = 0
-        self.retired: list[PublishedKeys] = []
         self.keyset, self.published = self._generate(created_at=0)
 
     def _generate(self, created_at: int) -> tuple[KeySet, PublishedKeys]:
@@ -193,7 +194,6 @@ class KeyDistributionEnclave:
 
     def rotate(self) -> PublishedKeys:
         """Retire the current set and mint a fresh one at the next epoch."""
-        self.retired.append(self.published)
         self._distributions = 0
         self.keyset, self.published = self._generate(created_at=self.keyset.created_at + 1)
         return self.published

@@ -1,8 +1,9 @@
 """Deterministic discrete-event kernel for the enclave execution contract.
 
-Actors are cooperative logical threads (worker, timer, os) whose programs are
-Python generators yielding instructions. Every instruction has an integer cycle
-cost; a global cycle counter advances, so traces are exact and reproducible.
+Actors are cooperative logical threads of one enclave (the worker and the
+timer) whose programs are Python generators yielding instructions. Every
+instruction has an integer cycle cost; a global cycle counter advances, so
+traces are exact and reproducible.
 
 The kernel enforces the contract the metering design relies on:
 
@@ -15,8 +16,10 @@ The kernel enforces the contract the metering design relies on:
     runs first; an AEX inside it stacks on the work it detoured from;
   * a watched transaction aborts the moment any other party writes one of its
     watched cells or its own actor suffers an AEX, and none of its buffered
-    writes become visible;
-  * os-role actors can neither read nor write enclave memory, including SSAs.
+    writes become visible.
+
+The untrusted OS is not an actor: it acts only through the interrupt schedule,
+whose events may name only actors the kernel has.
 
 Event ordering within one cycle is fixed: instruction completions (in actor
 registration order), then AEX events, then ERESUME events, then newly runnable
@@ -52,8 +55,8 @@ _ZERO_COST_BUDGET = 200_000  # guard against zero-cost livelock in programs
 
 
 class KernelError(Exception):
-    """Programming faults in actor code: nesting, enclave-memory violations,
-    zero-cost livelock, deadlock."""
+    """Programming faults in actor code: nesting, zero-cost livelock,
+    deadlock."""
 
 
 class TxAborted(Exception):
@@ -71,12 +74,11 @@ class TxAborted(Exception):
 class Cell:
     """One mutable memory word tracked by the kernel."""
 
-    __slots__ = ("name", "value", "enclave")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: Any, enclave: bool) -> None:
+    def __init__(self, name: str, value: Any) -> None:
         self.name = name
         self.value = value
-        self.enclave = enclave
 
     def __repr__(self) -> str:
         return f"Cell({self.name}={self.value!r})"
@@ -282,7 +284,7 @@ class _Tx:
 
 
 class Actor:
-    """One actor: name, SSA cells (None for an os actor), program and run state.
+    """One enclave actor: name, SSA cells, program and run state.
 
     An idle running actor (no in-flight, frozen, waiting or pending-abort
     work) fetches its next instruction from its program.
@@ -293,7 +295,7 @@ class Actor:
         "tx", "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
     )
 
-    def __init__(self, name: str, ssa: _SSA | None) -> None:
+    def __init__(self, name: str, ssa: _SSA) -> None:
         self.name = name
         self.ssa = ssa
         self.gen: Generator | None = None
@@ -330,15 +332,10 @@ class SimKernel:
 
     def add_enclave_actor(self, name: str) -> Actor:
         ssa = _SSA(
-            marker=Cell(f"{name}.ssa.marker", 0, enclave=True),
-            rip=Cell(f"{name}.ssa.rip", RIP_NEXT, enclave=True),
+            marker=Cell(f"{name}.ssa.marker", 0),
+            rip=Cell(f"{name}.ssa.rip", RIP_NEXT),
         )
-        return self._add(Actor(name, ssa))
-
-    def add_os_actor(self, name: str) -> Actor:
-        return self._add(Actor(name, None))
-
-    def _add(self, actor: Actor) -> Actor:
+        actor = Actor(name, ssa)
         self._actors.append(actor)
         self._by_name[actor.name] = actor
         return actor
@@ -362,16 +359,12 @@ class SimKernel:
                 self._abort_tx(actor, "conflict")
 
     def _apply_write(self, actor: Actor, cell: Cell, value: Any) -> None:
-        if actor.ssa is None and cell.enclave:
-            raise KernelError(f"os actor {actor.name} wrote enclave cell {cell.name}")
         if actor.tx is not None:
             actor.tx.writes[cell] = value
             return
         self._commit_write(actor, cell, value)
 
     def _read_value(self, actor: Actor, cell: Cell) -> Any:
-        if actor.ssa is None and cell.enclave:
-            raise KernelError(f"os actor {actor.name} read enclave cell {cell.name}")
         if actor.tx is not None and cell in actor.tx.writes:
             return actor.tx.writes[cell]
         return cell.value
@@ -646,11 +639,7 @@ class SimKernel:
                         break
 
     def _apply_aex(self, ev: ScheduleEvent, skipped: set[int], idx: int) -> None:
-        actor = self._by_name.get(ev.actor)
-        if actor is None:
-            raise ScheduleError(f"schedule targets unknown actor {ev.actor!r}")
-        if actor.ssa is None:
-            raise ScheduleError("schedule may only interrupt enclave actors")
+        actor = self._by_name[ev.actor]
         if actor.state not in (_RUNNING, _WAITING):
             self._log(ev.actor, "AEX_SKIPPED", f"state={actor.state}")
             skipped.add(idx)
@@ -687,8 +676,13 @@ class SimKernel:
 
         A pure function of (programs, schedule, limit): identical inputs give
         byte-identical traces. A kernel runs once; build a new one per run.
+        Every schedule event must name one of the kernel's actors, whether or
+        not the run reaches it.
         """
         validate_schedule(schedule)
+        for ev in schedule:
+            if ev.actor not in self._by_name:
+                raise ScheduleError(f"schedule targets unknown actor {ev.actor!r}")
         self._full_trace = full_trace
         for actor in self._actors:
             if actor.gen is None:
@@ -770,21 +764,3 @@ class SimKernel:
             complete=complete,
             results={actor.name: actor.result for actor in self._actors},
         )
-
-
-def tx_execute(watch: Iterable[Cell], body: Generator) -> Generator:
-    """Run `body` inside a watched transaction; yields the outcome.
-
-    Usage from an actor program::
-
-        outcome = yield from tx_execute((cell,), body_gen())
-
-    Returns ("committed", None) or ("aborted", cause).
-    """
-    try:
-        yield TxBegin(watch)
-        yield from body
-        yield TxEnd()
-        return ("committed", None)
-    except TxAborted as exc:
-        return ("aborted", exc.cause)

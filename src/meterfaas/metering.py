@@ -86,14 +86,14 @@ class TimerState:
     """Enclave-wide timing cells shared by the worker and timer threads."""
 
     def __init__(self) -> None:
-        self.t = Cell("meter.t", 0, enclave=True)  # public mirror
-        self.internal = Cell("meter.internal", 0, enclave=True)
-        self.proc = Cell("meter.proc", 0, enclave=True)
-        self.mutex = Cell("meter.timer_mutex", 0, enclave=True)
-        self.ready = Cell("meter.timer_ready", 0, enclave=True)
-        self.started = Cell("meter.run_started", 0, enclave=True)
-        self.run_done = Cell("meter.run_done", 0, enclave=True)
-        self.original_rip = Cell("meter.original_rip", None, enclave=True)
+        self.t = Cell("meter.t", 0)  # public mirror
+        self.internal = Cell("meter.internal", 0)
+        self.proc = Cell("meter.proc", 0)
+        self.mutex = Cell("meter.timer_mutex", 0)
+        self.ready = Cell("meter.timer_ready", 0)
+        self.started = Cell("meter.run_started", 0)
+        self.run_done = Cell("meter.run_done", 0)
+        self.original_rip = Cell("meter.original_rip", None)
 
 
 @dataclass

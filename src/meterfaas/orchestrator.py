@@ -76,8 +76,6 @@ class ClientContext:
 
     k_c: AgreementKeyPair
     published: PublishedKeys
-    expected_kde: bytes
-    expected_worker: bytes
     session: crypto.SessionKey
     _rng: DeterministicRng
 
@@ -100,8 +98,6 @@ class ClientContext:
         return cls(
             k_c=k_c,
             published=published,
-            expected_kde=expected_kde,
-            expected_worker=expected_worker,
             session=crypto.derive_session_key(k_c, published.k_ka_pub),
             _rng=rng,
         )
@@ -113,7 +109,6 @@ class PendingInvocation:
     nonce: bytes
     input: bytes
     function_hash: bytes
-    receipt_flag: bool
     want_measurement: bool
     k_out_pub: bytes
 
@@ -151,8 +146,7 @@ def client_prepare(
     request = EncryptedRequest(client_pub=ctx.k_c.public, aead_nonce=aead_nonce, ciphertext=ciphertext)
     pending = PendingInvocation(
         session=ctx.session, nonce=nonce, input=input_data, function_hash=function_hash,
-        receipt_flag=receipt, want_measurement=want_measurement,
-        k_out_pub=ctx.published.k_out_pub,
+        want_measurement=want_measurement, k_out_pub=ctx.published.k_out_pub,
     )
     return request, pending
 

@@ -7,7 +7,7 @@ text. Everything is deterministic given the file contents and a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .kernel import ScheduleEvent, validate_schedule
@@ -61,57 +61,43 @@ def load_schedule(path: str | Path) -> list[ScheduleEvent]:
     return parse_schedule(Path(path).read_text())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One reproducible run setup; everything a seed does not determine."""
+    """One reproducible run setup; everything a seed does not determine.
 
-    tau: int = 100
-    epsilon: int = 30
-    net_delay: int = 0
-    handler_cost: int = 7
+    Scenario-file keys ``tau``, ``epsilon``, ``net_delay``, ``handler_cost``
+    and ``include_load_time`` set ``meter``; ``cost_default``, ``cost_heap``
+    and ``cost_net`` set ``costs``; ``pool_size``, ``function``,
+    ``schedule_file`` and ``fuzz_seed`` set the fields of those names. A key
+    the file leaves out keeps the default of the field or record it sets.
+    """
+
+    meter: MeterConfig = MeterConfig(tau=100)
+    costs: CostTable = CostTable()
     pool_size: int = 2
     function: str = "fib"
     schedule_file: str | None = None
     fuzz_seed: int | None = None
-    cost_default: int = 1
-    cost_heap: int = 10
-    cost_net: int = 5
-    include_load_time: bool = False
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        return cls.from_mapping(load_keyvalue(path))
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ScenarioConfig":
-        cfg = cls()
-        ints = {
-            "tau", "epsilon", "net_delay", "handler_cost", "pool_size",
-            "cost_default", "cost_heap", "cost_net",
-        }
+        meter: dict = {}
+        costs: dict = {}
+        own: dict = {}
         for key, value in mapping.items():
-            if key in ints:
-                setattr(cfg, key, int(value))
+            if key in ("tau", "epsilon", "net_delay", "handler_cost"):
+                meter[key] = int(value)
             elif key == "include_load_time":
-                cfg.include_load_time = value.lower() in ("1", "true", "yes")
-            elif key == "function":
-                cfg.function = value
-            elif key == "schedule_file":
-                cfg.schedule_file = value
-            elif key == "fuzz_seed":
-                cfg.fuzz_seed = int(value)
+                if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
+                    raise ConfigError(f"{key}: expected 1/0/true/false/yes/no, got {value!r}")
+                meter[key] = value.lower() in ("1", "true", "yes")
+            elif key in ("cost_default", "cost_heap", "cost_net"):
+                costs[key.removeprefix("cost_")] = int(value)
+            elif key in ("pool_size", "fuzz_seed"):
+                own[key] = int(value)
+            elif key in ("function", "schedule_file"):
+                own[key] = value
             else:
                 raise ConfigError(f"unknown scenario key {key!r}")
-        return cfg
-
-    def meter_config(self) -> MeterConfig:
-        return MeterConfig(
-            tau=self.tau,
-            epsilon=self.epsilon,
-            handler_cost=self.handler_cost,
-            net_delay=self.net_delay,
-            include_load_time=self.include_load_time,
-        )
-
-    def cost_table(self) -> CostTable:
-        return CostTable(default=self.cost_default, heap=self.cost_heap, net=self.cost_net)
+        base = cls()
+        return cls(meter=replace(base.meter, **meter), costs=replace(base.costs, **costs), **own)

@@ -106,9 +106,6 @@ class FunctionImage:
     program: tuple[tuple[int, int | None], ...]
     function_hash: bytes
 
-    def recheck_hash(self) -> bool:
-        return crypto.hash_bytes(self.raw) == self.function_hash
-
 
 def _noop1(_n: int) -> None:
     return None
@@ -170,12 +167,13 @@ def vm_load(data: bytes) -> FunctionImage:
         raise LoadError(f"code length field {code_len} does not match {len(code)} bytes", 9)
 
     program: list[tuple[int, int | None]] = []
+    starts: list[int] = []  # file offset of each instruction's opcode byte
     pos = 0
     while pos < len(code):
-        last = pos
+        starts.append(13 + pos)
         op = code[pos]
         if op not in OPCODES:
-            raise LoadError(f"unknown opcode 0x{op:02x}", 13 + pos)
+            raise LoadError(f"unknown opcode 0x{op:02x}", starts[-1])
         _, imm = OPCODES[op]
         pos += 1
         arg: int | None = None
@@ -203,11 +201,11 @@ def vm_load(data: bytes) -> FunctionImage:
         raise LoadError("empty program", 13)
     for i, (op, arg) in enumerate(program):
         if OPCODES[op][1] == "target" and arg >= n:
-            raise LoadError(f"jump target {arg} out of range at instruction {i}", 13)
+            raise LoadError(f"jump target {arg} out of range at instruction {i}", starts[i])
     if entry >= n:
         raise LoadError(f"entry index {entry} out of range", 5)
     if program[-1][0] not in (0x00, 0x20):  # HALT, JMP
-        raise LoadError("last instruction is neither HALT nor JMP", 13 + last)
+        raise LoadError("last instruction is neither HALT nor JMP", starts[-1])
 
     return FunctionImage(
         raw=bytes(data),

@@ -8,7 +8,7 @@ from meterfaas.experiments import LIMITS
 from meterfaas.kde import PublishedKeys
 from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import run_metered
-from meterfaas.scenario import ScenarioConfig
+from meterfaas.scenario import ScenarioConfig, load_keyvalue
 from meterfaas.vm import assemble
 
 
@@ -196,6 +196,18 @@ class TestRunAndVerify:
         assert run_invocation(state, fib_files, extra=("--scenario", str(scenario))) == 2
         assert "tua" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["seed", "worker_identity"])
+    @pytest.mark.parametrize("command", ["publish", "run"])
+    def test_deployment_cfg_missing_key_exit_2(self, state, fib_files, capsys, key, command):
+        cfg = state / "deployment.cfg"
+        cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines()
+                               if not line.startswith(f"{key}=")))
+        if command == "publish":
+            assert main(["kde", "publish", "--state", str(state)]) == 2
+        else:
+            assert run_invocation(state, fib_files) == 2
+        assert f"has no {key!r}" in capsys.readouterr().err
+
     def test_corpus_function_by_name(self, state, tmp_path):
         inp = tmp_path / "net.bin"
         inp.write_bytes(corp.known_network_input(1000, 500))
@@ -289,7 +301,7 @@ class TestTools:
                          "--schedule", str(sched)]) == 0
             summary = capsys.readouterr().out.splitlines()[-1]
             printed = int(summary.split("oracle_cycles=")[1].split()[0])
-            cfg = ScenarioConfig.from_file(scenario).meter_config()
+            cfg = ScenarioConfig.from_mapping(load_keyvalue(scenario)).meter
             out = run_metered(corp.corpus()["fib"], corp.fib_input(200), LIMITS, cfg,
                               schedule=[ScheduleEvent("worker", 100, 130)])
             assert printed == out.trace.resident["worker"]
@@ -324,6 +336,34 @@ class TestTools:
                      "--schedule", str(sched), "--full"]) == 2
         err = capsys.readouterr().err
         assert "parse error" in err and f"negative cycle {line.split(',')[1]}" in err
+
+    @pytest.mark.parametrize("line", ["os,5,10", "os,5000,5001"])
+    def test_replay_unknown_actor_exit_2(self, capsys, tmp_path, line):
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(30))
+        sched = tmp_path / "s.txt"
+        sched.write_text(line + "\n")
+        assert main(["replay", "--function", "fib", "--input", str(inp), "--tau", "10",
+                     "--schedule", str(sched)]) == 2
+        assert "unknown actor 'os'" in capsys.readouterr().err
+
+    def test_replay_misspelt_boolean_exit_2(self, capsys, tmp_path):
+        scenario = tmp_path / "typo.cfg"
+        scenario.write_text("function=echo_word\ninclude_load_time=flase\n")
+        assert main(["replay", "--scenario", str(scenario), "--input", "/dev/null"]) == 2
+        assert "include_load_time" in capsys.readouterr().err
+
+    def test_flag_overrides_scenario_value_before_it_is_checked(self, capsys, tmp_path):
+        # tau=0 alone is invalid; --tau replaces it, so the run goes ahead
+        scenario = tmp_path / "tau0.cfg"
+        scenario.write_text("function=fib\ntau=0\n")
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(10))
+        args = ["replay", "--scenario", str(scenario), "--input", str(inp)]
+        assert main(args) == 2
+        capsys.readouterr()
+        assert main(args + ["--tau", "5"]) == 0
+        assert " tau=5 " in capsys.readouterr().out.splitlines()[-1]
 
     def test_experiment_small_and_deterministic(self, tmp_path, capsys):
         out = tmp_path / "net.csv"

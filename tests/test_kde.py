@@ -132,7 +132,6 @@ class TestRotation:
                 pub.k_ka_pub, pub.k_out_pub, pub.k_res_pub, worker_identity.mrenclave,
             )
         assert old_pub.created_at < new_pub.created_at
-        assert kde.retired == [old_pub]
 
     def test_distribution_after_rotation_serves_only_new_set(self, kde, root, worker_identity):
         old_id = kde.keyset.keyset_id

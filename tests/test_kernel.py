@@ -22,7 +22,6 @@ from meterfaas.kernel import (
     TxEnd,
     WaitUntil,
     WriteCell,
-    tx_execute,
     validate_schedule,
 )
 
@@ -170,7 +169,7 @@ class TestSsaContract:
         # flag_at.
         kern = SimKernel()
         w = kern.add_enclave_actor("waiter")
-        flag = Cell("flag", 0, enclave=False)
+        flag = Cell("flag", 0)
         handler = EresumeHandler(WriteCell(w.ssa.marker, MARKER_VALUE, cost=4))
 
         def waiter():
@@ -271,51 +270,27 @@ class TestSsaContract:
         with pytest.raises(KernelError):
             EresumeHandler(instr)
 
-    def test_os_actor_cannot_touch_enclave_memory(self):
-        kern = SimKernel()
-        w = kern.add_enclave_actor("worker")
-        osad = kern.add_os_actor("os")
-        w.set_program(make_worker_program(3))
-
-        def snoop():
-            yield ReadCell(w.ssa.marker, cost=1)
-
-        osad.set_program(snoop())
-        with pytest.raises(KernelError):
-            kern.run([], 1000)
-
-    def test_os_actor_cannot_write_enclave_memory(self):
-        kern = SimKernel()
-        w = kern.add_enclave_actor("worker")
-        osad = kern.add_os_actor("os")
-        w.set_program(make_worker_program(3))
-
-        def poke():
-            yield WriteCell(w.ssa.marker, 0, cost=1)
-
-        osad.set_program(poke())
-        with pytest.raises(KernelError):
-            kern.run([], 1000)
-
 
 class TestTransactions:
     def _tx_kernel(self):
         kern = SimKernel()
         t = kern.add_enclave_actor("txer")
-        watched = Cell("watched", 0, enclave=False)
-        out = Cell("out", 0, enclave=False)
+        watched = Cell("watched", 0)
+        out = Cell("out", 0)
         return kern, t, watched, out
 
     def test_clean_body_commits(self):
         kern, t, watched, out = self._tx_kernel()
 
-        def body():
-            yield Op(5)
-            yield WriteCell(out, 42)
-
         def program():
-            outcome = yield from tx_execute((watched,), body())
-            return outcome
+            try:
+                yield TxBegin((watched,))
+                yield Op(5)
+                yield WriteCell(out, 42)
+                yield TxEnd()
+            except TxAborted as exc:
+                return ("aborted", exc.cause)
+            return ("committed", None)
 
         t.set_program(program())
         trace = kern.run([], 1000)
@@ -324,22 +299,24 @@ class TestTransactions:
 
     def test_foreign_write_aborts_and_rolls_back(self):
         kern, t, watched, out = self._tx_kernel()
-        osad = kern.add_os_actor("os")
-
-        def body():
-            yield WriteCell(out, 42)
-            yield Op(50)
+        other = kern.add_enclave_actor("other")
 
         def program():
-            outcome = yield from tx_execute((watched,), body())
-            return outcome
+            try:
+                yield TxBegin((watched,))
+                yield WriteCell(out, 42)
+                yield Op(50)
+                yield TxEnd()
+            except TxAborted as exc:
+                return ("aborted", exc.cause)
+            return ("committed", None)
 
         def interfere():
             yield Op(10)
             yield WriteCell(watched, 99, cost=1)
 
         t.set_program(program())
-        osad.set_program(interfere())
+        other.set_program(interfere())
         trace = kern.run([], 1000)
         assert trace.results["txer"] == ("aborted", "conflict")
         assert out.value == 0  # buffered write never became visible
@@ -347,13 +324,15 @@ class TestTransactions:
     def test_own_aex_aborts(self):
         kern, t, watched, out = self._tx_kernel()
 
-        def body():
-            yield Op(50)
-            yield WriteCell(out, 1)
-
         def program():
-            outcome = yield from tx_execute((watched,), body())
-            return outcome
+            try:
+                yield TxBegin((watched,))
+                yield Op(50)
+                yield WriteCell(out, 1)
+                yield TxEnd()
+            except TxAborted as exc:
+                return ("aborted", exc.cause)
+            return ("committed", None)
 
         t.set_program(program())
         trace = kern.run([ScheduleEvent("txer", 10, 20)], 1000)
@@ -363,15 +342,17 @@ class TestTransactions:
     def test_explicit_abort_code(self):
         kern, t, watched, out = self._tx_kernel()
 
-        def body():
-            v = yield ReadCell(watched)
-            if v != MARKER_VALUE:
-                yield TxAbort("marker-missing")
-            yield Op(5)
-
         def program():
-            outcome = yield from tx_execute((watched,), body())
-            return outcome
+            try:
+                yield TxBegin((watched,))
+                v = yield ReadCell(watched)
+                if v != MARKER_VALUE:
+                    yield TxAbort("marker-missing")
+                yield Op(5)
+                yield TxEnd()
+            except TxAborted as exc:
+                return ("aborted", exc.cause)
+            return ("committed", None)
 
         t.set_program(program())
         trace = kern.run([], 1000)
@@ -411,7 +392,7 @@ class TestWaitAndStall:
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        flag = Cell("flag", 0, enclave=False)
+        flag = Cell("flag", 0)
 
         def waiter():
             yield WaitUntil(lambda: flag.value == 1)
@@ -434,7 +415,7 @@ class TestWaitAndStall:
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        flag = Cell("flag", 0, enclave=False)
+        flag = Cell("flag", 0)
 
         def waiter():
             yield WaitUntil(lambda: flag.value == 1)
@@ -474,13 +455,13 @@ class TestWaitAndStall:
     ], ids=["Op", "ReadCell", "WriteCell", "TestAndSet", "HostStall"])
     def test_negative_cost_rejected(self, make):
         with pytest.raises(KernelError):
-            make(Cell("c", 0, enclave=False))
+            make(Cell("c", 0))
 
     def test_test_and_set_is_atomic(self):
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
         b = kern.add_enclave_actor("b")
-        lock = Cell("lock", 0, enclave=False)
+        lock = Cell("lock", 0)
         winners = []
 
         def contender(name):
@@ -523,6 +504,15 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError, match=f"negative cycle {interrupt_at}"):
             validate_schedule([ScheduleEvent("w", interrupt_at, resume_at)])
 
+    @pytest.mark.parametrize("interrupt_at", [5, 5000], ids=["in-run", "after-run"])
+    def test_unknown_actor_rejected(self, interrupt_at):
+        # the OS acts only through the schedule, and may interrupt only
+        # actors the kernel simulates
+        kern = SimKernel()
+        kern.add_enclave_actor("worker").set_program(make_worker_program(20))
+        with pytest.raises(ScheduleError, match="unknown actor 'os'"):
+            kern.run([ScheduleEvent("os", interrupt_at, interrupt_at + 5)], 10_000)
+
 
 def spelled_ticks(tau, epsilon, watch, counter, mirror, proc):
     """The Ticks instruction spelled in primitive instructions."""
@@ -549,10 +539,10 @@ class TestTicks:
         kern = SimKernel()
         ticker = kern.add_enclave_actor("ticker")
         watcher = kern.add_enclave_actor("watcher")
-        watch = Cell("watch", MARKER_VALUE, enclave=True)
-        counter = Cell("counter", 0, enclave=True)
-        mirror = Cell("mirror", 0, enclave=True)
-        proc = Cell("proc", 1, enclave=True)
+        watch = Cell("watch", MARKER_VALUE)
+        counter = Cell("counter", 0)
+        mirror = Cell("mirror", 0)
+        proc = Cell("proc", 1)
         cells = dict(watch=watch, counter=counter, mirror=mirror, proc=proc)
 
         def ticker_program():
@@ -598,7 +588,7 @@ class TestTicks:
         assert ticks.results == spelled.results
 
     def test_tick_shorter_than_a_cycle_rejected(self):
-        cell = Cell("c", 0, enclave=True)
+        cell = Cell("c", 0)
         with pytest.raises(KernelError):
             Ticks(0, 0, watch=cell, counter=cell, mirror=cell, proc=cell)
 

@@ -1,0 +1,78 @@
+"""Determinism pins: byte-exact digests of the CLI's experiment CSVs and
+``replay --full`` traces, run in-process.
+
+Every value here was computed from the code before the change that added
+this file. A change that moves one of them changes behaviour: it updates
+the value and says which value moved and why.
+"""
+
+import hashlib
+
+import pytest
+
+from meterfaas import corpus as corp
+from meterfaas.cli import main
+
+EXPERIMENT_CSV_SHA256 = {
+    "fib_memory": "cf7c6dbb1d947767a0c623b8b112d7bdec4659b40ca1d3ffbe9c813027353540",
+    "fib_timing": "1febe9d03554fff6d3880d0eefb1b9569e8de3305cbb5c835bb1e490cddeba15",
+    "network": "d9e8b50e224575f39a0b8bf8ba2952919aea00db13fcc81393d63a8a7637b93e",
+    "tau_sweep": "2f563b3ff8340d4117da815af925187a714204544d0d619985190e0bcd785622",
+}
+
+# one scenario that sets every integer key it can, and a schedule that
+# interrupts the worker, the timer, and the worker again for one cycle
+SCENARIO = "tau=10\nepsilon=3\nnet_delay=20\nhandler_cost=7\ncost_heap=12\ncost_net=4\n"
+SCHEDULE = "worker,25,40\ntimer,60,75\nworker,90,91\n"
+
+# function -> (input, lines, SHA-256 of the whole replay --full text, last line)
+REPLAY_FULL = {
+    "fib": (corp.fib_input(20), 77,
+            "80223bc2a3d9a4d1ffe266aae762b8b424c9ff2b01aa3e7f4b3d6f6e23fa26d6",
+            "# t_max=4 tau=10 measured_cycles=40 oracle_cycles=484 m_int=504 m_max=168 net=0"),
+    "known_network": (corp.known_network_input(100, 50), 60,
+                      "c13179b4cf780be6436357e6144bc29502aad3db5c7508b0854aab9a1cd626f7",
+                      "# t_max=2 tau=10 measured_cycles=20 oracle_cycles=53 m_int=0 m_max=0 net=150"),
+    "empty": (b"", 29,
+              "51bf402af7bdc07342b402ffa2908709a659ddb6f2967d0e3f8b809229fee9cb",
+              "# t_max=0 tau=10 measured_cycles=0 oracle_cycles=1 m_int=0 m_max=0 net=0"),
+    "alloc_churn": (corp.alloc_churn_input(64), 55,
+                    "8e2aec1e944cacd0e0a5f1024ac690fd14a9817098d6170725fc05bccba44a41",
+                    "# t_max=2 tau=10 measured_cycles=20 oracle_cycles=34 m_int=64 m_max=64 net=0"),
+    "echo_word": (corp.words(12345), 29,
+                  "6d020fa24d72ffa4630d9faa10c1f165c81f4383fa301b5a1d7377060e07e13d",
+                  "# t_max=0 tau=10 measured_cycles=0 oracle_cycles=4 m_int=0 m_max=0 net=0"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CSV_SHA256))
+def test_experiment_csv_at_defaults(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main(["experiment", name, "-o", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EXPERIMENT_CSV_SHA256[name]
+
+
+def test_replay_full_covers_the_corpus():
+    assert set(REPLAY_FULL) == set(corp.corpus())
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_FULL))
+def test_replay_full_text(name, tmp_path, capsys):
+    data, lines, digest, last = REPLAY_FULL[name]
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO)
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text(SCHEDULE)
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(data)
+    capsys.readouterr()
+    assert main(["replay", "--scenario", str(scenario), "--function", name, "--input", str(inp),
+                 "--schedule", str(schedule), "--full"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[-1] == last
+    assert len(text.splitlines()) == lines
+    assert sha256(text.encode()) == digest

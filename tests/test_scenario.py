@@ -3,13 +3,16 @@
 import pytest
 
 from meterfaas.kernel import ScheduleEvent
+from meterfaas.metering import MeterConfig
 from meterfaas.scenario import (
     ConfigError,
     ScenarioConfig,
     format_schedule,
+    load_keyvalue,
     parse_keyvalue,
     parse_schedule,
 )
+from meterfaas.vm import CostTable
 
 
 class TestKeyValue:
@@ -48,18 +51,48 @@ class TestScenarioConfig:
             {"tau": "630", "epsilon": "63", "function": "known_network",
              "include_load_time": "true", "cost_heap": "12"}
         )
-        assert cfg.tau == 630 and cfg.epsilon == 63
+        assert cfg.meter == MeterConfig(tau=630, epsilon=63, include_load_time=True)
         assert cfg.function == "known_network"
-        assert cfg.include_load_time
-        assert cfg.cost_table().heap == 12
+        assert cfg.costs == CostTable(heap=12)
+
+    def test_every_key(self):
+        cfg = ScenarioConfig.from_mapping({
+            "tau": "50", "epsilon": "0", "net_delay": "100", "handler_cost": "3",
+            "include_load_time": "yes", "cost_default": "2", "cost_heap": "7", "cost_net": "4",
+            "pool_size": "5", "function": "echo_word", "schedule_file": "s.txt", "fuzz_seed": "9",
+        })
+        assert cfg == ScenarioConfig(
+            meter=MeterConfig(tau=50, epsilon=0, net_delay=100, handler_cost=3, include_load_time=True),
+            costs=CostTable(default=2, heap=7, net=4),
+            pool_size=5, function="echo_word", schedule_file="s.txt", fuzz_seed=9,
+        )
+
+    def test_defaults(self):
+        cfg = ScenarioConfig.from_mapping({})
+        assert cfg.meter == MeterConfig(tau=100, epsilon=30, handler_cost=7, net_delay=0,
+                                        include_load_time=False)
+        assert cfg.costs == CostTable(default=1, heap=10, net=5)
+        assert (cfg.pool_size, cfg.function, cfg.schedule_file, cfg.fuzz_seed) == (2, "fib", None, None)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="tua"):
             ScenarioConfig.from_mapping({"tua": "5"})
 
+    @pytest.mark.parametrize("value,expected", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("FALSE", False),
+    ])
+    def test_boolean_spellings(self, value, expected):
+        cfg = ScenarioConfig.from_mapping({"include_load_time": value})
+        assert cfg.meter.include_load_time is expected
+
+    @pytest.mark.parametrize("value", ["flase", "", "2", "on", "y"])
+    def test_other_boolean_values_rejected(self, value):
+        with pytest.raises(ConfigError, match="include_load_time"):
+            ScenarioConfig.from_mapping({"include_load_time": value})
+
     def test_meter_config_construction(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("tau=50\nepsilon=0\nnet_delay=100\n")
-        cfg = ScenarioConfig.from_file(path)
-        meter = cfg.meter_config()
+        meter = ScenarioConfig.from_mapping(load_keyvalue(path)).meter
         assert meter.tau == 50 and meter.epsilon == 0 and meter.net_delay == 100

@@ -4,7 +4,7 @@ import pytest
 import reference_vm
 
 from meterfaas import corpus as corp
-from meterfaas.crypto import DeterministicRng
+from meterfaas.crypto import DeterministicRng, hash_bytes
 from meterfaas.fuzz import random_image
 from meterfaas.vm import (
     AsmError,
@@ -33,7 +33,7 @@ class TestLoader:
         a = vm_load(raw)
         b = vm_load(raw)
         assert a.function_hash == b.function_hash
-        assert a.recheck_hash()
+        assert a.function_hash == hash_bytes(raw)
 
     def test_identical_programs_identical_hash(self):
         r1 = assemble(corp.EMPTY_SOURCE)
@@ -61,6 +61,15 @@ class TestLoader:
     def test_jump_target_out_of_range(self):
         with pytest.raises(AsmError):
             assemble("JMP 99\nHALT\n")
+
+    def test_jump_target_out_of_range_reports_its_instruction(self):
+        # PUSH 1 at bytes 13-21, POP at 22, JMP at 23-27; patch JMP's target
+        raw = bytearray(assemble("top: PUSH 1\nPOP\nJMP top"))
+        assert len(raw) == 28 and raw[24:28] == bytes(4)
+        raw[24:28] = (99).to_bytes(4, "little")
+        with pytest.raises(LoadError, match="jump target 99 out of range at instruction 2") as ei:
+            vm_load(bytes(raw))
+        assert ei.value.offset == 23
 
     @pytest.mark.parametrize("source,offset", [
         ("PUSH 1", 13),
