@@ -132,17 +132,6 @@ def mem_finalize(mem: MemState, t_final: int) -> tuple[int, int]:
     return mem.m_int, mem.m_max
 
 
-def ocall_pause(ts: TimerState):
-    """Clear proc around an OCALL: the timer completes its current tick, then
-    stops counting. Deliberately does not interrupt the timer, so functions
-    cannot shave time off by spamming OCALLs."""
-    yield WriteCell(ts.proc, 0)
-
-
-def ocall_resume(ts: TimerState):
-    yield WriteCell(ts.proc, 1)
-
-
 def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
     """Worker-side handler run on ERESUME: restores the marker word (which also
     wakes the waiting timer) without disturbing any function state, then falls
@@ -156,15 +145,36 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     watching the worker's SSA marker, which the kernel advances in closed
     form between observable events. The program takes over only on an abort
     or at a period start that cannot tick (an OCALL pause, the end of the
-    run, or a missing marker)."""
+    run, or a missing marker).
+
+    Every instruction whose fields are fixed is built once, before the first
+    yield; an instruction carries no run state, so it can be yielded again.
+    Only the ``original_rip`` write, which saves the rip it finds, is built
+    per handler install."""
     handler = make_eresume_handler(worker_ssa, cfg.handler_cost)
     ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal,
                   mirror=ts.t, proc=ts.proc)
+    take_mutex = TestAndSet(ts.mutex, cost=1)
+    mutex_free = WaitUntil(lambda: ts.mutex.value == 0)
+    read_proc = ReadCell(ts.proc)
+    read_done = ReadCell(ts.run_done)
+    read_marker = ReadCell(worker_ssa.marker)
+    read_rip = ReadCell(worker_ssa.rip)
+    watch_marker = TxBegin((worker_ssa.marker,))
+    marker_missing = TxAbort("marker-missing")
+    install_handler = WriteCell(worker_ssa.rip, handler, cost=1)
+    resumed_or_done = WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
+    marker_back = WaitUntil(
+        lambda: worker_ssa.marker.value == MARKER_VALUE
+        or ts.proc.value != 1
+        or ts.run_done.value == 1
+        or not isinstance(worker_ssa.rip.value, EresumeHandler)
+    )
 
-    prior = yield TestAndSet(ts.mutex, cost=1)
+    prior = yield take_mutex
     while prior != 0:
-        yield WaitUntil(lambda: ts.mutex.value == 0)
-        prior = yield TestAndSet(ts.mutex, cost=1)
+        yield mutex_free
+        prior = yield take_mutex
     yield WriteCell(ts.ready, 1)
     yield WaitUntil(lambda: ts.started.value == 1)
 
@@ -176,41 +186,36 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
             # the marker check at the next period start sorts out which it was
             continue
 
-        proc = yield ReadCell(ts.proc)
+        proc = yield read_proc
         if proc != 1:
-            done = yield ReadCell(ts.run_done)
+            done = yield read_done
             if done:
                 break
             # OCALL pause: wait for the worker to come back, or for the end
-            yield WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
+            yield resumed_or_done
             continue
 
         # marker is gone: the worker was interrupted. The tick's transaction
         # aborts at once; install the ERESUME handler (re-installing if a
         # later spill clobbered it) and wait for the marker to come back.
         try:
-            yield TxBegin((worker_ssa.marker,))
-            yield TxAbort("marker-missing")
+            yield watch_marker
+            yield marker_missing
         except TxAborted:
             pass
         while True:
-            marker = yield ReadCell(worker_ssa.marker)
+            marker = yield read_marker
             if marker == MARKER_VALUE:
                 break
-            proc = yield ReadCell(ts.proc)
-            done = yield ReadCell(ts.run_done)
+            proc = yield read_proc
+            done = yield read_done
             if proc != 1 or done:
                 break
-            rip = yield ReadCell(worker_ssa.rip)
+            rip = yield read_rip
             if not isinstance(rip, EresumeHandler):
                 yield WriteCell(ts.original_rip, rip, cost=1)
-                yield WriteCell(worker_ssa.rip, handler, cost=1)
-            yield WaitUntil(
-                lambda: worker_ssa.marker.value == MARKER_VALUE
-                or ts.proc.value != 1
-                or ts.run_done.value == 1
-                or not isinstance(worker_ssa.rip.value, EresumeHandler)
-            )
+                yield install_handler
+            yield marker_back
 
     yield WriteCell(ts.mutex, 0)
     final = yield ReadCell(ts.internal)
@@ -235,13 +240,22 @@ def worker_program(
     resident cycles; all real overhead is carried by epsilon and the
     instruction costs. The VM yields one summed cost per block of
     instructions (see ``execute_steps``), and each becomes one ``Op``.
+
+    Around each network OCALL the worker clears ``proc`` and sets it again
+    on return: the timer completes its current tick, then stops counting.
+    The pause deliberately does not interrupt the timer, so functions cannot
+    shave time off by spamming OCALLs. Those instructions and the host stall
+    are built once per program.
     """
+    proc_off = WriteCell(ts.proc, 0)
+    ocall_stall = HostStall(cfg.net_delay) if cfg.net_delay else None
+    proc_on = WriteCell(ts.proc, 1)
     if cfg.gate_worker_on_timer:
         yield WaitUntil(lambda: ts.ready.value == 1)
     yield WriteCell(ssa.marker, MARKER_VALUE)
     yield WriteCell(ts.internal, 0)
     yield WriteCell(ts.t, 0)
-    yield WriteCell(ts.proc, 1)
+    yield proc_on
     yield WriteCell(ts.started, 1)
     if cfg.include_load_time:
         yield Op(len(image.program), label="load")
@@ -253,10 +267,10 @@ def worker_program(
         while True:
             if isinstance(item, NetIo):
                 yield Op(item.cost, label="vm")
-                yield from ocall_pause(ts)
-                if cfg.net_delay:
-                    yield HostStall(cfg.net_delay)
-                yield from ocall_resume(ts)
+                yield proc_off
+                if ocall_stall is not None:
+                    yield ocall_stall
+                yield proc_on
                 # network bytes are accounted at OCALL return, not at pause
                 yield Op(0, effect=lambda io=item: hooks.on_net(io.sent, io.received), label="net")
             else:
@@ -265,7 +279,7 @@ def worker_program(
     except StopIteration as stop:
         result = stop.value
 
-    yield WriteCell(ts.proc, 0)
+    yield proc_off
     t_max = yield ReadCell(ts.t)
     yield WriteCell(ts.run_done, 1)
     return result, t_max

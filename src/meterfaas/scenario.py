@@ -61,6 +61,13 @@ def load_schedule(path: str | Path) -> list[ScheduleEvent]:
     return parse_schedule(Path(path).read_text())
 
 
+def _integer(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One reproducible run setup; everything a seed does not determine.
@@ -86,15 +93,15 @@ class ScenarioConfig:
         own: dict = {}
         for key, value in mapping.items():
             if key in ("tau", "epsilon", "net_delay", "handler_cost"):
-                meter[key] = int(value)
+                meter[key] = _integer(key, value)
             elif key == "include_load_time":
                 if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
                     raise ConfigError(f"{key}: expected 1/0/true/false/yes/no, got {value!r}")
                 meter[key] = value.lower() in ("1", "true", "yes")
             elif key in ("cost_default", "cost_heap", "cost_net"):
-                costs[key.removeprefix("cost_")] = int(value)
+                costs[key.removeprefix("cost_")] = _integer(key, value)
             elif key in ("pool_size", "fuzz_seed"):
-                own[key] = int(value)
+                own[key] = _integer(key, value)
             elif key in ("function", "schedule_file"):
                 own[key] = value
             else:

@@ -353,6 +353,12 @@ class TestTools:
         assert main(["replay", "--scenario", str(scenario), "--input", "/dev/null"]) == 2
         assert "include_load_time" in capsys.readouterr().err
 
+    def test_replay_non_integer_scenario_value_exit_2(self, capsys, tmp_path):
+        scenario = tmp_path / "typo.cfg"
+        scenario.write_text("function=echo_word\ntau=abc\n")
+        assert main(["replay", "--scenario", str(scenario), "--input", "/dev/null"]) == 2
+        assert "tau: expected an integer, got 'abc'" in capsys.readouterr().err
+
     def test_flag_overrides_scenario_value_before_it_is_checked(self, capsys, tmp_path):
         # tau=0 alone is invalid; --tau replaces it, so the run goes ahead
         scenario = tmp_path / "tau0.cfg"

@@ -477,6 +477,29 @@ class TestWaitAndStall:
         assert trace.results["b"] == 1
 
 
+class TestZeroCostBudget:
+    @pytest.mark.parametrize("make", [
+        lambda cell: ReadCell(cell),
+        lambda cell: WriteCell(cell, 1),
+        lambda cell: Op(0),
+        lambda cell: TestAndSet(cell, cost=0),
+    ], ids=["ReadCell", "WriteCell", "Op", "TestAndSet"])
+    def test_zero_cost_loop_is_a_livelock(self, make):
+        # time never passes, so the run could never end: the kernel's budget
+        # of steps per pump turns it into a kernel fault
+        kern = SimKernel()
+        cell = Cell("c", 0)
+
+        def program():
+            yield Op(3)
+            while True:
+                yield make(cell)
+
+        kern.add_enclave_actor("spinner").set_program(program())
+        with pytest.raises(KernelError, match="^zero-cost livelock "):
+            kern.run([], 1000)
+
+
 class TestScheduleValidation:
     def test_resume_before_interrupt_rejected(self):
         with pytest.raises(ScheduleError):

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 
 import pytest
+import reference_kernel
 import reference_timer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterfaas import corpus as corp
-from meterfaas import metering
+from meterfaas import kernel, metering
 from meterfaas.crypto import DeterministicRng, SigningKeyPair, hash_bytes
 from meterfaas.fuzz import (
     declared_worker_cycles,
@@ -19,7 +20,19 @@ from meterfaas.fuzz import (
     run_case,
     run_lowerbound_fuzz,
 )
-from meterfaas.kernel import ScheduleEvent, TxAborted
+from meterfaas.kernel import (
+    Cell,
+    Op,
+    ReadCell,
+    ScheduleEvent,
+    SimKernel,
+    TestAndSet,
+    TxBegin,
+    TxEnd,
+    TxAborted,
+    WaitUntil,
+    WriteCell,
+)
 from meterfaas.metering import (
     AccountingFault,
     MemState,
@@ -570,6 +583,234 @@ class TestReferenceTimer:
         out = meter("fib", corp.fib_input(2000), MeterConfig(tau=1, epsilon=0))
         assert out.t_max > 40_000
         assert resumes <= 20
+
+
+    def test_timer_program_builds_a_constant_number_of_instructions(self, monkeypatch):
+        # every instruction whose fields are fixed is built once per program:
+        # only the original_rip write of each handler install is built per
+        # worker interrupt
+        real = metering.timer_program
+        init = kernel.Instr.__init__
+        building = False
+        built = 0
+
+        def counting_init(self, *args, **kw):
+            nonlocal built
+            built += building
+            init(self, *args, **kw)
+
+        def counted(*args):
+            nonlocal building
+            gen = real(*args)
+            send, throw = None, None
+            while True:
+                building = True
+                try:
+                    instr = gen.send(send) if throw is None else gen.throw(throw)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    building = False
+                try:
+                    send, throw = (yield instr), None
+                except TxAborted as exc:
+                    send, throw = None, exc
+
+        monkeypatch.setattr(kernel.Instr, "__init__", counting_init)
+        monkeypatch.setattr(metering, "timer_program", counted)
+
+        def timer_instructions(schedule):
+            nonlocal built
+            built = 0
+            out = meter("fib", corp.fib_input(80), MeterConfig(tau=10, epsilon=0),
+                        schedule=schedule, full_trace=True)
+            events = out.trace.events
+            installs = sum(1 for (c, a, k, d) in events
+                           if a == "timer" and k == "WRITE" and d.startswith("meter.original_rip="))
+            aex = sum(1 for (c, a, k, d) in events if a == "worker" and k == "AEX")
+            return built, installs, aex
+
+        quiet = timer_instructions([])
+        dense = timer_instructions(dense_schedule((2, 3), (0, 1, 2, 4, 3), 5000, 0, span=3000))
+        assert quiet[1:] == (0, 0)
+        assert dense[2] > 300 and dense[1] > 100
+        assert dense[0] - dense[1] == quiet[0]
+
+
+# every corpus function with an input that exercises it
+CORPUS_INPUTS = {
+    "fib": corp.fib_input(60),
+    "known_network": corp.known_network_input(300, 120),
+    "empty": b"",
+    "alloc_churn": corp.alloc_churn_input(40),
+    "echo_word": corp.words(12345),
+}
+
+
+def zero_cost_kernel(make, count=None):
+    """An actor that, after 3 cycles, yields ``count`` zero-cost
+    instructions (forever if None), then one costed one."""
+    def build(kernel_type):
+        kern = kernel_type()
+        cell = Cell("c", 0)
+
+        def program():
+            yield Op(3)
+            i = 0
+            while count is None or i < count:
+                yield make(cell)
+                i += 1
+            yield Op(1)
+
+        kern.add_enclave_actor("spinner").set_program(program())
+        return kern
+    return build
+
+
+def nested_tx_kernel(kernel_type):
+    kern = kernel_type()
+    cell = Cell("c", 0)
+
+    def program():
+        yield TxBegin((cell,))
+        yield Op(2)
+        yield TxBegin((cell,))
+        yield TxEnd()
+
+    kern.add_enclave_actor("txer").set_program(program())
+    return kern
+
+
+def deadlock_kernel(kernel_type):
+    # each actor waits for a flag only the other would set after its wait
+    kern = kernel_type()
+    flags = {"a": Cell("a.flag", 0), "b": Cell("b.flag", 0)}
+
+    def program(mine, theirs):
+        yield Op(4)
+        yield WaitUntil(lambda: theirs.value == 1)
+        yield WriteCell(mine, 1)
+
+    kern.add_enclave_actor("a").set_program(program(flags["a"], flags["b"]))
+    kern.add_enclave_actor("b").set_program(program(flags["b"], flags["a"]))
+    return kern
+
+
+def wait_in_tx_kernel(kernel_type):
+    kern = kernel_type()
+    cell = Cell("c", 0)
+
+    def program():
+        yield Op(1)
+        yield TxBegin((cell,))
+        yield WaitUntil(lambda: cell.value == 1)
+
+    kern.add_enclave_actor("txer").set_program(program())
+    return kern
+
+
+class TestReferenceKernel:
+    """The kernel, which completes zero-cost work in place and pumps only
+    after a change, against the kernel before those rules in
+    ``reference_kernel``: the same trace, residency and results, or the same
+    error, with and without a full trace."""
+
+    @staticmethod
+    def outcome(run):
+        try:
+            trace = run()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return trace.export_text(), trace.resident, trace.results
+
+    def check_metered(self, monkeypatch, image, input_data, limits, cfg, **kw):
+        for full in (False, True):
+            got = self.outcome(lambda: run_metered(image, input_data, limits, cfg,
+                                                   full_trace=full, **kw).trace)
+            with monkeypatch.context() as patched:
+                patched.setattr(metering, "SimKernel", reference_kernel.SimKernel)
+                want = self.outcome(lambda: run_metered(image, input_data, limits, cfg,
+                                                        full_trace=full, **kw).trace)
+            assert got == want
+
+    @pytest.mark.parametrize("schedule", [(), tuple(dense_schedule((5, 7), (0, 3, 11), 41, 4, span=600))],
+                             ids=["uninterrupted", "dense"])
+    @pytest.mark.parametrize("name", sorted(CORPUS_INPUTS))
+    def test_corpus_functions(self, monkeypatch, name, schedule):
+        assert set(CORPUS_INPUTS) == set(IMAGES)
+        for cfg in (MeterConfig(tau=10, epsilon=3), MeterConfig(tau=1, epsilon=0, net_delay=20),
+                    MeterConfig(tau=7, epsilon=2, handler_cost=0, extra_timers=1)):
+            self.check_metered(monkeypatch, IMAGES[name], CORPUS_INPUTS[name], LIMITS, cfg,
+                               schedule=list(schedule))
+
+    def test_full_trace_lock_runs(self, monkeypatch):
+        for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
+            self.check_metered(monkeypatch, image, input_data, limits, cfg, **kw)
+
+    def test_reference_timer_inputs(self, monkeypatch):
+        # the runs of TestReferenceTimer, the truncated and errored cases of
+        # the fuzz included
+        for image, input_data, limits, cfg, kw in fuzz_runs(2000, 20240):
+            self.check_metered(monkeypatch, image, input_data, limits, cfg, **kw)
+        for epsilon in (1, 5):
+            cfg = MeterConfig(tau=3, epsilon=epsilon, handler_cost=2)
+            schedule = dense_schedule((4, 1), (0, 3, 1), 17, 2, span=2000)
+            self.check_metered(monkeypatch, IMAGES["fib"], corp.fib_input(30), LIMITS, cfg, schedule=schedule)
+        for schedule in ((), (ScheduleEvent("worker", 40, 45), ScheduleEvent("timer", 90, 97))):
+            cfg = MeterConfig(tau=10, epsilon=5, extra_timers=1)
+            self.check_metered(monkeypatch, IMAGES["fib"], corp.fib_input(130), LIMITS, cfg,
+                               schedule=list(schedule))
+        sched = [ScheduleEvent("worker", 500, 560), ScheduleEvent("timer", 900, 950)]
+        self.check_metered(monkeypatch, IMAGES["fib"], corp.fib_input(2000), LIMITS,
+                           MeterConfig(tau=1, epsilon=0), schedule=sched)
+        for tau, epsilon in ((1, 0), (10, 5)):
+            cfg = MeterConfig(tau=tau, epsilon=epsilon, net_delay=200)
+            self.check_metered(monkeypatch, IMAGES["known_network"], corp.known_network_input(700, 300),
+                               LIMITS, cfg)
+
+    def test_truncated_run(self, monkeypatch):
+        self.check_metered(monkeypatch, IMAGES["fib"], corp.fib_input(60), LIMITS,
+                           MeterConfig(tau=10), schedule=[ScheduleEvent("worker", 30, 90)], limit=200)
+
+    @staticmethod
+    def check_kernel(build):
+        outcomes = []
+        for full in (False, True):
+            got = TestReferenceKernel.outcome(lambda: build(SimKernel).run([], 1000, full_trace=full))
+            want = TestReferenceKernel.outcome(
+                lambda: build(reference_kernel.SimKernel).run([], 1000, full_trace=full))
+            assert got == want
+            outcomes.append(got)
+        return outcomes
+
+    ZERO_COST = {
+        "ReadCell": ReadCell,
+        "WriteCell": lambda cell: WriteCell(cell, 1),
+        "Op": lambda cell: Op(0),
+        "TestAndSet": lambda cell: TestAndSet(cell, cost=0),
+    }
+
+    @pytest.mark.parametrize("make", list(ZERO_COST.values()), ids=list(ZERO_COST))
+    def test_zero_cost_budget_boundary(self, monkeypatch, make):
+        # a small budget in both kernels, so that the runs on either side of
+        # it are short: both must raise at the same step, or not at all
+        monkeypatch.setattr(kernel, "_ZERO_COST_BUDGET", 40)
+        monkeypatch.setattr(reference_kernel, "_ZERO_COST_BUDGET", 40)
+        raised = set()
+        for count in (None, 37, 38, 39, 40, 41):
+            for outcome in self.check_kernel(zero_cost_kernel(make, count)):
+                raised.add((count, outcome[0] is kernel.KernelError))
+        assert (None, True) in raised and (37, False) in raised and (41, True) in raised
+
+    @pytest.mark.parametrize("build", [
+        zero_cost_kernel(ReadCell),
+        nested_tx_kernel,
+        deadlock_kernel,
+        wait_in_tx_kernel,
+    ], ids=["livelock", "nested-tx", "deadlock", "wait-in-tx"])
+    def test_kernel_programs_that_raise(self, build):
+        for outcome in self.check_kernel(build):
+            assert outcome[0] is kernel.KernelError
 
 
 class TestTimerExclusivity:

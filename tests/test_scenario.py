@@ -91,6 +91,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="include_load_time"):
             ScenarioConfig.from_mapping({"include_load_time": value})
 
+    @pytest.mark.parametrize("key", ["tau", "epsilon", "net_delay", "handler_cost", "cost_default",
+                                     "cost_heap", "cost_net", "pool_size", "fuzz_seed"])
+    @pytest.mark.parametrize("value", ["abc", "", "1.5"])
+    def test_integer_keys_name_themselves(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_mapping({key: value})
+        assert str(err.value) == f"{key}: expected an integer, got {value!r}"
+
     def test_meter_config_construction(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("tau=50\nepsilon=0\nnet_delay=100\n")
