@@ -1,5 +1,5 @@
-"""Determinism pins: byte-exact digests of the CLI's experiment CSVs and
-``replay --full`` traces, run in-process.
+"""Determinism pins: byte-exact digests of the CLI's experiment CSVs,
+``replay --full`` traces and ``run`` artifacts, run in-process.
 
 Every value here was computed from the code before the change that added
 this file. A change that moves one of them changes behaviour: it updates
@@ -44,6 +44,27 @@ REPLAY_FULL = {
                   "# t_max=0 tau=10 measured_cycles=0 oracle_cycles=4 m_int=0 m_max=0 net=0"),
 }
 
+# function -> SHA-256 of the output.bin, measurement.bin and receipt.bin that
+# ``run --receipt --want-measurement --token alice`` writes under SCENARIO and
+# SCHEDULE, on the REPLAY_FULL input, against a deployment made with seed 7
+RUN_ARTIFACTS = {
+    "alloc_churn": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "03f508d0951183b02045242187cc6b663749435e101230783eac43c3838b342b",
+                    "b7778d9eaf046dac9f979bb9b08a5723953dbb56da613bdf9554b588dc078c33"),
+    "echo_word": ("e1543551249113046932741cc28f36b4bbcc542233eb5094874072d3167f160a",
+                  "21d03513d28083a4d1de8621b714cefa8185f1d72fb3e4b6dbb8be0273292d40",
+                  "a2c23497d808898f4fb80a7a6b52f2058ce4c3250d7f9a50a48913bfd5ee54ab"),
+    "empty": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+              "21d03513d28083a4d1de8621b714cefa8185f1d72fb3e4b6dbb8be0273292d40",
+              "f400d64bce125d8dafcc62f2b0346c5a509eeb0b30947ed563a2ae0271001f6a"),
+    "fib": ("e7516a5975a45d1e431bc219a413cc9a180138a6020f04dbb646ee6147b18ee1",
+            "a3cf8552f26d3c28131ae312b9f8f75d701df6af8be2b8774260c459a6a3a25d",
+            "8246580d114795e033a3cd3bda720eb8f16c3c3232d061b1e3603f0a0e1d56cc"),
+    "known_network": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                      "1ea8c01ceeed0f0a5d8c2cb03bba3d94677a5520043574e5d8d7b54bb63ce330",
+                      "9726d7cfda3491bd3a51c9270805c9ad8719c29ff441d49b473b037ec90f2d65"),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -76,3 +97,24 @@ def test_replay_full_text(name, tmp_path, capsys):
     assert text.splitlines()[-1] == last
     assert len(text.splitlines()) == lines
     assert sha256(text.encode()) == digest
+
+
+def test_run_artifacts_cover_the_corpus():
+    assert set(RUN_ARTIFACTS) == set(corp.corpus())
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ARTIFACTS))
+def test_run_artifacts(name, tmp_path, capsys):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO)
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text(SCHEDULE)
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(REPLAY_FULL[name][0])
+    state = tmp_path / "state"
+    assert main(["kde", "keygen", "--state", str(state), "--seed", "7"]) == 0
+    assert main(["run", "--state", str(state), "--scenario", str(scenario), "--function", name,
+                 "--input", str(inp), "--schedule", str(schedule),
+                 "--receipt", "--want-measurement", "--token", "alice"]) == 0
+    digests = tuple(sha256((state / f).read_bytes()) for f in ("output.bin", "measurement.bin", "receipt.bin"))
+    assert digests == RUN_ARTIFACTS[name]
