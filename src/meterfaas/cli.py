@@ -91,9 +91,6 @@ def _write_published(state: Path, kde: KeyDistributionEnclave) -> None:
     data = kde.published.encode()
     (state / f"published-{epoch}.bin").write_bytes(data)
     (state / "published.bin").write_bytes(data)
-    # the simulated enclave's private half, canonical-encoded (the state dir
-    # plays the role of the KDE's protected memory)
-    (state / f"keyset-{epoch}.bin").write_bytes(kde.keyset.encode())
     cfg = load_keyvalue(_state_cfg_path(state))
     cfg["epoch"] = str(epoch)
     _state_cfg_path(state).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))

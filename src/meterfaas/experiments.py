@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import corpus, fib_input, known_network_input
 from .crypto import DeterministicRng
 from .metering import MeterConfig, run_metered
@@ -44,19 +42,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
-
-
-def rsquared(xs, ys, degree: int) -> float:
-    """Coefficient of determination for a least-squares polynomial fit."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    coeffs = np.polyfit(x, y, degree)
-    pred = np.polyval(coeffs, x)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
 
 
 def fib_timing(

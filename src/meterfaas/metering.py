@@ -34,7 +34,6 @@ from .kernel import (
     EresumeHandler,
     HostStall,
     Op,
-    ReadCell,
     ScheduleEvent,
     SimKernel,
     SimTrace,
@@ -147,19 +146,19 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     or at a period start that cannot tick (an OCALL pause, the end of the
     run, or a missing marker).
 
-    Every instruction whose fields are fixed is built once, before the first
-    yield; an instruction carries no run state, so it can be yielded again.
-    Only the ``original_rip`` write, which saves the rip it finds, is built
-    per handler install."""
+    The program yields only work the kernel must order: costed work,
+    writes, transactions and waits. It runs outside any transaction
+    whenever it looks at a cell, so it reads ``Cell.value`` directly; a
+    zero-cost READ would complete in place with the same value and leave no
+    event. Every instruction whose fields are fixed is built once, before
+    the first yield; an instruction carries no run state, so it can be
+    yielded again. Only the ``original_rip`` write, which saves the rip it
+    finds, is built per handler install."""
     handler = make_eresume_handler(worker_ssa, cfg.handler_cost)
     ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal,
                   mirror=ts.t, proc=ts.proc)
     take_mutex = TestAndSet(ts.mutex, cost=1)
     mutex_free = WaitUntil(lambda: ts.mutex.value == 0)
-    read_proc = ReadCell(ts.proc)
-    read_done = ReadCell(ts.run_done)
-    read_marker = ReadCell(worker_ssa.marker)
-    read_rip = ReadCell(worker_ssa.rip)
     watch_marker = TxBegin((worker_ssa.marker,))
     marker_missing = TxAbort("marker-missing")
     install_handler = WriteCell(worker_ssa.rip, handler, cost=1)
@@ -186,10 +185,8 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
             # the marker check at the next period start sorts out which it was
             continue
 
-        proc = yield read_proc
-        if proc != 1:
-            done = yield read_done
-            if done:
+        if ts.proc.value != 1:
+            if ts.run_done.value:
                 break
             # OCALL pause: wait for the worker to come back, or for the end
             yield resumed_or_done
@@ -203,23 +200,17 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
             yield marker_missing
         except TxAborted:
             pass
-        while True:
-            marker = yield read_marker
-            if marker == MARKER_VALUE:
+        while worker_ssa.marker.value != MARKER_VALUE:
+            if ts.proc.value != 1 or ts.run_done.value:
                 break
-            proc = yield read_proc
-            done = yield read_done
-            if proc != 1 or done:
-                break
-            rip = yield read_rip
+            rip = worker_ssa.rip.value
             if not isinstance(rip, EresumeHandler):
                 yield WriteCell(ts.original_rip, rip, cost=1)
                 yield install_handler
             yield marker_back
 
     yield WriteCell(ts.mutex, 0)
-    final = yield ReadCell(ts.internal)
-    return final
+    return ts.internal.value
 
 
 def worker_program(
@@ -246,6 +237,9 @@ def worker_program(
     The pause deliberately does not interrupt the timer, so functions cannot
     shave time off by spamming OCALLs. Those instructions and the host stall
     are built once per program.
+
+    Like the timer, the worker yields only work the kernel must order and
+    reads ``t`` directly once the function has finished.
     """
     proc_off = WriteCell(ts.proc, 0)
     ocall_stall = HostStall(cfg.net_delay) if cfg.net_delay else None
@@ -280,7 +274,7 @@ def worker_program(
         result = stop.value
 
     yield proc_off
-    t_max = yield ReadCell(ts.t)
+    t_max = ts.t.value
     yield WriteCell(ts.run_done, 1)
     return result, t_max
 

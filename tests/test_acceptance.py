@@ -8,12 +8,13 @@ whole module stays well inside the five-minute budget.
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from meterfaas import corpus as corp
 from meterfaas.attest import AttestationError, AttestationRoot, derive_identity
 from meterfaas.crypto import AgreementKeyPair, DeterministicRng, TamperError, hash_bytes
-from meterfaas.experiments import fib_memory, fib_timing, network, rsquared
+from meterfaas.experiments import fib_memory, fib_timing, network
 from meterfaas.fuzz import run_lowerbound_fuzz
 from meterfaas.kde import KeyDistributionEnclave, seal, unseal
 from meterfaas.kernel import ScheduleEvent
@@ -45,6 +46,19 @@ IMAGES = corp.corpus()
 
 def verdict(n: int, text: str) -> None:
     print(f"PASS criterion {n}: {text}")
+
+
+def rsquared(xs, ys, degree: int) -> float:
+    """Coefficient of determination for a least-squares polynomial fit."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    coeffs = np.polyfit(x, y, degree)
+    pred = np.polyval(coeffs, x)
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0.0:
+        return 1.0
+    return 1.0 - ss_res / ss_tot
 
 
 def test_criterion_1_lower_bound_fuzz():

@@ -53,6 +53,12 @@ class TestKdeCommands:
         assert "epoch 1" in capsys.readouterr().out
         assert (state / "published-1.bin").exists()
 
+    def test_state_holds_no_private_key_set(self, state, capsys):
+        # load_state rebuilds the key distribution enclave from the seed and
+        # the epoch, so no private key set is ever written to the state
+        assert main(["kde", "rotate", "--state", str(state)]) == 0
+        assert list(state.glob("keyset-*.bin")) == []
+
 
 class TestRunAndVerify:
     def test_run_produces_artifacts(self, state, fib_files, capsys):

@@ -610,6 +610,44 @@ class TestTicks:
         assert ticks.export_text() == spelled.export_text()
         assert ticks.results == spelled.results
 
+    def test_transaction_watching_the_mirror_aborts_at_the_first_commit(self):
+        # the watcher is neither waiting nor done, so only its watch on the
+        # mirror keeps the ticks from being committed in closed form up to
+        # the end of its Op at 1000, past the conflict
+        kern = SimKernel()
+        timer = kern.add_enclave_actor("timer")
+        watcher = kern.add_enclave_actor("watcher")
+        writer = kern.add_enclave_actor("writer")
+        watch = Cell("watch", MARKER_VALUE)
+        counter = Cell("counter", 0)
+        mirror = Cell("mirror", 0)
+        proc = Cell("proc", 1)
+
+        def timer_program():
+            yield Ticks(10, 0, watch=watch, counter=counter, mirror=mirror, proc=proc)
+            return counter.value
+
+        def watcher_program():
+            try:
+                yield TxBegin((mirror,))
+                yield Op(1000)
+                yield TxEnd()
+            except TxAborted as exc:
+                return exc.cause
+
+        def writer_program():
+            yield Op(2000)
+            yield WriteCell(proc, 0)
+
+        timer.set_program(timer_program())
+        watcher.set_program(watcher_program())
+        writer.set_program(writer_program())
+        trace = kern.run([], 10_000, full_trace=True)
+        assert trace.results["watcher"] == "conflict"
+        aborts = [(c, d) for (c, a, k, d) in trace.events if a == "watcher" and k == "TX_ABORT"]
+        assert aborts == [(10, "conflict")]
+        assert trace.resident["watcher"] == 10
+
     def test_tick_shorter_than_a_cycle_rejected(self):
         cell = Cell("c", 0)
         with pytest.raises(KernelError):

@@ -636,6 +636,40 @@ class TestReferenceTimer:
         assert dense[2] > 300 and dense[1] > 100
         assert dense[0] - dense[1] == quiet[0]
 
+    def test_metering_programs_yield_no_read(self, monkeypatch):
+        # outside a transaction both programs read cells directly: a
+        # zero-cost READ would complete in place with the same value and
+        # leave no event, so yielding one only costs a generator resume
+        kinds = set()
+
+        def recorded(real):
+            def program(*args):
+                gen = real(*args)
+                send, throw = None, None
+                while True:
+                    try:
+                        instr = gen.send(send) if throw is None else gen.throw(throw)
+                    except StopIteration as stop:
+                        return stop.value
+                    kinds.add(instr.kind)
+                    try:
+                        send, throw = (yield instr), None
+                    except TxAborted as exc:
+                        send, throw = None, exc
+            return program
+
+        monkeypatch.setattr(metering, "timer_program", recorded(metering.timer_program))
+        monkeypatch.setattr(metering, "worker_program", recorded(metering.worker_program))
+        for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
+            run_metered(image, input_data, limits, cfg, **kw)
+        meter("fib", corp.fib_input(130), MeterConfig(tau=10, epsilon=5, extra_timers=1),
+              schedule=[ScheduleEvent("worker", 40, 45), ScheduleEvent("timer", 90, 97)])
+        meter("known_network", corp.known_network_input(700, 300), MeterConfig(tau=10, net_delay=200))
+        # the runs reach the mutex, the marker-missing bracket and the OCALL
+        # pause, where the programs look at cells
+        assert {kernel._TAS, kernel._TXABORT, kernel._WAIT, kernel._STALL} <= kinds
+        assert kernel._READ not in kinds
+
 
 # every corpus function with an input that exercises it
 CORPUS_INPUTS = {
