@@ -6,7 +6,7 @@ enclave is reconstructed deterministically from the recorded seed and epoch,
 so every command is reproducible byte for byte given (state, flags, seed).
 
 Exit codes: 0 accepted/succeeded, 1 verification or property failure,
-2 usage or parse error.
+2 usage or parse error, or a run truncated at its cycle limit.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from pathlib import Path
 from . import corpus as corp
 from . import crypto
 from .attest import AttestationError, AttestationRoot, derive_identity, verify_transitive
-from .experiments import EXPERIMENTS, LIMITS, run_experiment
+from .experiments import EXPERIMENTS, LIMITS
 from .fuzz import random_schedule, run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
-from .metering import SignedMeasurement, run_metered, verify_measurement
+from .metering import SignedMeasurement, TruncatedRun, run_metered, verify_measurement
 from .orchestrator import (
     BillingPolicy,
     ClientContext,
@@ -295,8 +295,7 @@ def _resolve_scenario(args):
     sized from an unmetered run of the image on the input.
     """
     mapping = load_keyvalue(args.scenario) if args.scenario else {}
-    flags = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay,
-             "pool_size": getattr(args, "pool", None)}
+    flags = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay}
     # a flag replaces the file's value before either is checked
     mapping.update((key, str(value)) for key, value in flags.items() if value is not None)
     scenario = ScenarioConfig.from_mapping(mapping)
@@ -329,7 +328,7 @@ def cmd_run(args) -> int:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)
 
     pool = WorkerPool(
-        kde, worker_identity, size=scenario.pool_size, meter_cfg=scenario.meter, costs=scenario.costs,
+        kde, worker_identity, size=1, meter_cfg=scenario.meter, costs=scenario.costs,
         limits=LIMITS, seed=args.seed,
         measurement_log=MeasurementLog(state / "measurements.log"),
     )
@@ -406,7 +405,7 @@ def cmd_experiment(args) -> int:
     if args.name == "network":
         params["cases"] = args.cases
         params["seed"] = args.seed
-    result = run_experiment(args.name, **params)
+    result = EXPERIMENTS[args.name](**params)
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
     result.write(out)
     print(f"{result.name}: {len(result.rows)} rows -> {out}")
@@ -504,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--receipt", action="store_true")
     p.add_argument("--want-measurement", action="store_true")
     p.add_argument("--token", help="authorization token carried in the encrypted input")
-    p.add_argument("--pool", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_run)
@@ -572,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ConfigError, AsmError, LoadError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, TruncatedRun) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

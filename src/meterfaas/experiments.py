@@ -137,9 +137,3 @@ EXPERIMENTS = {
     "network": network,
     "tau_sweep": tau_sweep,
 }
-
-
-def run_experiment(name: str, **params) -> ExperimentResult:
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](**params)

@@ -169,9 +169,11 @@ def WaitUntil(pred: Callable[[], bool]) -> Instr:
 
 
 def HostStall(cost: int) -> Instr:
-    """Time serviced outside the enclave (an OCALL in flight). Counts as
-    occupied time; AEX events aimed at a stalled actor are skipped, since
-    there is no enclave context to spill."""
+    """Time serviced outside the enclave (an OCALL in flight), at least one
+    cycle long. Counts as occupied time; AEX events aimed at a stalled actor
+    are skipped, since there is no enclave context to spill."""
+    if cost < 1:
+        raise KernelError("a stall lasts at least one cycle")
     return Instr(_STALL, cost=cost)
 
 
@@ -532,10 +534,6 @@ class SimKernel:
                 raise KernelError(f"{actor.name}: ocall stall inside transaction")
             if self._full_trace:
                 self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
-            if instr.cost == 0:
-                if self._full_trace:
-                    self._log(actor.name, "STALL_END")
-                return
             actor.state = _STALLED
             self._stage(actor, instr)
 

@@ -51,6 +51,10 @@ from .wire import U64, sign_record, signed_record
 MEASUREMENT_DOMAIN = b"meterfaas/measurement/v1|"
 
 
+class TruncatedRun(RuntimeError):
+    """The simulation reached its cycle limit before every actor finished."""
+
+
 class AccountingFault(Exception):
     """Memory bookkeeping violated: frees exceeding allocations, clock
     regression, or updates after finalization."""
@@ -348,7 +352,7 @@ def run_metered(
 
     trace = kern.run(list(schedule), limit, full_trace=full_trace)
     if not trace.complete:
-        raise RuntimeError(f"simulation truncated at cycle limit {limit}")
+        raise TruncatedRun(f"simulation truncated at cycle limit {limit}")
     vm_result, t_max = trace.results["worker"]
     m_int, m_max = mem_finalize(mem, t_max)
     return MeteredOutcome(

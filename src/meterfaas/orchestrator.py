@@ -246,11 +246,15 @@ class BillingPolicy:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BillingPolicy":
         """A policy from key=value text; a key that names no price and is not
-        ``cpu_frequency_assumption`` is a ValueError."""
+        ``cpu_frequency_assumption`` is a ValueError, as is a price with a
+        zero denominator."""
         kw = {}
         for key, value in mapping.items():
             if key in _PRICES:
-                kw[key] = _rate(value)
+                try:
+                    kw[key] = _rate(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"{key}: zero denominator in {value!r}") from None
             elif key == "cpu_frequency_assumption":
                 kw[key] = int(value)
             else:
@@ -391,7 +395,7 @@ class WorkerPool:
         cold = False
         current = self.kde.keyset.keyset_id
         if worker.keyset is None or worker.keyset.keyset_id != current:
-            worker.ecall_setup(self.kde, expected_keyset_id=current)
+            worker.ecall_setup(self.kde)
             cold = True
         if not warm:
             worker.ecall_init(function_bytes)

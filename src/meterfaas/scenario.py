@@ -74,14 +74,13 @@ class ScenarioConfig:
 
     Scenario-file keys ``tau``, ``epsilon``, ``net_delay``, ``handler_cost``
     and ``include_load_time`` set ``meter``; ``cost_default``, ``cost_heap``
-    and ``cost_net`` set ``costs``; ``pool_size``, ``function``,
-    ``schedule_file`` and ``fuzz_seed`` set the fields of those names. A key
-    the file leaves out keeps the default of the field or record it sets.
+    and ``cost_net`` set ``costs``; ``function``, ``schedule_file`` and
+    ``fuzz_seed`` set the fields of those names. A key the file leaves out
+    keeps the default of the field or record it sets.
     """
 
     meter: MeterConfig = MeterConfig(tau=100)
     costs: CostTable = CostTable()
-    pool_size: int = 2
     function: str = "fib"
     schedule_file: str | None = None
     fuzz_seed: int | None = None
@@ -100,7 +99,7 @@ class ScenarioConfig:
                 meter[key] = value.lower() in ("1", "true", "yes")
             elif key in ("cost_default", "cost_heap", "cost_net"):
                 costs[key.removeprefix("cost_")] = _integer(key, value)
-            elif key in ("pool_size", "fuzz_seed"):
+            elif key == "fuzz_seed":
                 own[key] = _integer(key, value)
             elif key in ("function", "schedule_file"):
                 own[key] = value

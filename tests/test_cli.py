@@ -10,6 +10,7 @@ from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import run_metered
 from meterfaas.scenario import ScenarioConfig, load_keyvalue
 from meterfaas.vm import assemble
+from meterfaas.worker import WorkerEnclave
 
 
 @pytest.fixture
@@ -192,9 +193,32 @@ class TestRunAndVerify:
         sched.write_text("worker,50,80\ntimer,200,240\n")
         assert run_invocation(state, fib_files, extra=("--schedule", str(sched))) == 0
 
-    def test_pool_size_zero_exit_2(self, state, fib_files, capsys):
-        assert run_invocation(state, fib_files, extra=("--pool", "0")) == 2
-        assert "pool size" in capsys.readouterr().err
+    def test_run_builds_one_worker(self, state, fib_files, monkeypatch):
+        built = []
+        init = WorkerEnclave.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerEnclave, "__init__", counting_init)
+        assert run_invocation(state, fib_files) == 0
+        assert len(built) == 1
+
+    def test_scenario_pool_size_is_an_unknown_key(self, state, fib_files, tmp_path, capsys):
+        scenario = tmp_path / "pool.cfg"
+        scenario.write_text("function=fib\npool_size=2\n")
+        assert run_invocation(state, fib_files, extra=("--scenario", str(scenario))) == 2
+        assert "unknown scenario key 'pool_size'" in capsys.readouterr().err
+
+    def test_truncated_run_exit_2(self, state, fib_files, tmp_path, capsys):
+        # the worker is interrupted until past the default cycle limit
+        sched = tmp_path / "late.txt"
+        sched.write_text("worker,2,10000002\n")
+        assert run_invocation(state, fib_files, extra=("--schedule", str(sched))) == 2
+        err = capsys.readouterr().err
+        assert "error: simulation truncated at cycle limit 10000000" in err
+        assert "Traceback" not in err
 
     def test_unknown_scenario_key_exit_2(self, state, fib_files, tmp_path, capsys):
         scenario = tmp_path / "typo.cfg"
@@ -277,6 +301,13 @@ class TestTools:
         assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log")]) == 2
         assert "per_invokation" in capsys.readouterr().err
 
+    def test_bill_zero_denominator_price_exit_2(self, state, fib_files, tmp_path, capsys):
+        run_invocation(state, fib_files)
+        policy = tmp_path / "zero.cfg"
+        policy.write_text("per_invocation = 1/0\n")
+        assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log")]) == 2
+        assert "per_invocation" in capsys.readouterr().err
+
     def test_fuzz_lowerbound_passes(self, capsys):
         assert main(["fuzz-lowerbound", "--cases", "50", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -352,6 +383,15 @@ class TestTools:
         assert main(["replay", "--function", "fib", "--input", str(inp), "--tau", "10",
                      "--schedule", str(sched)]) == 2
         assert "unknown actor 'os'" in capsys.readouterr().err
+
+    def test_replay_truncated_run_exit_2(self, capsys, tmp_path):
+        sched = tmp_path / "late.txt"
+        sched.write_text("worker,2,10000002\n")
+        assert main(["replay", "--function", "echo_word", "--input", "/dev/null",
+                     "--schedule", str(sched)]) == 2
+        err = capsys.readouterr().err
+        assert "error: simulation truncated at cycle limit 10000000" in err
+        assert "Traceback" not in err
 
     def test_replay_misspelt_boolean_exit_2(self, capsys, tmp_path):
         scenario = tmp_path / "typo.cfg"

@@ -457,6 +457,10 @@ class TestWaitAndStall:
         with pytest.raises(KernelError):
             make(Cell("c", 0))
 
+    def test_zero_length_stall_rejected(self):
+        with pytest.raises(KernelError, match="at least one cycle"):
+            HostStall(0)
+
     def test_test_and_set_is_atomic(self):
         kern = SimKernel()
         a = kern.add_enclave_actor("a")

@@ -142,6 +142,10 @@ class TestClientSide:
 
 
 class TestPool:
+    def test_empty_pool_rejected(self, kde):
+        with pytest.raises(ValueError, match="pool size must be >= 1, got 0"):
+            WorkerPool(kde, WORKER_IDENT, size=0, meter_cfg=CFG)
+
     def test_cold_then_warm(self, kde, pool, ctx):
         r1, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         first = pool.dispatch(r1, FIB)

@@ -59,12 +59,12 @@ class TestScenarioConfig:
         cfg = ScenarioConfig.from_mapping({
             "tau": "50", "epsilon": "0", "net_delay": "100", "handler_cost": "3",
             "include_load_time": "yes", "cost_default": "2", "cost_heap": "7", "cost_net": "4",
-            "pool_size": "5", "function": "echo_word", "schedule_file": "s.txt", "fuzz_seed": "9",
+            "function": "echo_word", "schedule_file": "s.txt", "fuzz_seed": "9",
         })
         assert cfg == ScenarioConfig(
             meter=MeterConfig(tau=50, epsilon=0, net_delay=100, handler_cost=3, include_load_time=True),
             costs=CostTable(default=2, heap=7, net=4),
-            pool_size=5, function="echo_word", schedule_file="s.txt", fuzz_seed=9,
+            function="echo_word", schedule_file="s.txt", fuzz_seed=9,
         )
 
     def test_defaults(self):
@@ -72,7 +72,7 @@ class TestScenarioConfig:
         assert cfg.meter == MeterConfig(tau=100, epsilon=30, handler_cost=7, net_delay=0,
                                         include_load_time=False)
         assert cfg.costs == CostTable(default=1, heap=10, net=5)
-        assert (cfg.pool_size, cfg.function, cfg.schedule_file, cfg.fuzz_seed) == (2, "fib", None, None)
+        assert (cfg.function, cfg.schedule_file, cfg.fuzz_seed) == ("fib", None, None)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="tua"):
@@ -92,7 +92,7 @@ class TestScenarioConfig:
             ScenarioConfig.from_mapping({"include_load_time": value})
 
     @pytest.mark.parametrize("key", ["tau", "epsilon", "net_delay", "handler_cost", "cost_default",
-                                     "cost_heap", "cost_net", "pool_size", "fuzz_seed"])
+                                     "cost_heap", "cost_net", "fuzz_seed"])
     @pytest.mark.parametrize("value", ["abc", "", "1.5"])
     def test_integer_keys_name_themselves(self, key, value):
         with pytest.raises(ConfigError) as err:

@@ -1,7 +1,9 @@
 """The benchmark's traced pass (perfbench/run.py) wraps public names of the
-package by name. A renamed or removed name must fail here, not only when the
-benchmark runs with ``--trace 1``."""
+package by name, and its workloads (perfbench/workloads.py) classify the
+package's errors. A renamed or removed name or a changed error must fail
+here, not only when the benchmark runs."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -85,3 +88,10 @@ def test_traced_pass_wraps_every_codec_method():
             assert isinstance(vars(cls)["decode"], classmethod), cls_name
     finally:
         rec.uninstall()
+
+
+def test_adversarial_op_classifies_a_truncated_run():
+    """adversarial.truncated counts the cases whose run hits its cycle limit."""
+    workloads = _load("workloads")
+    case = dataclasses.replace(workloads.build_case(301, 0), limit=1)
+    assert workloads.Adversarial(301).op([case], 0).failure == "truncated"
