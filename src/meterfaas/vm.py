@@ -61,6 +61,23 @@ _POP_WORDS = {"POP": 1, "DUP": 1, "SWAP": 2, "OVER": 2, "ADD": 2, "SUB": 2, "MUL
               "SET_TAG": 1, "STOREL": 1}
 _POPS = [_POP_WORDS.get(OPCODES[op][0], 0) if op in OPCODES else 0 for op in range(max(OPCODES) + 1)]
 
+# An instruction without a 64-bit immediate or jump target takes one of few
+# values, so each is one tuple that every loaded program shares.
+_SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
+           for arg in ((None,) if imm is None else range(LOCAL_SLOTS) if imm == "slot" else ())}
+
+# Superinstructions: opcodes past the real ones that the loader puts in place
+# of a LOADL starting one of these runs. No run can trap or holds a HALT, heap
+# or network op, so fusing one changes no yield. The patterns come from
+# dynamic n-gram counts over the corpus and the fuzz programs. Each argument
+# is a tuple whose first item is the LOADL's slot.
+_LL = 0x70  # LOADL a; LOADL b -> (a, b)
+_LLPS = 0x71  # LOADL a; LOADL b; PUSH k; SUB -> (a, b, k)
+_LPAS = 0x72  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t] -> (a, k', more, next pc), where
+#   k' is k for ADD and 2^64 - k mod 2^64 for SUB, and `more` the steps after the LOADL
+_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t -> (a, b, t)
+_LJZ = 0x74  # LOADL a; JZ t -> (a, t)
+
 
 class LoadError(ValueError):
     """Malformed bytecode; `offset` points at the offending byte."""
@@ -101,10 +118,16 @@ class VMLimits:
 
 @dataclass(frozen=True)
 class FunctionImage:
+    """A loaded function. ``code`` is what the interpreter dispatches on:
+    ``program`` with a superinstruction at each index where a fused pattern
+    starts (``program`` itself when none does). It is derived from ``raw``,
+    so it takes no part in equality or ``repr``."""
+
     raw: bytes
     entry: int
     program: tuple[tuple[int, int | None], ...]
     function_hash: bytes
+    code: tuple[tuple[int, object], ...] = field(compare=False, repr=False)
 
 
 def _noop1(_n: int) -> None:
@@ -168,6 +191,7 @@ def vm_load(data: bytes) -> FunctionImage:
 
     program: list[tuple[int, int | None]] = []
     starts: list[int] = []  # file offset of each instruction's opcode byte
+    heads: list[int] = []  # index of each LOADL, where a fused pattern may start
     pos = 0
     while pos < len(code):
         starts.append(13 + pos)
@@ -194,7 +218,10 @@ def vm_load(data: bytes) -> FunctionImage:
             if arg >= LOCAL_SLOTS:
                 raise LoadError(f"slot {arg} out of range", 13 + pos)
             pos += 1
-        program.append((op, arg))
+            if op == 0x60:  # LOADL
+                heads.append(len(program))
+        instr = (op, arg)
+        program.append(_SHARED.get(instr, instr))
 
     n = len(program)
     if n == 0:
@@ -207,12 +234,47 @@ def vm_load(data: bytes) -> FunctionImage:
     if program[-1][0] not in (0x00, 0x20):  # HALT, JMP
         raise LoadError("last instruction is neither HALT nor JMP", starts[-1])
 
+    instructions = tuple(program)
     return FunctionImage(
         raw=bytes(data),
         entry=entry,
-        program=tuple(program),
+        program=instructions,
         function_hash=crypto.hash_bytes(data),
+        code=_fuse(instructions, heads),
     )
+
+
+def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
+    """``program`` with the longest fused pattern that starts at each LOADL in
+    ``heads`` put in that LOADL's place. Every index is matched on its own
+    and every other entry keeps its instruction, so no jump target moves and
+    a jump into the middle of a pattern runs whatever starts there."""
+    code: list[tuple[int, object]] | None = None
+    n = len(program)
+    for i in heads:
+        a = program[i][1]
+        op1, x1 = program[i + 1]  # a LOADL is never last: the loader wants HALT or JMP there
+        op2, x2 = program[i + 2] if i + 2 < n else (None, None)
+        op3, x3 = program[i + 3] if i + 3 < n else (None, None)
+        if op1 == 0x60:  # LOADL a; LOADL b
+            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB
+                entry = (_LLPS, (a, x1, x2))
+            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ t
+                entry = (_LLGJ, (a, x1, x3))
+            else:
+                entry = (_LL, (a, x1))
+        elif op1 == 0x21:  # LOADL a; JZ t
+            entry = (_LJZ, (a, x1))
+        elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a:
+            k = x1 if op2 == 0x10 else (WORD - x1) % WORD  # PUSH k; ADD|SUB; STOREL a
+            op4, x4 = program[i + 4]  # STOREL is never last either
+            entry = (_LPAS, (a, k, 4, x4) if op4 == 0x20 else (a, k, 3, i + 4))  # then JMP t?
+        else:
+            continue
+        if code is None:
+            code = list(program)
+        code[i] = entry
+    return program if code is None else tuple(code)
 
 
 class _Trap(Exception):
@@ -248,9 +310,18 @@ def execute_steps(
     step budget is checked before a step is counted. A trap, the step budget
     included, flushes the pending cost before the result is returned. The
     loader guarantees that the last instruction is HALT or JMP, so ``pc``
-    never runs off the program. Returns the VMResult."""
+    never runs off the program.
+
+    The loop dispatches on ``image.code``, where the loader has put a
+    superinstruction at each LOADL that starts a fused run of k
+    instructions. A fused run holds no trap, HALT, heap or network op, so it
+    changes no yield; it counts k steps at once and runs only when all k fit
+    the step budget, else the LOADL at that pc runs alone. Every other entry
+    is the program's own instruction and no jump target moves, so a jump into
+    the middle of a run executes whatever starts there. Returns the
+    VMResult."""
     costs.validate()
-    program = image.program
+    code = image.code
     default = costs.default
     heap_extra = costs.heap - default
     net_extra = costs.net - default
@@ -279,40 +350,78 @@ def execute_steps(
 
     try:
         while steps < max_steps:
-            op, arg = program[pc]
+            op, arg = code[pc]
             steps += 1
-            if op == 0x60:  # LOADL
-                push(locals_[arg])
+            if op >= 0x70:  # a superinstruction, run whole only if all its steps fit
+                if op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t]
+                    a, k, more, after = arg
+                    if steps + more <= max_steps:
+                        steps += more
+                        locals_[a] = (locals_[a] + k) % WORD
+                        pc = after
+                        continue
+                elif op == 0x71:  # LOADL a; LOADL b; PUSH k; SUB
+                    if steps + 3 <= max_steps:
+                        steps += 3
+                        a, b, k = arg
+                        push(locals_[a])
+                        push((locals_[b] - k) % WORD)
+                        pc += 4
+                        continue
+                elif op == 0x74:  # LOADL a; JZ t
+                    if steps < max_steps:
+                        steps += 1
+                        a, t = arg
+                        pc = t if locals_[a] == 0 else pc + 2
+                        continue
+                elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ t
+                    if steps + 3 <= max_steps:
+                        steps += 3
+                        a, b, t = arg
+                        pc = t if locals_[a] > locals_[b] else pc + 4
+                        continue
+                elif steps < max_steps:  # 0x70: LOADL a; LOADL b
+                    steps += 1
+                    a, b = arg
+                    push(locals_[a])
+                    push(locals_[b])
+                    pc += 2
+                    continue
+                push(locals_[arg[0]])  # the budget ends inside: run only its LOADL
             elif op == 0x01:  # PUSH
                 push(arg)
-            elif op == 0x20:  # JMP
-                pc = arg
-                continue
             elif len(stack) < pops[op]:
                 raise _Trap("fault:stack-underflow")
-            elif op == 0x61:  # STOREL
-                locals_[arg] = pop()
-            elif op == 0x11:  # SUB
-                b = pop()
-                stack[-1] = (stack[-1] - b) % WORD
-            elif op == 0x10:  # ADD
-                b = pop()
-                stack[-1] = (stack[-1] + b) % WORD
+            elif op == 0x02:  # POP
+                pop()
             elif op == 0x33:  # LOAD
                 idx = pop()
                 b = block(pop())
                 if (idx + 1) * 8 > len(b):
                     raise _Trap("fault:out-of-bounds")
                 push(int.from_bytes(b[idx * 8 : idx * 8 + 8], "little"))
+            elif op == 0x10:  # ADD
+                b = pop()
+                stack[-1] = (stack[-1] + b) % WORD
             elif op == 0x34:  # STORE
                 value, idx = pop(), pop()
                 b = block(pop())
                 if (idx + 1) * 8 > len(b):
                     raise _Trap("fault:out-of-bounds")
                 b[idx * 8 : idx * 8 + 8] = value.to_bytes(8, "little")
+            elif op == 0x11:  # SUB
+                b = pop()
+                stack[-1] = (stack[-1] - b) % WORD
+            elif op == 0x61:  # STOREL
+                locals_[arg] = pop()
             elif op == 0x12:  # MUL
                 b = pop()
                 stack[-1] = (stack[-1] * b) % WORD
+            elif op == 0x60:  # LOADL
+                push(locals_[arg])
+            elif op == 0x20:  # JMP
+                pc = arg
+                continue
             elif op == 0x18:  # LT
                 b = pop()
                 stack[-1] = 1 if stack[-1] < b else 0
@@ -330,8 +439,6 @@ def execute_steps(
                 if pop() == 0:
                     pc = arg
                     continue
-            elif op == 0x02:  # POP
-                pop()
             elif op == 0x03:  # DUP
                 push(stack[-1])
             elif op == 0x04:  # SWAP

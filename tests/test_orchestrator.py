@@ -75,6 +75,13 @@ def pool(kde):
 
 
 @pytest.fixture
+def logged_pool(kde, tmp_path):
+    """`pool`, with every report also appended to a MeasurementLog on disk."""
+    return WorkerPool(kde, WORKER_IDENT, size=3, meter_cfg=CFG, seed=5,
+                      measurement_log=MeasurementLog(tmp_path / "provider.log"))
+
+
+@pytest.fixture
 def ctx(kde):
     return ClientContext.create(
         ROOT.public_key, kde.published, KDE_IDENT.mrenclave, WORKER_IDENT.mrenclave, seed=11
@@ -155,26 +162,28 @@ class TestPool:
         assert not second.cold
         assert second.worker_index == first.worker_index
 
-    def test_fall_through_function_is_a_load_error(self, kde, pool, ctx):
+    def test_fall_through_function_is_a_load_error(self, kde, logged_pool, ctx):
+        pool = logged_pool
         function = assemble("PUSH 1")
         request, _ = client_prepare(ctx, hash_bytes(function), b"")
         with pytest.raises(LoadError, match="neither HALT nor JMP"):
             pool.dispatch(request, function)
-        assert pool.collected == []
+        assert list(pool.measurement_log) == []
 
-    def test_rotation_refreshes_workers_before_serving(self, kde, pool, ctx):
+    def test_rotation_refreshes_workers_before_serving(self, kde, logged_pool, ctx):
+        pool = logged_pool
         r1, p1 = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         first = pool.dispatch(r1, FIB)
         client_verify_response(p1, first.response)
 
         kde.rotate()
         # a client on the old keys now fails: the worker refreshed to new keys
-        measured = len(pool.collected)
+        measured = len(list(pool.measurement_log))
         r_old, p_old = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
         with pytest.raises(TamperError):
             result = pool.dispatch(r_old, FIB)
             client_verify_response(p_old, result.response)
-        assert len(pool.collected) == measured  # rejected before it was metered
+        assert len(list(pool.measurement_log)) == measured  # rejected before it was metered
 
         fresh = ClientContext.create(
             ROOT.public_key, kde.published, KDE_IDENT.mrenclave, WORKER_IDENT.mrenclave, seed=12

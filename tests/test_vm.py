@@ -1,12 +1,18 @@
 """Bytecode VM: loader validation, execution semantics, corpus behavior."""
 
+import dataclasses
+
 import pytest
 import reference_vm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meterfaas import corpus as corp
 from meterfaas.crypto import DeterministicRng, hash_bytes
 from meterfaas.fuzz import random_image
 from meterfaas.vm import (
+    OPCODES,
+    WORD,
     AsmError,
     CostTable,
     LoadError,
@@ -25,6 +31,30 @@ LIMITS = VMLimits(max_steps=2_000_000, max_memory=1 << 24, max_output=1 << 16)
 def run_named(name, input_data=b"", hooks=None, limits=LIMITS, **kw):
     image = corp.corpus()[name]
     return vm_execute(image, input_data, limits, hooks=hooks, **kw)
+
+
+def encode(program):
+    """The code bytes of a parsed program, written back per OPCODES."""
+    sizes = {"u64": 8, "target": 4, "slot": 1}
+    out = bytearray()
+    for op, arg in program:
+        out.append(op)
+        if OPCODES[op][1] is not None:
+            out += arg.to_bytes(sizes[OPCODES[op][1]], "little")
+    return bytes(out)
+
+
+def dispatches(image, input_data, limits=LIMITS):
+    """(steps, entries of `image.code` the interpreter fetched) for one run."""
+    fetched = []
+
+    class Counting(tuple):
+        def __getitem__(self, index):
+            fetched.append(index)
+            return tuple.__getitem__(self, index)
+
+    res = vm_execute(dataclasses.replace(image, code=Counting(image.code)), input_data, limits)
+    return res.steps, len(fetched)
 
 
 class TestLoader:
@@ -87,6 +117,55 @@ class TestLoader:
         img = vm_load(assemble(".entry go\nHALT\ngo: PUSH 7\nOUTPUT_WORD\nHALT\n"))
         res = vm_execute(img, b"", LIMITS)
         assert res.output == (7).to_bytes(8, "little")
+
+    def test_fusion_leaves_the_program_and_pins_fib_loop(self):
+        raw = assemble(corp.FIB_SOURCE)
+        image = vm_load(raw)
+        assert image.raw == raw and image.function_hash == hash_bytes(raw)
+        assert encode(image.program) == raw[13:]  # the instructions as parsed, none fused
+        assert len(image.code) == len(image.program) == 48
+        fused = {pc: entry for pc, (entry, instr) in enumerate(zip(image.code, image.program))
+                 if entry != instr}
+        assert fused == {
+            20: (0x73, (2, 0, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
+            24: (0x70, (1, 2)),  # LOADL 1; LOADL 2
+            25: (0x70, (2, 1)),  # LOADL 2; LOADL 1, overlapping the run at 24
+            26: (0x71, (1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB
+            31: (0x71, (1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB
+            38: (0x72, (2, 1, 4, 20)),  # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop
+            43: (0x70, (1, 0)),  # end: LOADL 1; LOADL 0
+        }
+        # one more pass of the 23-instruction loop costs 9 dispatches
+        passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
+        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 9
+
+    def test_fused_code_takes_no_part_in_equality_or_repr(self):
+        raw = assemble(corp.FIB_SOURCE)
+        a, b = vm_load(raw), vm_load(raw)
+        assert a == b and hash(a) == hash(b) and a.code is not b.code
+        assert "code" not in repr(a) and repr(a) == repr(b)
+        assert dataclasses.replace(a, code=a.program) == a
+
+    def test_operand_free_and_slot_instructions_are_shared(self):
+        # two loads hold the same INPUT_WORD and STOREL 0 object, not equal copies
+        fib, echo = vm_load(assemble(corp.FIB_SOURCE)), vm_load(assemble(corp.ECHO_WORD_SOURCE))
+        assert fib.program[1] == (0x50, None) and fib.program[1] is echo.program[1]
+        assert fib.program[2] is vm_load(assemble("STOREL 0\nHALT")).program[0]
+
+    def test_nothing_fused_reuses_the_program(self):
+        for source in (corp.ECHO_WORD_SOURCE, "LOADL 1\nPUSH 1\nADD\nSTOREL 2\nHALT",
+                       "LOADL 0\nGT\nHALT", "PUSH 1\nLOADL 0\nJMP 0"):
+            image = vm_load(assemble(source))
+            assert image.code is image.program, source
+
+    def test_fused_pattern_needs_its_whole_run(self):
+        # a pattern cut short by another instruction or by the program's end
+        # fuses only as far as it goes
+        for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT"):
+            image = vm_load(assemble(source))
+            assert image.code[0] == (0x70, (1, 2)) and image.code[1:] == image.program[1:]
+        image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nHALT"))
+        assert image.code[0] == (0x72, (3, WORD - 7, 3, 4))
 
 
 class TestExecution:
@@ -349,6 +428,84 @@ top:    PUSH 8
 """
 
 
+# runs around each fused pattern: every pattern, k = 0, SUBs that wrap below
+# zero, a STOREL to another slot (not fused), a JMP tail, and overlapping
+# candidates; `out` is past the run
+FUSED_RUNS = [
+    "LOADL 1\nLOADL 2",
+    "LOADL 1\nLOADL 2\nPUSH 7\nSUB",
+    "LOADL 1\nLOADL 2\nPUSH 0\nSUB",
+    "LOADL 2\nPUSH 9\nADD\nSTOREL 2",
+    "LOADL 2\nPUSH 9\nSUB\nSTOREL 2",
+    "LOADL 2\nPUSH 0\nSUB\nSTOREL 2",
+    "LOADL 2\nPUSH 0\nADD\nSTOREL 2\nJMP out",
+    "LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out",
+    "LOADL 2\nPUSH 1\nADD\nSTOREL 3",
+    "LOADL 1\nLOADL 2\nGT\nJNZ out",
+    "LOADL 3\nJZ out",
+    "LOADL 1\nLOADL 1\nPUSH 1\nADD\nSTOREL 1",
+    "LOADL 1\nLOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP out",
+    "LOADL 1\nLOADL 2\nLOADL 1\nLOADL 2\nGT\nJNZ out",
+    "LOADL 3\nLOADL 3\nJZ out",
+]
+# locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7 and SUB 9
+FUSED_LOCALS = [(9, 3, 0), (2, 5, 4)]
+
+
+def fused_program(run, values, entry):
+    """`run` entered at its `entry`-th instruction, after a prologue that sets
+    locals 1-3 to `values` and pushes a sentinel and two words, and before
+    an epilogue that outputs the locals and the stack down to the sentinel."""
+    lines = run.splitlines()
+    lines[entry] = "in: " + lines[entry]
+    prologue = [f"PUSH {v}\nSTOREL {slot}" for slot, v in zip((1, 2, 3), values)]
+    prologue += ["PUSH 12345", "PUSH 5", "PUSH 6", "JMP in"]
+    epilogue = ["out: LOADL 1", "OUTPUT_WORD", "LOADL 2", "OUTPUT_WORD", "LOADL 3", "OUTPUT_WORD",
+                "drain: DUP", "PUSH 12345", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
+                "done: HALT"]
+    return vm_load(assemble("\n".join(prologue + lines + epilogue)))
+
+
+def fused_programs():
+    for run in FUSED_RUNS:
+        for values in FUSED_LOCALS:
+            for entry in range(len(run.splitlines())):
+                yield fused_program(run, values, entry)
+
+
+# a random valid program over the fused patterns' opcodes: single instructions
+# and whole patterns, slots from a small set so that patterns and their
+# near misses both occur, any jump target, HALT or JMP last
+_SLOTS = st.integers(0, 2)
+_WORDS = st.sampled_from([0, 1, 2, 7, WORD - 1]) | st.integers(0, WORD - 1)
+_PIECES = st.one_of(
+    st.tuples(st.sampled_from(["LOADL", "STOREL"]), _SLOTS),
+    st.tuples(st.just("PUSH"), _WORDS),
+    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "HALT"])),
+    st.tuples(st.sampled_from(["JNZ", "JZ", "JMP"]), st.integers(0, 10 ** 6)),
+    st.builds(lambda a, b, k: (("LOADL", a), ("LOADL", b), ("PUSH", k), ("SUB",)), _SLOTS, _SLOTS, _WORDS),
+    st.builds(lambda a, k, op: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a)),
+              _SLOTS, _WORDS, st.sampled_from(["ADD", "SUB"])),
+    st.builds(lambda a, b, t: (("LOADL", a), ("LOADL", b), ("GT",), ("JNZ", t)),
+              _SLOTS, _SLOTS, st.integers(0, 10 ** 6)),
+    st.builds(lambda a, t: (("LOADL", a), ("JZ", t)), _SLOTS, st.integers(0, 10 ** 6)),
+)
+
+
+@st.composite
+def fused_sources(draw):
+    instrs = []
+    for piece in draw(st.lists(_PIECES, min_size=1, max_size=12)):
+        instrs += piece if isinstance(piece[0], tuple) else [piece]
+    instrs.append(draw(st.sampled_from([("HALT",), ("JMP", 0)])))
+    lines = []
+    for name, *operand in instrs:
+        if name in ("JNZ", "JZ", "JMP"):
+            operand = [operand[0] % len(instrs)]
+        lines.append(" ".join([name, *map(str, operand)]))
+    return "\n".join(lines)
+
+
 def underflow_sources():
     """Each popping op on every too-shallow stack, with and without a pending
     block of private instructions in front of it."""
@@ -414,6 +571,20 @@ class TestReferenceVm:
                 for data in (corp.fib_input(6), corp.known_network_input(40, 9), b""):
                     self.check(image, data, TRAP_LIMITS, costs)
 
+    def test_fused_runs(self, costs):
+        # every pattern entered at each of its instructions, under every step
+        # budget up to one past the whole run, so that a budget ends at each
+        # offset inside each fused run
+        for image in fused_programs():
+            full = self.check(image, b"", LIMITS, costs)
+            for max_steps in range(1, full.steps + 2):
+                self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+
+    @given(source=fused_sources(), max_steps=st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_random_fused_programs(self, costs, source, max_steps):
+        self.check(vm_load(assemble(source)), b"", VMLimits(max_steps=max_steps), costs)
+
     def test_step_budgets(self, costs):
         loop = vm_load(assemble(LOOP_SOURCE))
         fib = corp.corpus()["fib"]
@@ -441,6 +612,27 @@ class TestConfinement:
         forbidden = {"meterfaas.metering", "meterfaas.kernel", "meterfaas.orchestrator",
                      "metering", "kernel", "orchestrator"}
         assert not (imported & forbidden), imported
+
+    def test_vm_module_generates_no_code_and_imports_a_fixed_set(self):
+        # fusion builds data, not code: no exec/eval/compile/__import__ name
+        # anywhere in vm.py, and exactly these imports
+        import ast
+
+        import meterfaas.vm as vm_module
+
+        tree = ast.parse(open(vm_module.__file__).read())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"exec", "eval", "compile", "__import__"}
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                imported.update((module, alias.name) for alias in node.names)
+        assert imported == {("__future__", "annotations"), ("dataclasses", "dataclass"),
+                            ("dataclasses", "field"), ("typing", "Callable"),
+                            ("typing", "Generator"), (".", "crypto")}
 
     def test_hooks_are_the_only_capability(self):
         import inspect
