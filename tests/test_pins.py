@@ -1,5 +1,6 @@
 """Determinism pins: byte-exact digests of the CLI's experiment CSVs,
-``replay --full`` traces and ``run`` artifacts, run in-process.
+``replay --full`` traces, ``run`` artifacts and one pass of each perfbench
+workload, run in-process.
 
 Every value here was computed from the code before the change that added
 this file. A change that moves one of them changes behaviour: it updates
@@ -9,6 +10,8 @@ the value and says which value moved and why.
 import hashlib
 
 import pytest
+
+from test_tooling import _load
 
 from meterfaas import corpus as corp
 from meterfaas.cli import main
@@ -118,3 +121,34 @@ def test_run_artifacts(name, tmp_path, capsys):
                  "--receipt", "--want-measurement", "--token", "alice"]) == 0
     digests = tuple(sha256((state / f).read_bytes()) for f in ("output.bin", "measurement.bin", "receipt.bin"))
     assert digests == RUN_ARTIFACTS[name]
+
+
+# workload -> (sim_digest, sim_counts) of one untraced pass over perfbench's
+# corpus at seed 301, as ``perfbench/run.py`` reports them
+PERFBENCH_PASS = {
+    "adversarial_sched": ("35d75d4a387145e925b640fa7d1e50277cd35b926e4d2f73dc7d7a59a159583f",
+                          {"aex_fired": 8109, "aex_scheduled": 10636, "aex_skipped": 1059,
+                           "billed_cycles": 69678, "failed": 0, "vm_cycles": 199845, "vm_steps": 95717}),
+    "invoke_echo": ("d77ecf4dc4f87b39f0e136f5c619b9e15b78fb054a5bd6eb67bfa9d972d79d52",
+                    {"aex_fired": 0, "aex_scheduled": 0, "aex_skipped": 0, "billed_cycles": 0,
+                     "failed": 0, "vm_cycles": 1200, "vm_steps": 1200}),
+    "invoke_fib": ("6d7d71a3624b943b6cb425c9412749289cb71ee246e4c5f33e4ac4ebc9f2e021",
+                   {"aex_fired": 0, "aex_scheduled": 0, "aex_skipped": 0, "billed_cycles": 87800,
+                    "failed": 0, "vm_cycles": 115888, "vm_steps": 115438}),
+    "invoke_fib_tau1": ("48c7770988a96216715dfd75fe5488daefbe43018f922549dd17ae41970d301f",
+                        {"aex_fired": 0, "aex_scheduled": 0, "aex_skipped": 0, "billed_cycles": 29477,
+                         "failed": 0, "vm_cycles": 29477, "vm_steps": 29027}),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_PASS))
+def test_perfbench_one_pass(workload):
+    run, workloads = _load("run"), _load("workloads")
+    assert set(PERFBENCH_PASS) == set(workloads.WORKLOADS)
+    wl = workloads.WORKLOADS[workload](301)
+    state = wl.setup()
+    result = run.Pass(wl.corpus_size)
+    for j in range(wl.corpus_size):
+        result.add(j, wl.op(state, j))
+    assert wl.finish(state) is None
+    assert (result.digest(), result.sim_counts()) == PERFBENCH_PASS[workload]
