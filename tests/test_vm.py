@@ -292,6 +292,41 @@ class TestExecution:
         assert res.ok
         assert events == [("+", 16), ("+", 48), ("-", 56), ("-", 8)]
 
+    def test_full_budget_block_costs_its_size_in_host_memory(self):
+        # ALLOC all of max_memory, store into its last word, shrink into that
+        # word and regrow: no transient copy of the block and no per-word
+        # object, so the traced peak stays within 1 MiB of the block's size
+        import tracemalloc
+
+        top = LIMITS.max_memory // 8 - 1
+        src = f"""
+            PUSH {LIMITS.max_memory}
+            ALLOC
+            STOREL 0
+            LOADL 0
+            PUSH {top}
+            PUSH 0x0102030405060708
+            STORE
+            LOADL 0
+            PUSH {LIMITS.max_memory - 3}
+            REALLOC
+            PUSH {LIMITS.max_memory}
+            REALLOC
+            PUSH {top}
+            LOAD
+            OUTPUT_WORD
+            HALT
+        """
+        image = vm_load(assemble(src))
+        tracemalloc.start()
+        try:
+            res = vm_execute(image, b"", LIMITS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.output == (0x0000000405060708).to_bytes(8, "little")
+        assert peak < LIMITS.max_memory + (1 << 20), peak
+
 
 def trace(execute, image, input_data, limits, costs):
     """Drive an interpreter generator as `vm_execute` does; log every yield
@@ -506,6 +541,85 @@ def fused_sources(draw):
     return "\n".join(lines)
 
 
+# a block of up to 10 words or past the budget, in whole or partial words
+HEAP_LIMITS = VMLimits(max_steps=4000, max_memory=256, max_output=1 << 16)
+
+
+def heap_source(rng):
+    """A random straight-line program over three blocks held in locals 0-2:
+    ALLOC, REALLOC (grow, shrink, into and out of a partial word), STORE,
+    LOAD (plain, or fib's `LOADL h; LOADL i; PUSH k; SUB; LOAD` with local 3
+    as i), SET_TAG and FREE. Slots never allocated or freed hold bad handles;
+    a few ops take a literal bad handle, an index up to 2^64-1 or a size past
+    the memory budget. Every LOAD outputs its word."""
+
+    def pick(*options):
+        return options[rng.randrange(len(options))]
+
+    def size():  # mostly 2-5 words, some under 2 words, some past the budget
+        roll = rng.randrange(10)
+        return rng.randrange(300) if roll == 0 else rng.randrange(16) if roll == 1 else 16 + rng.randrange(25)
+
+    def index():
+        roll = rng.randrange(9)
+        return (WORD - 1, 1 << 63, rng.randrange(6))[roll] if roll < 3 else rng.randrange(2)
+
+    def handle(slot):
+        return f"PUSH {pick(0, 99, WORD - 1)}" if rng.randrange(30) == 0 else f"LOADL {slot}"
+
+    base = rng.u64()
+    lines = [f"PUSH {base}", "STOREL 3"]
+    for slot in range(3):
+        lines += [f"PUSH {8 + rng.randrange(33)}", "ALLOC", f"STOREL {slot}"]
+    for _ in range(1 + rng.randrange(20)):
+        slot = rng.randrange(3)
+        kind = rng.randrange(12)
+        if kind < 1:
+            lines += [f"PUSH {size()}", "ALLOC", f"STOREL {slot}"]
+        elif kind < 3:
+            lines += [handle(slot), f"PUSH {size()}", "REALLOC", f"STOREL {slot}"]
+        elif kind < 6:
+            value = pick(WORD - 1, rng.u64(), rng.randrange(256))
+            lines += [handle(slot), f"PUSH {index()}", f"PUSH {value}", "STORE"]
+        elif kind < 8:
+            lines += [handle(slot), f"PUSH {index()}", "LOAD", "OUTPUT_WORD"]
+        elif kind < 10:
+            k = (base - index()) % WORD
+            lines += [f"LOADL {slot}", "LOADL 3", f"PUSH {k}", "SUB", "LOAD", "OUTPUT_WORD"]
+        elif kind < 11:
+            lines += [handle(slot), "SET_TAG"]
+        elif rng.randrange(2):
+            lines += [handle(slot), "FREE"]
+        else:
+            lines += [handle(slot), "FREE", f"PUSH {rng.randrange(41)}", "ALLOC", f"STOREL {slot}"]
+    lines.append("HALT")
+    return "\n".join(lines)
+
+
+# store all-ones at word 1 of a 16-byte block, shrink it into that word, tag
+# it, regrow it and load the word: the four bytes cut off read back as zero
+PARTIAL_WORD_SOURCE = """
+        PUSH 16
+        ALLOC
+        STOREL 0
+        LOADL 0
+        PUSH 1
+        PUSH 18446744073709551615
+        STORE
+        LOADL 0
+        PUSH 12
+        REALLOC
+        SET_TAG
+        LOADL 0
+        PUSH 16
+        REALLOC
+        PUSH 1
+        LOAD
+        OUTPUT_WORD
+        HALT
+"""
+
+
 def underflow_sources():
     """Each popping op on every too-shallow stack, with and without a pending
     block of private instructions in front of it."""
@@ -570,6 +684,23 @@ class TestReferenceVm:
             for image in mutants(source):
                 for data in (corp.fib_input(6), corp.known_network_input(40, 9), b""):
                     self.check(image, data, TRAP_LIMITS, costs)
+
+    def test_heap_programs(self, costs):
+        rng = DeterministicRng(20261018, "heap")
+        reasons = set()
+        for i in range(3000):
+            child = rng.child(f"prog{i}")
+            image = vm_load(assemble(heap_source(child)))
+            limits = HEAP_LIMITS
+            if child.randrange(4) == 0:  # a step budget that may end anywhere
+                limits = dataclasses.replace(HEAP_LIMITS, max_steps=1 + child.randrange(60))
+            reasons.add(self.check(image, b"", limits, costs).reason)
+        assert reasons == {None, "budget:steps", "budget:memory", "fault:bad-handle", "fault:out-of-bounds"}
+
+    def test_partial_word_shrink_tag_and_regrow(self, costs):
+        res = self.check(vm_load(assemble(PARTIAL_WORD_SOURCE)), b"", LIMITS, costs)
+        assert res.ok and res.output.hex() == "ffffffff00000000"
+        assert res.tag == hash_bytes(bytes(8) + b"\xff" * 4)
 
     def test_fused_runs(self, costs):
         # every pattern entered at each of its instructions, under every step
