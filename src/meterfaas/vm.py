@@ -554,7 +554,9 @@ def assemble(source: str) -> bytes:
 
     Lines: ``[label:] MNEMONIC [operand]``; ``;`` and ``#`` start comments;
     ``.entry label`` selects the entry instruction (default: first).
-    Operands are decimal, 0x hex, or label references for jumps.
+    Operands are decimal, 0x hex, or label references for jumps. A ``PUSH``
+    immediate lies in [-2^63, 2^64); a negative one is written as its 64-bit
+    two's complement, so ``PUSH -1`` is ``PUSH 0xffffffffffffffff``.
     """
     labels: dict[str, int] = {}
     items: list[tuple[str, str | None, int]] = []  # (mnemonic, operand, lineno)
@@ -610,7 +612,9 @@ def assemble(source: str) -> bytes:
             raise AsmError(f"line {lineno}: {mnemonic} needs an operand")
         value = resolve(operand, lineno, imm)
         if imm == "u64":
-            code.extend((value % WORD).to_bytes(8, "little"))
+            if not -(WORD >> 1) <= value < WORD:
+                raise AsmError(f"line {lineno}: immediate {value} out of range")
+            code.extend((value % WORD).to_bytes(8, "little"))  # a negative is its two's complement
         elif imm == "target":
             if not 0 <= value < len(items):
                 raise AsmError(f"line {lineno}: jump target {value} out of range")

@@ -259,6 +259,14 @@ class TestTools:
         src.write_text("NOT_AN_OP\n")
         assert main(["vm", "asm", str(src)]) == 2
 
+    def test_vm_asm_immediate_out_of_range_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "big.txt"
+        src.write_text("PUSH 18446744073709551616\nOUTPUT_WORD\nHALT\n")
+        out = tmp_path / "big.mfvm"
+        assert main(["vm", "asm", str(src), "-o", str(out)]) == 2
+        assert "line 1: immediate 18446744073709551616 out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vm_asm_fall_through_exit_2(self, tmp_path, capsys):
         src = tmp_path / "ff.txt"
         src.write_text("PUSH 1\n")

@@ -92,6 +92,15 @@ class TestLoader:
         with pytest.raises(AsmError):
             assemble("JMP 99\nHALT\n")
 
+    def test_push_immediate_range(self):
+        # [-2^63, 2^64): a negative immediate is its two's complement
+        top = vm_load(assemble(f"PUSH {WORD - 1}\nHALT")).program[0]
+        assert vm_load(assemble("PUSH -1\nHALT")).program[0] == top == (0x01, WORD - 1)
+        assert vm_load(assemble(f"PUSH {-(WORD >> 1)}\nHALT")).program[0] == (0x01, WORD >> 1)
+        for value in (WORD, 2 * WORD, -(WORD >> 1) - 1, -WORD):
+            with pytest.raises(AsmError, match=f"line 2: immediate {value} out of range"):
+                assemble(f"HALT\nPUSH {value}\nHALT")
+
     def test_jump_target_out_of_range_reports_its_instruction(self):
         # PUSH 1 at bytes 13-21, POP at 22, JMP at 23-27; patch JMP's target
         raw = bytearray(assemble("top: PUSH 1\nPOP\nJMP top"))
