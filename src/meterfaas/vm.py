@@ -13,6 +13,8 @@ bytes. Numeric I/O is little-endian 64-bit words.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -22,6 +24,13 @@ MAGIC = b"MFVM"
 VERSION = 1
 LOCAL_SLOTS = 16
 WORD = 1 << 64
+
+# A heap block holds its whole 64-bit words in an array of this type; the
+# bytes past its last whole word are kept apart (see execute_steps).
+_ZERO_WORD = array("Q", (0,))
+if _ZERO_WORD.itemsize != 8:
+    raise ImportError("array('Q') items are not 64-bit words on this host")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 # opcode -> (mnemonic, immediate kind); immediates: None, "u64", "target", "slot"
 OPCODES: dict[int, tuple[str, str | None]] = {
@@ -312,6 +321,15 @@ def execute_steps(
     loader guarantees that the last instruction is HALT or JMP, so ``pc``
     never runs off the program.
 
+    A heap block of ``size`` bytes is an ``array('Q')`` of its ``size // 8``
+    whole words in ``heap``, plus its last ``size % 8`` bytes in ``tails``
+    when there are any. LOAD and STORE index the words, so word ``idx`` is
+    out of bounds exactly when ``(idx + 1) * 8 > size``. SET_TAG hashes the
+    words as little-endian bytes followed by the tail. REALLOC resizes in
+    place: shrinking into a word keeps that word's low bytes as the tail,
+    and growing past the last whole word turns the tail into the low bytes
+    of a word whose other bytes are zero, as if the block were bytes.
+
     The loop dispatches on ``image.code``, where the loader has put a
     superinstruction at each LOADL that starts a fused run of k
     instructions. A fused run holds no trap, HALT, heap or network op, so it
@@ -331,7 +349,8 @@ def execute_steps(
     push = stack.append
     pop = stack.pop
     locals_: list[int] = [0] * LOCAL_SLOTS
-    heap: dict[int, bytearray] = {}
+    heap: dict[int, array] = {}  # handle -> the block's whole words
+    tails: dict[int, bytes] = {}  # handle -> its 1-7 bytes past them, if any
     next_handle = 1
     live = 0
     output = bytearray()
@@ -342,7 +361,7 @@ def execute_steps(
     yielded = 0  # cycles already yielded
     reason: str | None = None
 
-    def block(handle: int) -> bytearray:
+    def block(handle: int) -> array:
         b = heap.get(handle)
         if b is None:
             raise _Trap("fault:bad-handle")
@@ -396,19 +415,23 @@ def execute_steps(
                 pop()
             elif op == 0x33:  # LOAD
                 idx = pop()
-                b = block(pop())
-                if (idx + 1) * 8 > len(b):
+                b = heap.get(pop())
+                if b is None:
+                    raise _Trap("fault:bad-handle")
+                if idx >= len(b):
                     raise _Trap("fault:out-of-bounds")
-                push(int.from_bytes(b[idx * 8 : idx * 8 + 8], "little"))
+                push(b[idx])
             elif op == 0x10:  # ADD
                 b = pop()
                 stack[-1] = (stack[-1] + b) % WORD
             elif op == 0x34:  # STORE
                 value, idx = pop(), pop()
-                b = block(pop())
-                if (idx + 1) * 8 > len(b):
+                b = heap.get(pop())
+                if b is None:
+                    raise _Trap("fault:bad-handle")
+                if idx >= len(b):
                     raise _Trap("fault:out-of-bounds")
-                b[idx * 8 : idx * 8 + 8] = value.to_bytes(8, "little")
+                b[idx] = value
             elif op == 0x11:  # SUB
                 b = pop()
                 stack[-1] = (stack[-1] - b) % WORD
@@ -455,8 +478,13 @@ def execute_steps(
                 if len(output) + 8 > limits.max_output:
                     raise _Trap("budget:output")
                 output.extend(v.to_bytes(8, "little"))
-            elif op == 0x52:  # SET_TAG
-                tag = crypto.hash_bytes(bytes(block(pop())))
+            elif op == 0x52:  # SET_TAG: the block's bytes, its words little-endian
+                handle = pop()
+                b = block(handle)
+                if _BIG_ENDIAN:
+                    b = array("Q", b)
+                    b.byteswap()
+                tag = crypto.hash_bytes(b.tobytes() + tails.get(handle, b""))
             elif op == 0x40 or op == 0x41:  # NET_SEND, NET_RECV
                 if not stack:
                     steps -= 1  # the pop comes before the count
@@ -484,30 +512,44 @@ def execute_steps(
                         raise _Trap("budget:memory")
                     handle = next_handle
                     next_handle += 1
-                    heap[handle] = bytearray(size)
+                    heap[handle] = _ZERO_WORD * (size >> 3)
+                    if size & 7:
+                        tails[handle] = bytes(size & 7)
                     live += size
                     hooks.on_alloc(size)
                     push(handle)
-                elif op == 0x31:  # REALLOC
+                elif op == 0x31:  # REALLOC, in place: bytes cut off are gone, new bytes are zero
                     size, handle = pop(), pop()
                     b = block(handle)
-                    old = len(b)
+                    tail = tails.get(handle, b"")
+                    old = len(b) * 8 + len(tail)
                     if live - old + size > limits.max_memory:
                         raise _Trap("budget:memory")
-                    if size >= old:
-                        b.extend(bytes(size - old))
-                        if size > old:
-                            hooks.on_alloc(size - old)
+                    n = size >> 3
+                    if n > len(b):  # the tail becomes the low bytes of a whole word
+                        b.append(int.from_bytes(tail, "little"))
+                        b.extend(_ZERO_WORD * (n - len(b)))
+                        tail = bytes(size & 7)
+                    elif n < len(b):  # word n keeps its low bytes as the tail
+                        tail = b[n].to_bytes(8, "little")[: size & 7]
+                        del b[n:]
                     else:
-                        del b[size:]
+                        tail = (tail + bytes(8))[: size & 7]
+                    if tail:
+                        tails[handle] = tail
+                    else:
+                        tails.pop(handle, None)
+                    if size > old:
+                        hooks.on_alloc(size - old)
+                    elif size < old:
                         hooks.on_free(old - size)
                     live += size - old
                     push(handle)
                 else:  # FREE
                     handle = pop()
-                    b = block(handle)
-                    live -= len(b)
-                    hooks.on_free(len(b))
+                    size = len(block(handle)) * 8 + len(tails.pop(handle, b""))
+                    live -= size
+                    hooks.on_free(size)
                     del heap[handle]
             pc += 1
         else:

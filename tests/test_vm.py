@@ -770,9 +770,9 @@ class TestConfinement:
             elif isinstance(node, ast.ImportFrom):
                 module = "." * node.level + (node.module or "")
                 imported.update((module, alias.name) for alias in node.names)
-        assert imported == {("__future__", "annotations"), ("dataclasses", "dataclass"),
-                            ("dataclasses", "field"), ("typing", "Callable"),
-                            ("typing", "Generator"), (".", "crypto")}
+        assert imported == {("__future__", "annotations"), ("array", "array"), ("sys", None),
+                            ("dataclasses", "dataclass"), ("dataclasses", "field"),
+                            ("typing", "Callable"), ("typing", "Generator"), (".", "crypto")}
 
     def test_hooks_are_the_only_capability(self):
         import inspect
