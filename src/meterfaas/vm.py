@@ -76,16 +76,17 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
            for arg in ((None,) if imm is None else range(LOCAL_SLOTS) if imm == "slot" else ())}
 
 # Superinstructions: opcodes past the real ones that the loader puts in place
-# of a LOADL starting one of these runs. No run can trap or holds a HALT, heap
-# or network op, so fusing one changes no yield. The patterns come from
-# dynamic n-gram counts over the corpus and the fuzz programs. Each argument
-# is a tuple whose first item is the LOADL's slot.
+# of a LOADL starting one of these runs. No run holds a HALT, heap or network
+# op, and only a run's last instruction may trap, so fusing one changes no
+# yield. The patterns come from dynamic n-gram counts over the corpus and the
+# fuzz programs. Each argument is a tuple whose first item is the LOADL's slot.
 _LL = 0x70  # LOADL a; LOADL b -> (a, b)
 _LLPS = 0x71  # LOADL a; LOADL b; PUSH k; SUB -> (a, b, k)
 _LPAS = 0x72  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t] -> (a, k', more, next pc), where
 #   k' is k for ADD and 2^64 - k mod 2^64 for SUB, and `more` the steps after the LOADL
 _LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t -> (a, b, t)
 _LJZ = 0x74  # LOADL a; JZ t -> (a, t)
+_LLPSL = 0x75  # LOADL h; LOADL i; PUSH k; SUB; LOAD -> (h, i, k): fib's values[i-k]; LOAD may trap
 
 
 class LoadError(ValueError):
@@ -257,7 +258,11 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
     """``program`` with the longest fused pattern that starts at each LOADL in
     ``heads`` put in that LOADL's place. Every index is matched on its own
     and every other entry keeps its instruction, so no jump target moves and
-    a jump into the middle of a pattern runs whatever starts there."""
+    a jump into the middle of a pattern runs whatever starts there. Six
+    patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds a HALT, heap or
+    network op, and only the last instruction of one (the LOAD of
+    ``_LLPSL``) may trap, so a trap inside a fused run still comes after
+    every step before it has been counted."""
     code: list[tuple[int, object]] | None = None
     n = len(program)
     for i in heads:
@@ -266,8 +271,8 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
         op2, x2 = program[i + 2] if i + 2 < n else (None, None)
         op3, x3 = program[i + 3] if i + 3 < n else (None, None)
         if op1 == 0x60:  # LOADL a; LOADL b
-            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB
-                entry = (_LLPS, (a, x1, x2))
+            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB [; LOAD]
+                entry = (_LLPSL if program[i + 4][0] == 0x33 else _LLPS, (a, x1, x2))  # SUB is never last
             elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ t
                 entry = (_LLGJ, (a, x1, x3))
             else:
@@ -332,12 +337,15 @@ def execute_steps(
 
     The loop dispatches on ``image.code``, where the loader has put a
     superinstruction at each LOADL that starts a fused run of k
-    instructions. A fused run holds no trap, HALT, heap or network op, so it
+    instructions. A fused run holds no HALT, heap or network op, so it
     changes no yield; it counts k steps at once and runs only when all k fit
-    the step budget, else the LOADL at that pc runs alone. Every other entry
-    is the program's own instruction and no jump target moves, so a jump into
-    the middle of a run executes whatever starts there. Returns the
-    VMResult."""
+    the step budget, else the LOADL at that pc runs alone (``LOADL; LOADL;
+    PUSH; SUB; LOAD`` runs its first four if they fit). A fused run may trap
+    only at its last instruction, after all k steps are counted, so the trap
+    flush charges what the instructions one at a time would. Every other
+    entry is the program's own instruction and no jump target moves, so a
+    jump into the middle of a run executes whatever starts there. Returns
+    the VMResult."""
     costs.validate()
     code = image.code
     default = costs.default
@@ -372,6 +380,18 @@ def execute_steps(
             op, arg = code[pc]
             steps += 1
             if op >= 0x70:  # a superinstruction, run whole only if all its steps fit
+                if op == 0x75 and steps + 4 <= max_steps:  # LOADL h; LOADL i; PUSH k; SUB; LOAD
+                    steps += 4  # every step is counted before the LOAD may trap
+                    a, b, k = arg
+                    words = heap.get(locals_[a])
+                    if words is None:
+                        raise _Trap("fault:bad-handle")
+                    idx = (locals_[b] - k) % WORD
+                    if idx >= len(words):
+                        raise _Trap("fault:out-of-bounds")
+                    push(words[idx])
+                    pc += 5
+                    continue
                 if op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t]
                     a, k, more, after = arg
                     if steps + more <= max_steps:
@@ -379,7 +399,7 @@ def execute_steps(
                         locals_[a] = (locals_[a] + k) % WORD
                         pc = after
                         continue
-                elif op == 0x71:  # LOADL a; LOADL b; PUSH k; SUB
+                elif op == 0x71 or op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB, all of 0x75 but its LOAD
                     if steps + 3 <= max_steps:
                         steps += 3
                         a, b, k = arg
@@ -413,14 +433,6 @@ def execute_steps(
                 raise _Trap("fault:stack-underflow")
             elif op == 0x02:  # POP
                 pop()
-            elif op == 0x33:  # LOAD
-                idx = pop()
-                b = heap.get(pop())
-                if b is None:
-                    raise _Trap("fault:bad-handle")
-                if idx >= len(b):
-                    raise _Trap("fault:out-of-bounds")
-                push(b[idx])
             elif op == 0x10:  # ADD
                 b = pop()
                 stack[-1] = (stack[-1] + b) % WORD
@@ -432,6 +444,14 @@ def execute_steps(
                 if idx >= len(b):
                     raise _Trap("fault:out-of-bounds")
                 b[idx] = value
+            elif op == 0x33:  # LOAD
+                idx = pop()
+                b = heap.get(pop())
+                if b is None:
+                    raise _Trap("fault:bad-handle")
+                if idx >= len(b):
+                    raise _Trap("fault:out-of-bounds")
+                push(b[idx])
             elif op == 0x11:  # SUB
                 b = pop()
                 stack[-1] = (stack[-1] - b) % WORD

@@ -139,14 +139,14 @@ class TestLoader:
             20: (0x73, (2, 0, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
             24: (0x70, (1, 2)),  # LOADL 1; LOADL 2
             25: (0x70, (2, 1)),  # LOADL 2; LOADL 1, overlapping the run at 24
-            26: (0x71, (1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB
-            31: (0x71, (1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB
+            26: (0x75, (1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
+            31: (0x75, (1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD
             38: (0x72, (2, 1, 4, 20)),  # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop
             43: (0x70, (1, 0)),  # end: LOADL 1; LOADL 0
         }
-        # one more pass of the 23-instruction loop costs 9 dispatches
+        # one more pass of the 23-instruction loop costs 7 dispatches
         passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
-        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 9
+        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 7
 
     def test_fused_code_takes_no_part_in_equality_or_repr(self):
         raw = assemble(corp.FIB_SOURCE)
@@ -473,8 +473,10 @@ top:    PUSH 8
 
 
 # runs around each fused pattern: every pattern, k = 0, SUBs that wrap below
-# zero, a STOREL to another slot (not fused), a JMP tail, and overlapping
-# candidates; `out` is past the run
+# zero, a STOREL to another slot (not fused), a JMP tail, overlapping
+# candidates, and fib's values[i-k] over the block in local 4 that loads a
+# word, a bad handle, an index past the block, into its partial last word
+# and wrapped below zero; `out` is past the run
 FUSED_RUNS = [
     "LOADL 1\nLOADL 2",
     "LOADL 1\nLOADL 2\nPUSH 7\nSUB",
@@ -491,18 +493,29 @@ FUSED_RUNS = [
     "LOADL 1\nLOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP out",
     "LOADL 1\nLOADL 2\nLOADL 1\nLOADL 2\nGT\nJNZ out",
     "LOADL 3\nLOADL 3\nJZ out",
+    "LOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD",
+    "LOADL 4\nLOADL 2\nPUSH 2\nSUB\nLOAD",
+    "LOADL 4\nLOADL 1\nPUSH 7\nSUB\nLOAD",
+    "LOADL 3\nLOADL 2\nPUSH 1\nSUB\nLOAD",
+    "LOADL 4\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nADD",
+    "LOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nSTOREL 3\nJMP out",
 ]
-# locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7 and SUB 9
+# locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7
+# and SUB 9; l3 is no handle, l2 - 1 and l2 - 2 index the block's words with
+# l2 = 3 and lie past them with l2 = 5
 FUSED_LOCALS = [(9, 3, 0), (2, 5, 4)]
 
 
 def fused_program(run, values, entry):
-    """`run` entered at its `entry`-th instruction, after a prologue that sets
+    """`run` entered at its `entry`-th instruction, after a prologue that puts
+    a 28-byte block holding 100, 101, 102 and a 4-byte tail in local 4, sets
     locals 1-3 to `values` and pushes a sentinel and two words, and before
     an epilogue that outputs the locals and the stack down to the sentinel."""
     lines = run.splitlines()
     lines[entry] = "in: " + lines[entry]
-    prologue = [f"PUSH {v}\nSTOREL {slot}" for slot, v in zip((1, 2, 3), values)]
+    prologue = ["PUSH 28", "ALLOC", "STOREL 4"]
+    prologue += [f"LOADL 4\nPUSH {i}\nPUSH {100 + i}\nSTORE" for i in range(3)]
+    prologue += [f"PUSH {v}\nSTOREL {slot}" for slot, v in zip((1, 2, 3), values)]
     prologue += ["PUSH 12345", "PUSH 5", "PUSH 6", "JMP in"]
     epilogue = ["out: LOADL 1", "OUTPUT_WORD", "LOADL 2", "OUTPUT_WORD", "LOADL 3", "OUTPUT_WORD",
                 "drain: DUP", "PUSH 12345", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
@@ -519,13 +532,14 @@ def fused_programs():
 
 # a random valid program over the fused patterns' opcodes: single instructions
 # and whole patterns, slots from a small set so that patterns and their
-# near misses both occur, any jump target, HALT or JMP last
+# near misses both occur, any jump target, HALT or JMP last, after a prologue
+# that allocates a block into local 0
 _SLOTS = st.integers(0, 2)
 _WORDS = st.sampled_from([0, 1, 2, 7, WORD - 1]) | st.integers(0, WORD - 1)
 _PIECES = st.one_of(
     st.tuples(st.sampled_from(["LOADL", "STOREL"]), _SLOTS),
     st.tuples(st.just("PUSH"), _WORDS),
-    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "HALT"])),
+    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "LOAD", "HALT"])),
     st.tuples(st.sampled_from(["JNZ", "JZ", "JMP"]), st.integers(0, 10 ** 6)),
     st.builds(lambda a, b, k: (("LOADL", a), ("LOADL", b), ("PUSH", k), ("SUB",)), _SLOTS, _SLOTS, _WORDS),
     st.builds(lambda a, k, op: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a)),
@@ -533,12 +547,14 @@ _PIECES = st.one_of(
     st.builds(lambda a, b, t: (("LOADL", a), ("LOADL", b), ("GT",), ("JNZ", t)),
               _SLOTS, _SLOTS, st.integers(0, 10 ** 6)),
     st.builds(lambda a, t: (("LOADL", a), ("JZ", t)), _SLOTS, st.integers(0, 10 ** 6)),
+    st.builds(lambda h, i, k: (("LOADL", h), ("LOADL", i), ("PUSH", k), ("SUB",), ("LOAD",)),
+              _SLOTS, _SLOTS, _WORDS),
 )
 
 
 @st.composite
 def fused_sources(draw):
-    instrs = []
+    instrs = [("PUSH", draw(st.integers(0, 40))), ("ALLOC",), ("STOREL", 0)]
     for piece in draw(st.lists(_PIECES, min_size=1, max_size=12)):
         instrs += piece if isinstance(piece[0], tuple) else [piece]
     instrs.append(draw(st.sampled_from([("HALT",), ("JMP", 0)])))
@@ -714,11 +730,16 @@ class TestReferenceVm:
     def test_fused_runs(self, costs):
         # every pattern entered at each of its instructions, under every step
         # budget up to one past the whole run, so that a budget ends at each
-        # offset inside each fused run
+        # offset inside each fused run; a trap fires under every budget that
+        # reaches its instruction, and only there
+        reasons = set()
         for image in fused_programs():
             full = self.check(image, b"", LIMITS, costs)
+            reasons.add(full.reason)
             for max_steps in range(1, full.steps + 2):
-                self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+                res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+                assert res.reason == (full.reason if max_steps >= full.steps else "budget:steps")
+        assert reasons == {None, "fault:bad-handle", "fault:out-of-bounds"}
 
     @given(source=fused_sources(), max_steps=st.integers(1, 300))
     @settings(max_examples=150, deadline=None)
