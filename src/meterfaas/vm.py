@@ -504,7 +504,9 @@ def execute_steps(
                 if _BIG_ENDIAN:
                     b = array("Q", b)
                     b.byteswap()
-                tag = crypto.hash_bytes(b.tobytes() + tails.get(handle, b""))
+                data = bytearray(b)  # one copy of the words' bytes, grown in place by the tail
+                data += tails.get(handle, b"")
+                tag = crypto.hash_bytes(data)
             elif op == 0x40 or op == 0x41:  # NET_SEND, NET_RECV
                 if not stack:
                     steps -= 1  # the pop comes before the count
