@@ -566,7 +566,7 @@ def fused_sources(draw):
     return "\n".join(lines)
 
 
-# a block of up to 10 words or past the budget, in whole or partial words
+# 256 bytes of memory: room for three blocks of a few words, not for the largest sizes
 HEAP_LIMITS = VMLimits(max_steps=4000, max_memory=256, max_output=1 << 16)
 
 
