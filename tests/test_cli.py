@@ -245,6 +245,102 @@ class TestRunAndVerify:
         assert rc == 0
 
 
+POLICY = ("per_invocation=0.0000002\nper_ghz_second=0.00001\nper_gb_second=0.0000166667\n"
+          "per_gb_network=0.12\ncpu_frequency_assumption=2000000000\n")
+
+
+class TestDocumentedPaths:
+    """Forms of the commands that the README documents, one run each."""
+
+    @pytest.fixture
+    def policy(self, tmp_path):
+        path = tmp_path / "policy.cfg"
+        path.write_text(POLICY)
+        return path
+
+    def test_bill_reads_a_binary_report_and_a_directory_of_one(self, state, fib_files, policy, tmp_path,
+                                                              capsys):
+        run_invocation(state, fib_files)
+        single = tmp_path / "single"
+        single.mkdir()
+        (single / "measurement.bin").write_bytes((state / "measurement.bin").read_bytes())
+        capsys.readouterr()
+        invoices = []
+        for reports in (state / "measurements.log", state / "measurement.bin", single):
+            assert main(["bill", "--policy", str(policy), "--reports", str(reports), "--state", str(state)]) == 0
+            invoices.append(capsys.readouterr().out)
+        assert invoices[0] == invoices[1] == invoices[2]
+        assert "invocations,1," in invoices[0]
+
+    def test_bill_state_rejects_a_report_of_another_deployment(self, state, fib_files, policy, tmp_path,
+                                                              capsys):
+        other = tmp_path / "other"
+        assert main(["kde", "keygen", "--state", str(other), "--seed", "8"]) == 0
+        run_invocation(other, fib_files)
+        capsys.readouterr()
+        rc = main(["bill", "--policy", str(policy), "--reports", str(other / "measurement.bin"),
+                   "--state", str(state)])
+        assert rc == 1
+        assert capsys.readouterr().out == "REJECT: report 0 does not verify against any known key set\n"
+
+    def test_bill_writes_the_invoice_with_o(self, state, fib_files, policy, tmp_path, capsys):
+        run_invocation(state, fib_files)
+        out = tmp_path / "invoice.csv"
+        capsys.readouterr()
+        assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log"),
+                     "-o", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert out.read_text().startswith("item,quantity,charge_exact,charge_approx\n")
+
+    def test_verify_receipt_with_kout(self, state, fib_files, capsys):
+        fn, inp = fib_files
+        run_invocation(state, fib_files)
+        k_out = PublishedKeys.decode((state / "published.bin").read_bytes()).k_out_pub.hex()
+        args = ["verify", "receipt", "--receipt", str(state / "receipt.bin"), "--input", str(inp),
+                "--function", str(fn), "--output", str(state / "output.bin")]
+        capsys.readouterr()
+        assert main(args + ["--kout", k_out]) == 0
+        assert capsys.readouterr().out == "ACCEPT: receipt binds (input, function, output)\n"
+        assert main(args + ["--kout", "00" * 32]) == 1
+
+    def test_run_of_a_trapping_function_exit_1(self, state, tmp_path, capsys):
+        fn = tmp_path / "trap.mfvm"
+        fn.write_bytes(assemble("PUSH 2\nINPUT_WORD\nOUTPUT_WORD\nHALT"))
+        rc = main(["run", "--state", str(state), "--function", str(fn), "--input", "/dev/null"])
+        assert rc == 1
+        assert capsys.readouterr().out == "FUNCTION FAILED: fault:input-out-of-bounds\n"
+        assert not (state / "output.bin").exists()
+
+    def test_keygen_with_parametrization_then_run(self, tmp_path, fib_files, capsys):
+        state = tmp_path / "param"
+        assert main(["kde", "keygen", "--state", str(state), "--seed", "7",
+                     "--parametrization", "ab" * 32]) == 0
+        assert "parametrization=" + "ab" * 32 in (state / "deployment.cfg").read_text()
+        assert run_invocation(state, fib_files) == 0
+        assert (state / "output.bin").read_bytes() == (55).to_bytes(8, "little")
+
+    def test_keygen_with_custom_worker_identity_then_run_exit_2(self, tmp_path, fib_files, capsys):
+        state = tmp_path / "custom"
+        assert main(["kde", "keygen", "--state", str(state), "--seed", "7",
+                     "--worker-identity", "cd" * 32]) == 0
+        assert f"worker identity {'cd' * 32}" in capsys.readouterr().out
+        assert run_invocation(state, fib_files) == 2
+        assert "state worker identity is custom" in capsys.readouterr().err
+
+    def test_kde_publish_out(self, state, tmp_path):
+        out = tmp_path / "keys.bin"
+        assert main(["kde", "publish", "--state", str(state), "--out", str(out)]) == 0
+        assert out.read_bytes() == (state / "published.bin").read_bytes()
+
+    def test_verify_quote_with_root_pub(self, state, tmp_path, capsys):
+        keys = str(state / "published.bin")
+        root = (state / "root.pub").read_text().strip()
+        capsys.readouterr()
+        assert main(["verify", "quote", "--keys", keys, "--root-pub", root]) == 0
+        assert capsys.readouterr().out.startswith("ACCEPT: keyset ")
+        assert main(["verify", "quote", "--keys", keys, "--root-pub", "00" * 32]) == 1
+
+
 class TestTools:
     def test_vm_asm(self, tmp_path, capsys):
         src = tmp_path / "prog.txt"
@@ -273,6 +369,25 @@ class TestTools:
         out = tmp_path / "ff.mfvm"
         assert main(["vm", "asm", str(src), "-o", str(out)]) == 2
         assert "neither HALT nor JMP" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source,message", [
+        (".entry\nHALT", "line 1: .entry needs one label"),
+        ("1x: HALT", "line 1: bad label '1x'"),
+        ("a: HALT\na: HALT", "line 2: duplicate label 'a'"),
+        ("PUSH 1 2\nHALT", "line 1: too many operands"),
+        ("HALT 1", "line 1: HALT takes no operand"),
+        ("PUSH\nHALT", "line 1: PUSH needs an operand"),
+        ("LOADL 16\nHALT", "line 1: slot 16 out of range"),
+        (".entry go\nHALT", ".entry label 'go' undefined"),
+        ("; nothing but a comment\n", "empty program (offset 13)"),
+    ])
+    def test_vm_asm_each_error_exit_2(self, tmp_path, capsys, source, message):
+        src = tmp_path / "bad.txt"
+        src.write_text(source)
+        out = tmp_path / "bad.mfvm"
+        assert main(["vm", "asm", str(src), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "replay"])

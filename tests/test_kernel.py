@@ -370,6 +370,71 @@ class TestTransactions:
         with pytest.raises(KernelError):
             kern.run([], 1000)
 
+    @pytest.mark.parametrize("instr,message", [
+        (TxEnd(), "txer: commit outside transaction"),
+        (TxAbort("code"), "txer: abort outside transaction"),
+    ])
+    def test_end_or_abort_outside_a_transaction_is_a_kernel_fault(self, instr, message):
+        kern, t, watched, out = self._tx_kernel()
+
+        def program():
+            yield instr
+
+        t.set_program(program())
+        with pytest.raises(KernelError, match=f"^{message}$"):
+            kern.run([], 1000)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda c: Ticks(3, 0, c, Cell("counter", 0), Cell("mirror", 0), Cell("proc", 1)),
+         "txer: ticks inside transaction"),
+        (lambda c: HostStall(4), "txer: ocall stall inside transaction"),
+        (lambda c: WaitUntil(lambda: True), "txer: wait inside transaction"),
+    ])
+    def test_blocking_work_inside_a_transaction_is_a_kernel_fault(self, make, message):
+        kern, t, watched, out = self._tx_kernel()
+
+        def program():
+            yield TxBegin((watched,))
+            yield make(watched)
+
+        t.set_program(program())
+        with pytest.raises(KernelError, match=f"^{message}$"):
+            kern.run([], 1000)
+
+    def test_actor_without_a_program_is_a_kernel_fault(self):
+        kern, t, watched, out = self._tx_kernel()
+        kern.add_enclave_actor("idle")
+        t.set_program(make_worker_program(2))
+        with pytest.raises(KernelError, match="^actor idle has no program$"):
+            kern.run([], 1000)
+
+    def test_transaction_reads_its_own_buffered_write(self):
+        # the writer sees its write before TxEnd, in place and after a costed
+        # read; the reader, running while the writer's Op is in flight, still
+        # sees the committed value
+        kern, t, watched, out = self._tx_kernel()
+        reader = kern.add_enclave_actor("reader")
+
+        def program():
+            yield TxBegin((watched,))
+            yield WriteCell(out, 42)
+            mine = yield ReadCell(out)
+            yield Op(10)
+            again = yield ReadCell(out, cost=1)
+            yield TxEnd()
+            return mine, again
+
+        def read_during():
+            yield Op(5)
+            seen = yield ReadCell(out, cost=1)
+            return seen
+
+        t.set_program(program())
+        reader.set_program(read_during())
+        trace = kern.run([], 1000)
+        assert trace.results == {"txer": (42, 42), "reader": 0}
+        assert out.value == 42
+
     def test_interrupt_between_commit_and_next_instruction(self):
         # single-step adversary: AEX lands exactly at the commit boundary
         kern, t, watched, out = self._tx_kernel()

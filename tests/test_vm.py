@@ -11,7 +11,9 @@ from meterfaas import corpus as corp
 from meterfaas.crypto import DeterministicRng, hash_bytes
 from meterfaas.fuzz import random_image
 from meterfaas.vm import (
+    MAGIC,
     OPCODES,
+    VERSION,
     WORD,
     AsmError,
     CostTable,
@@ -31,6 +33,41 @@ LIMITS = VMLimits(max_steps=2_000_000, max_memory=1 << 24, max_output=1 << 16)
 def run_named(name, input_data=b"", hooks=None, limits=LIMITS, **kw):
     image = corp.corpus()[name]
     return vm_execute(image, input_data, limits, hooks=hooks, **kw)
+
+
+def image_bytes(code, entry=0, version=VERSION):
+    """A bytecode file around `code` with a correct code length field."""
+    return MAGIC + bytes([version]) + entry.to_bytes(4, "little") + len(code).to_bytes(4, "little") + code
+
+
+# one malformed file per loader error, with its exact message and offset
+LOAD_ERRORS = [
+    (MAGIC + bytes(8), "file shorter than header", 12),
+    (image_bytes(b"\x00", version=2), "unsupported version 2", 4),
+    (image_bytes(b"\x00") + b"\x00", "code length field 1 does not match 2 bytes", 9),
+    (image_bytes(b"\x01" + bytes(7)), "truncated 64-bit immediate", 14),
+    (image_bytes(b"\x00\x20" + bytes(3)), "truncated jump target", 15),
+    (image_bytes(b"\x00\x60"), "truncated slot index", 15),
+    (image_bytes(b"\x60\x10\x00"), "slot 16 out of range", 14),
+    (image_bytes(b""), "empty program", 13),
+    (image_bytes(b"\x00", entry=1), "entry index 1 out of range", 5),
+]
+
+# one source per assembler error, with its exact message
+ASM_ERRORS = [
+    (".entry\nHALT", "line 1: .entry needs one label"),
+    ("HALT\n1x: HALT", "line 2: bad label '1x'"),
+    ("a: HALT\na: HALT", "line 2: duplicate label 'a'"),
+    ("PUSH 1 2\nHALT", "line 1: too many operands"),
+    ("HALT 1", "line 1: HALT takes no operand"),
+    ("PUSH\nHALT", "line 1: PUSH needs an operand"),
+    ("LOADL 16\nHALT", "line 1: slot 16 out of range"),
+    ("STOREL -1\nHALT", "line 1: slot -1 out of range"),
+    (".entry go\nHALT", ".entry label 'go' undefined"),
+    ("NOP\nHALT", "line 1: unknown mnemonic 'NOP'"),
+    ("JMP nowhere\nHALT", "line 1: unresolved operand 'nowhere'"),
+    ("JMP 2\nHALT", "line 1: jump target 2 out of range"),
+]
 
 
 def encode(program):
@@ -121,6 +158,18 @@ class TestLoader:
         with pytest.raises(LoadError, match="neither HALT nor JMP") as ei:
             vm_load(assemble(source))
         assert ei.value.offset == offset
+
+    @pytest.mark.parametrize("data,message,offset", LOAD_ERRORS, ids=[m for _, m, _ in LOAD_ERRORS])
+    def test_load_error_message_and_offset(self, data, message, offset):
+        with pytest.raises(LoadError) as ei:
+            vm_load(data)
+        assert str(ei.value) == f"{message} (offset {offset})" and ei.value.offset == offset
+
+    @pytest.mark.parametrize("source,message", ASM_ERRORS, ids=[m for _, m in ASM_ERRORS])
+    def test_asm_error_message(self, source, message):
+        with pytest.raises(AsmError) as ei:
+            assemble(source)
+        assert str(ei.value) == message
 
     def test_entry_label(self):
         img = vm_load(assemble(".entry go\nHALT\ngo: PUSH 7\nOUTPUT_WORD\nHALT\n"))
@@ -645,6 +694,34 @@ PARTIAL_WORD_SOURCE = """
 """
 
 
+# programs that run every opcode to completion, each with its input words
+# and the words it outputs; comparisons see less, equal and greater, jumps
+# are taken and not taken, and arithmetic wraps both ways
+COMPLETING_PROGRAMS = [
+    ("PUSH 5\nPUSH 9\nLT\nOUTPUT_WORD\nPUSH 9\nPUSH 5\nLT\nOUTPUT_WORD\nPUSH 5\nPUSH 5\nLT\n"
+     "OUTPUT_WORD\nHALT", [], [1, 0, 0]),
+    ("PUSH 5\nPUSH 9\nGT\nOUTPUT_WORD\nPUSH 9\nPUSH 5\nGT\nOUTPUT_WORD\nPUSH 5\nPUSH 5\nGT\n"
+     "OUTPUT_WORD\nHALT", [], [0, 1, 0]),
+    ("PUSH 5\nPUSH 9\nEQ\nOUTPUT_WORD\nPUSH 5\nPUSH 5\nEQ\nOUTPUT_WORD\nHALT", [], [0, 1]),
+    ("PUSH 1\nPUSH 2\nSWAP\nOUTPUT_WORD\nOUTPUT_WORD\nPUSH 10\nPUSH 3\nSWAP\nSUB\nOUTPUT_WORD\nHALT",
+     [], [1, 2, WORD - 7]),
+    ("PUSH 1\nPUSH 2\nOVER\nOUTPUT_WORD\nOUTPUT_WORD\nOUTPUT_WORD\nPUSH 10\nPUSH 3\nOVER\nSUB\n"
+     "SUB\nOUTPUT_WORD\nHALT", [], [1, 2, 1, 17]),
+    ("PUSH 3\nDUP\nPUSH 4\nPOP\nMUL\nOUTPUT_WORD\nHALT", [], [9]),
+    ("PUSH -1\nPUSH 2\nADD\nOUTPUT_WORD\nPUSH 2\nPUSH 3\nSUB\nOUTPUT_WORD\nPUSH 0x100000000\n"
+     "PUSH 0x100000001\nMUL\nOUTPUT_WORD\nHALT", [], [1, WORD - 1, 1 << 32]),
+    ("PUSH 0\nJZ a\nPUSH 111\nOUTPUT_WORD\na: PUSH 1\nJZ b\nPUSH 2\nOUTPUT_WORD\nb: PUSH 1\nJNZ c\n"
+     "PUSH 333\nOUTPUT_WORD\nc: PUSH 0\nJNZ d\nPUSH 4\nOUTPUT_WORD\nd: JMP e\nPUSH 555\nOUTPUT_WORD\n"
+     "e: HALT", [], [2, 4]),
+    ("PUSH 1\nINPUT_WORD\nSTOREL 15\nPUSH 0\nINPUT_WORD\nSTOREL 0\nLOADL 0\nLOADL 15\nOUTPUT_WORD\n"
+     "OUTPUT_WORD\nHALT", [11, 22], [22, 11]),
+    ("PUSH 12\nALLOC\nSTOREL 0\nLOADL 0\nPUSH 0\nPUSH 77\nSTORE\nLOADL 0\nPUSH 24\nREALLOC\nPUSH 2\n"
+     "PUSH 5\nSTORE\nLOADL 0\nPUSH 0\nLOAD\nOUTPUT_WORD\nLOADL 0\nPUSH 2\nLOAD\nOUTPUT_WORD\nLOADL 0\n"
+     "SET_TAG\nLOADL 0\nFREE\nHALT", [], [77, 5]),
+    ("PUSH 64\nNET_SEND\nPUSH 8\nNET_RECV\nPUSH 6\nOUTPUT_WORD\nHALT", [], [6]),
+]
+
+
 def underflow_sources():
     """Each popping op on every too-shallow stack, with and without a pending
     block of private instructions in front of it."""
@@ -694,6 +771,17 @@ class TestReferenceVm:
         for i in range(2000):
             image, input_data = random_image(rng.child(f"prog{i}"))
             self.check(image, input_data, limits, costs)
+
+    def test_every_opcode_runs_to_completion(self, costs):
+        # every mnemonic occurs in a program here, and each program runs to
+        # its HALT with the words it is expected to output
+        seen = set()
+        for source, words, expected in COMPLETING_PROGRAMS:
+            image = vm_load(assemble(source))
+            res = self.check(image, corp.words(*words), LIMITS, costs)
+            assert res.ok and res.output == corp.words(*expected), source
+            seen |= {OPCODES[op][0] for op, _ in image.program}
+        assert seen == {name for name, _ in OPCODES.values()}
 
     def test_every_trap_reason(self, costs):
         for source in underflow_sources():
