@@ -548,9 +548,16 @@ def execute_steps(
                     if live - old + size > limits.max_memory:
                         raise _Trap("budget:memory")
                     n = size >> 3
-                    if n > len(b):  # the tail becomes the low bytes of a whole word
-                        b.append(int.from_bytes(tail, "little"))
-                        b.extend(_ZERO_WORD * (n - len(b)))
+                    if n > len(b):  # the tail becomes the low bytes of word len(b)
+                        word = int.from_bytes(tail, "little")
+                        if n > 2 * len(b):  # more than doubles: built at its final size
+                            grown = _ZERO_WORD * n
+                            grown[: len(b)] = b
+                            grown[len(b)] = word
+                            heap[handle] = grown
+                        else:  # in place, beside at most the block's size in zeros
+                            b.append(word)
+                            b.extend(_ZERO_WORD * (n - len(b)))
                         tail = bytes(size & 7)
                     elif n < len(b):  # word n keeps its low bytes as the tail
                         tail = b[n].to_bytes(8, "little")[: size & 7]

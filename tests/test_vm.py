@@ -385,6 +385,41 @@ class TestExecution:
         assert res.ok and res.output == (0x0000000405060708).to_bytes(8, "little")
         assert peak < LIMITS.max_memory + (1 << 20), peak
 
+    def test_growing_realloc_builds_no_second_block(self):
+        # an 8-byte block grown to the whole budget: the grown block is built
+        # once at its final size, so the traced peak stays within 1 MiB of it
+        import tracemalloc
+
+        src = f"""
+            PUSH 8
+            ALLOC
+            STOREL 0
+            LOADL 0
+            PUSH 0
+            PUSH 0x0102030405060708
+            STORE
+            LOADL 0
+            PUSH {LIMITS.max_memory}
+            REALLOC
+            DUP
+            PUSH 0
+            LOAD
+            OUTPUT_WORD
+            PUSH {LIMITS.max_memory // 8 - 1}
+            LOAD
+            OUTPUT_WORD
+            HALT
+        """
+        image = vm_load(assemble(src))
+        tracemalloc.start()
+        try:
+            res = vm_execute(image, b"", LIMITS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.output == corp.words(0x0102030405060708, 0)
+        assert peak < LIMITS.max_memory + (1 << 20), peak
+
 
 def trace(execute, image, input_data, limits, costs):
     """Drive an interpreter generator as `vm_execute` does; log every yield
