@@ -32,7 +32,7 @@ if _ZERO_WORD.itemsize != 8:
     raise ImportError("array('Q') items are not 64-bit words on this host")
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# opcode -> (mnemonic, immediate kind); immediates: None, "u64", "target", "slot"
+# opcode -> (mnemonic, immediate kind); immediates: None or a key of _IMMEDIATES
 OPCODES: dict[int, tuple[str, str | None]] = {
     0x00: ("HALT", None),
     0x01: ("PUSH", "u64"),
@@ -63,6 +63,8 @@ OPCODES: dict[int, tuple[str, str | None]] = {
     0x61: ("STOREL", "slot"),
 }
 MNEMONIC_TO_OP = {name: op for op, (name, _) in OPCODES.items()}
+# immediate kind -> (little-endian width in bytes, its name in a truncation error)
+_IMMEDIATES = {"u64": (8, "64-bit immediate"), "target": (4, "jump target"), "slot": (1, "slot index")}
 # words each private op pops, by opcode; the heap and network ops test their
 # own depth: a heap op pops after its block closes, a network op before its step
 _POP_WORDS = {"POP": 1, "DUP": 1, "SWAP": 2, "OVER": 2, "ADD": 2, "SUB": 2, "MUL": 2, "LT": 2, "GT": 2,
@@ -79,14 +81,15 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
 # of a LOADL starting one of these runs. No run holds a HALT, heap or network
 # op, and only a run's last instruction may trap, so fusing one changes no
 # yield. The patterns come from dynamic n-gram counts over the corpus and the
-# fuzz programs. Each argument is a tuple whose first item is the LOADL's slot.
-_LL = 0x70  # LOADL a; LOADL b -> (a, b)
-_LLPS = 0x71  # LOADL a; LOADL b; PUSH k; SUB -> (a, b, k)
-_LPAS = 0x72  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t] -> (a, k', more, next pc), where
-#   k' is k for ADD and 2^64 - k mod 2^64 for SUB, and `more` the steps after the LOADL
-_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t -> (a, b, t)
-_LJZ = 0x74  # LOADL a; JZ t -> (a, t)
-_LLPSL = 0x75  # LOADL h; LOADL i; PUSH k; SUB; LOAD -> (h, i, k): fib's values[i-k]; LOAD may trap
+# fuzz programs. Every entry's argument is (more, after, a, b, k): the steps
+# after the LOADL, the pc once the run is done, its slots, and its constant
+# or jump target, None where unused.
+_LL = 0x70  # LOADL a; LOADL b
+_LLPS = 0x71  # LOADL a; LOADL b; PUSH k; SUB
+_LPAS = 0x72  # LOADL a; PUSH x; ADD|SUB; STOREL a [; JMP after]; k is x for ADD, 2^64 - x mod 2^64 for SUB
+_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ k
+_LJZ = 0x74  # LOADL a; JZ k
+_LLPSL = 0x75  # LOADL a; LOADL b; PUSH k; SUB; LOAD: fib's values[i-k]; only the LOAD may trap
 
 
 class LoadError(ValueError):
@@ -211,25 +214,17 @@ def vm_load(data: bytes) -> FunctionImage:
         _, imm = OPCODES[op]
         pos += 1
         arg: int | None = None
-        if imm == "u64":
-            if pos + 8 > len(code):
-                raise LoadError("truncated 64-bit immediate", 13 + pos)
-            arg = int.from_bytes(code[pos : pos + 8], "little")
-            pos += 8
-        elif imm == "target":
-            if pos + 4 > len(code):
-                raise LoadError("truncated jump target", 13 + pos)
-            arg = int.from_bytes(code[pos : pos + 4], "little")
-            pos += 4
-        elif imm == "slot":
-            if pos + 1 > len(code):
-                raise LoadError("truncated slot index", 13 + pos)
-            arg = code[pos]
-            if arg >= LOCAL_SLOTS:
-                raise LoadError(f"slot {arg} out of range", 13 + pos)
-            pos += 1
-            if op == 0x60:  # LOADL
-                heads.append(len(program))
+        if imm is not None:
+            width, what = _IMMEDIATES[imm]
+            if pos + width > len(code):
+                raise LoadError(f"truncated {what}", 13 + pos)
+            arg = int.from_bytes(code[pos : pos + width], "little")
+            if imm == "slot":
+                if arg >= LOCAL_SLOTS:
+                    raise LoadError(f"slot {arg} out of range", 13 + pos)
+                if op == 0x60:  # LOADL
+                    heads.append(len(program))
+            pos += width
         instr = (op, arg)
         program.append(_SHARED.get(instr, instr))
 
@@ -256,13 +251,15 @@ def vm_load(data: bytes) -> FunctionImage:
 
 def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
     """``program`` with the longest fused pattern that starts at each LOADL in
-    ``heads`` put in that LOADL's place. Every index is matched on its own
-    and every other entry keeps its instruction, so no jump target moves and
-    a jump into the middle of a pattern runs whatever starts there. Six
-    patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds a HALT, heap or
-    network op, and only the last instruction of one (the LOAD of
-    ``_LLPSL``) may trap, so a trap inside a fused run still comes after
-    every step before it has been counted."""
+    ``heads`` put in that LOADL's place, as ``(op, (more, after, a, b, k))``:
+    the run's steps after its LOADL, the pc once it is done, its slots, and
+    its constant or jump target (None where unused). Every index is matched
+    on its own and every other entry keeps its instruction, so no jump
+    target moves and a jump into the middle of a pattern runs whatever
+    starts there. Six patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds
+    a HALT, heap or network op, and only the last instruction of one (the
+    LOAD of ``_LLPSL``) may trap, so a trap inside a fused run still comes
+    after every step before it has been counted."""
     code: list[tuple[int, object]] | None = None
     n = len(program)
     for i in heads:
@@ -271,18 +268,21 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
         op2, x2 = program[i + 2] if i + 2 < n else (None, None)
         op3, x3 = program[i + 3] if i + 3 < n else (None, None)
         if op1 == 0x60:  # LOADL a; LOADL b
-            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB [; LOAD]
-                entry = (_LLPSL if program[i + 4][0] == 0x33 else _LLPS, (a, x1, x2))  # SUB is never last
-            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ t
-                entry = (_LLGJ, (a, x1, x3))
+            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB [; LOAD]; SUB is never last
+                if program[i + 4][0] == 0x33:  # LOAD
+                    entry = (_LLPSL, (4, i + 5, a, x1, x2))
+                else:
+                    entry = (_LLPS, (3, i + 4, a, x1, x2))
+            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ k
+                entry = (_LLGJ, (3, i + 4, a, x1, x3))
             else:
-                entry = (_LL, (a, x1))
-        elif op1 == 0x21:  # LOADL a; JZ t
-            entry = (_LJZ, (a, x1))
+                entry = (_LL, (1, i + 2, a, x1, None))
+        elif op1 == 0x21:  # LOADL a; JZ k
+            entry = (_LJZ, (1, i + 2, a, None, x1))
         elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a:
             k = x1 if op2 == 0x10 else (WORD - x1) % WORD  # PUSH k; ADD|SUB; STOREL a
             op4, x4 = program[i + 4]  # STOREL is never last either
-            entry = (_LPAS, (a, k, 4, x4) if op4 == 0x20 else (a, k, 3, i + 4))  # then JMP t?
+            entry = (_LPAS, (4, x4, a, None, k) if op4 == 0x20 else (3, i + 4, a, None, k))  # then JMP?
         else:
             continue
         if code is None:
@@ -330,22 +330,26 @@ def execute_steps(
     whole words in ``heap``, plus its last ``size % 8`` bytes in ``tails``
     when there are any. LOAD and STORE index the words, so word ``idx`` is
     out of bounds exactly when ``(idx + 1) * 8 > size``. SET_TAG hashes the
-    words as little-endian bytes followed by the tail. REALLOC resizes in
-    place: shrinking into a word keeps that word's low bytes as the tail,
+    words as little-endian bytes followed by the tail. REALLOC keeps the
+    handle: shrinking into a word keeps that word's low bytes as the tail,
     and growing past the last whole word turns the tail into the low bytes
-    of a word whose other bytes are zero, as if the block were bytes.
+    of a word whose other bytes are zero, as if the block were bytes. A
+    block that more than doubles is built at its final size; any other is
+    resized in place.
 
     The loop dispatches on ``image.code``, where the loader has put a
-    superinstruction at each LOADL that starts a fused run of k
-    instructions. A fused run holds no HALT, heap or network op, so it
-    changes no yield; it counts k steps at once and runs only when all k fit
-    the step budget, else the LOADL at that pc runs alone (``LOADL; LOADL;
-    PUSH; SUB; LOAD`` runs its first four if they fit). A fused run may trap
-    only at its last instruction, after all k steps are counted, so the trap
-    flush charges what the instructions one at a time would. Every other
-    entry is the program's own instruction and no jump target moves, so a
-    jump into the middle of a run executes whatever starts there. Returns
-    the VMResult."""
+    superinstruction ``(op, (more, after, a, b, k))`` at each LOADL that
+    starts a fused run (see ``_fuse``). A fused run holds no HALT, heap or
+    network op, so it changes no yield. One rule runs every fused run: if
+    its ``more`` steps after the LOADL fit the step budget, it counts them,
+    sets ``pc = after`` (``k`` for a taken JZ or JNZ) and does its work;
+    otherwise the LOADL at that pc runs alone, as the program's own
+    instruction, exactly as one at a time. A fused run may trap only at its
+    last instruction, after all its steps are counted, so the trap flush
+    charges what the instructions one at a time would. Every other entry is
+    the program's own instruction and no jump target moves, so a jump into
+    the middle of a run executes whatever starts there. Returns the
+    VMResult."""
     costs.validate()
     code = image.code
     default = costs.default
@@ -379,55 +383,35 @@ def execute_steps(
         while steps < max_steps:
             op, arg = code[pc]
             steps += 1
-            if op >= 0x70:  # a superinstruction, run whole only if all its steps fit
-                if op == 0x75 and steps + 4 <= max_steps:  # LOADL h; LOADL i; PUSH k; SUB; LOAD
-                    steps += 4  # every step is counted before the LOAD may trap
-                    a, b, k = arg
-                    words = heap.get(locals_[a])
-                    if words is None:
-                        raise _Trap("fault:bad-handle")
-                    idx = (locals_[b] - k) % WORD
-                    if idx >= len(words):
-                        raise _Trap("fault:out-of-bounds")
-                    push(words[idx])
-                    pc += 5
-                    continue
-                if op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP t]
-                    a, k, more, after = arg
-                    if steps + more <= max_steps:
-                        steps += more
+            if op >= 0x70:  # a fused run: whole if its steps fit, else its LOADL alone
+                more, after, a, b, k = arg
+                if steps + more <= max_steps:
+                    steps += more  # every step is counted before the LOAD of 0x75 may trap
+                    pc = after
+                    if op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB; LOAD
+                        words = heap.get(locals_[a])
+                        if words is None:
+                            raise _Trap("fault:bad-handle")
+                        idx = (locals_[b] - k) % WORD
+                        if idx >= len(words):
+                            raise _Trap("fault:out-of-bounds")
+                        push(words[idx])
+                    elif op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP after]
                         locals_[a] = (locals_[a] + k) % WORD
-                        pc = after
-                        continue
-                elif op == 0x71 or op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB, all of 0x75 but its LOAD
-                    if steps + 3 <= max_steps:
-                        steps += 3
-                        a, b, k = arg
+                    elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ k
+                        if locals_[a] > locals_[b]:
+                            pc = k
+                    elif op == 0x70:  # LOADL a; LOADL b
+                        push(locals_[a])
+                        push(locals_[b])
+                    elif op == 0x71:  # LOADL a; LOADL b; PUSH k; SUB
                         push(locals_[a])
                         push((locals_[b] - k) % WORD)
-                        pc += 4
-                        continue
-                elif op == 0x74:  # LOADL a; JZ t
-                    if steps < max_steps:
-                        steps += 1
-                        a, t = arg
-                        pc = t if locals_[a] == 0 else pc + 2
-                        continue
-                elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ t
-                    if steps + 3 <= max_steps:
-                        steps += 3
-                        a, b, t = arg
-                        pc = t if locals_[a] > locals_[b] else pc + 4
-                        continue
-                elif steps < max_steps:  # 0x70: LOADL a; LOADL b
-                    steps += 1
-                    a, b = arg
-                    push(locals_[a])
-                    push(locals_[b])
-                    pc += 2
+                    elif locals_[a] == 0:  # 0x74: LOADL a; JZ k
+                        pc = k
                     continue
-                push(locals_[arg[0]])  # the budget ends inside: run only its LOADL
-            elif op == 0x01:  # PUSH
+                op, arg = image.program[pc]
+            if op == 0x01:  # PUSH
                 push(arg)
             elif len(stack) < pops[op]:
                 raise _Trap("fault:stack-underflow")
@@ -540,7 +524,7 @@ def execute_steps(
                     live += size
                     hooks.on_alloc(size)
                     push(handle)
-                elif op == 0x31:  # REALLOC, in place: bytes cut off are gone, new bytes are zero
+                elif op == 0x31:  # REALLOC: bytes cut off are gone, new bytes are zero
                     size, handle = pop(), pop()
                     b = block(handle)
                     tail = tails.get(handle, b"")
@@ -685,15 +669,13 @@ def assemble(source: str) -> bytes:
         if imm == "u64":
             if not -(WORD >> 1) <= value < WORD:
                 raise AsmError(f"line {lineno}: immediate {value} out of range")
-            code.extend((value % WORD).to_bytes(8, "little"))  # a negative is its two's complement
+            value %= WORD  # a negative is its two's complement
         elif imm == "target":
             if not 0 <= value < len(items):
                 raise AsmError(f"line {lineno}: jump target {value} out of range")
-            code.extend(value.to_bytes(4, "little"))
-        elif imm == "slot":
-            if not 0 <= value < LOCAL_SLOTS:
-                raise AsmError(f"line {lineno}: slot {value} out of range")
-            code.append(value)
+        elif not 0 <= value < LOCAL_SLOTS:
+            raise AsmError(f"line {lineno}: slot {value} out of range")
+        code += value.to_bytes(_IMMEDIATES[imm][0], "little")
 
     entry = 0
     if entry_ref is not None:

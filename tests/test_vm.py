@@ -185,13 +185,13 @@ class TestLoader:
         fused = {pc: entry for pc, (entry, instr) in enumerate(zip(image.code, image.program))
                  if entry != instr}
         assert fused == {
-            20: (0x73, (2, 0, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
-            24: (0x70, (1, 2)),  # LOADL 1; LOADL 2
-            25: (0x70, (2, 1)),  # LOADL 2; LOADL 1, overlapping the run at 24
-            26: (0x75, (1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
-            31: (0x75, (1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD
-            38: (0x72, (2, 1, 4, 20)),  # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop
-            43: (0x70, (1, 0)),  # end: LOADL 1; LOADL 0
+            20: (0x73, (3, 24, 2, 0, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
+            24: (0x70, (1, 26, 1, 2, None)),  # LOADL 1; LOADL 2
+            25: (0x70, (1, 27, 2, 1, None)),  # LOADL 2; LOADL 1, overlapping the run at 24
+            26: (0x75, (4, 31, 1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
+            31: (0x75, (4, 36, 1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD
+            38: (0x72, (4, 20, 2, None, 1)),  # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop
+            43: (0x70, (1, 45, 1, 0, None)),  # end: LOADL 1; LOADL 0
         }
         # one more pass of the 23-instruction loop costs 7 dispatches
         passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
@@ -221,9 +221,9 @@ class TestLoader:
         # fuses only as far as it goes
         for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT"):
             image = vm_load(assemble(source))
-            assert image.code[0] == (0x70, (1, 2)) and image.code[1:] == image.program[1:]
+            assert image.code[0] == (0x70, (1, 2, 1, 2, None)) and image.code[1:] == image.program[1:]
         image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nHALT"))
-        assert image.code[0] == (0x72, (3, WORD - 7, 3, 4))
+        assert image.code[0] == (0x72, (3, 4, 3, None, WORD - 7))
 
 
 class TestExecution:
