@@ -15,6 +15,9 @@ from .metering import MeterConfig, run_metered
 from .vm import VMLimits
 
 DEFAULT_NS = tuple(range(500, 5001, 500))
+SMALL_TAU, SMALL_EPSILON = 630, 63  # fib_timing's under-reporting configuration
+SWEEP_TAUS = (1, 5, 10, 30, 63, 100, 315, 630, 1260, 6300)
+SWEEP_N = 800  # tau_sweep's fib input
 LIMITS = VMLimits(max_steps=5_000_000, max_memory=1 << 28)
 
 
@@ -44,27 +47,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def fib_timing(
-    ns=DEFAULT_NS,
-    tau: int = 100,
-    epsilon: int = 0,
-    small_tau: int = 630,
-    small_epsilon: int = 63,
-) -> ExperimentResult:
+def fib_timing(ns=DEFAULT_NS, tau: int = 100) -> ExperimentResult:
     """Measured compute time versus input size, plus a deliberately
     small-tick, nonzero-overhead configuration that under-reports. Tick
     counts are written as floats (``%.6f``) in the CSV."""
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=0))
         small = run_metered(
-            fib, fib_input(n), LIMITS, MeterConfig(tau=small_tau, epsilon=small_epsilon)
+            fib, fib_input(n), LIMITS, MeterConfig(tau=SMALL_TAU, epsilon=SMALL_EPSILON)
         )
         t_max, small_t = float(out.t_max), float(small.t_max)
         oracle = out.trace.resident["worker"]
         rows.append(
-            [n, t_max, t_max * tau, oracle, small_t, small_t * small_tau]
+            [n, t_max, t_max * tau, oracle, small_t, small_t * SMALL_TAU]
         )
     return ExperimentResult(
         name="fib_timing",
@@ -74,7 +71,7 @@ def fib_timing(
     )
 
 
-def fib_memory(ns=DEFAULT_NS, tau: int = 100, epsilon: int = 0) -> ExperimentResult:
+def fib_memory(ns=DEFAULT_NS, tau: int = 100) -> ExperimentResult:
     """Memory time-integral versus input size; quadratic since both live
     memory and runtime grow linearly. m_int/t_max is the time-averaged
     allocation and must come out linear. m_int and m_avg are written as
@@ -82,7 +79,7 @@ def fib_memory(ns=DEFAULT_NS, tau: int = 100, epsilon: int = 0) -> ExperimentRes
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=0))
         rows.append([n, float(out.m_int), out.m_max, float(out.m_avg)])
     return ExperimentResult(
         name="fib_memory",
@@ -91,7 +88,7 @@ def fib_memory(ns=DEFAULT_NS, tau: int = 100, epsilon: int = 0) -> ExperimentRes
     )
 
 
-def network(cases: int = 100, seed: int = 0, tau: int = 100) -> ExperimentResult:
+def network(cases: int = 100, seed: int = 0) -> ExperimentResult:
     """Metered network bytes versus the requested send/receive sizes."""
     image = corpus()["known_network"]
     rng = DeterministicRng(seed, "net-exp")
@@ -100,7 +97,7 @@ def network(cases: int = 100, seed: int = 0, tau: int = 100) -> ExperimentResult
         sent = rng.randrange(1 << 20)
         received = rng.randrange(1 << 20)
         out = run_metered(
-            image, known_network_input(sent, received), LIMITS, MeterConfig(tau=tau, epsilon=0)
+            image, known_network_input(sent, received), LIMITS, MeterConfig(tau=100, epsilon=0)
         )
         rows.append([sent, received, out.net, sent + received])
     return ExperimentResult(
@@ -110,17 +107,13 @@ def network(cases: int = 100, seed: int = 0, tau: int = 100) -> ExperimentResult
     )
 
 
-def tau_sweep(
-    taus=(1, 5, 10, 30, 63, 100, 315, 630, 1260, 6300),
-    epsilon: int = 30,
-    n: int = 800,
-) -> ExperimentResult:
+def tau_sweep(epsilon: int = 30) -> ExperimentResult:
     """Under-report ratio of the fixed workload as tau shrinks against a fixed
     per-tick bookkeeping overhead."""
     fib = corpus()["fib"]
     rows = []
-    for tau in taus:
-        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+    for tau in SWEEP_TAUS:
+        out = run_metered(fib, fib_input(SWEEP_N), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
         oracle = out.trace.resident["worker"]
         measured = out.t_max * tau
         rows.append([tau, epsilon, out.t_max, measured, oracle, measured / oracle])

@@ -17,6 +17,9 @@ from .kernel import ScheduleEvent, SimTrace
 from .metering import MeterConfig, MeteredOutcome, run_metered
 from .vm import CostTable, FunctionImage, VMLimits, VmHooks, assemble, vm_execute, vm_load
 
+LIMITS = VMLimits(max_steps=4000)  # the VM limits of every fuzz case
+CYCLE_LIMIT = 50_000_000  # the kernel's cycle limit for every fuzz case
+
 
 def random_image(rng: DeterministicRng) -> tuple[FunctionImage, bytes]:
     """A small random function plus its input words."""
@@ -72,10 +75,11 @@ def random_image(rng: DeterministicRng) -> tuple[FunctionImage, bytes]:
     return image, words(rng.randrange(1 << 16), rng.randrange(1 << 16))
 
 
-def random_schedule(rng: DeterministicRng, span: int, actors: tuple[str, ...] = ("worker", "timer")) -> list[ScheduleEvent]:
-    """Non-overlapping per-actor interrupt windows inside [0, span]."""
+def random_schedule(rng: DeterministicRng, span: int) -> list[ScheduleEvent]:
+    """Non-overlapping interrupt windows of the worker and the timer inside
+    [0, span]."""
     events: list[ScheduleEvent] = []
-    for actor in actors:
+    for actor in ("worker", "timer"):
         at = 0
         for _ in range(rng.randrange(4)):
             at += rng.randrange(max(span // 2, 2))
@@ -147,18 +151,26 @@ class FuzzCase:
         return self.oracle == self.declared
 
 
-def run_case(rng: DeterministicRng, index: int, limits: VMLimits | None = None) -> FuzzCase:
-    limits = limits or VMLimits(max_steps=4000)
+def draw_case(
+    rng: DeterministicRng, index: int
+) -> tuple[FunctionImage, bytes, MeterConfig, CostTable, list[ScheduleEvent]]:
+    """Case ``index`` of the fuzz: ``(image, input_data, cfg, costs,
+    schedule)``, each part drawn from its own child of ``rng``."""
     image, input_data = random_image(rng.child(f"prog{index}"))
     cfg, costs = random_config(rng.child(f"cfg{index}"))
     # span estimate: instruction cycles dominate; interrupts stretch the run
-    span = 64 + 4 * limits.max_steps * costs.heap // 8
+    span = 64 + 4 * LIMITS.max_steps * costs.heap // 8
     schedule = random_schedule(rng.child(f"sched{index}"), span)
+    return image, input_data, cfg, costs, schedule
+
+
+def run_case(rng: DeterministicRng, index: int) -> FuzzCase:
+    image, input_data, cfg, costs, schedule = draw_case(rng, index)
     outcome = run_metered(
-        image, input_data, limits, cfg, schedule=schedule, costs=costs, limit=50_000_000
+        image, input_data, LIMITS, cfg, schedule=schedule, costs=costs, limit=CYCLE_LIMIT
     )
     oracle = outcome.trace.resident["worker"]
-    declared = declared_worker_cycles(image, input_data, limits, cfg, costs, outcome.trace)
+    declared = declared_worker_cycles(image, input_data, LIMITS, cfg, costs, outcome.trace)
     return FuzzCase(index, cfg, costs, schedule, outcome, oracle, declared)
 
 
@@ -173,7 +185,7 @@ class FuzzSummary:
         return not self.violations and not self.unconserved
 
 
-def run_lowerbound_fuzz(cases: int, seed: int, limits: VMLimits | None = None) -> FuzzSummary:
+def run_lowerbound_fuzz(cases: int, seed: int) -> FuzzSummary:
     """The core property: for every program and schedule, reported ticks times
     tau never exceed the worker's true resident cycles. Alongside it, the
     kernel must conserve cycles: that residency equals the declared cycles."""
@@ -181,7 +193,7 @@ def run_lowerbound_fuzz(cases: int, seed: int, limits: VMLimits | None = None) -
     violations: list[FuzzCase] = []
     unconserved: list[FuzzCase] = []
     for i in range(cases):
-        case = run_case(rng, i, limits)
+        case = run_case(rng, i)
         if not case.holds:
             violations.append(case)
         if not case.conserved:

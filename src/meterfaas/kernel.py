@@ -32,10 +32,12 @@ and its run state, and ``SimKernel.run`` consumes them.
 Cost follows observable events, not cycles or instructions, by four rules
 that leave every event at the same cycle and in the same order:
 
-  * a ``Ticks`` instruction (the timer's whole steady-state loop) is advanced
-    in closed form over every period that ends before the next stop of
-    another actor or of the schedule, with the same counters, residency and,
-    in a full trace, the same events as one stop per period;
+  * in a lean run, a ``Ticks`` instruction (the timer's whole steady-state
+    loop) is advanced in closed form over every period that ends before the
+    next stop of another actor or of the schedule, with the same counters,
+    residency and schedule events as one stop per period. A full trace takes
+    every period one stop at a time, so the per-period path is the only code
+    that logs a period;
   * zero-cost work completes in place: a zero-cost OP, READ, WRITE or TAS is
     applied as soon as the program yields it, and its result goes straight
     back into the program. This is exact because the kernel runs an actor
@@ -201,8 +203,8 @@ def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc
     cycles (STEP tick), ``counter += 1``, commit", then, outside it, the
     mirror copy ``mirror = counter`` and ``epsilon`` cycles of checks
     (STEP checks). An abort of the transaction throws ``TxAborted`` into the
-    program, exactly as at any other instruction. Between other actors'
-    stops the kernel commits whole periods in closed form."""
+    program, exactly as at any other instruction. In a lean run the kernel
+    commits whole periods in closed form between other actors' stops."""
     if tau < 1:
         raise KernelError("a tick lasts at least one cycle")
     return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc))
@@ -597,7 +599,9 @@ class SimKernel:
     def _skip_periods(self, actor: Actor, until: int) -> None:
         """Commit every period whose tick ends before cycle ``until``, in
         closed form: the actor's tick is in flight, and it alone acts before
-        ``until``, so its own order is the whole order."""
+        ``until``, so its own order is the whole order. It logs nothing, so
+        only a lean run calls it; a full trace takes every period through
+        ``_period_start`` and ``_period_step``, which log it."""
         loop = actor.ticks
         eps = loop.epsilon
         period = loop.tau + eps
@@ -605,20 +609,6 @@ class SimKernel:
         n = (until - 1 - first) // period + 1
         base = loop.counter.value
         last = first + (n - 1) * period
-        if self._full_trace:
-            name, log = actor.name, self._events.append
-            counter, mirror = loop.counter.name, loop.mirror.name
-            for j in range(n):
-                at = first + j * period
-                count = base + j + 1
-                log((at, name, "STEP", "tick"))
-                log((at, name, "WRITE", f"{counter}={count!r}"))
-                log((at, name, "TX_COMMIT", ""))
-                log((at, name, "WRITE", f"{mirror}={count!r}"))
-                if at + eps < until:
-                    if eps:
-                        log((at + eps, name, "STEP", "checks"))
-                    log((at + eps, name, "TX_BEGIN", "watch=1"))
         loop.counter.value = loop.mirror.value = base + n
         if eps and last + eps >= until:
             actor.tx = None  # the checks are in flight
@@ -774,10 +764,11 @@ class SimKernel:
             if resumes and resumes[0][0] < t:
                 t = resumes[0][0]
             if ticker is not None:
-                # next-event advance: commit in closed form the periods that
-                # end before any other stop; the one at that stop runs below
+                # next-event advance of a lean run: commit in closed form the
+                # periods that end before any other stop; the one at that
+                # stop runs below
                 until = t if t <= limit else limit + 1
-                if ticker.finish_at < until and self._may_skip(ticker):
+                if not full_trace and ticker.finish_at < until and self._may_skip(ticker):
                     self._skip_periods(ticker, until)
                 if ticker.finish_at < t:
                     t = ticker.finish_at

@@ -12,7 +12,8 @@ out of the transaction's write set so foreign reads of ``t`` cannot abort a
 tick) and spends ``epsilon`` cycles on bookkeeping; shrinking tau therefore
 raises the fraction of time lost to bookkeeping and increases under-reporting.
 That steady-state loop is one kernel ``Ticks`` instruction, which the kernel
-advances in closed form between observable events; the timer program handles
+advances in closed form between observable events in a lean run (a full
+trace takes it period by period); the timer program handles
 only aborts, OCALL pauses, the missing marker and the end of the run.
 
 Memory is accounted by instrumented alloc/realloc/free with the update rule:
@@ -294,7 +295,6 @@ class MeteredOutcome:
     m_max: int
     net: int
     trace: SimTrace
-    heap_events: list[tuple[int, int, int]]  # per heap op: (cycle, tick, delta)
 
     @property
     def m_avg(self) -> int:
@@ -324,12 +324,10 @@ def run_metered(
 
     mem = MemState()
     net = 0
-    heap_events: list[tuple[int, int, int]] = []
 
     def on_mem(delta: int) -> None:
-        tick = ts.t.value  # the unsynchronized public mirror: reading it never aborts a tick
-        heap_events.append((kern.now, tick, delta))
-        mem_update(mem, delta, tick)
+        # ticks from the unsynchronized public mirror: reading it never aborts a tick
+        mem_update(mem, delta, ts.t.value)
 
     def on_net(sent: int, received: int) -> None:
         nonlocal net
@@ -363,7 +361,6 @@ def run_metered(
         m_max=m_max,
         net=net,
         trace=trace,
-        heap_events=heap_events,
     )
 
 

@@ -139,8 +139,7 @@ def test_criterion_3_memory_oracle_equivalence():
 
 
 def test_criterion_4_fib_timing_linear():
-    result = fib_timing(ns=range(500, 5001, 500), tau=100, epsilon=0,
-                        small_tau=630, small_epsilon=63)
+    result = fib_timing(ns=range(500, 5001, 500), tau=100)
     r2 = rsquared(result.column("n"), result.column("t_max"), 1)
     assert r2 >= 0.99, f"linear fit R^2 {r2}"
     for row in result.rows:
@@ -151,7 +150,7 @@ def test_criterion_4_fib_timing_linear():
 
 
 def test_criterion_5_fib_memory_quadratic():
-    result = fib_memory(ns=range(500, 5001, 500), tau=100, epsilon=0)
+    result = fib_memory(ns=range(500, 5001, 500), tau=100)
     r2_quad = rsquared(result.column("n"), result.column("m_int"), 2)
     r2_avg = rsquared(result.column("n"), result.column("m_avg"), 1)
     assert r2_quad >= 0.99, f"quadratic fit R^2 {r2_quad}"

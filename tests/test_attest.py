@@ -116,6 +116,16 @@ class TestTransitive:
             )
         assert ei.value.reason == "kde-identity"
 
+    def test_undecodable_user_data_rejected(self, root, kde_identity, worker_identity):
+        _, kka, kout, kres = make_bundle(root, kde_identity, worker_identity)
+        quote = root.issue_quote(kde_identity, b"not a user-data record")
+        with pytest.raises(AttestationError) as ei:
+            verify_transitive(
+                root.public_key, quote, kde_identity.mrenclave,
+                kka.public, kout.public, kres.public, worker_identity.mrenclave,
+            )
+        assert ei.value.reason == "user-data-format"
+
     def test_wrong_worker_identity_rejected(self, root, kde_identity, worker_identity):
         quote, kka, kout, kres = make_bundle(root, kde_identity, worker_identity)
         other = derive_identity(b"other-worker", b"provider")

@@ -2,14 +2,17 @@
 
 import pytest
 
+from meterfaas import cli
 from meterfaas import corpus as corp
 from meterfaas.cli import main
+from meterfaas.crypto import DeterministicRng
 from meterfaas.experiments import LIMITS
+from meterfaas.fuzz import FuzzSummary, random_schedule, run_case
 from meterfaas.kde import PublishedKeys
 from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import run_metered
-from meterfaas.scenario import ScenarioConfig, load_keyvalue
-from meterfaas.vm import assemble
+from meterfaas.scenario import ScenarioConfig, format_schedule, load_keyvalue
+from meterfaas.vm import assemble, vm_execute
 from meterfaas.worker import WorkerEnclave
 
 
@@ -135,6 +138,20 @@ class TestRunAndVerify:
         args[args.index(str(state / "output.bin"))] = str(wrong)
         assert main(args) == 1
         assert "output-digest" in capsys.readouterr().out
+
+    def test_verify_receipt_from_an_unpublished_key_set_exit_1(self, state, fib_files, capsys, tmp_path):
+        fn, inp = fib_files
+        other = tmp_path / "other"
+        assert main(["kde", "keygen", "--state", str(other), "--seed", "8"]) == 0
+        run_invocation(other, fib_files)
+        capsys.readouterr()
+        rc = main([
+            "verify", "receipt", "--receipt", str(other / "receipt.bin"),
+            "--input", str(inp), "--function", str(fn),
+            "--output", str(other / "output.bin"), "--state", str(state),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().out == "REJECT: no known key set issued this receipt\n"
 
     def test_verify_receipt_without_key_exit_2(self, state, fib_files, capsys):
         fn, inp = fib_files
@@ -434,6 +451,59 @@ class TestTools:
     def test_fuzz_lowerbound_passes(self, capsys):
         assert main(["fuzz-lowerbound", "--cases", "50", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @staticmethod
+    def failing_fuzz(monkeypatch, violated):
+        """``fuzz-lowerbound`` with a summary of 20 real cases that reports
+        case 7 as a violation (``violated``) or as unconserved."""
+        rng = DeterministicRng(1, "lowerbound")
+        case = run_case(rng, 7)
+        assert case.schedule
+        failed = dict(violations=[case], unconserved=[]) if violated else dict(violations=[], unconserved=[case])
+        monkeypatch.setattr(cli, "run_lowerbound_fuzz",
+                            lambda cases, seed: FuzzSummary(cases=20, **failed))
+        return case
+
+    def test_fuzz_lowerbound_violation_writes_its_schedule(self, capsys, tmp_path, monkeypatch):
+        case = self.failing_fuzz(monkeypatch, violated=True)
+        artifact = tmp_path / "v.schedule"
+        assert main(["fuzz-lowerbound", "--cases", "20", "--artifact", str(artifact)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL: 1 violations out of 20; first: case 7 t_max={case.outcome.t_max} "
+            f"tau={case.cfg.tau} oracle={case.oracle}; schedule -> {artifact}\n")
+        assert artifact.read_text() == format_schedule(case.schedule)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz-lowerbound", "--cases", "20"]) == 1
+        assert (tmp_path / "lowerbound-violation-7.schedule").read_text() == format_schedule(case.schedule)
+
+    def test_fuzz_lowerbound_unconserved_case_exit_1(self, capsys, tmp_path, monkeypatch):
+        case = self.failing_fuzz(monkeypatch, violated=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz-lowerbound", "--cases", "20"]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL: 1 of 20 cases lose or double-charge worker cycles; first: case 7 "
+            f"resident={case.oracle} declared={case.declared}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replay_scenario_fuzz_seed(self, capsys, tmp_path):
+        # the scenario's fuzz_seed draws the schedule from an unmetered run
+        scenario = tmp_path / "fuzz.cfg"
+        scenario.write_text("function=fib\ntau=10\nepsilon=0\nfuzz_seed=3\n")
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(40))
+        args = ["replay", "--scenario", str(scenario), "--input", str(inp)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        fib = corp.corpus()["fib"]
+        span = 64 + 4 * vm_execute(fib, corp.fib_input(40), LIMITS).cycles
+        schedule = random_schedule(DeterministicRng(3, "scenario"), span)
+        cfg = ScenarioConfig.from_mapping(load_keyvalue(scenario)).meter
+        expected = run_metered(fib, corp.fib_input(40), LIMITS, cfg, schedule=schedule)
+        assert first.splitlines()[:-1] == expected.trace.export_lines()
+        kinds = [line.split()[2] for line in first.splitlines() if not line.startswith("#")]
+        assert "AEX" in kinds and "ERESUME" in kinds
 
     def test_replay_deterministic(self, capsys, tmp_path):
         sched = tmp_path / "s.txt"

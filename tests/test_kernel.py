@@ -625,7 +625,7 @@ def spelled_ticks(tau, epsilon, watch, counter, mirror, proc):
 
 class TestTicks:
     @staticmethod
-    def run_ticks(spelled, schedule=()):
+    def run_ticks(spelled, schedule=(), full=True):
         """A ticker (tau=3, epsilon=2) and a watcher that stops it once the
         mirror reaches 4."""
         kern = SimKernel()
@@ -656,7 +656,16 @@ class TestTicks:
 
         ticker.set_program(ticker_program())
         watcher.set_program(watcher_program())
-        return kern.run(list(schedule), 10_000, full_trace=True)
+        return kern.run(list(schedule), 10_000, full_trace=full)
+
+    def assert_lean_matches_spelled(self, schedule=()):
+        """In a lean run the kernel may commit periods in closed form; the
+        spelled loop takes them one instruction at a time."""
+        ticks = self.run_ticks(spelled=False, schedule=schedule, full=False)
+        spelled = self.run_ticks(spelled=True, schedule=schedule, full=False)
+        for name in ("results", "resident", "final_cycle", "events"):
+            assert getattr(ticks, name) == getattr(spelled, name), name
+        return ticks
 
     def test_waiter_on_the_mirror_wakes_at_its_commit(self):
         # commits at 3, 8, 13, 18: the watcher wakes at the fourth, and the
@@ -666,6 +675,8 @@ class TestTicks:
         assert trace.final_cycle == 20
         assert trace.resident["ticker"] == 20
         assert trace.export_text() == self.run_ticks(spelled=True).export_text()
+        lean = self.assert_lean_matches_spelled()
+        assert lean.results == trace.results and lean.resident == trace.resident
 
     @pytest.mark.parametrize("schedule", [
         [ScheduleEvent("ticker", 10, 12)],
@@ -678,11 +689,13 @@ class TestTicks:
         assert "interrupt" in ticks.results["ticker"][1]
         assert ticks.export_text() == spelled.export_text()
         assert ticks.results == spelled.results
+        lean = self.assert_lean_matches_spelled(schedule)
+        assert lean.events == [e for e in ticks.events if e[2] in ("AEX", "AEX_SKIPPED", "ERESUME")]
 
-    def test_transaction_watching_the_mirror_aborts_at_the_first_commit(self):
-        # the watcher is neither waiting nor done, so only its watch on the
-        # mirror keeps the ticks from being committed in closed form up to
-        # the end of its Op at 1000, past the conflict
+    @staticmethod
+    def run_mirror_watcher(full):
+        """A ticker (tau=10), a watcher whose transaction watches the mirror
+        for 1000 cycles, and a writer that stops the ticker at 2000."""
         kern = SimKernel()
         timer = kern.add_enclave_actor("timer")
         watcher = kern.add_enclave_actor("watcher")
@@ -711,11 +724,18 @@ class TestTicks:
         timer.set_program(timer_program())
         watcher.set_program(watcher_program())
         writer.set_program(writer_program())
-        trace = kern.run([], 10_000, full_trace=True)
-        assert trace.results["watcher"] == "conflict"
+        return kern.run([], 10_000, full_trace=full)
+
+    def test_transaction_watching_the_mirror_aborts_at_the_first_commit(self):
+        # the watcher is neither waiting nor done, so in a lean run only its
+        # watch on the mirror keeps the ticks from being committed in closed
+        # form up to the end of its Op at 1000, past the conflict
+        for full in (False, True):
+            trace = self.run_mirror_watcher(full)
+            assert trace.results["watcher"] == "conflict"
+            assert trace.resident["watcher"] == 10
         aborts = [(c, d) for (c, a, k, d) in trace.events if a == "watcher" and k == "TX_ABORT"]
         assert aborts == [(10, "conflict")]
-        assert trace.resident["watcher"] == 10
 
     def test_tick_shorter_than_a_cycle_rejected(self):
         cell = Cell("c", 0)

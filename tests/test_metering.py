@@ -9,17 +9,12 @@ import reference_timer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_tooling import _load
+
 from meterfaas import corpus as corp
-from meterfaas import kernel, metering
+from meterfaas import fuzz, kernel, metering
 from meterfaas.crypto import DeterministicRng, SigningKeyPair, hash_bytes
-from meterfaas.fuzz import (
-    declared_worker_cycles,
-    random_config,
-    random_image,
-    random_schedule,
-    run_case,
-    run_lowerbound_fuzz,
-)
+from meterfaas.fuzz import declared_worker_cycles, draw_case, run_case, run_lowerbound_fuzz
 from meterfaas.kernel import (
     Cell,
     Op,
@@ -71,6 +66,29 @@ def meter(name, input_data, cfg, schedule=(), **kw):
     return out
 
 
+def with_heap_log(run):
+    """Call ``run`` and return its result with the heap log of the metered
+    run inside it: one ``(cycle, tick, delta)`` per heap op, recorded by
+    wrapping ``metering.mem_update`` and reading the cycle from the kernel
+    that ``run_metered`` built."""
+    kernels, log = [], []
+    real = metering.mem_update
+
+    class Recording(metering.SimKernel):
+        def __init__(self):
+            super().__init__()
+            kernels.append(self)
+
+    def recorded(mem, delta, t_now):
+        log.append((kernels[-1].now, t_now, delta))
+        return real(mem, delta, t_now)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(metering, "SimKernel", Recording)
+        patched.setattr(metering, "mem_update", recorded)
+        return run(), log
+
+
 def per_tick_oracle(events, t_final):
     """Brute-force replay: sum, over each whole tick, the bytes live at the
     end of that tick. Independent of the incremental update rule."""
@@ -120,6 +138,12 @@ class TestMemAccounting:
         mem = MemState(t_mem=9)
         with pytest.raises(AccountingFault):
             mem_finalize(mem, t_final=8)
+
+    def test_finalize_twice_faults(self):
+        mem = MemState()
+        mem_finalize(mem, 5)
+        with pytest.raises(AccountingFault, match="already finalized"):
+            mem_finalize(mem, 6)
 
     def test_update_after_finalize_faults(self):
         mem = MemState()
@@ -203,10 +227,11 @@ class TestTimingExactness:
 
     def test_tick_attribution_last_completed_tick(self):
         tau = 10
-        out = meter("fib", corp.fib_input(60), MeterConfig(tau=tau, epsilon=0), full_trace=True)
+        out, heap_log = with_heap_log(
+            lambda: meter("fib", corp.fib_input(60), MeterConfig(tau=tau, epsilon=0), full_trace=True))
         window_start, _ = metered_window(out)
-        assert out.heap_events
-        for cycle, tick, _ in out.heap_events:
+        assert heap_log
+        for cycle, tick, _ in heap_log:
             assert tick == (cycle - window_start) // tau
 
     def test_include_load_time_flag(self):
@@ -215,9 +240,10 @@ class TestTimingExactness:
         assert incl.t_max == excl.t_max + len(IMAGES["fib"].program)
 
     def test_mint_tau1_matches_per_cycle_oracle_in_kernel(self):
-        out = meter("fib", corp.fib_input(120), MeterConfig(tau=1, epsilon=0), full_trace=True)
+        out, heap_log = with_heap_log(
+            lambda: meter("fib", corp.fib_input(120), MeterConfig(tau=1, epsilon=0), full_trace=True))
         window_start, _ = metered_window(out)
-        rel = [(c - window_start, d) for c, _, d in out.heap_events]
+        rel = [(c - window_start, d) for c, _, d in heap_log]
         assert out.m_int == per_tick_oracle(rel, out.t_max)
 
 
@@ -391,11 +417,11 @@ def fuzz_records_digest(cases: int, seed: int) -> str:
     rng = DeterministicRng(seed, "lowerbound")
     h = hashlib.sha256()
     for i in range(cases):
-        out = run_case(rng, i).outcome
+        out, heap_log = with_heap_log(lambda: run_case(rng, i).outcome)
         vm = out.vm_result
         h.update(repr((vm.status, vm.output, out.t_max, out.m_int, out.m_max, out.net,
                        sorted(out.trace.resident.items()), out.trace.final_cycle,
-                       out.heap_events)).encode())
+                       heap_log)).encode())
     return h.hexdigest()
 
 
@@ -417,16 +443,13 @@ def dense_schedule(gaps, lengths, timer_every, timer_length, span):
 
 
 def fuzz_runs(cases: int, seed: int):
-    """The first ``cases`` fuzz cases, drawn as ``run_case`` draws them, as
-    ``(image, input_data, limits, cfg, run_metered keywords)``."""
+    """The first ``cases`` fuzz cases under the limits ``run_case`` runs them
+    with, as ``(image, input_data, limits, cfg, run_metered keywords)``."""
     rng = DeterministicRng(seed, "lowerbound")
-    limits = VMLimits(max_steps=4000)
     for i in range(cases):
-        image, input_data = random_image(rng.child(f"prog{i}"))
-        cfg, costs = random_config(rng.child(f"cfg{i}"))
-        span = 64 + 4 * limits.max_steps * costs.heap // 8
-        schedule = random_schedule(rng.child(f"sched{i}"), span)
-        yield image, input_data, limits, cfg, dict(schedule=schedule, costs=costs, limit=50_000_000)
+        image, input_data, cfg, costs, schedule = draw_case(rng, i)
+        yield image, input_data, fuzz.LIMITS, cfg, dict(schedule=schedule, costs=costs,
+                                                          limit=fuzz.CYCLE_LIMIT)
 
 
 def dense_runs():
@@ -480,6 +503,12 @@ class TestBoundedLog:
         assert out.trace.final_cycle > 40_000
         assert len(out.trace.events) <= 2 * len(sched)
 
+    def test_outcome_holds_no_per_op_record(self):
+        # besides the trace, an outcome holds only fixed-size totals; tests
+        # that need heap-op cycles take them from with_heap_log
+        assert {f.name for f in dataclasses.fields(metering.MeteredOutcome)} == {
+            "vm_result", "t_max", "tau", "m_int", "m_max", "net", "trace"}
+
     def test_schedule_events_match_full_trace(self):
         # the worker AEX at 50 lands inside the OCALL stall and is skipped
         cfg = MeterConfig(tau=10, epsilon=0, net_delay=100)
@@ -498,37 +527,62 @@ class TestBoundedLog:
         # a full trace only logs: over the full-trace lock's runs, lean and
         # full runs agree on everything else
         for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
-            lean = run_metered(image, input_data, limits, cfg, **kw)
-            full = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
-            for name in ("resident", "final_cycle", "results"):
-                assert getattr(lean.trace, name) == getattr(full.trace, name), name
-            assert lean.heap_events == full.heap_events
-            assert lean.t_max == full.t_max
-            assert lean.trace.events == [e for e in full.trace.events if e[2] in self.SCHEDULE_KINDS]
+            self.assert_lean_matches_full(image, input_data, limits, cfg, **kw)
+
+    def test_adversarial_corpus_lean_matches_full(self):
+        # perfbench's adversary places its windows inside a dry run, and its
+        # dense single-step schedules reach more nested-AEX paths than the
+        # fuzz corpus does
+        workloads = _load("workloads")
+        for j in range(200):
+            case = workloads.build_case(301, j)
+            self.assert_lean_matches_full(case.image, case.input, workloads.ADV_LIMITS, case.cfg,
+                                          schedule=case.schedule, costs=case.costs, limit=case.limit)
+
+    def assert_lean_matches_full(self, image, input_data, limits, cfg, **kw):
+        """A lean run, where the kernel commits timer periods in closed form,
+        and a full trace, which takes every period one stop at a time, agree
+        on everything but the per-instruction events."""
+        lean, lean_heap = with_heap_log(lambda: run_metered(image, input_data, limits, cfg, **kw))
+        full, full_heap = with_heap_log(
+            lambda: run_metered(image, input_data, limits, cfg, full_trace=True, **kw))
+        for name in ("resident", "final_cycle", "results"):
+            assert getattr(lean.trace, name) == getattr(full.trace, name), name
+        assert lean_heap == full_heap
+        assert lean.t_max == full.t_max
+        assert lean.trace.events == [e for e in full.trace.events if e[2] in self.SCHEDULE_KINDS]
 
 
 def assert_same_run(closed, reference):
-    """Byte-identical traces and equal outcome fields."""
+    """Byte-identical traces, equal outcome fields and equal heap logs; each
+    side is an ``(outcome, heap log)`` pair from ``with_heap_log``."""
+    (closed, closed_heap), (reference, reference_heap) = closed, reference
     got, want = closed.trace.export_lines(), reference.trace.export_lines()
     if got != want:
         i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
         pytest.fail(f"traces differ at line {i}: {got[i:i + 1]} != {want[i:i + 1]}")
-    for name in ("t_max", "m_int", "m_max", "net", "heap_events", "vm_result"):
+    for name in ("t_max", "m_int", "m_max", "net", "vm_result"):
         assert getattr(closed, name) == getattr(reference, name), name
+    assert closed_heap == reference_heap
 
 
 class TestReferenceTimer:
-    """The timer's ``Ticks`` instruction, advanced in closed form, against the
-    per-instruction reference model in ``reference_timer``."""
+    """The timer's ``Ticks`` instruction against the per-instruction reference
+    model in ``reference_timer``, in a lean run, where the kernel advances it
+    in closed form, and in a full trace, where it takes every period one stop
+    at a time."""
 
     @staticmethod
     def check(monkeypatch, image, input_data, limits, cfg, **kw):
-        closed = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
-        with monkeypatch.context() as patched:
-            patched.setattr(metering, "timer_program", reference_timer.timer_program)
-            reference = run_metered(image, input_data, limits, cfg, full_trace=True, **kw)
-        assert_same_run(closed, reference)
-        return closed
+        for full in (False, True):
+            def run():
+                return run_metered(image, input_data, limits, cfg, full_trace=full, **kw)
+            closed = with_heap_log(run)
+            with monkeypatch.context() as patched:
+                patched.setattr(metering, "timer_program", reference_timer.timer_program)
+                reference = with_heap_log(run)
+            assert_same_run(closed, reference)
+        return closed[0]
 
     def test_fuzz_cases(self, monkeypatch):
         for image, input_data, limits, cfg, kw in fuzz_runs(2000, 20240):
@@ -973,10 +1027,10 @@ class TestInKernelMemoryBound:
         # same bound as the unit-level rule, but through the full pipeline:
         # compare against the per-cycle oracle over the true event cycles
         for tau in (10, 100):
-            out = meter("fib", corp.fib_input(120), MeterConfig(tau=tau, epsilon=0),
-                        full_trace=True)
+            out, heap_log = with_heap_log(lambda: meter(
+                "fib", corp.fib_input(120), MeterConfig(tau=tau, epsilon=0), full_trace=True))
             window_start, window_end = metered_window(out)
-            rel = [(c - window_start, d) for c, _, d in out.heap_events]
+            rel = [(c - window_start, d) for c, _, d in heap_log]
             window = window_end - window_start
             exact = per_tick_oracle(rel, window)
             bound = out.m_max * (len(rel) + 1) * tau

@@ -140,6 +140,15 @@ class TestClientSide:
                 pending, EncryptedResponse(result.response.aead_nonce, bytes(broken))
             )
 
+    def test_receipt_that_does_not_verify_rejected(self, kde, pool, ctx):
+        request, pending = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(10), receipt=True)
+        result = pool.dispatch(request, FIB)
+        forged_key = dataclasses.replace(pending, k_out_pub=DeterministicRng(3, "other").bytes(32))
+        with pytest.raises(VerificationError) as ei:
+            client_verify_response(forged_key, result.response)
+        assert ei.value.reason == "receipt"
+        assert client_verify_response(pending, result.response).receipt is not None
+
     def test_function_error_surfaces_reason(self, kde, pool, ctx):
         request, pending = client_prepare(ctx, hash_bytes(FIB), b"")  # traps
         result = pool.dispatch(request, FIB)
@@ -439,6 +448,10 @@ class TestBilling:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             BillingPolicy(per_invocation=Fraction(-1))
+
+    def test_zero_frequency_rejected(self):
+        with pytest.raises(ValueError, match="cpu_frequency_assumption"):
+            BillingPolicy(cpu_frequency_assumption=0)
 
     def test_policy_from_mapping(self):
         policy = BillingPolicy.from_mapping(

@@ -38,6 +38,10 @@ class TestScheduleFiles:
         with pytest.raises(ConfigError):
             parse_schedule("worker,1\n")
 
+    def test_non_integer_cycle_rejected_with_its_line(self):
+        with pytest.raises(ConfigError, match="^line 1: "):
+            parse_schedule("worker,a,3")
+
     def test_invalid_window_rejected(self):
         from meterfaas.kernel import ScheduleError
 

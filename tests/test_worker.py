@@ -10,7 +10,7 @@ from meterfaas import crypto
 from meterfaas.attest import AttestationRoot, derive_identity
 from meterfaas.crypto import DeterministicRng, TamperError, hash_bytes
 from meterfaas.kde import KeyDistributionEnclave
-from meterfaas.metering import MeterConfig, verify_measurement
+from meterfaas.metering import MeterConfig, build_signed_measurement, verify_measurement
 from meterfaas.orchestrator import ClientContext, client_prepare
 from meterfaas.vm import LoadError, VMLimits, assemble
 from meterfaas.worker import (
@@ -298,6 +298,16 @@ class TestRunAndFinish:
             worker.ecall_finish()
         assert ei.value.reason == "lifecycle"
 
+    def test_second_run_before_finish_is_lifecycle_error(self):
+        kde, worker = provisioned()
+        ctx = make_client(kde)
+        request, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(5))
+        worker.ecall_run(request)
+        again, _ = client_prepare(ctx, hash_bytes(FIB), corp.fib_input(6))
+        with pytest.raises(WorkerError) as ei:
+            worker.ecall_run(again)
+        assert ei.value.reason == "lifecycle"
+
     def test_response_nonce_equals_request_nonce(self):
         kde, worker = provisioned()
         ctx = make_client(kde)
@@ -366,3 +376,13 @@ class TestReceiptUnit:
         wrong_key = DeterministicRng(1, "other").bytes(32)
         ok, reason = verify_receipt(receipt, wrong_key, b"input", hash_bytes(b"fn"), b"output")
         assert not ok and reason == "signature"
+
+    def test_receipt_binds_its_measurement(self):
+        kde, worker = provisioned()
+        ks = worker.keyset
+        measured, other = (build_signed_measurement(None, hash_bytes(b"tok"), ks.keyset_id, ks.k_res, tau=tau)
+                           for tau in (10, 11))
+        receipt = build_receipt(b"input", hash_bytes(b"fn"), b"output", measured, ks.keyset_id, ks.k_out)
+        args = (receipt, kde.published.k_out_pub, b"input", hash_bytes(b"fn"), b"output")
+        assert verify_receipt(*args, measurement=measured) == (True, "ok")
+        assert verify_receipt(*args, measurement=other) == (False, "measurement-digest")
