@@ -292,7 +292,8 @@ def _resolve_scenario(args):
     function, the input and the schedule that the merged scenario names.
 
     Returns (scenario, image, input_data, schedule); a fuzzed schedule is
-    sized from an unmetered run of the image on the input.
+    sized from an unmetered run of the image on the input under the
+    scenario's instruction costs.
     """
     mapping = load_keyvalue(args.scenario) if args.scenario else {}
     flags = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay}
@@ -309,7 +310,7 @@ def _resolve_scenario(args):
     if schedule_spec:
         schedule = load_schedule(schedule_spec)
     elif scenario.fuzz_seed is not None:
-        probe = vm_execute(image, input_data, LIMITS)
+        probe = vm_execute(image, input_data, LIMITS, costs=scenario.costs)
         span = 64 + 4 * probe.cycles
         schedule = random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
     else:

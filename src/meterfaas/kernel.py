@@ -38,14 +38,22 @@ that leave every event at the same cycle and in the same order:
     residency and schedule events as one stop per period. A full trace takes
     every period one stop at a time, so the per-period path is the only code
     that logs a period;
-  * zero-cost work completes in place: a zero-cost OP, READ, WRITE or TAS is
-    applied as soon as the program yields it, and its result goes straight
-    back into the program. This is exact because the kernel runs an actor
-    that can make progress until it blocks before it looks at another one.
-    For the same reason a program outside a transaction may read ``Cell.value``
-    directly rather than yielding a zero-cost READ, which is never logged;
-  * a pump with no change since the last one is a no-op, so the run loop
-    pumps only after a completion, an AEX or an ERESUME at that cycle;
+  * a stop costs only what it changes. One scan of the actors finds the next
+    stop and the actors that finish there. A completion, an AEX, an ERESUME
+    or a committed write *touches* the actors it concerns, and a pump visits
+    only touched actors, in registration order: an untouched actor is
+    blocked, done, executing or waiting on a predicate that no write has
+    made true since it was last evaluated, so visiting it would change
+    nothing. A write looks only at the actors that hold a transaction or
+    wait: it touches a waiter and aborts a transaction that watches the cell;
+  * zero-cost work completes in place: once a pump runs an actor, one loop
+    fetches from its program until it blocks, applying a zero-cost OP, READ,
+    WRITE or TAS, a transaction instruction and a wait whose predicate holds
+    as soon as the program yields it and sending the result straight back.
+    This is exact because the kernel runs an actor that can make progress
+    until it blocks before it looks at another one. For the same reason a
+    program outside a transaction may read ``Cell.value`` directly rather
+    than yielding a zero-cost READ, which is never logged;
   * prebuilt instructions carry no run state: the actor holds its finish
     cycle, its frozen remainders and the value to send, so a program may
     build once every instruction whose fields are fixed and yield it again
@@ -89,9 +97,9 @@ class TxAborted(Exception):
     (own AEX), or the code given to an explicit abort instruction.
     """
 
-    def __init__(self, cause: str) -> None:
-        super().__init__(cause)
-        self.cause = cause
+    @property
+    def cause(self) -> str:
+        return self.args[0]
 
 
 class Cell:
@@ -165,7 +173,9 @@ def WaitUntil(pred: Callable[[], bool]) -> Instr:
     """Block, without occupying cycles, until pred() becomes true.
 
     Re-evaluated after every committed write and after every ERESUME of the
-    waiting actor, so wake-ups lost while interrupted are recovered.
+    waiting actor, so wake-ups lost while interrupted are recovered, and at
+    no other time: pred must read only cells that the kernel's writes
+    change.
     """
     return Instr(_WAIT, pred=pred)
 
@@ -180,7 +190,8 @@ def HostStall(cost: int) -> Instr:
 
 
 class _TickLoop:
-    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "tick", "checks")
+    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "tick", "checks",
+                 "tx")
 
     def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell,
                  proc: Cell) -> None:
@@ -193,6 +204,7 @@ class _TickLoop:
         self.proc = proc
         self.tick = Op(tau, label="tick")
         self.checks = Op(epsilon, label="checks") if epsilon else None
+        self.tx = _Tx(self.watched)  # a period's transaction: it buffers no writes
 
 
 def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell) -> Instr:
@@ -239,19 +251,19 @@ class ScheduleError(ValueError):
 
 def validate_schedule(events: list[ScheduleEvent]) -> None:
     last = -1
-    per_actor: dict[str, int] = {}
+    ends: dict[str, int] = {}  # per actor, the resume cycle of its last window
     for ev in events:
-        if ev.interrupt_at < 0:
-            raise ScheduleError(f"interrupt at negative cycle {ev.interrupt_at}")
-        if ev.resume_at < ev.interrupt_at:
-            raise ScheduleError(f"resume {ev.resume_at} before interrupt {ev.interrupt_at}")
-        if ev.interrupt_at < last:
+        at = ev.interrupt_at
+        if at < 0:
+            raise ScheduleError(f"interrupt at negative cycle {at}")
+        if ev.resume_at < at:
+            raise ScheduleError(f"resume {ev.resume_at} before interrupt {at}")
+        if at < last:
             raise ScheduleError("events not sorted by interrupt cycle")
-        last = ev.interrupt_at
-        prev_resume = per_actor.get(ev.actor, -1)
-        if ev.interrupt_at < prev_resume:
+        if at < ends.get(ev.actor, -1):
             raise ScheduleError(f"overlapping interrupt windows for actor {ev.actor}")
-        per_actor[ev.actor] = ev.resume_at
+        ends[ev.actor] = ev.resume_at
+        last = at
 
 
 # --- trace ------------------------------------------------------------------
@@ -312,17 +324,22 @@ class Actor:
     """One enclave actor: name, SSA cells, program and run state.
 
     An idle running actor (no in-flight, frozen, waiting or pending-abort
-    work) fetches its next instruction from its program.
+    work) fetches its next instruction from its program. ``touched`` says
+    that the next pump must visit the actor; ``bit`` is the actor's bit in
+    the kernel's mask of actors that hold a transaction or wait.
     """
 
     __slots__ = (
-        "name", "ssa", "gen", "state", "instr", "finish_at", "frozen", "segment_start",
-        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
+        "name", "ssa", "bit", "touched", "gen", "state", "instr", "finish_at", "frozen",
+        "segment_start", "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
+        "ticks",
     )
 
-    def __init__(self, name: str, ssa: _SSA) -> None:
+    def __init__(self, name: str, ssa: _SSA, bit: int) -> None:
         self.name = name
         self.ssa = ssa
+        self.bit = bit
+        self.touched = False
         self.gen: Generator | None = None
         self.state = _RUNNING
         self.instr: Instr | None = None
@@ -353,8 +370,8 @@ class SimKernel:
         self._events: list[tuple[int, str, str, str]] = []
         self._full_trace = False
         self._live = 0  # actors not done
-        self._wrote = False  # a write was committed in this pass of the pump
-        self._budget = _ZERO_COST_BUDGET  # steps this pump may still take
+        self._touched = False  # an actor was touched since the last pump pass began
+        self._watchers = 0  # bits of the actors that hold a transaction or wait
 
     # construction
 
@@ -363,7 +380,7 @@ class SimKernel:
             marker=Cell(f"{name}.ssa.marker", 0),
             rip=Cell(f"{name}.ssa.rip", RIP_NEXT),
         )
-        actor = Actor(name, ssa)
+        actor = Actor(name, ssa, 1 << len(self._actors))
         self._actors.append(actor)
         self._by_name[actor.name] = actor
         return actor
@@ -376,191 +393,245 @@ class SimKernel:
     # write machinery
 
     def _commit_write(self, writer: Actor | None, cell: Cell, value: Any) -> None:
+        """Store the value and touch every actor it concerns: one that waits,
+        whose predicate may now hold, and one whose transaction watches the
+        cell, which aborts. Only the watchers are looked at; the writer is
+        never one, since it commits outside any transaction and runs."""
         cell.value = value
-        self._wrote = True
         if self._full_trace:
             who = writer.name if writer is not None else "hw"
             self._log(who, "WRITE", f"{cell.name}={value!r}")
-        for actor in self._actors:
-            if actor is writer or actor.tx is None:
-                continue
-            if cell in actor.tx.watch:
-                self._abort_tx(actor, "conflict")
-
-    def _apply_write(self, actor: Actor, cell: Cell, value: Any) -> None:
-        if actor.tx is not None:
-            actor.tx.writes[cell] = value
-            return
-        self._commit_write(actor, cell, value)
-
-    def _read_value(self, actor: Actor, cell: Cell) -> Any:
-        if actor.tx is not None and cell in actor.tx.writes:
-            return actor.tx.writes[cell]
-        return cell.value
+        watchers = self._watchers
+        if watchers:
+            for actor in self._actors:
+                if watchers & actor.bit:
+                    if actor.state == _WAITING:
+                        actor.touched = self._touched = True
+                    elif cell in actor.tx.watch:
+                        self._abort_tx(actor, "conflict")
+                        actor.touched = self._touched = True
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
         actor.tx = None
         actor.ticks = None
+        self._watchers &= ~actor.bit
         actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
         # squash in-flight or frozen body work; cycles consumed stay consumed
-        if actor.state == _RUNNING and actor.finish_at is not None:
-            self._accrue(actor)
-        actor.instr = None
-        actor.finish_at = None
+        if actor.finish_at is not None:
+            if actor.state == _RUNNING:
+                actor.resident += self.now - actor.segment_start
+                actor.segment_start = None
+            actor.instr = actor.finish_at = None
         actor.frozen.clear()
-
-    # resident accounting
-
-    def _accrue(self, actor: Actor) -> None:
-        if actor.segment_start is not None:
-            actor.resident += self.now - actor.segment_start
-            actor.segment_start = None
 
     # execution
 
-    def _complete(self, actor: Actor) -> None:
-        """Apply the in-flight instruction's effect at the current cycle."""
-        instr = actor.instr
-        start = actor.segment_start
-        if start is not None:
-            actor.resident += self.now - start
-            actor.segment_start = None
-        actor.instr = None
-        actor.finish_at = None
+    def _apply(self, actor: Actor, instr: Instr) -> Any:
+        """Apply an OP, READ, WRITE or TAS at the current cycle and return
+        its result; inside a transaction, writes are buffered and reads see
+        them."""
         kind = instr.kind
-        if kind == _READ:
-            result: Any = self._read_value(actor, instr.cell)
-        elif kind == _OP:
+        if kind == _OP:
             result = instr.effect() if instr.effect is not None else None
             if self._full_trace and instr.label:
                 self._log(actor.name, "STEP", instr.label)
-        elif kind == _WRITE:
-            self._apply_write(actor, instr.cell, instr.value)
-            result = None
-        elif kind == _TAS:
-            result = self._read_value(actor, instr.cell)
-            self._apply_write(actor, instr.cell, 1)
+            return result
+        cell = instr.cell
+        tx = actor.tx
+        if kind == _WRITE:
+            if tx is None:
+                self._commit_write(actor, cell, instr.value)
+            else:
+                tx.writes[cell] = instr.value
+            return None
+        result = cell.value if tx is None else tx.writes.get(cell, cell.value)
+        if kind == _TAS:
+            if tx is None:
+                self._commit_write(actor, cell, 1)
+            else:
+                tx.writes[cell] = 1
+        return result
+
+    def _complete(self, actor: Actor) -> None:
+        """Finish the in-flight instruction at the current cycle and touch
+        the actor.
+
+        An ERESUME handler's result lands in ``send_value`` too but never
+        reaches the program: the handler always runs above frozen work, a
+        pending wait or a pending abort, whose completion, wake or throw
+        replaces it before the next send."""
+        instr = actor.instr
+        actor.resident += self.now - actor.segment_start
+        actor.segment_start = actor.instr = actor.finish_at = None
+        actor.touched = self._touched = True
+        kind = instr.kind
+        if kind == _OP:
+            actor.send_value = instr.effect() if instr.effect is not None else None
+            if self._full_trace and instr.label:
+                self._log(actor.name, "STEP", instr.label)
+        elif kind == _WRITE and actor.tx is None:
+            self._commit_write(actor, instr.cell, instr.value)
+            actor.send_value = None
         elif kind == _STALL:
             # the OCALL returned; a stalled actor is never interrupted
             actor.state = _RUNNING
+            actor.send_value = None
             if self._full_trace:
                 self._log(actor.name, "STALL_END")
-            result = None
-        else:  # pragma: no cover - other kinds never become in-flight
-            raise KernelError(f"unexpected in-flight kind {instr.kind}")
-        # An ERESUME handler's result lands here too but never reaches the
-        # program: the handler always runs above frozen work, a pending wait
-        # or a pending abort, whose completion, wake or throw replaces it
-        # before the next send.
-        actor.send_value = result
+        else:
+            actor.send_value = self._apply(actor, instr)
 
-    def _advance(self, actor: Actor, *, throw: TxAborted | None = None) -> None:
-        """Move the actor's program on and stage the next instruction.
+    def _drive(self, actor: Actor, budget: int) -> int:
+        """Run one touched actor until it blocks, waits, finishes or has work
+        in flight, and return what is left of the pump's budget.
 
-        Zero-cost work completes in place: a zero-cost OP, READ, WRITE or TAS
-        goes through ``_complete`` as soon as the program yields it, and its
-        result is sent straight back, each one charged to the pump's budget
-        as one step. ``_pump`` would run this same actor next anyway, since
-        it runs an actor until the actor blocks."""
-        gen = actor.gen
-        try:
-            instr = gen.send(actor.send_value) if throw is None else gen.throw(throw)
-            while instr.cost == 0 and instr.kind <= _TAS:
-                actor.instr = instr
-                self._complete(actor)
-                if self._budget <= 0:
-                    raise KernelError(_LIVELOCK)
-                self._budget -= 1
-                instr = gen.send(actor.send_value)
-        except StopIteration as stop:
-            actor.state = _DONE
-            actor.result = stop.value
-            self._live -= 1
-            if self._full_trace:
-                self._log(actor.name, "DONE")
-            return
-        actor.send_value = None
-        self._begin(actor, instr)
-
-    def _begin(self, actor: Actor, instr: Instr) -> None:
-        """Stage one instruction: a costed OP, READ, WRITE or TAS and a host
-        stall go in flight; the transaction, wait and ticks kinds apply at
-        once. A zero-cost OP, READ, WRITE or TAS never gets here: ``_advance``
-        completes it in place."""
-        kind = instr.kind
-        if kind <= _TAS:
-            self._stage(actor, instr)
-            return
-        if kind == _TXBEGIN:
-            if actor.tx is not None:
-                raise KernelError(f"{actor.name}: nested transaction")
-            actor.tx = _Tx(instr.value)
-            if self._full_trace:
-                self._log(actor.name, "TX_BEGIN", f"watch={len(instr.value)}")
-            return
-        if kind == _TXEND:
-            if actor.tx is None:
-                raise KernelError(f"{actor.name}: commit outside transaction")
-            tx = actor.tx
-            actor.tx = None
-            for cell, value in tx.writes.items():
-                self._commit_write(actor, cell, value)
-            if self._full_trace:
-                self._log(actor.name, "TX_COMMIT")
-            return
-        if kind == _TXABORT:
-            if actor.tx is None:
-                raise KernelError(f"{actor.name}: abort outside transaction")
-            self._abort_tx(actor, instr.value)
-            return
-        if kind == _WAIT:
-            if actor.tx is not None:
-                raise KernelError(f"{actor.name}: wait inside transaction")
-            if instr.pred():
-                return
-            actor.wait_pred = instr.pred
+        Each step charges the budget one: a program resume, a Ticks period
+        step or a zero-cost ERESUME handler. Zero-cost work completes in
+        place: a zero-cost OP, READ, WRITE or TAS is applied as soon as the
+        program yields it, and so are the transaction kinds and a wait whose
+        predicate holds; the result goes straight back into the program,
+        since the pump would run this same actor next anyway."""
+        now = self.now
+        while True:
+            if budget <= 0:
+                raise KernelError(_LIVELOCK)
+            state = actor.state
+            if state != _RUNNING:
+                if state != _WAITING or not actor.wait_pred():
+                    return budget  # blocked, or waiting on a false predicate
+                actor.wait_pred = None
+                actor.state = _RUNNING
+                self._watchers &= ~actor.bit
+                actor.send_value = None
+                if self._full_trace:
+                    self._log(actor.name, "WAIT_END")
+            elif actor.finish_at is not None:
+                return budget  # executing: time must pass
+            if actor.frozen:
+                # frozen work resumes exactly where it was interrupted, an
+                # ERESUME handler before the work it detoured from
+                instr, remaining = actor.frozen.pop()
+                if remaining:
+                    actor.instr = instr
+                    actor.segment_start = now
+                    actor.finish_at = now + remaining
+                    return budget
+                budget -= 1
+                actor.send_value = self._apply(actor, instr)  # a zero-cost handler
+                continue
+            if actor.wait_pred is None:
+                break
+            # a handler ran while a wait was pending: wait again
             actor.state = _WAITING
-            if self._full_trace:
-                self._log(actor.name, "WAIT_BEGIN")
-            return
-        if kind == _TICKS:
-            if actor.tx is not None:
-                raise KernelError(f"{actor.name}: ticks inside transaction")
-            actor.ticks = instr.value
-            self._period_start(actor)
-            return
-        if kind == _STALL:
-            if actor.tx is not None:
-                raise KernelError(f"{actor.name}: ocall stall inside transaction")
-            if self._full_trace:
-                self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
-            actor.state = _STALLED
-            self._stage(actor, instr)
+            self._watchers |= actor.bit
+        if actor.ticks is not None:
+            budget -= 1
+            self._period_step(actor)
+            if actor.ticks is not None:
+                return budget
+        # the actor is idle: fetch from its program until it blocks
+        gen = actor.gen
+        value = actor.send_value
+        exc = actor.pending_abort
+        while True:
+            if budget <= 0:
+                raise KernelError(_LIVELOCK)
+            budget -= 1
+            try:
+                if exc is None:
+                    instr = gen.send(value)
+                else:
+                    actor.pending_abort = None
+                    instr, exc = gen.throw(exc), None
+            except StopIteration as stop:
+                actor.state = _DONE
+                actor.result = stop.value
+                self._live -= 1
+                if self._full_trace:
+                    self._log(actor.name, "DONE")
+                return budget
+            kind = instr.kind
+            if kind <= _TAS:
+                if instr.cost:
+                    actor.instr = instr
+                    actor.segment_start = now
+                    actor.finish_at = now + instr.cost
+                    return budget
+                if kind == _WRITE and actor.tx is None:
+                    self._commit_write(actor, instr.cell, instr.value)
+                    value = None
+                else:
+                    value = self._apply(actor, instr)
+                continue
+            value = None
+            if kind == _TXBEGIN:
+                if actor.tx is not None:
+                    raise KernelError(f"{actor.name}: nested transaction")
+                actor.tx = _Tx(instr.value)
+                self._watchers |= actor.bit
+                if self._full_trace:
+                    self._log(actor.name, "TX_BEGIN", f"watch={len(instr.value)}")
+            elif kind == _TXABORT:
+                if actor.tx is None:
+                    raise KernelError(f"{actor.name}: abort outside transaction")
+                self._abort_tx(actor, instr.value)
+                exc = actor.pending_abort
+            elif kind == _WAIT:
+                if actor.tx is not None:
+                    raise KernelError(f"{actor.name}: wait inside transaction")
+                if not instr.pred():
+                    actor.wait_pred = instr.pred
+                    actor.state = _WAITING
+                    self._watchers |= actor.bit
+                    if self._full_trace:
+                        self._log(actor.name, "WAIT_BEGIN")
+                    return budget
+            elif kind == _TICKS:
+                if actor.tx is not None:
+                    raise KernelError(f"{actor.name}: ticks inside transaction")
+                actor.ticks = instr.value
+                self._period_start(actor)
+                if actor.ticks is not None:
+                    return budget
+            elif kind == _TXEND:
+                if actor.tx is None:
+                    raise KernelError(f"{actor.name}: commit outside transaction")
+                tx = actor.tx
+                actor.tx = None
+                self._watchers &= ~actor.bit
+                for cell, written in tx.writes.items():
+                    self._commit_write(actor, cell, written)
+                if self._full_trace:
+                    self._log(actor.name, "TX_COMMIT")
+            else:  # _STALL
+                if actor.tx is not None:
+                    raise KernelError(f"{actor.name}: ocall stall inside transaction")
+                if self._full_trace:
+                    self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
+                actor.state = _STALLED
+                actor.instr = instr
+                actor.segment_start = now
+                actor.finish_at = now + instr.cost
+                return budget
 
-    def _stage(self, actor: Actor, instr: Instr) -> None:
-        """Put costed work in flight from the current cycle."""
-        actor.instr = instr
-        actor.finish_at = self.now + instr.cost
-        actor.segment_start = self.now
-
-    # the Ticks instruction, one period at a time
-
-    def _can_tick(self, actor: Actor) -> bool:
-        loop = actor.ticks
-        return (self._read_value(actor, loop.proc) == 1
-                and self._read_value(actor, loop.watch) == MARKER_VALUE)
+    # the Ticks instruction, one period at a time; a period's transaction
+    # buffers no writes, so its reads are the cells' values and one ``_Tx``
+    # serves every period
 
     def _period_start(self, actor: Actor) -> None:
-        if not self._can_tick(actor):
+        loop = actor.ticks
+        if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
             actor.ticks = None  # completes: the program takes over
             return
-        loop = actor.ticks
-        actor.tx = _Tx(loop.watched)
+        actor.tx = loop.tx
+        self._watchers |= actor.bit
         if self._full_trace:
             self._log(actor.name, "TX_BEGIN", "watch=1")
-        self._stage(actor, loop.tick)
+        actor.instr = loop.tick
+        actor.segment_start = self.now
+        actor.finish_at = self.now + loop.tau
 
     def _period_step(self, actor: Actor) -> None:
         """Continue a Ticks instruction after its tick or its checks ended."""
@@ -569,13 +640,16 @@ class SimKernel:
             # the tick ended: commit it, mirror the count outside the
             # transaction, then pay for the checks
             actor.tx = None
-            count = self._read_value(actor, loop.counter) + 1
+            self._watchers &= ~actor.bit
+            count = loop.counter.value + 1
             self._commit_write(actor, loop.counter, count)
             if self._full_trace:
                 self._log(actor.name, "TX_COMMIT")
             self._commit_write(actor, loop.mirror, count)
             if loop.checks is not None:
-                self._stage(actor, loop.checks)
+                actor.instr = loop.checks
+                actor.segment_start = self.now
+                actor.finish_at = self.now + loop.epsilon
                 return
         self._period_start(actor)
 
@@ -584,16 +658,15 @@ class SimKernel:
         another actor sees before its own next stop: every period start will
         pass, no other actor waits on a write, and no other transaction
         watches the counter or its mirror."""
-        if not self._can_tick(actor):
-            return False
         loop = actor.ticks
-        for other in self._actors:
-            if other is actor:
-                continue
-            if other.state == _WAITING:
-                return False
-            if other.tx is not None and (loop.counter in other.tx.watch or loop.mirror in other.tx.watch):
-                return False
+        if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
+            return False
+        others = self._watchers & ~actor.bit
+        if others:
+            for other in self._actors:
+                if others & other.bit and (other.state == _WAITING or loop.counter in other.tx.watch
+                                           or loop.mirror in other.tx.watch):
+                    return False
         return True
 
     def _skip_periods(self, actor: Actor, until: int) -> None:
@@ -612,6 +685,7 @@ class SimKernel:
         loop.counter.value = loop.mirror.value = base + n
         if eps and last + eps >= until:
             actor.tx = None  # the checks are in flight
+            self._watchers &= ~actor.bit
             start, actor.instr = last, loop.checks
         else:
             start, actor.instr = last + eps, loop.tick
@@ -620,98 +694,50 @@ class SimKernel:
         actor.finish_at = start + actor.instr.cost
 
     def _pump(self) -> None:
-        """Run everything that can make progress at the current cycle: each
-        actor in registration order until it blocks, waits or has work in
-        flight.
+        """Run every touched actor, in registration order, until it blocks,
+        waits, finishes or has work in flight.
 
-        A pump with no change since the last one is a no-op: a pump leaves
-        every actor blocked, done, executing or waiting on a false
+        An untouched actor is blocked, done, executing or waiting on a false
         predicate, and only a completion, an AEX, an ERESUME or a committed
-        write can change that. So a pump makes another pass only after a
-        pass that committed a write, which may wake or abort an actor the
-        pass had already left, and the run loop pumps only after a
-        completion, an AEX or an ERESUME. A pump that takes
-        ``_ZERO_COST_BUDGET`` steps raises: time never passes inside one."""
-        self._budget = _ZERO_COST_BUDGET
-        self._wrote = True
-        while self._wrote:
-            self._wrote = False
-            for actor in self._actors:
-                while True:
-                    if self._budget <= 0:
-                        raise KernelError(_LIVELOCK)
-                    if actor.state == _WAITING:
-                        if not actor.wait_pred():
-                            break
-                        actor.wait_pred = None
-                        actor.state = _RUNNING
-                        actor.send_value = None
-                        if self._full_trace:
-                            self._log(actor.name, "WAIT_END")
-                    if actor.state != _RUNNING or actor.finish_at is not None:
-                        break  # blocked, or executing: time must pass
-                    if actor.frozen:
-                        # frozen work resumes exactly where it was interrupted,
-                        # an ERESUME handler before the work it detoured from
-                        actor.instr, remaining = actor.frozen.pop()
-                        actor.segment_start = self.now
-                        if remaining:
-                            actor.finish_at = self.now + remaining
-                            break
-                        self._budget -= 1
-                        self._complete(actor)  # a zero-cost handler
-                        continue
-                    if actor.wait_pred is not None:
-                        # a handler ran while a wait was pending: wait again
-                        actor.state = _WAITING
-                        continue
-                    self._budget -= 1
-                    if actor.ticks is not None:
-                        self._period_step(actor)
-                        continue
-                    exc = actor.pending_abort
-                    actor.pending_abort = None
-                    self._advance(actor, throw=exc)
-                    if actor.finish_at is not None or actor.state != _RUNNING:
-                        break
-        if self._budget <= 0:
-            # the last step spent the budget; the pass that would have found
-            # that out was a no-op and is skipped
+        write can change that, so a pump visits only the actors these
+        touched. A write that touches an actor the pass has already left
+        makes another pass. A pump that takes ``_ZERO_COST_BUDGET`` steps
+        raises: time never passes inside one."""
+        budget = _ZERO_COST_BUDGET
+        actors = self._actors
+        while self._touched:
+            self._touched = False
+            for actor in actors:
+                if actor.touched:
+                    actor.touched = False
+                    budget = self._drive(actor, budget)
+        if budget <= 0:
+            # the last step spent the budget; the visit that would have
+            # found that out is skipped
             raise KernelError(_LIVELOCK)
 
     def _apply_aex(self, ev: ScheduleEvent) -> bool:
         """Interrupt the event's actor; False if the AEX was skipped."""
         actor = self._by_name[ev.actor]
-        if actor.state not in (_RUNNING, _WAITING):
-            self._log(ev.actor, "AEX_SKIPPED", f"state={actor.state}")
+        if actor.state > _WAITING:
+            self._events.append((self.now, ev.actor, "AEX_SKIPPED", f"state={actor.state}"))
             return False
-        self._log(ev.actor, "AEX")
+        self._events.append((self.now, ev.actor, "AEX", ""))
         if actor.tx is not None:
             self._abort_tx(actor, "interrupt")
         if actor.finish_at is not None:
             # freeze in-flight work; it resumes exactly where it stopped
-            self._accrue(actor)
+            actor.resident += self.now - actor.segment_start
             actor.frozen.append((actor.instr, actor.finish_at - self.now))
-            actor.instr = None
-            actor.finish_at = None
+            actor.segment_start = actor.instr = actor.finish_at = None
         actor.state = _INTERRUPTED
+        self._watchers &= ~actor.bit
         ssa = actor.ssa
         # register spill: the CPU overwrites the SSA, destroying the marker
         # and recording the true resume point
         self._commit_write(None, ssa.marker, SPILL_VALUE)
         self._commit_write(None, ssa.rip, f"interrupted@{self.now}")
         return True
-
-    def _apply_eresume(self, ev: ScheduleEvent) -> None:
-        # called only for an event whose AEX fired, so the actor is
-        # interrupted; a pending wait is entered again once any handler has run
-        actor = self._by_name[ev.actor]
-        ripval = actor.ssa.rip.value
-        handler = isinstance(ripval, EresumeHandler)
-        self._log(ev.actor, "ERESUME", "handler" if handler else "")
-        if handler:
-            actor.frozen.append((ripval.instr, ripval.instr.cost))
-        actor.state = _RUNNING
 
     def run(self, schedule: list[ScheduleEvent], limit: int, full_trace: bool = False) -> SimTrace:
         """Execute until every actor finishes or the cycle limit is reached.
@@ -722,16 +748,17 @@ class SimKernel:
         not the run reaches it.
 
         Each stop of the loop is the next completion, interrupt or resume,
-        chosen without allocating. Interrupts are taken in schedule order; an
-        AEX that fires pushes ``(resume_at, index)`` onto a heap, so ERESUMEs
-        at the same cycle keep schedule order and a skipped AEX leaves
-        nothing behind. A pump with no change since the last one is a no-op,
-        so a stop pumps only after a completion, and again only after an AEX
-        or ERESUME.
+        found by one scan of the actors that also notes which of them finish
+        there. Interrupts are taken in schedule order; an AEX that fires
+        pushes ``(resume_at, index)`` onto a heap, so ERESUMEs at the same
+        cycle keep schedule order and a skipped AEX leaves nothing behind.
+        A stop pumps after its completions and again after its AEX and
+        ERESUME events, each time only if they touched an actor.
         """
         validate_schedule(schedule)
+        by_name = self._by_name
         for ev in schedule:
-            if ev.actor not in self._by_name:
+            if ev.actor not in by_name:
                 raise ScheduleError(f"schedule targets unknown actor {ev.actor!r}")
         self._full_trace = full_trace
         actors = self._actors
@@ -743,74 +770,110 @@ class SimKernel:
 
         n = len(schedule)
         ai = 0  # next AEX in schedule order
+        next_aex = schedule[0].interrupt_at if n else _NEVER
         resumes: list[tuple[int, int]] = []  # (resume_at, index) of each fired AEX
+        next_resume = _NEVER
+        next_event = next_aex  # the earlier of the two
 
         self._live = len(actors)
+        for actor in actors:
+            actor.touched = True
+        self._touched = True
         self._pump()
         complete = True
         while self._live:
             t = _NEVER
+            hit: Actor | None = None  # the first actor to finish at t
+            tie = False  # another actor finishes at t too
             ticker: Actor | None = None  # an actor whose Ticks tick is in flight
             for actor in actors:
                 at = actor.finish_at
                 if at is None:
                     continue
-                if ticker is None and actor.ticks is not None and actor.tx is not None:
+                if actor.ticks is not None and actor.tx is not None and ticker is None:
                     ticker = actor
                 elif at < t:
                     t = at
-            if ai < n and schedule[ai].interrupt_at < t:
-                t = schedule[ai].interrupt_at
-            if resumes and resumes[0][0] < t:
-                t = resumes[0][0]
+                    hit = actor
+                    tie = False
+                elif at == t:
+                    tie = True
+            if next_event < t:
+                t, hit, tie = next_event, None, False
             if ticker is not None:
                 # next-event advance of a lean run: commit in closed form the
                 # periods that end before any other stop; the one at that
                 # stop runs below
-                until = t if t <= limit else limit + 1
-                if not full_trace and ticker.finish_at < until and self._may_skip(ticker):
-                    self._skip_periods(ticker, until)
-                if ticker.finish_at < t:
-                    t = ticker.finish_at
-            if t is _NEVER:
-                raise KernelError("deadlock: no runnable actor and no pending events")
+                at = ticker.finish_at
+                if not full_trace:
+                    until = t if t <= limit else limit + 1
+                    if at < until and self._may_skip(ticker):
+                        self._skip_periods(ticker, until)
+                        at = ticker.finish_at
+                if at < t:
+                    t, hit, tie = at, ticker, False
+                elif at == t:
+                    if hit is None:
+                        hit = ticker
+                    else:
+                        tie = True
             if t > limit:
+                if t is _NEVER:
+                    raise KernelError("deadlock: no runnable actor and no pending events")
                 complete = False
                 self.now = limit
                 for actor in actors:
-                    self._accrue(actor)
+                    if actor.segment_start is not None:
+                        actor.resident += limit - actor.segment_start
                 break
             self.now = t
             # phase 1: completions, in registration order
-            changed = False
-            for actor in actors:
-                if actor.finish_at == t:
-                    self._complete(actor)
-                    changed = True
+            if tie:
+                for actor in actors:
+                    if actor.finish_at == t:
+                        self._complete(actor)
+            elif hit is not None:
+                self._complete(hit)
             # phase 1b: zero-cost continuations (commits, mirror copies)
             # finish before an interrupt arriving at the same boundary
-            if changed:
+            if self._touched:
                 self._pump()
             # phase 2: AEX
-            changed = False
-            while ai < n and schedule[ai].interrupt_at == t:
-                ev = schedule[ai]
-                if self._apply_aex(ev):
-                    heapq.heappush(resumes, (ev.resume_at, ai))
-                    changed = True
-                ai += 1
-            # phase 3: ERESUME, same-cycle resumes in schedule order
-            while resumes and resumes[0][0] == t:
-                self._apply_eresume(schedule[heapq.heappop(resumes)[1]])
-                changed = True
+            if next_aex == t:
+                while True:
+                    ev = schedule[ai]
+                    if self._apply_aex(ev):
+                        heapq.heappush(resumes, (ev.resume_at, ai))
+                    ai += 1
+                    next_aex = schedule[ai].interrupt_at if ai < n else _NEVER
+                    if next_aex != t:
+                        break
+                next_resume = resumes[0][0] if resumes else _NEVER
+                next_event = next_aex if next_aex < next_resume else next_resume
+            # phase 3: ERESUME, same-cycle resumes in schedule order; each
+            # resumes an interrupted actor, which enters a pending wait again
+            # once any handler has run
+            while next_resume == t:
+                name = schedule[heapq.heappop(resumes)[1]].actor
+                actor = by_name[name]
+                ripval = actor.ssa.rip.value
+                if isinstance(ripval, EresumeHandler):
+                    self._events.append((t, name, "ERESUME", "handler"))
+                    actor.frozen.append((ripval.instr, ripval.instr.cost))
+                else:
+                    self._events.append((t, name, "ERESUME", ""))
+                actor.state = _RUNNING
+                actor.touched = self._touched = True
+                next_resume = resumes[0][0] if resumes else _NEVER
+                next_event = next_aex if next_aex < next_resume else next_resume
             # phase 4: newly runnable work
-            if changed:
+            if self._touched:
                 self._pump()
 
         return SimTrace(
             events=self._events,
-            resident={actor.name: actor.resident for actor in self._actors},
+            resident={actor.name: actor.resident for actor in actors},
             final_cycle=self.now,
             complete=complete,
-            results={actor.name: actor.result for actor in self._actors},
+            results={actor.name: actor.result for actor in actors},
         )

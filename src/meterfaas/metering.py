@@ -34,6 +34,7 @@ from .kernel import (
     Cell,
     EresumeHandler,
     HostStall,
+    Instr,
     Op,
     ScheduleEvent,
     SimKernel,
@@ -143,6 +144,22 @@ def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
     return EresumeHandler(WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cost))
 
 
+def _marker_path(cfg: MeterConfig, ts: TimerState, worker_ssa) -> tuple[Instr, Instr, Instr, Instr]:
+    """The timer's instructions for a missing marker: the bracketed abort,
+    the handler install and the wait for the marker to come back."""
+    return (
+        TxBegin((worker_ssa.marker,)),
+        TxAbort("marker-missing"),
+        WriteCell(worker_ssa.rip, make_eresume_handler(worker_ssa, cfg.handler_cost), cost=1),
+        WaitUntil(
+            lambda: worker_ssa.marker.value == MARKER_VALUE
+            or ts.proc.value != 1
+            or ts.run_done.value == 1
+            or not isinstance(worker_ssa.rip.value, EresumeHandler)
+        ),
+    )
+
+
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     """The timing thread. One timer counts at a time (enclave-wide mutex).
     Its steady state is one ``Ticks`` instruction: ticks inside transactions
@@ -155,51 +172,53 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     writes, transactions and waits. It runs outside any transaction
     whenever it looks at a cell, so it reads ``Cell.value`` directly; a
     zero-cost READ would complete in place with the same value and leave no
-    event. Every instruction whose fields are fixed is built once, before
-    the first yield; an instruction carries no run state, so it can be
+    event. Every instruction whose fields are fixed is built at most once:
+    the steady state's before the first yield, and the wait for a held
+    mutex, the wait out of an OCALL pause and the missing-marker path's on
+    first use, since a run without a second timer, OCALLs or interrupts
+    never yields them. An instruction carries no run state, so it can be
     yielded again. Only the ``original_rip`` write, which saves the rip it
     finds, is built per handler install."""
-    handler = make_eresume_handler(worker_ssa, cfg.handler_cost)
     ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal,
                   mirror=ts.t, proc=ts.proc)
     take_mutex = TestAndSet(ts.mutex, cost=1)
-    mutex_free = WaitUntil(lambda: ts.mutex.value == 0)
-    watch_marker = TxBegin((worker_ssa.marker,))
-    marker_missing = TxAbort("marker-missing")
-    install_handler = WriteCell(worker_ssa.rip, handler, cost=1)
-    resumed_or_done = WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
-    marker_back = WaitUntil(
-        lambda: worker_ssa.marker.value == MARKER_VALUE
-        or ts.proc.value != 1
-        or ts.run_done.value == 1
-        or not isinstance(worker_ssa.rip.value, EresumeHandler)
-    )
+    resumed_or_done = marker_back = None
 
     prior = yield take_mutex
-    while prior != 0:
-        yield mutex_free
-        prior = yield take_mutex
+    if prior != 0:
+        mutex_free = WaitUntil(lambda: ts.mutex.value == 0)
+        while prior != 0:
+            yield mutex_free
+            prior = yield take_mutex
     yield WriteCell(ts.ready, 1)
     yield WaitUntil(lambda: ts.started.value == 1)
 
     while True:
-        try:
-            yield ticks
-        except TxAborted:
-            # own interrupt, or the marker cell changed under us: just retry;
-            # the marker check at the next period start sorts out which it was
-            continue
+        # a Ticks instruction whose first period start fails completes at
+        # once and logs nothing, so the program yields it only when that
+        # start can pass
+        if ts.proc.value == 1 and worker_ssa.marker.value == MARKER_VALUE:
+            try:
+                yield ticks
+            except TxAborted:
+                # own interrupt, or the marker cell changed under us: just
+                # retry; the next period start sorts out which it was
+                continue
 
         if ts.proc.value != 1:
             if ts.run_done.value:
                 break
             # OCALL pause: wait for the worker to come back, or for the end
+            if resumed_or_done is None:
+                resumed_or_done = WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
             yield resumed_or_done
             continue
 
         # marker is gone: the worker was interrupted. The tick's transaction
         # aborts at once; install the ERESUME handler (re-installing if a
         # later spill clobbered it) and wait for the marker to come back.
+        if marker_back is None:
+            watch_marker, marker_missing, install_handler, marker_back = _marker_path(cfg, ts, worker_ssa)
         try:
             yield watch_marker
             yield marker_missing

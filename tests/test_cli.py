@@ -505,6 +505,24 @@ class TestTools:
         kinds = [line.split()[2] for line in first.splitlines() if not line.startswith("#")]
         assert "AEX" in kinds and "ERESUME" in kinds
 
+    def test_replay_scenario_fuzz_seed_sized_by_scenario_costs(self, capsys, tmp_path):
+        # the unmetered run that sizes a fuzz_seed schedule prices the
+        # instructions as the scenario does, so the span covers its cycles
+        scenario = tmp_path / "fuzz.cfg"
+        scenario.write_text("function=fib\ntau=10\nepsilon=0\nfuzz_seed=3\ncost_default=3\n")
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(40))
+        assert main(["replay", "--scenario", str(scenario), "--input", str(inp)]) == 0
+        out = capsys.readouterr().out
+        loaded = ScenarioConfig.from_mapping(load_keyvalue(scenario))
+        fib = corp.corpus()["fib"]
+        cycles = vm_execute(fib, corp.fib_input(40), LIMITS, costs=loaded.costs).cycles
+        assert cycles > 2 * vm_execute(fib, corp.fib_input(40), LIMITS).cycles
+        schedule = random_schedule(DeterministicRng(3, "scenario"), 64 + 4 * cycles)
+        expected = run_metered(fib, corp.fib_input(40), LIMITS, loaded.meter, schedule=schedule,
+                               costs=loaded.costs)
+        assert out.splitlines()[:-1] == expected.trace.export_lines()
+
     def test_replay_deterministic(self, capsys, tmp_path):
         sched = tmp_path / "s.txt"
         sched.write_text("worker,30,60\n")

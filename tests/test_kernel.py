@@ -476,6 +476,37 @@ class TestWaitAndStall:
         assert trace.resident["a"] == 2
         assert trace.final_cycle == 12
 
+    def test_wait_is_evaluated_only_after_a_committed_write(self):
+        # "re-evaluated after every committed write and after every ERESUME":
+        # the other actor's 50 costed steps commit nothing, so the predicate
+        # is evaluated when the wait begins and once more after the write
+        kern = SimKernel()
+        a = kern.add_enclave_actor("a")
+        b = kern.add_enclave_actor("b")
+        flag = Cell("flag", 0)
+        calls = 0
+
+        def ready():
+            nonlocal calls
+            calls += 1
+            return flag.value == 1
+
+        def waiter():
+            yield WaitUntil(ready)
+            return "woke"
+
+        def worker():
+            for _ in range(50):
+                yield Op(1)
+            yield WriteCell(flag, 1)
+
+        a.set_program(waiter())
+        b.set_program(worker())
+        trace = kern.run([], 1000)
+        assert trace.results["a"] == "woke"
+        assert trace.final_cycle == 50
+        assert calls <= 3
+
     def test_wakeup_survives_interrupt_of_waiter(self):
         kern = SimKernel()
         a = kern.add_enclave_actor("a")
