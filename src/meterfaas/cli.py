@@ -282,9 +282,8 @@ def cmd_vm_asm(args) -> int:
 
 
 def _function_bytes(spec: str) -> bytes:
-    if spec in corp.corpus():
-        return assemble(getattr(corp, f"{spec.upper()}_SOURCE"))
-    return Path(spec).read_bytes()
+    source = corp.SOURCES.get(spec)
+    return assemble(source) if source is not None else Path(spec).read_bytes()
 
 
 def _resolve_scenario(args):
@@ -327,6 +326,10 @@ def cmd_run(args) -> int:
     worker_identity = derive_identity(WORKER_CODE, SIGNER, parametrization=parametrization)
     if worker_identity.mrenclave.hex() != state_cfg["worker_identity"]:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)
+    # checked before the dispatch, which logs the measurement it bills
+    out_dir = Path(args.out_dir) if args.out_dir else state
+    if not out_dir.is_dir():
+        raise CliError(f"output directory {out_dir} does not exist", 2)
 
     pool = WorkerPool(
         kde, worker_identity, size=1, meter_cfg=scenario.meter, costs=scenario.costs,
@@ -348,7 +351,6 @@ def cmd_run(args) -> int:
     except FunctionFailed as exc:
         print(f"FUNCTION FAILED: {exc.reason}")
         return 1
-    out_dir = Path(args.out_dir) if args.out_dir else state
     (out_dir / "output.bin").write_bytes(verified.output)
     print(f"output {len(verified.output)} bytes -> {out_dir / 'output.bin'}")
     report = result.measurement

@@ -94,7 +94,7 @@ ECHO_WORD_SOURCE = """
         HALT
 """
 
-_SOURCES = {
+SOURCES = {  # name -> assembler source of each built-in function
     "fib": FIB_SOURCE,
     "known_network": KNOWN_NETWORK_SOURCE,
     "empty": EMPTY_SOURCE,
@@ -105,7 +105,7 @@ _SOURCES = {
 
 def corpus() -> dict[str, FunctionImage]:
     """The built-in images, freshly loaded (hashes recomputed at load time)."""
-    return {name: vm_load(assemble(src)) for name, src in _SOURCES.items()}
+    return {name: vm_load(assemble(src)) for name, src in SOURCES.items()}
 
 
 def words(*values: int) -> bytes:

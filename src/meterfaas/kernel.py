@@ -39,13 +39,13 @@ that leave every event at the same cycle and in the same order:
     every period one stop at a time, so the per-period path is the only code
     that logs a period;
   * a stop costs only what it changes. One scan of the actors finds the next
-    stop and the actors that finish there. A completion, an AEX, an ERESUME
-    or a committed write *touches* the actors it concerns, and a pump visits
-    only touched actors, in registration order: an untouched actor is
-    blocked, done, executing or waiting on a predicate that no write has
-    made true since it was last evaluated, so visiting it would change
-    nothing. A write looks only at the actors that hold a transaction or
-    wait: it touches a waiter and aborts a transaction that watches the cell;
+    stop, and one pass completes the actors that finish there. A completion,
+    an AEX, an ERESUME or a committed write *touches* the actors it
+    concerns, and a pump visits only touched actors, in registration order:
+    an untouched actor is blocked, done, executing or waiting on a predicate
+    that no write has made true since it was last evaluated, so visiting it
+    would change nothing. A write touches every waiter and aborts every
+    transaction that watches the cell;
   * zero-cost work completes in place: once a pump runs an actor, one loop
     fetches from its program until it blocks, applying a zero-cost OP, READ,
     WRITE or TAS, a transaction instruction and a wait whose predicate holds
@@ -325,20 +325,18 @@ class Actor:
 
     An idle running actor (no in-flight, frozen, waiting or pending-abort
     work) fetches its next instruction from its program. ``touched`` says
-    that the next pump must visit the actor; ``bit`` is the actor's bit in
-    the kernel's mask of actors that hold a transaction or wait.
+    that the next pump must visit the actor.
     """
 
     __slots__ = (
-        "name", "ssa", "bit", "touched", "gen", "state", "instr", "finish_at", "frozen",
+        "name", "ssa", "touched", "gen", "state", "instr", "finish_at", "frozen",
         "segment_start", "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
         "ticks",
     )
 
-    def __init__(self, name: str, ssa: _SSA, bit: int) -> None:
+    def __init__(self, name: str, ssa: _SSA) -> None:
         self.name = name
         self.ssa = ssa
-        self.bit = bit
         self.touched = False
         self.gen: Generator | None = None
         self.state = _RUNNING
@@ -371,7 +369,6 @@ class SimKernel:
         self._full_trace = False
         self._live = 0  # actors not done
         self._touched = False  # an actor was touched since the last pump pass began
-        self._watchers = 0  # bits of the actors that hold a transaction or wait
 
     # construction
 
@@ -380,7 +377,7 @@ class SimKernel:
             marker=Cell(f"{name}.ssa.marker", 0),
             rip=Cell(f"{name}.ssa.rip", RIP_NEXT),
         )
-        actor = Actor(name, ssa, 1 << len(self._actors))
+        actor = Actor(name, ssa)
         self._actors.append(actor)
         self._by_name[actor.name] = actor
         return actor
@@ -395,26 +392,22 @@ class SimKernel:
     def _commit_write(self, writer: Actor | None, cell: Cell, value: Any) -> None:
         """Store the value and touch every actor it concerns: one that waits,
         whose predicate may now hold, and one whose transaction watches the
-        cell, which aborts. Only the watchers are looked at; the writer is
-        never one, since it commits outside any transaction and runs."""
+        cell, which aborts. The writer is never one: it commits outside any
+        transaction and runs."""
         cell.value = value
         if self._full_trace:
             who = writer.name if writer is not None else "hw"
             self._log(who, "WRITE", f"{cell.name}={value!r}")
-        watchers = self._watchers
-        if watchers:
-            for actor in self._actors:
-                if watchers & actor.bit:
-                    if actor.state == _WAITING:
-                        actor.touched = self._touched = True
-                    elif cell in actor.tx.watch:
-                        self._abort_tx(actor, "conflict")
-                        actor.touched = self._touched = True
+        for actor in self._actors:
+            if actor.state == _WAITING:
+                actor.touched = self._touched = True
+            elif actor.tx is not None and cell in actor.tx.watch:
+                self._abort_tx(actor, "conflict")
+                actor.touched = self._touched = True
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
         actor.tx = None
         actor.ticks = None
-        self._watchers &= ~actor.bit
         actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
@@ -503,7 +496,6 @@ class SimKernel:
                     return budget  # blocked, or waiting on a false predicate
                 actor.wait_pred = None
                 actor.state = _RUNNING
-                self._watchers &= ~actor.bit
                 actor.send_value = None
                 if self._full_trace:
                     self._log(actor.name, "WAIT_END")
@@ -525,7 +517,6 @@ class SimKernel:
                 break
             # a handler ran while a wait was pending: wait again
             actor.state = _WAITING
-            self._watchers |= actor.bit
         if actor.ticks is not None:
             budget -= 1
             self._period_step(actor)
@@ -570,7 +561,6 @@ class SimKernel:
                 if actor.tx is not None:
                     raise KernelError(f"{actor.name}: nested transaction")
                 actor.tx = _Tx(instr.value)
-                self._watchers |= actor.bit
                 if self._full_trace:
                     self._log(actor.name, "TX_BEGIN", f"watch={len(instr.value)}")
             elif kind == _TXABORT:
@@ -584,7 +574,6 @@ class SimKernel:
                 if not instr.pred():
                     actor.wait_pred = instr.pred
                     actor.state = _WAITING
-                    self._watchers |= actor.bit
                     if self._full_trace:
                         self._log(actor.name, "WAIT_BEGIN")
                     return budget
@@ -600,7 +589,6 @@ class SimKernel:
                     raise KernelError(f"{actor.name}: commit outside transaction")
                 tx = actor.tx
                 actor.tx = None
-                self._watchers &= ~actor.bit
                 for cell, written in tx.writes.items():
                     self._commit_write(actor, cell, written)
                 if self._full_trace:
@@ -626,7 +614,6 @@ class SimKernel:
             actor.ticks = None  # completes: the program takes over
             return
         actor.tx = loop.tx
-        self._watchers |= actor.bit
         if self._full_trace:
             self._log(actor.name, "TX_BEGIN", "watch=1")
         actor.instr = loop.tick
@@ -640,7 +627,6 @@ class SimKernel:
             # the tick ended: commit it, mirror the count outside the
             # transaction, then pay for the checks
             actor.tx = None
-            self._watchers &= ~actor.bit
             count = loop.counter.value + 1
             self._commit_write(actor, loop.counter, count)
             if self._full_trace:
@@ -661,12 +647,11 @@ class SimKernel:
         loop = actor.ticks
         if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
             return False
-        others = self._watchers & ~actor.bit
-        if others:
-            for other in self._actors:
-                if others & other.bit and (other.state == _WAITING or loop.counter in other.tx.watch
-                                           or loop.mirror in other.tx.watch):
-                    return False
+        for other in self._actors:
+            tx = other.tx
+            if other.state == _WAITING or (other is not actor and tx is not None
+                                           and (loop.counter in tx.watch or loop.mirror in tx.watch)):
+                return False
         return True
 
     def _skip_periods(self, actor: Actor, until: int) -> None:
@@ -685,7 +670,6 @@ class SimKernel:
         loop.counter.value = loop.mirror.value = base + n
         if eps and last + eps >= until:
             actor.tx = None  # the checks are in flight
-            self._watchers &= ~actor.bit
             start, actor.instr = last, loop.checks
         else:
             start, actor.instr = last + eps, loop.tick
@@ -731,7 +715,6 @@ class SimKernel:
             actor.frozen.append((actor.instr, actor.finish_at - self.now))
             actor.segment_start = actor.instr = actor.finish_at = None
         actor.state = _INTERRUPTED
-        self._watchers &= ~actor.bit
         ssa = actor.ssa
         # register spill: the CPU overwrites the SSA, destroying the marker
         # and recording the true resume point
@@ -748,10 +731,11 @@ class SimKernel:
         not the run reaches it.
 
         Each stop of the loop is the next completion, interrupt or resume,
-        found by one scan of the actors that also notes which of them finish
-        there. Interrupts are taken in schedule order; an AEX that fires
-        pushes ``(resume_at, index)`` onto a heap, so ERESUMEs at the same
-        cycle keep schedule order and a skipped AEX leaves nothing behind.
+        found by one scan of the actors; one pass then completes, in
+        registration order, every actor that finishes there. Interrupts are
+        taken in schedule order; an AEX that fires pushes ``(resume_at,
+        index)`` onto a heap, so ERESUMEs at the same cycle keep schedule
+        order and a skipped AEX leaves nothing behind.
         A stop pumps after its completions and again after its AEX and
         ERESUME events, each time only if they touched an actor.
         """
@@ -773,7 +757,6 @@ class SimKernel:
         next_aex = schedule[0].interrupt_at if n else _NEVER
         resumes: list[tuple[int, int]] = []  # (resume_at, index) of each fired AEX
         next_resume = _NEVER
-        next_event = next_aex  # the earlier of the two
 
         self._live = len(actors)
         for actor in actors:
@@ -782,9 +765,7 @@ class SimKernel:
         self._pump()
         complete = True
         while self._live:
-            t = _NEVER
-            hit: Actor | None = None  # the first actor to finish at t
-            tie = False  # another actor finishes at t too
+            t = next_aex if next_aex < next_resume else next_resume
             ticker: Actor | None = None  # an actor whose Ticks tick is in flight
             for actor in actors:
                 at = actor.finish_at
@@ -794,12 +775,6 @@ class SimKernel:
                     ticker = actor
                 elif at < t:
                     t = at
-                    hit = actor
-                    tie = False
-                elif at == t:
-                    tie = True
-            if next_event < t:
-                t, hit, tie = next_event, None, False
             if ticker is not None:
                 # next-event advance of a lean run: commit in closed form the
                 # periods that end before any other stop; the one at that
@@ -811,12 +786,7 @@ class SimKernel:
                         self._skip_periods(ticker, until)
                         at = ticker.finish_at
                 if at < t:
-                    t, hit, tie = at, ticker, False
-                elif at == t:
-                    if hit is None:
-                        hit = ticker
-                    else:
-                        tie = True
+                    t = at
             if t > limit:
                 if t is _NEVER:
                     raise KernelError("deadlock: no runnable actor and no pending events")
@@ -828,12 +798,9 @@ class SimKernel:
                 break
             self.now = t
             # phase 1: completions, in registration order
-            if tie:
-                for actor in actors:
-                    if actor.finish_at == t:
-                        self._complete(actor)
-            elif hit is not None:
-                self._complete(hit)
+            for actor in actors:
+                if actor.finish_at == t:
+                    self._complete(actor)
             # phase 1b: zero-cost continuations (commits, mirror copies)
             # finish before an interrupt arriving at the same boundary
             if self._touched:
@@ -849,7 +816,6 @@ class SimKernel:
                     if next_aex != t:
                         break
                 next_resume = resumes[0][0] if resumes else _NEVER
-                next_event = next_aex if next_aex < next_resume else next_resume
             # phase 3: ERESUME, same-cycle resumes in schedule order; each
             # resumes an interrupted actor, which enters a pending wait again
             # once any handler has run
@@ -865,7 +831,6 @@ class SimKernel:
                 actor.state = _RUNNING
                 actor.touched = self._touched = True
                 next_resume = resumes[0][0] if resumes else _NEVER
-                next_event = next_aex if next_aex < next_resume else next_resume
             # phase 4: newly runnable work
             if self._touched:
                 self._pump()

@@ -31,6 +31,7 @@ _ZERO_WORD = array("Q", (0,))
 if _ZERO_WORD.itemsize != 8:
     raise ImportError("array('Q') items are not 64-bit words on this host")
 _BIG_ENDIAN = sys.byteorder == "big"
+_EMPTY_TAG = crypto.hash_bytes(b"")  # the tag of a run with no SET_TAG and no default tag
 
 # opcode -> (mnemonic, immediate kind); immediates: None or a key of _IMMEDIATES
 OPCODES: dict[int, tuple[str, str | None]] = {
@@ -85,7 +86,6 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
 # after the LOADL, the pc once the run is done, its slots, and its constant
 # or jump target, None where unused.
 _LL = 0x70  # LOADL a; LOADL b
-_LLPS = 0x71  # LOADL a; LOADL b; PUSH k; SUB
 _LPAS = 0x72  # LOADL a; PUSH x; ADD|SUB; STOREL a [; JMP after]; k is x for ADD, 2^64 - x mod 2^64 for SUB
 _LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ k
 _LJZ = 0x74  # LOADL a; JZ k
@@ -113,7 +113,7 @@ class CostTable:
     heap: int = 10
     net: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.default, self.heap, self.net) < 1:
             raise ValueError("all instruction costs must be positive")
 
@@ -256,7 +256,7 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
     its constant or jump target (None where unused). Every index is matched
     on its own and every other entry keeps its instruction, so no jump
     target moves and a jump into the middle of a pattern runs whatever
-    starts there. Six patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds
+    starts there. Five patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds
     a HALT, heap or network op, and only the last instruction of one (the
     LOAD of ``_LLPSL``) may trap, so a trap inside a fused run still comes
     after every step before it has been counted."""
@@ -268,11 +268,8 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
         op2, x2 = program[i + 2] if i + 2 < n else (None, None)
         op3, x3 = program[i + 3] if i + 3 < n else (None, None)
         if op1 == 0x60:  # LOADL a; LOADL b
-            if op2 == 0x01 and op3 == 0x11:  # PUSH k; SUB [; LOAD]; SUB is never last
-                if program[i + 4][0] == 0x33:  # LOAD
-                    entry = (_LLPSL, (4, i + 5, a, x1, x2))
-                else:
-                    entry = (_LLPS, (3, i + 4, a, x1, x2))
+            if op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33:  # PUSH k; SUB; LOAD
+                entry = (_LLPSL, (4, i + 5, a, x1, x2))  # SUB is never last
             elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ k
                 entry = (_LLGJ, (3, i + 4, a, x1, x3))
             else:
@@ -339,18 +336,17 @@ def execute_steps(
 
     The loop dispatches on ``image.code``, where the loader has put a
     superinstruction ``(op, (more, after, a, b, k))`` at each LOADL that
-    starts a fused run (see ``_fuse``). A fused run holds no HALT, heap or
-    network op, so it changes no yield. One rule runs every fused run: if
-    its ``more`` steps after the LOADL fit the step budget, it counts them,
-    sets ``pc = after`` (``k`` for a taken JZ or JNZ) and does its work;
-    otherwise the LOADL at that pc runs alone, as the program's own
-    instruction, exactly as one at a time. A fused run may trap only at its
-    last instruction, after all its steps are counted, so the trap flush
+    starts one of the five fused runs (see ``_fuse``). A fused run holds no
+    HALT, heap or network op, so it changes no yield. One rule runs every
+    fused run: if its ``more`` steps after the LOADL fit the step budget, it
+    counts them, sets ``pc = after`` (``k`` for a taken JZ or JNZ) and does
+    its work; otherwise the LOADL at that pc runs alone, as the program's
+    own instruction, exactly as one at a time. A fused run may trap only at
+    its last instruction, after all its steps are counted, so the trap flush
     charges what the instructions one at a time would. Every other entry is
     the program's own instruction and no jump target moves, so a jump into
     the middle of a run executes whatever starts there. Returns the
     VMResult."""
-    costs.validate()
     code = image.code
     default = costs.default
     heap_extra = costs.heap - default
@@ -404,9 +400,6 @@ def execute_steps(
                     elif op == 0x70:  # LOADL a; LOADL b
                         push(locals_[a])
                         push(locals_[b])
-                    elif op == 0x71:  # LOADL a; LOADL b; PUSH k; SUB
-                        push(locals_[a])
-                        push((locals_[b] - k) % WORD)
                     elif locals_[a] == 0:  # 0x74: LOADL a; JZ k
                         pc = k
                     continue
@@ -572,7 +565,7 @@ def execute_steps(
         cycles = steps * default + surcharge
         if cycles > yielded:
             yield cycles - yielded
-    final_tag = tag if tag is not None else (default_tag or crypto.hash_bytes(b""))
+    final_tag = tag if tag is not None else (default_tag or _EMPTY_TAG)
     return VMResult(
         output=bytes(output), tag=final_tag, status="trapped" if reason else "ok", reason=reason,
         steps=steps, cycles=steps * default + surcharge,

@@ -51,7 +51,6 @@ def execute_steps(
     flushes the pending cost before the result is returned. Costs, steps and
     cycles add up to the same totals as one instruction at a time; only the
     granularity of the yields is coarser. Returns the VMResult."""
-    costs.validate()
     program = image.program
     prices = [price(costs, op) for op, _ in program]  # priced once per run
     stack: list[int] = []

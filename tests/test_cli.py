@@ -74,6 +74,14 @@ class TestRunAndVerify:
         assert (state / "receipt.bin").exists()
         assert (state / "measurements.log").exists()
 
+    def test_run_to_missing_out_dir_bills_nothing(self, state, fib_files, capsys, tmp_path):
+        # the directory is checked before the dispatch logs a measurement
+        assert run_invocation(state, fib_files) == 0
+        log = (state / "measurements.log").read_text()
+        assert run_invocation(state, fib_files, ["--out-dir", str(tmp_path / "missing")]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert (state / "measurements.log").read_text() == log
+
     def test_verify_quote_accepts_and_rejects(self, state, capsys, tmp_path):
         assert main(["verify", "quote", "--keys", str(state / "published.bin"), "--state", str(state)]) == 0
         # substituted worker identity must be rejected with exit 1
@@ -566,6 +574,14 @@ class TestTools:
         assert main(["replay", "--scenario", str(scenario), "--input", str(inp),
                      "--schedule", str(sched), "--full"]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_replay_zero_instruction_cost_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(corp.fib_input(30))
+        scenario = tmp_path / "zero.cfg"
+        scenario.write_text("function=fib\ntau=10\ncost_heap=0\n")
+        assert main(["replay", "--scenario", str(scenario), "--input", str(inp)]) == 2
+        assert "all instruction costs must be positive" in capsys.readouterr().err
 
     def test_replay_negative_net_delay_exit_2(self, capsys, tmp_path):
         inp = tmp_path / "net.bin"

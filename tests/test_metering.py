@@ -392,6 +392,32 @@ class TestCycleConservation:
         assert [d for (c, a, k, d) in out.trace.events if k == "ERESUME"] == ["handler"] * 2
         assert out.t_max * cfg.tau <= out.trace.resident["worker"]
 
+    @pytest.mark.parametrize("seed, missing", [(301, 74), (402, 67)])
+    def test_adversarial_corpus(self, monkeypatch, seed, missing):
+        # perfbench's adversary fires most of its interrupts, and some of its
+        # runs end with the worker's SSA marker spilled; the lower bound and
+        # exact conservation hold in every run all the same
+        workloads = _load("workloads")
+        workers = []
+        add = SimKernel.add_enclave_actor
+
+        def recording_add(self, name):
+            actor = add(self, name)
+            if name == "worker":
+                workers.append(actor)
+            return actor
+
+        monkeypatch.setattr(SimKernel, "add_enclave_actor", recording_add)
+        ended_missing = 0
+        for j in range(300):
+            case = workloads.build_case(seed, j)
+            out = run_metered(case.image, case.input, workloads.ADV_LIMITS, case.cfg,
+                              schedule=case.schedule, costs=case.costs, limit=case.limit)
+            assert out.t_max * out.tau <= out.trace.resident["worker"], j
+            assert_conserved(out, case.image, case.input, workloads.ADV_LIMITS, case.cfg, case.costs)
+            ended_missing += workers[-1].ssa.marker.value != kernel.MARKER_VALUE
+        assert ended_missing == missing
+
     def test_zero_length_window_inside_handler_completes(self):
         # case 28 of the adversarial benchmark corpus at seed 301: the window
         # 46->46 interrupts the 12-cycle handler entered at 36
@@ -939,6 +965,41 @@ class TestReferenceKernel:
     def test_kernel_programs_that_raise(self, build):
         for outcome in self.check_kernel(build):
             assert outcome[0] is kernel.KernelError
+
+
+class TestKernelWork:
+    """The kernel's work per run follows observable events, not cycles."""
+
+    WINDOWS = (ScheduleEvent("worker", 500, 560), ScheduleEvent("timer", 900, 950))
+
+    @pytest.mark.parametrize("cfg", [MeterConfig(tau=1, epsilon=0), MeterConfig(tau=100)],
+                             ids=["tau1", "tau100"])
+    @pytest.mark.parametrize("schedule, max_drives, max_built", [((), 10, 17), (WINDOWS, 19, 23)],
+                             ids=["quiet", "windows"])
+    def test_work_does_not_grow_with_cycles(self, monkeypatch, cfg, schedule, max_drives, max_built):
+        # fib(5000) runs 50 times the cycles of fib(100), and at tau=1 as
+        # many timer periods, yet every run drives actors and builds
+        # instructions a bounded number of times
+        drive, init = SimKernel._drive, kernel.Instr.__init__
+        drives = built = 0
+
+        def counting_drive(self, *args):
+            nonlocal drives
+            drives += 1
+            return drive(self, *args)
+
+        def counting_init(self, *args, **kw):
+            nonlocal built
+            built += 1
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(SimKernel, "_drive", counting_drive)
+        monkeypatch.setattr(kernel.Instr, "__init__", counting_init)
+        for n in (100, 1000, 5000):
+            drives = built = 0
+            out = meter("fib", corp.fib_input(n), cfg, schedule=list(schedule))
+            assert out.vm_result.ok
+            assert drives <= max_drives and built <= max_built, (n, drives, built)
 
 
 class TestTimerExclusivity:

@@ -219,7 +219,8 @@ class TestLoader:
     def test_fused_pattern_needs_its_whole_run(self):
         # a pattern cut short by another instruction or by the program's end
         # fuses only as far as it goes
-        for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT"):
+        for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT",
+                       "LOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT"):
             image = vm_load(assemble(source))
             assert image.code[0] == (0x70, (1, 2, 1, 2, None)) and image.code[1:] == image.program[1:]
         image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nHALT"))
@@ -283,6 +284,11 @@ class TestExecution:
         r1, l1 = one()
         r2, l2 = one()
         assert r1 == r2 and l1 == l2
+
+    @pytest.mark.parametrize("field", ["default", "heap", "net"])
+    def test_instruction_costs_must_be_positive(self, field):
+        with pytest.raises(ValueError, match="all instruction costs must be positive"):
+            CostTable(**{field: 0})
 
     def test_cycles_equal_sum_of_instruction_costs(self):
         costs = CostTable(default=2, heap=11, net=7)
