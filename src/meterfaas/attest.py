@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .crypto import DIGEST_SIZE, KEY_SIZE, SIGNATURE_SIZE, DeterministicRng, SigningKeyPair
-from .wire import VAR, opt, record, sign_record, signed_record
+from .wire import VAR, opt, record, sign_record, signed_record, wire_field
 
 QUOTE_DOMAIN = b"meterfaas/quote/v1|"
 REPORT_DOMAIN = b"meterfaas/report/v1|"
@@ -26,11 +26,7 @@ class AttestationError(Exception):
         self.reason = reason
 
 
-@record(
-    ("mrenclave", DIGEST_SIZE),
-    ("mrsigner", DIGEST_SIZE),
-    ("parametrization", opt(DIGEST_SIZE)),
-)
+@record
 @dataclass(frozen=True)
 class EnclaveIdentity:
     """Code identity, signer identity, and optional damage-containment tag.
@@ -39,9 +35,9 @@ class EnclaveIdentity:
     two enclaves with different parametrization have different mrenclave.
     """
 
-    mrenclave: bytes
-    mrsigner: bytes
-    parametrization: bytes | None = None
+    mrenclave: bytes = wire_field(DIGEST_SIZE)
+    mrsigner: bytes = wire_field(DIGEST_SIZE)
+    parametrization: bytes | None = wire_field(opt(DIGEST_SIZE), default=None)
 
 
 def derive_identity(
@@ -59,47 +55,34 @@ def derive_identity(
     )
 
 
-@record(
-    ("kka_pub_hash", DIGEST_SIZE),
-    ("kout_pub_hash", DIGEST_SIZE),
-    ("kres_pub_hash", DIGEST_SIZE),
-    ("worker_identity", DIGEST_SIZE),
-)
+@record
 @dataclass(frozen=True)
 class QuoteUserData:
     """The four items a key-publishing quote must bind, in fixed order."""
 
-    kka_pub_hash: bytes
-    kout_pub_hash: bytes
-    kres_pub_hash: bytes
-    worker_identity: bytes
+    kka_pub_hash: bytes = wire_field(DIGEST_SIZE)
+    kout_pub_hash: bytes = wire_field(DIGEST_SIZE)
+    kres_pub_hash: bytes = wire_field(DIGEST_SIZE)
+    worker_identity: bytes = wire_field(DIGEST_SIZE)
 
 
-@signed_record(
-    QUOTE_DOMAIN, "ias_signature", SIGNATURE_SIZE,
-    ("identity", EnclaveIdentity),
-    ("user_data", VAR),
-)
+@signed_record(QUOTE_DOMAIN, "ias_signature")
 @dataclass(frozen=True)
 class Quote:
-    identity: EnclaveIdentity
-    user_data: bytes
-    ias_signature: bytes
+    identity: EnclaveIdentity = wire_field(EnclaveIdentity)
+    user_data: bytes = wire_field(VAR)
+    ias_signature: bytes = wire_field(SIGNATURE_SIZE)
 
 
-@signed_record(
-    REPORT_DOMAIN, "signature", SIGNATURE_SIZE,
-    ("identity", EnclaveIdentity),
-    ("transport_public", KEY_SIZE),
-)
+@signed_record(REPORT_DOMAIN, "signature")
 @dataclass(frozen=True)
 class WorkerReport:
     """Local attestation of a worker requesting keys: identity plus the
     ephemeral transport key the key set should be wrapped to."""
 
-    identity: EnclaveIdentity
-    transport_public: bytes
-    signature: bytes
+    identity: EnclaveIdentity = wire_field(EnclaveIdentity)
+    transport_public: bytes = wire_field(KEY_SIZE)
+    signature: bytes = wire_field(SIGNATURE_SIZE)
 
 
 class AttestationRoot:

@@ -61,14 +61,22 @@ class DeterministicRng:
         self._key = hashlib.sha256(b"meterfaas-rng|" + label.encode() + b"|" + seed).digest()
         self._counter = 0
         self._buffer = b""
+        self._pos = 0  # bytes of the buffer already drawn
 
     def bytes(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        pos = self._pos
+        end = pos + n
+        if end > len(self._buffer):
+            blocks = [self._buffer[pos:]]
+            have = len(blocks[0])
+            while have < n:
+                blocks.append(hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest())
+                self._counter += 1
+                have += DIGEST_SIZE
+            self._buffer = b"".join(blocks)
+            pos, end = 0, n
+        self._pos = end
+        return self._buffer[pos:end]
 
     def u64(self) -> int:
         return int.from_bytes(self.bytes(8), "big")

@@ -29,7 +29,7 @@ from .crypto import (
     SessionKey,
     SigningKeyPair,
 )
-from .wire import U64, VAR, FormatError, key_pair, record
+from .wire import U64, VAR, FormatError, key_pair, record, wire_field
 
 
 class KdeError(Exception):
@@ -38,24 +38,18 @@ class KdeError(Exception):
         self.reason = reason
 
 
-@record(
-    ("k_ka", key_pair(AgreementKeyPair)),
-    ("k_out", key_pair(SigningKeyPair)),
-    ("k_res", key_pair(SigningKeyPair)),
-    ("keyset_id", DIGEST_SIZE),
-    ("created_at", U64),
-)
+@record
 @dataclass(frozen=True)
 class KeySet:
     """The three asymmetric pairs plus bookkeeping. Private halves live only
     here and inside AEAD ciphertext; nothing published ever embeds them. The
     encoding carries the private halves; decoding derives the public ones."""
 
-    k_ka: AgreementKeyPair
-    k_out: SigningKeyPair
-    k_res: SigningKeyPair
-    keyset_id: bytes
-    created_at: int
+    k_ka: AgreementKeyPair = wire_field(key_pair(AgreementKeyPair))
+    k_out: SigningKeyPair = wire_field(key_pair(SigningKeyPair))
+    k_res: SigningKeyPair = wire_field(key_pair(SigningKeyPair))
+    keyset_id: bytes = wire_field(DIGEST_SIZE)
+    created_at: int = wire_field(U64)
 
     @staticmethod
     def compute_id(kka_pub: bytes, kout_pub: bytes, kres_pub: bytes) -> bytes:
@@ -67,58 +61,43 @@ class KeySet:
         return crypto.hash_bytes(b"".join(keys))
 
 
-@record(
-    ("k_ka_pub", KEY_SIZE),
-    ("k_out_pub", KEY_SIZE),
-    ("k_res_pub", KEY_SIZE),
-    ("created_at", U64),
-    ("quote", Quote),
-)
+@record
 @dataclass(frozen=True)
 class PublishedKeys:
     """What clients and the function provider receive: public halves, epoch,
     and the quote binding them to the worker identity."""
 
-    k_ka_pub: bytes
-    k_out_pub: bytes
-    k_res_pub: bytes
-    created_at: int
-    quote: Quote
+    k_ka_pub: bytes = wire_field(KEY_SIZE)
+    k_out_pub: bytes = wire_field(KEY_SIZE)
+    k_res_pub: bytes = wire_field(KEY_SIZE)
+    created_at: int = wire_field(U64)
+    quote: Quote = wire_field(Quote)
 
     @property
     def keyset_id(self) -> bytes:
         return KeySet.compute_id(self.k_ka_pub, self.k_out_pub, self.k_res_pub)
 
 
-@record(
-    ("kde_transport_public", KEY_SIZE),
-    ("nonce", NONCE_SIZE),
-    ("ciphertext", VAR),
-)
+@record
 @dataclass(frozen=True)
 class KeySetPayload:
     """Private halves in transit from KDE to a worker, AEAD-sealed to a session
     key derived with the worker's ephemeral transport key."""
 
-    kde_transport_public: bytes
-    nonce: bytes
-    ciphertext: bytes
+    kde_transport_public: bytes = wire_field(KEY_SIZE)
+    nonce: bytes = wire_field(NONCE_SIZE)
+    ciphertext: bytes = wire_field(VAR)
 
 
-@record(
-    ("bound_identity", EnclaveIdentity),
-    ("platform_id", VAR),
-    ("nonce", NONCE_SIZE),
-    ("ciphertext", VAR),
-)
+@record
 @dataclass(frozen=True)
 class SealedBlob:
     """Data sealed against an enclave identity on a specific platform."""
 
-    bound_identity: EnclaveIdentity
-    platform_id: bytes
-    nonce: bytes
-    ciphertext: bytes
+    bound_identity: EnclaveIdentity = wire_field(EnclaveIdentity)
+    platform_id: bytes = wire_field(VAR)
+    nonce: bytes = wire_field(NONCE_SIZE)
+    ciphertext: bytes = wire_field(VAR)
 
 
 def _sealing_key(identity: EnclaveIdentity, platform_id: bytes) -> SessionKey:

@@ -48,7 +48,7 @@ from .kernel import (
     WriteCell,
 )
 from .vm import CostTable, FunctionImage, NetIo, VMLimits, VMResult, VmHooks, execute_steps
-from .wire import U64, sign_record, signed_record
+from .wire import U64, sign_record, signed_record, wire_field
 
 MEASUREMENT_DOMAIN = b"meterfaas/measurement/v1|"
 
@@ -85,6 +85,8 @@ class MeterConfig:
             raise ValueError("handler_cost must be >= 0")
         if self.net_delay < 0:
             raise ValueError("net_delay must be >= 0")
+        if self.extra_timers < 0:
+            raise ValueError("extra_timers must be >= 0")
 
 
 class TimerState:
@@ -383,31 +385,20 @@ def run_metered(
     )
 
 
-@signed_record(
-    MEASUREMENT_DOMAIN, "signature", SIGNATURE_SIZE,
-    ("t_max", U64),
-    ("tau", U64),
-    ("m_int", U64),
-    ("m_max", U64),
-    ("m_avg", U64),
-    ("net", U64),
-    ("tag", DIGEST_SIZE),
-    ("keyset_id", DIGEST_SIZE),
-    body_var=True,
-)
+@signed_record(MEASUREMENT_DOMAIN, "signature", body_var=True)
 @dataclass(frozen=True)
 class SignedMeasurement:
     """The signed per-invocation resource report."""
 
-    t_max: int
-    tau: int
-    m_int: int
-    m_max: int
-    m_avg: int
-    net: int
-    tag: bytes
-    keyset_id: bytes
-    signature: bytes
+    t_max: int = wire_field(U64)
+    tau: int = wire_field(U64)
+    m_int: int = wire_field(U64)
+    m_max: int = wire_field(U64)
+    m_avg: int = wire_field(U64)
+    net: int = wire_field(U64)
+    tag: bytes = wire_field(DIGEST_SIZE)
+    keyset_id: bytes = wire_field(DIGEST_SIZE)
+    signature: bytes = wire_field(SIGNATURE_SIZE)
 
     def digest(self) -> bytes:
         return crypto.hash_bytes(self.encode())

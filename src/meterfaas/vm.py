@@ -338,10 +338,11 @@ def execute_steps(
     superinstruction ``(op, (more, after, a, b, k))`` at each LOADL that
     starts one of the five fused runs (see ``_fuse``). A fused run holds no
     HALT, heap or network op, so it changes no yield. One rule runs every
-    fused run: if its ``more`` steps after the LOADL fit the step budget, it
-    counts them, sets ``pc = after`` (``k`` for a taken JZ or JNZ) and does
-    its work; otherwise the LOADL at that pc runs alone, as the program's
-    own instruction, exactly as one at a time. A fused run may trap only at
+    fused run: if its LOADL and the ``more`` steps after it fit the step
+    budget, which is the run's only budget test, it counts them all, sets
+    ``pc = after`` (``k`` for a taken JZ or JNZ) and does its work;
+    otherwise the LOADL at that pc runs alone, as the program's own
+    instruction, exactly as one at a time. A fused run may trap only at
     its last instruction, after all its steps are counted, so the trap flush
     charges what the instructions one at a time would. Every other entry is
     the program's own instruction and no jump target moves, so a jump into
@@ -376,13 +377,12 @@ def execute_steps(
         return b
 
     try:
-        while steps < max_steps:
+        while True:
             op, arg = code[pc]
-            steps += 1
             if op >= 0x70:  # a fused run: whole if its steps fit, else its LOADL alone
                 more, after, a, b, k = arg
-                if steps + more <= max_steps:
-                    steps += more  # every step is counted before the LOAD of 0x75 may trap
+                if steps + more < max_steps:
+                    steps += more + 1  # every step is counted before the LOAD of 0x75 may trap
                     pc = after
                     if op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB; LOAD
                         words = heap.get(locals_[a])
@@ -404,6 +404,9 @@ def execute_steps(
                         pc = k
                     continue
                 op, arg = image.program[pc]
+            if steps >= max_steps:
+                raise _Trap("budget:steps")
+            steps += 1
             if op == 0x01:  # PUSH
                 push(arg)
             elif len(stack) < pops[op]:
@@ -558,8 +561,6 @@ def execute_steps(
                     hooks.on_free(size)
                     del heap[handle]
             pc += 1
-        else:
-            raise _Trap("budget:steps")
     except _Trap as trap:
         reason = trap.reason
         cycles = steps * default + surcharge

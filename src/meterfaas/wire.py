@@ -12,11 +12,12 @@ The rules are normative (signatures and hashes are computed over these bytes):
   * fields appear in declaration order, no padding, no framing;
   * decoding must consume the input exactly; anything else is a FormatError.
 
-Each protocol record declares its field list once, on its class, with
-``@record`` or ``@signed_record``; that list is the normative layout of the
-record. ``encode``, ``decode`` and, for a signed record, ``body`` and
-``signed_payload`` are generated from it, and ``sign_record`` builds a signed
-instance. README.md ("Wire formats") summarizes the layouts.
+Each protocol record is a dataclass that declares every field's kind once,
+on the field, with ``wire_field(kind)``, and is decorated with ``@record``
+or ``@signed_record``; its fields, in declaration order, are the normative
+layout of the record. ``encode``, ``decode`` and, for a signed record,
+``body`` and ``signed_payload`` are generated from them, and ``sign_record``
+builds a signed instance. README.md ("Wire formats") summarizes the layouts.
 
 A field kind is ``U8``, ``U64``, ``VAR``, ``FLAG``, an int ``n`` (``n`` fixed
 bytes), a record class (nested, written as a variable-size field),
@@ -169,13 +170,25 @@ def _finish(data: bytes, pos: int) -> None:
         raise FormatError(f"{len(data) - pos} trailing bytes")
 
 
-def _layout(cls: type, fields: tuple, tail: tuple = ()):
-    """Resolve each field's kind once. The list must name the dataclass's
-    fields in order; ``tail`` names those written outside the list."""
+def wire_field(kind, **field_kwargs):
+    """A dataclass field written as ``kind``; ``field_kwargs`` go to
+    ``dataclasses.field`` (a ``default``, say)."""
+    return dataclasses.field(metadata={"wire": kind}, **field_kwargs)
+
+
+def _fields(cls: type) -> list[tuple[str, object]]:
+    """The dataclass's fields as ``(name, kind)``, in declaration order."""
+    fields = []
+    for f in dataclasses.fields(cls):
+        if "wire" not in f.metadata:
+            raise TypeError(f"{cls.__name__}.{f.name} has no wire kind; declare it with wire_field")
+        fields.append((f.name, f.metadata["wire"]))
+    return fields
+
+
+def _layout(fields: list[tuple[str, object]]):
+    """Resolve each field's kind once."""
     names = tuple(name for name, _ in fields)
-    declared = tuple(f.name for f in dataclasses.fields(cls))
-    if names + tail != declared:
-        raise TypeError(f"{cls.__name__}: wire fields {names + tail} != dataclass fields {declared}")
     kinds = [_resolve(kind) for _, kind in fields]
     puts = tuple(put for put, _ in kinds)
     gets = tuple(get for _, get in kinds)
@@ -203,36 +216,37 @@ def _install(cls: type, **methods) -> None:
         setattr(cls, name, classmethod(fn) if name == "decode" else fn)
 
 
-def record(*fields):
-    """Class decorator: generate ``encode`` and ``decode`` from ``fields``,
-    a list of ``(name, kind)`` pairs naming every field of the dataclass."""
+def record(cls: type) -> type:
+    """Class decorator for a dataclass whose every field is a ``wire_field``:
+    generate ``encode`` and ``decode`` from the fields, in declaration order."""
+    _, values, put_all, get_all = _layout(_fields(cls))
+
+    def encode(self) -> bytes:
+        return put_all(values(self))
+
+    def decode(cls, data: bytes):
+        data = bytes(data)
+        items, pos = get_all(data, 0)
+        _finish(data, pos)
+        return cls(*items)
+
+    _install(cls, encode=encode, decode=decode)
+    return cls
+
+
+def signed_record(domain: bytes, signature_field: str, *, body_var: bool = False):
+    """Class decorator for a signed record, a dataclass whose every field is
+    a ``wire_field``. The last field, ``signature_field``, holds the
+    signature over ``domain + body`` and is written after the body as its
+    kind's fixed number of bytes; the fields before it make up ``body``.
+    With ``body_var`` the body is written as a variable-size field."""
 
     def apply(cls: type) -> type:
-        _, values, put_all, get_all = _layout(cls, fields)
-
-        def encode(self) -> bytes:
-            return put_all(values(self))
-
-        def decode(cls, data: bytes):
-            data = bytes(data)
-            items, pos = get_all(data, 0)
-            _finish(data, pos)
-            return cls(*items)
-
-        _install(cls, encode=encode, decode=decode)
-        return cls
-
-    return apply
-
-
-def signed_record(domain: bytes, signature_field: str, size: int, *fields, body_var: bool = False):
-    """Class decorator for a signed record: ``fields`` make up its ``body``,
-    the signature covers ``domain + body`` and is written after the body as
-    ``size`` fixed bytes. With ``body_var`` the body is written as a
-    variable-size field."""
-
-    def apply(cls: type) -> type:
-        names, values, put_all, get_all = _layout(cls, fields, (signature_field,))
+        fields = _fields(cls)
+        last, size = fields.pop() if fields else (None, None)
+        if last != signature_field or not isinstance(size, int):
+            raise TypeError(f"{cls.__name__}: {signature_field!r} must be the last field, of a fixed size")
+        names, values, put_all, get_all = _layout(fields)
         put_sig, get_sig = _fixed(size)
         signature = attrgetter(signature_field)
 

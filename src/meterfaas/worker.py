@@ -51,7 +51,7 @@ from .metering import (
     run_metered,
 )
 from .vm import CostTable, FunctionImage, VMLimits, vm_load
-from .wire import FLAG, U8, VAR, opt, record, sign_record, signed_record
+from .wire import FLAG, U8, VAR, opt, record, sign_record, signed_record, wire_field
 
 RECEIPT_DOMAIN = b"meterfaas/receipt/v1|"
 REQUEST_AAD = b"meterfaas/request/v1|"
@@ -69,56 +69,37 @@ class WorkerError(Exception):
         self.reason = reason
 
 
-@record(
-    ("input", VAR),
-    ("function_hash", DIGEST_SIZE),
-    ("receipt_flag", FLAG),
-    ("want_measurement", FLAG),
-    ("nonce", CLIENT_NONCE_SIZE),
-    ("token", opt(VAR)),
-)
+@record
 @dataclass(frozen=True)
 class RequestPlain:
-    input: bytes
-    function_hash: bytes
-    receipt_flag: bool
-    want_measurement: bool
-    nonce: bytes
-    token: bytes | None = None
+    input: bytes = wire_field(VAR)
+    function_hash: bytes = wire_field(DIGEST_SIZE)
+    receipt_flag: bool = wire_field(FLAG)
+    want_measurement: bool = wire_field(FLAG)
+    nonce: bytes = wire_field(CLIENT_NONCE_SIZE)
+    token: bytes | None = wire_field(opt(VAR), default=None)
 
 
-@record(
-    ("client_pub", KEY_SIZE),
-    ("aead_nonce", NONCE_SIZE),
-    ("ciphertext", VAR),
-)
+@record
 @dataclass(frozen=True)
 class EncryptedRequest:
-    client_pub: bytes
-    aead_nonce: bytes
-    ciphertext: bytes
+    client_pub: bytes = wire_field(KEY_SIZE)
+    aead_nonce: bytes = wire_field(NONCE_SIZE)
+    ciphertext: bytes = wire_field(VAR)
 
 
-@signed_record(
-    RECEIPT_DOMAIN, "signature", SIGNATURE_SIZE,
-    ("h_input", DIGEST_SIZE),
-    ("h_function", DIGEST_SIZE),
-    ("h_output", DIGEST_SIZE),
-    ("h_measurement", opt(DIGEST_SIZE)),
-    ("keyset_id", DIGEST_SIZE),
-    body_var=True,
-)
+@signed_record(RECEIPT_DOMAIN, "signature", body_var=True)
 @dataclass(frozen=True)
 class Receipt:
     """Signature under the output key binding digests of (input, function,
     output), optionally the measurement report."""
 
-    h_input: bytes
-    h_function: bytes
-    h_output: bytes
-    h_measurement: bytes | None
-    keyset_id: bytes
-    signature: bytes
+    h_input: bytes = wire_field(DIGEST_SIZE)
+    h_function: bytes = wire_field(DIGEST_SIZE)
+    h_output: bytes = wire_field(DIGEST_SIZE)
+    h_measurement: bytes | None = wire_field(opt(DIGEST_SIZE))
+    keyset_id: bytes = wire_field(DIGEST_SIZE)
+    signature: bytes = wire_field(SIGNATURE_SIZE)
 
 
 def build_receipt(
@@ -162,30 +143,21 @@ def verify_receipt(
     return True, "ok"
 
 
-@record(
-    ("status", U8),
-    ("payload", VAR),
-    ("nonce", CLIENT_NONCE_SIZE),
-    ("measurement", opt(SignedMeasurement)),
-    ("receipt", opt(Receipt)),
-)
+@record
 @dataclass(frozen=True)
 class ResponsePlain:
-    status: int
-    payload: bytes  # function output, or an error marker string
-    nonce: bytes
-    measurement: SignedMeasurement | None = None
-    receipt: Receipt | None = None
+    status: int = wire_field(U8)
+    payload: bytes = wire_field(VAR)  # function output, or an error marker string
+    nonce: bytes = wire_field(CLIENT_NONCE_SIZE)
+    measurement: SignedMeasurement | None = wire_field(opt(SignedMeasurement), default=None)
+    receipt: Receipt | None = wire_field(opt(Receipt), default=None)
 
 
-@record(
-    ("aead_nonce", NONCE_SIZE),
-    ("ciphertext", VAR),
-)
+@record
 @dataclass(frozen=True)
 class EncryptedResponse:
-    aead_nonce: bytes
-    ciphertext: bytes
+    aead_nonce: bytes = wire_field(NONCE_SIZE)
+    ciphertext: bytes = wire_field(VAR)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Crypto primitives: hashing, signatures, key agreement, AEAD, DRBG."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,22 @@ class TestDeterministicRng:
     def test_children_independent(self):
         root = DeterministicRng(1)
         assert root.child("a").bytes(16) != root.child("b").bytes(16)
+
+    def test_mixed_draws_pinned(self):
+        # every seeded key set, nonce and fuzz case is read from this stream,
+        # so the order and size of draws must not change the bytes drawn
+        rng = DeterministicRng(20261019, "mixed")
+        out = hashlib.sha256()
+        for n in range(101):
+            out.update(rng.bytes(n))
+            out.update(rng.u64().to_bytes(8, "big"))
+            out.update(rng.randrange(n + 1).to_bytes(8, "big"))
+            out.update(rng.randrange(1 << (n % 70 + 1)).to_bytes(9, "big"))
+            if n % 7 == 0:
+                child = rng.child(f"c{n}")
+                out.update(child.bytes(n) + child.u64().to_bytes(8, "big"))
+                out.update(child.randrange(1000).to_bytes(2, "big") + child.bytes(33))
+        assert out.hexdigest() == "07f94fa05f7e8bb94e3b126b3bdcecbfac66ab4cd44cfdf877478d3535d0ce0b"
 
 
 class TestSignatures:

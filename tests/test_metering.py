@@ -392,14 +392,19 @@ class TestCycleConservation:
         assert [d for (c, a, k, d) in out.trace.events if k == "ERESUME"] == ["handler"] * 2
         assert out.t_max * cfg.tau <= out.trace.resident["worker"]
 
-    @pytest.mark.parametrize("seed, missing", [(301, 74), (402, 67)])
-    def test_adversarial_corpus(self, monkeypatch, seed, missing):
+    @pytest.mark.parametrize("seed, missing, fired, max_drives",
+                             [(301, 74, 1887, 9421), (402, 67, 2134, 10848)], ids=["301-74", "402-67"])
+    def test_adversarial_corpus(self, monkeypatch, seed, missing, fired, max_drives):
         # perfbench's adversary fires most of its interrupts, and some of its
         # runs end with the worker's SSA marker spilled; the lower bound and
-        # exact conservation hold in every run all the same
+        # exact conservation hold in every run all the same. The kernel's
+        # work follows the interrupts that fire: `max_drives` is the count of
+        # actor drives in the scheduled runs when it was set (about five per
+        # fired interrupt), and a change may lower it
         workloads = _load("workloads")
         workers = []
-        add = SimKernel.add_enclave_actor
+        add, drive = SimKernel.add_enclave_actor, SimKernel._drive
+        drives = 0
 
         def recording_add(self, name):
             actor = add(self, name)
@@ -407,16 +412,26 @@ class TestCycleConservation:
                 workers.append(actor)
             return actor
 
+        def counting_drive(self, *args):
+            nonlocal drives
+            drives += 1
+            return drive(self, *args)
+
         monkeypatch.setattr(SimKernel, "add_enclave_actor", recording_add)
-        ended_missing = 0
+        monkeypatch.setattr(SimKernel, "_drive", counting_drive)
+        ended_missing = aex = run_drives = 0
         for j in range(300):
-            case = workloads.build_case(seed, j)
+            case = workloads.build_case(seed, j)  # its dry run is not counted
+            start = drives
             out = run_metered(case.image, case.input, workloads.ADV_LIMITS, case.cfg,
                               schedule=case.schedule, costs=case.costs, limit=case.limit)
             assert out.t_max * out.tau <= out.trace.resident["worker"], j
             assert_conserved(out, case.image, case.input, workloads.ADV_LIMITS, case.cfg, case.costs)
             ended_missing += workers[-1].ssa.marker.value != kernel.MARKER_VALUE
+            run_drives += drives - start
+            aex += sum(kind == "AEX" for _, _, kind, _ in out.trace.events)
         assert ended_missing == missing
+        assert aex == fired and run_drives <= max_drives, (aex, run_drives)
 
     def test_zero_length_window_inside_handler_completes(self):
         # case 28 of the adversarial benchmark corpus at seed 301: the window
@@ -1116,7 +1131,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MeterConfig(tau=5, epsilon=-1)
 
-    @pytest.mark.parametrize("field", ["handler_cost", "net_delay"])
+    @pytest.mark.parametrize("field", ["handler_cost", "net_delay", "extra_timers"])
     def test_handler_cost_and_net_delay_nonnegative(self, field):
         with pytest.raises(ValueError):
             MeterConfig(tau=5, **{field: -1})

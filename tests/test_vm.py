@@ -590,6 +590,12 @@ FUSED_RUNS = [
     "LOADL 4\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nADD",
     "LOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nSTOREL 3\nJMP out",
 ]
+# LOADL;LOADL;PUSH;SUB;LOAD, LOADL;LOADL;GT;JNZ (not taken), LOADL;JZ (not
+# taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL and LOADL;PUSH;SUB;STOREL;JMP
+# one after another, for locals 1-3 = (2, 5, 4)
+FUSED_LINE = ("LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nLOADL 1\nLOADL 2\nGT\nJNZ out\n"
+              "LOADL 3\nJZ out\nLOADL 1\nLOADL 2\nADD\nLOADL 2\nPUSH 9\nADD\nSTOREL 2\n"
+              "LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out")
 # locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7
 # and SUB 9; l3 is no handle, l2 - 1 and l2 - 2 index the block's words with
 # l2 = 3 and lie past them with l2 = 5
@@ -882,6 +888,15 @@ class TestReferenceVm:
             res = self.check(loop, b"", VMLimits(max_steps=max_steps), costs)
             assert res.reason == "budget:steps" and res.steps == max_steps
             self.check(fib, corp.fib_input(3), VMLimits(max_steps=max_steps), costs)
+        # the five fused patterns in a line, no jump taken but the last, so
+        # that some budget ends on every step of each
+        line = fused_program(FUSED_LINE, (2, 5, 4), 0)
+        assert {op for op, _ in line.code if op >= 0x70} == {0x70, 0x72, 0x73, 0x74, 0x75}
+        full = self.check(line, b"", LIMITS, costs)
+        assert full.ok
+        for max_steps in range(1, full.steps + 1):
+            res = self.check(line, b"", VMLimits(max_steps=max_steps), costs)
+            assert res.steps == max_steps and res.reason == (None if max_steps == full.steps else "budget:steps")
 
 
 class TestConfinement:

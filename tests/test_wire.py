@@ -8,31 +8,31 @@ from hypothesis import strategies as st
 
 from meterfaas.attest import EnclaveIdentity, Quote, QuoteUserData
 from meterfaas.metering import SignedMeasurement
-from meterfaas.wire import U8, U64, VAR, FormatError, opt, record
+from meterfaas.wire import U8, U64, VAR, FormatError, opt, record, signed_record, wire_field
 
 digests = st.binary(min_size=32, max_size=32)
 signatures = st.binary(min_size=64, max_size=64)
 
 
-@record(("small", U8), ("blob", VAR), ("big", U64))
+@record
 @dataclass(frozen=True)
 class _Scalars:
-    small: int
-    blob: bytes
-    big: int
+    small: int = wire_field(U8)
+    blob: bytes = wire_field(VAR)
+    big: int = wire_field(U64)
 
 
-@record(("key", 4))
+@record
 @dataclass(frozen=True)
 class _Fixed:
-    key: bytes
+    key: bytes = wire_field(4)
 
 
-@record(("maybe_fixed", opt(4)), ("maybe_var", opt(VAR)))
+@record
 @dataclass(frozen=True)
 class _Optionals:
-    maybe_fixed: bytes | None
-    maybe_var: bytes | None
+    maybe_fixed: bytes | None = wire_field(opt(4))
+    maybe_var: bytes | None = wire_field(opt(VAR))
 
 
 class TestPrimitives:
@@ -333,24 +333,47 @@ class TestFlags:
 
 
 class TestDeclaredLayout:
-    def test_field_list_must_name_every_dataclass_field_in_order(self):
-        from dataclasses import dataclass
-
-        from meterfaas.wire import U64, record
-
-        with pytest.raises(TypeError):
-            @record(("b", U64), ("a", U64))
-            @dataclass(frozen=True)
-            class Swapped:
-                a: int
-                b: int
-
-        with pytest.raises(TypeError):
-            @record(("a", U64))
+    def test_field_without_wire_kind_rejected(self):
+        with pytest.raises(TypeError, match="Missing.b has no wire kind"):
+            @record
             @dataclass(frozen=True)
             class Missing:
-                a: int
-                b: int
+                a: int = wire_field(U64)
+                b: int = 0
+
+        with pytest.raises(TypeError, match="Unsigned.signature has no wire kind"):
+            @signed_record(b"d|", "signature")
+            @dataclass(frozen=True)
+            class Unsigned:
+                a: int = wire_field(U64)
+                signature: bytes = b""
+
+    def test_signature_field_must_be_last_and_fixed_size(self):
+        with pytest.raises(TypeError, match="'signature' must be the last field"):
+            @signed_record(b"d|", "signature")
+            @dataclass(frozen=True)
+            class NotLast:
+                signature: bytes = wire_field(64)
+                a: int = wire_field(U64)
+
+        with pytest.raises(TypeError, match="'signature' must be the last field, of a fixed size"):
+            @signed_record(b"d|", "signature")
+            @dataclass(frozen=True)
+            class VarSignature:
+                a: int = wire_field(U64)
+                signature: bytes = wire_field(VAR)
+
+    def test_signature_size_is_its_field_kind(self):
+        @signed_record(b"d|", "sig")
+        @dataclass(frozen=True)
+        class Short:
+            a: int = wire_field(U8)
+            sig: bytes = wire_field(3)
+
+        assert Short(7, b"xyz").encode() == b"\x07xyz"
+        assert Short.decode(b"\x07xyz") == Short(7, b"xyz")
+        with pytest.raises(FormatError):
+            Short.decode(b"\x07" + bytes(64))
 
     def test_single_field_record_roundtrip(self):
         assert _Fixed(b"abcd").encode() == b"abcd"
