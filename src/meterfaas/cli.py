@@ -71,8 +71,8 @@ def _build_kde(seed: int, worker_identity: bytes) -> KeyDistributionEnclave:
 
 
 def init_state(state: Path, seed: int, worker_identity: bytes, parametrization: bytes | None) -> KeyDistributionEnclave:
+    kde = _build_kde(seed, worker_identity)  # a bad seed fails before anything is written
     state.mkdir(parents=True, exist_ok=True)
-    kde = _build_kde(seed, worker_identity)
     lines = [
         f"seed={seed}",
         f"worker_identity={worker_identity.hex()}",
@@ -143,12 +143,8 @@ def _issuing_keyset(state: Path, keyset_id: bytes) -> tuple[PublishedKeys | None
 def cmd_kde(args) -> int:
     state = Path(args.state)
     if args.kde_cmd == "keygen":
-        parametrization = bytes.fromhex(args.parametrization) if args.parametrization else None
-        if args.worker_identity:
-            worker_identity = bytes.fromhex(args.worker_identity)
-        else:
-            worker_identity = default_worker_identity(parametrization).mrenclave
-        kde = init_state(state, args.seed, worker_identity, parametrization)
+        worker_identity = args.worker_identity or default_worker_identity(args.parametrization).mrenclave
+        kde = init_state(state, args.seed, worker_identity, args.parametrization)
         print(f"keyset {kde.keyset.keyset_id.hex()} epoch 0")
         print(f"worker identity {worker_identity.hex()}")
         print(f"published keys written to {state / 'published.bin'}")
@@ -453,6 +449,24 @@ def cmd_replay(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _digest(text: str) -> bytes:
+    """A 32-byte digest written as 64 hex characters."""
+    if len(text) != 2 * crypto.DIGEST_SIZE or not set(text) <= _HEX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected {2 * crypto.DIGEST_SIZE} hex characters, got {text!r}")
+    return bytes.fromhex(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meterfaas",
@@ -467,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--state", required=True, help="deployment state directory")
         if name == "keygen":
             sp.add_argument("--seed", type=int, required=True)
-            sp.add_argument("--worker-identity", help="hex digest of the allowed worker identity")
-            sp.add_argument("--parametrization", help="hex digest for damage containment")
+            sp.add_argument("--worker-identity", type=_digest,
+                            help="hex digest of the allowed worker identity")
+            sp.add_argument("--parametrization", type=_digest, help="hex digest for damage containment")
         if name == "publish":
             sp.add_argument("--out", help="write canonical published keys here")
     p.set_defaults(func=cmd_kde)
@@ -522,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.add_argument("--tau", type=int, default=100)
     p.add_argument("--epsilon", type=int, default=30)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=500)
-    p.add_argument("--n-max", type=int, default=5000)
-    p.add_argument("--n-step", type=int, default=500)
+    p.add_argument("--n-min", type=_count, default=500)
+    p.add_argument("--n-max", type=_count, default=5000)
+    p.add_argument("--n-step", type=_count, default=500)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fuzz-lowerbound", help="randomized lower-bound property check")
-    p.add_argument("--cases", type=int, default=10_000)
+    p.add_argument("--cases", type=_count, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--artifact", help="where to dump a reproducing schedule on failure")
     p.set_defaults(func=cmd_fuzz_lowerbound)

@@ -52,12 +52,15 @@ class DeterministicRng:
     """Counter-mode SHA-256 byte stream from an integer or byte seed.
 
     Not a secure RNG; it exists so that whole deployments (key sets, nonces,
-    fuzz cases) replay byte-identically from one seed.
+    fuzz cases) replay byte-identically from one seed. An int seed must be
+    below 2**128; a negative one is taken by its decimal text.
     """
 
     def __init__(self, seed: int | bytes, label: str = "") -> None:
         if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big", signed=False) if seed >= 0 else str(seed).encode()
+            if seed >= 1 << 128:
+                raise ValueError(f"seed {seed} does not fit in 128 bits")
+            seed = seed.to_bytes(16, "big") if seed >= 0 else str(seed).encode()
         self._key = hashlib.sha256(b"meterfaas-rng|" + label.encode() + b"|" + seed).digest()
         self._counter = 0
         self._buffer = b""

@@ -47,6 +47,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _metered(image, input_data: bytes, cfg: MeterConfig, what: str):
+    """The outcome of a run that did not trap; a trapped run is a ValueError
+    naming the run and the trap, so no row ever comes from one."""
+    out = run_metered(image, input_data, LIMITS, cfg)
+    if not out.vm_result.ok:
+        raise ValueError(f"{what}: the run trapped ({out.vm_result.reason})")
+    return out
+
+
 def fib_timing(ns=DEFAULT_NS, tau: int = 100) -> ExperimentResult:
     """Measured compute time versus input size, plus a deliberately
     small-tick, nonzero-overhead configuration that under-reports. Tick
@@ -54,10 +63,9 @@ def fib_timing(ns=DEFAULT_NS, tau: int = 100) -> ExperimentResult:
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=0))
-        small = run_metered(
-            fib, fib_input(n), LIMITS, MeterConfig(tau=SMALL_TAU, epsilon=SMALL_EPSILON)
-        )
+        out = _metered(fib, fib_input(n), MeterConfig(tau=tau, epsilon=0), f"fib n={n}")
+        small = _metered(fib, fib_input(n), MeterConfig(tau=SMALL_TAU, epsilon=SMALL_EPSILON),
+                         f"fib n={n}")
         t_max, small_t = float(out.t_max), float(small.t_max)
         oracle = out.trace.resident["worker"]
         rows.append(
@@ -79,7 +87,7 @@ def fib_memory(ns=DEFAULT_NS, tau: int = 100) -> ExperimentResult:
     fib = corpus()["fib"]
     rows = []
     for n in ns:
-        out = run_metered(fib, fib_input(n), LIMITS, MeterConfig(tau=tau, epsilon=0))
+        out = _metered(fib, fib_input(n), MeterConfig(tau=tau, epsilon=0), f"fib n={n}")
         rows.append([n, float(out.m_int), out.m_max, float(out.m_avg)])
     return ExperimentResult(
         name="fib_memory",
@@ -96,9 +104,8 @@ def network(cases: int = 100, seed: int = 0) -> ExperimentResult:
     for _ in range(cases):
         sent = rng.randrange(1 << 20)
         received = rng.randrange(1 << 20)
-        out = run_metered(
-            image, known_network_input(sent, received), LIMITS, MeterConfig(tau=100, epsilon=0)
-        )
+        out = _metered(image, known_network_input(sent, received), MeterConfig(tau=100, epsilon=0),
+                       f"known_network sent={sent} received={received}")
         rows.append([sent, received, out.net, sent + received])
     return ExperimentResult(
         name="network",
@@ -113,7 +120,8 @@ def tau_sweep(epsilon: int = 30) -> ExperimentResult:
     fib = corpus()["fib"]
     rows = []
     for tau in SWEEP_TAUS:
-        out = run_metered(fib, fib_input(SWEEP_N), LIMITS, MeterConfig(tau=tau, epsilon=epsilon))
+        out = _metered(fib, fib_input(SWEEP_N), MeterConfig(tau=tau, epsilon=epsilon),
+                       f"fib n={SWEEP_N} tau={tau}")
         oracle = out.trace.resident["worker"]
         measured = out.t_max * tau
         rows.append([tau, epsilon, out.t_max, measured, oracle, measured / oracle])

@@ -59,6 +59,12 @@ that leave every event at the same cycle and in the same order:
     build once every instruction whose fields are fixed and yield it again
     and again.
 
+Residency enters and leaves the kernel at two functions. ``_start`` puts
+work in flight and charges its actor all of its cycles at once; ``_cut``
+refunds what an AEX, a transaction abort or the cycle limit cuts off. A
+completion charges nothing more, so ``resident`` counts every cycle an actor
+spent executing or stalled, and none it spent interrupted or waiting.
+
 Only an AEX that fires puts its ERESUME on the run's heap of pending
 resumes, so a skipped AEX leaves nothing behind and the heap holds at most
 one entry per actor.
@@ -325,13 +331,13 @@ class Actor:
 
     An idle running actor (no in-flight, frozen, waiting or pending-abort
     work) fetches its next instruction from its program. ``touched`` says
-    that the next pump must visit the actor.
+    that the next pump must visit the actor. ``resident`` already includes
+    the whole of the work in flight, up to ``finish_at``.
     """
 
     __slots__ = (
-        "name", "ssa", "touched", "gen", "state", "instr", "finish_at", "frozen",
-        "segment_start", "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
-        "ticks",
+        "name", "ssa", "touched", "gen", "state", "instr", "finish_at", "frozen", "tx",
+        "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
     )
 
     def __init__(self, name: str, ssa: _SSA) -> None:
@@ -345,7 +351,6 @@ class Actor:
         # work frozen by an AEX, innermost last: (instr, remaining cycles); an
         # ERESUME handler is pushed on top, so it runs first
         self.frozen: list[tuple[Instr, int]] = []
-        self.segment_start: int | None = None
         self.tx: _Tx | None = None
         self.pending_abort: TxAborted | None = None
         self.send_value: Any = None
@@ -413,13 +418,24 @@ class SimKernel:
             self._log(actor.name, "TX_ABORT", cause)
         # squash in-flight or frozen body work; cycles consumed stay consumed
         if actor.finish_at is not None:
-            if actor.state == _RUNNING:
-                actor.resident += self.now - actor.segment_start
-                actor.segment_start = None
-            actor.instr = actor.finish_at = None
+            self._cut(actor)
         actor.frozen.clear()
 
     # execution
+
+    def _start(self, actor: Actor, instr: Instr, cycles: int) -> None:
+        """Put ``instr`` in flight for ``cycles`` cycles and charge them."""
+        actor.instr = instr
+        actor.finish_at = self.now + cycles
+        actor.resident += cycles
+
+    def _cut(self, actor: Actor) -> int:
+        """Stop the in-flight work now, refund its remaining cycles and
+        return them."""
+        remaining = actor.finish_at - self.now
+        actor.resident -= remaining
+        actor.instr = actor.finish_at = None
+        return remaining
 
     def _apply(self, actor: Actor, instr: Instr) -> Any:
         """Apply an OP, READ, WRITE or TAS at the current cycle and return
@@ -456,18 +472,9 @@ class SimKernel:
         pending wait or a pending abort, whose completion, wake or throw
         replaces it before the next send."""
         instr = actor.instr
-        actor.resident += self.now - actor.segment_start
-        actor.segment_start = actor.instr = actor.finish_at = None
+        actor.instr = actor.finish_at = None
         actor.touched = self._touched = True
-        kind = instr.kind
-        if kind == _OP:
-            actor.send_value = instr.effect() if instr.effect is not None else None
-            if self._full_trace and instr.label:
-                self._log(actor.name, "STEP", instr.label)
-        elif kind == _WRITE and actor.tx is None:
-            self._commit_write(actor, instr.cell, instr.value)
-            actor.send_value = None
-        elif kind == _STALL:
+        if instr.kind == _STALL:
             # the OCALL returned; a stalled actor is never interrupted
             actor.state = _RUNNING
             actor.send_value = None
@@ -486,7 +493,6 @@ class SimKernel:
         program yields it, and so are the transaction kinds and a wait whose
         predicate holds; the result goes straight back into the program,
         since the pump would run this same actor next anyway."""
-        now = self.now
         while True:
             if budget <= 0:
                 raise KernelError(_LIVELOCK)
@@ -506,9 +512,7 @@ class SimKernel:
                 # ERESUME handler before the work it detoured from
                 instr, remaining = actor.frozen.pop()
                 if remaining:
-                    actor.instr = instr
-                    actor.segment_start = now
-                    actor.finish_at = now + remaining
+                    self._start(actor, instr, remaining)
                     return budget
                 budget -= 1
                 actor.send_value = self._apply(actor, instr)  # a zero-cost handler
@@ -546,15 +550,9 @@ class SimKernel:
             kind = instr.kind
             if kind <= _TAS:
                 if instr.cost:
-                    actor.instr = instr
-                    actor.segment_start = now
-                    actor.finish_at = now + instr.cost
+                    self._start(actor, instr, instr.cost)
                     return budget
-                if kind == _WRITE and actor.tx is None:
-                    self._commit_write(actor, instr.cell, instr.value)
-                    value = None
-                else:
-                    value = self._apply(actor, instr)
+                value = self._apply(actor, instr)
                 continue
             value = None
             if kind == _TXBEGIN:
@@ -599,9 +597,7 @@ class SimKernel:
                 if self._full_trace:
                     self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
                 actor.state = _STALLED
-                actor.instr = instr
-                actor.segment_start = now
-                actor.finish_at = now + instr.cost
+                self._start(actor, instr, instr.cost)
                 return budget
 
     # the Ticks instruction, one period at a time; a period's transaction
@@ -616,9 +612,7 @@ class SimKernel:
         actor.tx = loop.tx
         if self._full_trace:
             self._log(actor.name, "TX_BEGIN", "watch=1")
-        actor.instr = loop.tick
-        actor.segment_start = self.now
-        actor.finish_at = self.now + loop.tau
+        self._start(actor, loop.tick, loop.tau)
 
     def _period_step(self, actor: Actor) -> None:
         """Continue a Ticks instruction after its tick or its checks ended."""
@@ -633,9 +627,7 @@ class SimKernel:
                 self._log(actor.name, "TX_COMMIT")
             self._commit_write(actor, loop.mirror, count)
             if loop.checks is not None:
-                actor.instr = loop.checks
-                actor.segment_start = self.now
-                actor.finish_at = self.now + loop.epsilon
+                self._start(actor, loop.checks, loop.epsilon)
                 return
         self._period_start(actor)
 
@@ -673,9 +665,9 @@ class SimKernel:
             start, actor.instr = last, loop.checks
         else:
             start, actor.instr = last + eps, loop.tick
-        actor.resident += start - actor.segment_start
-        actor.segment_start = start
-        actor.finish_at = start + actor.instr.cost
+        finish = start + actor.instr.cost
+        actor.resident += finish - first
+        actor.finish_at = finish
 
     def _pump(self) -> None:
         """Run every touched actor, in registration order, until it blocks,
@@ -711,9 +703,7 @@ class SimKernel:
             self._abort_tx(actor, "interrupt")
         if actor.finish_at is not None:
             # freeze in-flight work; it resumes exactly where it stopped
-            actor.resident += self.now - actor.segment_start
-            actor.frozen.append((actor.instr, actor.finish_at - self.now))
-            actor.segment_start = actor.instr = actor.finish_at = None
+            actor.frozen.append((actor.instr, self._cut(actor)))
         actor.state = _INTERRUPTED
         ssa = actor.ssa
         # register spill: the CPU overwrites the SSA, destroying the marker
@@ -793,8 +783,8 @@ class SimKernel:
                 complete = False
                 self.now = limit
                 for actor in actors:
-                    if actor.segment_start is not None:
-                        actor.resident += limit - actor.segment_start
+                    if actor.finish_at is not None:
+                        self._cut(actor)
                 break
             self.now = t
             # phase 1: completions, in registration order

@@ -218,16 +218,14 @@ class MeasurementLog:
 _PRICES = ("per_invocation", "per_ghz_second", "per_gb_second", "per_gb_network")
 
 
-def _rate(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class BillingPolicy:
     """Prices per metric plus the frequency assumption used to convert
     simulated cycles into seconds. GHz-seconds are dimensionally cycles/1e9,
     so the compute line is frequency independent; the memory line needs the
-    frequency to turn tick-bytes into byte-seconds."""
+    frequency to turn tick-bytes into byte-seconds. A price is a Fraction or
+    anything whose text ``Fraction`` reads, such as ``"1/3"``; any other
+    value, or one below zero, is a ValueError naming the price."""
 
     per_invocation: Fraction = Fraction(0)
     per_ghz_second: Fraction = Fraction(0)
@@ -237,24 +235,27 @@ class BillingPolicy:
 
     def __post_init__(self) -> None:
         for name in _PRICES:
-            object.__setattr__(self, name, _rate(getattr(self, name)))
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                try:
+                    value = Fraction(str(value))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"{name}: not a price: {value!r}") from None
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
+            object.__setattr__(self, name, value)
         if self.cpu_frequency_assumption <= 0:
             raise ValueError("cpu_frequency_assumption must be positive")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BillingPolicy":
         """A policy from key=value text; a key that names no price and is not
-        ``cpu_frequency_assumption`` is a ValueError, as is a price with a
-        zero denominator."""
+        ``cpu_frequency_assumption`` is a ValueError. Prices are converted
+        by the constructor."""
         kw = {}
         for key, value in mapping.items():
             if key in _PRICES:
-                try:
-                    kw[key] = _rate(value)
-                except ZeroDivisionError:
-                    raise ValueError(f"{key}: zero denominator in {value!r}") from None
+                kw[key] = value
             elif key == "cpu_frequency_assumption":
                 kw[key] = int(value)
             else:

@@ -663,3 +663,77 @@ class TestTools:
     def test_missing_state_exit_2(self, tmp_path):
         rc = main(["kde", "publish", "--state", str(tmp_path / "nope")])
         assert rc == 2
+
+
+class TestBadArguments:
+    """Arguments no command can use fail with exit 2 before anything is
+    written."""
+
+    TOO_BIG = str(1 << 128)  # the smallest seed that does not fit in 128 bits
+
+    @pytest.mark.parametrize("command", ["keygen", "run", "run-scenario", "replay-scenario",
+                                         "fuzz-lowerbound", "experiment-network"])
+    def test_seed_beyond_128_bits_exit_2(self, state, tmp_path, capsys, command):
+        fresh = tmp_path / "fresh"
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(f"function=fib\nfuzz_seed={self.TOO_BIG}\n")
+        csv = tmp_path / "net.csv"
+        argv = {
+            "keygen": ["kde", "keygen", "--state", str(fresh), "--seed", self.TOO_BIG],
+            "run": ["run", "--state", str(state), "--function", "fib", "--seed", self.TOO_BIG],
+            "run-scenario": ["run", "--state", str(state), "--scenario", str(scenario)],
+            "replay-scenario": ["replay", "--scenario", str(scenario)],
+            "fuzz-lowerbound": ["fuzz-lowerbound", "--cases", "3", "--seed", self.TOO_BIG],
+            "experiment-network": ["experiment", "network", "--cases", "2", "--seed", self.TOO_BIG,
+                                   "-o", str(csv)],
+        }[command]
+        log = state / "measurements.log"
+        before = log.read_bytes() if log.exists() else None
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("does not fit in 128 bits\n") and err.count("\n") == 1, err
+        assert not fresh.exists() and not csv.exists()
+        assert (log.read_bytes() if log.exists() else None) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fib_timing", "--n-min", "0", "--n-max", "0"],
+        ["experiment", "fib_timing", "--n-min", "-5"],
+        ["experiment", "fib_memory", "--n-max", "0"],
+        ["experiment", "fib_memory", "--n-step", "0"],
+        ["experiment", "network", "--cases", "0"],
+        ["experiment", "network", "--cases", "x"],
+        ["fuzz-lowerbound", "--cases", "-1"],
+    ], ids=["fib_timing-0", "fib_timing-negative", "n-max-0", "n-step-0", "cases-0", "cases-x",
+            "fuzz-cases-negative"])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, argv):
+        csv = tmp_path / "out.csv"
+        extra = ["-o", str(csv)] if argv[0] == "experiment" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected an integer >= 1" in err and "Traceback" not in err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("flag", ["--parametrization", "--worker-identity"])
+    @pytest.mark.parametrize("value", ["ab", "abcd", "zz" * 32, "ab" * 33],
+                             ids=["one-byte", "two-bytes", "not-hex", "33-bytes"])
+    def test_keygen_malformed_digest_writes_nothing(self, tmp_path, capsys, flag, value):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exc:
+            main(["kde", "keygen", "--state", str(state), "--seed", "7", flag, value])
+        assert exc.value.code == 2
+        assert "expected 64 hex characters" in capsys.readouterr().err
+        assert not state.exists()
+
+    def test_experiment_writes_no_row_from_a_trapped_run(self, monkeypatch):
+        from meterfaas import experiments
+        from meterfaas.vm import VMLimits
+
+        monkeypatch.setattr(experiments, "LIMITS", VMLimits(max_steps=100))
+        with pytest.raises(ValueError, match=r"n=50: the run trapped \(budget:steps\)"):
+            experiments.fib_timing(ns=(50,))
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"n=0: the run trapped \(fault:out-of-bounds\)"):
+            experiments.fib_memory(ns=(0,))

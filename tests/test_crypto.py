@@ -48,6 +48,14 @@ class TestDeterministicRng:
         b = DeterministicRng(7, "x")
         assert a.bytes(100) == b.bytes(100)
 
+    def test_int_seed_range(self):
+        # a seed is its 16 big-endian bytes, or a negative one its decimal text
+        top = (1 << 128) - 1
+        assert DeterministicRng(top, "x").bytes(32) == DeterministicRng(b"\xff" * 16, "x").bytes(32)
+        assert DeterministicRng(-5, "x").bytes(32) == DeterministicRng(b"-5", "x").bytes(32)
+        with pytest.raises(ValueError, match="does not fit in 128 bits"):
+            DeterministicRng(top + 1)
+
     def test_label_separates_streams(self):
         assert DeterministicRng(7, "x").bytes(32) != DeterministicRng(7, "y").bytes(32)
 

@@ -50,9 +50,13 @@ class TestBasics:
         assert not [e for e in trace.events if e[2] == "AEX"]
 
     def test_limit_truncates_and_flags_incomplete(self):
-        trace = run_single(steps=100, step_cost=10, limit=55)
-        assert not trace.complete
-        assert trace.final_cycle == 55
+        # the limit refunds the half of the step in flight; an interrupted
+        # worker has nothing in flight, so its residency ends at the AEX
+        for schedule, resident in (((), 55), ([ScheduleEvent("worker", 23, 80)], 23)):
+            trace = run_single(steps=100, step_cost=10, limit=55, schedule=schedule)
+            assert not trace.complete
+            assert trace.final_cycle == 55
+            assert trace.resident["worker"] == resident
 
     def test_interrupt_excluded_from_resident(self):
         # cost 30 program, interrupted for 100 cycles in the middle
@@ -320,6 +324,8 @@ class TestTransactions:
         trace = kern.run([], 1000)
         assert trace.results["txer"] == ("aborted", "conflict")
         assert out.value == 0  # buffered write never became visible
+        # the abort at cycle 11 refunds the 39 cycles of Op(50) it cut off
+        assert trace.resident == {"txer": 11, "other": 11}
 
     def test_own_aex_aborts(self):
         kern, t, watched, out = self._tx_kernel()

@@ -446,8 +446,9 @@ class TestBilling:
         assert invoice.report_digests == [r.digest() for r in reports]
 
     def test_negative_rates_rejected(self):
-        with pytest.raises(ValueError):
-            BillingPolicy(per_invocation=Fraction(-1))
+        for price in (Fraction(-1), "1/0"):
+            with pytest.raises(ValueError, match="per_invocation"):
+                BillingPolicy(per_invocation=price)
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError, match="cpu_frequency_assumption"):
