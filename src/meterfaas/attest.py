@@ -11,19 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import DIGEST_SIZE, KEY_SIZE, SIGNATURE_SIZE, DeterministicRng, SigningKeyPair
+from .crypto import DIGEST_SIZE, KEY_SIZE, SIGNATURE_SIZE, DeterministicRng, ReasonError, SigningKeyPair
 from .wire import VAR, opt, record, sign_record, signed_record, wire_field
 
 QUOTE_DOMAIN = b"meterfaas/quote/v1|"
 REPORT_DOMAIN = b"meterfaas/report/v1|"
 
 
-class AttestationError(Exception):
-    """Verification rejection; `reason` is a stable machine-readable code."""
-
-    def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
+class AttestationError(ReasonError):
+    """Verification rejection."""
 
 
 @record

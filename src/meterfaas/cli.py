@@ -40,6 +40,7 @@ from .wire import FormatError
 KDE_CODE = b"meterfaas-kde-v1"
 WORKER_CODE = b"meterfaas-worker-v1"
 SIGNER = b"provider"
+STATE_CFG = "deployment.cfg"
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
@@ -60,130 +61,116 @@ def default_worker_identity(parametrization: bytes | None = None):
     return derive_identity(WORKER_CODE, SIGNER, parametrization=parametrization)
 
 
-def _state_cfg_path(state: Path) -> Path:
-    return state / "deployment.cfg"
-
-
 def _build_kde(seed: int, worker_identity: bytes) -> KeyDistributionEnclave:
     """The attestation root and the KDE at epoch 0, both derived from the seed."""
     root = AttestationRoot(seed=crypto.DeterministicRng(seed, "root-seed").bytes(16))
     return KeyDistributionEnclave(root, kde_identity(), seed=seed, worker_identity=worker_identity)
 
 
-def init_state(state: Path, seed: int, worker_identity: bytes, parametrization: bytes | None) -> KeyDistributionEnclave:
-    kde = _build_kde(seed, worker_identity)  # a bad seed fails before anything is written
-    state.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"seed={seed}",
-        f"worker_identity={worker_identity.hex()}",
-        f"epoch=0",
-    ]
-    if parametrization is not None:
-        lines.append(f"parametrization={parametrization.hex()}")
-    _state_cfg_path(state).write_text("\n".join(lines) + "\n")
-    (state / "root.pub").write_text(kde.root.public_key.hex() + "\n")
-    _write_published(state, kde)
-    return kde
-
-
-def _write_published(state: Path, kde: KeyDistributionEnclave) -> None:
+def _write_published(state: Path, cfg: dict[str, str], kde: KeyDistributionEnclave) -> None:
+    """Publish the KDE's key set under its epoch and as the current one, then
+    write ``cfg`` at that epoch: the only writer of ``deployment.cfg``."""
     epoch = kde.keyset.created_at
     data = kde.published.encode()
     (state / f"published-{epoch}.bin").write_bytes(data)
     (state / "published.bin").write_bytes(data)
-    cfg = load_keyvalue(_state_cfg_path(state))
     cfg["epoch"] = str(epoch)
-    _state_cfg_path(state).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+    (state / STATE_CFG).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
 
 
-def _read_state_cfg(state: Path) -> dict[str, str]:
-    """The deployment's settings; every command needs its seed and its
-    worker identity."""
-    cfg_path = _state_cfg_path(state)
-    if not cfg_path.exists():
+def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave]:
+    """The deployment's settings, as written, and its KDE at the recorded
+    epoch: the only reader of ``deployment.cfg``. A missing or malformed
+    value exits 2 naming its key."""
+    path = state / STATE_CFG
+    if not path.exists():
         raise CliError(f"no deployment at {state} (run 'kde keygen' first)", 2)
-    cfg = load_keyvalue(cfg_path)
-    for key in ("seed", "worker_identity"):
-        if key not in cfg:
-            raise CliError(f"{cfg_path} has no {key!r} (run 'kde keygen' again)", 2)
-    return cfg
-
-
-def load_state(state: Path) -> KeyDistributionEnclave:
-    cfg = _read_state_cfg(state)
-    kde = _build_kde(int(cfg["seed"]), bytes.fromhex(cfg["worker_identity"]))
-    for _ in range(int(cfg.get("epoch", "0"))):
+    cfg = load_keyvalue(path)
+    typed = {"epoch": 0}
+    for key, convert in (("seed", _integer), ("epoch", lambda text: _integer(text, minimum=0)),
+                         ("worker_identity", _digest), ("parametrization", _digest)):
+        if key in cfg:
+            try:
+                typed[key] = convert(cfg[key])
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(f"{path}: {key}: {exc}", 2) from None
+        elif key in ("seed", "worker_identity"):
+            raise CliError(f"{path} has no {key!r} (run 'kde keygen' again)", 2)
+    kde = _build_kde(typed["seed"], typed["worker_identity"])
+    for _ in range(typed["epoch"]):
         kde.rotate()
-    return kde
+    return cfg, kde
 
 
-def published_history(state: Path) -> list[PublishedKeys]:
-    """Every key set the deployment has published, oldest epoch first."""
-    history = [PublishedKeys.decode(path.read_bytes()) for path in state.glob("published-*.bin")]
-    return sorted(history, key=lambda pub: pub.created_at)
-
-
-def _issuing_keyset(state: Path, keyset_id: bytes) -> tuple[PublishedKeys | None, str]:
-    """The published key set whose id is ``keyset_id`` (None when the
-    deployment never published it) and the note that a retired one prints."""
-    history = published_history(state)
-    if not history:
+def _published_keysets(state: Path) -> dict[bytes, PublishedKeys]:
+    """Every key set the deployment has published, by key-set id."""
+    published = (PublishedKeys.decode(path.read_bytes()) for path in state.glob("published-*.bin"))
+    keysets = {pub.keyset_id: pub for pub in published}
+    if not keysets:
         raise CliError("no published key sets in state", 2)
-    for pub in history:
-        if pub.keyset_id == keyset_id:
-            if pub is history[-1]:
-                return pub, ""
-            return pub, f" (signed by retired key set, epoch {pub.created_at})"
-    return None, ""
+    return keysets
+
+
+def _retired_note(keysets: dict[bytes, PublishedKeys], pub: PublishedKeys) -> str:
+    """What a verdict adds when ``pub`` is not the newest key set."""
+    if pub.created_at == max(other.created_at for other in keysets.values()):
+        return ""
+    return f" (signed by retired key set, epoch {pub.created_at})"
 
 
 # --- subcommand implementations -------------------------------------------------
 
 
-def cmd_kde(args) -> int:
+def cmd_kde_keygen(args) -> int:
     state = Path(args.state)
-    if args.kde_cmd == "keygen":
-        worker_identity = args.worker_identity or default_worker_identity(args.parametrization).mrenclave
-        kde = init_state(state, args.seed, worker_identity, args.parametrization)
-        print(f"keyset {kde.keyset.keyset_id.hex()} epoch 0")
-        print(f"worker identity {worker_identity.hex()}")
-        print(f"published keys written to {state / 'published.bin'}")
-        return 0
-    kde = load_state(state)
-    if args.kde_cmd == "publish":
-        pub = kde.published
-        print(f"epoch {pub.created_at}")
-        print(f"keyset_id {pub.keyset_id.hex()}")
-        print(f"k_ka+ {pub.k_ka_pub.hex()}")
-        print(f"k_out+ {pub.k_out_pub.hex()}")
-        print(f"k_res+ {pub.k_res_pub.hex()}")
-        if args.out:
-            Path(args.out).write_bytes(pub.encode())
-        return 0
-    if args.kde_cmd == "rotate":
-        kde.rotate()
-        _write_published(state, kde)
-        print(f"rotated to epoch {kde.keyset.created_at}, keyset {kde.keyset.keyset_id.hex()}")
-        return 0
-    raise CliError(f"unknown kde subcommand {args.kde_cmd}", 2)
+    worker_identity = args.worker_identity or default_worker_identity(args.parametrization).mrenclave
+    kde = _build_kde(args.seed, worker_identity)  # a bad seed fails before anything is written
+    cfg = {"seed": str(args.seed), "worker_identity": worker_identity.hex(), "epoch": "0"}
+    if args.parametrization is not None:
+        cfg["parametrization"] = args.parametrization.hex()
+    state.mkdir(parents=True, exist_ok=True)
+    (state / "root.pub").write_text(kde.root.public_key.hex() + "\n")
+    _write_published(state, cfg, kde)
+    print(f"keyset {kde.keyset.keyset_id.hex()} epoch 0")
+    print(f"worker identity {worker_identity.hex()}")
+    print(f"published keys written to {state / 'published.bin'}")
+    return 0
 
 
-def _root_public(args) -> bytes:
-    if getattr(args, "root_pub", None):
-        return bytes.fromhex(args.root_pub)
-    if getattr(args, "state", None):
-        return bytes.fromhex((Path(args.state) / "root.pub").read_text().strip())
-    raise CliError("need --state or --root-pub", 2)
+def cmd_kde_publish(args) -> int:
+    pub = load_state(Path(args.state))[1].published
+    print(f"epoch {pub.created_at}")
+    print(f"keyset_id {pub.keyset_id.hex()}")
+    print(f"k_ka+ {pub.k_ka_pub.hex()}")
+    print(f"k_out+ {pub.k_out_pub.hex()}")
+    print(f"k_res+ {pub.k_res_pub.hex()}")
+    if args.out:
+        Path(args.out).write_bytes(pub.encode())
+    return 0
+
+
+def cmd_kde_rotate(args) -> int:
+    state = Path(args.state)
+    cfg, kde = load_state(state)
+    kde.rotate()
+    _write_published(state, cfg, kde)
+    print(f"rotated to epoch {kde.keyset.created_at}, keyset {kde.keyset.keyset_id.hex()}")
+    return 0
 
 
 def cmd_verify_quote(args) -> int:
     published = PublishedKeys.decode(Path(args.keys).read_bytes())
-    root_public = _root_public(args)
-    expected_kde = bytes.fromhex(args.expected_kde) if args.expected_kde else kde_identity().mrenclave
-    if args.expected_worker:
-        expected_worker = bytes.fromhex(args.expected_worker)
+    if args.root_pub:
+        root_public = args.root_pub
     elif args.state:
-        expected_worker = bytes.fromhex(_read_state_cfg(Path(args.state))["worker_identity"])
+        root_public = bytes.fromhex((Path(args.state) / "root.pub").read_text().strip())
+    else:
+        raise CliError("need --state or --root-pub", 2)
+    expected_kde = args.expected_kde or kde_identity().mrenclave
+    if args.expected_worker:
+        expected_worker = args.expected_worker
+    elif args.state:
+        expected_worker = load_state(Path(args.state))[1].worker_identity
     else:
         expected_worker = default_worker_identity().mrenclave
     try:
@@ -233,10 +220,11 @@ def cmd_verify_measurement(args) -> int:
         return 0
     if not args.state:
         raise CliError("need --state or --kres", 2)
-    pub, note = _issuing_keyset(Path(args.state), report.keyset_id)
+    keysets = _published_keysets(Path(args.state))
+    pub = keysets.get(report.keyset_id)
     if pub is not None and verify_measurement(report, pub.k_res_pub):
         _print_report(report)
-        print(f"ACCEPT{note}")
+        print(f"ACCEPT{_retired_note(keysets, pub)}")
         return 0
     print("REJECT: no known key set verifies this report")
     return 1
@@ -246,13 +234,14 @@ def cmd_verify_receipt(args) -> int:
     receipt = Receipt.decode(Path(args.receipt).read_bytes())
     note = ""
     if args.kout:
-        k_out = bytes.fromhex(args.kout)
+        k_out = args.kout
     elif args.state:
-        pub, note = _issuing_keyset(Path(args.state), receipt.keyset_id)
+        keysets = _published_keysets(Path(args.state))
+        pub = keysets.get(receipt.keyset_id)
         if pub is None:
             print("REJECT: no known key set issued this receipt")
             return 1
-        k_out = pub.k_out_pub
+        k_out, note = pub.k_out_pub, _retired_note(keysets, pub)
     else:
         raise CliError("need --state or --kout", 2)
     input_data = Path(args.input).read_bytes()
@@ -315,12 +304,11 @@ def _resolve_scenario(args):
 
 def cmd_run(args) -> int:
     state = Path(args.state)
-    kde = load_state(state)
+    cfg, kde = load_state(state)
     scenario, image, input_data, schedule = _resolve_scenario(args)
-    state_cfg = _read_state_cfg(state)
-    parametrization = bytes.fromhex(state_cfg["parametrization"]) if "parametrization" in state_cfg else None
-    worker_identity = derive_identity(WORKER_CODE, SIGNER, parametrization=parametrization)
-    if worker_identity.mrenclave.hex() != state_cfg["worker_identity"]:
+    parametrization = bytes.fromhex(cfg["parametrization"]) if "parametrization" in cfg else None
+    worker_identity = default_worker_identity(parametrization)
+    if worker_identity.mrenclave != kde.worker_identity:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)
     # checked before the dispatch, which logs the measurement it bills
     out_dir = Path(args.out_dir) if args.out_dir else state
@@ -379,11 +367,10 @@ def cmd_bill(args) -> int:
     policy = BillingPolicy.from_mapping(load_keyvalue(args.policy))
     reports = list(_iter_reports(Path(args.reports)))
     if args.state:
-        history = published_history(Path(args.state))
-        keys = {pub.keyset_id: pub.k_res_pub for pub in history}
+        keysets = _published_keysets(Path(args.state))
         for i, report in enumerate(reports):
-            key = keys.get(report.keyset_id)
-            if key is None or not verify_measurement(report, key):
+            pub = keysets.get(report.keyset_id)
+            if pub is None or not verify_measurement(report, pub.k_res_pub):
                 print(f"REJECT: report {i} does not verify against any known key set")
                 return 1
     invoice = compute_invoice(reports, policy)
@@ -397,6 +384,8 @@ def cmd_bill(args) -> int:
 def cmd_experiment(args) -> int:
     params = {}
     if args.name in ("fib_timing", "fib_memory"):
+        if args.n_min > args.n_max:
+            raise CliError(f"--n-min {args.n_min} is above --n-max {args.n_max}", 2)
         params["ns"] = tuple(range(args.n_min, args.n_max + 1, args.n_step))
         params["tau"] = args.tau
     if args.name == "tau_sweep":
@@ -449,19 +438,25 @@ def cmd_replay(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """An integer of at least 1."""
+def _integer(text: str, minimum: int | None = None) -> int:
+    """An integer, of at least ``minimum`` when one is given."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {text!r}")
     return value
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1."""
+    return _integer(text, minimum=1)
+
+
 def _digest(text: str) -> bytes:
-    """A 32-byte digest written as 64 hex characters."""
+    """A 32-byte digest or public key written as 64 hex characters."""
     if len(text) != 2 * crypto.DIGEST_SIZE or not set(text) <= _HEX_DIGITS:
         raise argparse.ArgumentTypeError(f"expected {2 * crypto.DIGEST_SIZE} hex characters, got {text!r}")
     return bytes.fromhex(text)
@@ -476,9 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kde", help="key distribution enclave management")
     kde_sub = p.add_subparsers(dest="kde_cmd", required=True)
-    for name, desc in (("keygen", "generate a key set"), ("publish", "show/export published keys"), ("rotate", "rotate the key set")):
+    for name, desc, func in (("keygen", "generate a key set", cmd_kde_keygen),
+                             ("publish", "show/export published keys", cmd_kde_publish),
+                             ("rotate", "rotate the key set", cmd_kde_rotate)):
         sp = kde_sub.add_parser(name, help=desc)
         sp.add_argument("--state", required=True, help="deployment state directory")
+        sp.set_defaults(func=func)
         if name == "keygen":
             sp.add_argument("--seed", type=int, required=True)
             sp.add_argument("--worker-identity", type=_digest,
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--parametrization", type=_digest, help="hex digest for damage containment")
         if name == "publish":
             sp.add_argument("--out", help="write canonical published keys here")
-    p.set_defaults(func=cmd_kde)
 
     p = sub.add_parser("verify", help="verify quotes, measurements, receipts")
     verify_sub = p.add_subparsers(dest="verify_cmd", required=True)
@@ -505,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--output", required=True)
     vr.add_argument("--measurement")
     vr.add_argument("--state")
-    vr.add_argument("--kout", help="hex k_out public key")
+    vr.add_argument("--kout", type=_digest, help="hex k_out public key")
     vr.set_defaults(func=cmd_verify_receipt)
 
     p = sub.add_parser("vm", help="bytecode tools")
@@ -561,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _quote_flags(p) -> None:
     p.add_argument("--keys", required=True, help="canonical published-keys file")
     p.add_argument("--state", help="deployment state directory")
-    p.add_argument("--root-pub", help="hex attestation root public key")
-    p.add_argument("--expected-kde", help="hex KDE mrenclave")
-    p.add_argument("--expected-worker", help="hex worker mrenclave")
+    p.add_argument("--root-pub", type=_digest, help="hex attestation root public key")
+    p.add_argument("--expected-kde", type=_digest, help="hex KDE mrenclave")
+    p.add_argument("--expected-worker", type=_digest, help="hex worker mrenclave")
 
 
 def _scenario_flags(p) -> None:

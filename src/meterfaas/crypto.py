@@ -35,6 +35,15 @@ SIGNATURE_SIZE = 64
 NONCE_SIZE = 12  # 96-bit AEAD nonce
 
 
+class ReasonError(Exception):
+    """A rejection whose ``reason`` is a stable machine-readable code; the
+    optional ``detail`` only lengthens the message."""
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
+
+
 class CryptoError(Exception):
     """Key agreement or decryption failure; no partial plaintext is released."""
 

@@ -26,16 +26,15 @@ from .crypto import (
     NONCE_SIZE,
     AgreementKeyPair,
     DeterministicRng,
+    ReasonError,
     SessionKey,
     SigningKeyPair,
 )
 from .wire import U64, VAR, FormatError, key_pair, record, wire_field
 
 
-class KdeError(Exception):
-    def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
+class KdeError(ReasonError):
+    """Key distribution refused."""
 
 
 @record

@@ -485,7 +485,10 @@ class SimKernel:
 
     def _drive(self, actor: Actor, budget: int) -> int:
         """Run one touched actor until it blocks, waits, finishes or has work
-        in flight, and return what is left of the pump's budget.
+        in flight, and return what is left of the pump's budget. A touched
+        actor that runs never has work in flight: a completion clears it, an
+        AEX cuts it and interrupts the actor, an ERESUME starts none, and a
+        write cuts only the work of a transaction it aborts.
 
         Each step charges the budget one: a program resume, a Ticks period
         step or a zero-cost ERESUME handler. Zero-cost work completes in
@@ -505,8 +508,6 @@ class SimKernel:
                 actor.send_value = None
                 if self._full_trace:
                     self._log(actor.name, "WAIT_END")
-            elif actor.finish_at is not None:
-                return budget  # executing: time must pass
             if actor.frozen:
                 # frozen work resumes exactly where it was interrupted, an
                 # ERESUME handler before the work it detoured from

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import crypto
 from .attest import verify_transitive
-from .crypto import AgreementKeyPair, DeterministicRng
+from .crypto import AgreementKeyPair, DeterministicRng, ReasonError
 from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import ScheduleEvent
 from .metering import MeterConfig, SignedMeasurement, verify_measurement
@@ -52,10 +52,8 @@ class FunctionFailed(Exception):
         self.measurement = measurement
 
 
-class VerificationError(Exception):
-    def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
+class VerificationError(ReasonError):
+    """Client- or provider-side rejection."""
 
 
 # --- client side --------------------------------------------------------------
@@ -224,8 +222,10 @@ class BillingPolicy:
     simulated cycles into seconds. GHz-seconds are dimensionally cycles/1e9,
     so the compute line is frequency independent; the memory line needs the
     frequency to turn tick-bytes into byte-seconds. A price is a Fraction or
-    anything whose text ``Fraction`` reads, such as ``"1/3"``; any other
-    value, or one below zero, is a ValueError naming the price."""
+    anything whose text ``Fraction`` reads, such as ``"1/3"``, and the
+    frequency an int or anything whose text ``int`` reads; any other value,
+    a price below zero or a frequency below one, is a ValueError naming the
+    field."""
 
     per_invocation: Fraction = Fraction(0)
     per_ghz_second: Fraction = Fraction(0)
@@ -244,23 +244,25 @@ class BillingPolicy:
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
             object.__setattr__(self, name, value)
-        if self.cpu_frequency_assumption <= 0:
+        freq = self.cpu_frequency_assumption
+        if not isinstance(freq, int):
+            try:
+                freq = int(str(freq))
+            except ValueError:
+                raise ValueError(f"cpu_frequency_assumption: not an integer: {freq!r}") from None
+        if freq <= 0:
             raise ValueError("cpu_frequency_assumption must be positive")
+        object.__setattr__(self, "cpu_frequency_assumption", freq)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BillingPolicy":
         """A policy from key=value text; a key that names no price and is not
-        ``cpu_frequency_assumption`` is a ValueError. Prices are converted
+        ``cpu_frequency_assumption`` is a ValueError. Values are converted
         by the constructor."""
-        kw = {}
-        for key, value in mapping.items():
-            if key in _PRICES:
-                kw[key] = value
-            elif key == "cpu_frequency_assumption":
-                kw[key] = int(value)
-            else:
+        for key in mapping:
+            if key not in _PRICES and key != "cpu_frequency_assumption":
                 raise ValueError(f"unknown policy key {key!r}")
-        return cls(**kw)
+        return cls(**mapping)
 
 
 @dataclass

@@ -257,9 +257,10 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
     on its own and every other entry keeps its instruction, so no jump
     target moves and a jump into the middle of a pattern runs whatever
     starts there. Five patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds
-    a HALT, heap or network op, and only the last instruction of one (the
-    LOAD of ``_LLPSL``) may trap, so a trap inside a fused run still comes
-    after every step before it has been counted."""
+    a HALT, heap or network op, only the last instruction of one (the LOAD
+    of ``_LLPSL``) may trap, so a trap inside a fused run still comes after
+    every step before it has been counted, and only the last may jump, so a
+    run the step budget cannot hold ends in the budget trap before it."""
     code: list[tuple[int, object]] | None = None
     n = len(program)
     for i in heads:
@@ -341,13 +342,14 @@ def execute_steps(
     fused run: if its LOADL and the ``more`` steps after it fit the step
     budget, which is the run's only budget test, it counts them all, sets
     ``pc = after`` (``k`` for a taken JZ or JNZ) and does its work;
-    otherwise the LOADL at that pc runs alone, as the program's own
-    instruction, exactly as one at a time. A fused run may trap only at
-    its last instruction, after all its steps are counted, so the trap flush
-    charges what the instructions one at a time would. Every other entry is
-    the program's own instruction and no jump target moves, so a jump into
-    the middle of a run executes whatever starts there. Returns the
-    VMResult."""
+    otherwise it sets ``steps = max_steps`` and traps on the budget, as one
+    at a time would: no instruction before a run's last can trap or jump,
+    so one at a time the budget runs out before that last instruction. A
+    fused run may trap only at its last instruction, after all its steps
+    are counted, so the trap flush charges what the instructions one at a
+    time would. Every other entry is the program's own instruction and no
+    jump target moves, so a jump into the middle of a run executes whatever
+    starts there. Returns the VMResult."""
     code = image.code
     default = costs.default
     heap_extra = costs.heap - default
@@ -403,7 +405,8 @@ def execute_steps(
                     elif locals_[a] == 0:  # 0x74: LOADL a; JZ k
                         pc = k
                     continue
-                op, arg = image.program[pc]
+                steps = max_steps
+                raise _Trap("budget:steps")
             if steps >= max_steps:
                 raise _Trap("budget:steps")
             steps += 1

@@ -32,6 +32,7 @@ from .crypto import (
     SIGNATURE_SIZE,
     AgreementKeyPair,
     DeterministicRng,
+    ReasonError,
     SigningKeyPair,
 )
 from .kde import (
@@ -63,10 +64,8 @@ STATUS_FUNCTION_FAILED = 1
 STATUS_WRONG_FUNCTION = 2
 
 
-class WorkerError(Exception):
-    def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
+class WorkerError(ReasonError):
+    """Worker enclave refusal."""
 
 
 @record

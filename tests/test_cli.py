@@ -63,6 +63,21 @@ class TestKdeCommands:
         assert main(["kde", "rotate", "--state", str(state)]) == 0
         assert list(state.glob("keyset-*.bin")) == []
 
+    @pytest.mark.parametrize("extra, identity, tail", [
+        ([], "ae39b660e3f54c692ff7f8c3051d35a612ee078a78f14e1b2233605b79175236", ""),
+        (["--parametrization", "ab" * 32], "e011c644f96458a2cdc290c6d913202affc9ed2d344a4a3e5ebd622f506776b3",
+         "parametrization=" + "ab" * 32 + "\n"),
+    ], ids=["default", "parametrized"])
+    def test_deployment_cfg_text(self, tmp_path, extra, identity, tail):
+        # the exact settings keygen writes, and a rotation's rewrite of them
+        # in the same key order at the new epoch
+        state = tmp_path / "state"
+        assert main(["kde", "keygen", "--state", str(state), "--seed", "7", *extra]) == 0
+        for epoch in (0, 1):
+            text = f"seed=7\nworker_identity={identity}\nepoch={epoch}\n{tail}"
+            assert (state / "deployment.cfg").read_text() == text
+            assert main(["kde", "rotate", "--state", str(state)]) == 0
+
 
 class TestRunAndVerify:
     def test_run_produces_artifacts(self, state, fib_files, capsys):
@@ -263,6 +278,46 @@ class TestRunAndVerify:
             assert run_invocation(state, fib_files) == 2
         assert f"has no {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "abc", "expected an integer, got 'abc'"),
+        ("epoch", "-1", "expected an integer >= 0, got '-1'"),
+        ("worker_identity", "zz", "expected 64 hex characters, got 'zz'"),
+    ], ids=["seed", "epoch", "worker_identity"])
+    @pytest.mark.parametrize("command", ["publish", "rotate", "run", "verify-quote"])
+    def test_deployment_cfg_malformed_value_exit_2(self, state, fib_files, capsys, key, value, message, command):
+        cfg = state / "deployment.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n"
+                               for line in cfg.read_text().splitlines()))
+        before = {path.name: path.read_bytes() for path in state.iterdir()}
+        argv = {
+            "publish": ["kde", "publish", "--state", str(state)],
+            "rotate": ["kde", "rotate", "--state", str(state)],
+            "verify-quote": ["verify", "quote", "--keys", str(state / "published.bin"), "--state", str(state)],
+        }
+        capsys.readouterr()
+        assert (main(argv[command]) if command in argv else run_invocation(state, fib_files)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {key}: {message}\n"
+        assert {path.name: path.read_bytes() for path in state.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["measurement", "receipt", "bill"])
+    def test_state_without_published_key_sets_exit_2(self, state, fib_files, tmp_path, capsys, command):
+        fn, inp = fib_files
+        run_invocation(state, fib_files)
+        for path in state.glob("published-*.bin"):
+            path.unlink()
+        policy = tmp_path / "policy.cfg"
+        policy.write_text(POLICY)
+        argv = {
+            "measurement": ["verify", "measurement", str(state / "measurement.bin"), "--state", str(state)],
+            "receipt": ["verify", "receipt", "--receipt", str(state / "receipt.bin"), "--input", str(inp),
+                        "--function", str(fn), "--output", str(state / "output.bin"), "--state", str(state)],
+            "bill": ["bill", "--policy", str(policy), "--reports", str(state / "measurement.bin"),
+                     "--state", str(state)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: no published key sets in state\n")
+
     def test_corpus_function_by_name(self, state, tmp_path):
         inp = tmp_path / "net.bin"
         inp.write_bytes(corp.known_network_input(1000, 500))
@@ -455,6 +510,14 @@ class TestTools:
         policy.write_text("per_invocation = 1/0\n")
         assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log")]) == 2
         assert "per_invocation" in capsys.readouterr().err
+
+    def test_bill_non_integer_frequency_exit_2(self, state, fib_files, tmp_path, capsys):
+        run_invocation(state, fib_files)
+        policy = tmp_path / "freq.cfg"
+        policy.write_text("per_invocation=1\ncpu_frequency_assumption=abc\n")
+        capsys.readouterr()
+        assert main(["bill", "--policy", str(policy), "--reports", str(state / "measurements.log")]) == 2
+        assert capsys.readouterr() == ("", "parse error: cpu_frequency_assumption: not an integer: 'abc'\n")
 
     def test_fuzz_lowerbound_passes(self, capsys):
         assert main(["fuzz-lowerbound", "--cases", "50", "--seed", "1"]) == 0
@@ -716,6 +779,13 @@ class TestBadArguments:
         assert "expected an integer >= 1" in err and "Traceback" not in err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("name", ["fib_timing", "fib_memory"])
+    def test_reversed_experiment_range_exit_2(self, tmp_path, capsys, name):
+        csv = tmp_path / "out.csv"
+        assert main(["experiment", name, "--n-min", "5", "--n-max", "1", "-o", str(csv)]) == 2
+        assert capsys.readouterr() == ("", "error: --n-min 5 is above --n-max 1\n")
+        assert not csv.exists()
+
     @pytest.mark.parametrize("flag", ["--parametrization", "--worker-identity"])
     @pytest.mark.parametrize("value", ["ab", "abcd", "zz" * 32, "ab" * 33],
                              ids=["one-byte", "two-bytes", "not-hex", "33-bytes"])
@@ -726,6 +796,27 @@ class TestBadArguments:
         assert exc.value.code == 2
         assert "expected 64 hex characters" in capsys.readouterr().err
         assert not state.exists()
+
+    @pytest.mark.parametrize("flag", ["--root-pub", "--expected-kde", "--expected-worker", "--kout"])
+    @pytest.mark.parametrize("value", ["ab", "abcd", "zz" * 32, "ab" * 33],
+                             ids=["one-byte", "two-bytes", "not-hex", "33-bytes"])
+    def test_verify_malformed_hex_flag_exit_2(self, state, capsys, flag, value):
+        # a mistyped key is a usage error, not a forged record
+        if flag == "--kout":
+            argv = ["verify", "receipt", "--receipt", "r.bin", "--input", "in.bin", "--function", "fib",
+                    "--output", "out.bin"]
+        else:
+            argv = ["verify", "quote", "--keys", str(state / "published.bin"), "--state", str(state)]
+        before = {path.name: path.read_bytes() for path in state.iterdir()}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"meterfaas verify {argv[1]}: error: argument {flag}: expected 64 hex characters, got {value!r}"]
+        assert {path.name: path.read_bytes() for path in state.iterdir()} == before
 
     def test_experiment_writes_no_row_from_a_trapped_run(self, monkeypatch):
         from meterfaas import experiments

@@ -971,6 +971,59 @@ class TestReferenceKernel:
                 raised.add((count, outcome[0] is kernel.KernelError))
         assert (None, True) in raised and (37, False) in raised and (41, True) in raised
 
+    def test_zero_cost_budget_spent_before_a_second_actor(self, monkeypatch):
+        # both actors finish their first instruction at cycle 3; the first
+        # then spends the budget to its last step (at count 39), and the
+        # pump visits the second, which the same completion touched
+        monkeypatch.setattr(kernel, "_ZERO_COST_BUDGET", 40)
+        monkeypatch.setattr(reference_kernel, "_ZERO_COST_BUDGET", 40)
+
+        def second():
+            yield Op(3)
+            yield Op(1)
+
+        def two_actors(count):
+            def build(kernel_type):
+                kern = zero_cost_kernel(ReadCell, count)(kernel_type)
+                kern.add_enclave_actor("second").set_program(second())
+                return kern
+            return build
+
+        raised = {count: {outcome[0] is kernel.KernelError for outcome in self.check_kernel(two_actors(count))}
+                  for count in (37, 38, 39, 40)}
+        assert raised == {37: {False}, 38: {True}, 39: {True}, 40: {True}}
+
+    @pytest.mark.parametrize("write_at, ending, lock_after", [(4, "aborted", 0), (20, "committed", 1)])
+    def test_test_and_set_inside_a_transaction(self, write_at, ending, lock_after):
+        # a TAS in a transaction reads and sets the transaction's view of the
+        # cell; the commit publishes the 1, an abort discards it
+        def build(kernel_type):
+            kern = kernel_type()
+            lock, watched = Cell("lock", 0), Cell("watched", 0)
+
+            def locker():
+                yield TxBegin((watched,))
+                first = yield TestAndSet(lock, cost=2)
+                second = yield TestAndSet(lock, cost=0)
+                seen = lock.value
+                try:
+                    yield Op(5)
+                    yield TxEnd()
+                except TxAborted:
+                    return first, second, seen, "aborted", lock.value
+                return first, second, seen, "committed", lock.value
+
+            def writer():
+                yield Op(write_at)
+                yield WriteCell(watched, 1)
+
+            kern.add_enclave_actor("locker").set_program(locker())
+            kern.add_enclave_actor("writer").set_program(writer())
+            return kern
+
+        for outcome in self.check_kernel(build):
+            assert outcome[2]["locker"] == (0, 1, 0, ending, lock_after)
+
     @pytest.mark.parametrize("build", [
         zero_cost_kernel(ReadCell),
         nested_tx_kernel,

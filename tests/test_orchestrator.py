@@ -451,8 +451,11 @@ class TestBilling:
                 BillingPolicy(per_invocation=price)
 
     def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError, match="cpu_frequency_assumption"):
-            BillingPolicy(cpu_frequency_assumption=0)
+        for value in (0, "abc", "1.5"):
+            with pytest.raises(ValueError, match="cpu_frequency_assumption"):
+                BillingPolicy(cpu_frequency_assumption=value)
+        with pytest.raises(ValueError, match="cpu_frequency_assumption: not an integer: 'abc'"):
+            BillingPolicy.from_mapping({"cpu_frequency_assumption": "abc"})
 
     def test_policy_from_mapping(self):
         policy = BillingPolicy.from_mapping(
