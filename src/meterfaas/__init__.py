@@ -4,7 +4,7 @@ attested key distribution, and verifiable billing, all deterministic."""
 from .attest import AttestationRoot, EnclaveIdentity, Quote, derive_identity, verify_transitive
 from .kde import KeyDistributionEnclave, KeySet, PublishedKeys
 from .kernel import ScheduleEvent, SimKernel, SimTrace
-from .metering import MeterConfig, SignedMeasurement, run_metered, verify_measurement
+from .metering import MeterConfig, SignedMeasurement, run_metered
 from .orchestrator import (
     BillingPolicy,
     ClientContext,
@@ -23,7 +23,7 @@ __all__ = [
     "AttestationRoot", "EnclaveIdentity", "Quote", "derive_identity", "verify_transitive",
     "KeyDistributionEnclave", "KeySet", "PublishedKeys",
     "ScheduleEvent", "SimKernel", "SimTrace",
-    "MeterConfig", "SignedMeasurement", "run_metered", "verify_measurement",
+    "MeterConfig", "SignedMeasurement", "run_metered",
     "BillingPolicy", "ClientContext", "WorkerPool", "client_prepare",
     "client_verify_response", "compute_invoice", "provider_verify_measurement",
     "CostTable", "FunctionImage", "VMLimits", "VMResult", "assemble", "vm_execute", "vm_load",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .crypto import DIGEST_SIZE, KEY_SIZE, SIGNATURE_SIZE, DeterministicRng, ReasonError, SigningKeyPair
-from .wire import VAR, opt, record, sign_record, signed_record, wire_field
+from .wire import VAR, opt, record, signed_record, wire_field
 
 QUOTE_DOMAIN = b"meterfaas/quote/v1|"
 REPORT_DOMAIN = b"meterfaas/report/v1|"
@@ -61,6 +61,11 @@ class QuoteUserData:
     kres_pub_hash: bytes = wire_field(DIGEST_SIZE)
     worker_identity: bytes = wire_field(DIGEST_SIZE)
 
+    @classmethod
+    def binding(cls, kka_pub: bytes, kout_pub: bytes, kres_pub: bytes, worker: bytes) -> QuoteUserData:
+        """What a quote binds to publish these three public keys to the worker identity ``worker``."""
+        return cls(*map(crypto.hash_bytes, (kka_pub, kout_pub, kres_pub)), worker)
+
 
 @signed_record(QUOTE_DOMAIN, "ias_signature")
 @dataclass(frozen=True)
@@ -93,23 +98,21 @@ class AttestationRoot:
         return self._keypair.public
 
     def issue_quote(self, identity: EnclaveIdentity, user_data: bytes) -> Quote:
-        return sign_record(Quote, self._keypair, identity=identity, user_data=user_data)
+        return Quote.sign(self._keypair, identity=identity, user_data=user_data)
 
     def attest_worker(self, identity: EnclaveIdentity, transport_public: bytes) -> WorkerReport:
-        return sign_record(
-            WorkerReport, self._keypair, identity=identity, transport_public=transport_public
-        )
+        return WorkerReport.sign(self._keypair, identity=identity, transport_public=transport_public)
 
 
 def ias_verify(root_public: bytes, quote: Quote) -> tuple[EnclaveIdentity, bytes]:
     """Return the authenticated (identity, user_data) or raise AttestationError."""
-    if not crypto.verify(root_public, quote.signed_payload(), quote.ias_signature):
+    if not quote.verify(root_public):
         raise AttestationError("quote-signature", "quote not signed by the configured root")
     return quote.identity, quote.user_data
 
 
 def verify_report(root_public: bytes, report: WorkerReport) -> EnclaveIdentity:
-    if not crypto.verify(root_public, report.signed_payload(), report.signature):
+    if not report.verify(root_public):
         raise AttestationError("attestation", "worker report signature invalid")
     return report.identity
 
@@ -136,12 +139,13 @@ def verify_transitive(
         bound = QuoteUserData.decode(user_data)
     except Exception as exc:
         raise AttestationError("user-data-format", str(exc)) from exc
-    if bound.kka_pub_hash != crypto.hash_bytes(kka_pub):
+    expected = QuoteUserData.binding(kka_pub, kout_pub, kres_pub, expected_worker)
+    if bound.kka_pub_hash != expected.kka_pub_hash:
         raise AttestationError("key-hash", "key agreement public key not bound by quote")
-    if bound.kout_pub_hash != crypto.hash_bytes(kout_pub):
+    if bound.kout_pub_hash != expected.kout_pub_hash:
         raise AttestationError("key-hash", "output signing public key not bound by quote")
-    if bound.kres_pub_hash != crypto.hash_bytes(kres_pub):
+    if bound.kres_pub_hash != expected.kres_pub_hash:
         raise AttestationError("key-hash", "measurement signing public key not bound by quote")
-    if bound.worker_identity != expected_worker:
+    if bound.worker_identity != expected.worker_identity:
         raise AttestationError("worker-identity", "quote gates keys to a different worker identity")
     return bound

@@ -6,7 +6,7 @@ enclave is reconstructed deterministically from the recorded seed and epoch,
 so every command is reproducible byte for byte given (state, flags, seed).
 
 Exit codes: 0 accepted/succeeded, 1 verification or property failure,
-2 usage or parse error, or a run truncated at its cycle limit.
+2 usage, parse or I/O error, or a run truncated at its cycle limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .attest import AttestationError, AttestationRoot, derive_identity, verify_t
 from .experiments import EXPERIMENTS, LIMITS
 from .fuzz import random_schedule, run_lowerbound_fuzz
 from .kde import KeyDistributionEnclave, PublishedKeys
-from .metering import SignedMeasurement, TruncatedRun, run_metered, verify_measurement
+from .metering import SignedMeasurement, TruncatedRun, run_metered
 from .orchestrator import (
     BillingPolicy,
     ClientContext,
@@ -81,7 +81,7 @@ def _write_published(state: Path, cfg: dict[str, str], kde: KeyDistributionEncla
 def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave]:
     """The deployment's settings, as written, and its KDE at the recorded
     epoch: the only reader of ``deployment.cfg``. A missing or malformed
-    value exits 2 naming its key."""
+    value, or an epoch the state never published, exits 2 naming its key."""
     path = state / STATE_CFG
     if not path.exists():
         raise CliError(f"no deployment at {state} (run 'kde keygen' first)", 2)
@@ -90,14 +90,15 @@ def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave]:
     for key, convert in (("seed", _integer), ("epoch", lambda text: _integer(text, minimum=0)),
                          ("worker_identity", _digest), ("parametrization", _digest)):
         if key in cfg:
-            try:
-                typed[key] = convert(cfg[key])
-            except argparse.ArgumentTypeError as exc:
-                raise CliError(f"{path}: {key}: {exc}", 2) from None
+            typed[key] = _convert(convert, cfg[key], f"{path}: {key}")
         elif key in ("seed", "worker_identity"):
             raise CliError(f"{path} has no {key!r} (run 'kde keygen' again)", 2)
+    # the replay costs one rotation per epoch, so it runs only to an epoch the state published
+    epoch = typed["epoch"]
+    if not (state / f"published-{epoch}.bin").exists():
+        raise CliError(f"{path}: epoch: no key set was published at epoch {epoch}", 2)
     kde = _build_kde(typed["seed"], typed["worker_identity"])
-    for _ in range(typed["epoch"]):
+    for _ in range(epoch):
         kde.rotate()
     return cfg, kde
 
@@ -163,7 +164,8 @@ def cmd_verify_quote(args) -> int:
     if args.root_pub:
         root_public = args.root_pub
     elif args.state:
-        root_public = bytes.fromhex((Path(args.state) / "root.pub").read_text().strip())
+        path = Path(args.state) / "root.pub"
+        root_public = _convert(_digest, path.read_text().strip(), path)
     else:
         raise CliError("need --state or --root-pub", 2)
     expected_kde = args.expected_kde or kde_identity().mrenclave
@@ -212,7 +214,7 @@ def _k_res_public(spec: str) -> bytes:
 def cmd_verify_measurement(args) -> int:
     report = _load_report(args.report)
     if args.kres:
-        if not verify_measurement(report, _k_res_public(args.kres)):
+        if not report.verify(_k_res_public(args.kres)):
             print("REJECT: signature does not verify under k_res+")
             return 1
         _print_report(report)
@@ -222,7 +224,7 @@ def cmd_verify_measurement(args) -> int:
         raise CliError("need --state or --kres", 2)
     keysets = _published_keysets(Path(args.state))
     pub = keysets.get(report.keyset_id)
-    if pub is not None and verify_measurement(report, pub.k_res_pub):
+    if pub is not None and report.verify(pub.k_res_pub):
         _print_report(report)
         print(f"ACCEPT{_retired_note(keysets, pub)}")
         return 0
@@ -370,7 +372,7 @@ def cmd_bill(args) -> int:
         keysets = _published_keysets(Path(args.state))
         for i, report in enumerate(reports):
             pub = keysets.get(report.keyset_id)
-            if pub is None or not verify_measurement(report, pub.k_res_pub):
+            if pub is None or not report.verify(pub.k_res_pub):
                 print(f"REJECT: report {i} does not verify against any known key set")
                 return 1
     invoice = compute_invoice(reports, policy)
@@ -448,6 +450,14 @@ def _integer(text: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {text!r}")
     return value
+
+
+def _convert(convert, text: str, where):
+    """``convert(text)`` for a value read from a file; a refused one exits 2 naming ``where``."""
+    try:
+        return convert(text)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"{where}: {exc}", 2) from None
 
 
 def _count(text: str) -> int:
@@ -585,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ConfigError, AsmError, LoadError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, TruncatedRun) as exc:
+    except (OSError, TruncatedRun) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -102,46 +103,39 @@ class DeterministicRng:
         return DeterministicRng(self.bytes(32), label)
 
 
-@dataclass(frozen=True)
-class SigningKeyPair:
-    """Ed25519 pair; houses the shapes of the output and measurement keys.
-
-    ``parsed`` is the private key parsed once at construction; it takes no
-    part in equality, hashing or repr."""
-
-    private: bytes
-    public: bytes
-    parsed: Ed25519PrivateKey = field(compare=False, repr=False)
-
-    @classmethod
-    def from_private(cls, private: bytes) -> "SigningKeyPair":
-        parsed = Ed25519PrivateKey.from_private_bytes(private)
-        return cls(private=private, public=parsed.public_key().public_bytes_raw(), parsed=parsed)
-
-    @classmethod
-    def generate(cls, rng: DeterministicRng) -> "SigningKeyPair":
-        return cls.from_private(rng.bytes(KEY_SIZE))
+_Pair = TypeVar("_Pair", bound="KeyPair")
 
 
 @dataclass(frozen=True)
-class AgreementKeyPair:
-    """X25519 pair; houses the worker key-agreement and client keys.
-
-    ``parsed`` is the private key parsed once at construction; it takes no
-    part in equality, hashing or repr."""
+class KeyPair:
+    """A private key and its public half. ``parsed`` is the private key,
+    parsed once at construction by the subclass's ``_private_key`` class; it
+    takes no part in equality, hashing or repr."""
 
     private: bytes
     public: bytes
-    parsed: X25519PrivateKey = field(compare=False, repr=False)
+    parsed: Ed25519PrivateKey | X25519PrivateKey = field(compare=False, repr=False)
 
     @classmethod
-    def from_private(cls, private: bytes) -> "AgreementKeyPair":
-        parsed = X25519PrivateKey.from_private_bytes(private)
+    def from_private(cls: type[_Pair], private: bytes) -> _Pair:
+        parsed = cls._private_key.from_private_bytes(private)
         return cls(private=private, public=parsed.public_key().public_bytes_raw(), parsed=parsed)
 
     @classmethod
-    def generate(cls, rng: DeterministicRng) -> "AgreementKeyPair":
+    def generate(cls: type[_Pair], rng: DeterministicRng) -> _Pair:
         return cls.from_private(rng.bytes(KEY_SIZE))
+
+
+class SigningKeyPair(KeyPair):
+    """Ed25519 pair; houses the shapes of the output and measurement keys."""
+
+    _private_key = Ed25519PrivateKey
+
+
+class AgreementKeyPair(KeyPair):
+    """X25519 pair; houses the worker key-agreement and client keys."""
+
+    _private_key = X25519PrivateKey
 
 
 @dataclass(frozen=True)

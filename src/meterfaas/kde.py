@@ -154,13 +154,8 @@ class KeyDistributionEnclave:
             keyset_id=KeySet.compute_id(k_ka.public, k_out.public, k_res.public),
             created_at=created_at,
         )
-        user_data = QuoteUserData(
-            kka_pub_hash=crypto.hash_bytes(k_ka.public),
-            kout_pub_hash=crypto.hash_bytes(k_out.public),
-            kres_pub_hash=crypto.hash_bytes(k_res.public),
-            worker_identity=self.worker_identity,
-        ).encode()
-        quote = self.root.issue_quote(self.identity, user_data)
+        user_data = QuoteUserData.binding(k_ka.public, k_out.public, k_res.public, self.worker_identity)
+        quote = self.root.issue_quote(self.identity, user_data.encode())
         published = PublishedKeys(
             k_ka_pub=k_ka.public,
             k_out_pub=k_out.public,

@@ -48,7 +48,7 @@ from .kernel import (
     WriteCell,
 )
 from .vm import CostTable, FunctionImage, NetIo, VMLimits, VMResult, VmHooks, execute_steps
-from .wire import U64, sign_record, signed_record, wire_field
+from .wire import U64, signed_record, wire_field
 
 MEASUREMENT_DOMAIN = b"meterfaas/measurement/v1|"
 
@@ -422,8 +422,4 @@ def build_signed_measurement(
     else:
         usage = dict(t_max=outcome.t_max, tau=outcome.tau, m_int=outcome.m_int,
                      m_max=outcome.m_max, m_avg=outcome.m_avg, net=outcome.net)
-    return sign_record(SignedMeasurement, k_res, **usage, tag=tag, keyset_id=keyset_id)
-
-
-def verify_measurement(report: SignedMeasurement, k_res_public: bytes) -> bool:
-    return crypto.verify(k_res_public, report.signed_payload(), report.signature)
+    return SignedMeasurement.sign(k_res, **usage, tag=tag, keyset_id=keyset_id)

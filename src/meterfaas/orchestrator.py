@@ -20,7 +20,7 @@ from .attest import verify_transitive
 from .crypto import AgreementKeyPair, DeterministicRng, ReasonError
 from .kde import KeyDistributionEnclave, PublishedKeys
 from .kernel import ScheduleEvent
-from .metering import MeterConfig, SignedMeasurement, verify_measurement
+from .metering import MeterConfig, SignedMeasurement
 from .vm import CostTable, VMLimits
 from .worker import (
     CLIENT_NONCE_SIZE,
@@ -184,7 +184,7 @@ def provider_verify_measurement(
 ) -> None:
     """Accept iff the signature verifies under the published measurement key
     and the tag belongs to a known authorized invocation."""
-    if not verify_measurement(report, published.k_res_pub):
+    if not report.verify(published.k_res_pub):
         raise VerificationError("forgery", "signature does not verify under k_res")
     if report.tag not in expected_tags:
         raise VerificationError("spurious-invocation", "tag not bound to any authorized client")
@@ -388,9 +388,8 @@ class WorkerPool:
         function, else on the least recently used worker after (re)loading it.
         A worker whose key set the KDE has since rotated fetches the current
         one first. Either step makes the start cold."""
-        fn_hash = crypto.hash_bytes(function_bytes)
         warm = [i for i, w in enumerate(self._workers)
-                if w.image is not None and w.image.function_hash == fn_hash]
+                if w.image is not None and w.image.raw == function_bytes]
         index = warm[0] if warm else self._lru[0]
         self._lru.remove(index)
         self._lru.append(index)

@@ -16,8 +16,8 @@ Each protocol record is a dataclass that declares every field's kind once,
 on the field, with ``wire_field(kind)``, and is decorated with ``@record``
 or ``@signed_record``; its fields, in declaration order, are the normative
 layout of the record. ``encode``, ``decode`` and, for a signed record,
-``body`` and ``signed_payload`` are generated from them, and ``sign_record``
-builds a signed instance. README.md ("Wire formats") summarizes the layouts.
+``body``, ``signed_payload``, ``sign`` and ``verify`` are generated from them.
+README.md ("Wire formats") summarizes the layouts.
 
 A field kind is ``U8``, ``U64``, ``VAR``, ``FLAG``, an int ``n`` (``n`` fixed
 bytes), a record class (nested, written as a variable-size field),
@@ -213,7 +213,7 @@ def _install(cls: type, **methods) -> None:
     """Put the generated methods in the class's own namespace."""
     for name, fn in methods.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, classmethod(fn) if name == "decode" else fn)
+        setattr(cls, name, classmethod(fn) if name in ("decode", "sign") else fn)
 
 
 def record(cls: type) -> type:
@@ -239,7 +239,9 @@ def signed_record(domain: bytes, signature_field: str, *, body_var: bool = False
     a ``wire_field``. The last field, ``signature_field``, holds the
     signature over ``domain + body`` and is written after the body as its
     kind's fixed number of bytes; the fields before it make up ``body``.
-    With ``body_var`` the body is written as a variable-size field."""
+    With ``body_var`` the body is written as a variable-size field.
+    ``Cls.sign(pair, **body_fields)`` builds a signed instance, and
+    ``rec.verify(public)`` checks its signature."""
 
     def apply(cls: type) -> type:
         fields = _fields(cls)
@@ -272,16 +274,15 @@ def signed_record(domain: bytes, signature_field: str, *, body_var: bool = False
             _finish(data, pos)
             return cls(*items, sig)
 
-        _install(cls, body=body, signed_payload=signed_payload, encode=encode, decode=decode)
-        cls._wire_signing = (domain, names, put_all, signature_field)
+        def sign(cls, pair: crypto.SigningKeyPair, **fields):
+            payload = domain + put_all([fields[name] for name in names])
+            return cls(**fields, **{signature_field: crypto.sign(pair, payload)})
+
+        def verify(self, public: bytes) -> bool:
+            return crypto.verify(public, self.signed_payload(), signature(self))
+
+        _install(cls, body=body, signed_payload=signed_payload, encode=encode, decode=decode,
+                 sign=sign, verify=verify)
         return cls
 
     return apply
-
-
-def sign_record(cls: type, pair: crypto.SigningKeyPair, **fields):
-    """Build a ``signed_record`` instance from its body fields, signed with
-    the key ``pair`` over ``domain + body``."""
-    domain, names, put_all, signature_field = cls._wire_signing
-    body = put_all([fields[name] for name in names])
-    return cls(**fields, **{signature_field: crypto.sign(pair, domain + body)})

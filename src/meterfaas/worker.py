@@ -52,7 +52,7 @@ from .metering import (
     run_metered,
 )
 from .vm import CostTable, FunctionImage, VMLimits, vm_load
-from .wire import FLAG, U8, VAR, opt, record, sign_record, signed_record, wire_field
+from .wire import FLAG, U8, VAR, opt, record, signed_record, wire_field
 
 RECEIPT_DOMAIN = b"meterfaas/receipt/v1|"
 REQUEST_AAD = b"meterfaas/request/v1|"
@@ -109,8 +109,8 @@ def build_receipt(
     keyset_id: bytes,
     k_out: SigningKeyPair,
 ) -> Receipt:
-    return sign_record(
-        Receipt, k_out,
+    return Receipt.sign(
+        k_out,
         h_input=crypto.hash_bytes(input_data),
         h_function=function_hash,
         h_output=crypto.hash_bytes(output),
@@ -129,7 +129,7 @@ def verify_receipt(
 ) -> tuple[bool, str]:
     """Recompute the digests from the verifier's own copies and check the
     signature. Returns (accepted, reason)."""
-    if not crypto.verify(k_out_public, receipt.signed_payload(), receipt.signature):
+    if not receipt.verify(k_out_public):
         return False, "signature"
     if receipt.h_input != crypto.hash_bytes(input_data):
         return False, "input-digest"

@@ -299,6 +299,29 @@ class TestRunAndVerify:
         assert capsys.readouterr().err == f"error: {cfg}: {key}: {message}\n"
         assert {path.name: path.read_bytes() for path in state.iterdir()} == before
 
+    @pytest.mark.parametrize("epoch", ["5", "99999999999"])
+    @pytest.mark.parametrize("command", ["publish", "rotate", "run", "verify-quote"])
+    def test_deployment_cfg_unpublished_epoch_exit_2(self, state, fib_files, capsys, epoch, command):
+        # only published-0.bin exists, so no replay to a later epoch is run
+        cfg = state / "deployment.cfg"
+        cfg.write_text(cfg.read_text().replace("epoch=0\n", f"epoch={epoch}\n"))
+        before = {path.name: path.read_bytes() for path in state.iterdir()}
+        argv = {
+            "publish": ["kde", "publish", "--state", str(state)],
+            "rotate": ["kde", "rotate", "--state", str(state)],
+            "verify-quote": ["verify", "quote", "--keys", str(state / "published.bin"), "--state", str(state)],
+        }
+        capsys.readouterr()
+        assert (main(argv[command]) if command in argv else run_invocation(state, fib_files)) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}: epoch: no key set was published at epoch {epoch}\n")
+        assert {path.name: path.read_bytes() for path in state.iterdir()} == before
+
+    def test_malformed_root_pub_names_its_file(self, state, capsys):
+        (state / "root.pub").write_text("zz\n")
+        capsys.readouterr()
+        assert main(["verify", "quote", "--keys", str(state / "published.bin"), "--state", str(state)]) == 2
+        assert capsys.readouterr() == ("", f"error: {state / 'root.pub'}: expected 64 hex characters, got 'zz'\n")
+
     @pytest.mark.parametrize("command", ["measurement", "receipt", "bill"])
     def test_state_without_published_key_sets_exit_2(self, state, fib_files, tmp_path, capsys, command):
         fn, inp = fib_files
@@ -785,6 +808,31 @@ class TestBadArguments:
         assert main(["experiment", name, "--n-min", "5", "--n-max", "1", "-o", str(csv)]) == 2
         assert capsys.readouterr() == ("", "error: --n-min 5 is above --n-max 1\n")
         assert not csv.exists()
+
+    @pytest.mark.parametrize("command", ["verify-quote", "replay", "bill", "vm-asm", "verify-measurement", "run"])
+    def test_directory_given_as_a_file_exit_2(self, state, fib_files, tmp_path, capsys, command):
+        # an input that cannot be read is a usage error, not a failed verification
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        report = tmp_path / "measurement.bin"
+        if command == "verify-measurement":
+            run_invocation(state, fib_files, extra=("--out-dir", str(tmp_path)))
+        fn, _ = fib_files
+        argv = {
+            "verify-quote": ["verify", "quote", "--keys", str(folder), "--state", str(state)],
+            "replay": ["replay", "--function", "fib", "--input", str(folder)],
+            "bill": ["bill", "--policy", str(folder), "--reports", str(tmp_path)],
+            "vm-asm": ["vm", "asm", str(folder)],
+            "verify-measurement": ["verify", "measurement", str(report), "--kres", str(folder)],
+            "run": ["run", "--state", str(state), "--function", str(fn), "--input", str(folder)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(folder) in err
+        if command == "run":
+            assert not (state / "measurements.log").exists()
 
     @pytest.mark.parametrize("flag", ["--parametrization", "--worker-identity"])
     @pytest.mark.parametrize("value", ["ab", "abcd", "zz" * 32, "ab" * 33],

@@ -37,7 +37,6 @@ from meterfaas.metering import (
     mem_finalize,
     mem_update,
     run_metered,
-    verify_measurement,
 )
 from meterfaas.vm import CostTable, VMLimits, assemble, vm_execute, vm_load
 
@@ -1145,19 +1144,19 @@ class TestSignedMeasurement:
 
     def test_roundtrip_and_verify(self):
         report, keys = self._measured()
-        assert verify_measurement(report, keys.public)
+        assert report.verify(keys.public)
         decoded = SignedMeasurement.decode(report.encode())
         assert decoded == report
-        assert verify_measurement(decoded, keys.public)
+        assert decoded.verify(keys.public)
 
     def test_any_field_mutation_breaks_verification(self):
         report, keys = self._measured()
         for fld in ("t_max", "tau", "m_int", "m_max", "m_avg", "net"):
             bad = dataclasses.replace(report, **{fld: getattr(report, fld) + 1})
-            assert not verify_measurement(bad, keys.public)
+            assert not bad.verify(keys.public)
         bad = dataclasses.replace(report, tag=hash_bytes(b"other"))
-        assert not verify_measurement(bad, keys.public)
-        assert not verify_measurement(report, SigningKeyPair.generate(DeterministicRng(10, "x")).public)
+        assert not bad.verify(keys.public)
+        assert not report.verify(SigningKeyPair.generate(DeterministicRng(10, "x")).public)
 
     def test_m_avg_integer_division_identity(self):
         rng = DeterministicRng(31, "avg")

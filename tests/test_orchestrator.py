@@ -249,8 +249,8 @@ class TestPool:
             seen.clear()
             pool.dispatch(req, FIB)
             counts.append(len(seen))
-        # cold: the dispatch plus the load in ecall_init; warm: the dispatch only
-        assert counts == [2, 1]
+        # cold: the load in ecall_init; warm: none, the warm worker is found by its bytes
+        assert counts == [1, 0]
 
     def test_warm_invocation_derives_only_the_worker_session_key(self, kde, pool, ctx, monkeypatch):
         real = crypto.derive_session_key

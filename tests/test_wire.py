@@ -383,11 +383,64 @@ class TestDeclaredLayout:
         from meterfaas import crypto
         from meterfaas.crypto import DeterministicRng, SigningKeyPair
         from meterfaas.metering import MEASUREMENT_DOMAIN
-        from meterfaas.wire import sign_record
 
         key = SigningKeyPair.generate(DeterministicRng(1, "sign-record"))
-        report = sign_record(SignedMeasurement, key, t_max=1, tau=2, m_int=3, m_max=4,
-                             m_avg=5, net=6, tag=b"\x01" * 32, keyset_id=b"\x02" * 32)
+        report = SignedMeasurement.sign(key, t_max=1, tau=2, m_int=3, m_max=4,
+                                        m_avg=5, net=6, tag=b"\x01" * 32, keyset_id=b"\x02" * 32)
         assert report.signed_payload() == MEASUREMENT_DOMAIN + report.body()
         assert crypto.verify(key.public, report.signed_payload(), report.signature)
         assert (report.t_max, report.net, report.keyset_id) == (1, 6, b"\x02" * 32)
+
+
+def _signed_bodies() -> list:
+    """The body fields of one instance of each signed protocol record."""
+    from meterfaas.attest import WorkerReport
+    from meterfaas.crypto import DeterministicRng
+    from meterfaas.worker import Receipt
+
+    b = DeterministicRng(28, "signed-bodies").bytes
+    ident = EnclaveIdentity(b(32), b(32), parametrization=b(32))
+    bodies = [
+        (Quote, dict(identity=ident, user_data=QuoteUserData(b(32), b(32), b(32), b(32)).encode())),
+        (WorkerReport, dict(identity=ident, transport_public=b(32))),
+        (SignedMeasurement, dict(t_max=9, tau=100, m_int=1 << 40, m_max=4096, m_avg=77, net=3,
+                                 tag=b(32), keyset_id=b(32))),
+        (Receipt, dict(h_input=b(32), h_function=b(32), h_output=b(32), h_measurement=b(32),
+                       keyset_id=b(32))),
+    ]
+    return [pytest.param(cls, body, id=cls.__name__) for cls, body in bodies]
+
+
+class TestSignedRecords:
+    """Every signed record signs and verifies itself: it verifies under its
+    signer's key and under no other, and no decodable one-byte change to its
+    encoding leaves the signature valid."""
+
+    @pytest.mark.parametrize("cls, body", _signed_bodies())
+    def test_sign_then_verify_and_tamper(self, cls, body):
+        from meterfaas.crypto import SIGNATURE_SIZE, DeterministicRng, SigningKeyPair
+
+        pair = SigningKeyPair.generate(DeterministicRng(1, cls.__name__))
+        other = SigningKeyPair.generate(DeterministicRng(2, cls.__name__))
+        rec = cls.sign(pair, **body)
+        assert rec.verify(pair.public)
+        assert not rec.verify(other.public)
+        data = rec.encode()
+        assert cls.decode(data).verify(pair.public)
+
+        def flipped(pos: int, mask: int = 0x01) -> bytes:
+            return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
+
+        sig_start = len(data) - SIGNATURE_SIZE
+        assert not cls.decode(flipped(sig_start + 5, 0x10)).verify(pair.public)
+        decoded_positions = []
+        for pos in range(sig_start):
+            try:
+                tampered = cls.decode(flipped(pos))
+            except FormatError:
+                continue  # a length, flag or nesting byte: the change does not parse
+            assert tampered != rec
+            assert not tampered.verify(pair.public), pos
+            decoded_positions.append(pos)
+        # the body's last byte (a key, digest or user-data byte) always parses
+        assert sig_start - 1 in decoded_positions

@@ -10,7 +10,7 @@ from meterfaas import crypto
 from meterfaas.attest import AttestationRoot, derive_identity
 from meterfaas.crypto import DeterministicRng, TamperError, hash_bytes
 from meterfaas.kde import KeyDistributionEnclave
-from meterfaas.metering import MeterConfig, build_signed_measurement, verify_measurement
+from meterfaas.metering import MeterConfig, build_signed_measurement
 from meterfaas.orchestrator import ClientContext, client_prepare
 from meterfaas.vm import LoadError, VMLimits, assemble
 from meterfaas.worker import (
@@ -176,7 +176,7 @@ class TestRunAndFinish:
         size = worker.ecall_run(request)
         assert size == 8
         response, measurement = worker.ecall_finish()
-        assert verify_measurement(measurement, kde.published.k_res_pub)
+        assert measurement.verify(kde.published.k_res_pub)
         assert measurement.tag == hash_bytes(b"api-key-1")
         assert measurement.tau == CFG.tau
 
@@ -203,7 +203,7 @@ class TestRunAndFinish:
         assert worker.last_outcome is None
         response, measurement = worker.ecall_finish()
         # decrypted fine, so the zero-consumption measurement is still signed
-        assert verify_measurement(measurement, kde.published.k_res_pub)
+        assert measurement.verify(kde.published.k_res_pub)
         assert measurement.t_max == 0 and measurement.m_max == 0
 
         from meterfaas.orchestrator import FunctionFailed, client_verify_response
@@ -283,7 +283,7 @@ class TestRunAndFinish:
         request, pending = client_prepare(ctx, hash_bytes(FIB), b"", receipt=True, token=b"t")
         worker.ecall_run(request)
         response, measurement = worker.ecall_finish()
-        assert verify_measurement(measurement, kde.published.k_res_pub)
+        assert measurement.verify(kde.published.k_res_pub)
         assert measurement.tag == hash_bytes(b"t")
 
         from meterfaas.orchestrator import FunctionFailed, client_verify_response
