@@ -78,10 +78,11 @@ def _write_published(state: Path, cfg: dict[str, str], kde: KeyDistributionEncla
     (state / STATE_CFG).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
 
 
-def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave]:
-    """The deployment's settings, as written, and its KDE at the recorded
-    epoch: the only reader of ``deployment.cfg``. A missing or malformed
-    value, or an epoch the state never published, exits 2 naming its key."""
+def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave, bytes | None]:
+    """The deployment's settings, as written, its KDE at the recorded epoch
+    and its parametrization digest (None without one): the only reader of
+    ``deployment.cfg``. A missing or malformed value, or an epoch the state
+    never published, exits 2 naming its key."""
     path = state / STATE_CFG
     if not path.exists():
         raise CliError(f"no deployment at {state} (run 'kde keygen' first)", 2)
@@ -100,7 +101,7 @@ def load_state(state: Path) -> tuple[dict[str, str], KeyDistributionEnclave]:
     kde = _build_kde(typed["seed"], typed["worker_identity"])
     for _ in range(epoch):
         kde.rotate()
-    return cfg, kde
+    return cfg, kde, typed.get("parametrization")
 
 
 def _published_keysets(state: Path) -> dict[bytes, PublishedKeys]:
@@ -140,19 +141,19 @@ def cmd_kde_keygen(args) -> int:
 
 def cmd_kde_publish(args) -> int:
     pub = load_state(Path(args.state))[1].published
+    if args.out:  # written first, so a failed write prints nothing
+        Path(args.out).write_bytes(pub.encode())
     print(f"epoch {pub.created_at}")
     print(f"keyset_id {pub.keyset_id.hex()}")
     print(f"k_ka+ {pub.k_ka_pub.hex()}")
     print(f"k_out+ {pub.k_out_pub.hex()}")
     print(f"k_res+ {pub.k_res_pub.hex()}")
-    if args.out:
-        Path(args.out).write_bytes(pub.encode())
     return 0
 
 
 def cmd_kde_rotate(args) -> int:
     state = Path(args.state)
-    cfg, kde = load_state(state)
+    cfg, kde, _ = load_state(state)
     kde.rotate()
     _write_published(state, cfg, kde)
     print(f"rotated to epoch {kde.keyset.created_at}, keyset {kde.keyset.keyset_id.hex()}")
@@ -306,9 +307,8 @@ def _resolve_scenario(args):
 
 def cmd_run(args) -> int:
     state = Path(args.state)
-    cfg, kde = load_state(state)
+    _, kde, parametrization = load_state(state)
     scenario, image, input_data, schedule = _resolve_scenario(args)
-    parametrization = bytes.fromhex(cfg["parametrization"]) if "parametrization" in cfg else None
     worker_identity = default_worker_identity(parametrization)
     if worker_identity.mrenclave != kde.worker_identity:
         raise CliError("state worker identity is custom; 'run' supports the default worker", 2)

@@ -30,6 +30,7 @@ WORD = 1 << 64
 _ZERO_WORD = array("Q", (0,))
 if _ZERO_WORD.itemsize != 8:
     raise ImportError("array('Q') items are not 64-bit words on this host")
+_ZERO_CHUNK = _ZERO_WORD * 4096  # what an in-place REALLOC grows a block by at most at once
 _BIG_ENDIAN = sys.byteorder == "big"
 _EMPTY_TAG = crypto.hash_bytes(b"")  # the tag of a run with no SET_TAG and no default tag
 
@@ -80,16 +81,21 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
 
 # Superinstructions: opcodes past the real ones that the loader puts in place
 # of a LOADL starting one of these runs. No run holds a HALT, heap or network
-# op, and only a run's last instruction may trap, so fusing one changes no
-# yield. The patterns come from dynamic n-gram counts over the corpus and the
-# fuzz programs. Every entry's argument is (more, after, a, b, k): the steps
-# after the LOADL, the pc once the run is done, its slots, and its constant
-# or jump target, None where unused.
+# op, so fusing one changes no yield. The patterns come from dynamic n-gram
+# counts over the corpus and the fuzz programs; fib's 23-instruction loop
+# is three of them. Every entry's argument is (n, after, a, b, k, c, d, t):
+# the run's steps, the pc once it is done, the slots of its first LOADL or
+# two, its constant, the slots of its second part, and the target of its
+# conditional jump, None where unused.
 _LL = 0x70  # LOADL a; LOADL b
 _LPAS = 0x72  # LOADL a; PUSH x; ADD|SUB; STOREL a [; JMP after]; k is x for ADD, 2^64 - x mod 2^64 for SUB
-_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ k
-_LJZ = 0x74  # LOADL a; JZ k
+_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t
+_LJZ = 0x74  # LOADL a; JZ t
 _LLPSL = 0x75  # LOADL a; LOADL b; PUSH k; SUB; LOAD: fib's values[i-k]; only the LOAD may trap
+_LL_LLPSL = 0x76  # LOADL a; LOADL b; then _LLPSL over c, d: only the LOAD, last, may trap
+_LLPSL_AS = 0x77  # _LLPSL; ADD; STORE: fib's values[i] = sum; the LOAD may trap mid-run
+_LPAS_LLGJ = 0x78  # _LPAS with its JMP, then the _LLGJ over c, d at its target: a loop's back edge
+_LPAS_LJZ = 0x79  # _LPAS with its JMP, then the _LJZ over c at its target
 
 
 class LoadError(ValueError):
@@ -203,14 +209,12 @@ def vm_load(data: bytes) -> FunctionImage:
         raise LoadError(f"code length field {code_len} does not match {len(code)} bytes", 9)
 
     program: list[tuple[int, int | None]] = []
-    starts: list[int] = []  # file offset of each instruction's opcode byte
     heads: list[int] = []  # index of each LOADL, where a fused pattern may start
     pos = 0
     while pos < len(code):
-        starts.append(13 + pos)
         op = code[pos]
         if op not in OPCODES:
-            raise LoadError(f"unknown opcode 0x{op:02x}", starts[-1])
+            raise LoadError(f"unknown opcode 0x{op:02x}", 13 + pos)
         _, imm = OPCODES[op]
         pos += 1
         arg: int | None = None
@@ -233,11 +237,11 @@ def vm_load(data: bytes) -> FunctionImage:
         raise LoadError("empty program", 13)
     for i, (op, arg) in enumerate(program):
         if OPCODES[op][1] == "target" and arg >= n:
-            raise LoadError(f"jump target {arg} out of range at instruction {i}", starts[i])
+            raise LoadError(f"jump target {arg} out of range at instruction {i}", _offset(code, i))
     if entry >= n:
         raise LoadError(f"entry index {entry} out of range", 5)
     if program[-1][0] not in (0x00, 0x20):  # HALT, JMP
-        raise LoadError("last instruction is neither HALT nor JMP", starts[-1])
+        raise LoadError("last instruction is neither HALT nor JMP", _offset(code, n - 1))
 
     instructions = tuple(program)
     return FunctionImage(
@@ -249,19 +253,31 @@ def vm_load(data: bytes) -> FunctionImage:
     )
 
 
+def _offset(code: bytes, index: int) -> int:
+    """The file offset of instruction ``index`` of ``code``, the bytes past the
+    header. Only a load error reports one, so the loader walks the code again
+    for it instead of keeping an offset per instruction."""
+    pos = 0
+    for _ in range(index):
+        imm = OPCODES[code[pos]][1]
+        pos += 1 + (_IMMEDIATES[imm][0] if imm else 0)
+    return 13 + pos
+
+
 def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
-    """``program`` with the longest fused pattern that starts at each LOADL in
-    ``heads`` put in that LOADL's place, as ``(op, (more, after, a, b, k))``:
-    the run's steps after its LOADL, the pc once it is done, its slots, and
-    its constant or jump target (None where unused). Every index is matched
-    on its own and every other entry keeps its instruction, so no jump
-    target moves and a jump into the middle of a pattern runs whatever
-    starts there. Five patterns fuse (see ``_LL`` ... ``_LLPSL``); none holds
-    a HALT, heap or network op, only the last instruction of one (the LOAD
-    of ``_LLPSL``) may trap, so a trap inside a fused run still comes after
-    every step before it has been counted, and only the last may jump, so a
-    run the step budget cannot hold ends in the budget trap before it."""
+    """``program`` with the longest fused run that starts at each LOADL in
+    ``heads`` put in that LOADL's place, as ``(op, (n, after, a, b, k, c, d,
+    t))`` (see ``_LL`` ... ``_LPAS_LJZ``). Every index is matched on its own
+    and every other entry keeps its instruction, so no jump target moves and
+    a jump into the middle of a run executes whatever starts there. A first
+    pass matches the runs of adjacent instructions; a second joins a
+    LOADL pair to the ``_LLPSL`` two instructions on, and an ``_LPAS`` that
+    ends in a JMP to the ``_LLGJ`` or ``_LJZ`` at the JMP's target. No run
+    holds a HALT, heap or network op, and only a LOAD or STORE of one may
+    trap: the last instruction of ``_LLPSL``, ``_LL_LLPSL`` and
+    ``_LLPSL_AS``, and the LOAD five steps into ``_LLPSL_AS``."""
     code: list[tuple[int, object]] | None = None
+    joins: list[int] = []  # the _LL and _LPAS;JMP entries, which a second run may extend
     n = len(program)
     for i in heads:
         a = program[i][1]
@@ -270,23 +286,42 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
         op3, x3 = program[i + 3] if i + 3 < n else (None, None)
         if op1 == 0x60:  # LOADL a; LOADL b
             if op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33:  # PUSH k; SUB; LOAD
-                entry = (_LLPSL, (4, i + 5, a, x1, x2))  # SUB is never last
-            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ k
-                entry = (_LLGJ, (3, i + 4, a, x1, x3))
+                if program[i + 5][0] == 0x10 and program[i + 6][0] == 0x34:  # ADD; STORE: neither LOAD nor ADD is last
+                    entry = (_LLPSL_AS, (7, i + 7, a, x1, x2, None, None, None))
+                else:
+                    entry = (_LLPSL, (5, i + 5, a, x1, x2, None, None, None))
+            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ t
+                entry = (_LLGJ, (4, i + 4, a, x1, None, None, None, x3))
             else:
-                entry = (_LL, (1, i + 2, a, x1, None))
-        elif op1 == 0x21:  # LOADL a; JZ k
-            entry = (_LJZ, (1, i + 2, a, None, x1))
+                entry = (_LL, (2, i + 2, a, x1, None, None, None, None))
+                joins.append(i)
+        elif op1 == 0x21:  # LOADL a; JZ t
+            entry = (_LJZ, (2, i + 2, a, None, None, None, None, x1))
         elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a:
             k = x1 if op2 == 0x10 else (WORD - x1) % WORD  # PUSH k; ADD|SUB; STOREL a
             op4, x4 = program[i + 4]  # STOREL is never last either
-            entry = (_LPAS, (4, x4, a, None, k) if op4 == 0x20 else (3, i + 4, a, None, k))  # then JMP?
+            if op4 == 0x20:  # JMP x4
+                entry = (_LPAS, (5, x4, a, None, k, None, None, None))
+                joins.append(i)
+            else:
+                entry = (_LPAS, (4, i + 4, a, None, k, None, None, None))
         else:
             continue
         if code is None:
             code = list(program)
         code[i] = entry
-    return program if code is None else tuple(code)
+    if code is None:
+        return program
+    for i in joins:  # each run it joins was matched by the first pass
+        op, (_, after, a, b, k, _, _, _) = code[i]
+        op2, arg2 = code[i + 2 if op == _LL else after]
+        if op == _LL and (op2 == _LLPSL or op2 == _LLPSL_AS):  # LOADL a; LOADL b; _LLPSL over c, d
+            _, _, c, d, k, _, _, _ = arg2
+            code[i] = (_LL_LLPSL, (7, i + 7, a, b, k, c, d, None))
+        elif op == _LPAS and (op2 == _LLGJ or op2 == _LJZ):  # the JMP's target starts a loop test
+            m, after, c, d, _, _, _, t = arg2
+            code[i] = (_LPAS_LLGJ if op2 == _LLGJ else _LPAS_LJZ, (5 + m, after, a, None, k, c, d, t))
+    return tuple(code)
 
 
 class _Trap(Exception):
@@ -333,24 +368,26 @@ def execute_steps(
     and growing past the last whole word turns the tail into the low bytes
     of a word whose other bytes are zero, as if the block were bytes. A
     block that more than doubles is built at its final size; any other is
-    resized in place.
+    resized in place, growing by at most 4096 zero words at a time.
 
     The loop dispatches on ``image.code``, where the loader has put a
-    superinstruction ``(op, (more, after, a, b, k))`` at each LOADL that
-    starts one of the five fused runs (see ``_fuse``). A fused run holds no
-    HALT, heap or network op, so it changes no yield. One rule runs every
-    fused run: if its LOADL and the ``more`` steps after it fit the step
-    budget, which is the run's only budget test, it counts them all, sets
-    ``pc = after`` (``k`` for a taken JZ or JNZ) and does its work;
-    otherwise it sets ``steps = max_steps`` and traps on the budget, as one
-    at a time would: no instruction before a run's last can trap or jump,
-    so one at a time the budget runs out before that last instruction. A
-    fused run may trap only at its last instruction, after all its steps
-    are counted, so the trap flush charges what the instructions one at a
-    time would. Every other entry is the program's own instruction and no
-    jump target moves, so a jump into the middle of a run executes whatever
-    starts there. Returns the VMResult."""
+    superinstruction ``(op, (n, after, a, b, k, c, d, t))`` at each LOADL
+    that starts one of the nine fused runs (see ``_fuse``). A fused run
+    holds no HALT, heap or network op, so it changes no yield. One rule runs
+    every fused run: if its ``n`` steps fit the step budget, which is the
+    run's only budget test, and (for ``_LLPSL_AS``) the stack holds the 3
+    words its ADD and STORE pop past the LOAD's, it counts its steps, sets
+    ``pc = after`` (``t`` for a taken JZ or JNZ) and does its work;
+    otherwise its LOADL runs alone, as the program's own instruction, and
+    the next entry is dispatched as any other. A fused run may trap only at
+    its last instruction, after all its steps are counted, or at the LOAD
+    of ``_LLPSL_AS``, which counts the 5 steps up to it, so the trap flush
+    charges what the instructions one at a time would. Every other entry is
+    the program's own instruction and no jump target moves, so a jump into
+    the middle of a run executes whatever starts there. Returns the
+    VMResult."""
     code = image.code
+    program = image.program
     default = costs.default
     heap_extra = costs.heap - default
     net_extra = costs.net - default
@@ -381,32 +418,69 @@ def execute_steps(
     try:
         while True:
             op, arg = code[pc]
-            if op >= 0x70:  # a fused run: whole if its steps fit, else its LOADL alone
-                more, after, a, b, k = arg
-                if steps + more < max_steps:
-                    steps += more + 1  # every step is counted before the LOAD of 0x75 may trap
-                    pc = after
-                    if op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB; LOAD
-                        words = heap.get(locals_[a])
-                        if words is None:
-                            raise _Trap("fault:bad-handle")
-                        idx = (locals_[b] - k) % WORD
-                        if idx >= len(words):
-                            raise _Trap("fault:out-of-bounds")
-                        push(words[idx])
-                    elif op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP after]
-                        locals_[a] = (locals_[a] + k) % WORD
-                    elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ k
-                        if locals_[a] > locals_[b]:
-                            pc = k
-                    elif op == 0x70:  # LOADL a; LOADL b
-                        push(locals_[a])
-                        push(locals_[b])
-                    elif locals_[a] == 0:  # 0x74: LOADL a; JZ k
-                        pc = k
-                    continue
-                steps = max_steps
-                raise _Trap("budget:steps")
+            if op >= 0x70:  # a fused run: whole if it fits, else its LOADL alone
+                n, after, a, b, k, c, d, t = arg
+                if steps + n <= max_steps:
+                    if op == 0x77:  # LOADL a; LOADL b; PUSH k; SUB; LOAD; ADD; STORE
+                        if len(stack) > 2:  # the words ADD and STORE pop past the LOAD's
+                            words = heap.get(locals_[a])
+                            idx = (locals_[b] - k) % WORD
+                            if words is None or idx >= len(words):
+                                steps += 5  # the LOAD traps after its own step, before ADD's
+                                raise _Trap("fault:bad-handle" if words is None else "fault:out-of-bounds")
+                            steps += 7
+                            pc = after
+                            value = (pop() + words[idx]) % WORD
+                            idx = pop()
+                            words = heap.get(pop())
+                            if words is None:
+                                raise _Trap("fault:bad-handle")
+                            if idx >= len(words):
+                                raise _Trap("fault:out-of-bounds")
+                            words[idx] = value
+                            continue
+                    else:
+                        steps += n  # only the last step of these may trap
+                        pc = after
+                        if op == 0x78:  # LOADL a; PUSH k; ADD|SUB; STOREL a; JMP; LOADL c; LOADL d; GT; JNZ t
+                            locals_[a] = (locals_[a] + k) % WORD
+                            if locals_[c] > locals_[d]:
+                                pc = t
+                        elif op == 0x79:  # LOADL a; PUSH k; ADD|SUB; STOREL a; JMP; LOADL c; JZ t
+                            locals_[a] = (locals_[a] + k) % WORD
+                            if locals_[c] == 0:
+                                pc = t
+                        elif op == 0x76:  # LOADL a; LOADL b; LOADL c; LOADL d; PUSH k; SUB; LOAD
+                            push(locals_[a])
+                            push(locals_[b])
+                            words = heap.get(locals_[c])
+                            if words is None:
+                                raise _Trap("fault:bad-handle")
+                            idx = (locals_[d] - k) % WORD
+                            if idx >= len(words):
+                                raise _Trap("fault:out-of-bounds")
+                            push(words[idx])
+                        elif op == 0x74:  # LOADL a; JZ t
+                            if locals_[a] == 0:
+                                pc = t
+                        elif op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB; LOAD
+                            words = heap.get(locals_[a])
+                            if words is None:
+                                raise _Trap("fault:bad-handle")
+                            idx = (locals_[b] - k) % WORD
+                            if idx >= len(words):
+                                raise _Trap("fault:out-of-bounds")
+                            push(words[idx])
+                        elif op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP after]
+                            locals_[a] = (locals_[a] + k) % WORD
+                        elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ t
+                            if locals_[a] > locals_[b]:
+                                pc = t
+                        else:  # 0x70: LOADL a; LOADL b
+                            push(locals_[a])
+                            push(locals_[b])
+                        continue
+                op, arg = program[pc]  # the run's LOADL alone, as the program's own instruction
             if steps >= max_steps:
                 raise _Trap("budget:steps")
             steps += 1
@@ -538,9 +612,10 @@ def execute_steps(
                             grown[: len(b)] = b
                             grown[len(b)] = word
                             heap[handle] = grown
-                        else:  # in place, beside at most the block's size in zeros
+                        else:  # in place, a bounded chunk of zeros at a time
                             b.append(word)
-                            b.extend(_ZERO_WORD * (n - len(b)))
+                            while len(b) < n:
+                                b.extend(_ZERO_CHUNK[: n - len(b)])
                         tail = bytes(size & 7)
                     elif n < len(b):  # word n keeps its low bytes as the tail
                         tail = b[n].to_bytes(8, "little")[: size & 7]

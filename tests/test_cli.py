@@ -435,6 +435,23 @@ class TestDocumentedPaths:
         assert main(["kde", "publish", "--state", str(state), "--out", str(out)]) == 0
         assert out.read_bytes() == (state / "published.bin").read_bytes()
 
+    def test_kde_publish_failed_write_prints_nothing(self, state, tmp_path, capsys):
+        # --out naming a directory: the write fails before any key is printed
+        capsys.readouterr()
+        assert main(["kde", "publish", "--state", str(state), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Is a directory" in captured.err
+
+    def test_load_state_returns_the_parametrization_it_checked(self, tmp_path, state):
+        # the one reader of deployment.cfg converts the digest; run uses that value
+        assert cli.load_state(state)[2] is None
+        param = tmp_path / "param"
+        assert main(["kde", "keygen", "--state", str(param), "--seed", "7",
+                     "--parametrization", "ab" * 32]) == 0
+        cfg, kde, parametrization = cli.load_state(param)
+        assert parametrization == bytes.fromhex("ab" * 32) and cfg["parametrization"] == "ab" * 32
+        assert kde.worker_identity == cli.default_worker_identity(parametrization).mrenclave
+
     def test_verify_quote_with_root_pub(self, state, tmp_path, capsys):
         keys = str(state / "published.bin")
         root = (state / "root.pub").read_text().strip()

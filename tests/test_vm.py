@@ -185,17 +185,18 @@ class TestLoader:
         fused = {pc: entry for pc, (entry, instr) in enumerate(zip(image.code, image.program))
                  if entry != instr}
         assert fused == {
-            20: (0x73, (3, 24, 2, 0, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
-            24: (0x70, (1, 26, 1, 2, None)),  # LOADL 1; LOADL 2
-            25: (0x70, (1, 27, 2, 1, None)),  # LOADL 2; LOADL 1, overlapping the run at 24
-            26: (0x75, (4, 31, 1, 2, 1)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
-            31: (0x75, (4, 36, 1, 2, 2)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD
-            38: (0x72, (4, 20, 2, None, 1)),  # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop
-            43: (0x70, (1, 45, 1, 0, None)),  # end: LOADL 1; LOADL 0
+            20: (0x73, (4, 24, 2, 0, None, None, None, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
+            24: (0x76, (7, 31, 1, 2, 1, 1, 2, None)),  # LOADL 1; LOADL 2; LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
+            25: (0x70, (2, 27, 2, 1, None, None, None, None)),  # LOADL 2; LOADL 1, inside the run at 24
+            26: (0x75, (5, 31, 1, 2, 1, None, None, None)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
+            31: (0x77, (7, 38, 1, 2, 2, None, None, None)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD; ADD; STORE
+            # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop; loop: LOADL 2; LOADL 0; GT; JNZ end
+            38: (0x78, (9, 24, 2, None, 1, 2, 0, 43)),
+            43: (0x70, (2, 45, 1, 0, None, None, None, None)),  # end: LOADL 1; LOADL 0
         }
-        # one more pass of the 23-instruction loop costs 7 dispatches
+        # one more pass of the 23-instruction loop costs 3 dispatches
         passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
-        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 7
+        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 3
 
     def test_fused_code_takes_no_part_in_equality_or_repr(self):
         raw = assemble(corp.FIB_SOURCE)
@@ -222,9 +223,10 @@ class TestLoader:
         for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT",
                        "LOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT"):
             image = vm_load(assemble(source))
-            assert image.code[0] == (0x70, (1, 2, 1, 2, None)) and image.code[1:] == image.program[1:]
+            assert image.code[0] == (0x70, (2, 2, 1, 2, None, None, None, None))
+            assert image.code[1:] == image.program[1:]
         image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nHALT"))
-        assert image.code[0] == (0x72, (3, 4, 3, None, WORD - 7))
+        assert image.code[0] == (0x72, (4, 4, 3, None, WORD - 7, None, None, None))
 
 
 class TestExecution:
@@ -426,6 +428,48 @@ class TestExecution:
         assert res.ok and res.output == corp.words(0x0102030405060708, 0)
         assert peak < LIMITS.max_memory + (1 << 20), peak
 
+    @pytest.mark.parametrize("start", [LIMITS.max_memory // 2, LIMITS.max_memory * 3 // 4 + 5])
+    def test_growing_realloc_in_place_builds_no_zero_array_of_the_growth(self, start):
+        # a block grown in place to the whole budget, from a whole word and
+        # from a partial one, is extended by bounded zero chunks: no zero
+        # array of the growth sits beside it, so the traced peak stays
+        # within the sixteenth the array reserves past its size
+        import tracemalloc
+
+        last = start // 8 - 1
+        src = f"""
+            PUSH {start}
+            ALLOC
+            STOREL 0
+            LOADL 0
+            PUSH {last}
+            PUSH 0x0102030405060708
+            STORE
+            LOADL 0
+            PUSH {LIMITS.max_memory}
+            REALLOC
+            DUP
+            PUSH {last}
+            LOAD
+            OUTPUT_WORD
+            PUSH {LIMITS.max_memory // 8 - 1}
+            LOAD
+            OUTPUT_WORD
+            HALT
+        """
+        image = vm_load(assemble(src))
+        events = []
+        hooks = VmHooks(on_alloc=lambda n: events.append(n))
+        tracemalloc.start()
+        try:
+            res = vm_execute(image, b"", LIMITS, hooks=hooks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and res.output == corp.words(0x0102030405060708, 0)
+        assert events == [start, LIMITS.max_memory - start]
+        assert peak < LIMITS.max_memory * 17 // 16 + (1 << 19), peak
+
 
 def trace(execute, image, input_data, limits, costs):
     """Drive an interpreter generator as `vm_execute` does; log every yield
@@ -564,9 +608,12 @@ top:    PUSH 8
 
 # runs around each fused pattern: every pattern, k = 0, SUBs that wrap below
 # zero, a STOREL to another slot (not fused), a JMP tail, overlapping
-# candidates, and fib's values[i-k] over the block in local 4 that loads a
+# candidates, fib's values[i-k] over the block in local 4 that loads a
 # word, a bad handle, an index past the block, into its partial last word
-# and wrapped below zero; `out` is past the run
+# and wrapped below zero; in JOINED_RUNS, fib's values[i] = values[i-1] +
+# values[i-2] whose LOAD traps with the ADD and STORE after it inside the
+# run, and back edges into a loop test that exit at once, after a few
+# passes or never; `out` is past the run
 FUSED_RUNS = [
     "LOADL 1\nLOADL 2",
     "LOADL 1\nLOADL 2\nPUSH 7\nSUB",
@@ -590,61 +637,109 @@ FUSED_RUNS = [
     "LOADL 4\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nADD",
     "LOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nSTOREL 3\nJMP out",
 ]
+# runs around the patterns that join two runs or end in a STORE, each
+# entered over every stack of FUSED_STACKS
+JOINED_RUNS = [
+    "LOADL 1\nLOADL 2\nLOADL 4\nLOADL 1\nPUSH 1\nSUB\nLOAD",
+    "LOADL 4\nLOADL 1\nLOADL 3\nLOADL 2\nPUSH 0\nSUB\nLOAD",
+    "LOADL 2\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 4\nSUB\nLOAD\nADD\nSTORE",
+    "LOADL 4\nLOADL 1\nPUSH 1\nSUB\nLOAD\nADD\nSTORE",
+    "LOADL 4\nLOADL 2\nPUSH 2\nSUB\nLOAD\nADD\nSTORE",
+    "LOADL 3\nLOADL 1\nPUSH 1\nSUB\nLOAD\nADD\nSTORE",
+    "LOADL 4\nLOADL 1\nPUSH 7\nSUB\nLOAD\nADD\nSTORE\nLOADL 1",
+    "LOADL 4\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nLOADL 4\nLOADL 2\nPUSH 2\nSUB\nLOAD\nADD\nSTORE",
+    "top: LOADL 1\nLOADL 2\nGT\nJNZ out\nLOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP top",
+    "top: LOADL 3\nJZ out\nLOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP top",
+    "LOADL 1\nPUSH 7\nSUB\nSTOREL 1\nJMP t\nt: LOADL 2\nLOADL 1\nGT\nJNZ out\nPUSH 77",
+    "LOADL 2\nPUSH 3\nADD\nSTOREL 2\nJMP t\nt: LOADL 3\nJZ out\nPUSH 77",
+    "LOADL 3\nPUSH 1\nADD\nSTOREL 3\nJMP t\nPUSH 9\nt: LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out",
+]
+# the heads of the joined patterns, for a check that each is matched
+NEW_FUSED_OPS = {0x76, 0x77, 0x78, 0x79}
 # LOADL;LOADL;PUSH;SUB;LOAD, LOADL;LOADL;GT;JNZ (not taken), LOADL;JZ (not
-# taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL and LOADL;PUSH;SUB;STOREL;JMP
-# one after another, for locals 1-3 = (2, 5, 4)
+# taken), LOADL;LOADL then LOADL;LOADL;PUSH;SUB;LOAD, that with ADD;STORE,
+# the two back edges (not taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL and
+# LOADL;PUSH;SUB;STOREL;JMP one after another, for locals 1-3 = (2, 5, 4)
 FUSED_LINE = ("LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nLOADL 1\nLOADL 2\nGT\nJNZ out\n"
-              "LOADL 3\nJZ out\nLOADL 1\nLOADL 2\nADD\nLOADL 2\nPUSH 9\nADD\nSTOREL 2\n"
+              "LOADL 3\nJZ out\nLOADL 4\nLOADL 1\nLOADL 4\nLOADL 2\nPUSH 4\nSUB\nLOAD\n"
+              "LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nADD\nSTORE\n"
+              "LOADL 3\nPUSH 2\nADD\nSTOREL 3\nJMP t1\nt1: LOADL 1\nLOADL 2\nGT\nJNZ out\n"
+              "LOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP t2\nt2: LOADL 3\nJZ out\n"
+              "LOADL 1\nLOADL 2\nADD\nLOADL 2\nPUSH 9\nADD\nSTOREL 2\n"
               "LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out")
 # locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7
 # and SUB 9; l3 is no handle, l2 - 1 and l2 - 2 index the block's words with
 # l2 = 3 and lie past them with l2 = 5
 FUSED_LOCALS = [(9, 3, 0), (2, 5, 4)]
+SENTINEL = 12345
+# a step budget past every run of fused_programs that ends (the longest takes
+# 104 steps), for the loops that do not
+FUSED_LIMITS = VMLimits(max_steps=120)
+# the words under a run, bottom first: 0-3 of them, so that ADD and STORE
+# after a fused LOAD find too few words, a bad handle, the block in local 4
+# (handle 1) with an index inside it, and one past its whole words; with no
+# sentinel at the bottom the epilogue ends in an underflow
+FUSED_STACKS = [(), (SENTINEL,), (SENTINEL, 5), (SENTINEL, 5, 6), (1, 2, 7), (1, 3, 7)]
 
 
-def fused_program(run, values, entry):
+def fused_program(run, values, entry, stack=(SENTINEL, 5, 6)):
     """`run` entered at its `entry`-th instruction, after a prologue that puts
     a 28-byte block holding 100, 101, 102 and a 4-byte tail in local 4, sets
-    locals 1-3 to `values` and pushes a sentinel and two words, and before
-    an epilogue that outputs the locals and the stack down to the sentinel."""
+    locals 1-3 to `values` and pushes the words of `stack`, and before an
+    epilogue that outputs the locals and the stack down to the sentinel."""
     lines = run.splitlines()
     lines[entry] = "in: " + lines[entry]
     prologue = ["PUSH 28", "ALLOC", "STOREL 4"]
     prologue += [f"LOADL 4\nPUSH {i}\nPUSH {100 + i}\nSTORE" for i in range(3)]
     prologue += [f"PUSH {v}\nSTOREL {slot}" for slot, v in zip((1, 2, 3), values)]
-    prologue += ["PUSH 12345", "PUSH 5", "PUSH 6", "JMP in"]
+    prologue += [f"PUSH {word}" for word in stack] + ["JMP in"]
     epilogue = ["out: LOADL 1", "OUTPUT_WORD", "LOADL 2", "OUTPUT_WORD", "LOADL 3", "OUTPUT_WORD",
-                "drain: DUP", "PUSH 12345", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
+                "drain: DUP", f"PUSH {SENTINEL}", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
                 "done: HALT"]
     return vm_load(assemble("\n".join(prologue + lines + epilogue)))
 
 
 def fused_programs():
-    for run in FUSED_RUNS:
-        for values in FUSED_LOCALS:
-            for entry in range(len(run.splitlines())):
-                yield fused_program(run, values, entry)
+    for runs, stacks in ((FUSED_RUNS, [(SENTINEL, 5, 6)]), (JOINED_RUNS, FUSED_STACKS)):
+        for run in runs:
+            for values in FUSED_LOCALS:
+                for entry in range(len(run.splitlines())):
+                    for stack in stacks:
+                        yield fused_program(run, values, entry, stack)
 
 
 # a random valid program over the fused patterns' opcodes: single instructions
 # and whole patterns, slots from a small set so that patterns and their
-# near misses both occur, any jump target, HALT or JMP last, after a prologue
-# that allocates a block into local 0
+# near misses both occur, any jump target, a back edge into a loop test or a
+# jump into the next instruction, HALT or JMP last, after a prologue that
+# allocates a block into local 0; ("at", j) is the piece's j-th instruction
 _SLOTS = st.integers(0, 2)
 _WORDS = st.sampled_from([0, 1, 2, 7, WORD - 1]) | st.integers(0, WORD - 1)
+_ARITH = st.sampled_from(["ADD", "SUB"])
 _PIECES = st.one_of(
     st.tuples(st.sampled_from(["LOADL", "STOREL"]), _SLOTS),
     st.tuples(st.just("PUSH"), _WORDS),
-    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "LOAD", "HALT"])),
+    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "LOAD", "STORE", "HALT"])),
     st.tuples(st.sampled_from(["JNZ", "JZ", "JMP"]), st.integers(0, 10 ** 6)),
     st.builds(lambda a, b, k: (("LOADL", a), ("LOADL", b), ("PUSH", k), ("SUB",)), _SLOTS, _SLOTS, _WORDS),
-    st.builds(lambda a, k, op: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a)),
-              _SLOTS, _WORDS, st.sampled_from(["ADD", "SUB"])),
+    st.builds(lambda a, k, op: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a)), _SLOTS, _WORDS, _ARITH),
     st.builds(lambda a, b, t: (("LOADL", a), ("LOADL", b), ("GT",), ("JNZ", t)),
               _SLOTS, _SLOTS, st.integers(0, 10 ** 6)),
     st.builds(lambda a, t: (("LOADL", a), ("JZ", t)), _SLOTS, st.integers(0, 10 ** 6)),
     st.builds(lambda h, i, k: (("LOADL", h), ("LOADL", i), ("PUSH", k), ("SUB",), ("LOAD",)),
               _SLOTS, _SLOTS, _WORDS),
+    st.builds(lambda a, b, h, i, k: (("LOADL", a), ("LOADL", b), ("LOADL", h), ("LOADL", i), ("PUSH", k),
+                                     ("SUB",), ("LOAD",)), _SLOTS, _SLOTS, _SLOTS, _SLOTS, _WORDS),
+    st.builds(lambda h, i, k: (("LOADL", h), ("LOADL", i), ("PUSH", k), ("SUB",), ("LOAD",), ("ADD",),
+                               ("STORE",)), _SLOTS, _SLOTS, _WORDS),
+    st.builds(lambda a, k, op, c, d, t: (("LOADL", c), ("LOADL", d), ("GT",), ("JNZ", t), ("LOADL", a),
+                                         ("PUSH", k), (op,), ("STOREL", a), ("JMP", ("at", 0))),
+              _SLOTS, _WORDS, _ARITH, _SLOTS, _SLOTS, st.integers(0, 10 ** 6)),
+    st.builds(lambda a, k, op, c: (("LOADL", c), ("JZ", ("at", 7)), ("LOADL", a), ("PUSH", k), (op,),
+                                   ("STOREL", a), ("JMP", ("at", 0))), _SLOTS, _WORDS, _ARITH, _SLOTS),
+    st.builds(lambda a, k, op, c, t: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a), ("JMP", ("at", 5)),
+                                      ("LOADL", c), ("JZ", t)),
+              _SLOTS, _WORDS, _ARITH, _SLOTS, st.integers(0, 10 ** 6)),
 )
 
 
@@ -652,7 +747,11 @@ _PIECES = st.one_of(
 def fused_sources(draw):
     instrs = [("PUSH", draw(st.integers(0, 40))), ("ALLOC",), ("STOREL", 0)]
     for piece in draw(st.lists(_PIECES, min_size=1, max_size=12)):
-        instrs += piece if isinstance(piece[0], tuple) else [piece]
+        start = len(instrs)
+        for name, *operand in piece if isinstance(piece[0], tuple) else [piece]:
+            if operand and isinstance(operand[0], tuple):  # ("at", j)
+                operand = [start + operand[0][1]]
+            instrs.append((name, *operand))
     instrs.append(draw(st.sampled_from([("HALT",), ("JMP", 0)])))
     lines = []
     for name, *operand in instrs:
@@ -863,18 +962,46 @@ class TestReferenceVm:
         assert res.tag == hash_bytes(bytes(8) + b"\xff" * 4)
 
     def test_fused_runs(self, costs):
-        # every pattern entered at each of its instructions, under every step
-        # budget up to one past the whole run, so that a budget ends at each
-        # offset inside each fused run; a trap fires under every budget that
-        # reaches its instruction, and only there
+        # every pattern entered at each of its instructions, a joined one
+        # over 0-3 words and more, under every step budget up to one past
+        # the whole run, so that a budget ends at each offset inside each
+        # fused run; a trap fires under every budget that reaches its
+        # instruction, and only there
         reasons = set()
+        heads = set()
         for image in fused_programs():
-            full = self.check(image, b"", LIMITS, costs)
+            heads |= {op for op, _ in image.code}
+            full = self.check(image, b"", FUSED_LIMITS, costs)
             reasons.add(full.reason)
             for max_steps in range(1, full.steps + 2):
                 res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
                 assert res.reason == (full.reason if max_steps >= full.steps else "budget:steps")
-        assert reasons == {None, "fault:bad-handle", "fault:out-of-bounds"}
+        assert reasons == {None, "budget:steps", "fault:bad-handle", "fault:out-of-bounds",
+                           "fault:stack-underflow"}
+        assert NEW_FUSED_OPS <= heads
+
+    def test_load_trap_inside_a_fused_run(self, costs):
+        # fib's values[i] = ... with an index below zero: the LOAD traps at
+        # step 10 with the ADD and STORE of its run still ahead, with the
+        # budget ending at that LOAD or far past it, and over an empty stack
+        image = vm_load(assemble("PUSH 40\nALLOC\nSTOREL 1\nPUSH 0\nSTOREL 2\nLOADL 1\nLOADL 2\n"
+                                 "PUSH 9\nSUB\nLOAD\nADD\nSTORE\nHALT"))
+        assert image.code[5][0] == 0x77
+        for max_steps in (10, 11, 12, LIMITS.max_steps):
+            res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+            assert (res.reason, res.steps) == ("fault:out-of-bounds", 10)
+        for max_steps in range(1, 10):
+            res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+            assert (res.reason, res.steps) == ("budget:steps", max_steps)
+        # the same run over three words: the LOAD traps before the STORE
+        # would pop them, and with an index inside the block the STORE lands
+        lines = "PUSH 40\nALLOC\nSTOREL 1\nPUSH 1\nPUSH 2\nPUSH 3\nLOADL 1\nLOADL 2\nPUSH {k}\nSUB\nLOAD\nADD\nSTORE\n"
+        for k, reason, steps in ((9, "fault:out-of-bounds", 11), (0, None, 16)):
+            image = vm_load(assemble(lines.format(k=k) + "LOADL 1\nSET_TAG\nHALT"))
+            for max_steps in (steps - 1, steps, LIMITS.max_steps):
+                res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
+                assert (res.reason, res.steps) == (
+                    (reason, steps) if max_steps >= steps else ("budget:steps", max_steps))
 
     @given(source=fused_sources(), max_steps=st.integers(1, 300))
     @settings(max_examples=150, deadline=None)
@@ -888,10 +1015,10 @@ class TestReferenceVm:
             res = self.check(loop, b"", VMLimits(max_steps=max_steps), costs)
             assert res.reason == "budget:steps" and res.steps == max_steps
             self.check(fib, corp.fib_input(3), VMLimits(max_steps=max_steps), costs)
-        # the five fused patterns in a line, no jump taken but the last, so
-        # that some budget ends on every step of each
+        # the fused patterns in a line, no jump taken but the last, so that
+        # some budget ends on every step of each
         line = fused_program(FUSED_LINE, (2, 5, 4), 0)
-        assert {op for op, _ in line.code if op >= 0x70} == {0x70, 0x72, 0x73, 0x74, 0x75}
+        assert {op for op, _ in line.code if op >= 0x70} == {0x70, 0x72, 0x73, 0x74, 0x75} | NEW_FUSED_OPS
         full = self.check(line, b"", LIMITS, costs)
         assert full.ok
         for max_steps in range(1, full.steps + 1):
