@@ -29,7 +29,7 @@ instruction" expressible and keeps every run a pure function of its inputs.
 A kernel runs once: each actor is one record holding its identity, its program
 and its run state, and ``SimKernel.run`` consumes them.
 
-Cost follows observable events, not cycles or instructions, by four rules
+Cost follows observable events, not cycles or instructions, by five rules
 that leave every event at the same cycle and in the same order:
 
   * in a lean run, a ``Ticks`` instruction (the timer's whole steady-state
@@ -38,6 +38,11 @@ that leave every event at the same cycle and in the same order:
     residency and schedule events as one stop per period. A full trace takes
     every period one stop at a time, so the per-period path is the only code
     that logs a period;
+  * a ``Ticks`` instruction recovers in place: an abort of a period's
+    transaction restarts it at the next period start, and a period start
+    that finds the marker missing installs the ERESUME handler and waits for
+    the marker inside the instruction, so the timer's program resumes only
+    when ``proc`` is cleared, not per interrupt;
   * a stop costs only what it changes. One scan of the actors finds the next
     stop, and one pass completes the actors that finish there. A completion,
     an AEX, an ERESUME or a committed write *touches* the actors it
@@ -49,7 +54,8 @@ that leave every event at the same cycle and in the same order:
   * zero-cost work completes in place: once a pump runs an actor, one loop
     fetches from its program until it blocks, applying a zero-cost OP, READ,
     WRITE or TAS, a transaction instruction and a wait whose predicate holds
-    as soon as the program yields it and sending the result straight back.
+    as soon as the program yields it and sending the result straight back;
+    a zero-cost WRITE outside a transaction commits from that loop itself.
     This is exact because the kernel runs an actor that can make progress
     until it blocks before it looks at another one. For the same reason a
     program outside a transaction may read ``Cell.value`` directly rather
@@ -85,6 +91,11 @@ _WAITING = 1
 _STALLED = 2
 _INTERRUPTED = 3
 _DONE = 4
+
+# the next step of a Ticks instruction with no tick in flight: a period
+# start, the handler install after the rip is saved, or a look at the marker
+# after the install or the wait for the marker
+_PERIOD, _INSTALL, _AWAIT = range(3)
 
 _ZERO_COST_BUDGET = 200_000  # a pump takes fewer steps than this: guards against livelock
 _LIVELOCK = "zero-cost livelock (instruction budget exhausted)"
@@ -195,39 +206,6 @@ def HostStall(cost: int) -> Instr:
     return Instr(_STALL, cost=cost)
 
 
-class _TickLoop:
-    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "tick", "checks",
-                 "tx")
-
-    def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell,
-                 proc: Cell) -> None:
-        self.tau = tau
-        self.epsilon = epsilon
-        self.watch = watch
-        self.watched = frozenset((watch,))
-        self.counter = counter
-        self.mirror = mirror
-        self.proc = proc
-        self.tick = Op(tau, label="tick")
-        self.checks = Op(epsilon, label="checks") if epsilon else None
-        self.tx = _Tx(self.watched)  # a period's transaction: it buffers no writes
-
-
-def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell) -> Instr:
-    """Count ticks until a period start finds ``proc != 1`` or ``watch`` not
-    holding ``MARKER_VALUE``; then complete, delivering None.
-
-    Each period is the transaction "begin watching ``watch``, spend ``tau``
-    cycles (STEP tick), ``counter += 1``, commit", then, outside it, the
-    mirror copy ``mirror = counter`` and ``epsilon`` cycles of checks
-    (STEP checks). An abort of the transaction throws ``TxAborted`` into the
-    program, exactly as at any other instruction. In a lean run the kernel
-    commits whole periods in closed form between other actors' stops."""
-    if tau < 1:
-        raise KernelError("a tick lasts at least one cycle")
-    return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc))
-
-
 class EresumeHandler:
     """Value installed into ssa.rip: one instruction to run on the next
     ERESUME before the interrupted work continues. It runs outside the
@@ -242,6 +220,66 @@ class EresumeHandler:
 
     def __repr__(self) -> str:
         return "<eresume-handler>"
+
+
+class _TickLoop:
+    """The fields of one ``Ticks`` instruction: its period (the tick and the
+    checks, built once) and its recovery (the handler install, built on
+    first use, and the wait for the marker). The run state lives on the
+    actor, so the instruction can be yielded again."""
+
+    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "rip", "saved_rip",
+                 "handler", "install", "tick", "checks", "tx")
+
+    def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell,
+                 rip: Cell, saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> None:
+        self.tau = tau
+        self.epsilon = epsilon
+        self.watch = watch
+        self.watched = frozenset((watch,))
+        self.counter = counter
+        self.mirror = mirror
+        self.proc = proc
+        self.rip = rip
+        self.saved_rip = saved_rip
+        self.handler = handler
+        self.install: Instr | None = None  # the handler install, built on first use
+        self.tick = Op(tau, label="tick")
+        self.checks = Op(epsilon, label="checks") if epsilon else None
+        self.tx = _Tx(self.watched)  # a period's transaction: it buffers no writes
+
+    def marker_back(self) -> bool:
+        """The recovery's wait: the marker is back, the run paused or the
+        handler was lost."""
+        return (self.watch.value == MARKER_VALUE or self.proc.value != 1
+                or not isinstance(self.rip.value, EresumeHandler))
+
+
+def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell, rip: Cell,
+          saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> Instr:
+    """Count ticks until a period start finds ``proc != 1``; then complete,
+    delivering None.
+
+    Each period is the transaction "begin watching ``watch``, spend ``tau``
+    cycles (STEP tick), ``counter += 1``, commit", then, outside it, the
+    mirror copy ``mirror = counter`` and ``epsilon`` cycles of checks
+    (STEP checks). An abort of the transaction (a conflict, or the actor's
+    own AEX) throws nothing: the instruction goes on at its next period
+    start.
+
+    A period start that finds ``watch`` not holding ``MARKER_VALUE`` opens
+    and at once aborts the transaction (TX_BEGIN, TX_ABORT marker-missing)
+    and recovers inside the instruction: if ``rip`` holds no
+    ``EresumeHandler``, it saves that rip into ``saved_rip`` and installs
+    ``handler()`` into ``rip``, 1 cycle each; then it waits until the marker
+    is back, ``proc != 1`` or ``rip`` lost the handler, and goes on at a
+    period start, or installs again. The install and the handler are built
+    on first use. In a lean run the kernel commits whole periods in closed
+    form between other actors' stops."""
+    if tau < 1:
+        raise KernelError("a tick lasts at least one cycle")
+    return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip,
+                                         handler))
 
 
 @dataclass(frozen=True)
@@ -337,7 +375,7 @@ class Actor:
 
     __slots__ = (
         "name", "ssa", "touched", "gen", "state", "instr", "finish_at", "frozen", "tx",
-        "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
+        "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks", "recovery",
     )
 
     def __init__(self, name: str, ssa: _SSA) -> None:
@@ -358,6 +396,7 @@ class Actor:
         self.resident = 0
         self.result: Any = None
         self.ticks: _TickLoop | None = None  # the Ticks instruction in progress
+        self.recovery = _PERIOD  # the Ticks step after the work in flight or the wait
 
     def set_program(self, gen: Generator) -> None:
         self.gen = gen
@@ -411,9 +450,11 @@ class SimKernel:
                 actor.touched = self._touched = True
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
+        """Abort the actor's transaction: a program's throws ``TxAborted``
+        into it, a Ticks period's goes on at the next period start."""
         actor.tx = None
-        actor.ticks = None
-        actor.pending_abort = TxAborted(cause)
+        if actor.ticks is None:
+            actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
         # squash in-flight or frozen body work; cycles consumed stay consumed
@@ -490,12 +531,14 @@ class SimKernel:
         AEX cuts it and interrupts the actor, an ERESUME starts none, and a
         write cuts only the work of a transaction it aborts.
 
-        Each step charges the budget one: a program resume, a Ticks period
-        step or a zero-cost ERESUME handler. Zero-cost work completes in
-        place: a zero-cost OP, READ, WRITE or TAS is applied as soon as the
-        program yields it, and so are the transaction kinds and a wait whose
-        predicate holds; the result goes straight back into the program,
-        since the pump would run this same actor next anyway."""
+        Each step charges the budget one: a program resume, a Ticks step
+        (a period or its recovery) or a zero-cost ERESUME handler. Zero-cost
+        work completes in place: a zero-cost OP, READ, WRITE or TAS is
+        applied as soon as the program yields it (a WRITE outside a
+        transaction commits here, without ``_apply``), and so are the
+        transaction kinds and a wait whose predicate holds; the result goes
+        straight back into the program, since the pump would run this same
+        actor next anyway."""
         while True:
             if budget <= 0:
                 raise KernelError(_LIVELOCK)
@@ -553,6 +596,10 @@ class SimKernel:
                 if instr.cost:
                     self._start(actor, instr, instr.cost)
                     return budget
+                if kind == _WRITE and actor.tx is None:
+                    self._commit_write(actor, instr.cell, instr.value)
+                    value = None
+                    continue
                 value = self._apply(actor, instr)
                 continue
             value = None
@@ -607,16 +654,43 @@ class SimKernel:
 
     def _period_start(self, actor: Actor) -> None:
         loop = actor.ticks
-        if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
+        if loop.proc.value != 1:
             actor.ticks = None  # completes: the program takes over
             return
-        actor.tx = loop.tx
+        if loop.watch.value == MARKER_VALUE:
+            actor.tx = loop.tx
+            if self._full_trace:
+                self._log(actor.name, "TX_BEGIN", "watch=1")
+            self._start(actor, loop.tick, loop.tau)
+            return
+        # the marker is gone: the worker was interrupted, and the period's
+        # transaction aborts at once
         if self._full_trace:
             self._log(actor.name, "TX_BEGIN", "watch=1")
-        self._start(actor, loop.tick, loop.tau)
+            self._log(actor.name, "TX_ABORT", "marker-missing")
+        self._recover(actor)
+
+    def _recover(self, actor: Actor) -> None:
+        """With the marker missing and ``proc == 1``: install the handler if
+        the rip holds none (re-installing if a later spill clobbered it),
+        else wait for the marker to come back."""
+        loop = actor.ticks
+        rip = loop.rip.value
+        if not isinstance(rip, EresumeHandler):
+            actor.recovery = _INSTALL
+            self._start(actor, WriteCell(loop.saved_rip, rip, cost=1), 1)
+            return
+        # the wait's predicate is false here: the marker is missing, proc is
+        # 1 and the rip holds the handler
+        actor.recovery = _AWAIT
+        actor.wait_pred = loop.marker_back
+        actor.state = _WAITING
+        if self._full_trace:
+            self._log(actor.name, "WAIT_BEGIN")
 
     def _period_step(self, actor: Actor) -> None:
-        """Continue a Ticks instruction after its tick or its checks ended."""
+        """Continue a Ticks instruction after its tick, its checks, an abort,
+        a recovery write or the wait for the marker ended."""
         loop = actor.ticks
         if actor.tx is not None:
             # the tick ended: commit it, mirror the count outside the
@@ -630,6 +704,17 @@ class SimKernel:
             if loop.checks is not None:
                 self._start(actor, loop.checks, loop.epsilon)
                 return
+        elif actor.recovery == _INSTALL:
+            actor.recovery = _AWAIT
+            if loop.install is None:
+                loop.install = WriteCell(loop.rip, loop.handler(), cost=1)
+            self._start(actor, loop.install, 1)
+            return
+        elif actor.recovery == _AWAIT:
+            if loop.watch.value != MARKER_VALUE and loop.proc.value == 1:
+                self._recover(actor)  # still missing: wait, or install again
+                return
+            actor.recovery = _PERIOD
         self._period_start(actor)
 
     def _may_skip(self, actor: Actor) -> bool:

@@ -13,8 +13,9 @@ tick) and spends ``epsilon`` cycles on bookkeeping; shrinking tau therefore
 raises the fraction of time lost to bookkeeping and increases under-reporting.
 That steady-state loop is one kernel ``Ticks`` instruction, which the kernel
 advances in closed form between observable events in a lean run (a full
-trace takes it period by period); the timer program handles
-only aborts, OCALL pauses, the missing marker and the end of the run.
+trace takes it period by period). The instruction also recovers from aborts
+and from a missing marker; the timer program handles only OCALL pauses and
+the end of the run.
 
 Memory is accounted by instrumented alloc/realloc/free with the update rule:
   dt = t_now - t_mem;  m_int += dt * m_cur;  m_cur += delta;  t_mem = t_now;
@@ -34,16 +35,12 @@ from .kernel import (
     Cell,
     EresumeHandler,
     HostStall,
-    Instr,
     Op,
     ScheduleEvent,
     SimKernel,
     SimTrace,
     TestAndSet,
     Ticks,
-    TxAbort,
-    TxAborted,
-    TxBegin,
     WaitUntil,
     WriteCell,
 )
@@ -146,45 +143,31 @@ def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
     return EresumeHandler(WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cost))
 
 
-def _marker_path(cfg: MeterConfig, ts: TimerState, worker_ssa) -> tuple[Instr, Instr, Instr, Instr]:
-    """The timer's instructions for a missing marker: the bracketed abort,
-    the handler install and the wait for the marker to come back."""
-    return (
-        TxBegin((worker_ssa.marker,)),
-        TxAbort("marker-missing"),
-        WriteCell(worker_ssa.rip, make_eresume_handler(worker_ssa, cfg.handler_cost), cost=1),
-        WaitUntil(
-            lambda: worker_ssa.marker.value == MARKER_VALUE
-            or ts.proc.value != 1
-            or ts.run_done.value == 1
-            or not isinstance(worker_ssa.rip.value, EresumeHandler)
-        ),
-    )
-
-
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     """The timing thread. One timer counts at a time (enclave-wide mutex).
     Its steady state is one ``Ticks`` instruction: ticks inside transactions
     watching the worker's SSA marker, which the kernel advances in closed
-    form between observable events. The program takes over only on an abort
-    or at a period start that cannot tick (an OCALL pause, the end of the
-    run, or a missing marker).
+    form between observable events. The instruction also owns the recovery
+    from every abort: a period's transaction aborted by the timer's own
+    interrupt or by a write to the marker restarts at the next period start,
+    and a missing marker is handled there, by installing the ERESUME handler
+    (re-installing if a later spill clobbered it, and saving the rip it
+    replaces into ``original_rip``) and waiting for the marker to come back.
+    The program takes over only at a period start that finds ``proc``
+    cleared: an OCALL pause or the end of the run.
 
     The program yields only work the kernel must order: costed work,
-    writes, transactions and waits. It runs outside any transaction
-    whenever it looks at a cell, so it reads ``Cell.value`` directly; a
-    zero-cost READ would complete in place with the same value and leave no
-    event. Every instruction whose fields are fixed is built at most once:
-    the steady state's before the first yield, and the wait for a held
-    mutex, the wait out of an OCALL pause and the missing-marker path's on
-    first use, since a run without a second timer, OCALLs or interrupts
-    never yields them. An instruction carries no run state, so it can be
-    yielded again. Only the ``original_rip`` write, which saves the rip it
-    finds, is built per handler install."""
-    ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal,
-                  mirror=ts.t, proc=ts.proc)
+    writes and waits. It reads ``Cell.value`` directly; a zero-cost READ
+    would complete in place with the same value and leave no event. Every
+    instruction is built at most once: the steady state's before the first
+    yield, and the wait for a held mutex and the wait out of an OCALL pause
+    on first use, since a run without a second timer or OCALLs never yields
+    them. An instruction carries no run state, so it can be yielded again."""
+    ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal, mirror=ts.t,
+                  proc=ts.proc, rip=worker_ssa.rip, saved_rip=ts.original_rip,
+                  handler=lambda: make_eresume_handler(worker_ssa, cfg.handler_cost))
     take_mutex = TestAndSet(ts.mutex, cost=1)
-    resumed_or_done = marker_back = None
+    resumed_or_done = None
 
     prior = yield take_mutex
     if prior != 0:
@@ -196,44 +179,17 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     yield WaitUntil(lambda: ts.started.value == 1)
 
     while True:
-        # a Ticks instruction whose first period start fails completes at
-        # once and logs nothing, so the program yields it only when that
-        # start can pass
-        if ts.proc.value == 1 and worker_ssa.marker.value == MARKER_VALUE:
-            try:
-                yield ticks
-            except TxAborted:
-                # own interrupt, or the marker cell changed under us: just
-                # retry; the next period start sorts out which it was
-                continue
-
-        if ts.proc.value != 1:
-            if ts.run_done.value:
-                break
-            # OCALL pause: wait for the worker to come back, or for the end
-            if resumed_or_done is None:
-                resumed_or_done = WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
-            yield resumed_or_done
-            continue
-
-        # marker is gone: the worker was interrupted. The tick's transaction
-        # aborts at once; install the ERESUME handler (re-installing if a
-        # later spill clobbered it) and wait for the marker to come back.
-        if marker_back is None:
-            watch_marker, marker_missing, install_handler, marker_back = _marker_path(cfg, ts, worker_ssa)
-        try:
-            yield watch_marker
-            yield marker_missing
-        except TxAborted:
-            pass
-        while worker_ssa.marker.value != MARKER_VALUE:
-            if ts.proc.value != 1 or ts.run_done.value:
-                break
-            rip = worker_ssa.rip.value
-            if not isinstance(rip, EresumeHandler):
-                yield WriteCell(ts.original_rip, rip, cost=1)
-                yield install_handler
-            yield marker_back
+        # a Ticks instruction whose first period start finds proc cleared
+        # completes at once and logs nothing, so the program yields it only
+        # when proc is set
+        if ts.proc.value == 1:
+            yield ticks
+        if ts.run_done.value:
+            break
+        # OCALL pause: wait for the worker to come back, or for the end
+        if resumed_or_done is None:
+            resumed_or_done = WaitUntil(lambda: ts.proc.value == 1 or ts.run_done.value == 1)
+        yield resumed_or_done
 
     yield WriteCell(ts.mutex, 0)
     return ts.internal.value

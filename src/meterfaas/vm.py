@@ -80,12 +80,12 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
            for arg in ((None,) if imm is None else range(LOCAL_SLOTS) if imm == "slot" else ())}
 
 # Superinstructions: opcodes past the real ones that the loader puts in place
-# of a LOADL starting one of these runs. No run holds a HALT, heap or network
-# op, so fusing one changes no yield. The patterns come from dynamic n-gram
-# counts over the corpus and the fuzz programs; fib's 23-instruction loop
-# is three of them. Every entry's argument is (n, after, a, b, k, c, d, t):
-# the run's steps, the pc once it is done, the slots of its first LOADL or
-# two, its constant, the slots of its second part, and the target of its
+# of a LOADL or PUSH starting one of these runs. No run holds a HALT, heap or
+# network op, so fusing one changes no yield. The patterns come from dynamic
+# n-gram counts over the corpus and the fuzz programs; fib's 23-instruction
+# loop is three of them. Every entry's argument is (n, after, a, b, k, c, d,
+# t): the run's steps, the pc once it is done, the slots of its first LOADL
+# or two, its constant, the slots of its second part, and the target of its
 # conditional jump, None where unused.
 _LL = 0x70  # LOADL a; LOADL b
 _LPAS = 0x72  # LOADL a; PUSH x; ADD|SUB; STOREL a [; JMP after]; k is x for ADD, 2^64 - x mod 2^64 for SUB
@@ -96,6 +96,10 @@ _LL_LLPSL = 0x76  # LOADL a; LOADL b; then _LLPSL over c, d: only the LOAD, last
 _LLPSL_AS = 0x77  # _LLPSL; ADD; STORE: fib's values[i] = sum; the LOAD may trap mid-run
 _LPAS_LLGJ = 0x78  # _LPAS with its JMP, then the _LLGJ over c, d at its target: a loop's back edge
 _LPAS_LJZ = 0x79  # _LPAS with its JMP, then the _LJZ over c at its target
+_NOEFFECT = 0x7A  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP: pc += n and nothing else
+# a no-effect run depends only on its length, so one entry per length serves
+# every position of every image; its `after` is None
+_NOEFFECT_RUNS = {n: (_NOEFFECT, (n, None, None, None, None, None, None, None)) for n in (2, 4)}
 
 
 class LoadError(ValueError):
@@ -209,7 +213,7 @@ def vm_load(data: bytes) -> FunctionImage:
         raise LoadError(f"code length field {code_len} does not match {len(code)} bytes", 9)
 
     program: list[tuple[int, int | None]] = []
-    heads: list[int] = []  # index of each LOADL, where a fused pattern may start
+    heads: list[int] = []  # index of each LOADL and PUSH, where a fused pattern may start
     pos = 0
     while pos < len(code):
         op = code[pos]
@@ -223,11 +227,10 @@ def vm_load(data: bytes) -> FunctionImage:
             if pos + width > len(code):
                 raise LoadError(f"truncated {what}", 13 + pos)
             arg = int.from_bytes(code[pos : pos + width], "little")
-            if imm == "slot":
-                if arg >= LOCAL_SLOTS:
-                    raise LoadError(f"slot {arg} out of range", 13 + pos)
-                if op == 0x60:  # LOADL
-                    heads.append(len(program))
+            if imm == "slot" and arg >= LOCAL_SLOTS:
+                raise LoadError(f"slot {arg} out of range", 13 + pos)
+            if op == 0x60 or op == 0x01:  # LOADL, PUSH
+                heads.append(len(program))
             pos += width
         instr = (op, arg)
         program.append(_SHARED.get(instr, instr))
@@ -265,14 +268,15 @@ def _offset(code: bytes, index: int) -> int:
 
 
 def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
-    """``program`` with the longest fused run that starts at each LOADL in
-    ``heads`` put in that LOADL's place, as ``(op, (n, after, a, b, k, c, d,
-    t))`` (see ``_LL`` ... ``_LPAS_LJZ``). Every index is matched on its own
+    """``program`` with the longest fused run that starts at each LOADL or
+    PUSH in ``heads`` put in its place, as ``(op, (n, after, a, b, k, c, d,
+    t))`` (see ``_LL`` ... ``_NOEFFECT``). Every index is matched on its own
     and every other entry keeps its instruction, so no jump target moves and
     a jump into the middle of a run executes whatever starts there. A first
     pass matches the runs of adjacent instructions; a second joins a
     LOADL pair to the ``_LLPSL`` two instructions on, and an ``_LPAS`` that
-    ends in a JMP to the ``_LLGJ`` or ``_LJZ`` at the JMP's target. No run
+    ends in a JMP to the ``_LLGJ`` or ``_LJZ`` at the JMP's target. A PUSH
+    heads only a no-effect run, the shared entry of its length. No run
     holds a HALT, heap or network op, and only a LOAD or STORE of one may
     trap: the last instruction of ``_LLPSL``, ``_LL_LLPSL`` and
     ``_LLPSL_AS``, and the LOAD five steps into ``_LLPSL_AS``."""
@@ -280,11 +284,18 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
     joins: list[int] = []  # the _LL and _LPAS;JMP entries, which a second run may extend
     n = len(program)
     for i in heads:
-        a = program[i][1]
-        op1, x1 = program[i + 1]  # a LOADL is never last: the loader wants HALT or JMP there
+        op0, a = program[i]
+        op1, x1 = program[i + 1]  # a LOADL or PUSH is never last: the loader wants HALT or JMP there
         op2, x2 = program[i + 2] if i + 2 < n else (None, None)
         op3, x3 = program[i + 3] if i + 3 < n else (None, None)
-        if op1 == 0x60:  # LOADL a; LOADL b
+        if op0 == 0x01:  # PUSH x
+            if op1 == 0x02:  # POP
+                entry = _NOEFFECT_RUNS[2]
+            elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11 or op2 == 0x12) and op3 == 0x02:
+                entry = _NOEFFECT_RUNS[4]  # PUSH y; ADD|SUB|MUL; POP
+            else:
+                continue
+        elif op1 == 0x60:  # LOADL a; LOADL b
             if op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33:  # PUSH k; SUB; LOAD
                 if program[i + 5][0] == 0x10 and program[i + 6][0] == 0x34:  # ADD; STORE: neither LOAD nor ADD is last
                     entry = (_LLPSL_AS, (7, i + 7, a, x1, x2, None, None, None))
@@ -372,17 +383,19 @@ def execute_steps(
 
     The loop dispatches on ``image.code``, where the loader has put a
     superinstruction ``(op, (n, after, a, b, k, c, d, t))`` at each LOADL
-    that starts one of the nine fused runs (see ``_fuse``). A fused run
-    holds no HALT, heap or network op, so it changes no yield. One rule runs
-    every fused run: if its ``n`` steps fit the step budget, which is the
-    run's only budget test, and (for ``_LLPSL_AS``) the stack holds the 3
-    words its ADD and STORE pop past the LOAD's, it counts its steps, sets
-    ``pc = after`` (``t`` for a taken JZ or JNZ) and does its work;
-    otherwise its LOADL runs alone, as the program's own instruction, and
-    the next entry is dispatched as any other. A fused run may trap only at
-    its last instruction, after all its steps are counted, or at the LOAD
-    of ``_LLPSL_AS``, which counts the 5 steps up to it, so the trap flush
-    charges what the instructions one at a time would. Every other entry is
+    or PUSH that starts one of the eleven fused runs (see ``_fuse``). A
+    fused run holds no HALT, heap or network op, so it changes no yield. One
+    rule runs every fused run: if its ``n`` steps fit the step budget, which
+    is the run's only budget test, and (for ``_LLPSL_AS``) the stack holds
+    the 3 words its ADD and STORE pop past the LOAD's, it counts its steps,
+    sets ``pc = after`` (``t`` for a taken JZ or JNZ; ``pc + n`` for a
+    no-effect run, whose shared entry has no ``after``) and does its work;
+    otherwise its LOADL or PUSH runs alone, as the program's own
+    instruction, and the next entry is dispatched as any other. A fused run
+    may trap only at its last instruction, after all its steps are counted,
+    or at the LOAD of ``_LLPSL_AS``, which counts the 5 steps up to it, so
+    the trap flush charges what the instructions one at a time would. A
+    no-effect run never traps. Every other entry is
     the program's own instruction and no jump target moves, so a jump into
     the middle of a run executes whatever starts there. Returns the
     VMResult."""
@@ -418,7 +431,7 @@ def execute_steps(
     try:
         while True:
             op, arg = code[pc]
-            if op >= 0x70:  # a fused run: whole if it fits, else its LOADL alone
+            if op >= 0x70:  # a fused run: whole if it fits, else its LOADL or PUSH alone
                 n, after, a, b, k, c, d, t = arg
                 if steps + n <= max_steps:
                     if op == 0x77:  # LOADL a; LOADL b; PUSH k; SUB; LOAD; ADD; STORE
@@ -441,6 +454,9 @@ def execute_steps(
                             continue
                     else:
                         steps += n  # only the last step of these may trap
+                        if op == 0x7A:  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP
+                            pc += n
+                            continue
                         pc = after
                         if op == 0x78:  # LOADL a; PUSH k; ADD|SUB; STOREL a; JMP; LOADL c; LOADL d; GT; JNZ t
                             locals_[a] = (locals_[a] + k) % WORD
@@ -480,7 +496,7 @@ def execute_steps(
                             push(locals_[a])
                             push(locals_[b])
                         continue
-                op, arg = program[pc]  # the run's LOADL alone, as the program's own instruction
+                op, arg = program[pc]  # the run's LOADL or PUSH alone, as the program's own instruction
             if steps >= max_steps:
                 raise _Trap("budget:steps")
             steps += 1

@@ -4,6 +4,7 @@ import pytest
 
 from meterfaas.kernel import (
     MARKER_VALUE,
+    RIP_NEXT,
     SPILL_VALUE,
     Cell,
     EresumeHandler,
@@ -391,8 +392,7 @@ class TestTransactions:
             kern.run([], 1000)
 
     @pytest.mark.parametrize("make,message", [
-        (lambda c: Ticks(3, 0, c, Cell("counter", 0), Cell("mirror", 0), Cell("proc", 1)),
-         "txer: ticks inside transaction"),
+        (lambda c: Ticks(3, 0, **tick_cells(c)), "txer: ticks inside transaction"),
         (lambda c: HostStall(4), "txer: ocall stall inside transaction"),
         (lambda c: WaitUntil(lambda: True), "txer: wait inside transaction"),
     ])
@@ -643,48 +643,71 @@ class TestScheduleValidation:
             kern.run([ScheduleEvent("os", interrupt_at, interrupt_at + 5)], 10_000)
 
 
-def spelled_ticks(tau, epsilon, watch, counter, mirror, proc):
-    """The Ticks instruction spelled in primitive instructions."""
+def tick_cells(watch):
+    """The cells of a Ticks instruction that watches ``watch``, with a
+    recovery that installs a 2-cycle handler restoring it."""
+    return dict(watch=watch, counter=Cell("counter", 0), mirror=Cell("mirror", 0), proc=Cell("proc", 1),
+                rip=Cell("rip", RIP_NEXT), saved_rip=Cell("saved_rip", None),
+                handler=lambda: EresumeHandler(WriteCell(watch, MARKER_VALUE, cost=2)))
+
+
+def spelled_ticks(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip, handler):
+    """The Ticks instruction spelled in primitive instructions: an abort
+    restarts at the next period start, and a missing marker is recovered
+    there."""
+    install = None
     while True:
         if (yield ReadCell(proc)) != 1:
             return
-        yield TxBegin((watch,))
-        if (yield ReadCell(watch)) != MARKER_VALUE:
-            yield TxAbort("marker-missing")
-        yield Op(tau, label="tick")
-        count = yield ReadCell(counter)
-        yield WriteCell(counter, count + 1)
-        yield TxEnd()
+        try:
+            yield TxBegin((watch,))
+            if (yield ReadCell(watch)) != MARKER_VALUE:
+                yield TxAbort("marker-missing")
+            yield Op(tau, label="tick")
+            count = yield ReadCell(counter)
+            yield WriteCell(counter, count + 1)
+            yield TxEnd()
+        except TxAborted as abort:
+            if abort.cause != "marker-missing":
+                continue
+            while (yield ReadCell(watch)) != MARKER_VALUE and (yield ReadCell(proc)) == 1:
+                found = yield ReadCell(rip)
+                if not isinstance(found, EresumeHandler):
+                    yield WriteCell(saved_rip, found, cost=1)
+                    install = install or WriteCell(rip, handler(), cost=1)
+                    yield install
+                yield WaitUntil(lambda: watch.value == MARKER_VALUE or proc.value != 1
+                                or not isinstance(rip.value, EresumeHandler))
+            continue
         yield WriteCell(mirror, count + 1)
         if epsilon:
             yield Op(epsilon, label="checks")
+
+
+def tick_aborts(trace, actor):
+    """The causes of the actor's aborted transactions; only a full trace
+    logs them."""
+    return [d for (c, a, k, d) in trace.events if a == actor and k == "TX_ABORT"]
 
 
 class TestTicks:
     @staticmethod
     def run_ticks(spelled, schedule=(), full=True):
         """A ticker (tau=3, epsilon=2) and a watcher that stops it once the
-        mirror reaches 4."""
+        mirror reaches 4. The ticker's result is its count and the causes of
+        its aborts."""
         kern = SimKernel()
         ticker = kern.add_enclave_actor("ticker")
         watcher = kern.add_enclave_actor("watcher")
-        watch = Cell("watch", MARKER_VALUE)
-        counter = Cell("counter", 0)
-        mirror = Cell("mirror", 0)
-        proc = Cell("proc", 1)
-        cells = dict(watch=watch, counter=counter, mirror=mirror, proc=proc)
+        cells = tick_cells(Cell("watch", MARKER_VALUE))
+        counter, mirror, proc = cells["counter"], cells["mirror"], cells["proc"]
 
         def ticker_program():
-            aborts = []
-            while True:
-                try:
-                    if spelled:
-                        yield from spelled_ticks(3, 2, **cells)
-                    else:
-                        yield Ticks(3, 2, **cells)
-                    return counter.value, aborts
-                except TxAborted as exc:
-                    aborts.append(exc.cause)
+            if spelled:
+                yield from spelled_ticks(3, 2, **cells)
+            else:
+                yield Ticks(3, 2, **cells)
+            return counter.value
 
         def watcher_program():
             yield WaitUntil(lambda: mirror.value >= 4)
@@ -693,7 +716,9 @@ class TestTicks:
 
         ticker.set_program(ticker_program())
         watcher.set_program(watcher_program())
-        return kern.run(list(schedule), 10_000, full_trace=full)
+        trace = kern.run(list(schedule), 10_000, full_trace=full)
+        trace.results["ticker"] = (trace.results["ticker"], tick_aborts(trace, "ticker"))
+        return trace
 
     def assert_lean_matches_spelled(self, schedule=()):
         """In a lean run the kernel may commit periods in closed form; the
@@ -730,6 +755,57 @@ class TestTicks:
         assert lean.events == [e for e in ticks.events if e[2] in ("AEX", "AEX_SKIPPED", "ERESUME")]
 
     @staticmethod
+    def run_recovery(spelled, schedule, full):
+        """A ticker (tau=4, epsilon=1) watching a worker's SSA marker, whose
+        recovery installs the handler into the worker's rip, and a worker
+        that sets its marker, runs 60 one-cycle steps and then stops the
+        ticker."""
+        kern = SimKernel()
+        worker = kern.add_enclave_actor("worker")
+        ticker = kern.add_enclave_actor("ticker")
+        cells = tick_cells(worker.ssa.marker)
+        cells["rip"] = worker.ssa.rip
+
+        def ticker_program():
+            if spelled:
+                yield from spelled_ticks(4, 1, **cells)
+            else:
+                yield Ticks(4, 1, **cells)
+            return cells["counter"].value, cells["saved_rip"].value
+
+        def worker_program():
+            yield WriteCell(worker.ssa.marker, MARKER_VALUE)
+            for _ in range(60):
+                yield Op(1)
+            yield WriteCell(cells["proc"], 0)
+
+        worker.set_program(worker_program())
+        ticker.set_program(ticker_program())
+        return kern.run(schedule, 10_000, full_trace=full)
+
+    @pytest.mark.parametrize("schedule, installs", [
+        ([ScheduleEvent("worker", 7, 9)], 1),
+        # an AEX inside the handler clobbers it, one lands while the ticker
+        # saves the rip, and an AEX in the handler's last cycle resumes
+        # without it: each clobbered handler is installed again
+        ([ScheduleEvent("worker", 7, 9), ScheduleEvent("worker", 10, 12), ScheduleEvent("worker", 20, 20),
+          ScheduleEvent("ticker", 21, 23), ScheduleEvent("worker", 23, 30), ScheduleEvent("worker", 31, 31)],
+         4),
+    ], ids=["one", "clobbered"])
+    def test_missing_marker_matches_the_spelled_loop(self, schedule, installs):
+        # the recovery runs inside the instruction, with the events, cycles
+        # and residency of the spelled loop's recovery
+        for full in (True, False):
+            ticks = self.run_recovery(False, schedule, full)
+            spelled = self.run_recovery(True, schedule, full)
+            assert ticks.export_text() == spelled.export_text()
+            assert ticks.results == spelled.results
+        full = self.run_recovery(False, schedule, True)
+        saves = [c for (c, a, k, d) in full.events if k == "WRITE" and d.startswith("saved_rip=")]
+        assert len(saves) == installs
+        assert {"conflict", "marker-missing"} <= set(tick_aborts(full, "ticker"))
+
+    @staticmethod
     def run_mirror_watcher(full):
         """A ticker (tau=10), a watcher whose transaction watches the mirror
         for 1000 cycles, and a writer that stops the ticker at 2000."""
@@ -737,13 +813,11 @@ class TestTicks:
         timer = kern.add_enclave_actor("timer")
         watcher = kern.add_enclave_actor("watcher")
         writer = kern.add_enclave_actor("writer")
-        watch = Cell("watch", MARKER_VALUE)
-        counter = Cell("counter", 0)
-        mirror = Cell("mirror", 0)
-        proc = Cell("proc", 1)
+        cells = tick_cells(Cell("watch", MARKER_VALUE))
+        counter, mirror, proc = cells["counter"], cells["mirror"], cells["proc"]
 
         def timer_program():
-            yield Ticks(10, 0, watch=watch, counter=counter, mirror=mirror, proc=proc)
+            yield Ticks(10, 0, **cells)
             return counter.value
 
         def watcher_program():
@@ -775,9 +849,8 @@ class TestTicks:
         assert aborts == [(10, "conflict")]
 
     def test_tick_shorter_than_a_cycle_rejected(self):
-        cell = Cell("c", 0)
         with pytest.raises(KernelError):
-            Ticks(0, 0, watch=cell, counter=cell, mirror=cell, proc=cell)
+            Ticks(0, 0, **tick_cells(Cell("c", 0)))
 
 
 class TestResidentOracleAgreement:

@@ -652,70 +652,65 @@ class TestReferenceTimer:
         cfg = MeterConfig(tau=tau, epsilon=epsilon, net_delay=200)
         self.check(monkeypatch, IMAGES["known_network"], corp.known_network_input(700, 300), LIMITS, cfg)
 
-    def test_timer_program_resumes_a_constant_number_of_times(self, monkeypatch):
-        # 46k ticks at tau=1 are committed by the kernel, not by the program:
-        # a timer that loses the closed-form advance resumes ~9 times a tick
-        real = metering.timer_program
-        resumes = 0
-
-        def counted(*args):
-            nonlocal resumes
+    @staticmethod
+    def proxied(real, around):
+        """``real`` as a program whose every resume runs as ``around(resume)``:
+        ``around`` calls ``resume()`` once and returns the instruction it
+        gives."""
+        def program(*args):
             gen = real(*args)
             send, throw = None, None
             while True:
-                resumes += 1
                 try:
-                    instr = gen.send(send) if throw is None else gen.throw(throw)
+                    instr = around(lambda: gen.send(send) if throw is None else gen.throw(throw))
                 except StopIteration as stop:
                     return stop.value
                 try:
                     send, throw = (yield instr), None
                 except TxAborted as exc:
                     send, throw = None, exc
+        return program
 
-        monkeypatch.setattr(metering, "timer_program", counted)
+    def test_timer_program_resumes_a_constant_number_of_times(self, monkeypatch):
+        # 46k ticks at tau=1 are committed by the kernel, not by the program:
+        # a timer that loses the closed-form advance resumes ~9 times a tick.
+        # Every abort and every missing marker is recovered inside Ticks: a
+        # timer whose program took part in the recovery would resume about 7
+        # times per worker AEX of the dense single-step schedule
+        resumes = 0
+
+        def counted(resume):
+            nonlocal resumes
+            resumes += 1
+            return resume()
+
+        monkeypatch.setattr(metering, "timer_program", self.proxied(metering.timer_program, counted))
         out = meter("fib", corp.fib_input(2000), MeterConfig(tau=1, epsilon=0))
         assert out.t_max > 40_000
         assert resumes <= 20
-
+        resumes = 0
+        out = meter("fib", corp.fib_input(80), MeterConfig(tau=10, epsilon=0),
+                    schedule=dense_schedule((2, 3), (0, 1, 2, 4, 3), 5000, 0, span=3000))
+        assert sum(1 for (c, a, k, d) in out.trace.events if a == "worker" and k == "AEX") >= 300
+        assert resumes <= 10
 
     def test_timer_program_builds_a_constant_number_of_instructions(self, monkeypatch):
         # every instruction whose fields are fixed is built at most once per
-        # program, the missing-marker path's five (the bracketing TxBegin and
-        # TxAbort, the handler install, the handler's own write and the wait
-        # for the marker) on the first missing marker: only the original_rip
-        # write of each handler install is built per worker interrupt
-        real = metering.timer_program
+        # run, the recovery's two (the handler install and the handler's own
+        # write) by Ticks on the first missing marker: only the original_rip
+        # write of each handler install is built per worker interrupt. The
+        # worker builds as many instructions with interrupts as without
         init = kernel.Instr.__init__
-        building = False
         built = 0
 
         def counting_init(self, *args, **kw):
             nonlocal built
-            built += building
+            built += 1
             init(self, *args, **kw)
 
-        def counted(*args):
-            nonlocal building
-            gen = real(*args)
-            send, throw = None, None
-            while True:
-                building = True
-                try:
-                    instr = gen.send(send) if throw is None else gen.throw(throw)
-                except StopIteration as stop:
-                    return stop.value
-                finally:
-                    building = False
-                try:
-                    send, throw = (yield instr), None
-                except TxAborted as exc:
-                    send, throw = None, exc
-
         monkeypatch.setattr(kernel.Instr, "__init__", counting_init)
-        monkeypatch.setattr(metering, "timer_program", counted)
 
-        def timer_instructions(schedule):
+        def run_instructions(schedule):
             nonlocal built
             built = 0
             out = meter("fib", corp.fib_input(80), MeterConfig(tau=10, epsilon=0),
@@ -726,16 +721,17 @@ class TestReferenceTimer:
             aex = sum(1 for (c, a, k, d) in events if a == "worker" and k == "AEX")
             return built, installs, aex
 
-        quiet = timer_instructions([])
-        dense = timer_instructions(dense_schedule((2, 3), (0, 1, 2, 4, 3), 5000, 0, span=3000))
+        quiet = run_instructions([])
+        dense = run_instructions(dense_schedule((2, 3), (0, 1, 2, 4, 3), 5000, 0, span=3000))
         assert quiet[1:] == (0, 0)
         assert dense[2] > 300 and dense[1] > 100
-        assert dense[0] - dense[1] == quiet[0] + 5
+        assert dense[0] - dense[1] == quiet[0] + 2
 
     def test_uninterrupted_run_builds_no_recovery_instruction(self, monkeypatch):
-        # the timer's mutex wait, OCALL-pause wait and missing-marker path
-        # are built on first use, so a run without interrupts, OCALLs or a
-        # second timer builds only what its two programs yield
+        # the timer's mutex wait and OCALL-pause wait and the recovery's
+        # install and handler are built on first use, so a run without
+        # interrupts, OCALLs or a second timer builds only what its two
+        # programs yield
         init = kernel.Instr.__init__
         built = 0
 
@@ -752,36 +748,26 @@ class TestReferenceTimer:
     def test_metering_programs_yield_no_read(self, monkeypatch):
         # outside a transaction both programs read cells directly: a
         # zero-cost READ would complete in place with the same value and
-        # leave no event, so yielding one only costs a generator resume
+        # leave no event, so yielding one only costs a generator resume. The
+        # timer's transactions and their aborts are all inside Ticks
         kinds = set()
 
-        def recorded(real):
-            def program(*args):
-                gen = real(*args)
-                send, throw = None, None
-                while True:
-                    try:
-                        instr = gen.send(send) if throw is None else gen.throw(throw)
-                    except StopIteration as stop:
-                        return stop.value
-                    kinds.add(instr.kind)
-                    try:
-                        send, throw = (yield instr), None
-                    except TxAborted as exc:
-                        send, throw = None, exc
-            return program
+        def recorded(resume):
+            instr = resume()
+            kinds.add(instr.kind)
+            return instr
 
-        monkeypatch.setattr(metering, "timer_program", recorded(metering.timer_program))
-        monkeypatch.setattr(metering, "worker_program", recorded(metering.worker_program))
+        for name in ("timer_program", "worker_program"):
+            monkeypatch.setattr(metering, name, self.proxied(getattr(metering, name), recorded))
         for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
             run_metered(image, input_data, limits, cfg, **kw)
         meter("fib", corp.fib_input(130), MeterConfig(tau=10, epsilon=5, extra_timers=1),
               schedule=[ScheduleEvent("worker", 40, 45), ScheduleEvent("timer", 90, 97)])
         meter("known_network", corp.known_network_input(700, 300), MeterConfig(tau=10, net_delay=200))
-        # the runs reach the mutex, the marker-missing bracket and the OCALL
-        # pause, where the programs look at cells
-        assert {kernel._TAS, kernel._TXABORT, kernel._WAIT, kernel._STALL} <= kinds
-        assert kernel._READ not in kinds
+        # the runs reach the mutex, the timer's steady state, the OCALL pause
+        # and its host stall, where the programs look at cells
+        assert {kernel._TAS, kernel._TICKS, kernel._WAIT, kernel._STALL} <= kinds
+        assert not kinds & {kernel._READ, kernel._TXBEGIN, kernel._TXEND, kernel._TXABORT}
 
 
 # every corpus function with an input that exercises it
@@ -860,7 +846,10 @@ class TestReferenceKernel:
     """The kernel, which completes zero-cost work in place and pumps only
     after a change, against the kernel before those rules in
     ``reference_kernel``: the same trace, residency and results, or the same
-    error, with and without a full trace."""
+    error, with and without a full trace. A metered run on the reference
+    kernel runs the timer of ``reference_timer``, one primitive instruction
+    at a time, since that kernel's ``Ticks`` leaves every abort and the
+    missing marker to the program."""
 
     @staticmethod
     def outcome(run):
@@ -878,6 +867,7 @@ class TestReferenceKernel:
                                                    full_trace=full, **kw).trace)
             with monkeypatch.context() as patched:
                 patched.setattr(metering, "SimKernel", reference_kernel.SimKernel)
+                patched.setattr(metering, "timer_program", reference_timer.timer_program)
                 want = self.outcome(lambda: run_metered(image, input_data, limits, cfg,
                                                         full_trace=full, **kw).trace)
             assert got == want

@@ -1,11 +1,14 @@
 """Bytecode VM: loader validation, execution semantics, corpus behavior."""
 
 import dataclasses
+import functools
 
 import pytest
 import reference_vm
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_tooling import _load
 
 from meterfaas import corpus as corp
 from meterfaas.crypto import DeterministicRng, hash_bytes
@@ -176,6 +179,15 @@ class TestLoader:
         res = vm_execute(img, b"", LIMITS)
         assert res.output == (7).to_bytes(8, "little")
 
+    def test_label_alone_on_its_line_labels_the_next_instruction(self):
+        # blank and comment lines between a bare label and its instruction
+        # change nothing; two labels may name one instruction
+        source = ("JMP go\nPUSH 9\nOUTPUT_WORD\ngo:\n\n  ; the target\nalso:   # both\n"
+                  "PUSH 7\nOUTPUT_WORD\nJMP end\nend: HALT")
+        image = vm_load(assemble(source))
+        assert image.raw == assemble("JMP 3\nPUSH 9\nOUTPUT_WORD\nPUSH 7\nOUTPUT_WORD\nJMP 6\nHALT")
+        assert vm_execute(image, b"", LIMITS).output == corp.words(7)
+
     def test_fusion_leaves_the_program_and_pins_fib_loop(self):
         raw = assemble(corp.FIB_SOURCE)
         image = vm_load(raw)
@@ -291,6 +303,13 @@ class TestExecution:
     def test_instruction_costs_must_be_positive(self, field):
         with pytest.raises(ValueError, match="all instruction costs must be positive"):
             CostTable(**{field: 0})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["max_steps", "max_memory", "max_output"])
+    def test_limits_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match="^limits must be strictly positive$"):
+            VMLimits(**{field: value})
+        assert getattr(VMLimits(**{field: 1}), field) == 1
 
     def test_cycles_equal_sum_of_instruction_costs(self):
         costs = CostTable(default=2, heap=11, net=7)
@@ -610,7 +629,8 @@ top:    PUSH 8
 # zero, a STOREL to another slot (not fused), a JMP tail, overlapping
 # candidates, fib's values[i-k] over the block in local 4 that loads a
 # word, a bad handle, an index past the block, into its partial last word
-# and wrapped below zero; in JOINED_RUNS, fib's values[i] = values[i-1] +
+# and wrapped below zero, the no-effect runs with their near misses and a
+# jump into their POP (taken when local 3 is 0); in JOINED_RUNS, fib's values[i] = values[i-1] +
 # values[i-2] whose LOAD traps with the ADD and STORE after it inside the
 # run, and back edges into a loop test that exit at once, after a few
 # passes or never; `out` is past the run
@@ -636,6 +656,15 @@ FUSED_RUNS = [
     "LOADL 3\nLOADL 2\nPUSH 1\nSUB\nLOAD",
     "LOADL 4\nLOADL 2\nLOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nADD",
     "LOADL 4\nLOADL 2\nPUSH 1\nSUB\nLOAD\nSTOREL 3\nJMP out",
+    "PUSH 7\nPOP",
+    "PUSH 7\nPUSH 9\nADD\nPOP",
+    "PUSH 7\nPUSH 9\nSUB\nPOP",
+    "PUSH 7\nPUSH 9\nMUL\nPOP",
+    "PUSH 7\nPUSH 9\nGT\nPOP",
+    "PUSH 7\nPUSH 9\nADD\nSTOREL 3",
+    "PUSH 7\nPUSH 8\nPOP\nPOP",
+    "LOADL 3\nJZ p\nPUSH 5\np: POP",
+    "LOADL 3\nJZ p\nPUSH 5\nPUSH 6\nMUL\np: POP",
 ]
 # runs around the patterns that join two runs or end in a STORE, each
 # entered over every stack of FUSED_STACKS
@@ -654,18 +683,21 @@ JOINED_RUNS = [
     "LOADL 2\nPUSH 3\nADD\nSTOREL 2\nJMP t\nt: LOADL 3\nJZ out\nPUSH 77",
     "LOADL 3\nPUSH 1\nADD\nSTOREL 3\nJMP t\nPUSH 9\nt: LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out",
 ]
-# the heads of the joined patterns, for a check that each is matched
-NEW_FUSED_OPS = {0x76, 0x77, 0x78, 0x79}
+# the heads of the joined patterns and of the no-effect runs, for a check
+# that each is matched
+NEW_FUSED_OPS = {0x76, 0x77, 0x78, 0x79, 0x7A}
 # LOADL;LOADL;PUSH;SUB;LOAD, LOADL;LOADL;GT;JNZ (not taken), LOADL;JZ (not
 # taken), LOADL;LOADL then LOADL;LOADL;PUSH;SUB;LOAD, that with ADD;STORE,
-# the two back edges (not taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL and
-# LOADL;PUSH;SUB;STOREL;JMP one after another, for locals 1-3 = (2, 5, 4)
+# the two back edges (not taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL, the
+# no-effect PUSH;POP and PUSH;PUSH;MUL;POP and LOADL;PUSH;SUB;STOREL;JMP one
+# after another, for locals 1-3 = (2, 5, 4)
 FUSED_LINE = ("LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nLOADL 1\nLOADL 2\nGT\nJNZ out\n"
               "LOADL 3\nJZ out\nLOADL 4\nLOADL 1\nLOADL 4\nLOADL 2\nPUSH 4\nSUB\nLOAD\n"
               "LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nADD\nSTORE\n"
               "LOADL 3\nPUSH 2\nADD\nSTOREL 3\nJMP t1\nt1: LOADL 1\nLOADL 2\nGT\nJNZ out\n"
               "LOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP t2\nt2: LOADL 3\nJZ out\n"
               "LOADL 1\nLOADL 2\nADD\nLOADL 2\nPUSH 9\nADD\nSTOREL 2\n"
+              "PUSH 5\nPOP\nPUSH 6\nPUSH 7\nMUL\nPOP\n"
               "LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out")
 # locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7
 # and SUB 9; l3 is no handle, l2 - 1 and l2 - 2 index the block's words with
@@ -709,17 +741,21 @@ def fused_programs():
 
 
 # a random valid program over the fused patterns' opcodes: single instructions
-# and whole patterns, slots from a small set so that patterns and their
-# near misses both occur, any jump target, a back edge into a loop test or a
-# jump into the next instruction, HALT or JMP last, after a prologue that
-# allocates a block into local 0; ("at", j) is the piece's j-th instruction
+# and whole patterns, the no-effect runs included, slots from a small set so
+# that patterns and their near misses both occur, any jump target, a back
+# edge into a loop test or a jump into the next instruction, HALT or JMP
+# last, after a prologue that allocates a block into local 0; ("at", j) is
+# the piece's j-th instruction
 _SLOTS = st.integers(0, 2)
 _WORDS = st.sampled_from([0, 1, 2, 7, WORD - 1]) | st.integers(0, WORD - 1)
 _ARITH = st.sampled_from(["ADD", "SUB"])
 _PIECES = st.one_of(
     st.tuples(st.sampled_from(["LOADL", "STOREL"]), _SLOTS),
     st.tuples(st.just("PUSH"), _WORDS),
-    st.tuples(st.sampled_from(["ADD", "SUB", "GT", "LOAD", "STORE", "HALT"])),
+    st.tuples(st.sampled_from(["ADD", "SUB", "MUL", "GT", "POP", "LOAD", "STORE", "HALT"])),
+    st.builds(lambda k: (("PUSH", k), ("POP",)), _WORDS),
+    st.builds(lambda x, y, op: (("PUSH", x), ("PUSH", y), (op,), ("POP",)),
+              _WORDS, _WORDS, st.sampled_from(["ADD", "SUB", "MUL"])),
     st.tuples(st.sampled_from(["JNZ", "JZ", "JMP"]), st.integers(0, 10 ** 6)),
     st.builds(lambda a, b, k: (("LOADL", a), ("LOADL", b), ("PUSH", k), ("SUB",)), _SLOTS, _SLOTS, _WORDS),
     st.builds(lambda a, k, op: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a)), _SLOTS, _WORDS, _ARITH),
@@ -887,6 +923,16 @@ def mutants(source):
             continue
 
 
+@functools.cache
+def adversarial_programs():
+    """The image and input of the first 1200 cases of perfbench's
+    ``adversarial_sched`` corpus at seed 301, and the limits it runs them
+    under."""
+    workloads = _load("workloads")
+    cases = [workloads.build_case(301, j) for j in range(1200)]
+    return [(case.image, case.input) for case in cases], workloads.ADV_LIMITS
+
+
 @pytest.mark.parametrize("costs", COST_TABLES, ids=lambda c: f"d{c.default}h{c.heap}n{c.net}")
 class TestReferenceVm:
     """`execute_steps`, which counts steps and derives cycles, against the
@@ -1002,6 +1048,13 @@ class TestReferenceVm:
                 res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
                 assert (res.reason, res.steps) == (
                     (reason, steps) if max_steps >= steps else ("budget:steps", max_steps))
+
+    def test_adversarial_programs(self, costs):
+        # perfbench's adversarial corpus: its arithmetic segments are
+        # no-effect runs, and its loops pass a PUSH;POP each iteration
+        programs, limits = adversarial_programs()
+        for image, input_data in programs:
+            self.check(image, input_data, limits, costs)
 
     @given(source=fused_sources(), max_steps=st.integers(1, 300))
     @settings(max_examples=150, deadline=None)
