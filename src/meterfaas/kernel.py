@@ -14,16 +14,16 @@ The kernel enforces the contract the metering design relies on:
     installed an ERESUME handler in ``ssa.rip``. The handler is one
     instruction, pushed onto the actor's frozen work with its full cost, so it
     runs first; an AEX inside it stacks on the work it detoured from;
-  * a watched transaction aborts the moment any other party writes one of its
-    watched cells or its own actor suffers an AEX, and none of its buffered
-    writes become visible.
+  * the one transaction is a ``Ticks`` period, which watches one cell (the
+    worker's SSA marker): it aborts the moment any other party writes that
+    cell or its own actor suffers an AEX, and its tick never counts.
 
 The untrusted OS is not an actor: it acts only through the interrupt schedule,
 whose events may name only actors the kernel has.
 
 Event ordering within one cycle is fixed: instruction completions (in actor
 registration order), then AEX events, then ERESUME events, then newly runnable
-work. This makes "interrupt between a transaction's end and the next
+work. This makes "interrupt between a period's commit and the next
 instruction" expressible and keeps every run a pure function of its inputs.
 
 A kernel runs once: each actor is one record holding its identity, its program
@@ -50,16 +50,15 @@ that leave every event at the same cycle and in the same order:
     an untouched actor is blocked, done, executing or waiting on a predicate
     that no write has made true since it was last evaluated, so visiting it
     would change nothing. A write touches every waiter and aborts every
-    transaction that watches the cell;
+    ``Ticks`` period that watches the cell;
   * zero-cost work completes in place: once a pump runs an actor, one loop
-    fetches from its program until it blocks, applying a zero-cost OP, READ,
-    WRITE or TAS, a transaction instruction and a wait whose predicate holds
-    as soon as the program yields it and sending the result straight back;
-    a zero-cost WRITE outside a transaction commits from that loop itself.
-    This is exact because the kernel runs an actor that can make progress
-    until it blocks before it looks at another one. For the same reason a
-    program outside a transaction may read ``Cell.value`` directly rather
-    than yielding a zero-cost READ, which is never logged;
+    fetches from its program until it blocks, applying a zero-cost OP,
+    WRITE or TAS and a wait whose predicate holds as soon as the program
+    yields it and sending the result straight back; a zero-cost WRITE
+    commits from that loop itself. This is exact because the kernel runs an
+    actor that can make progress until it blocks before it looks at another
+    one. For the same reason a program reads ``Cell.value`` directly: the
+    kernel has no read instruction;
   * prebuilt instructions carry no run state: the actor holds its finish
     cycle, its frozen remainders and the value to send, so a program may
     build once every instruction whose fields are fixed and yield it again
@@ -67,7 +66,7 @@ that leave every event at the same cycle and in the same order:
 
 Residency enters and leaves the kernel at two functions. ``_start`` puts
 work in flight and charges its actor all of its cycles at once; ``_cut``
-refunds what an AEX, a transaction abort or the cycle limit cuts off. A
+refunds what an AEX, a period's abort or the cycle limit cuts off. A
 completion charges nothing more, so ``resident`` counts every cycle an actor
 spent executing or stalled, and none it spent interrupted or waiting.
 
@@ -80,7 +79,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 MARKER_VALUE = 12345  # sentinel word the worker keeps in its SSA
 SPILL_VALUE = 0  # what an AEX register spill leaves in the marker word
@@ -103,20 +102,8 @@ _NEVER = float("inf")  # no event pending
 
 
 class KernelError(Exception):
-    """Programming faults in actor code: nesting, zero-cost livelock,
-    deadlock."""
-
-
-class TxAborted(Exception):
-    """Thrown into an actor's program when its transaction aborts.
-
-    cause is one of "conflict" (foreign write to a watched cell), "interrupt"
-    (own AEX), or the code given to an explicit abort instruction.
-    """
-
-    @property
-    def cause(self) -> str:
-        return self.args[0]
+    """Programming faults in actor code: a negative cost, an actor without
+    a program, an unknown instruction kind, zero-cost livelock, deadlock."""
 
 
 class Cell:
@@ -134,7 +121,8 @@ class Cell:
 
 # --- instructions -----------------------------------------------------------
 
-_OP, _READ, _WRITE, _TAS, _TXBEGIN, _TXEND, _TXABORT, _WAIT, _STALL, _TICKS = range(10)
+_KINDS = range(6)  # every kind a program may yield
+_OP, _WRITE, _TAS, _WAIT, _STALL, _TICKS = _KINDS
 
 
 class Instr:
@@ -159,10 +147,6 @@ def Op(cost: int, effect: Callable[[], Any] | None = None, label: str | None = N
     return Instr(_OP, cost, None, None, effect, label)
 
 
-def ReadCell(cell: Cell, cost: int = 0) -> Instr:
-    return Instr(_READ, cost, cell)
-
-
 def WriteCell(cell: Cell, value: Any, cost: int = 0) -> Instr:
     return Instr(_WRITE, cost, cell, value)
 
@@ -171,19 +155,6 @@ def TestAndSet(cell: Cell, cost: int = 1) -> Instr:
     """Atomically read the prior value and store 1. The single-instruction
     form is what makes the mutex race-free under any interleaving."""
     return Instr(_TAS, cost=cost, cell=cell)
-
-
-def TxBegin(watch: Iterable[Cell]) -> Instr:
-    return Instr(_TXBEGIN, value=frozenset(watch))
-
-
-def TxEnd() -> Instr:
-    return Instr(_TXEND)
-
-
-def TxAbort(code: str) -> Instr:
-    """Explicit abort of the current transaction (the XABORT analogue)."""
-    return Instr(_TXABORT, value=code)
 
 
 def WaitUntil(pred: Callable[[], bool]) -> Instr:
@@ -209,13 +180,13 @@ def HostStall(cost: int) -> Instr:
 class EresumeHandler:
     """Value installed into ssa.rip: one instruction to run on the next
     ERESUME before the interrupted work continues. It runs outside the
-    actor's program, so it must be an Op, ReadCell, WriteCell or TestAndSet."""
+    actor's program, so it must be an Op, WriteCell or TestAndSet."""
 
     __slots__ = ("instr",)
 
     def __init__(self, instr: Instr) -> None:
-        if instr.kind not in (_OP, _READ, _WRITE, _TAS):
-            raise KernelError("an ERESUME handler runs an OP, READ, WRITE or TAS instruction")
+        if instr.kind > _TAS:
+            raise KernelError("an ERESUME handler runs an OP, WRITE or TAS instruction")
         self.instr = instr
 
     def __repr__(self) -> str:
@@ -228,15 +199,14 @@ class _TickLoop:
     first use, and the wait for the marker). The run state lives on the
     actor, so the instruction can be yielded again."""
 
-    __slots__ = ("tau", "epsilon", "watch", "watched", "counter", "mirror", "proc", "rip", "saved_rip",
-                 "handler", "install", "tick", "checks", "tx")
+    __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip", "handler",
+                 "install", "tick", "checks")
 
     def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell,
                  rip: Cell, saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> None:
         self.tau = tau
         self.epsilon = epsilon
         self.watch = watch
-        self.watched = frozenset((watch,))
         self.counter = counter
         self.mirror = mirror
         self.proc = proc
@@ -246,7 +216,6 @@ class _TickLoop:
         self.install: Instr | None = None  # the handler install, built on first use
         self.tick = Op(tau, label="tick")
         self.checks = Op(epsilon, label="checks") if epsilon else None
-        self.tx = _Tx(self.watched)  # a period's transaction: it buffers no writes
 
     def marker_back(self) -> bool:
         """The recovery's wait: the marker is back, the run paused or the
@@ -275,7 +244,8 @@ def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc
     is back, ``proc != 1`` or ``rip`` lost the handler, and goes on at a
     period start, or installs again. The install and the handler are built
     on first use. In a lean run the kernel commits whole periods in closed
-    form between other actors' stops."""
+    form between other actors' stops, so no other actor's ``Ticks`` may
+    watch ``counter`` or ``mirror``."""
     if tau < 1:
         raise KernelError("a tick lasts at least one cycle")
     return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip,
@@ -356,26 +326,19 @@ class _SSA:
         self.rip = rip
 
 
-class _Tx:
-    __slots__ = ("watch", "writes")
-
-    def __init__(self, watch: frozenset[Cell]) -> None:
-        self.watch = watch
-        self.writes: dict[Cell, Any] = {}
-
-
 class Actor:
     """One enclave actor: name, SSA cells, program and run state.
 
-    An idle running actor (no in-flight, frozen, waiting or pending-abort
-    work) fetches its next instruction from its program. ``touched`` says
-    that the next pump must visit the actor. ``resident`` already includes
-    the whole of the work in flight, up to ``finish_at``.
+    An idle running actor (no in-flight, frozen or waiting work and no
+    ``Ticks`` instruction in progress) fetches its next instruction from its
+    program. ``touched`` says that the next pump must visit the actor.
+    ``resident`` already includes the whole of the work in flight, up to
+    ``finish_at``.
     """
 
     __slots__ = (
         "name", "ssa", "touched", "gen", "state", "instr", "finish_at", "frozen", "tx",
-        "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks", "recovery",
+        "send_value", "wait_pred", "resident", "result", "ticks", "recovery",
     )
 
     def __init__(self, name: str, ssa: _SSA) -> None:
@@ -389,8 +352,7 @@ class Actor:
         # work frozen by an AEX, innermost last: (instr, remaining cycles); an
         # ERESUME handler is pushed on top, so it runs first
         self.frozen: list[tuple[Instr, int]] = []
-        self.tx: _Tx | None = None
-        self.pending_abort: TxAborted | None = None
+        self.tx: Cell | None = None  # the cell an open Ticks period watches
         self.send_value: Any = None
         self.wait_pred: Callable[[], bool] | None = None
         self.resident = 0
@@ -435,9 +397,9 @@ class SimKernel:
 
     def _commit_write(self, writer: Actor | None, cell: Cell, value: Any) -> None:
         """Store the value and touch every actor it concerns: one that waits,
-        whose predicate may now hold, and one whose transaction watches the
-        cell, which aborts. The writer is never one: it commits outside any
-        transaction and runs."""
+        whose predicate may now hold, and one whose open ``Ticks`` period
+        watches the cell, which aborts. The writer is never one: it has no
+        period open and runs."""
         cell.value = value
         if self._full_trace:
             who = writer.name if writer is not None else "hw"
@@ -445,19 +407,17 @@ class SimKernel:
         for actor in self._actors:
             if actor.state == _WAITING:
                 actor.touched = self._touched = True
-            elif actor.tx is not None and cell in actor.tx.watch:
+            elif actor.tx is cell:
                 self._abort_tx(actor, "conflict")
                 actor.touched = self._touched = True
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
-        """Abort the actor's transaction: a program's throws ``TxAborted``
-        into it, a Ticks period's goes on at the next period start."""
+        """Abort the actor's ``Ticks`` period: its tick never counts, and the
+        instruction goes on at its next period start."""
         actor.tx = None
-        if actor.ticks is None:
-            actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
-        # squash in-flight or frozen body work; cycles consumed stay consumed
+        # squash the tick in flight or frozen; cycles consumed stay consumed
         if actor.finish_at is not None:
             self._cut(actor)
         actor.frozen.clear()
@@ -479,9 +439,8 @@ class SimKernel:
         return remaining
 
     def _apply(self, actor: Actor, instr: Instr) -> Any:
-        """Apply an OP, READ, WRITE or TAS at the current cycle and return
-        its result; inside a transaction, writes are buffered and reads see
-        them."""
+        """Apply an OP, WRITE or TAS at the current cycle and return its
+        result."""
         kind = instr.kind
         if kind == _OP:
             result = instr.effect() if instr.effect is not None else None
@@ -489,19 +448,11 @@ class SimKernel:
                 self._log(actor.name, "STEP", instr.label)
             return result
         cell = instr.cell
-        tx = actor.tx
         if kind == _WRITE:
-            if tx is None:
-                self._commit_write(actor, cell, instr.value)
-            else:
-                tx.writes[cell] = instr.value
+            self._commit_write(actor, cell, instr.value)
             return None
-        result = cell.value if tx is None else tx.writes.get(cell, cell.value)
-        if kind == _TAS:
-            if tx is None:
-                self._commit_write(actor, cell, 1)
-            else:
-                tx.writes[cell] = 1
+        result = cell.value
+        self._commit_write(actor, cell, 1)  # TAS
         return result
 
     def _complete(self, actor: Actor) -> None:
@@ -510,8 +461,8 @@ class SimKernel:
 
         An ERESUME handler's result lands in ``send_value`` too but never
         reaches the program: the handler always runs above frozen work, a
-        pending wait or a pending abort, whose completion, wake or throw
-        replaces it before the next send."""
+        pending wait or a ``Ticks`` instruction, whose completion, wake or
+        end replaces it before the next send."""
         instr = actor.instr
         actor.instr = actor.finish_at = None
         actor.touched = self._touched = True
@@ -529,16 +480,15 @@ class SimKernel:
         in flight, and return what is left of the pump's budget. A touched
         actor that runs never has work in flight: a completion clears it, an
         AEX cuts it and interrupts the actor, an ERESUME starts none, and a
-        write cuts only the work of a transaction it aborts.
+        write cuts only the tick of a ``Ticks`` period it aborts.
 
         Each step charges the budget one: a program resume, a Ticks step
         (a period or its recovery) or a zero-cost ERESUME handler. Zero-cost
-        work completes in place: a zero-cost OP, READ, WRITE or TAS is
-        applied as soon as the program yields it (a WRITE outside a
-        transaction commits here, without ``_apply``), and so are the
-        transaction kinds and a wait whose predicate holds; the result goes
+        work completes in place: a zero-cost OP, WRITE or TAS is applied as
+        soon as the program yields it (a WRITE commits here, without
+        ``_apply``), and so is a wait whose predicate holds; the result goes
         straight back into the program, since the pump would run this same
-        actor next anyway."""
+        actor next anyway. A kind the kernel does not define is a fault."""
         while True:
             if budget <= 0:
                 raise KernelError(_LIVELOCK)
@@ -570,20 +520,16 @@ class SimKernel:
             self._period_step(actor)
             if actor.ticks is not None:
                 return budget
+            actor.send_value = None  # a Ticks instruction delivers None
         # the actor is idle: fetch from its program until it blocks
         gen = actor.gen
         value = actor.send_value
-        exc = actor.pending_abort
         while True:
             if budget <= 0:
                 raise KernelError(_LIVELOCK)
             budget -= 1
             try:
-                if exc is None:
-                    instr = gen.send(value)
-                else:
-                    actor.pending_abort = None
-                    instr, exc = gen.throw(exc), None
+                instr = gen.send(value)
             except StopIteration as stop:
                 actor.state = _DONE
                 actor.result = stop.value
@@ -596,27 +542,14 @@ class SimKernel:
                 if instr.cost:
                     self._start(actor, instr, instr.cost)
                     return budget
-                if kind == _WRITE and actor.tx is None:
+                if kind == _WRITE:
                     self._commit_write(actor, instr.cell, instr.value)
                     value = None
                     continue
                 value = self._apply(actor, instr)
                 continue
             value = None
-            if kind == _TXBEGIN:
-                if actor.tx is not None:
-                    raise KernelError(f"{actor.name}: nested transaction")
-                actor.tx = _Tx(instr.value)
-                if self._full_trace:
-                    self._log(actor.name, "TX_BEGIN", f"watch={len(instr.value)}")
-            elif kind == _TXABORT:
-                if actor.tx is None:
-                    raise KernelError(f"{actor.name}: abort outside transaction")
-                self._abort_tx(actor, instr.value)
-                exc = actor.pending_abort
-            elif kind == _WAIT:
-                if actor.tx is not None:
-                    raise KernelError(f"{actor.name}: wait inside transaction")
+            if kind == _WAIT:
                 if not instr.pred():
                     actor.wait_pred = instr.pred
                     actor.state = _WAITING
@@ -624,33 +557,21 @@ class SimKernel:
                         self._log(actor.name, "WAIT_BEGIN")
                     return budget
             elif kind == _TICKS:
-                if actor.tx is not None:
-                    raise KernelError(f"{actor.name}: ticks inside transaction")
                 actor.ticks = instr.value
                 self._period_start(actor)
                 if actor.ticks is not None:
                     return budget
-            elif kind == _TXEND:
-                if actor.tx is None:
-                    raise KernelError(f"{actor.name}: commit outside transaction")
-                tx = actor.tx
-                actor.tx = None
-                for cell, written in tx.writes.items():
-                    self._commit_write(actor, cell, written)
-                if self._full_trace:
-                    self._log(actor.name, "TX_COMMIT")
-            else:  # _STALL
-                if actor.tx is not None:
-                    raise KernelError(f"{actor.name}: ocall stall inside transaction")
+            elif kind == _STALL:
                 if self._full_trace:
                     self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
                 actor.state = _STALLED
                 self._start(actor, instr, instr.cost)
                 return budget
+            else:
+                raise KernelError(f"{actor.name}: unknown instruction kind {kind}")
 
-    # the Ticks instruction, one period at a time; a period's transaction
-    # buffers no writes, so its reads are the cells' values and one ``_Tx``
-    # serves every period
+    # the Ticks instruction, one period at a time; a period's transaction is
+    # the cell it watches, in ``Actor.tx``
 
     def _period_start(self, actor: Actor) -> None:
         loop = actor.ticks
@@ -658,7 +579,7 @@ class SimKernel:
             actor.ticks = None  # completes: the program takes over
             return
         if loop.watch.value == MARKER_VALUE:
-            actor.tx = loop.tx
+            actor.tx = loop.watch
             if self._full_trace:
                 self._log(actor.name, "TX_BEGIN", "watch=1")
             self._start(actor, loop.tick, loop.tau)
@@ -720,15 +641,13 @@ class SimKernel:
     def _may_skip(self, actor: Actor) -> bool:
         """True when committing the actor's coming periods can change nothing
         another actor sees before its own next stop: every period start will
-        pass, no other actor waits on a write, and no other transaction
-        watches the counter or its mirror."""
+        pass and no other actor waits on a write. No other ``Ticks`` period
+        watches the counter or its mirror (see ``Ticks``)."""
         loop = actor.ticks
         if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
             return False
         for other in self._actors:
-            tx = other.tx
-            if other.state == _WAITING or (other is not actor and tx is not None
-                                           and (loop.counter in tx.watch or loop.mirror in tx.watch)):
+            if other.state == _WAITING:
                 return False
         return True
 

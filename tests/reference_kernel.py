@@ -5,25 +5,27 @@ trip through ``_pump``, ``_advance``, ``_begin`` and ``_complete``, and every
 cycle the loop stops at pumps twice. ``meterfaas.kernel.SimKernel`` must
 produce the same events, residency, results and errors; tests swap this model
 in (``monkeypatch.setattr(metering, "SimKernel", ...)``) and compare, the role
-``reference_timer`` plays for the timer's ``Ticks`` instruction."""
+``reference_timer`` plays for the timer's ``Ticks`` instruction.
+
+It also keeps the primitives the kernel dropped once no program yielded
+them: program-level transactions (``TxBegin``, ``TxEnd``, ``TxAbort`` and
+the ``TxAborted`` they throw) and ``ReadCell``. Their kinds lie past the
+kernel's own, which the kernel rejects as unknown."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from meterfaas.kernel import (
     _DONE,
     _INTERRUPTED,
+    _KINDS,
     _OP,
-    _READ,
     _RUNNING,
     _STALL,
     _STALLED,
     _TAS,
     _TICKS,
-    _TXABORT,
-    _TXBEGIN,
-    _TXEND,
     _WAIT,
     _WAITING,
     _WRITE,
@@ -39,11 +41,48 @@ from meterfaas.kernel import (
     ScheduleError,
     ScheduleEvent,
     SimTrace,
-    TxAborted,
     _TickLoop,
-    _Tx,
     validate_schedule,
 )
+
+_READ, _TXBEGIN, _TXEND, _TXABORT = range(len(_KINDS), len(_KINDS) + 4)
+
+
+class TxAborted(Exception):
+    """Thrown into an actor's program when its transaction aborts.
+
+    cause is one of "conflict" (foreign write to a watched cell), "interrupt"
+    (own AEX), or the code given to an explicit abort instruction.
+    """
+
+    @property
+    def cause(self) -> str:
+        return self.args[0]
+
+
+def ReadCell(cell: Cell, cost: int = 0) -> Instr:
+    return Instr(_READ, cost, cell)
+
+
+def TxBegin(watch: Iterable[Cell]) -> Instr:
+    return Instr(_TXBEGIN, value=frozenset(watch))
+
+
+def TxEnd() -> Instr:
+    return Instr(_TXEND)
+
+
+def TxAbort(code: str) -> Instr:
+    """Explicit abort of the current transaction (the XABORT analogue)."""
+    return Instr(_TXABORT, value=code)
+
+
+class _Tx:
+    __slots__ = ("watch", "writes")
+
+    def __init__(self, watch: frozenset[Cell]) -> None:
+        self.watch = watch
+        self.writes: dict[Cell, Any] = {}
 
 
 class Actor:
@@ -280,7 +319,7 @@ class SimKernel:
             actor.ticks = None  # completes: the program takes over
             return
         loop = actor.ticks
-        actor.tx = _Tx(loop.watched)
+        actor.tx = _Tx(frozenset((loop.watch,)))
         if self._full_trace:
             self._log(actor.name, "TX_BEGIN", "watch=1")
         self._stage(actor, loop.tick)

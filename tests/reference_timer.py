@@ -1,24 +1,16 @@
 """Reference model of the timing thread, one primitive kernel instruction at a
 time: each tick is "read proc, begin tx, read marker, tick, increment, commit,
 mirror, checks". ``meterfaas.metering.timer_program`` runs the same loop as
-one ``Ticks`` instruction that the kernel advances in closed form; tests swap
-this model in for it (``monkeypatch.setattr(metering, "timer_program", ...)``)
-and require byte-identical traces and outcomes, the role ``vm_execute`` plays
-for the VM's block execution."""
+one ``Ticks`` instruction that the kernel advances in closed form. Its
+transactions and reads are primitives of ``reference_kernel``, so it runs
+only there: tests swap both in (``monkeypatch.setattr(metering,
+"SimKernel", ...)`` and ``"timer_program"``) and require byte-identical
+traces and outcomes, the role ``vm_execute`` plays for the VM's block
+execution."""
 
-from meterfaas.kernel import (
-    MARKER_VALUE,
-    EresumeHandler,
-    Op,
-    ReadCell,
-    TestAndSet,
-    TxAbort,
-    TxAborted,
-    TxBegin,
-    TxEnd,
-    WaitUntil,
-    WriteCell,
-)
+from reference_kernel import ReadCell, TxAbort, TxAborted, TxBegin, TxEnd
+
+from meterfaas.kernel import MARKER_VALUE, EresumeHandler, Op, TestAndSet, WaitUntil, WriteCell
 from meterfaas.metering import MeterConfig, TimerState, make_eresume_handler
 
 

@@ -1,6 +1,8 @@
-"""Simulation kernel contract tests: determinism, AEX/ERESUME, transactions."""
+"""Simulation kernel contract tests: determinism, AEX/ERESUME, Ticks periods."""
 
 import pytest
+import reference_kernel
+from reference_kernel import ReadCell, TxAbort, TxAborted, TxBegin, TxEnd
 
 from meterfaas.kernel import (
     MARKER_VALUE,
@@ -11,16 +13,11 @@ from meterfaas.kernel import (
     HostStall,
     KernelError,
     Op,
-    ReadCell,
     ScheduleError,
     ScheduleEvent,
     SimKernel,
     TestAndSet,
     Ticks,
-    TxAbort,
-    TxAborted,
-    TxBegin,
-    TxEnd,
     WaitUntil,
     WriteCell,
     validate_schedule,
@@ -269,189 +266,102 @@ class TestSsaContract:
             (15, "worker", "DONE", ""),
         ]
 
-    @pytest.mark.parametrize("instr", [TxBegin(()), WaitUntil(lambda: True)],
-                             ids=["TxBegin", "WaitUntil"])
-    def test_handler_takes_only_costed_work(self, instr):
+    @pytest.mark.parametrize("make", [lambda: Ticks(3, 0, **tick_cells(Cell("c", 0))),
+                                      lambda: WaitUntil(lambda: True)],
+                             ids=["Ticks", "WaitUntil"])
+    def test_handler_takes_only_costed_work(self, make):
         with pytest.raises(KernelError):
-            EresumeHandler(instr)
+            EresumeHandler(make())
 
 
 class TestTransactions:
-    def _tx_kernel(self):
+    """A Ticks period, the one transaction the kernel opens: "watch the
+    cell, tick, count, commit"."""
+
+    @staticmethod
+    def _tx_kernel():
+        """A kernel with the actor "txer", the cells of a Ticks instruction
+        whose watched cell holds the marker, and a program that runs the
+        instruction with a given tick length."""
         kern = SimKernel()
         t = kern.add_enclave_actor("txer")
-        watched = Cell("watched", 0)
-        out = Cell("out", 0)
-        return kern, t, watched, out
+        cells = tick_cells(Cell("watched", MARKER_VALUE))
 
-    def test_clean_body_commits(self):
-        kern, t, watched, out = self._tx_kernel()
+        def program(tau):
+            yield Ticks(tau, 0, **cells)
 
+        return kern, t, cells, program
+
+    @staticmethod
+    def stopper(kern, cells, at):
+        """An actor that clears ``proc`` at cycle ``at``, so that the next
+        period start ends the Ticks instruction."""
         def program():
-            try:
-                yield TxBegin((watched,))
-                yield Op(5)
-                yield WriteCell(out, 42)
-                yield TxEnd()
-            except TxAborted as exc:
-                return ("aborted", exc.cause)
-            return ("committed", None)
+            yield Op(at)
+            yield WriteCell(cells["proc"], 0)
 
-        t.set_program(program())
-        trace = kern.run([], 1000)
-        assert trace.results["txer"] == ("committed", None)
-        assert out.value == 42
+        kern.add_enclave_actor("stopper").set_program(program())
 
     def test_foreign_write_aborts_and_rolls_back(self):
-        kern, t, watched, out = self._tx_kernel()
+        kern, t, cells, program = self._tx_kernel()
         other = kern.add_enclave_actor("other")
-
-        def program():
-            try:
-                yield TxBegin((watched,))
-                yield WriteCell(out, 42)
-                yield Op(50)
-                yield TxEnd()
-            except TxAborted as exc:
-                return ("aborted", exc.cause)
-            return ("committed", None)
 
         def interfere():
             yield Op(10)
-            yield WriteCell(watched, 99, cost=1)
+            yield WriteCell(cells["proc"], 0)
+            yield WriteCell(cells["watch"], 99, cost=1)
 
-        t.set_program(program())
+        t.set_program(program(50))
         other.set_program(interfere())
-        trace = kern.run([], 1000)
-        assert trace.results["txer"] == ("aborted", "conflict")
-        assert out.value == 0  # buffered write never became visible
-        # the abort at cycle 11 refunds the 39 cycles of Op(50) it cut off
+        trace = kern.run([], 1000, full_trace=True)
+        assert tick_aborts(trace, "txer") == ["conflict"]
+        assert cells["counter"].value == 0  # the aborted tick never counted
+        # the abort at cycle 11 refunds the 39 cycles of the tick it cut off
         assert trace.resident == {"txer": 11, "other": 11}
 
     def test_own_aex_aborts(self):
-        kern, t, watched, out = self._tx_kernel()
-
-        def program():
-            try:
-                yield TxBegin((watched,))
-                yield Op(50)
-                yield WriteCell(out, 1)
-                yield TxEnd()
-            except TxAborted as exc:
-                return ("aborted", exc.cause)
-            return ("committed", None)
-
-        t.set_program(program())
-        trace = kern.run([ScheduleEvent("txer", 10, 20)], 1000)
-        assert trace.results["txer"] == ("aborted", "interrupt")
-        assert out.value == 0
-
-    def test_explicit_abort_code(self):
-        kern, t, watched, out = self._tx_kernel()
-
-        def program():
-            try:
-                yield TxBegin((watched,))
-                v = yield ReadCell(watched)
-                if v != MARKER_VALUE:
-                    yield TxAbort("marker-missing")
-                yield Op(5)
-                yield TxEnd()
-            except TxAborted as exc:
-                return ("aborted", exc.cause)
-            return ("committed", None)
-
-        t.set_program(program())
-        trace = kern.run([], 1000)
-        assert trace.results["txer"] == ("aborted", "marker-missing")
-
-    def test_nesting_is_a_kernel_fault(self):
-        kern, t, watched, out = self._tx_kernel()
-
-        def program():
-            yield TxBegin((watched,))
-            yield TxBegin((watched,))
-            yield TxEnd()
-
-        t.set_program(program())
-        with pytest.raises(KernelError):
-            kern.run([], 1000)
-
-    @pytest.mark.parametrize("instr,message", [
-        (TxEnd(), "txer: commit outside transaction"),
-        (TxAbort("code"), "txer: abort outside transaction"),
-    ])
-    def test_end_or_abort_outside_a_transaction_is_a_kernel_fault(self, instr, message):
-        kern, t, watched, out = self._tx_kernel()
-
-        def program():
-            yield instr
-
-        t.set_program(program())
-        with pytest.raises(KernelError, match=f"^{message}$"):
-            kern.run([], 1000)
-
-    @pytest.mark.parametrize("make,message", [
-        (lambda c: Ticks(3, 0, **tick_cells(c)), "txer: ticks inside transaction"),
-        (lambda c: HostStall(4), "txer: ocall stall inside transaction"),
-        (lambda c: WaitUntil(lambda: True), "txer: wait inside transaction"),
-    ])
-    def test_blocking_work_inside_a_transaction_is_a_kernel_fault(self, make, message):
-        kern, t, watched, out = self._tx_kernel()
-
-        def program():
-            yield TxBegin((watched,))
-            yield make(watched)
-
-        t.set_program(program())
-        with pytest.raises(KernelError, match=f"^{message}$"):
-            kern.run([], 1000)
+        kern, t, cells, program = self._tx_kernel()
+        self.stopper(kern, cells, 15)
+        t.set_program(program(50))
+        trace = kern.run([ScheduleEvent("txer", 10, 20)], 1000, full_trace=True)
+        assert tick_aborts(trace, "txer") == ["interrupt"]
+        assert cells["counter"].value == 0
 
     def test_actor_without_a_program_is_a_kernel_fault(self):
-        kern, t, watched, out = self._tx_kernel()
+        kern, t, cells, program = self._tx_kernel()
         kern.add_enclave_actor("idle")
-        t.set_program(make_worker_program(2))
+        t.set_program(program(3))
         with pytest.raises(KernelError, match="^actor idle has no program$"):
             kern.run([], 1000)
 
-    def test_transaction_reads_its_own_buffered_write(self):
-        # the writer sees its write before TxEnd, in place and after a costed
-        # read; the reader, running while the writer's Op is in flight, still
-        # sees the committed value
-        kern, t, watched, out = self._tx_kernel()
-        reader = kern.add_enclave_actor("reader")
+    @pytest.mark.parametrize("make", [lambda cell: TxBegin((cell,)), lambda cell: ReadCell(cell)],
+                             ids=["TxBegin", "ReadCell"])
+    def test_unknown_instruction_kind_is_a_kernel_fault(self, make):
+        # the reference kernel's program-level transactions and reads have
+        # kinds this kernel does not define: yielding one is a fault, not an
+        # OCALL stall
+        kern = SimKernel()
+        cell = Cell("c", 0)
 
         def program():
-            yield TxBegin((watched,))
-            yield WriteCell(out, 42)
-            mine = yield ReadCell(out)
-            yield Op(10)
-            again = yield ReadCell(out, cost=1)
-            yield TxEnd()
-            return mine, again
+            yield Op(2)
+            yield make(cell)
 
-        def read_during():
-            yield Op(5)
-            seen = yield ReadCell(out, cost=1)
-            return seen
-
-        t.set_program(program())
-        reader.set_program(read_during())
-        trace = kern.run([], 1000)
-        assert trace.results == {"txer": (42, 42), "reader": 0}
-        assert out.value == 42
+        kern.add_enclave_actor("old").set_program(program())
+        with pytest.raises(KernelError, match=r"^old: unknown instruction kind \d+$"):
+            kern.run([], 1000)
 
     def test_interrupt_between_commit_and_next_instruction(self):
         # single-step adversary: AEX lands exactly at the commit boundary
-        kern, t, watched, out = self._tx_kernel()
+        kern, t, cells, program = self._tx_kernel()
+        self.stopper(kern, cells, 15)
+        out = Cell("out", 0)
 
-        def program():
-            yield TxBegin((watched,))
-            yield Op(10)
-            yield TxEnd()
+        def then_write():
+            yield from program(10)
             yield WriteCell(out, 7, cost=1)
 
-        t.set_program(program())
+        t.set_program(then_write())
         trace = kern.run([ScheduleEvent("txer", 10, 40)], 1000, full_trace=True)
         events = [(c, k) for (c, a, k, d) in trace.events if k in ("TX_COMMIT", "AEX")]
         assert events == [(10, "TX_COMMIT"), (10, "AEX")]
@@ -550,11 +460,10 @@ class TestWaitAndStall:
 
     @pytest.mark.parametrize("make", [
         lambda cell: Op(-1),
-        lambda cell: ReadCell(cell, cost=-1),
         lambda cell: WriteCell(cell, 1, cost=-1),
         lambda cell: TestAndSet(cell, cost=-1),
         lambda cell: HostStall(-1),
-    ], ids=["Op", "ReadCell", "WriteCell", "TestAndSet", "HostStall"])
+    ], ids=["Op", "WriteCell", "TestAndSet", "HostStall"])
     def test_negative_cost_rejected(self, make):
         with pytest.raises(KernelError):
             make(Cell("c", 0))
@@ -585,11 +494,10 @@ class TestWaitAndStall:
 
 class TestZeroCostBudget:
     @pytest.mark.parametrize("make", [
-        lambda cell: ReadCell(cell),
         lambda cell: WriteCell(cell, 1),
         lambda cell: Op(0),
         lambda cell: TestAndSet(cell, cost=0),
-    ], ids=["ReadCell", "WriteCell", "Op", "TestAndSet"])
+    ], ids=["WriteCell", "Op", "TestAndSet"])
     def test_zero_cost_loop_is_a_livelock(self, make):
         # time never passes, so the run could never end: the kernel's budget
         # of steps per pump turns it into a kernel fault
@@ -652,9 +560,9 @@ def tick_cells(watch):
 
 
 def spelled_ticks(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip, handler):
-    """The Ticks instruction spelled in primitive instructions: an abort
-    restarts at the next period start, and a missing marker is recovered
-    there."""
+    """The Ticks instruction spelled in the primitive instructions of
+    ``reference_kernel``, on which it runs: an abort restarts at the next
+    period start, and a missing marker is recovered there."""
     install = None
     while True:
         if (yield ReadCell(proc)) != 1:
@@ -696,7 +604,7 @@ class TestTicks:
         """A ticker (tau=3, epsilon=2) and a watcher that stops it once the
         mirror reaches 4. The ticker's result is its count and the causes of
         its aborts."""
-        kern = SimKernel()
+        kern = reference_kernel.SimKernel() if spelled else SimKernel()
         ticker = kern.add_enclave_actor("ticker")
         watcher = kern.add_enclave_actor("watcher")
         cells = tick_cells(Cell("watch", MARKER_VALUE))
@@ -760,7 +668,7 @@ class TestTicks:
         recovery installs the handler into the worker's rip, and a worker
         that sets its marker, runs 60 one-cycle steps and then stops the
         ticker."""
-        kern = SimKernel()
+        kern = reference_kernel.SimKernel() if spelled else SimKernel()
         worker = kern.add_enclave_actor("worker")
         ticker = kern.add_enclave_actor("ticker")
         cells = tick_cells(worker.ssa.marker)
@@ -805,48 +713,31 @@ class TestTicks:
         assert len(saves) == installs
         assert {"conflict", "marker-missing"} <= set(tick_aborts(full, "ticker"))
 
-    @staticmethod
-    def run_mirror_watcher(full):
-        """A ticker (tau=10), a watcher whose transaction watches the mirror
-        for 1000 cycles, and a writer that stops the ticker at 2000."""
+    def test_ticks_delivers_none_after_a_handler(self):
+        # a handler installed into the ticker's own rip while it is
+        # interrupted runs at its ERESUME, above the Ticks instruction; the
+        # TAS result it leaves never reaches the program
         kern = SimKernel()
-        timer = kern.add_enclave_actor("timer")
-        watcher = kern.add_enclave_actor("watcher")
-        writer = kern.add_enclave_actor("writer")
+        ticker = kern.add_enclave_actor("ticker")
+        installer = kern.add_enclave_actor("installer")
         cells = tick_cells(Cell("watch", MARKER_VALUE))
-        counter, mirror, proc = cells["counter"], cells["mirror"], cells["proc"]
+        flag = Cell("flag", 5)
 
-        def timer_program():
-            yield Ticks(10, 0, **cells)
-            return counter.value
+        def ticker_program():
+            got = yield Ticks(10, 0, **cells)
+            return got
 
-        def watcher_program():
-            try:
-                yield TxBegin((mirror,))
-                yield Op(1000)
-                yield TxEnd()
-            except TxAborted as exc:
-                return exc.cause
+        def installer_program():
+            yield Op(7)
+            yield WriteCell(ticker.ssa.rip, EresumeHandler(TestAndSet(flag, cost=1)), cost=1)
+            yield WriteCell(cells["proc"], 0)
 
-        def writer_program():
-            yield Op(2000)
-            yield WriteCell(proc, 0)
-
-        timer.set_program(timer_program())
-        watcher.set_program(watcher_program())
-        writer.set_program(writer_program())
-        return kern.run([], 10_000, full_trace=full)
-
-    def test_transaction_watching_the_mirror_aborts_at_the_first_commit(self):
-        # the watcher is neither waiting nor done, so in a lean run only its
-        # watch on the mirror keeps the ticks from being committed in closed
-        # form up to the end of its Op at 1000, past the conflict
-        for full in (False, True):
-            trace = self.run_mirror_watcher(full)
-            assert trace.results["watcher"] == "conflict"
-            assert trace.resident["watcher"] == 10
-        aborts = [(c, d) for (c, a, k, d) in trace.events if a == "watcher" and k == "TX_ABORT"]
-        assert aborts == [(10, "conflict")]
+        ticker.set_program(ticker_program())
+        installer.set_program(installer_program())
+        trace = kern.run([ScheduleEvent("ticker", 5, 20)], 1000)
+        assert ("ERESUME", "handler") in [(k, d) for (c, a, k, d) in trace.events]
+        assert flag.value == 1
+        assert trace.results["ticker"] is None
 
     def test_tick_shorter_than_a_cycle_rejected(self):
         with pytest.raises(KernelError):
