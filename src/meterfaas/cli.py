@@ -260,10 +260,11 @@ def cmd_verify_receipt(args) -> int:
 
 
 def cmd_vm_asm(args) -> int:
-    source = Path(args.source).read_text()
-    data = assemble(source)
-    image = vm_load(data)
     out = Path(args.out) if args.out else Path(args.source).with_suffix(".mfvm")
+    if out.resolve() == Path(args.source).resolve():
+        raise CliError(f"{out} is the source file; name another output with -o", 2)
+    data = assemble(Path(args.source).read_text())
+    image = vm_load(data)
     out.write_bytes(data)
     print(f"{out}: {len(image.program)} instructions, hash {image.function_hash.hex()}")
     return 0
@@ -358,8 +359,8 @@ def _iter_reports(path: Path):
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError:
-            text = ""
-        if text and all(set(line.strip()) <= _HEX_DIGITS for line in text.splitlines()):
+            text = None
+        if text is not None and all(set(line.strip()) <= _HEX_DIGITS for line in text.splitlines()):
             yield from MeasurementLog(p)
         else:
             yield SignedMeasurement.decode(data)

@@ -242,8 +242,10 @@ def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc
     ``EresumeHandler``, it saves that rip into ``saved_rip`` and installs
     ``handler()`` into ``rip``, 1 cycle each; then it waits until the marker
     is back, ``proc != 1`` or ``rip`` lost the handler, and goes on at a
-    period start, or installs again. The install and the handler are built
-    on first use. In a lean run the kernel commits whole periods in closed
+    period start, or installs again. The save models the one a real handler
+    jumps back through; its cycle delays the install, so it is part of the
+    handler-install race. The install and the handler are built on first
+    use. In a lean run the kernel commits whole periods in closed
     form between other actors' stops, so no other actor's ``Ticks`` may
     watch ``counter`` or ``mirror``."""
     if tau < 1:

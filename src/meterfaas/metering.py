@@ -97,6 +97,10 @@ class TimerState:
         self.ready = Cell("meter.timer_ready", 0)
         self.started = Cell("meter.run_started", 0)
         self.run_done = Cell("meter.run_done", 0)
+        # the saved rip a real ERESUME handler jumps back through (here the
+        # kernel's frozen work jumps); nothing reads it, but its 1-cycle write
+        # is part of the handler-install race: without it 48, not 74, of the
+        # adversarial runs at seed 301 end with the marker missing
         self.original_rip = Cell("meter.original_rip", None)
 
 

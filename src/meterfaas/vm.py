@@ -81,21 +81,20 @@ _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
 
 # Superinstructions: opcodes past the real ones that the loader puts in place
 # of a LOADL or PUSH starting one of these runs. No run holds a HALT, heap or
-# network op, so fusing one changes no yield. The patterns come from dynamic
-# n-gram counts over the corpus and the fuzz programs; fib's 23-instruction
-# loop is three of them. Every entry's argument is (n, after, a, b, k, c, d,
-# t): the run's steps, the pc once it is done, the slots of its first LOADL
-# or two, its constant, the slots of its second part, and the target of its
-# conditional jump, None where unused.
-_LL = 0x70  # LOADL a; LOADL b
-_LPAS = 0x72  # LOADL a; PUSH x; ADD|SUB; STOREL a [; JMP after]; k is x for ADD, 2^64 - x mod 2^64 for SUB
-_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t
-_LJZ = 0x74  # LOADL a; JZ t
-_LLPSL = 0x75  # LOADL a; LOADL b; PUSH k; SUB; LOAD: fib's values[i-k]; only the LOAD may trap
-_LL_LLPSL = 0x76  # LOADL a; LOADL b; then _LLPSL over c, d: only the LOAD, last, may trap
-_LLPSL_AS = 0x77  # _LLPSL; ADD; STORE: fib's values[i] = sum; the LOAD may trap mid-run
-_LPAS_LLGJ = 0x78  # _LPAS with its JMP, then the _LLGJ over c, d at its target: a loop's back edge
-_LPAS_LJZ = 0x79  # _LPAS with its JMP, then the _LJZ over c at its target
+# network op, so fusing one changes no yield. Each is a run that dynamic
+# counts over the corpus, the fuzz and the benchmark's programs find
+# dispatched; fib's 23-instruction loop is three of them. Every entry's
+# argument is (n, after, a, b, k, c, d, t): the run's steps, the pc once it
+# is done, the slots of its first LOADL or two, its constant, the slots of
+# its second part, and the target of its conditional jump, None where unused.
+_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t: a loop test
+_LJZ = 0x74  # LOADL a; JZ t: a loop test
+_LL_LLPSL = 0x76  # LOADL a; LOADL b; LOADL c; LOADL d; PUSH k; SUB; LOAD: only the LOAD, last, may trap
+_LLPSL_AS = 0x77  # LOADL a; LOADL b; PUSH k; SUB; LOAD; ADD; STORE: fib's values[i] = sum; the LOAD may trap mid-run
+# LOADL a; PUSH x; ADD|SUB; STOREL a; JMP, then the _LLGJ over c, d at its
+# target: a loop's back edge; k is x for ADD, 2^64 - x mod 2^64 for SUB
+_LPAS_LLGJ = 0x78
+_LPAS_LJZ = 0x79  # the same with the _LJZ over c at its target
 _NOEFFECT = 0x7A  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP: pc += n and nothing else
 # a no-effect run depends only on its length, so one entry per length serves
 # every position of every image; its `after` is None
@@ -268,20 +267,18 @@ def _offset(code: bytes, index: int) -> int:
 
 
 def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
-    """``program`` with the longest fused run that starts at each LOADL or
-    PUSH in ``heads`` put in its place, as ``(op, (n, after, a, b, k, c, d,
-    t))`` (see ``_LL`` ... ``_NOEFFECT``). Every index is matched on its own
-    and every other entry keeps its instruction, so no jump target moves and
-    a jump into the middle of a run executes whatever starts there. A first
-    pass matches the runs of adjacent instructions; a second joins a
-    LOADL pair to the ``_LLPSL`` two instructions on, and an ``_LPAS`` that
-    ends in a JMP to the ``_LLGJ`` or ``_LJZ`` at the JMP's target. A PUSH
-    heads only a no-effect run, the shared entry of its length. No run
-    holds a HALT, heap or network op, and only a LOAD or STORE of one may
-    trap: the last instruction of ``_LLPSL``, ``_LL_LLPSL`` and
-    ``_LLPSL_AS``, and the LOAD five steps into ``_LLPSL_AS``."""
+    """``program`` with the fused run that starts at each LOADL or PUSH in
+    ``heads`` put in its place, as ``(op, (n, after, a, b, k, c, d, t))``
+    (see ``_LLGJ`` ... ``_NOEFFECT``). Each head is matched on its own, in
+    one pass, and every other entry keeps its instruction, so no jump target
+    moves and a jump into the middle of a run executes whatever starts
+    there. A PUSH heads only a no-effect run, the shared entry of its
+    length. A back edge fuses only when its JMP lands on a loop test, which
+    ``_loop_test`` matches there as at a head. No run holds a HALT, heap or
+    network op, and only a LOAD or STORE of one may trap: the last
+    instruction of ``_LL_LLPSL`` and ``_LLPSL_AS``, and the LOAD five steps
+    into ``_LLPSL_AS``."""
     code: list[tuple[int, object]] | None = None
-    joins: list[int] = []  # the _LL and _LPAS;JMP entries, which a second run may extend
     n = len(program)
     for i in heads:
         op0, a = program[i]
@@ -295,44 +292,42 @@ def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tupl
                 entry = _NOEFFECT_RUNS[4]  # PUSH y; ADD|SUB|MUL; POP
             else:
                 continue
-        elif op1 == 0x60:  # LOADL a; LOADL b
-            if op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33:  # PUSH k; SUB; LOAD
-                if program[i + 5][0] == 0x10 and program[i + 6][0] == 0x34:  # ADD; STORE: neither LOAD nor ADD is last
-                    entry = (_LLPSL_AS, (7, i + 7, a, x1, x2, None, None, None))
-                else:
-                    entry = (_LLPSL, (5, i + 5, a, x1, x2, None, None, None))
-            elif op2 == 0x19 and op3 == 0x22:  # GT; JNZ t
-                entry = (_LLGJ, (4, i + 4, a, x1, None, None, None, x3))
-            else:
-                entry = (_LL, (2, i + 2, a, x1, None, None, None, None))
-                joins.append(i)
-        elif op1 == 0x21:  # LOADL a; JZ t
-            entry = (_LJZ, (2, i + 2, a, None, None, None, None, x1))
-        elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a:
-            k = x1 if op2 == 0x10 else (WORD - x1) % WORD  # PUSH k; ADD|SUB; STOREL a
-            op4, x4 = program[i + 4]  # STOREL is never last either
-            if op4 == 0x20:  # JMP x4
-                entry = (_LPAS, (5, x4, a, None, k, None, None, None))
-                joins.append(i)
-            else:
-                entry = (_LPAS, (4, i + 4, a, None, k, None, None, None))
+        elif op1 == 0x01:  # LOADL a; PUSH x; ADD|SUB; STOREL a; JMP to a loop test; STOREL is never last
+            if not ((op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a and program[i + 4][0] == 0x20):
+                continue
+            test = _loop_test(program, program[i + 4][1])
+            if test is None:
+                continue
+            top, (m, after, c, d, _, _, _, t) = test
+            k = x1 if op2 == 0x10 else (WORD - x1) % WORD
+            entry = (_LPAS_LLGJ if top == _LLGJ else _LPAS_LJZ, (5 + m, after, a, None, k, c, d, t))
+        elif (op1 == 0x60 and op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33
+              and program[i + 5][0] == 0x10 and program[i + 6][0] == 0x34):  # LOADL b; PUSH k; SUB; LOAD; ADD; STORE
+            entry = (_LLPSL_AS, (7, i + 7, a, x1, x2, None, None, None))
+        elif (op1 == 0x60 and op2 == 0x60 and op3 == 0x60 and program[i + 4][0] == 0x01
+              and program[i + 5][0] == 0x11 and program[i + 6][0] == 0x33):  # LOADL b, c, d; PUSH k; SUB; LOAD
+            entry = (_LL_LLPSL, (7, i + 7, a, x1, program[i + 4][1], x2, x3, None))
         else:
-            continue
+            entry = _loop_test(program, i)
+            if entry is None:
+                continue
         if code is None:
             code = list(program)
         code[i] = entry
-    if code is None:
-        return program
-    for i in joins:  # each run it joins was matched by the first pass
-        op, (_, after, a, b, k, _, _, _) = code[i]
-        op2, arg2 = code[i + 2 if op == _LL else after]
-        if op == _LL and (op2 == _LLPSL or op2 == _LLPSL_AS):  # LOADL a; LOADL b; _LLPSL over c, d
-            _, _, c, d, k, _, _, _ = arg2
-            code[i] = (_LL_LLPSL, (7, i + 7, a, b, k, c, d, None))
-        elif op == _LPAS and (op2 == _LLGJ or op2 == _LJZ):  # the JMP's target starts a loop test
-            m, after, c, d, _, _, _, t = arg2
-            code[i] = (_LPAS_LLGJ if op2 == _LLGJ else _LPAS_LJZ, (5 + m, after, a, None, k, c, d, t))
-    return tuple(code)
+    return program if code is None else tuple(code)
+
+
+def _loop_test(program: tuple[tuple[int, int | None], ...], i: int) -> tuple[int, tuple] | None:
+    """The ``_LJZ`` or ``_LLGJ`` entry of the loop test at ``i``, if one starts there."""
+    op0, a = program[i]
+    if op0 != 0x60:  # LOADL a
+        return None
+    op1, x1 = program[i + 1]  # a LOADL, GT or JNZ is never last
+    if op1 == 0x21:  # JZ t
+        return (_LJZ, (2, i + 2, a, None, None, None, None, x1))
+    if op1 == 0x60 and program[i + 2][0] == 0x19 and program[i + 3][0] == 0x22:  # LOADL b; GT; JNZ t
+        return (_LLGJ, (4, i + 4, a, x1, None, None, None, program[i + 3][1]))
+    return None
 
 
 class _Trap(Exception):
@@ -383,7 +378,7 @@ def execute_steps(
 
     The loop dispatches on ``image.code``, where the loader has put a
     superinstruction ``(op, (n, after, a, b, k, c, d, t))`` at each LOADL
-    or PUSH that starts one of the eleven fused runs (see ``_fuse``). A
+    or PUSH that starts one of the eight fused runs (see ``_fuse``). A
     fused run holds no HALT, heap or network op, so it changes no yield. One
     rule runs every fused run: if its ``n`` steps fit the step budget, which
     is the run's only budget test, and (for ``_LLPSL_AS``) the stack holds
@@ -479,22 +474,9 @@ def execute_steps(
                         elif op == 0x74:  # LOADL a; JZ t
                             if locals_[a] == 0:
                                 pc = t
-                        elif op == 0x75:  # LOADL a; LOADL b; PUSH k; SUB; LOAD
-                            words = heap.get(locals_[a])
-                            if words is None:
-                                raise _Trap("fault:bad-handle")
-                            idx = (locals_[b] - k) % WORD
-                            if idx >= len(words):
-                                raise _Trap("fault:out-of-bounds")
-                            push(words[idx])
-                        elif op == 0x72:  # LOADL a; PUSH k; ADD|SUB; STOREL a [; JMP after]
-                            locals_[a] = (locals_[a] + k) % WORD
-                        elif op == 0x73:  # LOADL a; LOADL b; GT; JNZ t
+                        else:  # 0x73: LOADL a; LOADL b; GT; JNZ t
                             if locals_[a] > locals_[b]:
                                 pc = t
-                        else:  # 0x70: LOADL a; LOADL b
-                            push(locals_[a])
-                            push(locals_[b])
                         continue
                 op, arg = program[pc]  # the run's LOADL or PUSH alone, as the program's own instruction
             if steps >= max_steps:

@@ -10,7 +10,9 @@ in (``monkeypatch.setattr(metering, "SimKernel", ...)``) and compare, the role
 It also keeps the primitives the kernel dropped once no program yielded
 them: program-level transactions (``TxBegin``, ``TxEnd``, ``TxAbort`` and
 the ``TxAborted`` they throw) and ``ReadCell``. Their kinds lie past the
-kernel's own, which the kernel rejects as unknown."""
+kernel's own, which the kernel rejects as unknown. It has no ``Ticks``: a
+timer runs on it spelled in these primitives (``reference_timer``), and a
+``Ticks`` yielded to it is an unknown kind."""
 
 from __future__ import annotations
 
@@ -25,13 +27,11 @@ from meterfaas.kernel import (
     _STALL,
     _STALLED,
     _TAS,
-    _TICKS,
     _WAIT,
     _WAITING,
     _WRITE,
     _ZERO_COST_BUDGET,
     _SSA,
-    MARKER_VALUE,
     RIP_NEXT,
     SPILL_VALUE,
     Cell,
@@ -41,7 +41,6 @@ from meterfaas.kernel import (
     ScheduleError,
     ScheduleEvent,
     SimTrace,
-    _TickLoop,
     validate_schedule,
 )
 
@@ -94,7 +93,7 @@ class Actor:
 
     __slots__ = (
         "name", "ssa", "gen", "state", "instr", "finish_at", "frozen", "segment_start",
-        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result", "ticks",
+        "tx", "pending_abort", "send_value", "wait_pred", "resident", "result",
     )
 
     def __init__(self, name: str, ssa: _SSA) -> None:
@@ -114,7 +113,6 @@ class Actor:
         self.wait_pred: Callable[[], bool] | None = None
         self.resident = 0
         self.result: Any = None
-        self.ticks: _TickLoop | None = None  # the Ticks instruction in progress
 
     def set_program(self, gen: Generator) -> None:
         self.gen = gen
@@ -173,7 +171,6 @@ class SimKernel:
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
         actor.tx = None
-        actor.ticks = None
         actor.pending_abort = TxAborted(cause)
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
@@ -276,12 +273,6 @@ class SimKernel:
             if self._full_trace:
                 self._log(actor.name, "WAIT_BEGIN")
             return
-        if kind == _TICKS:
-            if actor.tx is not None:
-                raise KernelError(f"{actor.name}: ticks inside transaction")
-            actor.ticks = instr.value
-            self._period_start(actor)
-            return
         if kind == _STALL:
             if actor.tx is not None:
                 raise KernelError(f"{actor.name}: ocall stall inside transaction")
@@ -294,7 +285,8 @@ class SimKernel:
             actor.state = _STALLED
             self._stage(actor, instr)
             return
-        # costed kinds: OP / READ / WRITE / TAS
+        if kind not in (_OP, _READ, _WRITE, _TAS):  # the costed kinds
+            raise KernelError(f"{actor.name}: unknown instruction kind {kind}")
         if instr.cost == 0:
             actor.instr = instr
             self._complete(actor)
@@ -306,92 +298,6 @@ class SimKernel:
         actor.instr = instr
         actor.finish_at = self.now + instr.cost
         actor.segment_start = self.now
-
-    # the Ticks instruction, one period at a time
-
-    def _can_tick(self, actor: Actor) -> bool:
-        loop = actor.ticks
-        return (self._read_value(actor, loop.proc) == 1
-                and self._read_value(actor, loop.watch) == MARKER_VALUE)
-
-    def _period_start(self, actor: Actor) -> None:
-        if not self._can_tick(actor):
-            actor.ticks = None  # completes: the program takes over
-            return
-        loop = actor.ticks
-        actor.tx = _Tx(frozenset((loop.watch,)))
-        if self._full_trace:
-            self._log(actor.name, "TX_BEGIN", "watch=1")
-        self._stage(actor, loop.tick)
-
-    def _period_step(self, actor: Actor) -> None:
-        """Continue a Ticks instruction after its tick or its checks ended."""
-        loop = actor.ticks
-        if actor.tx is not None:
-            # the tick ended: commit it, mirror the count outside the
-            # transaction, then pay for the checks
-            actor.tx = None
-            count = self._read_value(actor, loop.counter) + 1
-            self._commit_write(actor, loop.counter, count)
-            if self._full_trace:
-                self._log(actor.name, "TX_COMMIT")
-            self._commit_write(actor, loop.mirror, count)
-            if loop.checks is not None:
-                self._stage(actor, loop.checks)
-                return
-        self._period_start(actor)
-
-    def _may_skip(self, actor: Actor) -> bool:
-        """True when committing the actor's coming periods can change nothing
-        another actor sees before its own next stop: every period start will
-        pass, no other actor waits on a write, and no other transaction
-        watches the counter or its mirror."""
-        if not self._can_tick(actor):
-            return False
-        loop = actor.ticks
-        for other in self._actors:
-            if other is actor:
-                continue
-            if other.state == _WAITING:
-                return False
-            if other.tx is not None and (loop.counter in other.tx.watch or loop.mirror in other.tx.watch):
-                return False
-        return True
-
-    def _skip_periods(self, actor: Actor, until: int) -> None:
-        """Commit every period whose tick ends before cycle ``until``, in
-        closed form: the actor's tick is in flight, and it alone acts before
-        ``until``, so its own order is the whole order."""
-        loop = actor.ticks
-        eps = loop.epsilon
-        period = loop.tau + eps
-        first = actor.finish_at
-        n = (until - 1 - first) // period + 1
-        base = loop.counter.value
-        last = first + (n - 1) * period
-        if self._full_trace:
-            name, log = actor.name, self._events.append
-            counter, mirror = loop.counter.name, loop.mirror.name
-            for j in range(n):
-                at = first + j * period
-                count = base + j + 1
-                log((at, name, "STEP", "tick"))
-                log((at, name, "WRITE", f"{counter}={count!r}"))
-                log((at, name, "TX_COMMIT", ""))
-                log((at, name, "WRITE", f"{mirror}={count!r}"))
-                if at + eps < until:
-                    if eps:
-                        log((at + eps, name, "STEP", "checks"))
-                    log((at + eps, name, "TX_BEGIN", "watch=1"))
-        loop.counter.value = loop.mirror.value = base + n
-        if eps and last + eps >= until:
-            actor.tx = None  # the checks are in flight
-            start, actor.instr = last, loop.checks
-        else:
-            start, actor.instr = last + eps, loop.tick
-        actor.resident += start - actor.segment_start
-        actor.segment_start = start
-        actor.finish_at = start + actor.instr.cost
 
     def _pump(self) -> None:
         """Run everything that can make progress at the current cycle."""
@@ -431,9 +337,6 @@ class SimKernel:
                         continue
                     budget -= 1
                     progressed = True
-                    if actor.ticks is not None:
-                        self._period_step(actor)
-                        continue
                     exc = actor.pending_abort
                     actor.pending_abort = None
                     self._advance(actor, throw=exc)
@@ -502,28 +405,13 @@ class SimKernel:
         while True:
             if all(actor.state == _DONE for actor in self._actors):
                 break
-            candidates: list[int] = []
-            ticker: Actor | None = None  # an actor whose Ticks tick is in flight
-            for actor in self._actors:
-                if actor.finish_at is None:
-                    continue
-                if ticker is None and actor.ticks is not None and actor.tx is not None:
-                    ticker = actor
-                else:
-                    candidates.append(actor.finish_at)
+            candidates = [actor.finish_at for actor in self._actors if actor.finish_at is not None]
             if ai < len(aex_queue):
                 candidates.append(aex_queue[ai][1].interrupt_at)
             for j in range(ri, len(resume_queue)):
                 if resume_queue[j][0] not in skipped:
                     candidates.append(resume_queue[j][1].resume_at)
                     break
-            if ticker is not None:
-                # next-event advance: commit in closed form the periods that
-                # end before any other stop; the one at that stop runs below
-                until = min([*candidates, limit + 1])
-                if ticker.finish_at < until and self._may_skip(ticker):
-                    self._skip_periods(ticker, until)
-                candidates.append(ticker.finish_at)
             if not candidates:
                 raise KernelError("deadlock: no runnable actor and no pending events")
             t = min(candidates)

@@ -375,6 +375,29 @@ class TestDocumentedPaths:
         assert invoices[0] == invoices[1] == invoices[2]
         assert "invocations,1," in invoices[0]
 
+    def test_bill_an_empty_report_file_bills_as_an_empty_log(self, policy, tmp_path, capsys):
+        empty, folder = tmp_path / "empty.log", tmp_path / "none"
+        empty.write_bytes(b"")
+        folder.mkdir()
+        invoices = []
+        for reports in (empty, folder):
+            assert main(["bill", "--policy", str(policy), "--reports", str(reports)]) == 0
+            invoices.append(capsys.readouterr().out)
+        assert invoices[0] == invoices[1] and "invocations,0," in invoices[0]
+
+    def test_bill_skips_an_empty_file_in_a_directory(self, state, fib_files, policy, tmp_path, capsys):
+        run_invocation(state, fib_files)
+        folder = tmp_path / "reports"
+        folder.mkdir()
+        (folder / "empty.log").write_bytes(b"")
+        (folder / "measurement.bin").write_bytes((state / "measurement.bin").read_bytes())
+        capsys.readouterr()
+        invoices = []
+        for reports in (folder, state / "measurement.bin"):
+            assert main(["bill", "--policy", str(policy), "--reports", str(reports), "--state", str(state)]) == 0
+            invoices.append(capsys.readouterr().out)
+        assert invoices[0] == invoices[1] and "invocations,1," in invoices[0]
+
     def test_bill_state_rejects_a_report_of_another_deployment(self, state, fib_files, policy, tmp_path,
                                                               capsys):
         other = tmp_path / "other"
@@ -469,6 +492,19 @@ class TestTools:
         assert main(["vm", "asm", str(src), "-o", str(out)]) == 0
         assert out.exists()
         assert "3 instructions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("named", [False, True], ids=["default-output", "o-names-the-source"])
+    def test_vm_asm_never_overwrites_its_source(self, tmp_path, capsys, named):
+        # without -o the output is the source's name with .mfvm, here the
+        # source itself; with -o, a path that resolves to it
+        src = tmp_path / "prog.mfvm"
+        src.write_text("PUSH 3\nOUTPUT_WORD\nHALT\n")
+        (tmp_path / "sub").mkdir()
+        argv = ["vm", "asm", str(src)] + (["-o", str(tmp_path / "sub" / ".." / "prog.mfvm")] if named else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert src.read_text() == "PUSH 3\nOUTPUT_WORD\nHALT\n"
 
     def test_vm_asm_parse_error_exit_2(self, tmp_path):
         src = tmp_path / "bad.txt"

@@ -334,13 +334,17 @@ class TestTransactions:
         with pytest.raises(KernelError, match="^actor idle has no program$"):
             kern.run([], 1000)
 
-    @pytest.mark.parametrize("make", [lambda cell: TxBegin((cell,)), lambda cell: ReadCell(cell)],
-                             ids=["TxBegin", "ReadCell"])
-    def test_unknown_instruction_kind_is_a_kernel_fault(self, make):
+    @pytest.mark.parametrize("kernel_type, make", [
+        (SimKernel, lambda cell: TxBegin((cell,))),
+        (SimKernel, lambda cell: ReadCell(cell)),
+        (reference_kernel.SimKernel, lambda cell: Ticks(3, 2, **tick_cells(cell))),
+    ], ids=["TxBegin", "ReadCell", "Ticks-on-reference"])
+    def test_unknown_instruction_kind_is_a_kernel_fault(self, kernel_type, make):
         # the reference kernel's program-level transactions and reads have
-        # kinds this kernel does not define: yielding one is a fault, not an
+        # kinds this kernel does not define, and the kernel's Ticks has one
+        # the reference kernel does not: yielding one is a fault, not an
         # OCALL stall
-        kern = SimKernel()
+        kern = kernel_type()
         cell = Cell("c", 0)
 
         def program():

@@ -843,9 +843,8 @@ class TestReferenceKernel:
     ``reference_kernel``: the same trace, residency and results, or the same
     error, with and without a full trace. A metered run on the reference
     kernel runs the timer of ``reference_timer``, one primitive instruction
-    at a time, since that kernel's ``Ticks`` leaves every abort and the
-    missing marker to the program (``check_reference``); the inputs of
-    ``TestReferenceTimer`` are compared there."""
+    at a time, since that kernel has no ``Ticks`` (``check_reference``); the
+    inputs of ``TestReferenceTimer`` are compared there."""
 
     @staticmethod
     def outcome(run):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import functools
+import random
 
 import pytest
 import reference_vm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_metering import CORPUS_INPUTS
 from test_tooling import _load
 
 from meterfaas import corpus as corp
@@ -85,16 +87,18 @@ def encode(program):
 
 
 def dispatches(image, input_data, limits=LIMITS):
-    """(steps, entries of `image.code` the interpreter fetched) for one run."""
+    """(steps, the opcode of each entry of `image.code` the interpreter
+    fetched, in order) for one run."""
     fetched = []
 
     class Counting(tuple):
         def __getitem__(self, index):
-            fetched.append(index)
-            return tuple.__getitem__(self, index)
+            entry = tuple.__getitem__(self, index)
+            fetched.append(entry[0])
+            return entry
 
     res = vm_execute(dataclasses.replace(image, code=Counting(image.code)), input_data, limits)
-    return res.steps, len(fetched)
+    return res.steps, fetched
 
 
 class TestLoader:
@@ -199,16 +203,13 @@ class TestLoader:
         assert fused == {
             20: (0x73, (4, 24, 2, 0, None, None, None, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
             24: (0x76, (7, 31, 1, 2, 1, 1, 2, None)),  # LOADL 1; LOADL 2; LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
-            25: (0x70, (2, 27, 2, 1, None, None, None, None)),  # LOADL 2; LOADL 1, inside the run at 24
-            26: (0x75, (5, 31, 1, 2, 1, None, None, None)),  # LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
             31: (0x77, (7, 38, 1, 2, 2, None, None, None)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD; ADD; STORE
             # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop; loop: LOADL 2; LOADL 0; GT; JNZ end
             38: (0x78, (9, 24, 2, None, 1, 2, 0, 43)),
-            43: (0x70, (2, 45, 1, 0, None, None, None, None)),  # end: LOADL 1; LOADL 0
         }
         # one more pass of the 23-instruction loop costs 3 dispatches
         passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
-        assert passes[1][0] - passes[0][0] == 23 and passes[1][1] - passes[0][1] == 3
+        assert passes[1][0] - passes[0][0] == 23 and len(passes[1][1]) - len(passes[0][1]) == 3
 
     def test_fused_code_takes_no_part_in_equality_or_repr(self):
         raw = assemble(corp.FIB_SOURCE)
@@ -230,15 +231,35 @@ class TestLoader:
             assert image.code is image.program, source
 
     def test_fused_pattern_needs_its_whole_run(self):
-        # a pattern cut short by another instruction or by the program's end
-        # fuses only as far as it goes
-        for source in ("LOADL 1\nLOADL 2\nPUSH 3\nHALT", "LOADL 1\nLOADL 2\nHALT",
-                       "LOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT"):
+        # a run cut short by another instruction or by the program's end,
+        # and a back edge whose JMP lands on no loop test, are not fused
+        for source in ("LOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT",
+                       "LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nJMP t\nt: LOADL 3\nOUTPUT_WORD\nHALT",
+                       "LOADL 1\nLOADL 2\nPUSH 7\nSUB\nLOAD\nADD\nHALT",
+                       "LOADL 1\nLOADL 2\nLOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT",
+                       "LOADL 1\nLOADL 2\nGT\nHALT", "PUSH 1\nPUSH 2\nADD\nHALT"):
             image = vm_load(assemble(source))
-            assert image.code[0] == (0x70, (2, 2, 1, 2, None, None, None, None))
-            assert image.code[1:] == image.program[1:]
-        image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nHALT"))
-        assert image.code[0] == (0x72, (4, 4, 3, None, WORD - 7, None, None, None))
+            assert image.code is image.program, source
+        # the same back edge landing on a loop test fuses, its SUB 7 as ADD 2^64 - 7
+        image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nJMP t\nt: LOADL 3\nJZ 0\nHALT"))
+        assert image.code[0] == (0x79, (7, 7, 3, None, WORD - 7, 3, None, 0))
+
+    def test_every_fused_run_is_dispatched(self):
+        # each opcode of a fused run (FUSED_LINE holds them all) is fetched
+        # by the corpus, the fuzz or the benchmark's adversarial programs,
+        # so a superinstruction that none of them runs fails here
+        workloads = _load("workloads")
+        runs = [(corp.corpus()[name], data, LIMITS) for name, data in CORPUS_INPUTS.items()]
+        rng = DeterministicRng(20240, "lowerbound")
+        runs += [(*random_image(rng.child(f"prog{i}")), VMLimits(max_steps=4000)) for i in range(200)]
+        for j in range(100):
+            source = workloads.random_source(random.Random(f"perfbench/adversarial/301/{j}"),
+                                             workloads.strata(j)[3])
+            runs.append((vm_load(assemble(source)), corp.words(1), workloads.ADV_LIMITS))
+        dispatched = set()
+        for image, input_data, limits in runs:
+            dispatched.update(dispatches(image, input_data, limits)[1])
+        assert {op for op, _ in fused_program(FUSED_LINE, (2, 5, 4), 0).code if op >= 0x70} <= dispatched
 
 
 class TestExecution:
@@ -690,7 +711,9 @@ NEW_FUSED_OPS = {0x76, 0x77, 0x78, 0x79, 0x7A}
 # taken), LOADL;LOADL then LOADL;LOADL;PUSH;SUB;LOAD, that with ADD;STORE,
 # the two back edges (not taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL, the
 # no-effect PUSH;POP and PUSH;PUSH;MUL;POP and LOADL;PUSH;SUB;STOREL;JMP one
-# after another, for locals 1-3 = (2, 5, 4)
+# after another, for locals 1-3 = (2, 5, 4); the shapes that no fused run
+# covers whole (LOADL;LOADL;PUSH;SUB;LOAD alone, LOADL;LOADL and the
+# LOADL;PUSH;ADD|SUB;STOREL not jumping to a loop test) run unfused
 FUSED_LINE = ("LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nLOADL 1\nLOADL 2\nGT\nJNZ out\n"
               "LOADL 3\nJZ out\nLOADL 4\nLOADL 1\nLOADL 4\nLOADL 2\nPUSH 4\nSUB\nLOAD\n"
               "LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nADD\nSTORE\n"
@@ -1071,7 +1094,7 @@ class TestReferenceVm:
         # the fused patterns in a line, no jump taken but the last, so that
         # some budget ends on every step of each
         line = fused_program(FUSED_LINE, (2, 5, 4), 0)
-        assert {op for op, _ in line.code if op >= 0x70} == {0x70, 0x72, 0x73, 0x74, 0x75} | NEW_FUSED_OPS
+        assert {op for op, _ in line.code if op >= 0x70} == {0x73, 0x74} | NEW_FUSED_OPS
         full = self.check(line, b"", LIMITS, costs)
         assert full.ok
         for max_steps in range(1, full.steps + 1):
