@@ -33,7 +33,7 @@ from .orchestrator import (
     compute_invoice,
 )
 from .scenario import ConfigError, ScenarioConfig, format_schedule, load_keyvalue, load_schedule
-from .vm import AsmError, LoadError, assemble, vm_execute, vm_load
+from .vm import AsmError, LoadError, assemble, vm_load
 from .worker import Receipt, verify_receipt
 from .wire import FormatError
 
@@ -279,9 +279,9 @@ def _resolve_scenario(args):
     """Merge a scenario file (when given) under explicit flags, then load the
     function, the input and the schedule that the merged scenario names.
 
-    Returns (scenario, image, input_data, schedule); a fuzzed schedule is
-    sized from an unmetered run of the image on the input under the
-    scenario's instruction costs.
+    Returns (scenario, image, input_data, schedule); a fuzzed schedule's
+    interrupts start inside an uninterrupted metered run of the image on the
+    input under the scenario's meter config and instruction costs.
     """
     mapping = load_keyvalue(args.scenario) if args.scenario else {}
     flags = {"tau": args.tau, "epsilon": args.epsilon, "net_delay": args.net_delay}
@@ -298,8 +298,8 @@ def _resolve_scenario(args):
     if schedule_spec:
         schedule = load_schedule(schedule_spec)
     elif scenario.fuzz_seed is not None:
-        probe = vm_execute(image, input_data, LIMITS, costs=scenario.costs)
-        span = 64 + 4 * probe.cycles
+        dry = run_metered(image, input_data, LIMITS, scenario.meter, costs=scenario.costs)
+        span = dry.trace.final_cycle
         schedule = random_schedule(crypto.DeterministicRng(scenario.fuzz_seed, "scenario"), span)
     else:
         schedule = []

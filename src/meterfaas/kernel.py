@@ -38,7 +38,8 @@ that leave every event at the same cycle and in the same order:
     residency and schedule events as one stop per period. A full trace takes
     every period one stop at a time, so the per-period path is the only code
     that logs a period;
-  * a ``Ticks`` instruction recovers in place: an abort of a period's
+  * a ``Ticks`` instruction recovers in place: one step function,
+    ``_ticks_step``, takes its every step. An abort of a period's
     transaction restarts it at the next period start, and a period start
     that finds the marker missing installs the ERESUME handler and waits for
     the marker inside the instruction, so the timer's program resumes only
@@ -64,11 +65,11 @@ that leave every event at the same cycle and in the same order:
     build once every instruction whose fields are fixed and yield it again
     and again.
 
-Residency enters and leaves the kernel at two functions. ``_start`` puts
+Residency enters and leaves the kernel only at two functions. ``_start`` puts
 work in flight and charges its actor all of its cycles at once; ``_cut``
-refunds what an AEX, a period's abort or the cycle limit cuts off. A
-completion charges nothing more, so ``resident`` counts every cycle an actor
-spent executing or stalled, and none it spent interrupted or waiting.
+refunds what an AEX, a period's abort, the cycle limit or a closed-form
+advance of ``Ticks`` periods cuts off. A completion charges nothing more, so
+``resident`` counts every cycle an actor spent executing or stalled.
 
 Only an AEX that fires puts its ERESUME on the run's heap of pending
 resumes, so a skipped AEX leaves nothing behind and the heap holds at most
@@ -193,39 +194,7 @@ class EresumeHandler:
         return "<eresume-handler>"
 
 
-class _TickLoop:
-    """The fields of one ``Ticks`` instruction: its period (the tick and the
-    checks, built once) and its recovery (the handler install, built on
-    first use, and the wait for the marker). The run state lives on the
-    actor, so the instruction can be yielded again."""
-
-    __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip", "handler",
-                 "install", "tick", "checks")
-
-    def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell,
-                 rip: Cell, saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> None:
-        self.tau = tau
-        self.epsilon = epsilon
-        self.watch = watch
-        self.counter = counter
-        self.mirror = mirror
-        self.proc = proc
-        self.rip = rip
-        self.saved_rip = saved_rip
-        self.handler = handler
-        self.install: Instr | None = None  # the handler install, built on first use
-        self.tick = Op(tau, label="tick")
-        self.checks = Op(epsilon, label="checks") if epsilon else None
-
-    def marker_back(self) -> bool:
-        """The recovery's wait: the marker is back, the run paused or the
-        handler was lost."""
-        return (self.watch.value == MARKER_VALUE or self.proc.value != 1
-                or not isinstance(self.rip.value, EresumeHandler))
-
-
-def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell, rip: Cell,
-          saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> Instr:
+class Ticks(Instr):
     """Count ticks until a period start finds ``proc != 1``; then complete,
     delivering None.
 
@@ -245,13 +214,37 @@ def Ticks(tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc
     period start, or installs again. The save models the one a real handler
     jumps back through; its cycle delays the install, so it is part of the
     handler-install race. The install and the handler are built on first
-    use. In a lean run the kernel commits whole periods in closed
+    use, and the run state lives on the actor, so the instruction can be
+    yielded again. In a lean run the kernel commits whole periods in closed
     form between other actors' stops, so no other actor's ``Ticks`` may
     watch ``counter`` or ``mirror``."""
-    if tau < 1:
-        raise KernelError("a tick lasts at least one cycle")
-    return Instr(_TICKS, value=_TickLoop(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip,
-                                         handler))
+
+    __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip", "handler",
+                 "install", "tick", "checks")
+
+    def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell,
+                 rip: Cell, saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> None:
+        if tau < 1:
+            raise KernelError("a tick lasts at least one cycle")
+        super().__init__(_TICKS)
+        self.tau = tau
+        self.epsilon = epsilon
+        self.watch = watch
+        self.counter = counter
+        self.mirror = mirror
+        self.proc = proc
+        self.rip = rip
+        self.saved_rip = saved_rip
+        self.handler = handler
+        self.install: Instr | None = None  # the handler install, built on first use
+        self.tick = Op(tau, label="tick")
+        self.checks = Op(epsilon, label="checks") if epsilon else None
+
+    def marker_back(self) -> bool:
+        """The recovery's wait: the marker is back, the run paused or the
+        handler was lost."""
+        return (self.watch.value == MARKER_VALUE or self.proc.value != 1
+                or not isinstance(self.rip.value, EresumeHandler))
 
 
 @dataclass(frozen=True)
@@ -359,7 +352,7 @@ class Actor:
         self.wait_pred: Callable[[], bool] | None = None
         self.resident = 0
         self.result: Any = None
-        self.ticks: _TickLoop | None = None  # the Ticks instruction in progress
+        self.ticks: Ticks | None = None  # the Ticks instruction in progress
         self.recovery = _PERIOD  # the Ticks step after the work in flight or the wait
 
     def set_program(self, gen: Generator) -> None:
@@ -415,14 +408,14 @@ class SimKernel:
 
     def _abort_tx(self, actor: Actor, cause: str) -> None:
         """Abort the actor's ``Ticks`` period: its tick never counts, and the
-        instruction goes on at its next period start."""
+        instruction goes on at its next period start. Nothing is frozen: an
+        AEX aborts the period before it freezes the actor's work."""
         actor.tx = None
         if self._full_trace:
             self._log(actor.name, "TX_ABORT", cause)
-        # squash the tick in flight or frozen; cycles consumed stay consumed
+        # squash the tick in flight; cycles consumed stay consumed
         if actor.finish_at is not None:
             self._cut(actor)
-        actor.frozen.clear()
 
     # execution
 
@@ -484,8 +477,8 @@ class SimKernel:
         AEX cuts it and interrupts the actor, an ERESUME starts none, and a
         write cuts only the tick of a ``Ticks`` period it aborts.
 
-        Each step charges the budget one: a program resume, a Ticks step
-        (a period or its recovery) or a zero-cost ERESUME handler. Zero-cost
+        Each step charges the budget one: a program resume, a
+        ``_ticks_step`` or a zero-cost ERESUME handler. Zero-cost
         work completes in place: a zero-cost OP, WRITE or TAS is applied as
         soon as the program yields it (a WRITE commits here, without
         ``_apply``), and so is a wait whose predicate holds; the result goes
@@ -519,7 +512,7 @@ class SimKernel:
             actor.state = _WAITING
         if actor.ticks is not None:
             budget -= 1
-            self._period_step(actor)
+            self._ticks_step(actor)
             if actor.ticks is not None:
                 return budget
             actor.send_value = None  # a Ticks instruction delivers None
@@ -559,8 +552,8 @@ class SimKernel:
                         self._log(actor.name, "WAIT_BEGIN")
                     return budget
             elif kind == _TICKS:
-                actor.ticks = instr.value
-                self._period_start(actor)
+                actor.ticks = instr
+                self._ticks_step(actor)
                 if actor.ticks is not None:
                     return budget
             elif kind == _STALL:
@@ -572,81 +565,69 @@ class SimKernel:
             else:
                 raise KernelError(f"{actor.name}: unknown instruction kind {kind}")
 
-    # the Ticks instruction, one period at a time; a period's transaction is
+    # the Ticks instruction, one step at a time; a period's transaction is
     # the cell it watches, in ``Actor.tx``
 
-    def _period_start(self, actor: Actor) -> None:
-        loop = actor.ticks
-        if loop.proc.value != 1:
-            actor.ticks = None  # completes: the program takes over
-            return
-        if loop.watch.value == MARKER_VALUE:
-            actor.tx = loop.watch
-            if self._full_trace:
-                self._log(actor.name, "TX_BEGIN", "watch=1")
-            self._start(actor, loop.tick, loop.tau)
-            return
-        # the marker is gone: the worker was interrupted, and the period's
-        # transaction aborts at once
-        if self._full_trace:
-            self._log(actor.name, "TX_BEGIN", "watch=1")
-            self._log(actor.name, "TX_ABORT", "marker-missing")
-        self._recover(actor)
-
-    def _recover(self, actor: Actor) -> None:
-        """With the marker missing and ``proc == 1``: install the handler if
-        the rip holds none (re-installing if a later spill clobbered it),
-        else wait for the marker to come back."""
-        loop = actor.ticks
-        rip = loop.rip.value
-        if not isinstance(rip, EresumeHandler):
-            actor.recovery = _INSTALL
-            self._start(actor, WriteCell(loop.saved_rip, rip, cost=1), 1)
-            return
-        # the wait's predicate is false here: the marker is missing, proc is
-        # 1 and the rip holds the handler
-        actor.recovery = _AWAIT
-        actor.wait_pred = loop.marker_back
-        actor.state = _WAITING
-        if self._full_trace:
-            self._log(actor.name, "WAIT_BEGIN")
-
-    def _period_step(self, actor: Actor) -> None:
-        """Continue a Ticks instruction after its tick, its checks, an abort,
-        a recovery write or the wait for the marker ended."""
-        loop = actor.ticks
+    def _ticks_step(self, actor: Actor) -> None:
+        """Take a Ticks instruction's next step, at its start or after its
+        tick, checks, abort, recovery write or wait for the marker: commit
+        an ended tick, start a pending install, or end the instruction,
+        start a period or recover, by ``proc`` and the marker."""
+        ticks = actor.ticks
         if actor.tx is not None:
             # the tick ended: commit it, mirror the count outside the
             # transaction, then pay for the checks
             actor.tx = None
-            count = loop.counter.value + 1
-            self._commit_write(actor, loop.counter, count)
+            count = ticks.counter.value + 1
+            self._commit_write(actor, ticks.counter, count)
             if self._full_trace:
                 self._log(actor.name, "TX_COMMIT")
-            self._commit_write(actor, loop.mirror, count)
-            if loop.checks is not None:
-                self._start(actor, loop.checks, loop.epsilon)
+            self._commit_write(actor, ticks.mirror, count)
+            if ticks.checks is not None:
+                self._start(actor, ticks.checks, ticks.epsilon)
                 return
         elif actor.recovery == _INSTALL:
             actor.recovery = _AWAIT
-            if loop.install is None:
-                loop.install = WriteCell(loop.rip, loop.handler(), cost=1)
-            self._start(actor, loop.install, 1)
+            if ticks.install is None:
+                ticks.install = WriteCell(ticks.rip, ticks.handler(), cost=1)
+            self._start(actor, ticks.install, 1)
             return
-        elif actor.recovery == _AWAIT:
-            if loop.watch.value != MARKER_VALUE and loop.proc.value == 1:
-                self._recover(actor)  # still missing: wait, or install again
-                return
+        if ticks.proc.value != 1:
+            actor.ticks = None  # completes: the program takes over
             actor.recovery = _PERIOD
-        self._period_start(actor)
+            return
+        if ticks.watch.value == MARKER_VALUE:
+            actor.recovery = _PERIOD
+            actor.tx = ticks.watch
+            if self._full_trace:
+                self._log(actor.name, "TX_BEGIN", "watch=1")
+            self._start(actor, ticks.tick, ticks.tau)
+            return
+        if actor.recovery == _PERIOD and self._full_trace:
+            # the marker is gone: the worker was interrupted, and the
+            # period's transaction aborts at once
+            self._log(actor.name, "TX_BEGIN", "watch=1")
+            self._log(actor.name, "TX_ABORT", "marker-missing")
+        rip = ticks.rip.value
+        if not isinstance(rip, EresumeHandler):
+            actor.recovery = _INSTALL
+            self._start(actor, WriteCell(ticks.saved_rip, rip, cost=1), 1)
+            return
+        # the wait's predicate is false here: the marker is missing, proc is
+        # 1 and the rip holds the handler
+        actor.recovery = _AWAIT
+        actor.wait_pred = ticks.marker_back
+        actor.state = _WAITING
+        if self._full_trace:
+            self._log(actor.name, "WAIT_BEGIN")
 
     def _may_skip(self, actor: Actor) -> bool:
         """True when committing the actor's coming periods can change nothing
         another actor sees before its own next stop: every period start will
         pass and no other actor waits on a write. No other ``Ticks`` period
-        watches the counter or its mirror (see ``Ticks``)."""
-        loop = actor.ticks
-        if loop.proc.value != 1 or loop.watch.value != MARKER_VALUE:
+        watches the counter or its mirror (see ``Ticks``). The marker holds:
+        a period starts only on it, and a write to it aborts the period."""
+        if actor.ticks.proc.value != 1:
             return False
         for other in self._actors:
             if other.state == _WAITING:
@@ -658,23 +639,21 @@ class SimKernel:
         closed form: the actor's tick is in flight, and it alone acts before
         ``until``, so its own order is the whole order. It logs nothing, so
         only a lean run calls it; a full trace takes every period through
-        ``_period_start`` and ``_period_step``, which log it."""
-        loop = actor.ticks
-        eps = loop.epsilon
-        period = loop.tau + eps
+        ``_ticks_step``, which logs it. The tick in flight is cut, and the
+        last period's tick or checks start in its place."""
+        ticks = actor.ticks
+        eps = ticks.epsilon
+        period = ticks.tau + eps
         first = actor.finish_at
         n = (until - 1 - first) // period + 1
-        base = loop.counter.value
         last = first + (n - 1) * period
-        loop.counter.value = loop.mirror.value = base + n
+        ticks.counter.value = ticks.mirror.value = ticks.counter.value + n
+        self._cut(actor)
         if eps and last + eps >= until:
             actor.tx = None  # the checks are in flight
-            start, actor.instr = last, loop.checks
+            self._start(actor, ticks.checks, last + eps - self.now)
         else:
-            start, actor.instr = last + eps, loop.tick
-        finish = start + actor.instr.cost
-        actor.resident += finish - first
-        actor.finish_at = finish
+            self._start(actor, ticks.tick, last + eps + ticks.tau - self.now)
 
     def _pump(self) -> None:
         """Run every touched actor, in registration order, until it blocks,
@@ -768,7 +747,7 @@ class SimKernel:
                 at = actor.finish_at
                 if at is None:
                     continue
-                if actor.ticks is not None and actor.tx is not None and ticker is None:
+                if actor.tx is not None and ticker is None:
                     ticker = actor
                 elif at < t:
                     t = at

@@ -278,10 +278,6 @@ class SimKernel:
                 raise KernelError(f"{actor.name}: ocall stall inside transaction")
             if self._full_trace:
                 self._log(actor.name, "STALL_BEGIN", f"cycles={instr.cost}")
-            if instr.cost == 0:
-                if self._full_trace:
-                    self._log(actor.name, "STALL_END")
-                return
             actor.state = _STALLED
             self._stage(actor, instr)
             return

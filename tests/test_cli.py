@@ -12,7 +12,7 @@ from meterfaas.kde import PublishedKeys
 from meterfaas.kernel import ScheduleEvent
 from meterfaas.metering import run_metered
 from meterfaas.scenario import ScenarioConfig, format_schedule, load_keyvalue
-from meterfaas.vm import assemble, vm_execute
+from meterfaas.vm import assemble
 from meterfaas.worker import WorkerEnclave
 
 
@@ -185,6 +185,25 @@ class TestRunAndVerify:
         ])
         assert rc == 2
         assert "need --state or --kout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        ("verify-quote", "need --state or --root-pub"),
+        ("verify-measurement", "need --state or --kres"),
+        ("replay", "need --function (flag or scenario file)"),
+    ], ids=["verify-quote", "verify-measurement", "replay"])
+    def test_missing_key_or_function_exit_2(self, state, fib_files, capsys, tmp_path, command, message):
+        # neither flag that names the key, or a scenario whose function is empty
+        run_invocation(state, fib_files)
+        scenario = tmp_path / "no-function.cfg"
+        scenario.write_text("function=\n")
+        argv = {
+            "verify-quote": ["verify", "quote", "--keys", str(state / "published.bin")],
+            "verify-measurement": ["verify", "measurement", str(state / "measurement.bin")],
+            "replay": ["replay", "--scenario", str(scenario)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_retired_keyset_note(self, state, fib_files, capsys):
         run_invocation(state, fib_files)
@@ -632,28 +651,38 @@ class TestTools:
             f"resident={case.oracle} declared={case.declared}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_replay_scenario_fuzz_seed(self, capsys, tmp_path):
-        # the scenario's fuzz_seed draws the schedule from an unmetered run
+    def test_replay_scenario_fuzz_seed(self, capsys, tmp_path, monkeypatch):
+        # the scenario's fuzz_seed draws the schedule inside an uninterrupted
+        # metered run under the scenario's meter config
         scenario = tmp_path / "fuzz.cfg"
         scenario.write_text("function=fib\ntau=10\nepsilon=0\nfuzz_seed=3\n")
         inp = tmp_path / "in.bin"
         inp.write_bytes(corp.fib_input(40))
+        drawn = []
+
+        def recording_schedule(rng, span):
+            drawn.append(random_schedule(rng, span))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "random_schedule", recording_schedule)
         args = ["replay", "--scenario", str(scenario), "--input", str(inp)]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
         fib = corp.corpus()["fib"]
-        span = 64 + 4 * vm_execute(fib, corp.fib_input(40), LIMITS).cycles
-        schedule = random_schedule(DeterministicRng(3, "scenario"), span)
         cfg = ScenarioConfig.from_mapping(load_keyvalue(scenario)).meter
+        dry = run_metered(fib, corp.fib_input(40), LIMITS, cfg).trace.final_cycle
+        # every scheduled interrupt starts inside the run it interrupts
+        assert all(ev.interrupt_at <= dry for ev in drawn[0])
+        schedule = random_schedule(DeterministicRng(3, "scenario"), dry)
         expected = run_metered(fib, corp.fib_input(40), LIMITS, cfg, schedule=schedule)
         assert first.splitlines()[:-1] == expected.trace.export_lines()
         kinds = [line.split()[2] for line in first.splitlines() if not line.startswith("#")]
         assert "AEX" in kinds and "ERESUME" in kinds
 
     def test_replay_scenario_fuzz_seed_sized_by_scenario_costs(self, capsys, tmp_path):
-        # the unmetered run that sizes a fuzz_seed schedule prices the
+        # the dry run that sizes a fuzz_seed schedule prices the
         # instructions as the scenario does, so the span covers its cycles
         scenario = tmp_path / "fuzz.cfg"
         scenario.write_text("function=fib\ntau=10\nepsilon=0\nfuzz_seed=3\ncost_default=3\n")
@@ -663,9 +692,10 @@ class TestTools:
         out = capsys.readouterr().out
         loaded = ScenarioConfig.from_mapping(load_keyvalue(scenario))
         fib = corp.corpus()["fib"]
-        cycles = vm_execute(fib, corp.fib_input(40), LIMITS, costs=loaded.costs).cycles
-        assert cycles > 2 * vm_execute(fib, corp.fib_input(40), LIMITS).cycles
-        schedule = random_schedule(DeterministicRng(3, "scenario"), 64 + 4 * cycles)
+        dry = run_metered(fib, corp.fib_input(40), LIMITS, loaded.meter, costs=loaded.costs)
+        assert dry.trace.final_cycle > 2 * run_metered(fib, corp.fib_input(40), LIMITS,
+                                                       loaded.meter).trace.final_cycle
+        schedule = random_schedule(DeterministicRng(3, "scenario"), dry.trace.final_cycle)
         expected = run_metered(fib, corp.fib_input(40), LIMITS, loaded.meter, schedule=schedule,
                                costs=loaded.costs)
         assert out.splitlines()[:-1] == expected.trace.export_lines()

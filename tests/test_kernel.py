@@ -1,9 +1,13 @@
 """Simulation kernel contract tests: determinism, AEX/ERESUME, Ticks periods."""
 
+import ast
+from pathlib import Path
+
 import pytest
 import reference_kernel
 from reference_kernel import ReadCell, TxAbort, TxAborted, TxBegin, TxEnd
 
+from meterfaas import kernel
 from meterfaas.kernel import (
     MARKER_VALUE,
     RIP_NEXT,
@@ -798,3 +802,21 @@ class TestResidentOracleAgreement:
             trace = run_single(steps, schedule=events, step_cost=cost, limit=100_000, full=True)
             assert trace.complete, f"case {case} truncated"
             assert walk_resident(trace, "worker") == trace.resident["worker"]
+
+    def test_residency_stored_only_at_start_and_cut(self):
+        # every change of an actor's residency goes through SimKernel._start
+        # (work put in flight) or SimKernel._cut (work cut off), so a cycle
+        # can be attributed at those two sites alone
+        tree = ast.parse(Path(kernel.__file__).read_text())
+
+        def stores(node):
+            return sum(isinstance(n, ast.Attribute) and n.attr == "resident" and isinstance(n.ctx, ast.Store)
+                       for n in ast.walk(node))
+
+        owners = {}
+        for top in tree.body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(fn, ast.FunctionDef) and stores(fn):
+                    owners[fn.name if fn is top else f"{top.name}.{fn.name}"] = stores(fn)
+        assert sum(owners.values()) == stores(tree)
+        assert set(owners) == {"Actor.__init__", "SimKernel._start", "SimKernel._cut"}

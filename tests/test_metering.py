@@ -530,6 +530,30 @@ def full_trace_digest(fuzz_cases: int, seed: int) -> str:
     return h.hexdigest()
 
 
+def check_ticks_invariants(monkeypatch):
+    """Make the kernel assert, on every call, the two facts its ``Ticks``
+    code relies on without checking them: nothing of the actor is frozen
+    when ``_abort_tx`` aborts its period (an AEX aborts before it freezes),
+    and the watched marker holds when ``_may_skip`` runs (a write to it
+    aborts the period). Return the calls of each, counted."""
+    abort, may_skip = SimKernel._abort_tx, SimKernel._may_skip
+    calls = {"_abort_tx": 0, "_may_skip": 0}
+
+    def checked_abort(self, actor, cause):
+        assert not actor.frozen, (actor.name, cause, self.now)
+        calls["_abort_tx"] += 1
+        abort(self, actor, cause)
+
+    def checked_may_skip(self, actor):
+        assert actor.ticks.watch.value == kernel.MARKER_VALUE, (actor.name, self.now)
+        calls["_may_skip"] += 1
+        return may_skip(self, actor)
+
+    monkeypatch.setattr(SimKernel, "_abort_tx", checked_abort)
+    monkeypatch.setattr(SimKernel, "_may_skip", checked_may_skip)
+    return calls
+
+
 class TestBehaviourLock:
     def test_fuzz_records_unchanged(self):
         # every simulated number of 1000 fuzz cases, heap-op cycles included;
@@ -561,7 +585,7 @@ class TestBoundedLog:
         assert {f.name for f in dataclasses.fields(metering.MeteredOutcome)} == {
             "vm_result", "t_max", "tau", "m_int", "m_max", "net", "trace"}
 
-    def test_schedule_events_match_full_trace(self):
+    def test_schedule_events_match_full_trace(self, monkeypatch):
         # the worker AEX at 50 lands inside the OCALL stall and is skipped
         cfg = MeterConfig(tau=10, epsilon=0, net_delay=100)
         sched = [
@@ -578,18 +602,22 @@ class TestBoundedLog:
         assert {e[2] for e in lean.trace.events} == set(self.SCHEDULE_KINDS)
         # a full trace only logs: over the full-trace lock's runs, lean and
         # full runs agree on everything else
+        calls = check_ticks_invariants(monkeypatch)
         for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
             self.assert_lean_matches_full(image, input_data, limits, cfg, **kw)
+        assert all(calls.values()), calls
 
-    def test_adversarial_corpus_lean_matches_full(self):
+    def test_adversarial_corpus_lean_matches_full(self, monkeypatch):
         # perfbench's adversary places its windows inside a dry run, and its
         # dense single-step schedules reach more nested-AEX paths than the
         # fuzz corpus does
         workloads = _load("workloads")
+        calls = check_ticks_invariants(monkeypatch)
         for j in range(200):
             case = workloads.build_case(301, j)
             self.assert_lean_matches_full(case.image, case.input, workloads.ADV_LIMITS, case.cfg,
                                           schedule=case.schedule, costs=case.costs, limit=case.limit)
+        assert all(calls.values()), calls
 
     def assert_lean_matches_full(self, image, input_data, limits, cfg, **kw):
         """A lean run, where the kernel commits timer periods in closed form,
@@ -865,10 +893,6 @@ class TestReferenceKernel:
             check_reference(monkeypatch, IMAGES[name], CORPUS_INPUTS[name], LIMITS, cfg,
                             schedule=list(schedule))
 
-    def test_full_trace_lock_runs(self, monkeypatch):
-        for image, input_data, limits, cfg, kw in lock_runs(300, 20240):
-            check_reference(monkeypatch, image, input_data, limits, cfg, **kw)
-
     @pytest.mark.parametrize("seed", [301, 402])
     def test_adversarial_corpus(self, monkeypatch, seed):
         # perfbench's adversary places its interrupt windows and single-step
@@ -877,6 +901,7 @@ class TestReferenceKernel:
         # 2000 fuzz cases), and many land inside an ERESUME handler or a
         # timer recovery
         workloads = _load("workloads")
+        calls = check_ticks_invariants(monkeypatch)
         fired = 0
         for j in range(300):
             case = workloads.build_case(seed, j)
@@ -885,6 +910,7 @@ class TestReferenceKernel:
                                    limit=case.limit)["trace"]
             fired += sum(1 for line in text.splitlines() if line.split()[2:3] == ["AEX"])
         assert fired > 1500
+        assert all(calls.values()), calls
 
     def test_truncated_run(self, monkeypatch):
         check_reference(monkeypatch, IMAGES["fib"], corp.fib_input(60), LIMITS,
