@@ -10,7 +10,8 @@ object: ``sign`` and ``derive_session_key`` take the pair, so a signature costs
 no key parsing and a derivation runs one scalar multiplication. A client
 derives its session key with the key set's ``k_ka`` once per context; KDE
 transport keys stay ephemeral, one derivation per setup; AEAD nonces are drawn
-fresh for every message.
+fresh for every message. A session key builds its AES-GCM cipher once, so
+sealing and opening under it construct no cipher.
 """
 
 from __future__ import annotations
@@ -140,9 +141,15 @@ class AgreementKeyPair(KeyPair):
 
 @dataclass(frozen=True)
 class SessionKey:
-    """Symmetric key determined by the unordered pair of agreement key pairs."""
+    """Symmetric key determined by the unordered pair of agreement key pairs.
+    ``cipher`` is the key's AES-GCM cipher, built once at construction; it
+    takes no part in equality, hashing or repr."""
 
     key: bytes = field(repr=False)
+    cipher: AESGCM = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cipher", AESGCM(self.key))
 
 
 def sign(pair: SigningKeyPair, message: bytes) -> bytes:
@@ -176,13 +183,13 @@ def derive_session_key(mine: AgreementKeyPair, peer_public: bytes) -> SessionKey
 def aead_seal(key: SessionKey, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
     if len(nonce) != NONCE_SIZE:
         raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-    return AESGCM(key.key).encrypt(nonce, plaintext, aad)
+    return key.cipher.encrypt(nonce, plaintext, aad)
 
 
 def aead_open(key: SessionKey, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
     if len(nonce) != NONCE_SIZE:
         raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
     try:
-        return AESGCM(key.key).decrypt(nonce, ciphertext, aad)
+        return key.cipher.decrypt(nonce, ciphertext, aad)
     except InvalidTag as exc:
         raise TamperError("AEAD authentication failed") from exc

@@ -1,8 +1,10 @@
 """Canonical encoding: determinism, exact-consume decoding, injectivity."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
+import reference_wire
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -444,3 +446,299 @@ class TestSignedRecords:
             decoded_positions.append(pos)
         # the body's last byte (a key, digest or user-data byte) always parses
         assert sig_start - 1 in decoded_positions
+
+
+# --- the compiled codec against the field-by-field reference -------------------
+
+
+def _outcome(fn, *args):
+    """What a codec call gives: its value, or its exception's type and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc).__name__, str(exc)
+
+
+def _record_classes() -> list:
+    return sorted({type(rec) for _, rec in _samples()}, key=lambda cls: cls.__name__)
+
+
+def _kinds(cls) -> list:
+    return [(f.name, f.metadata["wire"]) for f in dataclasses.fields(cls)]
+
+
+def _strategy(kind):
+    """Values of one declared kind, drawn to fit it."""
+    from meterfaas.crypto import KEY_SIZE
+
+    match kind:
+        case int():
+            return st.binary(min_size=kind, max_size=kind)
+        case type():
+            return _record_strategy(kind)
+        case ("uint", width):
+            return st.integers(0, (1 << (8 * width)) - 1)
+        case ("flag",):
+            return st.booleans()
+        case ("var",):
+            return st.binary(max_size=40)
+        case ("key_pair", pair_cls):
+            return st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE).map(pair_cls.from_private)
+        case ("opt", inner):
+            return st.none() | _strategy(inner)
+    raise TypeError(kind)
+
+
+def _record_strategy(cls):
+    return st.builds(cls, **{name: _strategy(kind) for name, kind in _kinds(cls)})
+
+
+def _bad_values(kind) -> list:
+    """Values a field of this kind must refuse, and a few it takes that
+    ``struct`` handles its own way (``True`` for an int, a list of ints or a
+    bytearray for fixed bytes, any object's truth for a flag)."""
+    match kind:
+        case int():
+            return [bytes(kind - 1), bytes(kind + 1), b"", "x" * kind, None, 7,
+                    list(range(kind)), bytearray(kind)]
+        case ("uint", width):
+            return [-1, 1 << (8 * width), 1.5, 3.0, "7", None, b"\x01", True]
+        case ("flag",):
+            return [2, -1, None, "", "no", [], 0.0]
+    return []
+
+
+def _variants(rec) -> list:
+    """``rec`` with one field, or one field of one nested record, set to each
+    of its kind's bad values."""
+    out = []
+    for name, kind in _kinds(type(rec)):
+        value = getattr(rec, name)
+        for bad in _bad_values(kind):
+            out.append((f"{name}={bad!r}", dataclasses.replace(rec, **{name: bad})))
+        if dataclasses.is_dataclass(value) and not hasattr(value, "parsed"):
+            for label, inner in _variants(value):
+                out.append((f"{name}.{label}", dataclasses.replace(rec, **{name: inner})))
+    return out
+
+
+def _mutants(data: bytes):
+    """Every truncation, every byte set to 0x00, 0x01, 0x02 and 0xff, and one
+    appended byte."""
+    for end in range(len(data)):
+        yield data[:end]
+    for pos in range(len(data)):
+        for value in (0x00, 0x01, 0x02, 0xFF):
+            if data[pos] != value:
+                yield data[:pos] + bytes([value]) + data[pos + 1:]
+    yield data + b"\x00"
+
+
+class TestReferenceCodec:
+    """The compiled codec gives what the field-by-field codec in
+    tests/reference_wire.py gives: the same bytes, the same decoded record,
+    or the same exception type and message."""
+
+    @staticmethod
+    def _check_record(rec):
+        cls = type(rec)
+        assert _outcome(rec.encode) == _outcome(reference_wire.encode, rec)
+        data = reference_wire.encode(rec)
+        assert cls.decode(data) == reference_wire.decode(cls, data) == rec
+        if hasattr(rec, "signed_payload"):
+            assert rec.body() == reference_wire.body(rec)
+            assert rec.signed_payload() == reference_wire.signed_payload(rec)
+
+    @pytest.mark.parametrize("name,rec", _samples(), ids=[n for n, _ in _samples()])
+    def test_samples(self, name, rec):
+        self._check_record(rec)
+
+    @pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_records(self, cls, data):
+        self._check_record(data.draw(_record_strategy(cls)))
+
+    @pytest.mark.parametrize("name,rec", _samples(), ids=[n for n, _ in _samples()])
+    def test_byte_mutants_decode_alike(self, name, rec):
+        cls = type(rec)
+        decoded = 0
+        for data in _mutants(rec.encode()):
+            got = _outcome(cls.decode, data)
+            assert got == _outcome(reference_wire.decode, cls, data), data.hex()
+            if got[0] == "ok":
+                decoded += 1
+                # decoding is canonical: what decodes encodes back to its input
+                assert got[1].encode() == data
+        assert decoded > 0
+
+    @pytest.mark.parametrize("name,rec", _samples(), ids=[n for n, _ in _samples()])
+    def test_bad_field_values_encode_alike(self, name, rec):
+        variants = _variants(rec)
+        if not variants:
+            pytest.skip("no fixed-width field")
+        for label, bad in variants:
+            got = _outcome(bad.encode)
+            assert got == _outcome(reference_wire.encode, bad), label
+            if hasattr(bad, "body"):
+                assert _outcome(bad.body) == _outcome(reference_wire.body, bad), label
+
+    def test_struct_specific_cases_are_covered(self):
+        # the cases struct handles unlike the field-by-field code: a range or
+        # type error, bytes of the wrong length (struct pads them), a flag
+        # byte above 1 inside a fixed run, a truncation inside a fixed run
+        from meterfaas.worker import RequestPlain
+
+        req = dict(_samples())["request-flags-token"]
+        data = req.encode()
+        flag_at = 4 + len(req.input) + 32
+        for bad in (data[:flag_at] + b"\x02" + data[flag_at + 1:], data[:flag_at + 5]):
+            assert _outcome(RequestPlain.decode, bad) == _outcome(reference_wire.decode, RequestPlain, bad)
+        assert _outcome(RequestPlain.decode, data[:flag_at] + b"\x02")[1] == "bad flag 2"
+        assert _outcome(RequestPlain.decode, data[:flag_at + 5])[1] == "truncated input"
+        report = dict(_samples())["measurement"]
+        for field, value, message in (("m_max", 1 << 64, f"u64 out of range: {1 << 64}"),
+                                      ("tag", b"\x01" * 31, "fixed field expects 32 bytes, got 31")):
+            bad = dataclasses.replace(report, **{field: value})
+            assert _outcome(bad.encode) == ("FormatError", message)
+
+    @pytest.mark.parametrize("cls, body", _signed_bodies())
+    def test_sign_matches_reference(self, cls, body):
+        from meterfaas.crypto import DeterministicRng, SigningKeyPair
+
+        pair = SigningKeyPair.generate(DeterministicRng(3, cls.__name__))
+        assert cls.sign(pair, **body) == reference_wire.sign(cls, pair, **body)
+
+
+class TestKeptBody:
+    """A signed record built by ``sign``, by ``decode`` or by its constructor
+    is the same record, and keeps the body bytes of its own fields."""
+
+    @pytest.mark.parametrize("cls, body", _signed_bodies())
+    def test_three_ways_agree(self, cls, body):
+        from meterfaas.crypto import DeterministicRng, SigningKeyPair
+
+        pair = SigningKeyPair.generate(DeterministicRng(4, cls.__name__))
+        signed = cls.sign(pair, **body)
+        signature_field = dataclasses.fields(cls)[-1].name
+        built = cls(**body, **{signature_field: getattr(signed, signature_field)})
+        decoded = cls.decode(signed.encode())
+        expected = reference_wire.body(signed)
+        for rec in (signed, decoded, built):
+            assert rec.body() == expected
+            assert rec.body() is rec.body()  # kept, not rebuilt
+            assert rec.encode() == signed.encode() == reference_wire.encode(rec)
+            assert rec.signed_payload() == signed.signed_payload()
+            assert rec == signed and hash(rec) == hash(signed) and repr(rec) == repr(signed)
+            assert rec.verify(pair.public)
+            assert "_wire_body" not in repr(rec)
+
+    @pytest.mark.parametrize("cls, body", _signed_bodies())
+    def test_replaced_copy_encodes_its_new_field(self, cls, body):
+        from meterfaas.crypto import DeterministicRng, SigningKeyPair
+
+        pair = SigningKeyPair.generate(DeterministicRng(5, cls.__name__))
+        signed = cls.sign(pair, **body)
+        decoded = cls.decode(signed.encode())
+        name, kind = _kinds(cls)[1]
+        value = getattr(signed, name)
+        changed = bytes([value[0] ^ 0xFF]) + value[1:] if isinstance(value, bytes) else value + 1
+        for rec in (signed, decoded):
+            copy = dataclasses.replace(rec, **{name: changed})
+            assert copy.body() == reference_wire.body(copy) != rec.body()
+            assert copy.encode() == reference_wire.encode(copy)
+            assert not copy.verify(pair.public)
+            assert rec.verify(pair.public)
+
+
+class TestSignChecksFieldsFirst:
+    """``Cls.sign`` names a missing or unknown body field in a TypeError, and
+    signs nothing."""
+
+    BODY = dict(t_max=1, tau=2, m_int=3, m_max=4, m_avg=5, net=6, tag=b"\x01" * 32, keyset_id=b"\x02" * 32)
+
+    def _sign(self, monkeypatch, **fields):
+        from meterfaas import crypto
+        from meterfaas.crypto import DeterministicRng, SigningKeyPair
+
+        signed = []
+        real = crypto.sign
+        monkeypatch.setattr(crypto, "sign", lambda pair, message: signed.append(message) or real(pair, message))
+        key = SigningKeyPair.generate(DeterministicRng(1, "sign-fields"))
+        with pytest.raises(TypeError) as info:
+            SignedMeasurement.sign(key, **fields)
+        assert signed == []
+        return str(info.value)
+
+    def test_missing_field(self, monkeypatch):
+        body = {k: v for k, v in self.BODY.items() if k != "keyset_id"}
+        assert self._sign(monkeypatch, **body) == "SignedMeasurement.sign() missing body field 'keyset_id'"
+
+    @pytest.mark.parametrize("extra", ["unknown", "signature"])
+    def test_unknown_field(self, monkeypatch, extra):
+        message = self._sign(monkeypatch, **self.BODY, **{extra: b"x"})
+        assert message == f"SignedMeasurement.sign() got an unexpected field {extra!r}"
+
+
+class TestCodecWork:
+    """The codec's work per warm echo invocation, counted with
+    ``sys.setprofile``: Python calls into wire.py, and body builds of each
+    signed record on each side (the field-by-field codec made 222 calls and
+    built the measurement's body five times and the receipt's three)."""
+
+    MAX_WIRE_CALLS = 78
+
+    def test_calls_and_body_builds(self):
+        import sys
+
+        from meterfaas import corpus as corp
+        from meterfaas import orchestrator, wire
+        from meterfaas.attest import AttestationRoot, derive_identity
+        from meterfaas.crypto import hash_bytes
+        from meterfaas.kde import KeyDistributionEnclave
+        from meterfaas.metering import MeterConfig
+        from meterfaas.vm import assemble
+
+        root = AttestationRoot(seed=b"codec-work")
+        kde_id, worker_id = derive_identity(b"k", b"p"), derive_identity(b"w", b"p")
+        kde = KeyDistributionEnclave(root, kde_id, seed=1, worker_identity=worker_id.mrenclave)
+        pool = orchestrator.WorkerPool(kde, worker_id, size=1, meter_cfg=MeterConfig(tau=100))
+        ctx = orchestrator.ClientContext.create(root.public_key, kde.published, kde_id.mrenclave,
+                                                worker_id.mrenclave)
+        echo = assemble(corp.ECHO_WORD_SOURCE)
+        calls = 0
+        builds = {}
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event != "call" or frame.f_code.co_filename != wire.__file__:
+                return
+            calls += 1
+            caller = frame.f_back
+            if frame.f_code.co_name == "put_fields" and caller.f_code.co_name in ("body", "sign"):
+                owner = caller.f_locals.get("cls") or type(caller.f_locals["self"])
+                builds[(side, owner.__name__)] = builds.get((side, owner.__name__), 0) + 1
+
+        def counted(name, fn, *args):
+            nonlocal side
+            side = name
+            sys.setprofile(profile)
+            try:
+                return fn(*args)
+            finally:
+                sys.setprofile(None)
+
+        def invoke():
+            request, pending = counted("client", orchestrator.client_prepare, ctx, hash_bytes(echo),
+                                       corp.words(7), True, True, b"token")
+            dispatched = counted("worker", pool.dispatch, request, echo)
+            result = counted("client", orchestrator.client_verify_response, pending, dispatched.response)
+            counted("provider", orchestrator.provider_verify_measurement, result.measurement,
+                    kde.published, {hash_bytes(b"token")})
+
+        side = None
+        invoke()  # cold: key fetch, sealing, function load
+        calls, builds = 0, {}
+        invoke()
+        assert calls <= self.MAX_WIRE_CALLS, calls
+        assert builds == {("worker", "SignedMeasurement"): 1, ("worker", "Receipt"): 1}
