@@ -15,7 +15,7 @@ from .corpus import words
 from .crypto import DeterministicRng
 from .kernel import ScheduleEvent, SimTrace
 from .metering import MeterConfig, MeteredOutcome, run_metered
-from .vm import CostTable, FunctionImage, VMLimits, VmHooks, assemble, vm_execute, vm_load
+from .vm import CostTable, FunctionImage, NetIo, VMLimits, assemble, execute_steps, vm_load
 
 LIMITS = VMLimits(max_steps=4000)  # the VM limits of every fuzz case
 CYCLE_LIMIT = 50_000_000  # the kernel's cycle limit for every fuzz case
@@ -118,14 +118,15 @@ def declared_worker_cycles(
     """The worker residency a metered run must show if the kernel charges
     every declared cycle exactly once: the instruction cycles of an unmetered
     run of the same function, one ERESUME-handler detour per ERESUME that
-    found the handler installed, and the host stall of every network OCALL."""
+    found the handler installed, and the host stall of every network OCALL,
+    one per ``NetIo`` the unmetered run yields."""
     net_ops = 0
-
-    def on_net(_sent: int, _received: int) -> None:
-        nonlocal net_ops
-        net_ops += 1
-
-    ref = vm_execute(image, input_data, limits, VmHooks(on_net=on_net), costs)
+    gen = execute_steps(image, input_data, limits, lambda _d: None, costs or CostTable())
+    try:
+        while True:
+            net_ops += isinstance(gen.send(None), NetIo)
+    except StopIteration as stop:
+        ref = stop.value
     load = len(image.program) if cfg.include_load_time else 0
     handled = sum(1 for (_, actor, kind, detail) in trace.events
                   if actor == "worker" and kind == "ERESUME" and detail == "handler")

@@ -127,25 +127,24 @@ _OP, _WRITE, _TAS, _WAIT, _STALL, _TICKS = _KINDS
 
 
 class Instr:
-    __slots__ = ("kind", "cost", "cell", "value", "effect", "label", "pred")
+    __slots__ = ("kind", "cost", "cell", "value", "label", "pred")
 
     def __init__(self, kind: int, cost: int = 0, cell: Cell | None = None, value: Any = None,
-                 effect: Callable[[], Any] | None = None, label: str | None = None,
-                 pred: Callable[[], bool] | None = None) -> None:
+                 label: str | None = None, pred: Callable[[], bool] | None = None) -> None:
         if cost < 0:
             raise KernelError("negative instruction cost")
         self.kind = kind
         self.cost = cost
         self.cell = cell
         self.value = value
-        self.effect = effect
         self.label = label
         self.pred = pred
 
 
-def Op(cost: int, effect: Callable[[], Any] | None = None, label: str | None = None) -> Instr:
-    """Spend `cost` cycles; at completion run `effect` and deliver its result."""
-    return Instr(_OP, cost, None, None, effect, label)
+def Op(cost: int, label: str | None = None) -> Instr:
+    """Spend `cost` cycles; at completion log `label` as a STEP in a full
+    trace and deliver None."""
+    return Instr(_OP, cost, None, None, label)
 
 
 def WriteCell(cell: Cell, value: Any, cost: int = 0) -> Instr:
@@ -209,21 +208,22 @@ class Ticks(Instr):
     and at once aborts the transaction (TX_BEGIN, TX_ABORT marker-missing)
     and recovers inside the instruction: if ``rip`` holds no
     ``EresumeHandler``, it saves that rip into ``saved_rip`` and installs
-    ``handler()`` into ``rip``, 1 cycle each; then it waits until the marker
+    the handler into ``rip``, 1 cycle each; then it waits until the marker
     is back, ``proc != 1`` or ``rip`` lost the handler, and goes on at a
     period start, or installs again. The save models the one a real handler
     jumps back through; its cycle delays the install, so it is part of the
-    handler-install race. The install and the handler are built on first
-    use, and the run state lives on the actor, so the instruction can be
-    yielded again. In a lean run the kernel commits whole periods in closed
-    form between other actors' stops, so no other actor's ``Ticks`` may
-    watch ``counter`` or ``mirror``."""
+    handler-install race. The handler is a ``handler_cost``-cycle write of
+    ``MARKER_VALUE`` to ``watch``. The instruction builds the install and
+    the handler itself on first use, and the run state lives on the actor,
+    so the instruction can be yielded again. In a lean run the kernel
+    commits whole periods in closed form between other actors' stops, so no
+    other actor's ``Ticks`` may watch ``counter`` or ``mirror``."""
 
-    __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip", "handler",
-                 "install", "tick", "checks")
+    __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip",
+                 "handler_cost", "install", "tick", "checks")
 
     def __init__(self, tau: int, epsilon: int, watch: Cell, counter: Cell, mirror: Cell, proc: Cell,
-                 rip: Cell, saved_rip: Cell, handler: Callable[[], EresumeHandler]) -> None:
+                 rip: Cell, saved_rip: Cell, handler_cost: int) -> None:
         if tau < 1:
             raise KernelError("a tick lasts at least one cycle")
         super().__init__(_TICKS)
@@ -235,7 +235,7 @@ class Ticks(Instr):
         self.proc = proc
         self.rip = rip
         self.saved_rip = saved_rip
-        self.handler = handler
+        self.handler_cost = handler_cost
         self.install: Instr | None = None  # the handler install, built on first use
         self.tick = Op(tau, label="tick")
         self.checks = Op(epsilon, label="checks") if epsilon else None
@@ -438,10 +438,9 @@ class SimKernel:
         result."""
         kind = instr.kind
         if kind == _OP:
-            result = instr.effect() if instr.effect is not None else None
             if self._full_trace and instr.label:
                 self._log(actor.name, "STEP", instr.label)
-            return result
+            return None
         cell = instr.cell
         if kind == _WRITE:
             self._commit_write(actor, cell, instr.value)
@@ -589,7 +588,8 @@ class SimKernel:
         elif actor.recovery == _INSTALL:
             actor.recovery = _AWAIT
             if ticks.install is None:
-                ticks.install = WriteCell(ticks.rip, ticks.handler(), cost=1)
+                handler = EresumeHandler(WriteCell(ticks.watch, MARKER_VALUE, cost=ticks.handler_cost))
+                ticks.install = WriteCell(ticks.rip, handler, cost=1)
             self._start(actor, ticks.install, 1)
             return
         if ticks.proc.value != 1:

@@ -27,13 +27,13 @@ accumulate at OCALL return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import crypto
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, SigningKeyPair
 from .kernel import (
     MARKER_VALUE,
     Cell,
-    EresumeHandler,
     HostStall,
     Op,
     ScheduleEvent,
@@ -44,7 +44,7 @@ from .kernel import (
     WaitUntil,
     WriteCell,
 )
-from .vm import CostTable, FunctionImage, NetIo, VMLimits, VMResult, VmHooks, execute_steps
+from .vm import CostTable, FunctionImage, NetIo, VMLimits, VMResult, execute_steps
 from .wire import U64, signed_record, wire_field
 
 MEASUREMENT_DOMAIN = b"meterfaas/measurement/v1|"
@@ -140,13 +140,6 @@ def mem_finalize(mem: MemState, t_final: int) -> tuple[int, int]:
     return mem.m_int, mem.m_max
 
 
-def make_eresume_handler(worker_ssa, cost: int) -> EresumeHandler:
-    """Worker-side handler run on ERESUME: restores the marker word (which also
-    wakes the waiting timer) without disturbing any function state, then falls
-    through to the interrupted instruction."""
-    return EresumeHandler(WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cost))
-
-
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     """The timing thread. One timer counts at a time (enclave-wide mutex).
     Its steady state is one ``Ticks`` instruction: ticks inside transactions
@@ -168,8 +161,7 @@ def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     on first use, since a run without a second timer or OCALLs never yields
     them. An instruction carries no run state, so it can be yielded again."""
     ticks = Ticks(cfg.tau, cfg.epsilon, watch=worker_ssa.marker, counter=ts.internal, mirror=ts.t,
-                  proc=ts.proc, rip=worker_ssa.rip, saved_rip=ts.original_rip,
-                  handler=lambda: make_eresume_handler(worker_ssa, cfg.handler_cost))
+                  proc=ts.proc, rip=worker_ssa.rip, saved_rip=ts.original_rip, handler_cost=cfg.handler_cost)
     take_mutex = TestAndSet(ts.mutex, cost=1)
     resumed_or_done = None
 
@@ -207,7 +199,7 @@ def worker_program(
     input_data: bytes,
     limits: VMLimits,
     costs: CostTable,
-    hooks: VmHooks,
+    on_mem: Callable[[int], None],
     default_tag: bytes | None,
 ):
     """The worker thread: metering bracket around the sandboxed function.
@@ -221,15 +213,20 @@ def worker_program(
     Around each network OCALL the worker clears ``proc`` and sets it again
     on return: the timer completes its current tick, then stops counting.
     The pause deliberately does not interrupt the timer, so functions cannot
-    shave time off by spamming OCALLs. Those instructions and the host stall
-    are built once per program.
+    shave time off by spamming OCALLs. Network bytes are counted at the
+    return, right after a zero-cost ``net`` step that completes in place.
+    Those instructions and the host stall are built once per program, the
+    ``net`` step on the first OCALL.
 
     Like the timer, the worker yields only work the kernel must order and
-    reads ``t`` directly once the function has finished.
+    reads ``t`` directly once the function has finished. Returns
+    ``(result, t_max, net)``.
     """
     proc_off = WriteCell(ts.proc, 0)
     ocall_stall = HostStall(cfg.net_delay) if cfg.net_delay else None
     proc_on = WriteCell(ts.proc, 1)
+    net_step = None
+    net = 0
     if cfg.gate_worker_on_timer:
         yield WaitUntil(lambda: ts.ready.value == 1)
     yield WriteCell(ssa.marker, MARKER_VALUE)
@@ -240,7 +237,7 @@ def worker_program(
     if cfg.include_load_time:
         yield Op(len(image.program), label="load")
 
-    vm = execute_steps(image, input_data, limits, hooks, costs, default_tag)
+    vm = execute_steps(image, input_data, limits, on_mem, costs, default_tag)
     result: VMResult | None = None
     try:
         item = next(vm)
@@ -251,8 +248,10 @@ def worker_program(
                 if ocall_stall is not None:
                     yield ocall_stall
                 yield proc_on
-                # network bytes are accounted at OCALL return, not at pause
-                yield Op(0, effect=lambda io=item: hooks.on_net(io.sent, io.received), label="net")
+                if net_step is None:
+                    net_step = Op(0, label="net")
+                yield net_step
+                net += item.sent + item.received
             else:
                 yield Op(item, label="vm")
             item = vm.send(None)
@@ -262,7 +261,7 @@ def worker_program(
     yield proc_off
     t_max = ts.t.value
     yield WriteCell(ts.run_done, 1)
-    return result, t_max
+    return result, t_max, net
 
 
 @dataclass
@@ -304,26 +303,15 @@ def run_metered(
     extras = [kern.add_enclave_actor(f"timer{i + 2}") for i in range(cfg.extra_timers)]
 
     mem = MemState()
-    net = 0
 
     def on_mem(delta: int) -> None:
         # ticks from the unsynchronized public mirror: reading it never aborts a tick
         mem_update(mem, delta, ts.t.value)
 
-    def on_net(sent: int, received: int) -> None:
-        nonlocal net
-        net += sent + received
-
-    hooks = VmHooks(
-        on_alloc=lambda n: on_mem(n),
-        on_free=lambda n: on_mem(-n),
-        on_net=on_net,
-    )
-
     timer.set_program(timer_program(cfg, ts, worker.ssa))
     worker.set_program(
         worker_program(
-            cfg, ts, worker.ssa, image, input_data, limits, costs, hooks, default_tag
+            cfg, ts, worker.ssa, image, input_data, limits, costs, on_mem, default_tag
         )
     )
     for extra in extras:
@@ -332,7 +320,7 @@ def run_metered(
     trace = kern.run(list(schedule), limit, full_trace=full_trace)
     if not trace.complete:
         raise TruncatedRun(f"simulation truncated at cycle limit {limit}")
-    vm_result, t_max = trace.results["worker"]
+    vm_result, t_max, net = trace.results["worker"]
     m_int, m_max = mem_finalize(mem, t_max)
     return MeteredOutcome(
         vm_result=vm_result,

@@ -3,8 +3,9 @@
 A stack machine with 16 local slots, integer arithmetic on 64-bit words,
 jumps, a handle-based heap whose alloc/realloc/free paths are instrumented,
 synthetic network send/receive, word-granular input/output, and a tag opcode.
-Functions can only touch memory and the network through the provided hooks,
-which is what protects the resource measurements from the measured code.
+Functions can only touch memory through the ``on_mem`` callback and the network
+through the ``NetIo`` the interpreter yields, which is what protects the
+resource measurements from the measured code.
 
 Bytecode files: magic ``MFVM``, version byte, entry instruction index (u32 LE),
 code length (u32 LE), code. The function hash is computed over these exact
@@ -150,24 +151,6 @@ class FunctionImage:
     program: tuple[tuple[int, int | None], ...]
     function_hash: bytes
     code: tuple[tuple[int, object], ...] = field(compare=False, repr=False)
-
-
-def _noop1(_n: int) -> None:
-    return None
-
-
-def _noop2(_a: int, _b: int) -> None:
-    return None
-
-
-@dataclass
-class VmHooks:
-    """The only capabilities a running function gets. Metering wires these to
-    its own state; nothing else of the meter is reachable from the sandbox."""
-
-    on_alloc: Callable[[int], None] = _noop1
-    on_free: Callable[[int], None] = _noop1
-    on_net: Callable[[int, int], None] = _noop2
 
 
 @dataclass
@@ -340,7 +323,7 @@ def execute_steps(
     image: FunctionImage,
     input_data: bytes,
     limits: VMLimits,
-    hooks: VmHooks,
+    on_mem: Callable[[int], None],
     costs: CostTable,
     default_tag: bytes | None = None,
 ) -> Generator[int | NetIo, None, VMResult]:
@@ -356,8 +339,10 @@ def execute_steps(
     HALT and each heap op close the block: its cost, the op's own included,
     is yielded before the op's effect, which runs when the caller resumes us,
     i.e. at the cycle where the block completes; a heap op's underflow, bad
-    handle or memory-budget trap comes after that yield. A network op pops
-    its byte count before it is counted, so its underflow is charged
+    handle or memory-budget trap comes after that yield. A heap op's effect
+    passes ``on_mem`` the signed change of live bytes: ``+size`` at ALLOC,
+    ``size - old`` at a REALLOC that resizes, ``-size`` at FREE. A network
+    op pops its byte count before it is counted, so its underflow is charged
     nothing; otherwise it flushes the pending cost, then yields its NetIo.
     Any other trapping instruction is charged its step and its cost. The
     step budget is checked before a step is counted. A trap, the step budget
@@ -593,7 +578,7 @@ def execute_steps(
                     if size & 7:
                         tails[handle] = bytes(size & 7)
                     live += size
-                    hooks.on_alloc(size)
+                    on_mem(size)
                     push(handle)
                 elif op == 0x31:  # REALLOC: bytes cut off are gone, new bytes are zero
                     size, handle = pop(), pop()
@@ -624,17 +609,15 @@ def execute_steps(
                         tails[handle] = tail
                     else:
                         tails.pop(handle, None)
-                    if size > old:
-                        hooks.on_alloc(size - old)
-                    elif size < old:
-                        hooks.on_free(old - size)
+                    if size != old:
+                        on_mem(size - old)
                     live += size - old
                     push(handle)
                 else:  # FREE
                     handle = pop()
                     size = len(block(handle)) * 8 + len(tails.pop(handle, b""))
                     live -= size
-                    hooks.on_free(size)
+                    on_mem(-size)
                     del heap[handle]
             pc += 1
     except _Trap as trap:
@@ -653,20 +636,16 @@ def vm_execute(
     image: FunctionImage,
     input_data: bytes,
     limits: VMLimits,
-    hooks: VmHooks | None = None,
     costs: CostTable | None = None,
     default_tag: bytes | None = None,
 ) -> VMResult:
     """Run an image to completion outside any simulation. This is the oracle
-    path: same interpreter, same hook sequence, no protocol stack."""
-    hooks = hooks or VmHooks()
-    gen = execute_steps(image, input_data, limits, hooks, costs or CostTable(), default_tag)
+    path: the same interpreter with no protocol stack, and no capability
+    handed to the function: its memory deltas go nowhere."""
+    gen = execute_steps(image, input_data, limits, lambda _d: None, costs or CostTable(), default_tag)
     try:
-        item = next(gen)
         while True:
-            if isinstance(item, NetIo):
-                hooks.on_net(item.sent, item.received)
-            item = gen.send(None)
+            gen.send(None)
     except StopIteration as stop:
         return stop.value
 

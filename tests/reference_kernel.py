@@ -203,7 +203,7 @@ class SimKernel:
                 self._log(actor.name, "STALL_END")
             result: Any = None
         elif instr.kind == _OP:
-            result = instr.effect() if instr.effect is not None else None
+            result = None
             if self._full_trace and instr.label:
                 self._log(actor.name, "STEP", instr.label)
         elif instr.kind == _READ:

@@ -11,13 +11,13 @@ execution."""
 from reference_kernel import ReadCell, TxAbort, TxAborted, TxBegin, TxEnd
 
 from meterfaas.kernel import MARKER_VALUE, EresumeHandler, Op, TestAndSet, WaitUntil, WriteCell
-from meterfaas.metering import MeterConfig, TimerState, make_eresume_handler
+from meterfaas.metering import MeterConfig, TimerState
 
 
 def timer_program(cfg: MeterConfig, ts: TimerState, worker_ssa):
     """The timing thread. One timer counts at a time (enclave-wide mutex);
     ticks run inside transactions watching the worker's SSA marker."""
-    handler = make_eresume_handler(worker_ssa, cfg.handler_cost)
+    handler = EresumeHandler(WriteCell(worker_ssa.marker, MARKER_VALUE, cost=cfg.handler_cost))
 
     prior = yield TestAndSet(ts.mutex, cost=1)
     while prior != 0:

@@ -3,15 +3,15 @@ each instruction as it runs: a per-run price list, ``cycles`` and ``pending``
 additions per instruction, and a ``pop`` helper that raises the underflow
 trap. ``execute_steps`` keeps only a step counter per instruction and derives
 cycles and block costs from it; tests drive both generators the same way and
-require the same yields, hook calls and ``VMResult`` (``TestReferenceVm``),
+require the same yields, ``on_mem`` calls and ``VMResult`` (``TestReferenceVm``),
 the role ``reference_timer`` plays for the closed-form timer."""
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 from meterfaas import crypto
-from meterfaas.vm import LOCAL_SLOTS, WORD, CostTable, FunctionImage, NetIo, VMLimits, VmHooks, VMResult
+from meterfaas.vm import LOCAL_SLOTS, WORD, CostTable, FunctionImage, NetIo, VMLimits, VMResult
 
 _HEAP_OPS = frozenset((0x30, 0x31, 0x32))
 _NET_OPS = frozenset((0x40, 0x41))
@@ -36,7 +36,7 @@ def execute_steps(
     image: FunctionImage,
     input_data: bytes,
     limits: VMLimits,
-    hooks: VmHooks,
+    on_mem: Callable[[int], None],
     costs: CostTable,
     default_tag: bytes | None = None,
 ) -> Generator[int | NetIo, None, VMResult]:
@@ -162,7 +162,7 @@ def execute_steps(
                 next_handle += 1
                 heap[handle] = bytearray(size)
                 live += size
-                hooks.on_alloc(size)
+                on_mem(size)
                 stack.append(handle)
             elif op == 0x31:  # REALLOC
                 size, handle = pop(), pop()
@@ -173,17 +173,17 @@ def execute_steps(
                 if size >= old:
                     b.extend(bytes(size - old))
                     if size > old:
-                        hooks.on_alloc(size - old)
+                        on_mem(size - old)
                 else:
                     del b[size:]
-                    hooks.on_free(old - size)
+                    on_mem(size - old)
                 live += size - old
                 stack.append(handle)
             elif op == 0x32:  # FREE
                 handle = pop()
                 b = block(handle)
                 live -= len(b)
-                hooks.on_free(len(b))
+                on_mem(-len(b))
                 del heap[handle]
             elif op == 0x33:  # LOAD
                 idx, handle = pop(), pop()

@@ -59,6 +59,11 @@ class TestDeterministicRng:
     def test_label_separates_streams(self):
         assert DeterministicRng(7, "x").bytes(32) != DeterministicRng(7, "y").bytes(32)
 
+    @pytest.mark.parametrize("upper", [0, -1])
+    def test_randrange_needs_a_positive_upper(self, upper):
+        with pytest.raises(ValueError, match="upper must be positive"):
+            DeterministicRng(1).randrange(upper)
+
     def test_children_independent(self):
         root = DeterministicRng(1)
         assert root.child("a").bytes(16) != root.child("b").bytes(16)
@@ -154,6 +159,10 @@ class TestAead:
     def test_bad_nonce_length_rejected(self):
         with pytest.raises(CryptoError):
             aead_seal(self.key, b"\x01" * 8, b"p", b"")
+        ct = aead_seal(self.key, b"\x01" * 12, b"p", b"")
+        for size in (11, 13):
+            with pytest.raises(CryptoError, match="nonce must be 12 bytes"):
+                aead_open(self.key, b"\x01" * size, ct, b"")
 
     def test_bulk_roundtrip_and_tamper_rejection(self):
         # 10,000 randomized (key, nonce, plaintext, aad) tuples

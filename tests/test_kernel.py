@@ -563,11 +563,10 @@ def tick_cells(watch):
     """The cells of a Ticks instruction that watches ``watch``, with a
     recovery that installs a 2-cycle handler restoring it."""
     return dict(watch=watch, counter=Cell("counter", 0), mirror=Cell("mirror", 0), proc=Cell("proc", 1),
-                rip=Cell("rip", RIP_NEXT), saved_rip=Cell("saved_rip", None),
-                handler=lambda: EresumeHandler(WriteCell(watch, MARKER_VALUE, cost=2)))
+                rip=Cell("rip", RIP_NEXT), saved_rip=Cell("saved_rip", None), handler_cost=2)
 
 
-def spelled_ticks(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip, handler):
+def spelled_ticks(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip, handler_cost):
     """The Ticks instruction spelled in the primitive instructions of
     ``reference_kernel``, on which it runs: an abort restarts at the next
     period start, and a missing marker is recovered there."""
@@ -590,7 +589,8 @@ def spelled_ticks(tau, epsilon, watch, counter, mirror, proc, rip, saved_rip, ha
                 found = yield ReadCell(rip)
                 if not isinstance(found, EresumeHandler):
                     yield WriteCell(saved_rip, found, cost=1)
-                    install = install or WriteCell(rip, handler(), cost=1)
+                    install = install or WriteCell(
+                        rip, EresumeHandler(WriteCell(watch, MARKER_VALUE, cost=handler_cost)), cost=1)
                     yield install
                 yield WaitUntil(lambda: watch.value == MARKER_VALUE or proc.value != 1
                                 or not isinstance(rip.value, EresumeHandler))

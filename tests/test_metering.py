@@ -796,6 +796,27 @@ class TestReferenceTimer:
         assert out.vm_result.output == corp.words(12345)
         assert built <= 16
 
+    def test_network_run_builds_one_net_step(self, monkeypatch):
+        # the worker counts an OCALL's bytes itself, right after the one
+        # zero-cost net step it builds on its first OCALL and yields again
+        init = kernel.Instr.__init__
+        net_steps = 0
+
+        def counting_init(self, *args, **kw):
+            nonlocal net_steps
+            init(self, *args, **kw)
+            net_steps += self.label == "net"
+
+        monkeypatch.setattr(kernel.Instr, "__init__", counting_init)
+        image = vm_load(assemble("PUSH 40\nSTOREL 0\ntop: LOADL 0\nJZ end\nPUSH 96\nNET_SEND\n"
+                                 "LOADL 0\nPUSH 1\nSUB\nSTOREL 0\nJMP top\nend: HALT"))
+        cfg = MeterConfig(tau=10, net_delay=17)
+        out = run_metered(image, b"", LIMITS, cfg, full_trace=True)
+        assert_conserved(out, image, b"", LIMITS, cfg)
+        assert out.net == 40 * 96
+        assert sum(1 for (c, a, k, d) in out.trace.events if k == "STEP" and d == "net") == 40
+        assert net_steps == 1
+
     def test_metering_programs_yield_no_read(self, monkeypatch):
         # both programs read cells directly, and the timer's transactions
         # and their aborts are all inside Ticks, so the kernel defines no

@@ -25,7 +25,6 @@ from meterfaas.vm import (
     LoadError,
     NetIo,
     VMLimits,
-    VmHooks,
     assemble,
     execute_steps,
     vm_execute,
@@ -35,9 +34,25 @@ from meterfaas.vm import (
 LIMITS = VMLimits(max_steps=2_000_000, max_memory=1 << 24, max_output=1 << 16)
 
 
-def run_named(name, input_data=b"", hooks=None, limits=LIMITS, **kw):
+def run_named(name, input_data=b"", limits=LIMITS, **kw):
     image = corp.corpus()[name]
-    return vm_execute(image, input_data, limits, hooks=hooks, **kw)
+    return vm_execute(image, input_data, limits, **kw)
+
+
+def effects(image, input_data=b""):
+    """Drive ``execute_steps`` to completion; log in order each signed
+    ``on_mem`` delta and, as ``(sent, received)``, each ``NetIo``. Returns
+    the result and the log."""
+    log = []
+    gen = execute_steps(image, input_data, LIMITS, log.append, CostTable())
+    try:
+        item = next(gen)
+        while True:
+            if isinstance(item, NetIo):
+                log.append((item.sent, item.received))
+            item = gen.send(None)
+    except StopIteration as stop:
+        return stop.value, log
 
 
 def image_bytes(code, entry=0, version=VERSION):
@@ -269,9 +284,7 @@ class TestExecution:
         assert int.from_bytes(res.output, "little") == 55
 
     def test_fib_allocation_profile_is_single_block_of_n_plus_1_slots(self):
-        allocs = []
-        hooks = VmHooks(on_alloc=allocs.append)
-        res = run_named("fib", corp.fib_input(37), hooks=hooks)
+        res, allocs = effects(corp.corpus()["fib"], corp.fib_input(37))
         assert res.ok
         assert allocs == [(37 + 1) * 8]
 
@@ -287,34 +300,22 @@ class TestExecution:
             assert pts[n] == pytest.approx(slope * n + (pts[100] - slope * 100))
 
     def test_known_network_reports_exact_bytes(self):
-        seen = []
-        hooks = VmHooks(on_net=lambda s, r: seen.append((s, r)))
-        res = run_named("known_network", corp.known_network_input(1000, 500), hooks=hooks)
+        res, seen = effects(corp.corpus()["known_network"], corp.known_network_input(1000, 500))
         assert res.ok
         assert seen == [(1000, 0), (0, 500)]
 
     def test_empty_zero_allocations_empty_output(self):
-        allocs = []
-        res = run_named("empty", hooks=VmHooks(on_alloc=allocs.append))
+        res, allocs = effects(corp.corpus()["empty"])
         assert res.ok and res.output == b"" and allocs == []
 
     def test_alloc_churn_alloc_then_free(self):
-        events = []
-        hooks = VmHooks(on_alloc=lambda n: events.append(("+", n)), on_free=lambda n: events.append(("-", n)))
-        res = run_named("alloc_churn", corp.alloc_churn_input(4096), hooks=hooks)
+        res, events = effects(corp.corpus()["alloc_churn"], corp.alloc_churn_input(4096))
         assert res.ok
-        assert events == [("+", 4096), ("-", 4096)]
+        assert events == [4096, -4096]
 
     def test_determinism_identical_results_and_hook_sequences(self):
         def one():
-            log = []
-            hooks = VmHooks(
-                on_alloc=lambda n: log.append(("a", n)),
-                on_free=lambda n: log.append(("f", n)),
-                on_net=lambda s, r: log.append(("n", s, r)),
-            )
-            res = run_named("fib", corp.fib_input(50), hooks=hooks)
-            return res, log
+            return effects(corp.corpus()["fib"], corp.fib_input(50))
 
         r1, l1 = one()
         r2, l2 = one()
@@ -381,8 +382,6 @@ class TestExecution:
         assert res.tag == hash_bytes((77).to_bytes(8, "little"))
 
     def test_realloc_grows_and_shrinks_with_hooks(self):
-        events = []
-        hooks = VmHooks(on_alloc=lambda n: events.append(("+", n)), on_free=lambda n: events.append(("-", n)))
         src = """
             PUSH 16
             ALLOC
@@ -394,9 +393,9 @@ class TestExecution:
             HALT
         """
         img = vm_load(assemble(src))
-        res = vm_execute(img, b"", LIMITS, hooks=hooks)
+        res, events = effects(img)
         assert res.ok
-        assert events == [("+", 16), ("+", 48), ("-", 56), ("-", 8)]
+        assert events == [16, 48, -56, -8]
 
     def test_full_budget_block_costs_its_size_in_host_memory(self):
         # ALLOC all of max_memory, store into its last word, shrink into that
@@ -498,11 +497,9 @@ class TestExecution:
             HALT
         """
         image = vm_load(assemble(src))
-        events = []
-        hooks = VmHooks(on_alloc=lambda n: events.append(n))
         tracemalloc.start()
         try:
-            res = vm_execute(image, b"", LIMITS, hooks=hooks)
+            res, events = effects(image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -513,12 +510,11 @@ class TestExecution:
 
 def trace(execute, image, input_data, limits, costs):
     """Drive an interpreter generator as `vm_execute` does; log every yield
-    and every hook call in order, so a hook's position shows which block it
-    completed. Returns the log and the result."""
+    and every ``on_mem`` call in order, as ``("mem", delta)`` with the signed
+    delta, so a call's position shows which block it completed. Returns the
+    log and the result."""
     log = []
-    hooks = VmHooks(on_alloc=lambda n: log.append(("alloc", n)),
-                    on_free=lambda n: log.append(("free", n)))
-    gen = execute(image, input_data, limits, hooks, costs)
+    gen = execute(image, input_data, limits, lambda delta: log.append(("mem", delta)), costs)
     try:
         item = next(gen)
         while True:
@@ -541,7 +537,7 @@ class TestBlocks:
     def test_heap_op_closes_block_and_runs_at_its_end(self):
         log, res = drive("PUSH 1\nPOP\nPUSH 16\nALLOC\nSTOREL 0\nLOADL 0\nFREE\nPUSH 7\nPOP\nHALT")
         # PUSH POP PUSH ALLOC = 1+1+1+10; STOREL LOADL FREE = 1+1+10; PUSH POP HALT
-        assert log == [("cost", 13), ("alloc", 16), ("cost", 12), ("free", 16), ("cost", 3)]
+        assert log == [("cost", 13), ("mem", 16), ("cost", 12), ("mem", -16), ("cost", 3)]
         assert res.ok and res.steps == 10 and res.cycles == 28
 
     def test_network_op_flushes_pending_cost_first(self):
@@ -553,7 +549,7 @@ class TestBlocks:
         # the faulting POP is charged, as when each instruction was yielded
         log, res = drive("PUSH 1\nPOP\nPUSH 16\nALLOC\nPUSH 1\nPOP\nPOP\nPOP\nHALT")
         assert res.status == "trapped" and res.reason == "fault:stack-underflow"
-        assert log == [("cost", 13), ("alloc", 16), ("cost", 4)]
+        assert log == [("cost", 13), ("mem", 16), ("cost", 4)]
         assert res.steps == 8 and res.cycles == 17
 
     def test_step_budget_flushes_pending_cost(self):
@@ -582,8 +578,8 @@ class TestBlocks:
             FREE
             HALT
         """, costs=CostTable(default=2, heap=7, net=3))
-        assert log == [("cost", 9), ("alloc", 16), ("cost", 21), ("alloc", 16), ("cost", 2),
-                       NetIo(3, 64, 0), ("cost", 2), NetIo(3, 0, 8), ("cost", 7), ("free", 32),
+        assert log == [("cost", 9), ("mem", 16), ("cost", 21), ("mem", 16), ("cost", 2),
+                       NetIo(3, 64, 0), ("cost", 2), NetIo(3, 0, 8), ("cost", 7), ("mem", -32),
                        ("cost", 2)]
         assert res.ok and res.steps == 16 and res.cycles == 11 * 2 + 3 * 7 + 2 * 3
 
@@ -1105,7 +1101,8 @@ class TestReferenceVm:
 class TestConfinement:
     def test_vm_module_reaches_nothing_but_hooks(self):
         # the sandbox must have no path to metering or kernel state other
-        # than the hook capabilities handed to vm_execute
+        # than the on_mem callback handed to it; the network leaves it only
+        # as the NetIo it yields
         import ast
 
         import meterfaas.vm as vm_module
@@ -1148,6 +1145,6 @@ class TestConfinement:
         from meterfaas.vm import execute_steps, vm_execute
 
         params = set(inspect.signature(vm_execute).parameters)
-        assert params == {"image", "input_data", "limits", "hooks", "costs", "default_tag"}
+        assert params == {"image", "input_data", "limits", "costs", "default_tag"}
         params = set(inspect.signature(execute_steps).parameters)
-        assert params == {"image", "input_data", "limits", "hooks", "costs", "default_tag"}
+        assert params == {"image", "input_data", "limits", "on_mem", "costs", "default_tag"}

@@ -350,6 +350,12 @@ class TestDeclaredLayout:
                 a: int = wire_field(U64)
                 signature: bytes = b""
 
+        with pytest.raises(TypeError, match="not a wire kind: 'u16'"):
+            @record
+            @dataclass(frozen=True)
+            class Unknown:
+                a: int = wire_field("u16")
+
     def test_signature_field_must_be_last_and_fixed_size(self):
         with pytest.raises(TypeError, match="'signature' must be the last field"):
             @signed_record(b"d|", "signature")
