@@ -80,26 +80,27 @@ _POPS = [_POP_WORDS.get(OPCODES[op][0], 0) if op in OPCODES else 0 for op in ran
 _SHARED = {(op, arg): (op, arg) for op, (_, imm) in OPCODES.items()
            for arg in ((None,) if imm is None else range(LOCAL_SLOTS) if imm == "slot" else ())}
 
-# Superinstructions: opcodes past the real ones that the loader puts in place
-# of a LOADL or PUSH starting one of these runs. No run holds a HALT, heap or
-# network op, so fusing one changes no yield. Each is a run that dynamic
-# counts over the corpus, the fuzz and the benchmark's programs find
-# dispatched; fib's 23-instruction loop is three of them. Every entry's
-# argument is (n, after, a, b, k, c, d, t): the run's steps, the pc once it
-# is done, the slots of its first LOADL or two, its constant, the slots of
-# its second part, and the target of its conditional jump, None where unused.
-_LLGJ = 0x73  # LOADL a; LOADL b; GT; JNZ t: a loop test
-_LJZ = 0x74  # LOADL a; JZ t: a loop test
-_LL_LLPSL = 0x76  # LOADL a; LOADL b; LOADL c; LOADL d; PUSH k; SUB; LOAD: only the LOAD, last, may trap
-_LLPSL_AS = 0x77  # LOADL a; LOADL b; PUSH k; SUB; LOAD; ADD; STORE: fib's values[i] = sum; the LOAD may trap mid-run
-# LOADL a; PUSH x; ADD|SUB; STOREL a; JMP, then the _LLGJ over c, d at its
-# target: a loop's back edge; k is x for ADD, 2^64 - x mod 2^64 for SUB
-_LPAS_LLGJ = 0x78
-_LPAS_LJZ = 0x79  # the same with the _LJZ over c at its target
-_NOEFFECT = 0x7A  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP: pc += n and nothing else
+# Superinstructions: opcodes past the real ones, which all lie below 0x70,
+# that the loader puts in place of the PUSH or LOADL starting one of these
+# runs. No run holds a HALT, heap or network op, so fusing one changes no
+# yield. Each is a run that dynamic counts over the corpus, the fuzz and the
+# benchmark's programs find dispatched. Every entry's argument is
+# (n, after, a, b, k, c, d, t), None where unused.
+_NOEFFECT = 0x7A  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP: its n steps, pc += n and nothing else
 # a no-effect run depends only on its length, so one entry per length serves
 # every position of every image; its `after` is None
 _NOEFFECT_RUNS = {n: (_NOEFFECT, (n, None, None, None, None, None, None, None)) for n in (2, 4)}
+# A whole loop, fused at its test: the test, a straight-line body, and a back
+# edge that steps the test's slot a by 1 and jumps to the test. n is the
+# steps of one pass (test, body and back edge), after the body head and t
+# the test's exit target.
+# LOADL a; LOADL b; GT; JNZ t, then values[x] = values[x - k] + values[x - d]
+# on the block of slot c (LOADL c; LOADL a; LOADL c; LOADL a; PUSH k; SUB;
+# LOAD; LOADL c; LOADL a; PUSH d; SUB; LOAD; ADD; STORE), then LOADL a;
+# PUSH 1; ADD; STOREL a; JMP: fib's loop, with slot a neither b nor c
+_RECURRENCE = 0x7B
+# LOADL a; JZ t, then no-effect runs, then LOADL a; PUSH 1; SUB; STOREL a; JMP: a counted loop
+_COUNTDOWN = 0x7C
 
 
 class LoadError(ValueError):
@@ -252,65 +253,61 @@ def _offset(code: bytes, index: int) -> int:
 def _fuse(program: tuple[tuple[int, int | None], ...], heads: list[int]) -> tuple[tuple[int, object], ...]:
     """``program`` with the fused run that starts at each LOADL or PUSH in
     ``heads`` put in its place, as ``(op, (n, after, a, b, k, c, d, t))``
-    (see ``_LLGJ`` ... ``_NOEFFECT``). Each head is matched on its own, in
-    one pass, and every other entry keeps its instruction, so no jump target
-    moves and a jump into the middle of a run executes whatever starts
-    there. A PUSH heads only a no-effect run, the shared entry of its
-    length. A back edge fuses only when its JMP lands on a loop test, which
-    ``_loop_test`` matches there as at a head. No run holds a HALT, heap or
-    network op, and only a LOAD or STORE of one may trap: the last
-    instruction of ``_LL_LLPSL`` and ``_LLPSL_AS``, and the LOAD five steps
-    into ``_LLPSL_AS``."""
+    (see ``_NOEFFECT`` ... ``_COUNTDOWN``). Each head is matched on its own,
+    in one pass, and every other entry keeps its instruction, so no jump
+    target moves and a jump into the middle of a run executes whatever
+    starts there. A PUSH heads only a no-effect run, the shared entry of its
+    length; a LOADL heads only a whole loop, at its test (``_loop``)."""
     code: list[tuple[int, object]] | None = None
-    n = len(program)
     for i in heads:
-        op0, a = program[i]
-        op1, x1 = program[i + 1]  # a LOADL or PUSH is never last: the loader wants HALT or JMP there
-        op2, x2 = program[i + 2] if i + 2 < n else (None, None)
-        op3, x3 = program[i + 3] if i + 3 < n else (None, None)
-        if op0 == 0x01:  # PUSH x
-            if op1 == 0x02:  # POP
-                entry = _NOEFFECT_RUNS[2]
-            elif op1 == 0x01 and (op2 == 0x10 or op2 == 0x11 or op2 == 0x12) and op3 == 0x02:
-                entry = _NOEFFECT_RUNS[4]  # PUSH y; ADD|SUB|MUL; POP
-            else:
-                continue
-        elif op1 == 0x01:  # LOADL a; PUSH x; ADD|SUB; STOREL a; JMP to a loop test; STOREL is never last
-            if not ((op2 == 0x10 or op2 == 0x11) and op3 == 0x61 and x3 == a and program[i + 4][0] == 0x20):
-                continue
-            test = _loop_test(program, program[i + 4][1])
-            if test is None:
-                continue
-            top, (m, after, c, d, _, _, _, t) = test
-            k = x1 if op2 == 0x10 else (WORD - x1) % WORD
-            entry = (_LPAS_LLGJ if top == _LLGJ else _LPAS_LJZ, (5 + m, after, a, None, k, c, d, t))
-        elif (op1 == 0x60 and op2 == 0x01 and op3 == 0x11 and program[i + 4][0] == 0x33
-              and program[i + 5][0] == 0x10 and program[i + 6][0] == 0x34):  # LOADL b; PUSH k; SUB; LOAD; ADD; STORE
-            entry = (_LLPSL_AS, (7, i + 7, a, x1, x2, None, None, None))
-        elif (op1 == 0x60 and op2 == 0x60 and op3 == 0x60 and program[i + 4][0] == 0x01
-              and program[i + 5][0] == 0x11 and program[i + 6][0] == 0x33):  # LOADL b, c, d; PUSH k; SUB; LOAD
-            entry = (_LL_LLPSL, (7, i + 7, a, x1, program[i + 4][1], x2, x3, None))
+        if program[i][0] == 0x01:  # PUSH
+            entry = _NOEFFECT_RUNS.get(_noeffect_length(program, i))
         else:
-            entry = _loop_test(program, i)
-            if entry is None:
-                continue
+            entry = _loop(program, i)
+        if entry is None:
+            continue
         if code is None:
             code = list(program)
         code[i] = entry
     return program if code is None else tuple(code)
 
 
-def _loop_test(program: tuple[tuple[int, int | None], ...], i: int) -> tuple[int, tuple] | None:
-    """The ``_LJZ`` or ``_LLGJ`` entry of the loop test at ``i``, if one starts there."""
-    op0, a = program[i]
-    if op0 != 0x60:  # LOADL a
+def _noeffect_length(program: tuple[tuple[int, int | None], ...], i: int) -> int:
+    """The steps of the no-effect run at ``i``, 0 if none starts there."""
+    if program[i][0] != 0x01:  # PUSH x
+        return 0
+    op1 = program[i + 1][0]  # a PUSH is never last: the loader wants HALT or JMP there
+    if op1 == 0x02:  # POP
+        return 2
+    if op1 == 0x01 and program[i + 2][0] in (0x10, 0x11, 0x12) and program[i + 3][0] == 0x02:
+        return 4  # PUSH y; ADD|SUB|MUL; POP
+    return 0
+
+
+def _loop(program: tuple[tuple[int, int | None], ...], i: int) -> tuple[int, tuple] | None:
+    """The ``_RECURRENCE`` or ``_COUNTDOWN`` entry of the whole loop whose
+    test is the LOADL at ``i``, if one is there, matched instruction by
+    instruction; a loop cut short by the program's end is none."""
+    a = program[i][1]
+    op1, t = program[i + 1]  # a LOADL is never last
+    if op1 == 0x21:  # JZ t, then no-effect runs; a JZ is never last
+        j = i + 2
+        while m := _noeffect_length(program, j):
+            j += m
+        if program[j : j + 5] == ((0x60, a), (0x01, 1), (0x11, None), (0x61, a), (0x20, i)):
+            return (_COUNTDOWN, (j + 5 - i, i + 2, a, None, None, None, None, t))
         return None
-    op1, x1 = program[i + 1]  # a LOADL, GT or JNZ is never last
-    if op1 == 0x21:  # JZ t
-        return (_LJZ, (2, i + 2, a, None, None, None, None, x1))
-    if op1 == 0x60 and program[i + 2][0] == 0x19 and program[i + 3][0] == 0x22:  # LOADL b; GT; JNZ t
-        return (_LLGJ, (4, i + 4, a, x1, None, None, None, program[i + 3][1]))
-    return None
+    run = program[i : i + 23]
+    if len(run) < 23:
+        return None
+    b, t, c, k, d = run[1][1], run[3][1], run[4][1], run[8][1], run[13][1]
+    load = ((0x60, c), (0x60, a))
+    shape = ((0x60, a), (0x60, b), (0x19, None), (0x22, t), *load, *load, (0x01, k), (0x11, None), (0x33, None),
+             *load, (0x01, d), (0x11, None), (0x33, None), (0x10, None), (0x34, None),
+             (0x60, a), (0x01, 1), (0x10, None), (0x61, a), (0x20, i))
+    if run != shape or a == b or a == c:
+        return None
+    return (_RECURRENCE, (23, i + 4, a, b, k, c, d, t))
 
 
 class _Trap(Exception):
@@ -362,23 +359,23 @@ def execute_steps(
     resized in place, growing by at most 4096 zero words at a time.
 
     The loop dispatches on ``image.code``, where the loader has put a
-    superinstruction ``(op, (n, after, a, b, k, c, d, t))`` at each LOADL
-    or PUSH that starts one of the eight fused runs (see ``_fuse``). A
-    fused run holds no HALT, heap or network op, so it changes no yield. One
-    rule runs every fused run: if its ``n`` steps fit the step budget, which
-    is the run's only budget test, and (for ``_LLPSL_AS``) the stack holds
-    the 3 words its ADD and STORE pop past the LOAD's, it counts its steps,
-    sets ``pc = after`` (``t`` for a taken JZ or JNZ; ``pc + n`` for a
-    no-effect run, whose shared entry has no ``after``) and does its work;
-    otherwise its LOADL or PUSH runs alone, as the program's own
-    instruction, and the next entry is dispatched as any other. A fused run
-    may trap only at its last instruction, after all its steps are counted,
-    or at the LOAD of ``_LLPSL_AS``, which counts the 5 steps up to it, so
-    the trap flush charges what the instructions one at a time would. A
-    no-effect run never traps. Every other entry is
-    the program's own instruction and no jump target moves, so a jump into
-    the middle of a run executes whatever starts there. Returns the
-    VMResult."""
+    superinstruction ``(op, (n, after, a, b, k, c, d, t))`` at each PUSH
+    that starts a no-effect run and at each LOADL that starts the test of a
+    whole loop (see ``_fuse``). A fused run holds no HALT, heap or network
+    op, so it changes no yield, and it never traps. A no-effect run runs if
+    its ``n`` steps fit the step budget: it counts them and sets
+    ``pc += n``. A loop runs if its test fits: it counts the test, then
+    every whole pass (body, back edge and the next test, ``n`` steps) that
+    the test lets run, the budget leaves room for and, for
+    ``_RECURRENCE``, whose LOADs and STORE stay inside the block; ``pc`` is
+    then ``t`` if the last test exits, else ``after``, the body head, where
+    the next pass runs one instruction at a time. A ``_COUNTDOWN`` loop
+    runs in closed form, a ``_RECURRENCE`` loop as a tight loop over the
+    block's words. An entry that does not fit declines: its PUSH or LOADL
+    runs alone, as the program's own instruction, and the next entry is
+    dispatched as any other. Every other entry is the program's own
+    instruction and no jump target moves, so a jump into the middle of a
+    run executes whatever starts there. Returns the VMResult."""
     code = image.code
     program = image.program
     default = costs.default
@@ -411,59 +408,35 @@ def execute_steps(
     try:
         while True:
             op, arg = code[pc]
-            if op >= 0x70:  # a fused run: whole if it fits, else its LOADL or PUSH alone
+            if op >= 0x70:  # a fused run: whole if its first part fits, else its PUSH or LOADL alone
                 n, after, a, b, k, c, d, t = arg
-                if steps + n <= max_steps:
-                    if op == 0x77:  # LOADL a; LOADL b; PUSH k; SUB; LOAD; ADD; STORE
-                        if len(stack) > 2:  # the words ADD and STORE pop past the LOAD's
-                            words = heap.get(locals_[a])
-                            idx = (locals_[b] - k) % WORD
-                            if words is None or idx >= len(words):
-                                steps += 5  # the LOAD traps after its own step, before ADD's
-                                raise _Trap("fault:bad-handle" if words is None else "fault:out-of-bounds")
-                            steps += 7
-                            pc = after
-                            value = (pop() + words[idx]) % WORD
-                            idx = pop()
-                            words = heap.get(pop())
-                            if words is None:
-                                raise _Trap("fault:bad-handle")
-                            if idx >= len(words):
-                                raise _Trap("fault:out-of-bounds")
-                            words[idx] = value
-                            continue
-                    else:
-                        steps += n  # only the last step of these may trap
-                        if op == 0x7A:  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP
-                            pc += n
-                            continue
-                        pc = after
-                        if op == 0x78:  # LOADL a; PUSH k; ADD|SUB; STOREL a; JMP; LOADL c; LOADL d; GT; JNZ t
-                            locals_[a] = (locals_[a] + k) % WORD
-                            if locals_[c] > locals_[d]:
-                                pc = t
-                        elif op == 0x79:  # LOADL a; PUSH k; ADD|SUB; STOREL a; JMP; LOADL c; JZ t
-                            locals_[a] = (locals_[a] + k) % WORD
-                            if locals_[c] == 0:
-                                pc = t
-                        elif op == 0x76:  # LOADL a; LOADL b; LOADL c; LOADL d; PUSH k; SUB; LOAD
-                            push(locals_[a])
-                            push(locals_[b])
-                            words = heap.get(locals_[c])
-                            if words is None:
-                                raise _Trap("fault:bad-handle")
-                            idx = (locals_[d] - k) % WORD
-                            if idx >= len(words):
-                                raise _Trap("fault:out-of-bounds")
-                            push(words[idx])
-                        elif op == 0x74:  # LOADL a; JZ t
-                            if locals_[a] == 0:
-                                pc = t
-                        else:  # 0x73: LOADL a; LOADL b; GT; JNZ t
-                            if locals_[a] > locals_[b]:
-                                pc = t
+                if op == 0x7A:  # PUSH x; POP or PUSH x; PUSH y; ADD|SUB|MUL; POP
+                    if steps + n <= max_steps:
+                        steps += n
+                        pc += n
                         continue
-                op, arg = program[pc]  # the run's LOADL or PUSH alone, as the program's own instruction
+                elif steps + after - pc <= max_steps:  # a whole loop whose test fits
+                    steps += after - pc  # the test
+                    room = (max_steps - steps) // n  # the whole passes the budget leaves
+                    if op == 0x7C:  # L[a] falls by 1 a pass until the test sees 0
+                        v = locals_[a]
+                        m = min(v, room)
+                        locals_[a] = v - m
+                        steps += m * n
+                        pc = after if v - m else t
+                    else:  # 0x7B: values[x] = values[x - k] + values[x - d] for x from L[a] up to L[b]
+                        x = end = locals_[a]
+                        last = locals_[b]
+                        words = heap.get(locals_[c])
+                        if x <= last and words is not None and k <= x and d <= x < len(words):
+                            end = min(last + 1, len(words), x + room)
+                            for i in range(x, end):
+                                words[i] = (words[i - k] + words[i - d]) % WORD
+                            locals_[a] = end
+                            steps += (end - x) * n
+                        pc = t if end > last else after
+                    continue
+                op, arg = program[pc]  # the run's PUSH or LOADL alone, as the program's own instruction
             if steps >= max_steps:
                 raise _Trap("budget:steps")
             steps += 1

@@ -141,11 +141,16 @@ class TestLoader:
         assert ei.value.offset == 0
 
     def test_unknown_opcode_reports_offset(self):
+        # every byte from 0x70 up, which execute_steps treats as a fused
+        # opcode, is unknown to the loader, so bytecode cannot name a fused
+        # opcode; every real opcode lies below
+        assert max(OPCODES) < 0x70
         raw = bytearray(assemble(corp.EMPTY_SOURCE))
-        raw[13] = 0xEE
-        with pytest.raises(LoadError) as ei:
-            vm_load(bytes(raw))
-        assert ei.value.offset == 13
+        for op in range(0x70, 0x100):
+            raw[13] = op
+            with pytest.raises(LoadError) as ei:
+                vm_load(bytes(raw))
+            assert ei.value.offset == 13 and str(ei.value) == f"unknown opcode 0x{op:02x} (offset 13)"
 
     def test_jump_target_out_of_range(self):
         with pytest.raises(AsmError):
@@ -215,16 +220,24 @@ class TestLoader:
         assert len(image.code) == len(image.program) == 48
         fused = {pc: entry for pc, (entry, instr) in enumerate(zip(image.code, image.program))
                  if entry != instr}
-        assert fused == {
-            20: (0x73, (4, 24, 2, 0, None, None, None, 43)),  # loop: LOADL 2; LOADL 0; GT; JNZ end
-            24: (0x76, (7, 31, 1, 2, 1, 1, 2, None)),  # LOADL 1; LOADL 2; LOADL 1; LOADL 2; PUSH 1; SUB; LOAD
-            31: (0x77, (7, 38, 1, 2, 2, None, None, None)),  # LOADL 1; LOADL 2; PUSH 2; SUB; LOAD; ADD; STORE
-            # LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop; loop: LOADL 2; LOADL 0; GT; JNZ end
-            38: (0x78, (9, 24, 2, None, 1, 2, 0, 43)),
-        }
-        # one more pass of the 23-instruction loop costs 3 dispatches
-        passes = [dispatches(image, corp.fib_input(n)) for n in (5, 6)]
-        assert passes[1][0] - passes[0][0] == 23 and len(passes[1][1]) - len(passes[0][1]) == 3
+        # loop: LOADL 2; LOADL 0; GT; JNZ end, values[i] = values[i-1] + values[i-2] on the block in
+        # local 1, LOADL 2; PUSH 1; ADD; STOREL 2; JMP loop: 23 steps a pass, the body at 24
+        assert fused == {20: (0x7B, (23, 24, 2, 0, 1, 1, 2, 43))}
+        # the whole loop is one dispatch, whatever its passes: 20 before it and 5 after
+        runs = [dispatches(image, corp.fib_input(n)) for n in (5, 150)]
+        assert runs[1][0] - runs[0][0] == 23 * 145
+        assert [len(fetched) for _, fetched in runs] == [26, 26]
+
+    def test_counted_loop_is_one_dispatch(self):
+        # the generators' counted loop, fused at its test: 9 steps a pass, its
+        # counter in local 15; 2 dispatches before it and 1 after, whatever its count
+        source = ("PUSH {count}\nSTOREL 15\ntop: LOADL 15\nJZ end\nPUSH 7\nPOP\nLOADL 15\nPUSH 1\nSUB\n"
+                  "STOREL 15\nJMP top\nend: HALT")
+        image = vm_load(assemble(source.format(count=1)))
+        assert image.code[2] == (0x7C, (9, 4, 15, None, None, None, None, 11))
+        runs = [dispatches(vm_load(assemble(source.format(count=count))), b"") for count in (1, 12)]
+        assert runs[1][0] - runs[0][0] == 9 * 11
+        assert [fetched for _, fetched in runs] == [[0x01, 0x61, 0x7C, 0x00]] * 2
 
     def test_fused_code_takes_no_part_in_equality_or_repr(self):
         raw = assemble(corp.FIB_SOURCE)
@@ -247,20 +260,28 @@ class TestLoader:
 
     def test_fused_pattern_needs_its_whole_run(self):
         # a run cut short by another instruction or by the program's end,
-        # and a back edge whose JMP lands on no loop test, are not fused
+        # and a loop's test or back edge on its own, are not fused
         for source in ("LOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT",
                        "LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nJMP t\nt: LOADL 3\nOUTPUT_WORD\nHALT",
                        "LOADL 1\nLOADL 2\nPUSH 7\nSUB\nLOAD\nADD\nHALT",
                        "LOADL 1\nLOADL 2\nLOADL 1\nLOADL 2\nPUSH 7\nSUB\nHALT",
-                       "LOADL 1\nLOADL 2\nGT\nHALT", "PUSH 1\nPUSH 2\nADD\nHALT"):
+                       "LOADL 1\nLOADL 2\nGT\nHALT", "PUSH 1\nPUSH 2\nADD\nHALT",
+                       "LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nJMP t\nt: LOADL 3\nJZ 0\nHALT"):
             image = vm_load(assemble(source))
             assert image.code is image.program, source
-        # the same back edge landing on a loop test fuses, its SUB 7 as ADD 2^64 - 7
-        image = vm_load(assemble("LOADL 3\nPUSH 7\nSUB\nSTOREL 3\nJMP t\nt: LOADL 3\nJZ 0\nHALT"))
-        assert image.code[0] == (0x79, (7, 7, 3, None, WORD - 7, 3, None, 0))
+        # each loop shape with one thing changed is not fused: the step, the
+        # slot stepped or tested, a heap op, a SET_TAG or a jump in the body,
+        # fib's slot i also its bound or its block, and the loop cut by the
+        # program's end
+        for source in LOOP_NEAR_MISSES:
+            image = vm_load(assemble(source))
+            assert not {op for op, _ in image.code} & {0x7B, 0x7C}, source
+        # the same counted back edge jumping to its own test fuses whole at the test
+        image = vm_load(assemble("t: LOADL 3\nJZ e\nLOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP t\ne: HALT"))
+        assert image.code[0] == (0x7C, (7, 2, 3, None, None, None, None, 7))
 
     def test_every_fused_run_is_dispatched(self):
-        # each opcode of a fused run (FUSED_LINE holds them all) is fetched
+        # each fused opcode (FUSED_LINE holds them all) is fetched
         # by the corpus, the fuzz or the benchmark's adversarial programs,
         # so a superinstruction that none of them runs fails here
         workloads = _load("workloads")
@@ -274,7 +295,8 @@ class TestLoader:
         dispatched = set()
         for image, input_data, limits in runs:
             dispatched.update(dispatches(image, input_data, limits)[1])
-        assert {op for op, _ in fused_program(FUSED_LINE, (2, 5, 4), 0).code if op >= 0x70} <= dispatched
+        assert {op for op, _ in fused_program(FUSED_LINE, (2, 5, 4), 0).code if op >= 0x70} == FUSED_OPS
+        assert FUSED_OPS <= dispatched
 
 
 class TestExecution:
@@ -642,15 +664,32 @@ top:    PUSH 8
 """
 
 
-# runs around each fused pattern: every pattern, k = 0, SUBs that wrap below
-# zero, a STOREL to another slot (not fused), a JMP tail, overlapping
-# candidates, fib's values[i-k] over the block in local 4 that loads a
-# word, a bad handle, an index past the block, into its partial last word
-# and wrapped below zero, the no-effect runs with their near misses and a
-# jump into their POP (taken when local 3 is 0); in JOINED_RUNS, fib's values[i] = values[i-1] +
-# values[i-2] whose LOAD traps with the ADD and STORE after it inside the
-# run, and back edges into a loop test that exit at once, after a few
-# passes or never; `out` is past the run
+def recurrence(x=5, b=1, h=4, k=1, d=2, test=None, step="PUSH 1\nADD", body="", top="top", exit="out"):
+    """fib's loop: while local `test` (`x` if None) <= local `b`, values[i] =
+    values[i - k] + values[i - d] on the block in local `h` with i in local
+    `x`, then `body`, then `step` on local `x`; `exit` past it."""
+    t = x if test is None else test
+    return (f"{top}: LOADL {t}\nLOADL {b}\nGT\nJNZ {exit}\nLOADL {h}\nLOADL {x}\nLOADL {h}\nLOADL {x}\n"
+            f"PUSH {k}\nSUB\nLOAD\nLOADL {h}\nLOADL {x}\nPUSH {d}\nSUB\nLOAD\nADD\nSTORE\n{body}"
+            f"LOADL {x}\n{step}\nSTOREL {x}\nJMP {top}")
+
+
+def countdown(c=5, body="PUSH 7\nPOP\n", test=None, step=1, count=None, top="top", exit="out"):
+    """A generated counted loop: `count` (if given) into local `c`, then
+    while local `test` (`c` if None) is not 0, `body` and local `c` minus
+    `step`; `exit` past it."""
+    start = "" if count is None else f"PUSH {count}\nSTOREL {c}\n"
+    t = c if test is None else test
+    return f"{start}{top}: LOADL {t}\nJZ {exit}\n{body}LOADL {c}\nPUSH {step}\nSUB\nSTOREL {c}\nJMP {top}"
+
+
+# runs around the no-effect runs and around the pieces the two loops are
+# made of, which run unfused outside a whole loop: k = 0, SUBs that wrap
+# below zero, a STOREL to another slot, a JMP tail, loop tests, fib's
+# values[i-k] over the block in local 4 that loads a word, a bad handle, an
+# index past the block, into its partial last word and wrapped below zero,
+# the no-effect runs with their near misses and a jump into their POP (taken
+# when local 3 is 0); `out` is past the run
 FUSED_RUNS = [
     "LOADL 1\nLOADL 2",
     "LOADL 1\nLOADL 2\nPUSH 7\nSUB",
@@ -683,8 +722,45 @@ FUSED_RUNS = [
     "LOADL 3\nJZ p\nPUSH 5\np: POP",
     "LOADL 3\nJZ p\nPUSH 5\nPUSH 6\nMUL\np: POP",
 ]
-# runs around the patterns that join two runs or end in a STORE, each
-# entered over every stack of FUSED_STACKS
+# the two whole loops, each entered at its first instruction, its test and
+# its body head: fib's over the block in local 4 (its 3 whole words)
+# exiting at once, after whole passes, or with its last pass trapping at its
+# first LOAD, its second LOAD or its STORE, and stopping after its test at
+# i < k, at k <= i < d and on a bad handle; counted loops of 0, 1, 4 and 12
+# passes over bodies of 0, 1 and 2 no-effect runs; and each loop's near
+# misses, which run unfused; `out` is past the loop
+LOOP_RUNS = [
+    # i from 1 to local 1 (2 or 9), the pass at i = 3 trapping at its second
+    # LOAD, its first LOAD, and (i from 2) its STORE
+    "PUSH 1\nSTOREL 5\n" + recurrence(k=1, d=0),
+    "PUSH 1\nSTOREL 5\n" + recurrence(k=0, d=1),
+    "PUSH 2\nSTOREL 5\n" + recurrence(k=1, d=2),
+    "PUSH 1\nSTOREL 5\nPUSH 1\nSTOREL 6\n" + recurrence(b=6, k=1, d=0),  # i = 1 to 1: exits inside the block
+    recurrence(x=3, b=2),  # i = 0 < k or i = 4 past the block
+    "PUSH 1\nSTOREL 5\n" + recurrence(k=0, d=2),  # k <= i < d
+    "PUSH 2\nSTOREL 5\n" + recurrence(h=3),  # no block in local 3
+    recurrence(x=1, b=2),  # i = 9 exits at once, i = 2 runs one pass
+    "PUSH 1\nSTOREL 5\n" + recurrence(x=4, h=4),  # near misses: i is the block's handle,
+    "PUSH 1\nSTOREL 5\n" + recurrence(b=5),  # its own bound,
+    "PUSH 1\nSTOREL 5\n" + recurrence(step="PUSH 2\nADD"),  # stepped by 2,
+    "PUSH 1\nSTOREL 5\n" + recurrence(test=2),  # not the slot tested,
+    "PUSH 1\nSTOREL 5\n" + recurrence(body="PUSH 8\nALLOC\nPOP\n"),  # a heap op in the body,
+    "PUSH 1\nSTOREL 5\n" + recurrence(body="LOADL 4\nSET_TAG\n"),  # a SET_TAG in the body
+    countdown(count=0),
+    countdown(count=1),
+    countdown(count=12),
+    countdown(c=3, body=""),  # local 3: 0 or 4 passes
+    countdown(c=3, body="PUSH 6\nPUSH 7\nMUL\nPOP\n"),
+    countdown(c=3, body="PUSH 5\nPOP\nPUSH 6\nPUSH 7\nSUB\nPOP\n"),
+    countdown(c=3, step=2),  # near misses: stepped by 2,
+    countdown(c=5, test=3, count=2),  # not the slot tested,
+    countdown(c=3, body="PUSH 8\nALLOC\nPOP\n"),  # a heap op in the body,
+    countdown(c=3, body="LOADL 4\nSET_TAG\n"),  # a SET_TAG in the body
+]
+# runs around pieces of fib's body that end in a LOAD or STORE, loop tests
+# behind a back edge, and fib's whole loop, each entered over every stack of
+# FUSED_STACKS, so that a LOAD, ADD or STORE (a pass of the loop entered
+# inside its body too) finds each of them
 JOINED_RUNS = [
     "LOADL 1\nLOADL 2\nLOADL 4\nLOADL 1\nPUSH 1\nSUB\nLOAD",
     "LOADL 4\nLOADL 1\nLOADL 3\nLOADL 2\nPUSH 0\nSUB\nLOAD",
@@ -699,33 +775,37 @@ JOINED_RUNS = [
     "LOADL 1\nPUSH 7\nSUB\nSTOREL 1\nJMP t\nt: LOADL 2\nLOADL 1\nGT\nJNZ out\nPUSH 77",
     "LOADL 2\nPUSH 3\nADD\nSTOREL 2\nJMP t\nt: LOADL 3\nJZ out\nPUSH 77",
     "LOADL 3\nPUSH 1\nADD\nSTOREL 3\nJMP t\nPUSH 9\nt: LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out",
+    "PUSH 1\nSTOREL 5\n" + recurrence(k=1, d=0),
 ]
-# the heads of the joined patterns and of the no-effect runs, for a check
-# that each is matched
-NEW_FUSED_OPS = {0x76, 0x77, 0x78, 0x79, 0x7A}
-# LOADL;LOADL;PUSH;SUB;LOAD, LOADL;LOADL;GT;JNZ (not taken), LOADL;JZ (not
-# taken), LOADL;LOADL then LOADL;LOADL;PUSH;SUB;LOAD, that with ADD;STORE,
-# the two back edges (not taken), LOADL;LOADL, LOADL;PUSH;ADD;STOREL, the
-# no-effect PUSH;POP and PUSH;PUSH;MUL;POP and LOADL;PUSH;SUB;STOREL;JMP one
-# after another, for locals 1-3 = (2, 5, 4); the shapes that no fused run
-# covers whole (LOADL;LOADL;PUSH;SUB;LOAD alone, LOADL;LOADL and the
-# LOADL;PUSH;ADD|SUB;STOREL not jumping to a loop test) run unfused
-FUSED_LINE = ("LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nLOADL 1\nLOADL 2\nGT\nJNZ out\n"
-              "LOADL 3\nJZ out\nLOADL 4\nLOADL 1\nLOADL 4\nLOADL 2\nPUSH 4\nSUB\nLOAD\n"
-              "LOADL 4\nLOADL 2\nPUSH 3\nSUB\nLOAD\nADD\nSTORE\n"
-              "LOADL 3\nPUSH 2\nADD\nSTOREL 3\nJMP t1\nt1: LOADL 1\nLOADL 2\nGT\nJNZ out\n"
-              "LOADL 2\nPUSH 1\nSUB\nSTOREL 2\nJMP t2\nt2: LOADL 3\nJZ out\n"
-              "LOADL 1\nLOADL 2\nADD\nLOADL 2\nPUSH 9\nADD\nSTOREL 2\n"
-              "PUSH 5\nPOP\nPUSH 6\nPUSH 7\nMUL\nPOP\n"
-              "LOADL 3\nPUSH 1\nSUB\nSTOREL 3\nJMP out")
+# each loop shape with one thing changed, which _fuse must not fuse: the
+# step, the slot stepped or tested, a heap op, a SET_TAG or a jump in the
+# body, fib's index also its bound or its block, and the loop cut short by
+# the program's end
+LOOP_NEAR_MISSES = [source + "\nout: HALT" for source in (
+    recurrence(x=4, h=4), recurrence(b=5), recurrence(step="PUSH 2\nADD"), recurrence(step="PUSH 1\nSUB"),
+    recurrence(test=2), recurrence(body="PUSH 8\nALLOC\nPOP\n"), recurrence(body="LOADL 4\nSET_TAG\n"),
+    recurrence(body="JMP b\nb: PUSH 5\nPOP\n"), recurrence().replace("GT", "LT"),
+    countdown(step=2), countdown(step="0xffffffffffffffff"), countdown(test=3),
+    countdown(body="PUSH 8\nALLOC\nPOP\n"), countdown(body="LOADL 4\nSET_TAG\n"),
+    countdown(body="PUSH 5\nPUSH 6\nGT\nPOP\n"), countdown(body="PUSH 5\nJZ out\n"),
+)] + ["\n".join(recurrence(exit="top").splitlines()[:18] + ["JMP top"]),
+      "top: LOADL 5\nJZ top\nPUSH 5\nPOP\nLOADL 5\nJMP top"]
+# every superinstruction _fuse emits: the no-effect runs and the two loops
+FUSED_OPS = {0x7A, 0x7B, 0x7C}
+# fib's loop from i = 1 to local 1 = 2 (two passes), then a counted loop of
+# three passes over two no-effect runs, then a no-effect run, for locals 1-3
+# = (2, 5, 4): a line that runs every fused opcode to completion
+FUSED_LINE = ("PUSH 1\nSTOREL 5\n" + recurrence(k=1, d=0, top="f", exit="g") + "\n"
+              + "g: " + countdown(c=6, count=3, body="PUSH 5\nPOP\nPUSH 6\nPUSH 7\nMUL\nPOP\n", top="c", exit="e")
+              + "\ne: PUSH 8\nPUSH 9\nSUB\nPOP\nJMP out")
 # locals 1-3: l1 > l2 with l3 = 0, then l1 < l2 with l3 != 0; both wrap SUB 7
 # and SUB 9; l3 is no handle, l2 - 1 and l2 - 2 index the block's words with
 # l2 = 3 and lie past them with l2 = 5
 FUSED_LOCALS = [(9, 3, 0), (2, 5, 4)]
 SENTINEL = 12345
-# a step budget past every run of fused_programs that ends (the longest takes
-# 104 steps), for the loops that do not
-FUSED_LIMITS = VMLimits(max_steps=120)
+# a step budget past every run of fused_programs that ends (the longest, the
+# counted loop of 12 passes, takes 162 steps), for the loops that do not
+FUSED_LIMITS = VMLimits(max_steps=170)
 # the words under a run, bottom first: 0-3 of them, so that ADD and STORE
 # after a fused LOAD find too few words, a bad handle, the block in local 4
 # (handle 1) with an index inside it, and one past its whole words; with no
@@ -737,15 +817,17 @@ def fused_program(run, values, entry, stack=(SENTINEL, 5, 6)):
     """`run` entered at its `entry`-th instruction, after a prologue that puts
     a 28-byte block holding 100, 101, 102 and a 4-byte tail in local 4, sets
     locals 1-3 to `values` and pushes the words of `stack`, and before an
-    epilogue that outputs the locals and the stack down to the sentinel."""
+    epilogue that tags the block in local 4 (so the result shows every word
+    a run stored) and outputs the locals and the stack down to the
+    sentinel."""
     lines = run.splitlines()
     lines[entry] = "in: " + lines[entry]
     prologue = ["PUSH 28", "ALLOC", "STOREL 4"]
     prologue += [f"LOADL 4\nPUSH {i}\nPUSH {100 + i}\nSTORE" for i in range(3)]
     prologue += [f"PUSH {v}\nSTOREL {slot}" for slot, v in zip((1, 2, 3), values)]
     prologue += [f"PUSH {word}" for word in stack] + ["JMP in"]
-    epilogue = ["out: LOADL 1", "OUTPUT_WORD", "LOADL 2", "OUTPUT_WORD", "LOADL 3", "OUTPUT_WORD",
-                "drain: DUP", f"PUSH {SENTINEL}", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
+    epilogue = ["out: LOADL 4", "SET_TAG", "LOADL 1", "OUTPUT_WORD", "LOADL 2", "OUTPUT_WORD", "LOADL 3",
+                "OUTPUT_WORD", "drain: DUP", f"PUSH {SENTINEL}", "EQ", "JNZ done", "OUTPUT_WORD", "JMP drain",
                 "done: HALT"]
     return vm_load(assemble("\n".join(prologue + lines + epilogue)))
 
@@ -757,17 +839,49 @@ def fused_programs():
                 for entry in range(len(run.splitlines())):
                     for stack in stacks:
                         yield fused_program(run, values, entry, stack)
+    for run in LOOP_RUNS:
+        lines = run.splitlines()
+        test = next(i for i, line in enumerate(lines) if line.startswith("top:"))
+        body = test + (2 if lines[test + 1].startswith("JZ") else 4)
+        for values in FUSED_LOCALS:
+            for entry in sorted({0, test, body}):
+                yield fused_program(run, values, entry)
 
 
-# a random valid program over the fused patterns' opcodes: single instructions
-# and whole patterns, the no-effect runs included, slots from a small set so
-# that patterns and their near misses both occur, any jump target, a back
-# edge into a loop test or a jump into the next instruction, HALT or JMP
-# last, after a prologue that allocates a block into local 0; ("at", j) is
-# the piece's j-th instruction
+# a random valid program over the fused patterns' opcodes: single
+# instructions and whole patterns, the no-effect runs and both loops
+# included, slots from a small set so that patterns and their near misses
+# both occur, any jump target, a back edge into a loop test or a jump into
+# the next instruction, HALT or JMP last, after a prologue that allocates a
+# block into local 0; ("at", j) is the piece's j-th instruction
 _SLOTS = st.integers(0, 2)
 _WORDS = st.sampled_from([0, 1, 2, 7, WORD - 1]) | st.integers(0, WORD - 1)
 _ARITH = st.sampled_from(["ADD", "SUB"])
+_BOUNDS = st.integers(0, 12) | st.just(WORD - 1)
+_SHIFTS = st.integers(0, 3) | _WORDS
+_STEPS = st.sampled_from([1, 1, 1, 2, WORD - 1])
+_NOEFFECT_RUN = st.builds(lambda x: (("PUSH", x), ("POP",)), _WORDS) | st.builds(
+    lambda x, y, op: (("PUSH", x), ("PUSH", y), (op,), ("POP",)), _WORDS, _WORDS, st.sampled_from(["ADD", "MUL"]))
+
+
+def _recurrence_piece(bound, i, x, b, h, k, d, step):
+    """fib's loop with its bound in local `b` and i in local `x` (stored in
+    that order), over the block in local `h`: slot 0 holds the block unless
+    a store overwrites it."""
+    load = (("LOADL", h), ("LOADL", x))
+    return (("PUSH", bound), ("STOREL", b), ("PUSH", i), ("STOREL", x), ("LOADL", x), ("LOADL", b), ("GT",),
+            ("JNZ", ("at", 27)), *load, *load, ("PUSH", k), ("SUB",), ("LOAD",), *load, ("PUSH", d), ("SUB",),
+            ("LOAD",), ("ADD",), ("STORE",), ("LOADL", x), ("PUSH", step), ("ADD",), ("STOREL", x),
+            ("JMP", ("at", 4)))
+
+
+def _countdown_piece(count, c, runs, step):
+    """A counted loop from `count` in local `c` over the no-effect `runs`."""
+    body = [instr for run in runs for instr in run]
+    return (("PUSH", count), ("STOREL", c), ("LOADL", c), ("JZ", ("at", 9 + len(body))), *body,
+            ("LOADL", c), ("PUSH", step), ("SUB",), ("STOREL", c), ("JMP", ("at", 2)))
+
+
 _PIECES = st.one_of(
     st.tuples(st.sampled_from(["LOADL", "STOREL"]), _SLOTS),
     st.tuples(st.just("PUSH"), _WORDS),
@@ -795,6 +909,8 @@ _PIECES = st.one_of(
     st.builds(lambda a, k, op, c, t: (("LOADL", a), ("PUSH", k), (op,), ("STOREL", a), ("JMP", ("at", 5)),
                                       ("LOADL", c), ("JZ", t)),
               _SLOTS, _WORDS, _ARITH, _SLOTS, st.integers(0, 10 ** 6)),
+    st.builds(_recurrence_piece, _BOUNDS, st.integers(0, 6), _SLOTS, _SLOTS, _SLOTS, _SHIFTS, _SHIFTS, _STEPS),
+    st.builds(_countdown_piece, _BOUNDS, _SLOTS, st.lists(_NOEFFECT_RUN, max_size=2), _STEPS),
 )
 
 
@@ -1027,11 +1143,12 @@ class TestReferenceVm:
         assert res.tag == hash_bytes(bytes(8) + b"\xff" * 4)
 
     def test_fused_runs(self, costs):
-        # every pattern entered at each of its instructions, a joined one
-        # over 0-3 words and more, under every step budget up to one past
-        # the whole run, so that a budget ends at each offset inside each
-        # fused run; a trap fires under every budget that reaches its
-        # instruction, and only there
+        # every pattern entered at each of its instructions (a loop of
+        # LOOP_RUNS at its start, test and body head), a joined one and
+        # fib's loop over 0-3 words and more, under every step budget up to
+        # one past the whole run, so that a budget ends at each offset
+        # inside each fused run; a trap fires under every budget that
+        # reaches its instruction, and only there
         reasons = set()
         heads = set()
         for image in fused_programs():
@@ -1043,30 +1160,25 @@ class TestReferenceVm:
                 assert res.reason == (full.reason if max_steps >= full.steps else "budget:steps")
         assert reasons == {None, "budget:steps", "fault:bad-handle", "fault:out-of-bounds",
                            "fault:stack-underflow"}
-        assert NEW_FUSED_OPS <= heads
+        assert FUSED_OPS <= heads
 
     def test_load_trap_inside_a_fused_run(self, costs):
-        # fib's values[i] = ... with an index below zero: the LOAD traps at
-        # step 10 with the ADD and STORE of its run still ahead, with the
-        # budget ending at that LOAD or far past it, and over an empty stack
-        image = vm_load(assemble("PUSH 40\nALLOC\nSTOREL 1\nPUSH 0\nSTOREL 2\nLOADL 1\nLOADL 2\n"
-                                 "PUSH 9\nSUB\nLOAD\nADD\nSTORE\nHALT"))
-        assert image.code[5][0] == 0x77
-        for max_steps in (10, 11, 12, LIMITS.max_steps):
-            res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
-            assert (res.reason, res.steps) == ("fault:out-of-bounds", 10)
-        for max_steps in range(1, 10):
-            res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
-            assert (res.reason, res.steps) == ("budget:steps", max_steps)
-        # the same run over three words: the LOAD traps before the STORE
-        # would pop them, and with an index inside the block the STORE lands
-        lines = "PUSH 40\nALLOC\nSTOREL 1\nPUSH 1\nPUSH 2\nPUSH 3\nLOADL 1\nLOADL 2\nPUSH {k}\nSUB\nLOAD\nADD\nSTORE\n"
-        for k, reason, steps in ((9, "fault:out-of-bounds", 11), (0, None, 16)):
-            image = vm_load(assemble(lines.format(k=k) + "LOADL 1\nSET_TAG\nHALT"))
-            for max_steps in (steps - 1, steps, LIMITS.max_steps):
+        # fib's loop on a 5-word block with i from 0 and values[i - 9]: the
+        # loop runs its test and stops at the body, whose first LOAD traps
+        # at step 18 with the ADD and STORE of its pass still ahead. With
+        # values[i] = values[i - 1] + values[i] and i from 1, the loop runs
+        # the passes at i = 1-4 whole, and the pass at i = 5 traps at its
+        # second LOAD, step 115. The budget ends at every step up to the
+        # trap, at the trap, and far past it
+        prologue = "PUSH 40\nALLOC\nSTOREL 1\nPUSH 9\nSTOREL 0\nPUSH {i}\nSTOREL 2\n"
+        for i, k, d, trap in ((0, 9, 2, 18), (1, 1, 0, 115)):
+            image = vm_load(assemble(prologue.format(i=i) + recurrence(x=2, b=0, h=1, k=k, d=d)
+                                     + "\nout: HALT"))
+            assert image.code[7] == (0x7B, (23, 11, 2, 0, k, 1, d, 30))
+            for max_steps in (*range(1, trap + 2), LIMITS.max_steps):
                 res = self.check(image, b"", VMLimits(max_steps=max_steps), costs)
                 assert (res.reason, res.steps) == (
-                    (reason, steps) if max_steps >= steps else ("budget:steps", max_steps))
+                    ("fault:out-of-bounds", trap) if max_steps >= trap else ("budget:steps", max_steps))
 
     def test_adversarial_programs(self, costs):
         # perfbench's adversarial corpus: its arithmetic segments are
@@ -1087,10 +1199,10 @@ class TestReferenceVm:
             res = self.check(loop, b"", VMLimits(max_steps=max_steps), costs)
             assert res.reason == "budget:steps" and res.steps == max_steps
             self.check(fib, corp.fib_input(3), VMLimits(max_steps=max_steps), costs)
-        # the fused patterns in a line, no jump taken but the last, so that
-        # some budget ends on every step of each
+        # every fused opcode in a line that runs to completion, so that some
+        # budget ends on every step of each, inside every pass of each loop
         line = fused_program(FUSED_LINE, (2, 5, 4), 0)
-        assert {op for op, _ in line.code if op >= 0x70} == {0x73, 0x74} | NEW_FUSED_OPS
+        assert {op for op, _ in line.code if op >= 0x70} == FUSED_OPS
         full = self.check(line, b"", LIMITS, costs)
         assert full.ok
         for max_steps in range(1, full.steps + 1):
