@@ -43,7 +43,11 @@ that leave every event at the same cycle and in the same order:
     transaction restarts it at the next period start, and a period start
     that finds the marker missing installs the ERESUME handler and waits for
     the marker inside the instruction, so the timer's program resumes only
-    when ``proc`` is cleared, not per interrupt;
+    when ``proc`` is cleared, not per interrupt. In a lean run the save of
+    the rip commits as the install starts, and the install takes both its
+    and the save's cycle, so a recovery costs one stop, not two; a full
+    trace keeps the two 1-cycle steps, since only it logs the save's WRITE
+    at its own cycle;
   * a stop costs only what it changes. One scan of the actors finds the next
     stop, and one pass completes the actors that finish there. A completion,
     an AEX, an ERESUME or a committed write *touches* the actors it
@@ -93,7 +97,8 @@ _INTERRUPTED = 3
 _DONE = 4
 
 # the next step of a Ticks instruction with no tick in flight: a period
-# start, the handler install after the rip is saved, or a look at the marker
+# start, the handler install after the rip is saved (a full trace only: a
+# lean run saves the rip as the install starts), or a look at the marker
 # after the install or the wait for the marker
 _PERIOD, _INSTALL, _AWAIT = range(3)
 
@@ -208,16 +213,22 @@ class Ticks(Instr):
     and at once aborts the transaction (TX_BEGIN, TX_ABORT marker-missing)
     and recovers inside the instruction: if ``rip`` holds no
     ``EresumeHandler``, it saves that rip into ``saved_rip`` and installs
-    the handler into ``rip``, 1 cycle each; then it waits until the marker
-    is back, ``proc != 1`` or ``rip`` lost the handler, and goes on at a
-    period start, or installs again. The save models the one a real handler
-    jumps back through; its cycle delays the install, so it is part of the
-    handler-install race. The handler is a ``handler_cost``-cycle write of
-    ``MARKER_VALUE`` to ``watch``. The instruction builds the install and
-    the handler itself on first use, and the run state lives on the actor,
-    so the instruction can be yielded again. In a lean run the kernel
-    commits whole periods in closed form between other actors' stops, so no
-    other actor's ``Ticks`` may watch ``counter`` or ``mirror``."""
+    the handler into ``rip``, 2 cycles in all; then it waits until the
+    marker is back, ``proc != 1`` or ``rip`` lost the handler, and goes on
+    at a period start, or installs again. The save models the one a real
+    handler jumps back through; its cycle delays the install, so it is part
+    of the handler-install race. A full trace takes the save and the install
+    as two 1-cycle steps and logs each WRITE at its own cycle; a lean run,
+    which logs neither, commits the save as the 2-cycle install starts,
+    since nothing reads ``saved_rip``. Either way the handler lands in
+    ``rip`` two cycles after the period start, with the same residency and
+    the same remaining cycles for an AEX in either cycle. The handler is a
+    ``handler_cost``-cycle write of ``MARKER_VALUE`` to ``watch``. The
+    instruction builds the install and the handler itself on first use, and
+    the run state lives on the actor, so the instruction can be yielded
+    again. In a lean run the kernel commits whole periods in closed form
+    between other actors' stops, so no other actor's ``Ticks`` may watch
+    ``counter`` or ``mirror``."""
 
     __slots__ = ("tau", "epsilon", "watch", "counter", "mirror", "proc", "rip", "saved_rip",
                  "handler_cost", "install", "tick", "checks")
@@ -226,6 +237,8 @@ class Ticks(Instr):
                  rip: Cell, saved_rip: Cell, handler_cost: int) -> None:
         if tau < 1:
             raise KernelError("a tick lasts at least one cycle")
+        if handler_cost < 0:
+            raise KernelError("negative instruction cost")
         super().__init__(_TICKS)
         self.tau = tau
         self.epsilon = epsilon
@@ -570,8 +583,8 @@ class SimKernel:
     def _ticks_step(self, actor: Actor) -> None:
         """Take a Ticks instruction's next step, at its start or after its
         tick, checks, abort, recovery write or wait for the marker: commit
-        an ended tick, start a pending install, or end the instruction,
-        start a period or recover, by ``proc`` and the marker."""
+        an ended tick, start a full trace's pending install, or end the
+        instruction, start a period or recover, by ``proc`` and the marker."""
         ticks = actor.ticks
         if actor.tx is not None:
             # the tick ended: commit it, mirror the count outside the
@@ -587,9 +600,6 @@ class SimKernel:
                 return
         elif actor.recovery == _INSTALL:
             actor.recovery = _AWAIT
-            if ticks.install is None:
-                handler = EresumeHandler(WriteCell(ticks.watch, MARKER_VALUE, cost=ticks.handler_cost))
-                ticks.install = WriteCell(ticks.rip, handler, cost=1)
             self._start(actor, ticks.install, 1)
             return
         if ticks.proc.value != 1:
@@ -610,8 +620,21 @@ class SimKernel:
             self._log(actor.name, "TX_ABORT", "marker-missing")
         rip = ticks.rip.value
         if not isinstance(rip, EresumeHandler):
-            actor.recovery = _INSTALL
-            self._start(actor, WriteCell(ticks.saved_rip, rip, cost=1), 1)
+            if ticks.install is None:
+                handler = EresumeHandler(WriteCell(ticks.watch, MARKER_VALUE, cost=ticks.handler_cost))
+                ticks.install = WriteCell(ticks.rip, handler, cost=1)
+            if self._full_trace:
+                # the save is a step of its own, so its WRITE is logged a
+                # cycle before the install's
+                actor.recovery = _INSTALL
+                self._start(actor, WriteCell(ticks.saved_rip, rip, cost=1), 1)
+                return
+            # a lean run logs no WRITE and nothing reads the saved rip: the
+            # save commits now and the install takes both cycles, so the
+            # handler still lands in the rip two cycles from now
+            self._commit_write(actor, ticks.saved_rip, rip)
+            actor.recovery = _AWAIT
+            self._start(actor, ticks.install, 2)
             return
         # the wait's predicate is false here: the marker is missing, proc is
         # 1 and the rip holds the handler

@@ -98,9 +98,12 @@ class TimerState:
         self.started = Cell("meter.run_started", 0)
         self.run_done = Cell("meter.run_done", 0)
         # the saved rip a real ERESUME handler jumps back through (here the
-        # kernel's frozen work jumps); nothing reads it, but its 1-cycle write
-        # is part of the handler-install race: without it 48, not 74, of the
-        # adversarial runs at seed 301 end with the marker missing
+        # kernel's frozen work jumps); nothing reads it, but its cycle delays
+        # the handler install, so it is part of the handler-install race:
+        # without it 48, not 74, of the adversarial runs at seed 301 end with
+        # the marker missing. A full trace writes it in a 1-cycle step before
+        # the 1-cycle install; a lean run commits it as a 2-cycle install
+        # starts, since it logs no WRITE
         self.original_rip = Cell("meter.original_rip", None)
 
 

@@ -671,16 +671,23 @@ class TestTicks:
         assert lean.events == [e for e in ticks.events if e[2] in ("AEX", "AEX_SKIPPED", "ERESUME")]
 
     @staticmethod
-    def run_recovery(spelled, schedule, full):
+    def run_recovery(spelled, schedule, full, limit=10_000, waiter=False):
         """A ticker (tau=4, epsilon=1) watching a worker's SSA marker, whose
         recovery installs the handler into the worker's rip, and a worker
         that sets its marker, runs 60 one-cycle steps and then stops the
-        ticker."""
+        ticker; with ``waiter``, a third actor waits for the handler to land
+        in the worker's rip and returns the cycle it woke at."""
         kern = reference_kernel.SimKernel() if spelled else SimKernel()
         worker = kern.add_enclave_actor("worker")
         ticker = kern.add_enclave_actor("ticker")
         cells = tick_cells(worker.ssa.marker)
         cells["rip"] = worker.ssa.rip
+        if waiter:
+            def waiter_program():
+                yield WaitUntil(lambda: isinstance(worker.ssa.rip.value, EresumeHandler))
+                return kern.now
+
+            kern.add_enclave_actor("waiter").set_program(waiter_program())
 
         def ticker_program():
             if spelled:
@@ -697,29 +704,55 @@ class TestTicks:
 
         worker.set_program(worker_program())
         ticker.set_program(ticker_program())
-        return kern.run(schedule, 10_000, full_trace=full)
+        return kern.run(schedule, limit, full_trace=full)
 
-    @pytest.mark.parametrize("schedule, installs", [
-        ([ScheduleEvent("worker", 7, 9)], 1),
+    @pytest.mark.parametrize("schedule, limit, waiter, saves, aborts", [
+        # the worker's AEX at 7 aborts the period and the ticker saves the
+        # rip from 7: the full trace logs the save at 8 and the install at 9
+        pytest.param([ScheduleEvent("worker", 7, 9)], 10_000, False, [8], {"conflict", "marker-missing"},
+                     id="one"),
         # an AEX inside the handler clobbers it, one lands while the ticker
         # saves the rip, and an AEX in the handler's last cycle resumes
         # without it: each clobbered handler is installed again
-        ([ScheduleEvent("worker", 7, 9), ScheduleEvent("worker", 10, 12), ScheduleEvent("worker", 20, 20),
-          ScheduleEvent("ticker", 21, 23), ScheduleEvent("worker", 23, 30), ScheduleEvent("worker", 31, 31)],
-         4),
-    ], ids=["one", "clobbered"])
-    def test_missing_marker_matches_the_spelled_loop(self, schedule, installs):
+        pytest.param([ScheduleEvent("worker", 7, 9), ScheduleEvent("worker", 10, 12),
+                      ScheduleEvent("worker", 20, 20), ScheduleEvent("ticker", 21, 23),
+                      ScheduleEvent("worker", 23, 30), ScheduleEvent("worker", 31, 31)],
+                     10_000, False, [8, 11, 21, 32], {"conflict", "marker-missing"}, id="clobbered"),
+        # the worker's AEX at 9 lands in the checks, so the period start at
+        # 10 finds the marker missing and the save starts at 10: the ticker's
+        # own AEX freezes it in its first cycle or in its second
+        pytest.param([ScheduleEvent("worker", 9, 30), ScheduleEvent("ticker", 10, 13)], 10_000, False, [14],
+                     {"marker-missing"}, id="ticker-aex-as-save-starts"),
+        pytest.param([ScheduleEvent("worker", 9, 30), ScheduleEvent("ticker", 11, 13)], 10_000, False, [11],
+                     {"marker-missing"}, id="ticker-aex-a-cycle-later"),
+        # the two sides of the install race: the worker resumes at 11,
+        # before the handler lands at 12, or at 12, when it is in
+        pytest.param([ScheduleEvent("worker", 9, 11)], 10_000, False, [11], {"marker-missing"},
+                     id="eresume-before-install"),
+        pytest.param([ScheduleEvent("worker", 9, 12)], 10_000, False, [11], {"marker-missing"},
+                     id="eresume-at-install"),
+        # the run ends at 8, between the save and the install
+        pytest.param([ScheduleEvent("worker", 7, 9)], 8, False, [8], {"conflict", "marker-missing"},
+                     id="limit-between-save-and-install"),
+        # an actor waits for the handler while the save commits, and wakes
+        # at the install
+        pytest.param([ScheduleEvent("worker", 7, 9)], 10_000, True, [8], {"conflict", "marker-missing"},
+                     id="waiter"),
+    ])
+    def test_missing_marker_matches_the_spelled_loop(self, schedule, limit, waiter, saves, aborts):
         # the recovery runs inside the instruction, with the events, cycles
-        # and residency of the spelled loop's recovery
+        # and residency of the spelled loop's recovery; a lean run commits
+        # the save as the install starts, which no lean output shows
         for full in (True, False):
-            ticks = self.run_recovery(False, schedule, full)
-            spelled = self.run_recovery(True, schedule, full)
+            ticks = self.run_recovery(False, schedule, full, limit, waiter)
+            spelled = self.run_recovery(True, schedule, full, limit, waiter)
             assert ticks.export_text() == spelled.export_text()
             assert ticks.results == spelled.results
-        full = self.run_recovery(False, schedule, True)
-        saves = [c for (c, a, k, d) in full.events if k == "WRITE" and d.startswith("saved_rip=")]
-        assert len(saves) == installs
-        assert {"conflict", "marker-missing"} <= set(tick_aborts(full, "ticker"))
+        full = self.run_recovery(False, schedule, True, limit, waiter)
+        assert [c for (c, a, k, d) in full.events if k == "WRITE" and d.startswith("saved_rip=")] == saves
+        assert set(tick_aborts(full, "ticker")) == aborts
+        if waiter:
+            assert full.results["waiter"] == 9
 
     def test_ticks_delivers_none_after_a_handler(self):
         # a handler installed into the ticker's own rip while it is
@@ -750,6 +783,12 @@ class TestTicks:
     def test_tick_shorter_than_a_cycle_rejected(self):
         with pytest.raises(KernelError):
             Ticks(0, 0, **tick_cells(Cell("c", 0)))
+        # a negative epsilon or handler cost fails when the instruction is
+        # built, not at the first missing marker
+        for epsilon, handler_cost in ((-1, 2), (0, -1)):
+            cells = dict(tick_cells(Cell("c", 0)), handler_cost=handler_cost)
+            with pytest.raises(KernelError, match="negative instruction cost"):
+                Ticks(1, epsilon, **cells)
 
 
 class TestResidentOracleAgreement:

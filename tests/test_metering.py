@@ -403,19 +403,21 @@ class TestCycleConservation:
         assert [d for (c, a, k, d) in out.trace.events if k == "ERESUME"] == ["handler"] * 2
         assert out.t_max * cfg.tau <= out.trace.resident["worker"]
 
-    @pytest.mark.parametrize("seed, missing, fired, max_drives",
-                             [(301, 74, 1887, 9421), (402, 67, 2134, 10848)], ids=["301-74", "402-67"])
-    def test_adversarial_corpus(self, monkeypatch, seed, missing, fired, max_drives):
+    @pytest.mark.parametrize("seed, missing, fired, max_drives, max_completions",
+                             [(301, 74, 1887, 8160, 3535), (402, 67, 2134, 9403, 4270)],
+                             ids=["301-74", "402-67"])
+    def test_adversarial_corpus(self, monkeypatch, seed, missing, fired, max_drives, max_completions):
         # perfbench's adversary fires most of its interrupts, and some of its
         # runs end with the worker's SSA marker spilled; the lower bound and
         # exact conservation hold in every run all the same. The kernel's
-        # work follows the interrupts that fire: `max_drives` is the count of
-        # actor drives in the scheduled runs when it was set (about five per
-        # fired interrupt), and a change may lower it
+        # work follows the interrupts that fire: `max_drives` and
+        # `max_completions` are the counts of actor drives and of completed
+        # instructions in the scheduled runs when they were set (about four
+        # and two per fired interrupt), and a change may lower them
         workloads = _load("workloads")
         workers = []
-        add, drive = SimKernel.add_enclave_actor, SimKernel._drive
-        drives = 0
+        add, drive, complete = SimKernel.add_enclave_actor, SimKernel._drive, SimKernel._complete
+        drives = completions = 0
 
         def recording_add(self, name):
             actor = add(self, name)
@@ -428,21 +430,29 @@ class TestCycleConservation:
             drives += 1
             return drive(self, *args)
 
+        def counting_complete(self, *args):
+            nonlocal completions
+            completions += 1
+            return complete(self, *args)
+
         monkeypatch.setattr(SimKernel, "add_enclave_actor", recording_add)
         monkeypatch.setattr(SimKernel, "_drive", counting_drive)
-        ended_missing = aex = run_drives = 0
+        monkeypatch.setattr(SimKernel, "_complete", counting_complete)
+        ended_missing = aex = run_drives = run_completions = 0
         for j in range(300):
             case = workloads.build_case(seed, j)  # its dry run is not counted
-            start = drives
+            start, start_completions = drives, completions
             out = run_metered(case.image, case.input, workloads.ADV_LIMITS, case.cfg,
                               schedule=case.schedule, costs=case.costs, limit=case.limit)
             assert out.t_max * out.tau <= out.trace.resident["worker"], j
             assert_conserved(out, case.image, case.input, workloads.ADV_LIMITS, case.cfg, case.costs)
             ended_missing += workers[-1].ssa.marker.value != kernel.MARKER_VALUE
             run_drives += drives - start
+            run_completions += completions - start_completions
             aex += sum(kind == "AEX" for _, _, kind, _ in out.trace.events)
         assert ended_missing == missing
         assert aex == fired and run_drives <= max_drives, (aex, run_drives)
+        assert run_completions <= max_completions, run_completions
 
     def test_zero_length_window_inside_handler_completes(self):
         # case 28 of the adversarial benchmark corpus at seed 301: the window
@@ -1004,7 +1014,7 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("cfg", [MeterConfig(tau=1, epsilon=0), MeterConfig(tau=100)],
                              ids=["tau1", "tau100"])
-    @pytest.mark.parametrize("schedule, max_drives, max_built", [((), 10, 17), (WINDOWS, 19, 23)],
+    @pytest.mark.parametrize("schedule, max_drives, max_built", [((), 10, 17), (WINDOWS, 18, 19)],
                              ids=["quiet", "windows"])
     def test_work_does_not_grow_with_cycles(self, monkeypatch, cfg, schedule, max_drives, max_built):
         # fib(5000) runs 50 times the cycles of fib(100), and at tau=1 as
